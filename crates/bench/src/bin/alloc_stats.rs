@@ -13,6 +13,12 @@
 //! than the running maximum across modes. Allocation counts come from a
 //! counting [`GlobalAlloc`] wrapper around the system allocator.
 //!
+//! A second table shows what the arena costs a federation: 8 sites, each
+//! with its own model, optimizer and graph, take turns behind 2 compute
+//! permits for a few rounds, once keeping their arenas (`sites-kept`) and
+//! once parking them when a turn ends (`sites-parked`, what the shipped
+//! executors do — DESIGN.md §3d).
+//!
 //! Results are recorded in `EXPERIMENTS.md`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,61 +111,99 @@ fn mlm_labels(ids: &[u32], mask: &[u8]) -> Vec<i32> {
         .collect()
 }
 
+const VOCAB: usize = 200;
+const BATCH: usize = 8;
+const SEQ_LEN: usize = 32;
+
+/// One training participant: a paper model, its optimizer and its tape.
+struct Site {
+    model: Step,
+    opt: Adam,
+    graph: Graph,
+}
+
+enum Step {
+    Lstm(LstmClassifier),
+    BertMlm(BertModel),
+}
+
+/// The fixed batch every step trains on.
+struct StepData {
+    ids: Vec<u32>,
+    mask: Vec<u8>,
+    labels: Vec<i32>,
+    mlm: Vec<i32>,
+}
+
+impl StepData {
+    fn new() -> Self {
+        let (ids, mask) = token_batch(BATCH, SEQ_LEN, VOCAB);
+        StepData {
+            labels: (0..BATCH as i32).map(|i| i % 2).collect(),
+            mlm: mlm_labels(&ids, &mask),
+            ids,
+            mask,
+        }
+    }
+}
+
+impl Site {
+    fn new(model: &str) -> Self {
+        let model = match model {
+            "lstm" => Step::Lstm(LstmClassifier::new(&LstmConfig::with_vocab(VOCAB), 1)),
+            "bert-mini" => Step::BertMlm(BertModel::new(&BertConfig::bert_mini(VOCAB, SEQ_LEN), 1)),
+            "bert" => Step::BertMlm(BertModel::new(&BertConfig::bert(VOCAB, SEQ_LEN), 1)),
+            other => panic!("unknown model {other:?}"),
+        };
+        Site {
+            model,
+            opt: Adam::with_lr(1e-3),
+            graph: Graph::new(),
+        }
+    }
+
+    /// One training step, on the reset graph (`reuse`) or a fresh one.
+    fn step(&mut self, data: &StepData, seed: u64, reuse: bool) {
+        if reuse {
+            self.graph.reset_with_seed(seed);
+            self.graph.set_training(true);
+        } else {
+            self.graph = Graph::with_seed(seed);
+        }
+        let g = &mut self.graph;
+        let batch = TokenBatch {
+            ids: &data.ids,
+            mask: &data.mask,
+            batch_size: BATCH,
+            seq_len: SEQ_LEN,
+        };
+        let loss = match &mut self.model {
+            Step::Lstm(model) => model.classification_loss(g, &batch, &data.labels),
+            Step::BertMlm(model) => model.mlm_loss(g, &batch, &data.mlm),
+        };
+        g.backward(loss);
+        let params = match &mut self.model {
+            Step::Lstm(model) => model.params_mut(),
+            Step::BertMlm(model) => model.params_mut(),
+        };
+        g.grads_into(params);
+        self.opt.step(params);
+    }
+}
+
 /// Runs warmup + measured training steps for one (model, mode) pair and
 /// prints a single TSV record: `model mode allocs/step bytes/step vmhwm_kb`.
 fn run_worker(model: &str, mode: &str) {
     pool::set_threads(1);
     let reuse = mode == "reuse";
-    let vocab = 200;
-    let (b, s) = (8, 32);
-    let (ids, mask) = token_batch(b, s, vocab);
-    let batch = TokenBatch {
-        ids: &ids,
-        mask: &mask,
-        batch_size: b,
-        seq_len: s,
-    };
-    let labels: Vec<i32> = (0..b as i32).map(|i| i % 2).collect();
-    let mlm = mlm_labels(&ids, &mask);
-
-    enum Step {
-        Lstm(LstmClassifier),
-        BertMlm(BertModel),
-    }
-    let mut m = match model {
-        "lstm" => Step::Lstm(LstmClassifier::new(&LstmConfig::with_vocab(vocab), 1)),
-        "bert-mini" => Step::BertMlm(BertModel::new(&BertConfig::bert_mini(vocab, s), 1)),
-        "bert" => Step::BertMlm(BertModel::new(&BertConfig::bert(vocab, s), 1)),
-        other => panic!("unknown model {other:?}"),
-    };
-    let mut opt = Adam::with_lr(1e-3);
-    let mut reused = Graph::new();
-
+    let data = StepData::new();
+    let mut site = Site::new(model);
     let mut measured = (0, 0);
     for i in 0..WARMUP_STEPS + MEASURE_STEPS {
         if i == WARMUP_STEPS {
             measured = snapshot();
         }
-        let seed = 0xA110C ^ (i as u64);
-        let g = if reuse {
-            reused.reset_with_seed(seed);
-            reused.set_training(true);
-            &mut reused
-        } else {
-            reused = Graph::with_seed(seed);
-            &mut reused
-        };
-        let loss = match &mut m {
-            Step::Lstm(model) => model.classification_loss(g, &batch, &labels),
-            Step::BertMlm(model) => model.mlm_loss(g, &batch, &mlm),
-        };
-        g.backward(loss);
-        let params = match &mut m {
-            Step::Lstm(model) => model.params_mut(),
-            Step::BertMlm(model) => model.params_mut(),
-        };
-        g.grads_into(params);
-        opt.step(params);
+        site.step(&data, 0xA110C ^ (i as u64), reuse);
     }
     let (count, bytes) = snapshot();
     let steps = MEASURE_STEPS as u64;
@@ -171,14 +215,69 @@ fn run_worker(model: &str, mode: &str) {
     );
 }
 
+const SITES: usize = 8;
+const PERMITS: usize = 2;
+const SITE_ROUNDS: usize = 3;
+const STEPS_PER_TURN: usize = 2;
+const SITE_MODES: [&str; 2] = ["sites-kept", "sites-parked"];
+
+/// `SITES` sites take `SITE_ROUNDS` turns of `STEPS_PER_TURN` steps behind
+/// `PERMITS` compute permits; prints `model mode vmhwm_kb`.
+fn run_sites(model: &str, mode: &str) {
+    pool::set_threads(PERMITS);
+    let park = mode == "sites-parked";
+    let data = StepData::new();
+    let mut sites: Vec<Site> = (0..SITES).map(|_| Site::new(model)).collect();
+    std::thread::scope(|s| {
+        for site in &mut sites {
+            let data = &data;
+            s.spawn(move || {
+                for round in 0..SITE_ROUNDS {
+                    let _permit = pool::compute_permit();
+                    for i in 0..STEPS_PER_TURN {
+                        site.step(data, (round * STEPS_PER_TURN + i) as u64, true);
+                    }
+                    if park {
+                        site.graph.park();
+                    }
+                }
+            });
+        }
+    });
+    println!("{model}\t{mode}\t{}", peak_rss_kb());
+}
+
+/// Runs this binary as a worker and parses the numeric fields it prints
+/// after the model and mode columns.
+fn worker(model: &str, mode: &str) -> Vec<u64> {
+    let exe = std::env::current_exe().expect("current_exe");
+    let out = Command::new(&exe)
+        .args(["--worker", model, mode])
+        .output()
+        .expect("spawn worker");
+    assert!(
+        out.status.success(),
+        "worker {model}/{mode} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout)
+        .split_whitespace()
+        .skip(2)
+        .map(|v| v.parse().expect("numeric field"))
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.len() == 4 && args[1] == "--worker" {
-        run_worker(&args[2], &args[3]);
+        if SITE_MODES.contains(&args[3].as_str()) {
+            run_sites(&args[2], &args[3]);
+        } else {
+            run_worker(&args[2], &args[3]);
+        }
         return;
     }
 
-    let exe = std::env::current_exe().expect("current_exe");
     // One measurement per (model, mode): allocs/step, bytes/step, vmhwm_kb.
     #[derive(Clone, Copy, Default)]
     struct Meas {
@@ -190,21 +289,7 @@ fn main() {
     for model in MODELS {
         let mut per_mode = [Meas::default(); 2];
         for (mi, mode) in MODES.iter().enumerate() {
-            let out = Command::new(&exe)
-                .args(["--worker", model, mode])
-                .output()
-                .expect("spawn worker");
-            assert!(
-                out.status.success(),
-                "worker {model}/{mode} failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let line = String::from_utf8_lossy(&out.stdout);
-            let f: Vec<u64> = line
-                .split_whitespace()
-                .skip(2)
-                .map(|v| v.parse().expect("numeric field"))
-                .collect();
+            let f = worker(model, mode);
             per_mode[mi] = Meas {
                 allocs: f[0],
                 bytes: f[1],
@@ -248,4 +333,22 @@ fn main() {
         ratio >= 10.0,
         "tape reuse must cut BERT-mini MLM per-step allocations by >= 10x (got {ratio:.1}x)"
     );
+
+    println!(
+        "\nPEAK RSS OF {SITES} SITES BEHIND {PERMITS} COMPUTE PERMITS ({SITE_ROUNDS} turns of {STEPS_PER_TURN} steps each)\n"
+    );
+    println!(
+        "{:<10} {:>16} {:>18} {:>8}",
+        "Model", "Arenas kept (MB)", "Arenas parked (MB)", "Ratio"
+    );
+    for model in MODELS {
+        let [kept, parked] = SITE_MODES.map(|mode| worker(model, mode)[0] as f64 / 1024.0);
+        println!(
+            "{:<10} {:>16.1} {:>18.1} {:>7.2}x",
+            model,
+            kept,
+            parked,
+            kept / parked
+        );
+    }
 }

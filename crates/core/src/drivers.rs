@@ -3,7 +3,7 @@
 
 use crate::config::{ModelSpec, PipelineConfig, TrainHyper};
 use crate::executor::{ClinicalExecutor, MlmExecutor};
-use crate::learner::{Learner, MlmLearner};
+use crate::learner::{Learner, MlmLearner, ParkArena, ParkOnDrop};
 use clinfl_data::{generate_cohort, generate_corpus, ClassifyDataset, CodeSystem, SitePartitioner};
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::controller::SagConfig;
@@ -87,6 +87,9 @@ fn centralized_on(
     let hyper = TrainHyper::for_model(spec);
     let vocab_size = CodeSystem::new().vocab().len();
     let mut learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
+    // A standalone site's arena outlives it: the next site to get a
+    // compute permit adopts it instead of building its own.
+    let mut learner = ParkOnDrop(&mut learner);
     let mut history = Vec::with_capacity(cfg.epochs as usize);
     for _ in 0..cfg.epochs {
         let stats = learner.train_epoch(train);
@@ -272,6 +275,7 @@ pub fn train_federated_with(
     let mut eval = Learner::new(spec, vocab_size, cfg.seq_len, hyper, cfg.seed);
     eval.load_weights(final_weights);
     let accuracy = eval.evaluate(&data.valid);
+    eval.park_arena(); // back to the queue the sites left it in
 
     // Personalization arm: each site fine-tunes the final global model on
     // its own shard, in parallel under the compute-permit budget (same
@@ -296,6 +300,7 @@ pub fn train_federated_with(
                         hyper,
                         cfg.seed.wrapping_add(0x9E + i as u64),
                     );
+                    let mut learner = ParkOnDrop(&mut learner);
                     learner.load_weights(final_weights);
                     for _ in 0..cfg.runtime.personalize_epochs {
                         learner.train_epoch(shard);
@@ -502,6 +507,7 @@ pub fn pretrain_mlm(
             };
             let mut learner =
                 MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, cfg.seed);
+            let mut learner = ParkOnDrop(&mut learner);
             learner.set_schedule(mlm_warmup(cfg, train.len(), hyper.batch_size));
             let mut curve = vec![learner.eval_loss(&data.valid)];
             for _ in 0..cfg.pretrain_rounds {
@@ -531,6 +537,7 @@ pub fn pretrain_mlm(
                 MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, cfg.seed);
             let initial = seed_learner.export_weights();
             let initial_loss = seed_learner.eval_loss(&data.valid);
+            seed_learner.park_arena(); // the sites take it from here
             let valid = data.valid.clone();
             let result = runner.run_simple(
                 initial,

@@ -1,7 +1,7 @@
 //! NVFlare executors wiring the learners into the federated runtime
 //! (the paper Fig. 3's `CiBertLearner`).
 
-use crate::learner::{Learner, MlmLearner};
+use crate::learner::{Learner, MlmLearner, ParkOnDrop};
 use clinfl_data::ClassifyDataset;
 use clinfl_flare::executor::{Executor, TaskContext};
 use clinfl_flare::{Dxo, EventLog, Weights};
@@ -65,14 +65,17 @@ impl ClinicalExecutor {
 
 impl Executor for ClinicalExecutor {
     fn train(&mut self, global: &Weights, ctx: &TaskContext) -> Dxo {
-        self.learner.load_weights(global);
-        self.learner.reset_optimizer();
+        // The site goes idle after this task: its tape arena moves on to
+        // the next site that gets a compute permit (DESIGN.md §3d).
+        let mut learner = ParkOnDrop(&mut self.learner);
+        learner.load_weights(global);
+        learner.reset_optimizer();
         let mut last_loss = 0.0;
         let mut last_acc = 0.0;
         for e in 0..self.local_epochs {
-            let stats = self.learner.train_epoch(&self.train);
+            let stats = learner.train_epoch(&self.train);
             last_loss = stats.mean_loss;
-            last_acc = self.learner.evaluate(&self.valid_probe);
+            last_acc = learner.evaluate(&self.valid_probe);
             self.log.info(
                 "CiBertLearner",
                 format!(
@@ -80,7 +83,7 @@ impl Executor for ClinicalExecutor {
                     site = ctx.site,
                     cur = e + 1,
                     total = self.local_epochs,
-                    lr = self.learner.hyper().lr,
+                    lr = learner.hyper().lr,
                     loss = stats.mean_loss,
                     acc = last_acc,
                     secs = stats.seconds,
@@ -90,14 +93,15 @@ impl Executor for ClinicalExecutor {
         let mut metrics = BTreeMap::new();
         metrics.insert("train_loss".to_string(), last_loss);
         metrics.insert("valid_acc".to_string(), last_acc);
-        let mut dxo = Dxo::from_weights(self.learner.export_weights(), self.train.len() as u64);
+        let mut dxo = Dxo::from_weights(learner.export_weights(), self.train.len() as u64);
         dxo.metrics = metrics;
         dxo
     }
 
     fn validate(&mut self, global: &Weights, _ctx: &TaskContext) -> f64 {
-        self.learner.load_weights(global);
-        self.learner.evaluate(&self.valid)
+        let mut learner = ParkOnDrop(&mut self.learner);
+        learner.load_weights(global);
+        learner.evaluate(&self.valid)
     }
 }
 
@@ -142,10 +146,11 @@ impl MlmExecutor {
 
 impl Executor for MlmExecutor {
     fn train(&mut self, global: &Weights, ctx: &TaskContext) -> Dxo {
-        self.learner.load_weights(global);
+        let mut learner = ParkOnDrop(&mut self.learner);
+        learner.load_weights(global);
         let mut last = 0.0;
         for e in 0..self.local_epochs {
-            let stats = self.learner.train_epoch(&self.train);
+            let stats = learner.train_epoch(&self.train);
             last = stats.mean_loss;
             self.log.info(
                 "CiBertLearner",
@@ -161,13 +166,14 @@ impl Executor for MlmExecutor {
         }
         let mut metrics = BTreeMap::new();
         metrics.insert("mlm_loss".to_string(), last);
-        let mut dxo = Dxo::from_weights(self.learner.export_weights(), self.train.len() as u64);
+        let mut dxo = Dxo::from_weights(learner.export_weights(), self.train.len() as u64);
         dxo.metrics = metrics;
         dxo
     }
 
     fn validate(&mut self, global: &Weights, _ctx: &TaskContext) -> f64 {
-        self.learner.load_weights(global);
-        self.learner.eval_loss(&self.valid)
+        let mut learner = ParkOnDrop(&mut self.learner);
+        learner.load_weights(global);
+        learner.eval_loss(&self.valid)
     }
 }

@@ -31,6 +31,39 @@ fn token_batch(b: &Batch) -> TokenBatch<'_> {
     }
 }
 
+/// A learner whose tape arena can be handed on between tasks.
+pub(crate) trait ParkArena {
+    /// Hands the learner's tape arena (the buffers of its last step,
+    /// ~50 MB for the LSTM, ~160 MB for BERT MLM) to the next learner that
+    /// computes; see [`Graph::park`]. For when a task ends and the learner
+    /// goes idle. Results never depend on it.
+    fn park_arena(&mut self);
+}
+
+/// Scope of one task on a learner: derefs to the learner and parks its
+/// tape arena when dropped, so a task that unwinds returns the arena too.
+/// Create it inside the compute permit the task runs under.
+pub(crate) struct ParkOnDrop<'a, L: ParkArena>(pub(crate) &'a mut L);
+
+impl<L: ParkArena> std::ops::Deref for ParkOnDrop<'_, L> {
+    type Target = L;
+    fn deref(&self) -> &L {
+        self.0
+    }
+}
+
+impl<L: ParkArena> std::ops::DerefMut for ParkOnDrop<'_, L> {
+    fn deref_mut(&mut self) -> &mut L {
+        self.0
+    }
+}
+
+impl<L: ParkArena> Drop for ParkOnDrop<'_, L> {
+    fn drop(&mut self) {
+        self.0.park_arena();
+    }
+}
+
 /// A classification learner: one of the paper's three models plus an Adam
 /// optimizer and hyper-parameters, trainable locally and exchangeable with
 /// the federated runtime via [`Weights`].
@@ -39,7 +72,7 @@ pub struct Learner {
     hyper: TrainHyper,
     optimizer: Adam,
     /// Reused autograd tape: reset (not reallocated) per step so buffers
-    /// recycle across iterations.
+    /// recycle across iterations, until [`ParkArena::park_arena`] hands them on.
     graph: Graph,
     epoch_counter: u64,
     seed: u64,
@@ -48,6 +81,12 @@ pub struct Learner {
     /// penalizing local drift (Li et al., *Federated Optimization in
     /// Heterogeneous Networks*). Extension beyond the paper.
     prox: Option<(f32, Weights)>,
+}
+
+impl ParkArena for Learner {
+    fn park_arena(&mut self) {
+        self.graph.park();
+    }
 }
 
 impl std::fmt::Debug for Learner {
@@ -120,8 +159,7 @@ impl Learner {
     /// anchor.
     pub fn load_weights(&mut self, weights: &Weights) {
         weights_to_params(weights, self.model.params_mut());
-        if let Some((mu, anchor)) = &mut self.prox {
-            let _ = mu;
+        if let Some((_mu, anchor)) = &mut self.prox {
             *anchor = weights.clone();
         }
     }
@@ -196,15 +234,8 @@ impl Learner {
         if mu == 0.0 {
             return;
         }
-        let params = self.model.params_mut();
-        let entries: Vec<(clinfl_tensor::ParamId, String)> = params
-            .iter()
-            .map(|(id, name, _)| (id, name.to_string()))
-            .collect();
-        for (id, name) in entries {
-            let Some(a) = anchor.get(&name) else { continue };
-            let w = params.value(id).clone();
-            let g = params.grad_mut(id);
+        for (name, w, g) in self.model.params_mut().iter_grads_mut() {
+            let Some(a) = anchor.get(name) else { continue };
             for ((gv, &wv), &av) in g.data_mut().iter_mut().zip(w.data()).zip(&a.data) {
                 *gv += mu * (wv - av);
             }
@@ -265,11 +296,17 @@ pub struct MlmLearner {
     optimizer: Adam,
     schedule: LrSchedule,
     /// Reused autograd tape: reset (not reallocated) per step so buffers
-    /// recycle across iterations.
+    /// recycle across iterations, until [`ParkArena::park_arena`] hands them on.
     graph: Graph,
     step_counter: u64,
     epoch_counter: u64,
     seed: u64,
+}
+
+impl ParkArena for MlmLearner {
+    fn park_arena(&mut self) {
+        self.graph.park();
+    }
 }
 
 impl std::fmt::Debug for MlmLearner {
@@ -511,6 +548,27 @@ mod tests {
             proximal < free,
             "prox drift {proximal} should be below free drift {free}"
         );
+    }
+
+    #[test]
+    fn park_guard_returns_the_arena_when_the_task_unwinds() {
+        let (cs, data) = small_data();
+        let hyper = TrainHyper::for_model(ModelSpec::Lstm);
+        let mut learner = Learner::new(ModelSpec::Lstm, cs.vocab().len(), 36, hyper, 3);
+        let task = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut site = ParkOnDrop(&mut learner);
+            site.train_epoch(&data);
+            assert!(site.graph.pool_stats().1 > 0, "the epoch built an arena");
+            panic!("site fails mid-task");
+        }));
+        assert!(task.is_err());
+        assert_eq!(
+            learner.graph.pool_stats(),
+            (0, 0),
+            "the arena left with the guard"
+        );
+        // The learner itself is intact and takes an arena back on demand.
+        assert!(learner.evaluate(&data) > 0.0);
     }
 
     #[test]

@@ -515,7 +515,7 @@ impl FlClient {
             None
         } else {
             match self.cache.get(enc.base_id) {
-                Some(b) => Some(b.clone()),
+                Some(b) => Some(b),
                 None => {
                     wire_count("flare.wire.codec.base_misses", 1);
                     self.log.warn(
@@ -529,9 +529,15 @@ impl FlClient {
                 }
             }
         };
-        match decode_weights(enc, base.as_ref()) {
+        match decode_weights(enc, base.map(|b| &**b)) {
             Ok(w) => {
-                self.cache.insert(enc.payload_id, w.clone());
+                // An alias decodes to its base: keep one copy under both
+                // ids instead of storing the clone `decode_weights` made.
+                let entry = match base {
+                    Some(b) if enc.alias => Arc::clone(b),
+                    _ => Arc::new(w.clone()),
+                };
+                self.cache.insert(enc.payload_id, entry);
                 Some(w)
             }
             Err(e) => {
@@ -552,7 +558,7 @@ impl FlClient {
         if matches!(dxo.kind, DxoKind::Weights) {
             if let Some(uplink) = self.uplink.as_mut() {
                 let ack = self.cache.latest_id();
-                let base = ack.and_then(|id| self.cache.get(id).map(|w| (w, id)));
+                let base = ack.and_then(|id| self.cache.get(id).map(|w| (&**w, id)));
                 match uplink.encode(&dxo.weights, base) {
                     Ok(enc) => {
                         return ClientMessage::SubmitEnc {
@@ -621,7 +627,7 @@ impl FlClient {
         if matches!(dxo.kind, DxoKind::Weights) {
             if let Some(uplink) = self.uplink.as_mut() {
                 let latest = self.cache.latest_id();
-                let base = latest.and_then(|id| self.cache.get(id).map(|w| (w, id)));
+                let base = latest.and_then(|id| self.cache.get(id).map(|w| (&**w, id)));
                 match uplink.encode(&dxo.weights, base) {
                     Ok(enc) => {
                         ack = latest.unwrap_or(NO_BASE);

@@ -34,6 +34,7 @@ use crate::dxo::{WeightTensor, Weights};
 use crate::wire::{WireDecode, WireEncode, WireReader};
 use crate::FlareError;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Sentinel `base_id`: the frame is self-contained (no delta base).
 pub const NO_BASE: u32 = u32::MAX;
@@ -1070,11 +1071,13 @@ pub fn decode_weights(enc: &EncodedWeights, base: Option<&Weights>) -> Result<We
 // ---------------------------------------------------------------------
 
 /// Client-side mirror of the server ring: reconstructions of recently
-/// decoded downlink payloads, keyed by payload id.
+/// decoded downlink payloads, keyed by payload id. Entries are shared
+/// (`Arc`), so a payload the server declares identical to an earlier one
+/// (an alias frame) costs an id, not a second copy of the model.
 #[derive(Debug)]
 pub struct PayloadCache {
     depth: usize,
-    entries: VecDeque<(u32, Weights)>,
+    entries: VecDeque<(u32, Arc<Weights>)>,
 }
 
 impl Default for PayloadCache {
@@ -1093,16 +1096,18 @@ impl PayloadCache {
     }
 
     /// Stores a reconstruction, evicting the oldest beyond the depth.
-    pub fn insert(&mut self, id: u32, w: Weights) {
+    /// Pass the `Arc` of an entry already held to store it under a second
+    /// id without copying.
+    pub fn insert(&mut self, id: u32, w: impl Into<Arc<Weights>>) {
         self.entries.retain(|(i, _)| *i != id);
-        self.entries.push_back((id, w));
+        self.entries.push_back((id, w.into()));
         while self.entries.len() > self.depth {
             self.entries.pop_front();
         }
     }
 
     /// Looks up a payload by id.
-    pub fn get(&self, id: u32) -> Option<&Weights> {
+    pub fn get(&self, id: u32) -> Option<&Arc<Weights>> {
         self.entries.iter().find(|(i, _)| *i == id).map(|(_, w)| w)
     }
 
@@ -2033,6 +2038,22 @@ mod tests {
         assert!(cache.get(1).is_none());
         assert!(cache.get(2).is_some());
         assert_eq!(cache.latest_id(), Some(3));
+    }
+
+    #[test]
+    fn payload_cache_shares_an_entry_between_ids() {
+        let mut cache = PayloadCache::new(4);
+        cache.insert(1, w(&[("a", vec![1.0])]));
+        let first = Arc::clone(cache.get(1).unwrap());
+        cache.insert(2, Arc::clone(&first));
+        assert!(Arc::ptr_eq(cache.get(1).unwrap(), cache.get(2).unwrap()));
+        assert_eq!(cache.latest_id(), Some(2));
+        // Evicting one id leaves the other's copy alive.
+        for id in 3..=5 {
+            cache.insert(id, w(&[("a", vec![id as f32])]));
+        }
+        assert!(cache.get(1).is_none());
+        assert!(Arc::ptr_eq(cache.get(2).unwrap(), &first));
     }
 
     impl GlobalRing {

@@ -18,10 +18,18 @@
 //! what keeps reuse bit-identical to fresh allocation; see the audit notes
 //! on each backward rule in `ops.rs` and the tape-memory-model section of
 //! `DESIGN.md`.
+//!
+//! A pool is as large as the tape of the biggest step it has served, and
+//! only a thread holding a [`crate::pool::compute_permit`] runs steps. So
+//! a graph whose task is over [`park`](crate::Graph::park)s its pool in
+//! [`ParkedPools`], and the next graph to start a step with an empty pool
+//! adopts it: the process keeps about one pool per compute permit, not one
+//! per graph (DESIGN.md §3d).
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Mutex;
 
 /// Pops the smallest buffer with capacity at least `n` from a bucketed
 /// free-list map, removing emptied buckets.
@@ -212,6 +220,11 @@ impl BufferPool {
         self.peak_bytes
     }
 
+    /// True while the free lists hold no buffer.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.held_bytes == 0
+    }
+
     fn track_give(&mut self, bytes: usize) {
         self.held_bytes += bytes as u64;
         self.peak_bytes = self.peak_bytes.max(self.held_bytes);
@@ -238,9 +251,117 @@ impl BufferPool {
     }
 }
 
+/// Pools waiting for their next graph, oldest first.
+///
+/// FIFO on purpose: the pool parked longest ago is the one no other core
+/// wrote microseconds earlier, so its adopter does not start by pulling
+/// another core's dirty cache lines (the prototype behind this design
+/// measured LIFO at +8…15 % CPU per LSTM round, FIFO at none; DESIGN.md
+/// §3d). Which pool a graph gets is never
+/// observable in its results, because a buffer's contents are unspecified
+/// after `take_*` and every op overwrites or zeroes what it reads.
+#[derive(Debug, Default)]
+pub(crate) struct ParkedPools {
+    queue: Mutex<VecDeque<BufferPool>>,
+}
+
+/// The process-wide queue behind [`crate::Graph::park`].
+pub(crate) static PARKED: ParkedPools = ParkedPools {
+    queue: Mutex::new(VecDeque::new()),
+};
+
+impl ParkedPools {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<BufferPool>> {
+        // A push or pop leaves the queue valid at every step, so a
+        // poisoned lock (a panicking site drops its guard mid-unwind) is
+        // safe to recover.
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Parks `pool` at the back. At most `cap` pools stay parked; the
+    /// oldest beyond that are freed. An empty pool is not worth a slot.
+    pub(crate) fn park(&self, pool: BufferPool, cap: usize) {
+        if pool.is_empty() {
+            return;
+        }
+        let mut queue = self.lock();
+        queue.push_back(pool);
+        let excess = queue.len().saturating_sub(cap);
+        let dropped: Vec<BufferPool> = queue.drain(..excess).collect();
+        let parked = queue.len();
+        drop(queue);
+        if clinfl_obs::enabled() {
+            clinfl_obs::gauge("tensor.arena.parked_pools").set(parked as i64);
+            if !dropped.is_empty() {
+                clinfl_obs::counter("tensor.arena.dropped_pools").add(dropped.len() as u64);
+            }
+        }
+        // `dropped` frees its buffers here, outside the lock.
+    }
+
+    /// Takes the pool parked longest ago, if any.
+    pub(crate) fn adopt(&self) -> Option<BufferPool> {
+        let mut queue = self.lock();
+        let pool = queue.pop_front()?;
+        let parked = queue.len();
+        drop(queue);
+        if clinfl_obs::enabled() {
+            clinfl_obs::gauge("tensor.arena.parked_pools").set(parked as i64);
+            clinfl_obs::counter("tensor.arena.adoptions").incr();
+        }
+        Some(pool)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A pool holding one buffer of `n` floats, recognisable by its
+    /// `peak_bytes`.
+    fn pool_of(n: usize) -> BufferPool {
+        let mut pool = BufferPool::default();
+        pool.give_f32(vec![0.0; n]);
+        pool
+    }
+
+    fn parked_len(parked: &ParkedPools) -> usize {
+        parked.lock().len()
+    }
+
+    #[test]
+    fn parked_pools_are_adopted_oldest_first() {
+        let parked = ParkedPools::default();
+        for n in [1, 2, 3] {
+            parked.park(pool_of(n), 3);
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| parked.adopt())
+            .map(|p| p.peak_bytes() / 4)
+            .collect();
+        assert_eq!(order, [1, 2, 3]);
+    }
+
+    #[test]
+    fn parked_count_never_exceeds_cap_and_oldest_go_first() {
+        let parked = ParkedPools::default();
+        for n in 1..=5 {
+            parked.park(pool_of(n), 2);
+            assert!(parked_len(&parked) <= 2);
+        }
+        assert_eq!(parked.adopt().unwrap().peak_bytes() / 4, 4);
+        // A lowered budget trims what an earlier, larger one let in.
+        parked.park(pool_of(6), 1);
+        assert_eq!(parked_len(&parked), 1);
+        assert_eq!(parked.adopt().unwrap().peak_bytes() / 4, 6);
+        assert!(parked.adopt().is_none());
+    }
+
+    #[test]
+    fn empty_pools_are_not_parked() {
+        let parked = ParkedPools::default();
+        parked.park(BufferPool::default(), 4);
+        assert!(parked.adopt().is_none());
+    }
 
     #[test]
     fn recycled_buffers_are_reused() {

@@ -1,6 +1,6 @@
 //! The autograd tape: forward-op construction and reverse-mode backward.
 
-use crate::arena::BufferPool;
+use crate::arena::{BufferPool, PARKED};
 use crate::kernels;
 use crate::ops::{accumulate, backward_node, Broadcast, Node, Op};
 use crate::optim::{ParamId, Params};
@@ -97,7 +97,38 @@ impl Graph {
     /// [`Graph::with_seed`]`(seed)` (the training-mode flag is preserved),
     /// except that subsequent ops draw their buffers from the pool instead
     /// of the allocator. All outstanding [`Var`] handles become stale.
+    ///
+    /// A graph that holds no buffer at all at this point — a new one, or
+    /// one that [`park`](Graph::park)ed its pool — adopts the pool parked
+    /// longest ago, if there is one.
     pub fn reset_with_seed(&mut self, seed: u64) {
+        self.clear_tape(seed);
+        if self.pool.is_empty() {
+            if let Some(pool) = PARKED.adopt() {
+                self.pool = pool;
+            }
+        }
+    }
+
+    /// Clears the tape and hands the buffer pool to the process-wide queue
+    /// of parked pools, where the next graph to reset with an empty pool
+    /// adopts it (oldest first). Call it when a unit of work ends and the
+    /// graph will sit idle, e.g. a federated site between two tasks: the
+    /// process then keeps one pool per thread that computes rather than
+    /// one per graph. At most [`crate::pool::num_threads`] pools stay
+    /// parked; the oldest beyond that are freed.
+    ///
+    /// The graph stays usable and its results do not change: a pool's
+    /// contents are never observable. [`Graph::pool_stats`] and
+    /// [`Graph::pool_peak_bytes`] describe the pool the graph holds now,
+    /// so they restart from zero. A graph that is never parked keeps its
+    /// pool for life.
+    pub fn park(&mut self) {
+        self.clear_tape(self.seed);
+        PARKED.park(std::mem::take(&mut self.pool), crate::pool::num_threads());
+    }
+
+    fn clear_tape(&mut self, seed: u64) {
         self.generation = self.generation.wrapping_add(1);
         for v in self.values.drain(..) {
             self.pool.recycle(v);
@@ -1222,6 +1253,42 @@ mod tests {
         let loss2 = g.sum(sq);
         g.backward(loss2);
         assert_eq!(g.grad(y).unwrap().data(), &[2.0, 0.0]);
+    }
+
+    #[test]
+    fn never_parked_graph_keeps_its_pool() {
+        let mut g = Graph::new();
+        for _ in 0..3 {
+            g.reset();
+            let x = g.input_with(&[64], |d| d.fill(1.0));
+            let s = g.scale(x, 2.0);
+            let loss = g.sum(s);
+            g.backward(loss);
+        }
+        let (hits, _) = g.pool_stats();
+        assert!(hits > 0, "later steps reuse the first step's buffers");
+        assert!(g.pool_peak_bytes() > 0);
+    }
+
+    #[test]
+    fn parked_graph_gives_up_its_pool_and_stays_usable() {
+        fn step(g: &mut Graph) -> u32 {
+            g.reset_with_seed(9);
+            let x = g.input_with(&[32], |d| d.fill(0.5));
+            let d = g.dropout(x, 0.25);
+            let loss = g.sum(d);
+            g.backward(loss);
+            g.value(loss).item().to_bits()
+        }
+        let mut g = Graph::new();
+        let want = step(&mut g);
+        g.park();
+        assert!(g.is_empty());
+        assert_eq!(g.pool_stats(), (0, 0), "the pool left with park()");
+        assert_eq!(g.pool_peak_bytes(), 0);
+        // Whatever pool the next reset adopts (its own, another test's, or
+        // none), the step repeats bit for bit.
+        assert_eq!(step(&mut g), want);
     }
 
     #[cfg(debug_assertions)]

@@ -117,6 +117,15 @@ impl Params {
             .map(|(i, e)| (ParamId(i), e.name.as_str(), &e.value))
     }
 
+    /// Iterates over `(name, value, gradient)` in registration order with
+    /// the gradient mutable, for in-place gradient terms that read the
+    /// value (e.g. a proximal penalty) without cloning either tensor.
+    pub fn iter_grads_mut(&mut self) -> impl Iterator<Item = (&str, &Tensor, &mut Tensor)> {
+        self.entries
+            .iter_mut()
+            .map(|e| (e.name.as_str(), &e.value, &mut e.grad))
+    }
+
     /// Zeroes all gradients (call between optimizer steps).
     pub fn zero_grads(&mut self) {
         for e in &mut self.entries {

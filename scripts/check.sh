@@ -31,6 +31,13 @@
 #                  asserts the disabled-knobs cell is bit-identical to the flat
 #                  path, writes BENCH_scenarios.json, and the schema check
 #                  requires >=8 cells with valid accuracies and (eps, delta)
+#   fedbench       benchmark-surface gate: bench/ is a package of its own that
+#                  names ~90 public items of the workspace (bench/README.md
+#                  lists them) and is built only when the benchmark runs, so
+#                  a PR that renames one broke the benchmark, not CI. Builds
+#                  bench/ against this tree from the repo root, runs its unit
+#                  tests and `fedbench verify` (harness final weights
+#                  bit-identical to SimulatorRunner::run on two workloads)
 #   doc            rustdoc with warnings denied (broken links fail the gate)
 #   clippy         clippy --all-targets with warnings denied
 #   fmt            cargo fmt --check
@@ -53,7 +60,7 @@ mkdir -p target
 TIMINGS=target/ci-timings.tsv
 RSS_FILE=target/.leg-rss
 
-ALL_LEGS="build test-serial test-parallel test-faults resume bench-smoke kernels wire-codec scale jobs scenarios doc clippy fmt"
+ALL_LEGS="build test-serial test-parallel test-faults resume bench-smoke kernels wire-codec scale jobs scenarios fedbench doc clippy fmt"
 
 # Runs "$@" as a child and, after it exits, writes the peak RSS in KB of
 # the child process tree (getrusage RUSAGE_CHILDREN) to $RSS_FILE. The
@@ -165,6 +172,13 @@ run_leg() {
         leg scenarios bash -c \
             'cargo run --release -q -p clinfl-bench --bin scenario_matrix -- --smoke --out BENCH_scenarios.json \
              && cargo run --release -q -p clinfl-bench --bin scenario_matrix -- --check BENCH_scenarios.json'
+        ;;
+    fedbench)
+        # Run from the repo root so .cargo/config.toml (AVX2) applies; the
+        # package has its own target dir (bench/target, gitignored).
+        leg fedbench bash -c \
+            'cargo test --release -q --manifest-path bench/Cargo.toml \
+             && cargo run --release -q --manifest-path bench/Cargo.toml -- verify'
         ;;
     doc) leg doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
     clippy) leg clippy cargo clippy --workspace --all-targets -- -D warnings ;;

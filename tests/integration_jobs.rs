@@ -87,41 +87,42 @@ fn four_concurrent_jobs_match_solo_runs_bit_identically() {
     rt.join_all();
 }
 
-/// The real model path: two same-seed clinical LSTM jobs submitted
-/// concurrently through the `clinfl serve` factory must both finish
-/// bit-identical to a solo run of the identical config.
+/// The real model path: clinical jobs submitted concurrently through the
+/// `clinfl serve` factory must finish bit-identical to solo runs of the
+/// identical configs. Two same-seed LSTM jobs and a BERT-mini job share
+/// the process: their sites take tape arenas from one queue (DESIGN.md
+/// §3d), so an LSTM site regularly starts on buffers a BERT site of
+/// another tenant left behind, and none of it may show.
 #[test]
 fn same_seed_clinical_jobs_concurrent_equals_solo() {
-    let cfg_text =
+    let lstm =
         "name = lstm-pair\nrounds = 1\nclients = 2\nmin_clients = 2\nmodel = lstm\nseed = 5\n";
+    let bert =
+        "name = bert-mini\nrounds = 2\nclients = 3\nmin_clients = 3\nmodel = bert-mini\nseed = 6\n";
     let base = clinfl::PipelineConfig::scaled(256);
+    let wait = Duration::from_secs(300);
 
-    let solo_rt = JobRuntime::new(1);
+    let solo = |text: &str| {
+        let rt = JobRuntime::new(1);
+        let factory = clinfl::drivers::serve_job_factory(base.clone(), None);
+        let id = rt.submit(factory(JobConfig::parse(text).unwrap()).unwrap());
+        assert_eq!(rt.wait(id, wait), Some(JobState::Finished));
+        let weights = rt.result(id).unwrap().final_weights;
+        rt.join_all();
+        weights
+    };
+    let (solo_lstm, solo_bert) = (solo(lstm), solo(bert));
+
+    let rt = JobRuntime::new(3);
     let factory = clinfl::drivers::serve_job_factory(base.clone(), None);
-    let solo_id = solo_rt.submit(factory(JobConfig::parse(cfg_text).unwrap()).unwrap());
-    assert_eq!(
-        solo_rt.wait(solo_id, Duration::from_secs(300)),
-        Some(JobState::Finished)
-    );
-    let solo = solo_rt.result(solo_id).unwrap().final_weights;
-    solo_rt.join_all();
-
-    let rt = JobRuntime::new(2);
-    let factory = clinfl::drivers::serve_job_factory(base, None);
-    let a = rt.submit(factory(JobConfig::parse(cfg_text).unwrap()).unwrap());
-    let b = rt.submit(factory(JobConfig::parse(cfg_text).unwrap()).unwrap());
-    assert_eq!(
-        rt.wait(a, Duration::from_secs(300)),
-        Some(JobState::Finished)
-    );
-    assert_eq!(
-        rt.wait(b, Duration::from_secs(300)),
-        Some(JobState::Finished)
-    );
-    let wa = rt.result(a).unwrap().final_weights;
-    let wb = rt.result(b).unwrap().final_weights;
-    assert_eq!(wa, solo, "concurrent job A diverged from solo");
-    assert_eq!(wb, solo, "concurrent job B diverged from solo");
+    let ids = [lstm, bert, lstm].map(|t| rt.submit(factory(JobConfig::parse(t).unwrap()).unwrap()));
+    for id in ids {
+        assert_eq!(rt.wait(id, wait), Some(JobState::Finished));
+    }
+    let [a, b, c] = ids.map(|id| rt.result(id).unwrap().final_weights);
+    assert_eq!(a, solo_lstm, "concurrent LSTM job A diverged from solo");
+    assert_eq!(b, solo_bert, "concurrent BERT-mini job diverged from solo");
+    assert_eq!(c, solo_lstm, "concurrent LSTM job C diverged from solo");
     rt.join_all();
 }
 

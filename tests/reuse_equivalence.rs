@@ -1,12 +1,28 @@
 //! Reuse-equivalence: training on one arena-backed graph reset between
 //! steps must be bit-identical to training with a fresh graph per step —
 //! same losses, same gradients, same final parameters — for both paper
-//! model families, serial and parallel.
+//! model families, serial and parallel. One level up, a federation whose
+//! sites park their arena after every task (what the shipped executors do)
+//! must end on the same bits as one whose sites keep it.
 
+use clinfl::{drivers, ClinicalExecutor, Learner, ModelSpec, PipelineConfig, TrainHyper};
+use clinfl_data::ClassifyDataset;
+use clinfl_flare::aggregator::WeightedFedAvg;
+use clinfl_flare::codec::weights_bits_equal;
+use clinfl_flare::executor::{Executor, TaskContext};
+use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner, TreeConfig};
+use clinfl_flare::{Dxo, EventLog, Weights};
 use clinfl_models::{
     BertConfig, BertModel, LstmClassifier, LstmConfig, SequenceClassifier, TokenBatch,
 };
 use clinfl_tensor::{pool, Adam, Graph, Optimizer};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes tests that reconfigure the process-global thread budget.
+fn config_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const STEPS: usize = 3;
 
@@ -130,6 +146,103 @@ fn assert_equivalent(threads: usize) {
 
 #[test]
 fn reused_graph_training_is_bit_identical_serial_and_parallel() {
+    let _guard = config_lock();
     assert_equivalent(1);
     assert_equivalent(4);
+}
+
+/// The task bodies of [`ClinicalExecutor`] without its parking guard: the
+/// learner's arena stays with the site for the whole run, as before
+/// arenas followed the compute permit.
+struct KeepArena {
+    learner: Learner,
+    train: ClassifyDataset,
+    valid: ClassifyDataset,
+}
+
+impl Executor for KeepArena {
+    fn train(&mut self, global: &Weights, _ctx: &TaskContext) -> Dxo {
+        self.learner.load_weights(global);
+        self.learner.reset_optimizer();
+        self.learner.train_epoch(&self.train);
+        // The shipped executor probes validation after each epoch, on the
+        // same tape.
+        self.learner.evaluate(&self.valid);
+        Dxo::from_weights(self.learner.export_weights(), self.train.len() as u64)
+    }
+
+    fn validate(&mut self, global: &Weights, _ctx: &TaskContext) -> f64 {
+        self.learner.load_weights(global);
+        self.learner.evaluate(&self.valid)
+    }
+}
+
+/// Final weights and per-round global metric of a 2-round, 8-site
+/// federation on the paper's imbalanced split.
+fn federate(spec: ModelSpec, tree: Option<TreeConfig>, park: bool) -> (Weights, Vec<u64>) {
+    let mut cfg = PipelineConfig::fast_demo();
+    cfg.cohort.n_patients = 200;
+    cfg.seed = 31;
+    let data = drivers::build_task_data(&cfg);
+    let shards = cfg
+        .imbalanced_partitioner()
+        .partition(&data.train, cfg.seed ^ 0xA17);
+    let hyper = TrainHyper::for_model(spec);
+    let vocab = data.code_system.vocab().len();
+    let learner = || Learner::new(spec, vocab, cfg.seq_len, hyper, cfg.seed);
+    let sim = SimulatorConfig {
+        tree,
+        ..SimulatorConfig::paper(2)
+    };
+    let result = SimulatorRunner::new(sim)
+        .run_simple(
+            learner().export_weights(),
+            |i, _site| {
+                let (train, valid) = (shards[i].clone(), data.valid.clone());
+                if park {
+                    Box::new(ClinicalExecutor::new(
+                        learner(),
+                        train,
+                        valid,
+                        1,
+                        EventLog::new(),
+                    ))
+                } else {
+                    Box::new(KeepArena {
+                        learner: learner(),
+                        train,
+                        valid,
+                    })
+                }
+            },
+            &WeightedFedAvg,
+        )
+        .expect("federation runs");
+    let metrics = result
+        .workflow
+        .rounds
+        .iter()
+        .map(|r| r.global_metric.expect("validated round").to_bits())
+        .collect();
+    (result.workflow.final_weights, metrics)
+}
+
+#[test]
+fn parked_arena_federation_is_bit_identical_to_kept_arena() {
+    let _guard = config_lock();
+    for spec in [ModelSpec::Lstm, ModelSpec::BertMini] {
+        for threads in [1, 2] {
+            pool::set_threads(threads);
+            for tree in [None, TreeConfig::parse("2x3")] {
+                let (kept_w, kept_m) = federate(spec, tree, false);
+                let (parked_w, parked_m) = federate(spec, tree, true);
+                let what = format!("{spec:?}, {threads} thread(s), tree {tree:?}");
+                assert_eq!(kept_m, parked_m, "round metrics diverged: {what}");
+                assert!(
+                    weights_bits_equal(&kept_w, &parked_w),
+                    "final weights diverged: {what}"
+                );
+            }
+        }
+    }
 }
