@@ -62,10 +62,6 @@ struct ClientObs {
 }
 
 impl ClientObs {
-    fn new(site: &str) -> Self {
-        Self::scoped(&Registry::global(), "flare.client", site)
-    }
-
     fn scoped(obs: &Registry, ns: &str, site: &str) -> Self {
         ClientObs {
             bytes_tx: CounterPair::scoped(obs, ns, site, "bytes_tx"),
@@ -136,6 +132,9 @@ pub struct FlClient {
     log: EventLog,
     filters: FilterChain,
     retry: RetryPolicy,
+    /// Registry scope `obs` records into (global unless
+    /// [`Self::set_registry`] chose another).
+    registry: Registry,
     obs: ClientObs,
     /// Codec this client *wants* (negotiated at the start of [`Self::run`]).
     wire: CodecSpec,
@@ -205,8 +204,10 @@ impl FlClient {
                 package.site_name
             ),
         );
+        let registry = Registry::global();
         Ok(FlClient {
-            obs: ClientObs::new(&package.site_name),
+            obs: ClientObs::scoped(&registry, "flare.client", &package.site_name),
+            registry,
             site: package.site_name.clone(),
             conn,
             seal: SecureChannel::new(key, 0),
@@ -245,19 +246,14 @@ impl FlClient {
         self.retry = retry;
     }
 
-    /// Overrides how long one receive attempt waits for the next task
-    /// (kept for backwards compatibility; see [`RetryPolicy`]).
-    pub fn set_recv_timeout(&mut self, timeout: Duration) {
-        self.retry.message_timeout = timeout;
-    }
-
     /// Re-homes the fleet-wide counter aggregate under `ns` (the per-site
     /// series keeps its `flare.site.<site>.*` names). Interior tree nodes
     /// use this so relay uplink traffic (`flare.tree.uplink.*`) never
     /// inflates the leaf totals the scaling bench reads from
-    /// `flare.client.*`.
+    /// `flare.client.*`. Stays in the registry [`Self::set_registry`]
+    /// chose, so call that first.
     pub fn set_metric_namespace(&mut self, ns: &str) {
-        self.obs = ClientObs::scoped(&Registry::global(), ns, &self.site);
+        self.obs = ClientObs::scoped(&self.registry, ns, &self.site);
     }
 
     /// Records this client's counters into `obs` instead of the global
@@ -268,6 +264,7 @@ impl FlClient {
     /// traffic, or early counts stay in the global scope.
     pub fn set_registry(&mut self, obs: Registry) {
         self.obs = ClientObs::scoped(&obs, "flare.client", &self.site);
+        self.registry = obs;
     }
 
     /// Requests a wire codec for weight exchange (see [`crate::codec`]).

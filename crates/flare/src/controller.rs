@@ -22,56 +22,30 @@ pub trait ClientGateway {
     /// Sends a task to every alive client; returns the delivered count.
     fn broadcast(&mut self, task: &TaskAssignment) -> usize;
 
-    /// Collects `Submit` updates for `round` until `expected` arrive or
-    /// `timeout` elapses.
-    fn collect_submissions(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, Dxo)>;
-
-    /// Collects `ValidateReport` metrics for `round`.
-    fn collect_validations(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, f64)>;
-
-    /// Like [`ClientGateway::collect_submissions`], but abandons the
-    /// gather — returning `None` — once `cancel` reports `true`. The
-    /// default checks only on entry (mocks stay trivially correct);
-    /// [`crate::server::FlServer`] re-polls between wait slices so a job
-    /// abort interrupts a round mid-gather instead of waiting out the
-    /// full timeout.
-    fn collect_submissions_cancellable(
+    /// Gathers model updates for `round` until `expected` leaf sites are
+    /// covered, `timeout` elapses, or the quorum grace closes the round.
+    /// Returns `None` — abandoning the gather — once `cancel` reports
+    /// `true`: the controller passes its abort flag, an interior tree
+    /// node a probe that its parent has already moved on.
+    /// [`crate::server::FlServer`] consults `cancel` between wait slices
+    /// of [`crate::server::GATHER_SLICE`].
+    fn gather_submissions(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, Dxo)>> {
-        if cancel() {
-            return None;
-        }
-        Some(self.collect_submissions(round, expected, timeout))
-    }
+    ) -> Option<Vec<(String, Dxo)>>;
 
-    /// Cancellable twin of [`ClientGateway::collect_validations`]; see
-    /// [`ClientGateway::collect_submissions_cancellable`].
-    fn collect_validations_cancellable(
+    /// The validation-phase twin of [`ClientGateway::gather_submissions`]:
+    /// one `(leaf site, metric)` pair per reporting leaf.
+    fn gather_validations(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, f64)>> {
-        if cancel() {
-            return None;
-        }
-        Some(self.collect_validations(round, expected, timeout))
-    }
+    ) -> Option<Vec<(String, f64)>>;
 
     /// All leaf sites reachable through the registered clients. For a
     /// flat fleet this is [`ClientGateway::client_sites`]; a tree gateway
@@ -314,7 +288,7 @@ impl ScatterAndGather {
     }
 
     /// Attaches an abort flag. Once set, the run stops at the next
-    /// check — round start, mid-gather (via the cancellable collects),
+    /// check — round start, mid-gather (the gateway's `cancel` probe),
     /// or before validation — broadcasts `Finish`, marks the status
     /// [`crate::admin::RunPhase::Aborted`], and returns
     /// [`FlareError::Aborted`].
@@ -432,19 +406,10 @@ impl ScatterAndGather {
             };
             self.log
                 .info(tag, format!("Scattered global model to {sent} client(s)."));
-            let abort = self.abort.clone();
-            let mut cancel = move || {
-                abort
-                    .as_ref()
-                    .map(|a| a.load(Ordering::Relaxed))
-                    .unwrap_or(false)
-            };
-            let Some(mut updates) = gateway.collect_submissions_cancellable(
-                round,
-                expected,
-                self.config.round_timeout,
-                &mut cancel,
-            ) else {
+            let mut cancel = || self.abort_requested();
+            let Some(mut updates) =
+                gateway.gather_submissions(round, expected, self.config.round_timeout, &mut cancel)
+            else {
                 return Err(self.finish_aborted(gateway, tag, round));
             };
             // Sites train concurrently and submit in arrival order; sort by
@@ -533,7 +498,7 @@ impl ScatterAndGather {
                     round,
                     weights: global.clone(),
                 });
-                let Some(mut reports) = gateway.collect_validations_cancellable(
+                let Some(mut reports) = gateway.gather_validations(
                     round,
                     expected,
                     self.config.round_timeout,
@@ -622,6 +587,11 @@ mod tests {
         dead_from: Vec<Option<u32>>,
         current_global: Weights,
         pending_round: Option<u32>,
+        /// `Finish` broadcasts seen.
+        finishes: usize,
+        /// Abort flag to flip while gathering this round's validations.
+        abort: Option<Arc<AtomicBool>>,
+        abort_during_validation: Option<u32>,
     }
 
     impl MockGateway {
@@ -632,6 +602,9 @@ mod tests {
                 dead_from: vec![None; n],
                 current_global: Weights::new(),
                 pending_round: None,
+                finishes: 0,
+                abort: None,
+                abort_during_validation: None,
             }
         }
     }
@@ -644,21 +617,30 @@ mod tests {
         }
 
         fn broadcast(&mut self, task: &TaskAssignment) -> usize {
-            if let TaskAssignment::Train { round, weights, .. } = task {
-                self.current_global = weights.clone();
-                self.pending_round = Some(*round);
+            match task {
+                TaskAssignment::Train { round, weights, .. } => {
+                    self.current_global = weights.clone();
+                    self.pending_round = Some(*round);
+                }
+                TaskAssignment::Finish => self.finishes += 1,
+                _ => {}
             }
             self.deltas.len()
         }
 
-        fn collect_submissions(
+        fn gather_submissions(
             &mut self,
             round: u32,
             _expected: usize,
             _timeout: Duration,
-        ) -> Vec<(String, Dxo)> {
+            cancel: &mut dyn FnMut() -> bool,
+        ) -> Option<Vec<(String, Dxo)>> {
+            if cancel() {
+                return None;
+            }
             assert_eq!(self.pending_round, Some(round));
-            self.deltas
+            let updates = self
+                .deltas
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| self.dead_from[*i].map(|d| round < d).unwrap_or(true))
@@ -671,18 +653,31 @@ mod tests {
                     }
                     (format!("site-{}", i + 1), Dxo::from_weights(w, 10))
                 })
-                .collect()
+                .collect();
+            Some(updates)
         }
 
-        fn collect_validations(
+        fn gather_validations(
             &mut self,
-            _round: u32,
+            round: u32,
             expected: usize,
             _timeout: Duration,
-        ) -> Vec<(String, f64)> {
-            (0..expected)
-                .map(|i| (format!("site-{}", i + 1), 0.5))
-                .collect()
+            cancel: &mut dyn FnMut() -> bool,
+        ) -> Option<Vec<(String, f64)>> {
+            // An operator abort landing while reports are in flight.
+            if self.abort_during_validation == Some(round) {
+                if let Some(flag) = &self.abort {
+                    flag.store(true, Ordering::Relaxed);
+                }
+            }
+            if cancel() {
+                return None;
+            }
+            Some(
+                (0..expected)
+                    .map(|i| (format!("site-{}", i + 1), 0.5))
+                    .collect(),
+            )
         }
     }
 
@@ -713,6 +708,39 @@ mod tests {
         assert_eq!(res.rounds.len(), 4);
         assert_eq!(res.final_metric(), Some(0.5));
         assert!(pers.latest().is_some());
+    }
+
+    #[test]
+    fn abort_during_validation_gather_stops_before_checkpoint() {
+        let abort = Arc::new(AtomicBool::new(false));
+        let mut gw = MockGateway::new(vec![1.0, 3.0]);
+        gw.abort = Some(abort.clone());
+        gw.abort_during_validation = Some(1);
+        let obs = clinfl_obs::Registry::new();
+        let status = crate::admin::RunStatus::new();
+        let mut pers = InMemoryPersistor::new();
+        let err = ScatterAndGather::new(
+            SagConfig {
+                rounds: 3,
+                min_clients: 2,
+                validate_global: true,
+                ..SagConfig::default()
+            },
+            EventLog::new(),
+        )
+        .with_registry(obs.clone())
+        .with_status(status.clone())
+        .with_abort(abort)
+        .run(&mut gw, &WeightedFedAvg, &mut pers, initial())
+        .unwrap_err();
+        assert!(matches!(err, FlareError::Aborted), "{err}");
+        assert_eq!(gw.finishes, 1, "abort must broadcast Finish exactly once");
+        assert_eq!(obs.counter_value("flare.run.aborted"), 1);
+        assert_eq!(status.phase(), crate::admin::RunPhase::Aborted);
+        // Round 0 completed; the aborted round 1 left no checkpoint.
+        let ckpt = pers.load_checkpoint().expect("round 0 checkpoint");
+        assert_eq!(ckpt.next_round, 1);
+        assert_eq!(ckpt.rounds.len(), 1);
     }
 
     #[test]

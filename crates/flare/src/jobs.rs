@@ -9,30 +9,28 @@
 //!   scheduled → running → finished / aborted / failed) and caps how
 //!   many federations train at once (`max_concurrent`); excess jobs
 //!   queue in submission order.
-//! * Each running job gets its own [`crate::server::FlServer`] with an
-//!   in-proc client fleet, its own [`clinfl_obs::Registry`] (so
-//!   per-job metric namespaces never cross), its own checkpoint
+//! * Each running job is one [`SimulatorRunner`] run — the same
+//!   bring-up, resume refusal, tree fallback and `CLINFL_TREE` knob as
+//!   any simulator run — handed the job's own [`clinfl_obs::Registry`]
+//!   (so per-job metric namespaces never cross), its own checkpoint
 //!   directory guarded by [`crate::persistor::FilePersistor`]'s
-//!   exclusive lock, and its own obs artifact tagged `job<id>-<name>`.
+//!   exclusive lock, and an obs artifact tagged `job<id>-<name>`.
 //! * [`JobRuntime::abort`] flips the job's abort flag; the controller's
-//!   cancellable gathers notice within one ~50 ms wait slice, broadcast
-//!   `Finish` so client sessions wind down promptly, and the job lands
-//!   in [`JobState::Aborted`] without disturbing its neighbors.
+//!   gathers notice within one [`crate::server::GATHER_SLICE`],
+//!   broadcast `Finish` so client sessions wind down promptly, and the
+//!   job lands in [`JobState::Aborted`] without disturbing its
+//!   neighbors.
 //!
 //! Compute stays fair across tenants for free: every client takes a
 //! `clinfl_tensor` pool permit around train/validate, so concurrent
 //! jobs share the one worker pool instead of oversubscribing cores.
 
-use crate::client::{ClientBehavior, FlClient};
-use crate::controller::{ScatterAndGather, WorkflowResult};
+use crate::controller::WorkflowResult;
 use crate::dxo::Weights;
 use crate::executor::Executor;
 use crate::job::JobConfig;
 use crate::log::EventLog;
-use crate::persistor::{FilePersistor, InMemoryPersistor, Persistor};
-use crate::provision::Project;
-use crate::server::FlServer;
-use crate::transport::in_proc_pair;
+use crate::simulator::{SimulatorConfig, SimulatorRunner};
 use crate::FlareError;
 use clinfl_obs::Registry;
 use std::collections::BTreeMap;
@@ -46,9 +44,11 @@ use std::time::{Duration, Instant};
 pub enum JobState {
     /// Accepted, waiting for a free slot.
     Submitted,
-    /// Slot acquired, federation being stood up.
+    /// Slot acquired; the federation is being stood up (provisioning,
+    /// registration, codec settle).
     Scheduled,
-    /// Rounds in flight.
+    /// The controller has started its round loop (the job's
+    /// [`crate::admin::RunStatus`] left `waiting_for_clients`).
     Running,
     /// Completed all rounds.
     Finished,
@@ -101,7 +101,8 @@ pub struct JobSpec {
     pub make_executor: ExecutorFactory,
     /// Checkpoint directory for this job, or `None` for in-memory
     /// persistence. Two jobs must not share one — the
-    /// [`FilePersistor`] lock file fails the second job loudly.
+    /// [`crate::persistor::FilePersistor`] lock file fails the second job
+    /// loudly.
     pub checkpoint_dir: Option<PathBuf>,
 }
 
@@ -222,11 +223,6 @@ impl JobRuntime {
         }
     }
 
-    /// The runtime's event log (shared by all jobs' servers).
-    pub fn log(&self) -> &EventLog {
-        &self.inner.log
-    }
-
     /// Submits a job and returns its id immediately; the job trains on
     /// a background thread once a slot frees up.
     pub fn submit(&self, spec: JobSpec) -> u64 {
@@ -265,7 +261,7 @@ impl JobRuntime {
                 return;
             }
             inner.set_state(id, JobState::Scheduled);
-            let outcome = run_job(id, spec, &obs, &status, &abort, &inner);
+            let outcome = run_job(id, spec, &obs, &status, &abort, &inner.log);
             inner.release_slot();
             let mut jobs = inner.jobs.lock().expect("jobs lock poisoned");
             let entry = jobs.get_mut(&id).expect("job entry vanished");
@@ -379,11 +375,18 @@ impl JobRuntime {
 }
 
 fn info_of(id: u64, e: &JobEntry) -> JobInfo {
+    let phase = e.status.phase();
+    let state = match e.state {
+        JobState::Scheduled if phase != crate::admin::RunPhase::WaitingForClients => {
+            JobState::Running
+        }
+        s => s,
+    };
     JobInfo {
         id,
         name: e.name.clone(),
-        state: e.state,
-        phase: e.status.phase().to_string(),
+        state,
+        phase: phase.to_string(),
         last_metric: e.status.last_metric(),
         clients: e.clients,
         rounds: e.rounds,
@@ -391,102 +394,42 @@ fn info_of(id: u64, e: &JobEntry) -> JobInfo {
     }
 }
 
-/// Stands up and runs one job's private federation: provision →
-/// register in-proc clients → ScatterAndGather → tear down. Everything
-/// observable is scoped: the server, every client, and the controller
-/// all record into the job's `obs` registry, and the obs artifact (when
-/// observability is enabled) is tagged `job<id>-<name>`.
+/// Runs one job as a [`SimulatorRunner`] run: the job's clients, seed,
+/// workflow settings and checkpoint directory become its
+/// [`SimulatorConfig`], and the job's registry, status and abort flag
+/// its host handles — so the server, every client and relay, the
+/// controller and the obs artifact (tagged `job<id>-<name>`) are all
+/// scoped to the job.
 fn run_job(
     id: u64,
-    mut spec: JobSpec,
+    spec: JobSpec,
     obs: &Registry,
     status: &crate::admin::RunStatus,
     abort: &Arc<AtomicBool>,
-    inner: &RuntimeInner,
+    log: &EventLog,
 ) -> Result<WorkflowResult, FlareError> {
-    let log = inner.log.clone();
-    let seed = spec.config.seed.unwrap_or(spec.seed);
-    let n = spec.config.clients;
-    let mut persistor: Box<dyn Persistor> = match &spec.checkpoint_dir {
-        // The lock file inside `new()` is the multi-tenant guard: a
-        // second job pointed at the same directory fails here, before
-        // any client spawns.
-        Some(dir) => Box::new(FilePersistor::new(dir)?.with_log(log.clone())),
-        None => Box::new(InMemoryPersistor::new()),
+    let config = SimulatorConfig {
+        n_clients: spec.config.clients,
+        sag: spec.config.sag_config(),
+        seed: spec.config.seed.unwrap_or(spec.seed),
+        checkpoint_dir: spec.checkpoint_dir,
+        ..SimulatorConfig::default()
     };
-    if abort.load(Ordering::Relaxed) {
-        return Err(FlareError::Aborted);
-    }
-
-    let project = Project::with_n_sites(format!("job-{id}"), n, seed);
-    let provisioned = project.provision();
-    let mut server = FlServer::new(provisioned.server.clone(), log.clone(), seed);
-    server.set_registry(obs.clone());
-    server.set_quorum(spec.config.min_clients, None);
-
-    let mut client_threads = Vec::with_capacity(n);
-    for (i, package) in provisioned.sites.iter().enumerate() {
-        let (server_side, client_side) = in_proc_pair();
-        server.serve_connection(server_side);
-        let package = package.clone();
-        let mut executor = (spec.make_executor)(i, &package.site_name);
-        let clog = log.clone();
-        let cobs = obs.clone();
-        // Same derivation as the simulator, so a job run is
-        // bit-identical to a solo simulator run under the same seed.
-        let dh_secret = seed.wrapping_mul(0x9E3779B97F4A7C15) ^ (i as u64 + 1);
-        client_threads.push(std::thread::spawn(move || -> Result<u32, FlareError> {
-            let mut client = FlClient::register(client_side, &package, dh_secret, clog)?;
-            client.set_registry(cobs);
-            client.run(executor.as_mut(), ClientBehavior::default())
-        }));
-    }
-
-    let joined = server.wait_for_clients(n, Duration::from_secs(30));
-    if joined < n {
-        log.warn(
-            "JobRuntime",
-            format!("job {id}: only {joined}/{n} clients registered"),
-        );
-    }
-
-    inner.set_state(id, JobState::Running);
-    log.info("JobRuntime", format!("job {id} running on {n} site(s)"));
-    let sag = ScatterAndGather::new(spec.config.sag_config(), log.clone())
-        .with_run_seed(seed)
-        .with_registry(obs.clone())
+    log.info(
+        "JobRuntime",
+        format!("job {id} starting on {} site(s)", config.n_clients),
+    );
+    let runner = SimulatorRunner::with_log(config, log.clone())
+        .with_registry(obs.clone(), format!("job{id}-{}", spec.config.name))
         .with_status(status.clone())
         .with_abort(abort.clone());
-    let workflow = sag.run(
-        &mut server,
-        spec.config.aggregator.build().as_ref(),
-        persistor.as_mut(),
-        spec.initial.clone(),
-    );
-
-    // Tear down exactly like the simulator: stop the server before
-    // joining clients so dropped connections wake any stragglers.
-    server.shutdown();
-    server.disconnect_all();
-    for t in client_threads {
-        match t.join().expect("client thread panicked") {
-            Ok(_) => {}
-            Err(e) => log.warn("JobRuntime", format!("job {id}: client exited: {e}")),
-        }
-    }
-
-    if clinfl_obs::enabled() {
-        let run_name = format!("{}x{}-seed{seed}", n, spec.config.rounds);
-        let tag = format!("job{id}-{}", spec.config.name);
-        match obs.snapshot().write_artifact_tagged(&run_name, &tag) {
-            Ok(path) => log.info(
-                "JobRuntime",
-                format!("job {id} metrics artifact: {}", path.display()),
-            ),
-            Err(e) => log.warn("JobRuntime", format!("job {id} artifact write failed: {e}")),
-        }
-    }
-    workflow
+    runner
+        .run_simple(
+            spec.initial,
+            spec.make_executor,
+            spec.config.aggregator.build().as_ref(),
+        )
+        .map(|result| result.workflow)
 }
 
 #[cfg(test)]

@@ -62,6 +62,20 @@ impl Project {
     }
 }
 
+/// Set in the `index` of an interior aggregator node passed to
+/// [`dh_secret`], so relay secrets never collide with a site's.
+pub const RELAY_INDEX: u64 = 1 << 63;
+
+/// The client-side Diffie–Hellman secret of one member of a simulated
+/// federation run under `seed`. Leaf site `site-k` is `index = k` (the
+/// 1-based number in its name); the `j`-th interior aggregator node
+/// (1-based, in provisioning order) is `index = RELAY_INDEX | j`. Every
+/// in-process bring-up — simulator runs, jobs, the benchmark harness —
+/// derives its secrets here, which is what keeps them interchangeable.
+pub fn dh_secret(seed: u64, index: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ index
+}
+
 /// UUID-like token, e.g. `2c15ddc6-d8d3-4a98-8243-d850f27ac052` — the
 /// format shown in the paper's Fig. 3 registration log.
 fn generate_token(rng: &mut StdRng) -> String {
@@ -153,6 +167,18 @@ mod tests {
         assert!(!prov.server.verify(&s0.site_name, &s1.token));
         assert!(!prov.server.verify("site-99", &s0.token));
         assert!(!prov.server.verify(&s0.site_name, "bogus"));
+    }
+
+    #[test]
+    fn dh_secrets_are_pinned() {
+        // Copies of this derivation outside the crate (the benchmark
+        // harness) must stay bit-equal; these values are the contract.
+        assert_eq!(dh_secret(2023, 1), 0x4862_e8dc_e59a_89f2);
+        assert_eq!(dh_secret(2023, 8), 0x4862_e8dc_e59a_89fb);
+        assert_eq!(dh_secret(7, 3), 0x5384_5412_7b09_6490);
+        assert_eq!(dh_secret(0, 5), 5);
+        assert_eq!(dh_secret(7, RELAY_INDEX | 1), 0xd384_5412_7b09_6492);
+        assert_eq!(dh_secret(2023, RELAY_INDEX | 2), 0xc862_e8dc_e59a_89f1);
     }
 
     #[test]

@@ -29,11 +29,6 @@ use crate::FlareError;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-/// Slice between uplink-supersession probes during a shard gather: short
-/// enough that an abandoned round costs well under any quorum grace, long
-/// enough that the probe's 1ms receive slice stays negligible.
-const GATHER_POLL: Duration = Duration::from_millis(50);
-
 /// Knobs for one interior tree node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RelayConfig {
@@ -206,11 +201,10 @@ impl AggregatorNode {
                     // rounds forever after.
                     let server = &mut self.server;
                     let uplink = &mut self.uplink;
-                    let gathered = server.collect_submissions_interruptible(
+                    let gathered = server.gather_submissions(
                         round,
                         expected,
                         self.cfg.round_timeout,
-                        GATHER_POLL,
                         &mut || uplink.poll_pending_task(),
                     );
                     let Some(mut updates) = gathered else {
@@ -286,11 +280,10 @@ impl AggregatorNode {
                     let expected = self.server.leaf_sites().len();
                     let server = &mut self.server;
                     let uplink = &mut self.uplink;
-                    let gathered = server.collect_validations_interruptible(
+                    let gathered = server.gather_validations(
                         round,
                         expected,
                         self.cfg.round_timeout,
-                        GATHER_POLL,
                         &mut || uplink.poll_pending_task(),
                     );
                     let Some(reports) = gathered else {

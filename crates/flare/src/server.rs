@@ -47,13 +47,18 @@ use std::time::{Duration, Instant};
 /// Nonce base for server→client frames (client→server uses 0).
 const SERVER_NONCE_BASE: u64 = 1 << 32;
 
+/// Longest single inbox wait inside a gather: the `cancel` probe of
+/// [`ClientGateway::gather_submissions`] runs at least this often, so an
+/// operator abort or an upstream supersession lands within one slice —
+/// and an interior node's uplink probe (a 1 ms receive) stays negligible.
+pub const GATHER_SLICE: Duration = Duration::from_millis(50);
+
 /// How many recent rounds of leaf manifests to retain for
 /// [`ClientGateway::round_manifest`] queries.
 const MANIFEST_RETENTION: usize = 4;
 
 struct ClientSlot {
     site: String,
-    session: String,
     /// `None` once the server has released the connection (see
     /// [`FlServer::disconnect_all`]).
     tx: Option<Box<dyn crate::transport::FrameTx>>,
@@ -329,7 +334,6 @@ impl ServerShared {
             let mut guard = self.slots.lock();
             guard.push(ClientSlot {
                 site: site.clone(),
-                session: session_str.clone(),
                 tx,
                 seal: SecureChannel::new(key, SERVER_NONCE_BASE),
                 alive: true,
@@ -425,9 +429,9 @@ impl ServerShared {
                                 format!("{site}: negotiated wire codec {c}"),
                             );
                         }
-                        FlServer::send_to_slot(
+                        FlServer::send_frame_to_slot(
                             slot,
-                            &reply,
+                            &reply.to_frame(),
                             &self.log,
                             &self.obs(),
                             &self.metric("bytes_tx"),
@@ -733,11 +737,6 @@ impl FlServer {
         *self.shared.obs.lock() = obs;
     }
 
-    /// Number of registered (ever-joined) clients.
-    pub fn num_registered(&self) -> usize {
-        self.shared.slots.lock().len()
-    }
-
     /// Highest number of simultaneously open sessions this server has
     /// seen (registered or still in handshake).
     pub fn peak_sessions(&self) -> usize {
@@ -762,27 +761,34 @@ impl FlServer {
         };
     }
 
-    /// Opens a reactor-native in-process session and returns the client's
-    /// end. No thread is spawned: the session's mailbox notifies the
-    /// reactor directly, which is what lets the simulator stand up 1024+
-    /// sites without 1024 server-side handler threads.
-    pub fn serve_session(&mut self) -> Connection {
+    /// Adds a session awaiting registration whose replies go out through
+    /// `tx`; returns its inbound mailbox and token.
+    fn open_session(&mut self, tx: Box<dyn crate::transport::FrameTx>) -> (Arc<FrameQueue>, usize) {
         let dh_secret: u64 = self.rng.random();
         let session_bits: (u64, u64) = (self.rng.random(), self.rng.random());
-        let s2c = FrameQueue::new();
         let mut sessions = self.shared.sessions.lock();
         let token = sessions.len();
         let c2s = FrameQueue::notifying(Arc::clone(&self.shared.ready), token);
         sessions.push(SessionCell {
             rx: Arc::clone(&c2s),
             phase: SessionPhase::AwaitRegister {
-                tx: Some(Box::new(QueueTx(Arc::clone(&s2c)))),
+                tx: Some(tx),
                 dh_secret,
                 session_bits,
             },
         });
         drop(sessions);
         self.shared.inc_open();
+        (c2s, token)
+    }
+
+    /// Opens a reactor-native in-process session and returns the client's
+    /// end. No thread is spawned: the session's mailbox notifies the
+    /// reactor directly, which is what lets the simulator stand up 1024+
+    /// sites without 1024 server-side handler threads.
+    pub fn serve_session(&mut self) -> Connection {
+        let s2c = FrameQueue::new();
+        let (c2s, _) = self.open_session(Box::new(QueueTx(Arc::clone(&s2c))));
         Connection {
             tx: Box::new(QueueTx(c2s)),
             rx: Box::new(QueueRx(s2c)),
@@ -794,24 +800,7 @@ impl FlServer {
     /// mailbox; all protocol handling still happens on the reactor.
     pub fn serve_connection(&mut self, conn: Connection) {
         let Connection { tx, mut rx } = conn;
-        let dh_secret: u64 = self.rng.random();
-        let session_bits: (u64, u64) = (self.rng.random(), self.rng.random());
-        let c2s = {
-            let mut sessions = self.shared.sessions.lock();
-            let token = sessions.len();
-            let c2s = FrameQueue::notifying(Arc::clone(&self.shared.ready), token);
-            sessions.push(SessionCell {
-                rx: Arc::clone(&c2s),
-                phase: SessionPhase::AwaitRegister {
-                    tx: Some(tx),
-                    dh_secret,
-                    session_bits,
-                },
-            });
-            (c2s, token)
-        };
-        let (c2s, token) = c2s;
-        self.shared.inc_open();
+        let (c2s, token) = self.open_session(tx);
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::spawn(move || loop {
             // Receive in short slices so the pump notices server shutdown
@@ -926,11 +915,6 @@ impl FlServer {
         }
     }
 
-    /// Alias for [`FlServer::shutdown`]; idempotent.
-    pub fn stop(&mut self) {
-        self.shutdown();
-    }
-
     /// Releases every client connection's sending half, marks the slots
     /// dead, and closes every session mailbox. For in-process transports
     /// this closes both channel directions, so a client blocked in `recv`
@@ -938,7 +922,7 @@ impl FlServer {
     /// the simulator calls this after [`FlServer::shutdown`] so a
     /// fault-dropped `Finish` frame cannot strand its client. Slots stay
     /// in the table (indices are stable) and remain visible to
-    /// [`FlServer::sessions`].
+    /// [`FlServer::liveness`].
     pub fn disconnect_all(&mut self) {
         for slot in self.shared.slots.lock().iter_mut() {
             slot.tx = None;
@@ -975,16 +959,6 @@ impl FlServer {
             .filter(|s| s.alive && s.last_seen.elapsed() > max_idle)
             .map(|s| s.site.clone())
             .collect()
-    }
-
-    fn send_to_slot(
-        slot: &mut ClientSlot,
-        msg: &ServerMessage,
-        log: &EventLog,
-        obs: &Registry,
-        tx_metric: &str,
-    ) -> bool {
-        Self::send_frame_to_slot(slot, &msg.to_frame(), log, obs, tx_metric)
     }
 
     fn send_frame_to_slot(
@@ -1034,145 +1008,6 @@ impl FlServer {
             }
         }
         Some(remaining)
-    }
-
-    /// Relay-facing variant of [`ClientGateway::collect_submissions`]:
-    /// inbox waits are sliced to `poll`, and `superseded` is consulted
-    /// between slices. When it reports true the gather is abandoned —
-    /// `None`, manifest table untouched — because the round has already
-    /// closed at the caller's parent, so a shard submitted now would only
-    /// be discarded upstream as out-of-phase. An interior tree node
-    /// passes a probe of its uplink here; without it, a shard whose
-    /// leaves all missed the task broadcast pins the node in a dead
-    /// gather while its parent (closing rounds early on quorum grace)
-    /// races ahead, and the node relays stale rounds forever after.
-    pub fn collect_submissions_interruptible(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-        poll: Duration,
-        superseded: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, Dxo)>> {
-        let deadline = Instant::now() + timeout;
-        let mut last_progress = Instant::now();
-        let mut out: Vec<(String, Dxo)> = Vec::new();
-        // Leaf-granular accounting: a shard covering k leaves advances
-        // the quorum by k, and its bookkeeping lands in the round
-        // manifest so the controller can expand it back to leaves.
-        let mut metas: Vec<(String, ShardMeta)> = Vec::new();
-        let mut any_shard = false;
-        let mut got_leaves = 0usize;
-        while got_leaves < expected {
-            if superseded() {
-                return None;
-            }
-            let Some(wait) = self.gather_wait(got_leaves, deadline, last_progress) else {
-                break;
-            };
-            match self.inbox_rx.recv_timeout(wait.min(poll)) {
-                Ok(InboxMsg::Submit {
-                    slot,
-                    round: r,
-                    dxo,
-                    shard,
-                }) if r == round => {
-                    let site = self.shared.slots.lock()[slot].site.clone();
-                    if out.iter().any(|(s, _)| *s == site) {
-                        self.shared
-                            .log
-                            .warn("ServerRunner", format!("duplicate submit from {site}"));
-                        continue;
-                    }
-                    let meta = match shard {
-                        Some(m) => {
-                            any_shard = true;
-                            m
-                        }
-                        None => ShardMeta {
-                            sites: vec![(site.clone(), dxo.metrics.clone())],
-                            dropped: Vec::new(),
-                        },
-                    };
-                    got_leaves += meta.sites.len().max(1);
-                    metas.push((site.clone(), meta));
-                    out.push((site, dxo));
-                    last_progress = Instant::now();
-                }
-                Ok(msg) => {
-                    let slot = match &msg {
-                        InboxMsg::Submit { slot, .. } | InboxMsg::Validate { slot, .. } => *slot,
-                    };
-                    let site = self.shared.slots.lock()[slot].site.clone();
-                    self.shared.log.warn(
-                        "ServerRunner",
-                        format!("{site}: out-of-phase message during round {round}: {msg:?}"),
-                    );
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Re-evaluate the deadline/grace budget at the top.
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        {
-            let mut manifests = self.manifests.lock();
-            if any_shard {
-                manifests.insert(
-                    round,
-                    RoundManifest {
-                        shards: metas.into_iter().collect(),
-                    },
-                );
-            } else {
-                manifests.remove(&round);
-            }
-            while manifests.len() > MANIFEST_RETENTION {
-                let oldest = *manifests.keys().next().expect("non-empty");
-                manifests.remove(&oldest);
-            }
-        }
-        Some(out)
-    }
-
-    /// The validation-phase twin of
-    /// [`Self::collect_submissions_interruptible`].
-    pub fn collect_validations_interruptible(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-        poll: Duration,
-        superseded: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, f64)>> {
-        let deadline = Instant::now() + timeout;
-        let mut last_progress = Instant::now();
-        let mut out: Vec<(String, f64)> = Vec::new();
-        while out.len() < expected {
-            if superseded() {
-                return None;
-            }
-            let Some(wait) = self.gather_wait(out.len(), deadline, last_progress) else {
-                break;
-            };
-            match self.inbox_rx.recv_timeout(wait.min(poll)) {
-                Ok(InboxMsg::Validate {
-                    round: r, reports, ..
-                }) if r == round => {
-                    for (leaf, metric) in reports {
-                        if !out.iter().any(|(s, _)| *s == leaf) {
-                            out.push((leaf, metric));
-                            last_progress = Instant::now();
-                        }
-                    }
-                }
-                Ok(_) => {} // stale submit etc.
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        Some(out)
     }
 }
 
@@ -1338,72 +1173,126 @@ impl ClientGateway for FlServer {
         sent
     }
 
-    fn collect_submissions(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, Dxo)> {
-        // A never-superseded gather: the slice equals the full budget, so
-        // the wait behavior is identical to the pre-interruptible path.
-        self.collect_submissions_interruptible(round, expected, timeout, timeout, &mut || false)
-            .unwrap_or_default()
-    }
-
-    fn collect_validations(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, f64)> {
-        self.collect_validations_interruptible(round, expected, timeout, timeout, &mut || false)
-            .unwrap_or_default()
-    }
-
-    fn collect_submissions_cancellable(
+    fn gather_submissions(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Vec<(String, Dxo)>> {
-        // 50 ms wait slices: an admin abort lands within one slice
-        // instead of waiting out the round timeout.
-        self.collect_submissions_interruptible(
-            round,
-            expected,
-            timeout,
-            Duration::from_millis(50),
-            cancel,
-        )
+        let deadline = Instant::now() + timeout;
+        let mut last_progress = Instant::now();
+        let mut out: Vec<(String, Dxo)> = Vec::new();
+        // Leaf-granular accounting: a shard covering k leaves advances
+        // the quorum by k, and its bookkeeping lands in the round
+        // manifest so the controller can expand it back to leaves.
+        let mut metas: Vec<(String, ShardMeta)> = Vec::new();
+        let mut any_shard = false;
+        let mut got_leaves = 0usize;
+        while got_leaves < expected {
+            if cancel() {
+                return None;
+            }
+            let Some(wait) = self.gather_wait(got_leaves, deadline, last_progress) else {
+                break;
+            };
+            match self.inbox_rx.recv_timeout(wait.min(GATHER_SLICE)) {
+                Ok(InboxMsg::Submit {
+                    slot,
+                    round: r,
+                    dxo,
+                    shard,
+                }) if r == round => {
+                    let site = self.shared.slots.lock()[slot].site.clone();
+                    if out.iter().any(|(s, _)| *s == site) {
+                        self.shared
+                            .log
+                            .warn("ServerRunner", format!("duplicate submit from {site}"));
+                        continue;
+                    }
+                    let meta = match shard {
+                        Some(m) => {
+                            any_shard = true;
+                            m
+                        }
+                        None => ShardMeta {
+                            sites: vec![(site.clone(), dxo.metrics.clone())],
+                            dropped: Vec::new(),
+                        },
+                    };
+                    got_leaves += meta.sites.len().max(1);
+                    metas.push((site.clone(), meta));
+                    out.push((site, dxo));
+                    last_progress = Instant::now();
+                }
+                Ok(msg) => {
+                    let slot = match &msg {
+                        InboxMsg::Submit { slot, .. } | InboxMsg::Validate { slot, .. } => *slot,
+                    };
+                    let site = self.shared.slots.lock()[slot].site.clone();
+                    self.shared.log.warn(
+                        "ServerRunner",
+                        format!("{site}: out-of-phase message during round {round}: {msg:?}"),
+                    );
+                }
+                // Re-evaluate the deadline/grace budget at the top.
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        {
+            let mut manifests = self.manifests.lock();
+            if any_shard {
+                manifests.insert(
+                    round,
+                    RoundManifest {
+                        shards: metas.into_iter().collect(),
+                    },
+                );
+            } else {
+                manifests.remove(&round);
+            }
+            while manifests.len() > MANIFEST_RETENTION {
+                let oldest = *manifests.keys().next().expect("non-empty");
+                manifests.remove(&oldest);
+            }
+        }
+        Some(out)
     }
 
-    fn collect_validations_cancellable(
+    fn gather_validations(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Vec<(String, f64)>> {
-        self.collect_validations_interruptible(
-            round,
-            expected,
-            timeout,
-            Duration::from_millis(50),
-            cancel,
-        )
-    }
-}
-
-/// Read access to per-session metadata for demos and tests.
-impl FlServer {
-    /// `(site, session-token)` pairs in registration order.
-    pub fn sessions(&self) -> Vec<(String, String)> {
-        self.shared
-            .slots
-            .lock()
-            .iter()
-            .map(|s| (s.site.clone(), s.session.clone()))
-            .collect()
+        let deadline = Instant::now() + timeout;
+        let mut last_progress = Instant::now();
+        let mut out: Vec<(String, f64)> = Vec::new();
+        while out.len() < expected {
+            if cancel() {
+                return None;
+            }
+            let Some(wait) = self.gather_wait(out.len(), deadline, last_progress) else {
+                break;
+            };
+            match self.inbox_rx.recv_timeout(wait.min(GATHER_SLICE)) {
+                Ok(InboxMsg::Validate {
+                    round: r, reports, ..
+                }) if r == round => {
+                    for (leaf, metric) in reports {
+                        if !out.iter().any(|(s, _)| *s == leaf) {
+                            out.push((leaf, metric));
+                            last_progress = Instant::now();
+                        }
+                    }
+                }
+                Ok(_) => {} // stale submit etc.
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        Some(out)
     }
 }

@@ -1,6 +1,7 @@
 //! The simulator: whole federations in one process (NVFlare's
 //! `SimulatorRunner`, the mode the paper's Fig. 3 demonstrates).
 
+use crate::admin::RunStatus;
 use crate::aggregator::Aggregator;
 use crate::client::{ClientBehavior, FlClient, RetryPolicy};
 use crate::codec::CodecSpec;
@@ -11,13 +12,16 @@ use crate::faults::{FaultConfig, FaultPlan};
 use crate::filters::FilterChain;
 use crate::log::EventLog;
 use crate::persistor::{FilePersistor, InMemoryPersistor, Persistor};
-use crate::provision::{Project, Provisioned, SitePackage};
+use crate::provision::{dh_secret, Project, Provisioned, SitePackage, RELAY_INDEX};
 use crate::relay::{AggregatorNode, RelayConfig};
 use crate::server::FlServer;
-use crate::transport::{in_proc_pair, Connection};
+use crate::transport::Connection;
 use crate::FlareError;
+use clinfl_obs::Registry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Shape of the in-process aggregation tree (see [`AggregatorNode`]).
@@ -115,10 +119,14 @@ fn build_children(
         .collect()
 }
 
-fn child_name<'a>(child: &'a TreeChild, leaf_names: &'a [String]) -> &'a str {
+fn site_name(index: usize) -> String {
+    format!("site-{}", index + 1)
+}
+
+fn child_name(child: &TreeChild) -> String {
     match child {
-        TreeChild::Leaf(i) => &leaf_names[*i],
-        TreeChild::Node(spec) => &spec.name,
+        TreeChild::Leaf(i) => site_name(*i),
+        TreeChild::Node(spec) => spec.name.clone(),
     }
 }
 
@@ -128,20 +136,16 @@ struct LeafJob {
     index: usize,
     package: SitePackage,
     conn: Connection,
-    dh_secret: u64,
 }
 
-/// An interior node ready to spawn: a downstream server whose child
-/// sessions are already created, plus the uplink registration material.
-struct RelayJob {
-    name: String,
-    server: FlServer,
-    conn: Connection,
-    package: SitePackage,
-    dh_secret: u64,
-    n_children: usize,
-    n_leaves: usize,
-    cfg: RelayConfig,
+/// What a walk of the topology stands up before any thread spawns: leaf
+/// clients still to register, and interior nodes already registered with
+/// their parents, each with the name its thread reports under.
+struct Fleet {
+    plan: FaultPlan,
+    relay_seq: u64,
+    leaves: Vec<LeafJob>,
+    relays: Vec<(String, AggregatorNode)>,
 }
 
 /// Leaf sites covered by a subtree (relay children count their whole
@@ -247,9 +251,18 @@ pub struct SimulationResult {
 
 /// Builds and runs an in-process federation: provision → server → client
 /// threads → ScatterAndGather → results.
+///
+/// Besides its [`SimulatorConfig`], a runner carries the host handles a
+/// multi-tenant host (the job runtime) scopes per run — metrics registry,
+/// live status, abort flag. They default to the process-global registry,
+/// a private status and a flag nobody sets.
 pub struct SimulatorRunner {
     config: SimulatorConfig,
     log: EventLog,
+    obs: Registry,
+    artifact_tag: String,
+    status: RunStatus,
+    abort: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for SimulatorRunner {
@@ -269,24 +282,53 @@ impl SimulatorRunner {
     /// Creates a runner that logs into `log` (use [`EventLog::echoing`]
     /// for live Fig. 3-style output).
     pub fn with_log(config: SimulatorConfig, log: EventLog) -> Self {
-        SimulatorRunner { config, log }
+        SimulatorRunner {
+            config,
+            log,
+            obs: Registry::global(),
+            artifact_tag: String::new(),
+            status: RunStatus::new(),
+            abort: Arc::new(AtomicBool::new(false)),
+        }
     }
 
-    /// The shared event log.
-    pub fn log(&self) -> &EventLog {
-        &self.log
+    /// Records the run's metrics — root and relay servers, every leaf and
+    /// relay client, the controller — into `obs` instead of the global
+    /// registry, and prefixes the run's obs artifact file with
+    /// `artifact_tag` (see `MetricsSnapshot::write_artifact_tagged`).
+    pub fn with_registry(mut self, obs: Registry, artifact_tag: impl Into<String>) -> Self {
+        self.obs = obs;
+        self.artifact_tag = artifact_tag.into();
+        self
+    }
+
+    /// Publishes the run's live phase, clients and last metric into
+    /// `status` (see [`ScatterAndGather::with_status`]).
+    pub fn with_status(mut self, status: RunStatus) -> Self {
+        self.status = status;
+        self
+    }
+
+    /// Stops the run at the controller's next check once `abort` is set
+    /// (see [`ScatterAndGather::with_abort`]); [`Self::run`] then tears the
+    /// federation down and returns [`FlareError::Aborted`].
+    pub fn with_abort(mut self, abort: Arc<AtomicBool>) -> Self {
+        self.abort = abort;
+        self
     }
 
     /// Runs the federation to completion.
     ///
-    /// `make_executor` is called once per site (with its index and name)
-    /// on the launching thread; the produced executor moves to that site's
-    /// thread. `make_filters` may return a per-site outgoing filter chain.
+    /// `make_executor` is called once per site, in site order (with its
+    /// index and name), on the launching thread; the produced executor
+    /// moves to that site's thread. `make_filters` may return a per-site
+    /// outgoing filter chain.
     ///
     /// # Errors
     ///
     /// Propagates workflow failures (e.g.
-    /// [`FlareError::NotEnoughClients`]).
+    /// [`FlareError::NotEnoughClients`], or [`FlareError::Aborted`] after
+    /// [`Self::with_abort`]'s flag was set).
     ///
     /// # Panics
     ///
@@ -301,6 +343,7 @@ impl SimulatorRunner {
     ) -> Result<SimulationResult, FlareError> {
         let _run_span = clinfl_obs::span("run");
         let log = self.log.clone();
+        let n = self.config.n_clients;
         // Checkpoint/resume setup happens before any client thread spawns,
         // so a refused resume returns an error without leaking threads.
         let mut initial = initial;
@@ -357,7 +400,7 @@ impl SimulatorRunner {
             Some(_) => None,
             None => self.config.tree.or_else(TreeConfig::from_env),
         };
-        let topology = match topology.filter(|t| t.depth >= 2 && self.config.n_clients >= 2) {
+        let topology = match topology.filter(|t| t.depth >= 2 && n >= 2) {
             Some(_) if !aggregator.supports_partial() => {
                 log.warn(
                     "SimulatorRunner",
@@ -381,309 +424,64 @@ impl SimulatorRunner {
             }
             t => t,
         };
-        if let Some(tree) = topology {
-            return self.run_tree(
-                tree,
-                initial,
-                &mut make_executor,
-                aggregator,
-                &mut make_filters,
-                sag_cfg,
-                persistor.as_mut(),
-                &plan,
-            );
-        }
+        // A flat fleet is the depth-1 tree: every root child is a leaf, and
+        // nothing below distinguishes it from a deeper shape except that
+        // relays only exist at depth >= 2.
+        let shape = topology.unwrap_or(TreeConfig {
+            depth: 1,
+            fanout: n.max(2),
+        });
         log.info("SimulatorRunner", "Create the simulate clients.");
-        let project =
-            Project::with_n_sites("simulator_server", self.config.n_clients, self.config.seed);
-        let provisioned = project.provision();
-        let mut server = FlServer::new(provisioned.server.clone(), log.clone(), self.config.seed);
-        server.set_quorum(self.config.sag.min_clients, self.config.sag.quorum_grace);
-        server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
-
-        let mut client_threads = Vec::with_capacity(self.config.n_clients);
-        for (i, package) in provisioned.sites.iter().enumerate() {
-            let (server_side, client_side) = in_proc_pair();
-            server.serve_connection(server_side);
-            let package = package.clone();
-            let mut behavior = self.config.behaviors.get(&i).copied().unwrap_or_default();
-            if behavior.drop_at_round.is_none() {
-                // The fault plan can schedule mid-round crashes too.
-                behavior.drop_at_round = plan.crash_round(i);
-            }
-            let client_side = plan.wrap(&package.site_name, client_side);
-            let retry = self.config.retry;
-            let mut executor = make_executor(i, &package.site_name);
-            let filters = make_filters(i);
-            let clog = log.clone();
-            let dh_secret = self.config.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ (i as u64 + 1);
-            let wire = self
-                .config
-                .wire_overrides
-                .get(&i)
-                .cloned()
-                .unwrap_or_else(|| self.config.wire.clone());
-            client_threads.push(std::thread::spawn(move || -> Result<u32, FlareError> {
-                let mut client = FlClient::register(client_side, &package, dh_secret, clog)?;
-                client.set_filters(filters);
-                client.set_retry_policy(retry);
-                client.set_wire_codec(wire);
-                client.run(executor.as_mut(), behavior)
-            }));
-        }
-
-        let joined = server.wait_for_clients(self.config.n_clients, Duration::from_secs(30));
-        if joined < self.config.n_clients {
-            log.warn(
-                "SimulatorRunner",
-                format!("only {joined}/{} clients registered", self.config.n_clients),
-            );
-        }
-
-        let sag = ScatterAndGather::new(sag_cfg, log.clone()).with_run_seed(self.config.seed);
-        let workflow = sag.run(&mut server, aggregator, persistor.as_mut(), initial);
-
-        // Stop the server BEFORE joining clients: dropping the server-side
-        // connections wakes any client whose Finish frame was lost to an
-        // injected fault (buffered frames still deliver, so the healthy
-        // goodbye path is unaffected). Joining first could deadlock on a
-        // client waiting out its full receive-retry budget.
-        server.shutdown();
-        server.disconnect_all();
-        let mut client_rounds = Vec::with_capacity(client_threads.len());
-        for t in client_threads {
-            match t.join().expect("client thread panicked") {
-                Ok(rounds) => client_rounds.push(rounds),
-                Err(e) => {
-                    log.warn("SimulatorRunner", format!("client exited with error: {e}"));
-                    client_rounds.push(0);
-                }
-            }
-        }
-        let workflow = workflow?;
-        log.info("SimulatorRunner", "Simulation complete.");
-        if clinfl_obs::enabled() {
-            let run_name = format!(
-                "sim-{}x{}-seed{}",
-                self.config.n_clients, self.config.sag.rounds, self.config.seed
-            );
-            match clinfl_obs::snapshot().write_artifact(&run_name) {
-                Ok(path) => log.info(
-                    "SimulatorRunner",
-                    format!("Metrics artifact: {}", path.display()),
-                ),
-                Err(e) => log.warn(
-                    "SimulatorRunner",
-                    format!("metrics artifact write failed: {e}"),
-                ),
-            }
-        }
-        Ok(SimulationResult {
-            workflow,
-            client_rounds,
-            log,
-        })
-    }
-
-    /// Recursively provisions an interior node's children: every child
-    /// gets a reactor-native session on `parent` (created here, on the
-    /// launching thread, so servers can move into their node threads
-    /// afterwards); interior children get their own provisioned
-    /// [`FlServer`] and recurse. Leaf connections are fault-wrapped;
-    /// relay uplinks are not (the paper's faults live on site links), and
-    /// each tree level shaves 10% off the round deadline so a stalled
-    /// shard resolves below its parent's timeout.
-    #[allow(clippy::too_many_arguments)]
-    fn instantiate_children(
-        &self,
-        parent: &mut FlServer,
-        parent_prov: &Provisioned,
-        children: &[TreeChild],
-        leaf_names: &[String],
-        level_timeout: Duration,
-        level_grace: Option<Duration>,
-        plan: &FaultPlan,
-        log: &EventLog,
-        relay_seq: &mut u64,
-        leaf_jobs: &mut Vec<LeafJob>,
-        relay_jobs: &mut Vec<RelayJob>,
-    ) {
-        for (pos, child) in children.iter().enumerate() {
-            let package = parent_prov.sites[pos].clone();
-            let conn = parent.serve_session();
-            match child {
-                TreeChild::Leaf(i) => {
-                    let i = *i;
-                    leaf_jobs.push(LeafJob {
-                        index: i,
-                        package,
-                        conn: plan.wrap(&leaf_names[i], conn),
-                        dh_secret: self.config.seed.wrapping_mul(0x9E3779B97F4A7C15)
-                            ^ (i as u64 + 1),
-                    });
-                }
-                TreeChild::Node(spec) => {
-                    *relay_seq += 1;
-                    let seq = *relay_seq;
-                    let relay_seed = self.config.seed.wrapping_add(0xC1F7).wrapping_add(seq);
-                    let project = Project {
-                        name: "simulator_server".to_string(),
-                        sites: spec
-                            .children
-                            .iter()
-                            .map(|c| child_name(c, leaf_names).to_string())
-                            .collect(),
-                        seed: relay_seed,
-                    };
-                    let prov = project.provision();
-                    let mut server = FlServer::new(prov.server.clone(), log.clone(), relay_seed);
-                    // Re-home metrics before any child session exists:
-                    // registrations start flowing the moment sessions are
-                    // served below, and early frames must not be charged
-                    // to the root's `flare.server` namespace.
-                    server.set_metric_namespace("flare.tree");
-                    server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
-                    // Shaving the deadline (and halving the grace) per
-                    // level keeps a child's gather strictly inside its
-                    // parent's window: a shard always lands before the
-                    // parent's own quorum grace or timeout expires.
-                    let child_timeout = level_timeout.mul_f32(0.9);
-                    let child_grace = level_grace.map(|g| g.mul_f32(0.5));
-                    self.instantiate_children(
-                        &mut server,
-                        &prov,
-                        &spec.children,
-                        leaf_names,
-                        child_timeout,
-                        child_grace,
-                        plan,
-                        log,
-                        relay_seq,
-                        leaf_jobs,
-                        relay_jobs,
-                    );
-                    relay_jobs.push(RelayJob {
-                        name: spec.name.clone(),
-                        server,
-                        conn,
-                        package,
-                        dh_secret: self.config.seed.wrapping_mul(0x9E3779B97F4A7C15)
-                            ^ (0x8000_0000_0000_0000 | seq),
-                        n_children: spec.children.len(),
-                        n_leaves: subtree_leaves(&spec.children),
-                        cfg: RelayConfig {
-                            registration_timeout: Duration::from_secs(30),
-                            round_timeout: child_timeout,
-                            quorum_grace: child_grace,
-                        },
-                    });
-                }
-            }
-        }
-    }
-
-    /// The tree-mode twin of [`SimulatorRunner::run`]: stands up the
-    /// whole aggregation tree in-process — one [`AggregatorNode`] thread
-    /// per interior node, one client thread per leaf — and drives the
-    /// root through the unchanged ScatterAndGather workflow. Aggregation
-    /// order at every node is name-sorted, so a depth-2 run is
-    /// bit-identical to a flat run for rules whose partial decomposition
-    /// is exact.
-    #[allow(clippy::too_many_arguments)]
-    fn run_tree(
-        &self,
-        tree: TreeConfig,
-        initial: Weights,
-        make_executor: &mut dyn FnMut(usize, &str) -> Box<dyn Executor>,
-        aggregator: &dyn Aggregator,
-        make_filters: &mut dyn FnMut(usize) -> FilterChain,
-        sag_cfg: SagConfig,
-        persistor: &mut dyn Persistor,
-        plan: &FaultPlan,
-    ) -> Result<SimulationResult, FlareError> {
-        let log = self.log.clone();
-        let n = self.config.n_clients;
-        log.info("SimulatorRunner", "Create the simulate clients.");
-        let leaf_names: Vec<String> = (1..=n).map(|i| format!("site-{i}")).collect();
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| leaf_names[a].cmp(&leaf_names[b]));
+        order.sort_by_cached_key(|&i| site_name(i));
         let mut counter = 0usize;
-        let root_children = build_children(&order, tree.depth, tree.fanout, &mut counter);
-        log.info(
-            "SimulatorRunner",
-            format!(
-                "Aggregation tree: depth {}, fan-out {}, {counter} interior node(s), \
-                 {} root child(ren) over {n} site(s).",
-                tree.depth,
-                tree.fanout,
-                root_children.len()
-            ),
-        );
-        let root_project = Project {
-            name: "simulator_server".to_string(),
-            sites: root_children
-                .iter()
-                .map(|c| child_name(c, &leaf_names).to_string())
-                .collect(),
-            seed: self.config.seed,
-        };
-        let root_prov = root_project.provision();
-        let mut server = FlServer::new(root_prov.server.clone(), log.clone(), self.config.seed);
+        let root_children = build_children(&order, shape.depth, shape.fanout, &mut counter);
+        if topology.is_some() {
+            log.info(
+                "SimulatorRunner",
+                format!(
+                    "Aggregation tree: depth {}, fan-out {}, {counter} interior node(s), \
+                     {} root child(ren) over {n} site(s).",
+                    shape.depth,
+                    shape.fanout,
+                    root_children.len()
+                ),
+            );
+        }
+        let (mut server, root_prov) = self.node_server(&root_children, self.config.seed);
         server.set_quorum(self.config.sag.min_clients, self.config.sag.quorum_grace);
-        server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
-        let mut leaf_jobs = Vec::with_capacity(n);
-        let mut relay_jobs = Vec::new();
-        let mut relay_seq = 0u64;
-        self.instantiate_children(
+        let mut fleet = Fleet {
+            plan,
+            relay_seq: 0,
+            leaves: Vec::with_capacity(n),
+            relays: Vec::new(),
+        };
+        self.attach(
+            &mut fleet,
             &mut server,
             &root_prov,
             &root_children,
-            &leaf_names,
             self.config.sag.round_timeout,
             self.config.sag.quorum_grace,
+        )?;
+        let Fleet {
             plan,
-            &log,
-            &mut relay_seq,
-            &mut leaf_jobs,
-            &mut relay_jobs,
-        );
-        // client_rounds stays indexed by site, independent of tree shape.
-        leaf_jobs.sort_by_key(|j| j.index);
-        let n_root_children = root_children.len();
-        let retry = self.config.retry;
+            mut leaves,
+            relays,
+            ..
+        } = fleet;
+        // Executors are built, and client_rounds reported, in site order
+        // whatever the tree's shape.
+        leaves.sort_by_key(|j| j.index);
+        let has_relays = !relays.is_empty();
 
         let (workflow, client_rounds) = std::thread::scope(|scope| {
-            let mut relay_handles = Vec::with_capacity(relay_jobs.len());
-            for job in relay_jobs {
-                let handle_name = job.name.clone();
-                let clog = log.clone();
-                let wire = self.config.wire.clone();
-                relay_handles.push((
-                    handle_name,
-                    scope.spawn(move || -> Result<u32, FlareError> {
-                        let RelayJob {
-                            name,
-                            server,
-                            conn,
-                            package,
-                            dh_secret,
-                            n_children,
-                            n_leaves,
-                            cfg,
-                        } = job;
-                        let mut uplink =
-                            FlClient::register(conn, &package, dh_secret, clog.clone())?;
-                        uplink.set_retry_policy(retry);
-                        uplink.set_wire_codec(wire);
-                        let mut node = AggregatorNode::new(
-                            name, server, uplink, n_children, n_leaves, cfg, clog,
-                        );
-                        node.run(aggregator)
-                    }),
-                ));
-            }
+            let relay_handles: Vec<_> = relays
+                .into_iter()
+                .map(|(name, mut node)| (name, scope.spawn(move || node.run(aggregator))))
+                .collect();
             let mut leaf_handles = Vec::with_capacity(n);
-            for job in leaf_jobs {
+            for job in leaves {
                 let mut behavior = self
                     .config
                     .behaviors
@@ -691,11 +489,15 @@ impl SimulatorRunner {
                     .copied()
                     .unwrap_or_default();
                 if behavior.drop_at_round.is_none() {
+                    // The fault plan can schedule mid-round crashes too.
                     behavior.drop_at_round = plan.crash_round(job.index);
                 }
-                let mut executor = make_executor(job.index, &leaf_names[job.index]);
+                let mut executor = make_executor(job.index, &job.package.site_name);
                 let filters = make_filters(job.index);
                 let clog = log.clone();
+                let obs = self.obs.clone();
+                let secret = dh_secret(self.config.seed, job.index as u64 + 1);
+                let retry = self.config.retry;
                 let wire = self
                     .config
                     .wire_overrides
@@ -703,13 +505,8 @@ impl SimulatorRunner {
                     .cloned()
                     .unwrap_or_else(|| self.config.wire.clone());
                 leaf_handles.push(scope.spawn(move || -> Result<u32, FlareError> {
-                    let LeafJob {
-                        package,
-                        conn,
-                        dh_secret,
-                        ..
-                    } = job;
-                    let mut client = FlClient::register(conn, &package, dh_secret, clog)?;
+                    let mut client = FlClient::register(job.conn, &job.package, secret, clog)?;
+                    client.set_registry(obs);
                     client.set_filters(filters);
                     client.set_retry_policy(retry);
                     client.set_wire_codec(wire);
@@ -717,29 +514,42 @@ impl SimulatorRunner {
                 }));
             }
 
+            let n_root_children = root_children.len();
             let joined = server.wait_for_clients(n_root_children, Duration::from_secs(30));
             if joined < n_root_children {
                 log.warn(
                     "SimulatorRunner",
-                    format!("only {joined}/{n_root_children} root children registered"),
+                    format!("only {joined}/{n_root_children} clients registered"),
                 );
             }
-            let covered = server.wait_for_leaves(n, Duration::from_secs(30));
-            if covered < n {
-                log.warn(
-                    "SimulatorRunner",
-                    format!("only {covered}/{n} leaf sites announced"),
-                );
+            if has_relays {
+                let covered = server.wait_for_leaves(n, Duration::from_secs(30));
+                if covered < n {
+                    log.warn(
+                        "SimulatorRunner",
+                        format!("only {covered}/{n} leaf sites announced"),
+                    );
+                }
             }
 
-            let sag = ScatterAndGather::new(sag_cfg, log.clone())
+            let mut sag = ScatterAndGather::new(sag_cfg, log.clone())
                 .with_run_seed(self.config.seed)
-                .with_topology(tree.depth, tree.fanout as u32);
-            let workflow = sag.run(&mut server, aggregator, persistor, initial);
+                .with_registry(self.obs.clone())
+                .with_status(self.status.clone())
+                .with_abort(self.abort.clone());
+            if topology.is_some() {
+                // Flat runs keep the (0, 0) stamp.
+                sag = sag.with_topology(shape.depth, shape.fanout as u32);
+            }
+            let workflow = sag.run(&mut server, aggregator, persistor.as_mut(), initial);
 
-            // Same ordering rationale as the flat path: wake everything
-            // before joining. Relays react by shutting their own servers
-            // down, which cascades the wake-up to the leaves.
+            // Stop the server BEFORE joining clients: dropping the
+            // server-side connections wakes any client whose Finish frame
+            // was lost to an injected fault (buffered frames still
+            // deliver, so the healthy goodbye path is unaffected). Joining
+            // first could deadlock on a client waiting out its full
+            // receive-retry budget. Relays react by shutting their own
+            // servers down, which cascades the wake-up to the leaves.
             server.shutdown();
             server.disconnect_all();
 
@@ -748,26 +558,29 @@ impl SimulatorRunner {
                     log.warn("SimulatorRunner", format!("{name} exited with error: {e}"));
                 }
             }
-            let mut client_rounds = Vec::with_capacity(n);
-            for h in leaf_handles {
-                match h.join().expect("client thread panicked") {
-                    Ok(rounds) => client_rounds.push(rounds),
-                    Err(e) => {
-                        log.warn("SimulatorRunner", format!("client exited with error: {e}"));
-                        client_rounds.push(0);
-                    }
-                }
-            }
+            let client_rounds: Vec<u32> = leaf_handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .expect("client thread panicked")
+                        .unwrap_or_else(|e| {
+                            log.warn("SimulatorRunner", format!("client exited with error: {e}"));
+                            0
+                        })
+                })
+                .collect();
             (workflow, client_rounds)
         });
-        let workflow = workflow?;
-        log.info("SimulatorRunner", "Simulation complete.");
         if clinfl_obs::enabled() {
             let run_name = format!(
-                "sim-{}x{}-seed{}",
-                n, self.config.sag.rounds, self.config.seed
+                "sim-{n}x{}-seed{}",
+                self.config.sag.rounds, self.config.seed
             );
-            match clinfl_obs::snapshot().write_artifact(&run_name) {
+            match self
+                .obs
+                .snapshot()
+                .write_artifact_tagged(&run_name, &self.artifact_tag)
+            {
                 Ok(path) => log.info(
                     "SimulatorRunner",
                     format!("Metrics artifact: {}", path.display()),
@@ -778,11 +591,101 @@ impl SimulatorRunner {
                 ),
             }
         }
+        let workflow = workflow?;
+        log.info("SimulatorRunner", "Simulation complete.");
         Ok(SimulationResult {
             workflow,
             client_rounds,
             log,
         })
+    }
+
+    /// A provisioned server for a node whose children are `children`,
+    /// recording into the run's registry.
+    fn node_server(&self, children: &[TreeChild], seed: u64) -> (FlServer, Provisioned) {
+        let prov = Project {
+            name: "simulator_server".to_string(),
+            sites: children.iter().map(child_name).collect(),
+            seed,
+        }
+        .provision();
+        let mut server = FlServer::new(prov.server.clone(), self.log.clone(), seed);
+        server.set_registry(self.obs.clone());
+        server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
+        (server, prov)
+    }
+
+    /// Recursively attaches a node's children to `parent`, on the
+    /// launching thread: every child gets a reactor-native session; a
+    /// leaf's is fault-wrapped and queued for its client thread, while an
+    /// interior child gets its own provisioned [`FlServer`], registers its
+    /// uplink right away, and recurses. Relay uplinks are not
+    /// fault-wrapped (the paper's faults live on site links), and each
+    /// tree level shaves 10% off the round deadline so a stalled shard
+    /// resolves below its parent's timeout.
+    fn attach(
+        &self,
+        fleet: &mut Fleet,
+        parent: &mut FlServer,
+        prov: &Provisioned,
+        children: &[TreeChild],
+        timeout: Duration,
+        grace: Option<Duration>,
+    ) -> Result<(), FlareError> {
+        for (package, child) in prov.sites.iter().zip(children) {
+            let conn = parent.serve_session();
+            let spec = match child {
+                TreeChild::Node(spec) => spec,
+                TreeChild::Leaf(index) => {
+                    fleet.leaves.push(LeafJob {
+                        index: *index,
+                        conn: fleet.plan.wrap(&package.site_name, conn),
+                        package: package.clone(),
+                    });
+                    continue;
+                }
+            };
+            fleet.relay_seq += 1;
+            let seq = fleet.relay_seq;
+            let relay_seed = self.config.seed.wrapping_add(0xC1F7).wrapping_add(seq);
+            let (mut server, node_prov) = self.node_server(&spec.children, relay_seed);
+            // Re-home metrics before any child session exists: early
+            // frames must not be charged to the root's `flare.server`.
+            server.set_metric_namespace("flare.tree");
+            let secret = dh_secret(self.config.seed, RELAY_INDEX | seq);
+            let mut uplink = FlClient::register(conn, package, secret, self.log.clone())?;
+            uplink.set_registry(self.obs.clone());
+            uplink.set_retry_policy(self.config.retry);
+            uplink.set_wire_codec(self.config.wire.clone());
+            // Shaving the deadline (and halving the grace) per level keeps
+            // a child's gather strictly inside its parent's window: a shard
+            // always lands before the parent's own quorum grace or timeout
+            // expires.
+            let cfg = RelayConfig {
+                registration_timeout: Duration::from_secs(30),
+                round_timeout: timeout.mul_f32(0.9),
+                quorum_grace: grace.map(|g| g.mul_f32(0.5)),
+            };
+            self.attach(
+                fleet,
+                &mut server,
+                &node_prov,
+                &spec.children,
+                cfg.round_timeout,
+                cfg.quorum_grace,
+            )?;
+            let node = AggregatorNode::new(
+                spec.name.clone(),
+                server,
+                uplink,
+                spec.children.len(),
+                subtree_leaves(&spec.children),
+                cfg,
+                self.log.clone(),
+            );
+            fleet.relays.push((spec.name.clone(), node));
+        }
+        Ok(())
     }
 
     /// Convenience wrapper: healthy clients, no filters.

@@ -3,6 +3,15 @@
 # green local run means a green CI run:
 #
 #   build          release build of the whole workspace
+#   fedbench       benchmark-surface gate: bench/ is a package of its own that
+#                  names ~90 public items of the workspace (bench/README.md
+#                  lists them) and is built only when the benchmark runs, so
+#                  a PR that renames one broke the benchmark, not CI. Builds
+#                  bench/ against this tree from the repo root, runs its unit
+#                  tests and `fedbench verify` (harness final weights
+#                  bit-identical to SimulatorRunner::run on two workloads).
+#                  Runs right after build: a break here fails in minutes,
+#                  not after the ~20 min of test legs
 #   test-serial    full test suite under CLINFL_THREADS=1
 #   test-parallel  full test suite under the default thread budget
 #   test-faults    full test suite under CLINFL_FAULTS=aggressive
@@ -31,13 +40,6 @@
 #                  asserts the disabled-knobs cell is bit-identical to the flat
 #                  path, writes BENCH_scenarios.json, and the schema check
 #                  requires >=8 cells with valid accuracies and (eps, delta)
-#   fedbench       benchmark-surface gate: bench/ is a package of its own that
-#                  names ~90 public items of the workspace (bench/README.md
-#                  lists them) and is built only when the benchmark runs, so
-#                  a PR that renames one broke the benchmark, not CI. Builds
-#                  bench/ against this tree from the repo root, runs its unit
-#                  tests and `fedbench verify` (harness final weights
-#                  bit-identical to SimulatorRunner::run on two workloads)
 #   doc            rustdoc with warnings denied (broken links fail the gate)
 #   clippy         clippy --all-targets with warnings denied
 #   fmt            cargo fmt --check
@@ -60,7 +62,7 @@ mkdir -p target
 TIMINGS=target/ci-timings.tsv
 RSS_FILE=target/.leg-rss
 
-ALL_LEGS="build test-serial test-parallel test-faults resume bench-smoke kernels wire-codec scale jobs scenarios fedbench doc clippy fmt"
+ALL_LEGS="build fedbench test-serial test-parallel test-faults resume bench-smoke kernels wire-codec scale jobs scenarios doc clippy fmt"
 
 # Runs "$@" as a child and, after it exits, writes the peak RSS in KB of
 # the child process tree (getrusage RUSAGE_CHILDREN) to $RSS_FILE. The

@@ -1,11 +1,16 @@
-//! Multi-tenant job runtime integration: concurrent federations over the
-//! shared pool must stay bit-identical to solo runs, keep their metric
-//! namespaces apart, and obey the HTTP admin API end-to-end.
+//! Multi-tenant job runtime integration: a declarative job config drives
+//! a full federation, a job is exactly a simulator run, concurrent
+//! federations over the shared pool stay bit-identical to solo runs and
+//! keep their metric namespaces apart, and the HTTP admin API works
+//! end-to-end.
 
 use clinfl_flare::admin::{AdminServer, JobFactory};
+use clinfl_flare::codec::weights_bits_equal;
 use clinfl_flare::executor::{ArithmeticExecutor, Executor, TaskContext};
-use clinfl_flare::job::JobConfig;
+use clinfl_flare::filters::FilterChain;
+use clinfl_flare::job::{AggregatorKind, JobConfig};
 use clinfl_flare::jobs::{JobRuntime, JobSpec, JobState};
+use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
 use clinfl_flare::{Dxo, WeightTensor, Weights};
 use clinfl_obs::json::Value;
 use std::io::{Read, Write};
@@ -18,6 +23,13 @@ fn initial() -> Weights {
     w
 }
 
+fn arith_executor(i: usize, _site: &str) -> Box<dyn Executor> {
+    Box::new(ArithmeticExecutor {
+        delta: (i + 1) as f32 * 0.5,
+        n_examples: 10 + i as u64,
+    })
+}
+
 fn arith_spec(name: &str, rounds: u32, clients: usize, seed: u64) -> JobSpec {
     JobSpec {
         config: JobConfig::parse(&format!(
@@ -26,13 +38,120 @@ fn arith_spec(name: &str, rounds: u32, clients: usize, seed: u64) -> JobSpec {
         .unwrap(),
         seed,
         initial: initial(),
-        make_executor: Box::new(|i, _| {
-            Box::new(ArithmeticExecutor {
-                delta: (i + 1) as f32 * 0.5,
-                n_examples: 10 + i as u64,
-            })
-        }),
+        make_executor: Box::new(arith_executor),
         checkpoint_dir: None,
+    }
+}
+
+/// Submits `config` with `make_executor` to a one-slot runtime and
+/// returns the finished job's workflow result.
+fn run_one(
+    config: &str,
+    seed: u64,
+    make_executor: impl FnMut(usize, &str) -> Box<dyn Executor> + Send + 'static,
+) -> clinfl_flare::controller::WorkflowResult {
+    let rt = JobRuntime::new(1);
+    let id = rt.submit(JobSpec {
+        config: JobConfig::parse(config).expect("valid job"),
+        seed,
+        initial: initial(),
+        make_executor: Box::new(make_executor),
+        checkpoint_dir: None,
+    });
+    assert_eq!(
+        rt.wait(id, Duration::from_secs(60)),
+        Some(JobState::Finished)
+    );
+    let result = rt.result(id).unwrap();
+    rt.join_all();
+    result
+}
+
+#[test]
+fn job_config_drives_a_full_simulation() {
+    let result = run_one(
+        "name = smoke\n\
+         rounds = 3\n\
+         clients = 2\n\
+         min_clients = 2\n\
+         timeout_s = 10\n\
+         validate = false\n\
+         aggregator = fedavg\n",
+        21,
+        |_, _| {
+            Box::new(ArithmeticExecutor {
+                delta: 1.0,
+                n_examples: 5,
+            })
+        },
+    );
+    // +1 per round for 3 rounds.
+    assert_eq!(result.final_weights["p"].data, vec![3.0; 4]);
+    assert_eq!(result.rounds.len(), 3);
+}
+
+#[test]
+fn job_config_median_aggregation_end_to_end() {
+    let config = "rounds = 2\nclients = 3\naggregator = median\n";
+    assert_eq!(
+        JobConfig::parse(config).unwrap().aggregator,
+        AggregatorKind::CoordinateMedian
+    );
+    let result = run_one(config, 22, |i, _| {
+        Box::new(ArithmeticExecutor {
+            // One outlier client; the median ignores it.
+            delta: if i == 2 { 1000.0 } else { 2.0 },
+            n_examples: 5,
+        })
+    });
+    assert_eq!(result.final_weights["p"].data, vec![4.0; 4]);
+}
+
+/// A job is a simulator run: the same clients, rounds, seed and
+/// aggregator through `JobRuntime` and through `SimulatorRunner::run`
+/// give bit-equal final weights and equal round summaries.
+#[test]
+fn job_equals_simulator_run() {
+    for aggregator in ["fedavg", "trimmed_mean"] {
+        let config = format!(
+            "name = twin\nrounds = 3\nclients = 4\nmin_clients = 4\naggregator = {aggregator}\n"
+        );
+        let job = run_one(&config, 31, arith_executor);
+
+        let parsed = JobConfig::parse(&config).unwrap();
+        let sim = SimulatorRunner::new(SimulatorConfig {
+            n_clients: parsed.clients,
+            sag: parsed.sag_config(),
+            seed: 31,
+            ..SimulatorConfig::default()
+        })
+        .run(
+            initial(),
+            arith_executor,
+            parsed.aggregator.build().as_ref(),
+            |_| FilterChain::new(),
+        )
+        .expect("simulation runs")
+        .workflow;
+
+        assert!(
+            weights_bits_equal(&job.final_weights, &sim.final_weights),
+            "{aggregator}: job weights differ from the simulator's"
+        );
+        assert_eq!(job.rounds.len(), sim.rounds.len());
+        for (j, s) in job.rounds.iter().zip(&sim.rounds) {
+            assert_eq!(
+                j.contributors, s.contributors,
+                "{aggregator} round {}",
+                j.round
+            );
+            assert_eq!(j.dropped, s.dropped, "{aggregator} round {}", j.round);
+            assert_eq!(
+                j.global_metric, s.global_metric,
+                "{aggregator} round {}",
+                j.round
+            );
+        }
     }
 }
 

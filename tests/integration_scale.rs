@@ -1,7 +1,7 @@
 //! Fleet-scale integration for the event-driven server: a mid-round kill
 //! with hundreds of live sessions must release every session promptly
 //! (the reactor owns all inbound state — nothing leaks with it gone),
-//! `stop()` must be idempotent, and a deep aggregation tree must compute
+//! `shutdown()` must be idempotent, and a deep aggregation tree must compute
 //! the same model as the flat fleet when the arithmetic is exact.
 
 use clinfl_flare::aggregator::WeightedFedAvg;
@@ -29,7 +29,7 @@ fn initial() -> Weights {
 /// killed mid-round (no submission ever arrives). Every client must
 /// observe the disconnect within a tight deadline — no session may stay
 /// wedged waiting for a round that will never close — and a repeated
-/// `stop()` must be a no-op.
+/// `shutdown()` must be a no-op.
 #[test]
 fn mid_round_shutdown_releases_every_session() {
     let log = EventLog::new();
@@ -88,8 +88,8 @@ fn mid_round_shutdown_releases_every_session() {
     }
 
     let stopping = Instant::now();
-    server.stop();
-    server.stop(); // idempotent: second call must return immediately
+    server.shutdown();
+    server.shutdown(); // idempotent: second call must return immediately
     server.disconnect_all();
     let stop_took = stopping.elapsed();
     assert!(
@@ -112,15 +112,15 @@ fn mid_round_shutdown_releases_every_session() {
     }
 }
 
-/// `stop()` on a server that never served a session (and after a prior
-/// stop) must not hang or panic.
+/// `shutdown()` on a server that never served a session (and after a
+/// prior shutdown) must not hang or panic.
 #[test]
 fn stop_is_safe_without_sessions() {
     let log = EventLog::new();
     let prov = Project::with_n_sites("simulator_server", 1, 5).provision();
     let mut server = FlServer::new(prov.server, log, 5);
-    server.stop();
-    server.stop();
+    server.shutdown();
+    server.shutdown();
     server.disconnect_all();
     assert_eq!(server.open_sessions(), 0);
 }
