@@ -9,32 +9,27 @@ use clinfl_flare::aggregator::{Aggregator, CoordinateMedian, TrimmedMean, Weight
 use clinfl_flare::controller::SagConfig;
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
 use clinfl_flare::EventLog;
-use std::time::Duration;
 
 fn run_with(cfg: &PipelineConfig, bias: f64, aggregator: &dyn Aggregator) -> f64 {
+    let seed = cfg.federation.seed;
     let data = drivers::build_task_data(cfg);
     let partitioner = SitePartitioner::LabelSkew {
-        n_sites: cfg.n_clients,
+        n_sites: cfg.federation.n_clients,
         bias,
     };
-    let shards = partitioner.partition(&data.train, cfg.seed);
+    let shards = partitioner.partition(&data.train, seed);
     let hyper = TrainHyper::for_model(ModelSpec::Lstm);
     let vocab = data.code_system.vocab().len();
-    let seed_learner = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed);
+    let seed_learner = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
     let initial = seed_learner.export_weights();
     let log = EventLog::new();
     let runner = SimulatorRunner::with_log(
         SimulatorConfig {
-            n_clients: cfg.n_clients,
             sag: SagConfig {
-                rounds: cfg.rounds,
-                min_clients: 1,
-                round_timeout: Duration::from_secs(3600),
                 validate_global: false,
-                ..SagConfig::default()
+                ..cfg.federation.sag.clone()
             },
-            seed: cfg.seed,
-            ..SimulatorConfig::default()
+            ..cfg.federation.clone()
         },
         log.clone(),
     );
@@ -44,7 +39,7 @@ fn run_with(cfg: &PipelineConfig, bias: f64, aggregator: &dyn Aggregator) -> f64
             initial,
             |i, _| {
                 Box::new(ClinicalExecutor::new(
-                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed),
+                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed),
                     shards[i].clone(),
                     valid.clone(),
                     cfg.local_epochs,
@@ -54,7 +49,7 @@ fn run_with(cfg: &PipelineConfig, bias: f64, aggregator: &dyn Aggregator) -> f64
             aggregator,
         )
         .expect("simulation runs");
-    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed);
+    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
     eval.load_weights(&result.workflow.final_weights);
     eval.evaluate(&data.valid)
 }
@@ -64,7 +59,7 @@ fn main() {
     let cfg = args.config();
     println!(
         "ABLATION — aggregation rule vs label skew (LSTM, {} patients, {} rounds)\n",
-        cfg.cohort.n_patients, cfg.rounds
+        cfg.cohort.n_patients, cfg.federation.sag.rounds
     );
     println!(
         "{:<10} {:>16} {:>18} {:>14}",

@@ -9,32 +9,26 @@ use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::controller::SagConfig;
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
 use clinfl_flare::EventLog;
-use std::time::Duration;
 
 fn run(cfg: &PipelineConfig, bias: f64, prox_mu: Option<f32>) -> f64 {
+    let seed = cfg.federation.seed;
     let data = drivers::build_task_data(cfg);
     let shards = SitePartitioner::LabelSkew {
-        n_sites: cfg.n_clients,
+        n_sites: cfg.federation.n_clients,
         bias,
     }
-    .partition(&data.train, cfg.seed);
+    .partition(&data.train, seed);
     let hyper = TrainHyper::for_model(ModelSpec::Lstm);
     let vocab = data.code_system.vocab().len();
-    let initial =
-        Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed).export_weights();
+    let initial = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed).export_weights();
     let log = EventLog::new();
     let runner = SimulatorRunner::with_log(
         SimulatorConfig {
-            n_clients: cfg.n_clients,
             sag: SagConfig {
-                rounds: cfg.rounds,
-                min_clients: 1,
-                round_timeout: Duration::from_secs(3600),
                 validate_global: false,
-                ..SagConfig::default()
+                ..cfg.federation.sag.clone()
             },
-            seed: cfg.seed,
-            ..SimulatorConfig::default()
+            ..cfg.federation.clone()
         },
         log.clone(),
     );
@@ -44,7 +38,7 @@ fn run(cfg: &PipelineConfig, bias: f64, prox_mu: Option<f32>) -> f64 {
             initial,
             |i, _| {
                 let mut ex = ClinicalExecutor::new(
-                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed),
+                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed),
                     shards[i].clone(),
                     valid.clone(),
                     cfg.local_epochs,
@@ -58,7 +52,7 @@ fn run(cfg: &PipelineConfig, bias: f64, prox_mu: Option<f32>) -> f64 {
             &WeightedFedAvg,
         )
         .expect("simulation runs");
-    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed);
+    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
     eval.load_weights(&result.workflow.final_weights);
     eval.evaluate(&data.valid)
 }
@@ -68,7 +62,7 @@ fn main() {
     let cfg = args.config();
     println!(
         "ABLATION — FedProx under label skew (LSTM, {} patients, {} rounds x {} local epochs)\n",
-        cfg.cohort.n_patients, cfg.rounds, cfg.local_epochs
+        cfg.cohort.n_patients, cfg.federation.sag.rounds, cfg.local_epochs
     );
     println!(
         "{:<8} {:>12} {:>18} {:>18}",

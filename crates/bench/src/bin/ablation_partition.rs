@@ -10,7 +10,7 @@ fn main() {
     let cfg = args.config();
     println!(
         "ABLATION — site partition shape (LSTM, {} patients, {} rounds x {} local epochs)\n",
-        cfg.cohort.n_patients, cfg.rounds, cfg.local_epochs
+        cfg.cohort.n_patients, cfg.federation.sag.rounds, cfg.local_epochs
     );
     let imb = drivers::train_federated_with(
         &cfg,

@@ -11,7 +11,13 @@ fn finetune(cfg: &PipelineConfig, init_from: Option<&clinfl_flare::Weights>) -> 
     let data = build_task_data(cfg);
     let hyper = TrainHyper::for_model(ModelSpec::Bert);
     let vocab = data.code_system.vocab().len();
-    let mut learner = Learner::new(ModelSpec::Bert, vocab, cfg.seq_len, hyper, cfg.seed);
+    let mut learner = Learner::new(
+        ModelSpec::Bert,
+        vocab,
+        cfg.seq_len,
+        hyper,
+        cfg.federation.seed,
+    );
     if let Some(w) = init_from {
         learner.load_weights(w);
     }
@@ -39,7 +45,7 @@ fn main() {
         &bert_cfg,
         CodeSystem::new().vocab().clone(),
         TrainHyper::for_mlm(),
-        cfg.seed,
+        cfg.federation.seed,
     );
     let before = pretrainer.eval_loss(&mlm_data.valid);
     for _ in 0..cfg.pretrain_rounds {

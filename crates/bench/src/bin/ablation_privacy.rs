@@ -8,7 +8,6 @@ use clinfl_flare::controller::SagConfig;
 use clinfl_flare::filters::{DpGaussian, FilterChain, SecureAggMask};
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
 use clinfl_flare::EventLog;
-use std::time::Duration;
 
 enum Privacy {
     None,
@@ -17,27 +16,21 @@ enum Privacy {
 }
 
 fn run(cfg: &PipelineConfig, privacy: &Privacy) -> f64 {
+    let seed = cfg.federation.seed;
     let data = drivers::build_task_data(cfg);
-    let shards = cfg
-        .imbalanced_partitioner()
-        .partition(&data.train, cfg.seed);
+    let shards = cfg.imbalanced_partitioner().partition(&data.train, seed);
     let hyper = TrainHyper::for_model(ModelSpec::Lstm);
     let vocab = data.code_system.vocab().len();
-    let initial =
-        Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed).export_weights();
+    let initial = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed).export_weights();
     let log = EventLog::new();
     let runner = SimulatorRunner::with_log(
         SimulatorConfig {
-            n_clients: cfg.n_clients,
             sag: SagConfig {
-                rounds: cfg.rounds,
-                min_clients: cfg.n_clients,
-                round_timeout: Duration::from_secs(3600),
+                min_clients: cfg.federation.n_clients,
                 validate_global: false,
-                ..SagConfig::default()
+                ..cfg.federation.sag.clone()
             },
-            seed: cfg.seed,
-            ..SimulatorConfig::default()
+            ..cfg.federation.clone()
         },
         log.clone(),
     );
@@ -45,14 +38,14 @@ fn run(cfg: &PipelineConfig, privacy: &Privacy) -> f64 {
         Privacy::SecureAgg => Box::new(MaskedSum),
         _ => Box::new(WeightedFedAvg),
     };
-    let n_sites = cfg.n_clients;
+    let n_sites = cfg.federation.n_clients;
     let valid = data.valid.clone();
     let result = runner
         .run(
             initial,
             |i, _| {
                 Box::new(ClinicalExecutor::new(
-                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed),
+                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed),
                     shards[i].clone(),
                     valid.clone(),
                     cfg.local_epochs,
@@ -68,14 +61,14 @@ fn run(cfg: &PipelineConfig, privacy: &Privacy) -> f64 {
                         chain.push(Box::new(DpGaussian {
                             clip_norm: 10.0,
                             sigma: *sigma,
-                            seed: cfg.seed ^ i as u64,
+                            seed: seed ^ i as u64,
                         }));
                     }
                     Privacy::SecureAgg => {
                         chain.push(Box::new(SecureAggMask {
                             site_index: i,
                             n_sites,
-                            session_seed: cfg.seed,
+                            session_seed: seed,
                         }));
                     }
                 }
@@ -83,7 +76,7 @@ fn run(cfg: &PipelineConfig, privacy: &Privacy) -> f64 {
             },
         )
         .expect("simulation runs");
-    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed);
+    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
     eval.load_weights(&result.workflow.final_weights);
     eval.evaluate(&data.valid)
 }
@@ -93,7 +86,7 @@ fn main() {
     let cfg = args.config();
     println!(
         "ABLATION — privacy mechanisms (LSTM, {} patients, {} rounds)\n",
-        cfg.cohort.n_patients, cfg.rounds
+        cfg.cohort.n_patients, cfg.federation.sag.rounds
     );
     let baseline = run(&cfg, &Privacy::None);
     println!("no filter (plain FedAvg):      {:.1}%", 100.0 * baseline);

@@ -16,8 +16,8 @@
 //!   the report's `wire.reduction` (raw bytes / encoded bytes) to be at
 //!   least `R`.
 //!
-//! The smoke workload honors `CLINFL_WIRE_CODEC` / `CLINFL_WIRE_QUANT` /
-//! `CLINFL_WIRE_TOPK` (same grammar as the `clinfl` CLI flags) so CI can
+//! The smoke workload honors `CLINFL_WIRE_CODEC` (same grammar as the
+//! `clinfl --wire-codec` flag, e.g. `delta+topk0.05+int8`) so CI can
 //! benchmark compressed weight exchange, and `CLINFL_FAULTS` (`mild`,
 //! `aggressive`) to run the workload under link faults with the
 //! fault-tolerant runtime settings from the chaos suite.
@@ -27,6 +27,7 @@
 //! artifacts.
 
 use clinfl::{drivers, ModelSpec, PipelineConfig};
+use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::faults::FaultConfig;
 use clinfl_obs::json::Value;
 use clinfl_obs::{HistogramSnapshot, MetricsSnapshot};
@@ -74,30 +75,25 @@ fn main() {
     run_smoke(&out);
 }
 
-/// Applies the `CLINFL_WIRE_*` / `CLINFL_FAULTS` environment knobs to the
-/// smoke config. Fault profiles also switch on the chaos suite's
+/// Applies the `CLINFL_WIRE_CODEC` / `CLINFL_FAULTS` environment knobs to
+/// the smoke config. Fault profiles also switch on the chaos suite's
 /// fault-tolerant runtime settings (quorum of 3, grace period, redundant
 /// submits) so aggressive link faults cannot wedge the round.
 fn apply_env(cfg: &mut PipelineConfig) {
     if let Ok(codec) = std::env::var("CLINFL_WIRE_CODEC") {
-        cfg.runtime.wire_codec = codec;
+        cfg.federation.wire = CodecSpec::parse(&codec).unwrap_or_else(|e| {
+            eprintln!("invalid wire codec configuration: {e}");
+            std::process::exit(2);
+        });
     }
-    cfg.runtime.wire_quant = std::env::var("CLINFL_WIRE_QUANT").ok();
-    cfg.runtime.wire_topk = std::env::var("CLINFL_WIRE_TOPK")
-        .ok()
-        .map(|v| v.parse().expect("CLINFL_WIRE_TOPK must be a number"));
-    if let Err(e) = cfg.runtime.wire_spec() {
-        eprintln!("invalid wire codec configuration: {e}");
-        std::process::exit(2);
-    }
-    let faults = FaultConfig::from_env(cfg.seed.wrapping_add(7));
+    let faults = FaultConfig::from_env(cfg.federation.seed.wrapping_add(7));
     if faults.is_active() {
-        cfg.runtime.faults = faults;
-        cfg.runtime.min_clients = 3;
-        cfg.runtime.round_timeout = Duration::from_secs(120);
-        cfg.runtime.quorum_grace = Some(Duration::from_secs(8));
-        cfg.runtime.retry.message_timeout = Duration::from_secs(60);
-        cfg.runtime.retry.submit_copies = 2;
+        cfg.federation.faults = faults;
+        cfg.federation.sag.min_clients = 3;
+        cfg.federation.sag.round_timeout = Duration::from_secs(120);
+        cfg.federation.sag.quorum_grace = Some(Duration::from_secs(8));
+        cfg.federation.retry.message_timeout = Duration::from_secs(60);
+        cfg.federation.retry.submit_copies = 2;
     }
 }
 
@@ -119,7 +115,7 @@ fn run_smoke(out: &str) {
     kernel_smoke();
     let mut cfg = PipelineConfig::fast_demo();
     apply_env(&mut cfg);
-    let codec = cfg.runtime.wire_spec().expect("validated in apply_env");
+    let codec = &cfg.federation.wire;
     let outcome =
         drivers::train_federated(&cfg, ModelSpec::Lstm).expect("federated smoke run failed");
     let after = clinfl_obs::snapshot();
@@ -129,7 +125,7 @@ fn run_smoke(out: &str) {
     std::fs::write(out, report.to_json()).expect("write report");
     println!(
         "== bench_report: federated LSTM smoke ({} sites, {} rounds, codec {codec}) ==",
-        cfg.n_clients, cfg.rounds
+        cfg.federation.n_clients, cfg.federation.sag.rounds
     );
     println!("accuracy: {:.3}", outcome.accuracy);
     let (raw, enc) = (
@@ -231,11 +227,7 @@ fn build_report(cfg: &PipelineConfig, accuracy: f64, m: &MetricsSnapshot) -> Val
     // Codec accounting: raw-equivalent vs on-the-wire byte totals for the
     // weight-bearing frames (see `clinfl_flare::codec`). For an all-raw
     // run both totals are equal and the reduction reports 1.0.
-    let codec = cfg
-        .runtime
-        .wire_spec()
-        .map(|s| s.to_string())
-        .unwrap_or_else(|_| "raw".to_string());
+    let codec = cfg.federation.wire.to_string();
     let wire_tx_raw = m.counter("flare.wire.bytes_tx_raw");
     let wire_tx_enc = m.counter("flare.wire.bytes_tx_encoded");
     let wire_rx_raw = m.counter("flare.wire.bytes_rx_raw");
@@ -252,9 +244,9 @@ fn build_report(cfg: &PipelineConfig, accuracy: f64, m: &MetricsSnapshot) -> Val
             "run",
             Value::object(vec![
                 ("workload", Value::Str("federated-lstm-smoke".to_string())),
-                ("n_clients", Value::UInt(cfg.n_clients as u64)),
-                ("rounds", Value::UInt(cfg.rounds as u64)),
-                ("seed", Value::UInt(cfg.seed)),
+                ("n_clients", Value::UInt(cfg.federation.n_clients as u64)),
+                ("rounds", Value::UInt(cfg.federation.sag.rounds as u64)),
+                ("seed", Value::UInt(cfg.federation.seed)),
                 ("accuracy", Value::Float(accuracy)),
             ]),
         ),

@@ -13,7 +13,7 @@ use clinfl_flare::EventLog;
 fn main() {
     let args = clinfl_bench::parse_args(16);
     let mut cfg = args.config();
-    cfg.rounds = 3;
+    cfg.federation.sag.rounds = 3;
     cfg.local_epochs = 2;
 
     println!("=== Fig. 3 demonstration: BERT fine-tuning on the federated runtime ===\n");
@@ -24,7 +24,7 @@ fn main() {
     println!(
         "\nFinal global BERT accuracy {:.1}% after {} rounds (scale {}).",
         100.0 * out.accuracy,
-        cfg.rounds,
+        cfg.federation.sag.rounds,
         args.scale
     );
 }

@@ -95,19 +95,19 @@ const DP_SIGMA: f32 = 0.8;
 
 fn run_cell(cell: &Cell) -> drivers::TrainOutcome {
     let mut cfg = base_config();
-    cfg.runtime.client_sample_fraction = cell.sample_fraction;
+    cfg.federation.sag.client_sample_fraction = cell.sample_fraction;
     if cell.dp {
-        cfg.runtime.dp_clip = Some(DP_CLIP);
-        cfg.runtime.dp_sigma = DP_SIGMA;
+        cfg.dp_clip = Some(DP_CLIP);
+        cfg.dp_sigma = DP_SIGMA;
     }
     if cell.fedprox_mu > 0.0 {
-        cfg.runtime.fedprox_mu = Some(cell.fedprox_mu);
+        cfg.fedprox_mu = Some(cell.fedprox_mu);
     }
-    cfg.runtime.personalize_epochs = cell.personalize_epochs;
+    cfg.personalize_epochs = cell.personalize_epochs;
     let partitioner = match cell.partition {
         "balanced" => cfg.balanced_partitioner(),
         "dirichlet" => SitePartitioner::Dirichlet {
-            n_sites: cfg.n_clients,
+            n_sites: cfg.federation.n_clients,
             alpha: cell.alpha,
         },
         other => unreachable!("unknown partition kind {other:?}"),
@@ -185,8 +185,8 @@ fn run_smoke(out: &str) {
     println!(
         "== scenario_matrix: {} cells ({} sites, {} rounds each) ==",
         cells.len(),
-        cfg.n_clients,
-        cfg.rounds
+        cfg.federation.n_clients,
+        cfg.federation.sag.rounds
     );
     let mut rows = Vec::new();
     for cell in &cells {
@@ -229,9 +229,9 @@ fn run_smoke(out: &str) {
             "run",
             Value::object(vec![
                 ("workload", Value::Str("scenario-matrix-smoke".to_string())),
-                ("n_clients", Value::UInt(cfg.n_clients as u64)),
-                ("rounds", Value::UInt(u64::from(cfg.rounds))),
-                ("seed", Value::UInt(cfg.seed)),
+                ("n_clients", Value::UInt(cfg.federation.n_clients as u64)),
+                ("rounds", Value::UInt(u64::from(cfg.federation.sag.rounds))),
+                ("seed", Value::UInt(cfg.federation.seed)),
                 ("cells", Value::UInt(rows.len() as u64)),
             ]),
         ),

@@ -12,7 +12,7 @@ fn main() {
     let rows: Vec<(&str, String, &str)> = vec![
         (
             "Number of clients",
-            format!("{}", paper.n_clients),
+            format!("{}", paper.federation.n_clients),
             "8 (identical)",
         ),
         (
@@ -69,7 +69,10 @@ fn main() {
         ),
         (
             "Communication rounds E",
-            format!("{} x {} local epochs", paper.rounds, paper.local_epochs),
+            format!(
+                "{} x {} local epochs",
+                paper.federation.sag.rounds, paper.local_epochs
+            ),
             "Fig. 3 shows 10 rounds, 10 local epochs",
         ),
     ];

@@ -16,7 +16,7 @@ fn main() {
     let cfg = args.config();
     eprintln!(
         "Table III at scale {} ({} patients, {} rounds x {} local epochs / {} epochs)…",
-        args.scale, cfg.cohort.n_patients, cfg.rounds, cfg.local_epochs, cfg.epochs
+        args.scale, cfg.cohort.n_patients, cfg.federation.sag.rounds, cfg.local_epochs, cfg.epochs
     );
     let start = Instant::now();
     let table = run_table3_with(&cfg, |scheme, model| {

@@ -136,7 +136,7 @@ fn main() {
     // partition. Site threads contend for compute permits, so the serial
     // budget trains sites strictly one after another.
     let mut cfg = PipelineConfig::scaled(8);
-    cfg.rounds = 1;
+    cfg.federation.sag.rounds = 1;
     cfg.local_epochs = 1;
     bench("FL round, 8 sites, LSTM (scale 8)", 3, &mut || {
         train_federated(&cfg, ModelSpec::Lstm).expect("federated round failed");

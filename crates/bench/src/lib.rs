@@ -59,7 +59,7 @@ impl BenchArgs {
     pub fn config(&self) -> clinfl::PipelineConfig {
         let mut cfg = clinfl::PipelineConfig::scaled(self.scale);
         if let Some(seed) = self.seed {
-            cfg.seed = seed;
+            cfg.federation.seed = seed;
             cfg.cohort.seed = seed;
         }
         cfg
@@ -77,7 +77,7 @@ mod tests {
             seed: Some(123),
         };
         let cfg = args.config();
-        assert_eq!(cfg.seed, 123);
+        assert_eq!(cfg.federation.seed, 123);
         assert_eq!(cfg.cohort.seed, 123);
     }
 }

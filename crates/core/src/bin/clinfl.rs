@@ -9,8 +9,7 @@
 //!                    [--dp-clip C] [--dp-sigma S] [--dp-delta D]
 //!                    [--fedprox-mu M] [--personalize-epochs N]
 //!                    [--checkpoint-dir D] [--resume D] [--retain N]
-//!                    [--wire-codec S] [--wire-quant Q] [--wire-topk F]
-//!                    [--tree-depth D] [--tree-fanout F]
+//!                    [--wire-codec S] [--tree-depth D] [--tree-fanout F]
 //! clinfl pretrain    --scale 64 --scheme centralized
 //! clinfl table3      --scale 10
 //! clinfl fig2        --scale 32
@@ -22,21 +21,24 @@
 //! clinfl job metrics [--addr A] --id N [--follow]
 //! ```
 //!
+//! Every federation flag writes straight into the pipeline's
+//! `federation` (a `clinfl_flare::simulator::SimulatorConfig`), the same
+//! spec a `clinfl serve` job and a test build.
+//!
 //! `--checkpoint-dir D` persists per-round snapshots and a crash-safe run
 //! checkpoint into `D`; `--resume D` restarts an interrupted federated run
 //! from the checkpoint in `D` (same seed required); `--retain N` keeps at
 //! most `N` per-round snapshot files on disk.
 //!
 //! `--wire-codec S` selects the negotiated weight-exchange codec (e.g.
-//! `raw`, `delta`, `delta+int8`, `delta+topk0.05+int8`); `--wire-quant Q`
-//! (`f32|f16|int8`) and `--wire-topk F` (fraction in `(0,1]`) override the
-//! quantizer / sparsifier components of that codec string. See DESIGN.md
-//! §3g for the wire-format spec.
+//! `raw`, `delta`, `delta+int8`, `delta+topk0.05+int8`; grammar in
+//! `CodecSpec::parse`). See DESIGN.md §3g for the wire-format spec.
 //!
 //! `--tree-depth D` (with `--tree-fanout F`, default 8) runs the
 //! federation through a hierarchical aggregation tree: interior nodes
 //! partial-FedAvg their shard of sites and forward one update upstream
-//! (DESIGN.md §3h). Depth `<= 1` keeps the classic flat fleet.
+//! (DESIGN.md §3h). Depth `<= 1` leaves the topology to `CLINFL_TREE`
+//! (flat when unset).
 //!
 //! Scenario knobs (DESIGN.md §3k): `--dirichlet A` draws the site
 //! partition from a symmetric Dirichlet(α) (lower α = more quantity
@@ -63,7 +65,9 @@ use clinfl::drivers::{self, MlmScheme};
 use clinfl::experiments;
 use clinfl::{ModelSpec, PipelineConfig};
 use clinfl_flare::admin::AdminServer;
+use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::jobs::JobRuntime;
+use clinfl_flare::simulator::TreeConfig;
 use clinfl_flare::EventLog;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -76,21 +80,8 @@ struct Args {
     scheme: MlmScheme,
     balanced: bool,
     echo: bool,
-    checkpoint_dir: Option<std::path::PathBuf>,
-    resume: bool,
-    retain: Option<usize>,
-    wire_codec: Option<String>,
-    wire_quant: Option<String>,
-    wire_topk: Option<f64>,
-    tree_depth: Option<u32>,
-    tree_fanout: Option<usize>,
     dirichlet: Option<f64>,
-    sample_fraction: Option<f64>,
-    dp_clip: Option<f32>,
-    dp_sigma: Option<f32>,
-    dp_delta: Option<f64>,
-    fedprox_mu: Option<f32>,
-    personalize_epochs: Option<u32>,
+    cfg: PipelineConfig,
 }
 
 fn usage() -> ExitCode {
@@ -98,8 +89,7 @@ fn usage() -> ExitCode {
         "usage: clinfl <centralized|standalone|federated|pretrain|table3|fig2> \
          [--scale N] [--model lstm|bert|bert-mini] [--scheme centralized|small|fl-imbalanced|fl-balanced] \
          [--balanced] [--dirichlet A] [--echo] [--checkpoint-dir D] [--resume D] [--retain N] \
-         [--wire-codec S] [--wire-quant f32|f16|int8] [--wire-topk F] \
-         [--tree-depth D] [--tree-fanout F] \
+         [--wire-codec S] [--tree-depth D] [--tree-fanout F] \
          [--sample-fraction F] [--dp-clip C] [--dp-sigma S] [--dp-delta D] \
          [--fedprox-mu M] [--personalize-epochs N]\n\
          \x20      clinfl serve [--addr A] [--addr-file F] [--max-jobs N] [--scale N] [--checkpoint-root D]\n\
@@ -319,37 +309,48 @@ fn cmd_job(mut argv: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
+/// Parses the next argument as a flag value (`usage` on a missing or
+/// malformed one).
+fn value<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>) -> Result<T, ExitCode> {
+    argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)
+}
+
+/// Reports an out-of-range flag value with exit code 2.
+fn invalid(msg: String) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(2)
+}
+
 fn parse_args() -> Result<Args, ExitCode> {
-    let mut argv = std::env::args().skip(1);
-    let Some(command) = argv.next() else {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(command) = argv.first().cloned() else {
         return Err(usage());
+    };
+    // The scale picks the base config every other flag edits, wherever it
+    // appears on the line.
+    let scale = match argv.iter().position(|a| a == "--scale") {
+        Some(i) => value(&mut argv[i + 1..].iter().cloned())?,
+        None => 16,
     };
     let mut args = Args {
         command,
-        scale: 16,
+        scale,
         model: ModelSpec::Lstm,
         scheme: MlmScheme::Centralized,
         balanced: false,
         echo: false,
-        checkpoint_dir: None,
-        resume: false,
-        retain: None,
-        wire_codec: None,
-        wire_quant: None,
-        wire_topk: None,
-        tree_depth: None,
-        tree_fanout: None,
         dirichlet: None,
-        sample_fraction: None,
-        dp_clip: None,
-        dp_sigma: None,
-        dp_delta: None,
-        fedprox_mu: None,
-        personalize_epochs: None,
+        cfg: PipelineConfig::scaled(scale),
     };
+    let (mut tree_depth, mut tree_fanout) = (0u32, 8usize);
+    let cfg = &mut args.cfg;
+    let fed = &mut cfg.federation;
+    let mut argv = argv.into_iter().skip(1);
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--scale" => args.scale = argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?,
+            "--scale" => {
+                argv.next();
+            }
             "--model" => {
                 args.model = match argv.next().as_deref() {
                     Some("lstm") => ModelSpec::Lstm,
@@ -369,53 +370,46 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
             "--balanced" => args.balanced = true,
             "--echo" => args.echo = true,
-            "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(argv.next().ok_or_else(usage)?.into());
-            }
+            "--dirichlet" => args.dirichlet = Some(value(&mut argv)?),
+            "--checkpoint-dir" => fed.checkpoint_dir = Some(value(&mut argv)?),
             "--resume" => {
-                args.checkpoint_dir = Some(argv.next().ok_or_else(usage)?.into());
-                args.resume = true;
+                fed.checkpoint_dir = Some(value(&mut argv)?);
+                fed.resume = true;
             }
-            "--retain" => {
-                args.retain = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
+            "--retain" => fed.retain_checkpoints = Some(value(&mut argv)?),
+            "--wire-codec" => {
+                let spec: String = value(&mut argv)?;
+                fed.wire = CodecSpec::parse(&spec)
+                    .map_err(|e| invalid(format!("invalid wire codec: {e}")))?;
             }
-            "--wire-codec" => args.wire_codec = Some(argv.next().ok_or_else(usage)?),
-            "--wire-quant" => args.wire_quant = Some(argv.next().ok_or_else(usage)?),
-            "--wire-topk" => {
-                args.wire_topk = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--tree-depth" => {
-                args.tree_depth = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--tree-fanout" => {
-                args.tree_fanout =
-                    Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--dirichlet" => {
-                args.dirichlet = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
+            "--tree-depth" => tree_depth = value(&mut argv)?,
+            "--tree-fanout" => tree_fanout = value(&mut argv)?,
             "--sample-fraction" => {
-                args.sample_fraction =
-                    Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
+                let f: f64 = value(&mut argv)?;
+                if f <= 0.0 || f.is_nan() {
+                    return Err(invalid(format!(
+                        "--sample-fraction must be positive, got {f}"
+                    )));
+                }
+                fed.sag.client_sample_fraction = f;
             }
-            "--dp-clip" => {
-                args.dp_clip = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--dp-sigma" => {
-                args.dp_sigma = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--dp-delta" => {
-                args.dp_delta = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--fedprox-mu" => {
-                args.fedprox_mu = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--personalize-epochs" => {
-                args.personalize_epochs =
-                    Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
+            "--dp-clip" => cfg.dp_clip = Some(value(&mut argv)?),
+            "--dp-sigma" => cfg.dp_sigma = value(&mut argv)?,
+            "--dp-delta" => cfg.dp_delta = value(&mut argv)?,
+            "--fedprox-mu" => cfg.fedprox_mu = Some(value(&mut argv)?),
+            "--personalize-epochs" => cfg.personalize_epochs = value(&mut argv)?,
             _ => return Err(usage()),
         }
+    }
+    // Depth <= 1 leaves `tree` unset, so `CLINFL_TREE` still applies.
+    if tree_depth >= 2 {
+        fed.tree = Some(TreeConfig {
+            depth: tree_depth,
+            fanout: tree_fanout.max(2),
+        });
+    }
+    if let Err(e) = cfg.dp_params() {
+        return Err(invalid(format!("invalid DP config: {e}")));
     }
     Ok(args)
 }
@@ -435,66 +429,23 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
-    let mut cfg = PipelineConfig::scaled(args.scale);
-    cfg.runtime.checkpoint_dir = args.checkpoint_dir.clone();
-    cfg.runtime.resume = args.resume;
-    cfg.runtime.retain_checkpoints = args.retain;
-    if let Some(c) = args.wire_codec {
-        cfg.runtime.wire_codec = c;
-    }
-    cfg.runtime.wire_quant = args.wire_quant;
-    cfg.runtime.wire_topk = args.wire_topk;
-    if let Some(d) = args.tree_depth {
-        cfg.runtime.tree_depth = d;
-    }
-    if let Some(f) = args.tree_fanout {
-        cfg.runtime.tree_fanout = f;
-    }
-    if let Some(f) = args.sample_fraction {
-        if f <= 0.0 || f.is_nan() {
-            eprintln!("--sample-fraction must be positive, got {f}");
-            return ExitCode::from(2);
-        }
-        cfg.runtime.client_sample_fraction = f;
-    }
-    cfg.runtime.dp_clip = args.dp_clip;
-    if let Some(s) = args.dp_sigma {
-        cfg.runtime.dp_sigma = s;
-    }
-    if let Some(d) = args.dp_delta {
-        cfg.runtime.dp_delta = d;
-    }
-    cfg.runtime.fedprox_mu = args.fedprox_mu;
-    if let Some(n) = args.personalize_epochs {
-        cfg.runtime.personalize_epochs = n;
-    }
-    if let Err(e) = cfg.runtime.dp_params() {
-        eprintln!("invalid DP config: {e}");
-        return ExitCode::from(2);
-    }
-    if cfg.runtime.tree_depth >= 2 {
+    let cfg = &args.cfg;
+    if let Some(tree) = cfg.federation.tree {
         println!(
             "aggregation tree: depth {} fan-out {}",
-            cfg.runtime.tree_depth, cfg.runtime.tree_fanout
+            tree.depth, tree.fanout
         );
     }
-    let wire = match cfg.runtime.wire_spec() {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("invalid wire codec: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if !wire.is_raw() {
-        println!("wire codec: {wire}");
+    if !cfg.federation.wire.is_raw() {
+        println!("wire codec: {}", cfg.federation.wire);
     }
     println!(
         "clinfl: {} at scale {} ({} patients, seq {}, {} sites)",
-        args.command, args.scale, cfg.cohort.n_patients, cfg.seq_len, cfg.n_clients
+        args.command, args.scale, cfg.cohort.n_patients, cfg.seq_len, cfg.federation.n_clients
     );
     match args.command.as_str() {
         "centralized" => {
-            let out = drivers::train_centralized(&cfg, args.model);
+            let out = drivers::train_centralized(cfg, args.model);
             for (i, (loss, acc)) in out.history.iter().enumerate() {
                 println!(
                     "epoch {:>3}: train_loss={loss:.3} valid_acc={acc:.3}",
@@ -508,7 +459,7 @@ fn main() -> ExitCode {
             );
         }
         "standalone" => {
-            let out = drivers::train_standalone(&cfg, args.model);
+            let out = drivers::train_standalone(cfg, args.model);
             for (i, acc) in out.per_site.iter().enumerate() {
                 println!("site-{}: {:.1}%", i + 1, 100.0 * acc);
             }
@@ -525,7 +476,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
                 clinfl_data::SitePartitioner::Dirichlet {
-                    n_sites: cfg.n_clients,
+                    n_sites: cfg.federation.n_clients,
                     alpha,
                 }
             } else if args.balanced {
@@ -538,7 +489,7 @@ fn main() -> ExitCode {
             } else {
                 EventLog::new()
             };
-            match drivers::train_federated_with(&cfg, args.model, &partitioner, log) {
+            match drivers::train_federated_with(cfg, args.model, &partitioner, log) {
                 Ok(out) => {
                     for (i, (loss, acc)) in out.history.iter().enumerate() {
                         println!(
@@ -568,14 +519,14 @@ fn main() -> ExitCode {
             }
         }
         "pretrain" => {
-            let data = drivers::build_mlm_data(&cfg);
+            let data = drivers::build_mlm_data(cfg);
             println!(
                 "corpus: {} train / {} valid, vocab {}",
                 data.train.len(),
                 data.valid.len(),
                 data.vocab_size
             );
-            match drivers::pretrain_mlm(&cfg, args.scheme, &data) {
+            match drivers::pretrain_mlm(cfg, args.scheme, &data) {
                 Ok(curve) => {
                     print!("{} MLM valid loss:", args.scheme);
                     for v in &curve {
@@ -589,14 +540,14 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "table3" => match experiments::run_table3(&cfg) {
+        "table3" => match experiments::run_table3(cfg) {
             Ok(table) => println!("{table}"),
             Err(e) => {
                 eprintln!("table3 failed: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        "fig2" => match experiments::run_fig2(&cfg) {
+        "fig2" => match experiments::run_fig2(cfg) {
             Ok(fig) => println!("{fig}"),
             Err(e) => {
                 eprintln!("fig2 failed: {e}");

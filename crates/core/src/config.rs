@@ -1,9 +1,8 @@
 //! Pipeline configuration (the paper's Table I, with a scale knob).
 
 use clinfl_data::{CohortSpec, PretrainSpec};
-use clinfl_flare::client::RetryPolicy;
-use clinfl_flare::faults::FaultConfig;
-use std::path::PathBuf;
+use clinfl_flare::controller::SagConfig;
+use clinfl_flare::simulator::SimulatorConfig;
 use std::time::Duration;
 
 /// Which of the paper's three models to build (Table II).
@@ -95,10 +94,6 @@ impl TrainHyper {
 /// experiment records in EXPERIMENTS.md state the scale used per run.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Number of federated sites (paper: 8).
-    pub n_clients: usize,
-    /// Communication rounds `E` for fine-tuning.
-    pub rounds: u32,
     /// Local epochs per round (Fig. 3 shows 10 local epochs).
     pub local_epochs: u32,
     /// Centralized / standalone training epochs (compute-matched to
@@ -114,63 +109,11 @@ pub struct PipelineConfig {
     pub pretrain: PretrainSpec,
     /// MLM pretraining epochs per scheme / rounds in FL pretraining.
     pub pretrain_rounds: u32,
-    /// Master seed.
-    pub seed: u64,
-    /// Runtime fault-tolerance knobs for the federated phases.
-    pub runtime: RuntimeConfig,
-}
-
-/// Fault-tolerance knobs threaded into the `clinfl-flare` runtime: fault
-/// injection, round quorum, and the client retry policy. The defaults
-/// (no faults, wait for every client) reproduce the pre-fault-layer
-/// behavior exactly.
-#[derive(Clone, Debug)]
-pub struct RuntimeConfig {
-    /// Deterministic link-fault injection profile.
-    pub faults: FaultConfig,
-    /// Minimum client updates required to aggregate a round.
-    pub min_clients: usize,
-    /// Deadline for gathering one round's updates.
-    pub round_timeout: Duration,
-    /// Once `min_clients` updates arrived, close the round this long
-    /// after the last accepted update (`None` waits for everyone).
-    pub quorum_grace: Option<Duration>,
-    /// Client send/recv retry policy.
-    pub retry: RetryPolicy,
-    /// Persist round snapshots + the run checkpoint into this directory
-    /// (crash-safe atomic writes). `None` disables on-disk checkpoints.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume the federated run from the checkpoint in `checkpoint_dir`
-    /// instead of starting at round 0.
-    pub resume: bool,
-    /// Keep at most this many `round_<n>.cfw` files (oldest pruned
-    /// first); `None` keeps all.
-    pub retain_checkpoints: Option<usize>,
-    /// Wire codec for weight exchange, as a codec string (e.g. `"raw"`,
-    /// `"delta"`, `"delta+int8"`, `"delta+topk0.05+int8"`); see
-    /// `clinfl_flare::codec::CodecSpec::parse` for the grammar.
-    pub wire_codec: String,
-    /// Quantizer override composed onto `wire_codec` (`"f32"`, `"f16"`,
-    /// or `"int8"`); `None` keeps whatever `wire_codec` says.
-    pub wire_quant: Option<String>,
-    /// Top-k sparsification fraction override in `(0, 1]`, composed onto
-    /// `wire_codec`; `None` keeps whatever `wire_codec` says.
-    pub wire_topk: Option<f64>,
-    /// Aggregation-tree depth (edges from the root to a leaf). `0` or
-    /// `1` keeps the classic flat fleet; `>= 2` inserts layers of
-    /// interior aggregator nodes (`clinfl_flare::relay`) so the root
-    /// round cost stays `O(log n)` in the site count. The `CLINFL_TREE`
-    /// environment knob still applies when this is left at `0`.
-    pub tree_depth: u32,
-    /// Maximum children per aggregation-tree node (only meaningful with
-    /// `tree_depth >= 2`).
-    pub tree_fanout: usize,
-    /// Per-round client sampling fraction in `(0, 1]`. Each round the
-    /// server seeds a deterministic draw of `ceil(fraction · n)` sites
-    /// from `(seed, round)` and only they train; everyone still receives
-    /// the validation broadcast. Values `>= 1.0` disable sampling and
-    /// take the exact legacy (bit-identical) code path.
-    pub client_sample_fraction: f64,
+    /// The federation every federated phase runs, and the master seed
+    /// (`federation.seed`): sites (paper: 8), fine-tuning rounds `E`,
+    /// quorum and deadlines, faults, retry, checkpoints, wire codec,
+    /// aggregation tree and client sampling.
+    pub federation: SimulatorConfig,
     /// DP-SGD clipping norm: each site's weight delta is clipped to this
     /// global L2 norm before Gaussian noise is added. `None` disables the
     /// DP filter entirely (no clipping, no noise, no accountant).
@@ -190,23 +133,29 @@ pub struct RuntimeConfig {
     pub personalize_epochs: u32,
 }
 
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            faults: FaultConfig::none(),
-            min_clients: 1,
-            round_timeout: Duration::from_secs(3600),
-            quorum_grace: None,
-            retry: RetryPolicy::default(),
-            checkpoint_dir: None,
-            resume: false,
-            retain_checkpoints: None,
-            wire_codec: "raw".to_string(),
-            wire_quant: None,
-            wire_topk: None,
-            tree_depth: 0,
-            tree_fanout: 8,
-            client_sample_fraction: 1.0,
+impl PipelineConfig {
+    /// The paper's full-scale configuration (Table I). Expect hours of CPU
+    /// time; use [`PipelineConfig::scaled`] for routine runs.
+    pub fn paper() -> Self {
+        PipelineConfig {
+            local_epochs: 2,
+            epochs: 20,
+            seq_len: 26,
+            train_frac: 0.802,
+            cohort: CohortSpec::default(),
+            pretrain: PretrainSpec {
+                scale: 1,
+                ..PretrainSpec::default()
+            },
+            pretrain_rounds: 10,
+            federation: SimulatorConfig {
+                sag: SagConfig {
+                    round_timeout: Duration::from_secs(3600),
+                    ..SagConfig::default()
+                },
+                seed: 20230,
+                ..SimulatorConfig::default()
+            },
             dp_clip: None,
             dp_sigma: 1.0,
             dp_delta: 1e-5,
@@ -214,35 +163,50 @@ impl Default for RuntimeConfig {
             personalize_epochs: 0,
         }
     }
-}
 
-impl RuntimeConfig {
-    /// Resolves the `wire_codec`/`wire_quant`/`wire_topk` knobs into one
-    /// codec spec: the base string is parsed, then the quantizer and
-    /// top-k overrides (CLI conveniences) are composed onto it.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for unparseable specs or out-of-range
-    /// overrides.
-    pub fn wire_spec(&self) -> Result<clinfl_flare::codec::CodecSpec, String> {
-        use clinfl_flare::codec::{CodecSpec, QuantMode};
-        let mut spec = CodecSpec::parse(&self.wire_codec)?;
-        if let Some(q) = &self.wire_quant {
-            spec.quant = match q.to_ascii_lowercase().as_str() {
-                "f32" | "raw" => QuantMode::F32,
-                "f16" => QuantMode::F16,
-                "int8" => QuantMode::Int8,
-                other => return Err(format!("unknown wire_quant {other:?}")),
-            };
+    /// Paper configuration with data volumes divided by `scale` and a
+    /// matching compute budget (the default experiment setting; see
+    /// EXPERIMENTS.md).
+    pub fn scaled(scale: usize) -> Self {
+        let scale = scale.max(1);
+        let mut cfg = PipelineConfig::paper();
+        cfg.cohort.n_patients = (cfg.cohort.n_patients / scale).max(64);
+        cfg.pretrain.scale = 16 * scale;
+        if scale >= 4 {
+            cfg.federation.sag.rounds = 5;
+            cfg.local_epochs = 2;
+            cfg.epochs = 10;
+            cfg.pretrain_rounds = 6;
         }
-        if let Some(f) = self.wire_topk {
-            if !(f > 0.0 && f <= 1.0) {
-                return Err(format!("wire_topk {f} outside (0, 1]"));
-            }
-            spec.topk_permille = Some(((f * 1000.0).round() as u16).clamp(1, 1000));
+        cfg
+    }
+
+    /// A seconds-scale configuration for tests and the quickstart example.
+    pub fn fast_demo() -> Self {
+        let mut cfg = PipelineConfig::scaled(32);
+        cfg.cohort.n_patients = 240;
+        cfg.federation.sag.rounds = 2;
+        cfg.local_epochs = 1;
+        cfg.epochs = 2;
+        cfg.pretrain_rounds = 2;
+        cfg.pretrain.scale = 2048;
+        cfg
+    }
+
+    /// The paper's imbalanced-site partitioner (§IV-B1 ratios).
+    pub fn imbalanced_partitioner(&self) -> clinfl_data::SitePartitioner {
+        assert_eq!(
+            self.federation.n_clients, 8,
+            "the paper's imbalanced ratios are defined for 8 clients"
+        );
+        clinfl_data::SitePartitioner::paper_imbalanced()
+    }
+
+    /// A balanced partitioner over the federation's sites.
+    pub fn balanced_partitioner(&self) -> clinfl_data::SitePartitioner {
+        clinfl_data::SitePartitioner::Balanced {
+            n_sites: self.federation.n_clients,
         }
-        Ok(spec)
     }
 
     /// Resolves the DP-SGD knobs: `Ok(None)` when DP is off (`dp_clip`
@@ -272,82 +236,16 @@ impl RuntimeConfig {
     }
 }
 
-impl PipelineConfig {
-    /// The paper's full-scale configuration (Table I). Expect hours of CPU
-    /// time; use [`PipelineConfig::scaled`] for routine runs.
-    pub fn paper() -> Self {
-        PipelineConfig {
-            n_clients: 8,
-            rounds: 10,
-            local_epochs: 2,
-            epochs: 20,
-            seq_len: 26,
-            train_frac: 0.802,
-            cohort: CohortSpec::default(),
-            pretrain: PretrainSpec {
-                scale: 1,
-                ..PretrainSpec::default()
-            },
-            pretrain_rounds: 10,
-            seed: 20230,
-            runtime: RuntimeConfig::default(),
-        }
-    }
-
-    /// Paper configuration with data volumes divided by `scale` and a
-    /// matching compute budget (the default experiment setting; see
-    /// EXPERIMENTS.md).
-    pub fn scaled(scale: usize) -> Self {
-        let scale = scale.max(1);
-        let mut cfg = PipelineConfig::paper();
-        cfg.cohort.n_patients = (cfg.cohort.n_patients / scale).max(64);
-        cfg.pretrain.scale = 16 * scale;
-        if scale >= 4 {
-            cfg.rounds = 5;
-            cfg.local_epochs = 2;
-            cfg.epochs = 10;
-            cfg.pretrain_rounds = 6;
-        }
-        cfg
-    }
-
-    /// A seconds-scale configuration for tests and the quickstart example.
-    pub fn fast_demo() -> Self {
-        let mut cfg = PipelineConfig::scaled(32);
-        cfg.cohort.n_patients = 240;
-        cfg.rounds = 2;
-        cfg.local_epochs = 1;
-        cfg.epochs = 2;
-        cfg.pretrain_rounds = 2;
-        cfg.pretrain.scale = 2048;
-        cfg
-    }
-
-    /// The paper's imbalanced-site partitioner (§IV-B1 ratios).
-    pub fn imbalanced_partitioner(&self) -> clinfl_data::SitePartitioner {
-        assert_eq!(
-            self.n_clients, 8,
-            "the paper's imbalanced ratios are defined for 8 clients"
-        );
-        clinfl_data::SitePartitioner::paper_imbalanced()
-    }
-
-    /// A balanced partitioner over `n_clients`.
-    pub fn balanced_partitioner(&self) -> clinfl_data::SitePartitioner {
-        clinfl_data::SitePartitioner::Balanced {
-            n_sites: self.n_clients,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clinfl_flare::client::RetryPolicy;
+    use clinfl_flare::faults::FaultConfig;
 
     #[test]
     fn paper_counts() {
         let cfg = PipelineConfig::paper();
-        assert_eq!(cfg.n_clients, 8);
+        assert_eq!(cfg.federation.n_clients, 8);
         assert_eq!(cfg.cohort.n_patients, 8_638);
         assert_eq!(cfg.pretrain.n_train(), 453_377);
         assert_eq!(cfg.pretrain.n_valid(), 8_683);
@@ -357,12 +255,33 @@ mod tests {
         assert_eq!(8_638 - train, 1_710);
     }
 
+    /// The federation defaults every driver and the CLI start from.
+    #[test]
+    fn paper_federation_defaults() {
+        let fed = PipelineConfig::paper().federation;
+        assert_eq!(fed.n_clients, 8);
+        assert_eq!(fed.sag.rounds, 10);
+        assert_eq!(fed.seed, 20230);
+        assert_eq!(fed.sag.round_timeout, Duration::from_secs(3600));
+        assert_eq!(fed.sag.min_clients, 1);
+        assert_eq!(fed.sag.quorum_grace, None);
+        assert!(fed.sag.validate_global);
+        assert_eq!(fed.sag.client_sample_fraction, 1.0);
+        assert!(fed.wire.is_raw());
+        assert_eq!(fed.tree, None);
+        assert_eq!(fed.faults, FaultConfig::none());
+        assert_eq!(fed.retry, RetryPolicy::default());
+        assert_eq!(fed.checkpoint_dir, None);
+        assert!(!fed.resume);
+        assert_eq!(fed.retain_checkpoints, None);
+    }
+
     #[test]
     fn scaled_reduces_volume() {
         let cfg = PipelineConfig::scaled(4);
         assert_eq!(cfg.cohort.n_patients, 2_159);
         assert!(cfg.pretrain.n_train() < 10_000);
-        assert_eq!(cfg.rounds, 5);
+        assert_eq!(cfg.federation.sag.rounds, 5);
     }
 
     #[test]
@@ -374,15 +293,15 @@ mod tests {
 
     #[test]
     fn dp_params_validate() {
-        let mut rt = RuntimeConfig::default();
-        assert_eq!(rt.dp_params(), Ok(None));
-        rt.dp_clip = Some(1.0);
-        assert_eq!(rt.dp_params(), Ok(Some((1.0, 1.0))));
-        rt.dp_sigma = 0.0;
-        assert!(rt.dp_params().is_err());
-        rt.dp_sigma = 1.0;
-        rt.dp_delta = 1.0;
-        assert!(rt.dp_params().is_err());
+        let mut cfg = PipelineConfig::paper();
+        assert_eq!(cfg.dp_params(), Ok(None));
+        cfg.dp_clip = Some(1.0);
+        assert_eq!(cfg.dp_params(), Ok(Some((1.0, 1.0))));
+        cfg.dp_sigma = 0.0;
+        assert!(cfg.dp_params().is_err());
+        cfg.dp_sigma = 1.0;
+        cfg.dp_delta = 1.0;
+        assert!(cfg.dp_params().is_err());
     }
 
     #[test]

@@ -6,15 +6,14 @@ use crate::executor::{ClinicalExecutor, MlmExecutor};
 use crate::learner::{Learner, MlmLearner, ParkArena, ParkOnDrop};
 use clinfl_data::{generate_cohort, generate_corpus, ClassifyDataset, CodeSystem, SitePartitioner};
 use clinfl_flare::aggregator::WeightedFedAvg;
-use clinfl_flare::controller::SagConfig;
 use clinfl_flare::filters::{DpGaussian, FilterChain};
+use clinfl_flare::job::JobConfig;
 use clinfl_flare::privacy::DpAccountant;
-use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner, TreeConfig};
+use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
 use clinfl_flare::{EventLog, FlareError};
 use clinfl_models::BertConfig;
 use clinfl_tensor::LrSchedule;
 use clinfl_text::{ClinicalTokenizer, Encoded};
-use std::collections::BTreeMap;
 
 /// Tokenized data for the fine-tuning task.
 #[derive(Clone, Debug)]
@@ -35,7 +34,7 @@ pub fn build_task_data(cfg: &PipelineConfig) -> TaskData {
     let cohort = generate_cohort(&code_system, &cfg.cohort);
     let tokenizer = ClinicalTokenizer::new(code_system.vocab().clone(), cfg.seq_len);
     let dataset = ClassifyDataset::from_cohort(&cohort, &tokenizer);
-    let (train, valid) = dataset.split(cfg.train_frac, cfg.seed ^ 0x5917);
+    let (train, valid) = dataset.split(cfg.train_frac, cfg.federation.seed ^ 0x5917);
     TaskData {
         code_system,
         tokenizer,
@@ -55,7 +54,7 @@ pub struct TrainOutcome {
     pub log: Option<EventLog>,
     /// Per-site accuracy after post-FL personalization (each site
     /// fine-tunes the final global model on its own shard for
-    /// `RuntimeConfig::personalize_epochs` local epochs). Empty when
+    /// `PipelineConfig::personalize_epochs` local epochs). Empty when
     /// personalization is disabled.
     pub personalized_per_site: Vec<f64>,
     /// Mean of `personalized_per_site` (`None` when disabled).
@@ -70,7 +69,7 @@ pub struct TrainOutcome {
 pub fn train_centralized(cfg: &PipelineConfig, spec: ModelSpec) -> TrainOutcome {
     let _run_span = clinfl_obs::span("run");
     let data = build_task_data(cfg);
-    let outcome = centralized_on(cfg, spec, &data.train, &data.valid, cfg.seed);
+    let outcome = centralized_on(cfg, spec, &data.train, &data.valid, cfg.federation.seed);
     if clinfl_obs::enabled() {
         let _ = clinfl_obs::snapshot().write_artifact(&format!("centralized-{spec:?}"));
     }
@@ -121,7 +120,7 @@ pub fn train_standalone(cfg: &PipelineConfig, spec: ModelSpec) -> StandaloneOutc
     let data = build_task_data(cfg);
     let shards = cfg
         .imbalanced_partitioner()
-        .partition(&data.train, cfg.seed ^ 0xA17);
+        .partition(&data.train, cfg.federation.seed ^ 0xA17);
     // Sites are independent, so train them on their own threads; each one
     // holds a compute permit, bounding concurrency to CLINFL_THREADS (and
     // restoring the serial order of work with a budget of 1). Results are
@@ -132,8 +131,8 @@ pub fn train_standalone(cfg: &PipelineConfig, spec: ModelSpec) -> StandaloneOutc
             let valid = &data.valid;
             s.spawn(move || {
                 let _permit = clinfl_tensor::pool::compute_permit();
-                *slot = centralized_on(cfg, spec, shard, valid, cfg.seed.wrapping_add(i as u64))
-                    .accuracy;
+                let seed = cfg.federation.seed.wrapping_add(i as u64);
+                *slot = centralized_on(cfg, spec, shard, valid, seed).accuracy;
             });
         }
     });
@@ -145,39 +144,6 @@ pub fn train_standalone(cfg: &PipelineConfig, spec: ModelSpec) -> StandaloneOutc
         per_site,
         mean_accuracy,
     }
-}
-
-fn simulator_config(cfg: &PipelineConfig) -> Result<SimulatorConfig, FlareError> {
-    let wire = cfg
-        .runtime
-        .wire_spec()
-        .map_err(|e| FlareError::Codec(format!("bad wire codec config: {e}")))?;
-    Ok(SimulatorConfig {
-        n_clients: cfg.n_clients,
-        sag: SagConfig {
-            rounds: cfg.rounds,
-            min_clients: cfg.runtime.min_clients,
-            round_timeout: cfg.runtime.round_timeout,
-            validate_global: true, // doubles as the unsampled clients' keepalive
-            quorum_grace: cfg.runtime.quorum_grace,
-            resume_from: None, // loaded by the simulator when `resume` is set
-            client_sample_fraction: cfg.runtime.client_sample_fraction,
-        },
-        seed: cfg.seed,
-        behaviors: BTreeMap::new(),
-        faults: cfg.runtime.faults.clone(),
-        retry: cfg.runtime.retry,
-        checkpoint_dir: cfg.runtime.checkpoint_dir.clone(),
-        resume: cfg.runtime.resume,
-        retain_checkpoints: cfg.runtime.retain_checkpoints,
-        wire,
-        wire_overrides: BTreeMap::new(),
-        server_codecs_enabled: true,
-        tree: (cfg.runtime.tree_depth >= 2).then(|| TreeConfig {
-            depth: cfg.runtime.tree_depth,
-            fanout: cfg.runtime.tree_fanout.max(2),
-        }),
-    })
 }
 
 /// Federated training over the paper's 8-site imbalanced partition using
@@ -202,25 +168,25 @@ pub fn train_federated_with(
     partitioner: &SitePartitioner,
     log: EventLog,
 ) -> Result<TrainOutcome, FlareError> {
+    let seed = cfg.federation.seed;
     let data = build_task_data(cfg);
-    let shards = partitioner.partition(&data.train, cfg.seed ^ 0xA17);
+    let shards = partitioner.partition(&data.train, seed ^ 0xA17);
     let hyper = TrainHyper::for_model(spec);
     let vocab_size = data.code_system.vocab().len();
 
     let dp = cfg
-        .runtime
         .dp_params()
         .map_err(|e| FlareError::Codec(format!("bad DP config: {e}")))?;
 
-    let seed_learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, cfg.seed);
+    let seed_learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
     let initial = seed_learner.export_weights();
 
-    let runner = SimulatorRunner::with_log(simulator_config(cfg)?, log.clone());
+    let runner = SimulatorRunner::with_log(cfg.federation.clone(), log.clone());
     let valid = data.valid.clone();
     let result = runner.run(
         initial,
         |i, _site| {
-            let learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, cfg.seed);
+            let learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
             let mut executor = ClinicalExecutor::new(
                 learner,
                 shards[i].clone(),
@@ -228,7 +194,7 @@ pub fn train_federated_with(
                 cfg.local_epochs,
                 log.clone(),
             );
-            if let Some(mu) = cfg.runtime.fedprox_mu {
+            if let Some(mu) = cfg.fedprox_mu {
                 executor = executor.with_prox(mu);
             }
             Box::new(executor)
@@ -243,7 +209,7 @@ pub fn train_federated_with(
                 chain.push(Box::new(DpGaussian {
                     clip_norm: clip,
                     sigma,
-                    seed: cfg.seed ^ (i as u64 + 1).wrapping_mul(0xD1FF),
+                    seed: seed ^ (i as u64 + 1).wrapping_mul(0xD1FF),
                 }));
             }
             chain
@@ -254,14 +220,14 @@ pub fn train_federated_with(
     // the effective per-round sampling rate k/n (mirroring
     // `clinfl_flare::controller::sample_sites`' k = ceil(fraction·n)).
     let privacy = dp.map(|(_clip, sigma)| {
-        let n = cfg.n_clients.max(1);
-        let fraction = cfg.runtime.client_sample_fraction;
+        let n = cfg.federation.n_clients.max(1);
+        let fraction = cfg.federation.sag.client_sample_fraction;
         let q = if fraction >= 1.0 {
             1.0
         } else {
             ((fraction.max(0.0) * n as f64).ceil() as usize).clamp(1, n) as f64 / n as f64
         };
-        let mut acc = DpAccountant::new(f64::from(sigma), q, cfg.runtime.dp_delta);
+        let mut acc = DpAccountant::new(f64::from(sigma), q, cfg.dp_delta);
         for _ in &result.workflow.rounds {
             acc.step();
         }
@@ -272,7 +238,7 @@ pub fn train_federated_with(
     // Server-side final evaluation of the aggregated model on the full
     // validation split.
     let final_weights = &result.workflow.final_weights;
-    let mut eval = Learner::new(spec, vocab_size, cfg.seq_len, hyper, cfg.seed);
+    let mut eval = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
     eval.load_weights(final_weights);
     let accuracy = eval.evaluate(&data.valid);
     eval.park_arena(); // back to the queue the sites left it in
@@ -282,7 +248,7 @@ pub fn train_federated_with(
     // scheme as `train_standalone`; results keyed by site index, so the
     // output never depends on the thread schedule).
     let mut personalized_per_site = Vec::new();
-    if cfg.runtime.personalize_epochs > 0 {
+    if cfg.personalize_epochs > 0 {
         personalized_per_site = vec![0.0f64; shards.len()];
         std::thread::scope(|s| {
             for (i, (shard, slot)) in shards
@@ -293,16 +259,11 @@ pub fn train_federated_with(
                 let valid = &data.valid;
                 s.spawn(move || {
                     let _permit = clinfl_tensor::pool::compute_permit();
-                    let mut learner = Learner::new(
-                        spec,
-                        vocab_size,
-                        cfg.seq_len,
-                        hyper,
-                        cfg.seed.wrapping_add(0x9E + i as u64),
-                    );
+                    let seed = seed.wrapping_add(0x9E + i as u64);
+                    let mut learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
                     let mut learner = ParkOnDrop(&mut learner);
                     learner.load_weights(final_weights);
-                    for _ in 0..cfg.runtime.personalize_epochs {
+                    for _ in 0..cfg.personalize_epochs {
                         learner.train_epoch(shard);
                     }
                     *slot = learner.evaluate(valid);
@@ -341,21 +302,26 @@ pub fn train_federated_with(
 // Serve mode (multi-tenant job runtime)
 // ---------------------------------------------------------------------
 
-/// Builds the job factory behind `clinfl serve`: each submitted
-/// [`clinfl_flare::job::JobConfig`] becomes a private clinical
-/// federation at `base`'s scale. The config's `model` key picks the
-/// architecture (`lstm` / `bert` / `bert-mini`, default `lstm`),
-/// `clients` sizes a balanced partition, and `seed` (if set) re-seeds
-/// data generation and training so two same-seed jobs are bit-identical.
-/// With `checkpoint_root`, every job persists into its own
-/// `job-<n>-<name>` subdirectory — never a shared one, which the
-/// persistor's lock file would refuse anyway.
+/// Builds the job factory behind `clinfl serve`: each submitted job text
+/// is parsed by [`JobConfig::parse`] onto `SimulatorConfig::default()`
+/// carrying `base`'s seed, and becomes a private clinical federation at
+/// `base`'s scale. The job's `model` key picks the architecture (`lstm` /
+/// `bert` / `bert-mini`, default `lstm`), `clients` sizes a balanced
+/// partition, and `seed` (if set) re-seeds data generation and training
+/// so two same-seed jobs are bit-identical. With `checkpoint_root`,
+/// every job persists into its own `job-<n>-<name>` subdirectory — never
+/// a shared one, which the persistor's lock file would refuse anyway.
 pub fn serve_job_factory(
     base: PipelineConfig,
     checkpoint_root: Option<std::path::PathBuf>,
 ) -> clinfl_flare::admin::JobFactory {
     let seq = std::sync::atomic::AtomicU64::new(1);
-    Box::new(move |config: clinfl_flare::job::JobConfig| {
+    let defaults = SimulatorConfig {
+        seed: base.federation.seed,
+        ..SimulatorConfig::default()
+    };
+    Box::new(move |text: &str| {
+        let mut config = JobConfig::parse(text, &defaults)?;
         let model = match config.model.as_deref() {
             None | Some("lstm") => ModelSpec::Lstm,
             Some("bert") => ModelSpec::Bert,
@@ -366,32 +332,30 @@ pub fn serve_job_factory(
                 )))
             }
         };
-        let mut cfg = base.clone();
-        cfg.n_clients = config.clients;
-        cfg.rounds = config.rounds;
-        if let Some(seed) = config.seed {
-            cfg.seed = seed;
-        }
-        let data = build_task_data(&cfg);
-        let shards = cfg
-            .balanced_partitioner()
-            .partition(&data.train, cfg.seed ^ 0xA17);
-        let hyper = TrainHyper::for_model(model);
-        let vocab_size = data.code_system.vocab().len();
-        let initial =
-            Learner::new(model, vocab_size, cfg.seq_len, hyper, cfg.seed).export_weights();
-        let valid = data.valid;
-        let log = EventLog::new();
-        let (seed, seq_len, local_epochs) = (cfg.seed, cfg.seq_len, cfg.local_epochs);
-        let checkpoint_dir = checkpoint_root.as_ref().map(|root| {
+        config.federation.checkpoint_dir = checkpoint_root.as_ref().map(|root| {
             root.join(format!(
                 "job-{}-{}",
                 seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                 config.name
             ))
         });
+        let cfg = PipelineConfig {
+            federation: config.federation.clone(),
+            ..base.clone()
+        };
+        let seed = cfg.federation.seed;
+        let data = build_task_data(&cfg);
+        let shards = cfg
+            .balanced_partitioner()
+            .partition(&data.train, seed ^ 0xA17);
+        let hyper = TrainHyper::for_model(model);
+        let vocab_size = data.code_system.vocab().len();
+        let initial = Learner::new(model, vocab_size, cfg.seq_len, hyper, seed).export_weights();
+        let valid = data.valid;
+        let log = EventLog::new();
+        let (seq_len, local_epochs) = (cfg.seq_len, cfg.local_epochs);
         Ok(clinfl_flare::jobs::JobSpec {
-            seed,
+            config,
             initial,
             make_executor: Box::new(move |i, _site| {
                 let learner = Learner::new(model, vocab_size, seq_len, hyper, seed);
@@ -403,8 +367,6 @@ pub fn serve_job_factory(
                     log.clone(),
                 ))
             }),
-            checkpoint_dir,
-            config,
         })
     })
 }
@@ -495,18 +457,19 @@ pub fn pretrain_mlm(
 ) -> Result<Vec<f64>, FlareError> {
     let hyper = TrainHyper::for_mlm();
     let bert = BertConfig::bert(data.vocab_size, cfg.seq_len);
+    let (n_sites, seed) = (cfg.federation.n_clients, cfg.federation.seed);
     match scheme {
         MlmScheme::Centralized | MlmScheme::SmallData => {
             let train: Vec<Encoded> = match scheme {
                 MlmScheme::Centralized => data.train.clone(),
                 _ => {
                     // One balanced site's share (1/n of the data).
-                    let per = (data.train.len() / cfg.n_clients).max(1);
+                    let per = (data.train.len() / n_sites).max(1);
                     data.train[..per].to_vec()
                 }
             };
             let mut learner =
-                MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, cfg.seed);
+                MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, seed);
             let mut learner = ParkOnDrop(&mut learner);
             learner.set_schedule(mlm_warmup(cfg, train.len(), hyper.batch_size));
             let mut curve = vec![learner.eval_loss(&data.valid)];
@@ -521,11 +484,11 @@ pub fn pretrain_mlm(
                 &data.train,
                 match scheme {
                     MlmScheme::FlImbalanced => clinfl_data::PAPER_IMBALANCED_RATIOS.to_vec(),
-                    _ => vec![1.0 / cfg.n_clients as f64; cfg.n_clients],
+                    _ => vec![1.0 / n_sites as f64; n_sites],
                 },
             );
             let log = EventLog::new();
-            let mut sim_cfg = simulator_config(cfg)?;
+            let mut sim_cfg = cfg.federation.clone();
             sim_cfg.sag.rounds = cfg.pretrain_rounds;
             // Keep pretraining checkpoints apart from fine-tuning ones so a
             // resume never crosses phases.
@@ -534,7 +497,7 @@ pub fn pretrain_mlm(
             }
             let runner = SimulatorRunner::with_log(sim_cfg, log.clone());
             let mut seed_learner =
-                MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, cfg.seed);
+                MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, seed);
             let initial = seed_learner.export_weights();
             let initial_loss = seed_learner.eval_loss(&data.valid);
             seed_learner.park_arena(); // the sites take it from here
@@ -543,7 +506,7 @@ pub fn pretrain_mlm(
                 initial,
                 |i, _| {
                     let mut learner =
-                        MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, cfg.seed);
+                        MlmLearner::new(&bert, CodeSystem::new().vocab().clone(), hyper, seed);
                     learner.set_schedule(mlm_warmup(cfg, shards[i].len(), hyper.batch_size));
                     Box::new(MlmExecutor::new(
                         learner,
@@ -604,7 +567,7 @@ mod tests {
         let mut cfg = PipelineConfig::fast_demo();
         cfg.cohort.n_patients = 120;
         cfg.epochs = 1;
-        cfg.rounds = 1;
+        cfg.federation.sag.rounds = 1;
         cfg.local_epochs = 1;
         cfg
     }
@@ -676,11 +639,11 @@ mod tests {
     #[test]
     fn federated_scenario_knobs_run() {
         let mut cfg = tiny_cfg();
-        cfg.runtime.client_sample_fraction = 0.5;
-        cfg.runtime.dp_clip = Some(1.0);
-        cfg.runtime.dp_sigma = 0.8;
-        cfg.runtime.fedprox_mu = Some(0.01);
-        cfg.runtime.personalize_epochs = 1;
+        cfg.federation.sag.client_sample_fraction = 0.5;
+        cfg.dp_clip = Some(1.0);
+        cfg.dp_sigma = 0.8;
+        cfg.fedprox_mu = Some(0.01);
+        cfg.personalize_epochs = 1;
         let out = train_federated(&cfg, ModelSpec::Lstm).unwrap();
         assert!(out.accuracy > 0.0 && out.accuracy <= 1.0);
         let (eps, delta) = out.privacy.expect("DP on => privacy tracked");
@@ -689,6 +652,25 @@ mod tests {
         assert_eq!(out.personalized_per_site.len(), 8);
         let mean = out.personalized_mean.expect("personalization ran");
         assert!(mean > 0.0 && mean <= 1.0);
+    }
+
+    /// A served job that sets no `seed`/`rounds`/`timeout_s` gets the
+    /// host's seed and the simulator's 10 rounds and 600 s — not the
+    /// pipeline's own rounds or 3600 s deadline.
+    #[test]
+    fn serve_job_defaults_come_from_the_host() {
+        let cfg = tiny_cfg();
+        let factory = serve_job_factory(cfg.clone(), None);
+        let fed = factory("name = d\nclients = 2\n")
+            .unwrap()
+            .config
+            .federation;
+        assert_eq!(fed.seed, cfg.federation.seed);
+        assert_eq!(fed.sag.rounds, 10);
+        assert_eq!(fed.sag.round_timeout, std::time::Duration::from_secs(600));
+        assert_eq!(fed.n_clients, 2);
+        assert!(fed.sag.validate_global);
+        assert_eq!(fed.checkpoint_dir, None);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! | `GET /jobs/{id}/metrics/stream` | NDJSON snapshots until terminal |
 //! | `GET /metrics` | process-global metrics snapshot |
 
-use crate::job::JobConfig;
 use crate::jobs::{JobInfo, JobRuntime, JobSpec};
 use crate::FlareError;
 use clinfl_obs::json::Value;
@@ -186,10 +185,11 @@ pub enum AdminCommand {
 // HTTP admin endpoint
 // ======================================================================
 
-/// Maps a parsed [`JobConfig`] to a launchable [`JobSpec`]: the host
-/// decides what `model = …` means (executors, initial weights,
-/// checkpoint dirs). Returning an error turns into an HTTP 400.
-pub type JobFactory = Box<dyn Fn(JobConfig) -> Result<JobSpec, FlareError> + Send + Sync>;
+/// Maps a `POST /jobs` body to a launchable [`JobSpec`]: the host parses
+/// the job format (usually [`crate::job::JobConfig::parse`] onto its own
+/// defaults) and decides what `model = …` means (executors, initial
+/// weights, checkpoint dirs). Returning an error turns into an HTTP 400.
+pub type JobFactory = Box<dyn Fn(&str) -> Result<JobSpec, FlareError> + Send + Sync>;
 
 /// A served admin/metrics API over a [`JobRuntime`].
 ///
@@ -404,11 +404,7 @@ fn handle_connection(
             &Value::object(vec![("ok", Value::Bool(true))]),
         ),
         ("POST", ["jobs"]) => {
-            let config = match JobConfig::parse(&req.body) {
-                Ok(c) => c,
-                Err(e) => return error_response(&mut stream, 400, &e.to_string()),
-            };
-            let spec = match factory(config) {
+            let spec = match factory(&req.body) {
                 Ok(s) => s,
                 Err(e) => return error_response(&mut stream, 400, &e.to_string()),
             };
@@ -551,14 +547,19 @@ mod tests {
 
     use crate::dxo::{WeightTensor, Weights};
     use crate::executor::ArithmeticExecutor;
+    use crate::job::JobConfig;
+    use crate::simulator::SimulatorConfig;
 
     fn test_factory() -> JobFactory {
-        Box::new(|config: JobConfig| {
+        Box::new(|text: &str| {
+            let base = SimulatorConfig {
+                seed: 1,
+                ..SimulatorConfig::default()
+            };
             let mut w = Weights::new();
             w.insert("p".into(), WeightTensor::new(vec![2], vec![0.0, 0.0]));
             Ok(JobSpec {
-                seed: config.seed.unwrap_or(1),
-                config,
+                config: JobConfig::parse(text, &base)?,
                 initial: w,
                 make_executor: Box::new(|i, _| {
                     Box::new(ArithmeticExecutor {
@@ -566,7 +567,6 @@ mod tests {
                         n_examples: 10,
                     })
                 }),
-                checkpoint_dir: None,
             })
         })
     }

@@ -5,8 +5,9 @@
 //! filters — in a static config shipped to the server. This module gives
 //! `clinfl-flare` the same operational surface: a typed [`JobConfig`]
 //! parsed from a simple `key = value` text format (no external
-//! serialization crates are available offline), from which the runtime
-//! objects are constructed.
+//! serialization crates are available offline). A job is a simulator run,
+//! so its federation settings land directly in a [`SimulatorConfig`];
+//! every key a job leaves out keeps the value of the host's base config.
 //!
 //! ```text
 //! # adr-finetune.job
@@ -19,7 +20,7 @@
 //! ```
 
 use crate::aggregator::{Aggregator, CoordinateMedian, MaskedSum, TrimmedMean, WeightedFedAvg};
-use crate::controller::SagConfig;
+use crate::simulator::SimulatorConfig;
 use crate::FlareError;
 use std::time::Duration;
 
@@ -61,57 +62,33 @@ impl AggregatorKind {
 }
 
 /// A parsed federated job description.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct JobConfig {
-    /// Job name (for logs and result files).
+    /// Job name (for logs, result files and the host's per-job checkpoint
+    /// directory): 1–64 characters of `[A-Za-z0-9_-]`.
     pub name: String,
-    /// ScatterAndGather rounds.
-    pub rounds: u32,
-    /// Minimum client updates per round.
-    pub min_clients: usize,
-    /// Per-round gather deadline.
-    pub round_timeout: Duration,
-    /// Whether to validate the global model each round.
-    pub validate_global: bool,
-    /// Aggregation rule.
-    pub aggregator: AggregatorKind,
-    /// Number of client sites to provision for the job. Hosts without a
-    /// fixed fleet (the job runtime's serve mode) honor this; the
-    /// simulator drives its own `n_clients` instead.
-    pub clients: usize,
     /// Free-form model selector, interpreted by the host that launches
     /// the job (`clinfl serve` maps `lstm` / `bert` / `bert-mini`).
     /// `None` leaves the host's default.
     pub model: Option<String>,
-    /// Run seed override; `None` leaves the host's default seed.
-    pub seed: Option<u64>,
-}
-
-impl Default for JobConfig {
-    fn default() -> Self {
-        JobConfig {
-            name: "job".to_string(),
-            rounds: 10,
-            min_clients: 1,
-            round_timeout: Duration::from_secs(600),
-            validate_global: true,
-            aggregator: AggregatorKind::WeightedFedAvg,
-            clients: 8,
-            model: None,
-            seed: None,
-        }
-    }
+    /// Aggregation rule.
+    pub aggregator: AggregatorKind,
+    /// The federation the job runs: the host's base config with the job's
+    /// `clients`, `rounds`, `min_clients`, `timeout_s`, `validate` and
+    /// `seed` written over it.
+    pub federation: SimulatorConfig,
 }
 
 impl JobConfig {
-    /// Parses the `key = value` job format. Unknown keys are rejected
-    /// (config typos must fail loudly, not silently fall back to
+    /// Parses the `key = value` job format onto `base`. Unknown keys are
+    /// rejected (config typos must fail loudly, not silently fall back to
     /// defaults); blank lines and `#` comments are ignored.
     ///
     /// ```
     /// use clinfl_flare::job::JobConfig;
-    /// let job = JobConfig::parse("rounds = 5\nmin_clients = 8\n")?;
-    /// assert_eq!(job.sag_config().rounds, 5);
+    /// use clinfl_flare::simulator::SimulatorConfig;
+    /// let job = JobConfig::parse("rounds = 5\nmin_clients = 8\n", &SimulatorConfig::default())?;
+    /// assert_eq!(job.federation.sag.rounds, 5);
     /// # Ok::<(), clinfl_flare::FlareError>(())
     /// ```
     ///
@@ -120,9 +97,16 @@ impl JobConfig {
     /// [`FlareError::Codec`] with a line-numbered message on any
     /// malformed, unknown, or duplicated entry (a duplicate key would
     /// silently shadow the earlier value — in a config that gates a
-    /// multi-hour run, that must fail loudly instead).
-    pub fn parse(text: &str) -> Result<Self, FlareError> {
-        let mut cfg = JobConfig::default();
+    /// multi-hour run, that must fail loudly instead), on a name that could
+    /// leave the host's checkpoint root, and on a quorum the job's own
+    /// clients could never meet.
+    pub fn parse(text: &str, base: &SimulatorConfig) -> Result<Self, FlareError> {
+        let mut cfg = JobConfig {
+            name: "job".to_string(),
+            model: None,
+            aggregator: AggregatorKind::WeightedFedAvg,
+            federation: base.clone(),
+        };
         let mut seen: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -146,24 +130,30 @@ impl JobConfig {
                 FlareError::Codec(format!("line {}: invalid {what}: {value:?}", lineno + 1))
             };
             match key {
-                "name" => cfg.name = value.to_string(),
-                "rounds" => cfg.rounds = value.parse().map_err(|_| bad("rounds"))?,
-                "min_clients" => cfg.min_clients = value.parse().map_err(|_| bad("min_clients"))?,
+                "name" if valid_name(value) => cfg.name = value.to_string(),
+                "name" => return Err(bad("name (1-64 characters of A-Z a-z 0-9 _ -)")),
+                "rounds" => cfg.federation.sag.rounds = value.parse().map_err(|_| bad("rounds"))?,
+                "min_clients" => {
+                    cfg.federation.sag.min_clients =
+                        value.parse().map_err(|_| bad("min_clients"))?
+                }
                 "timeout_s" => {
-                    cfg.round_timeout =
+                    cfg.federation.sag.round_timeout =
                         Duration::from_secs(value.parse().map_err(|_| bad("timeout_s"))?)
                 }
                 "validate" => {
-                    cfg.validate_global = match value {
+                    cfg.federation.sag.validate_global = match value {
                         "true" | "yes" | "1" => true,
                         "false" | "no" | "0" => false,
                         _ => return Err(bad("validate")),
                     }
                 }
                 "aggregator" => cfg.aggregator = AggregatorKind::parse(value)?,
-                "clients" => cfg.clients = value.parse().map_err(|_| bad("clients"))?,
+                "clients" => {
+                    cfg.federation.n_clients = value.parse().map_err(|_| bad("clients"))?
+                }
                 "model" => cfg.model = Some(value.to_string()),
-                "seed" => cfg.seed = Some(value.parse().map_err(|_| bad("seed"))?),
+                "seed" => cfg.federation.seed = value.parse().map_err(|_| bad("seed"))?,
                 other => {
                     return Err(FlareError::Codec(format!(
                         "line {}: unknown job key {other:?}",
@@ -172,34 +162,43 @@ impl JobConfig {
                 }
             }
         }
-        if cfg.rounds == 0 {
+        let fed = &cfg.federation;
+        if fed.sag.rounds == 0 {
             return Err(FlareError::Codec("rounds must be at least 1".into()));
         }
-        if cfg.clients == 0 {
+        if fed.n_clients == 0 {
             return Err(FlareError::Codec("clients must be at least 1".into()));
+        }
+        if fed.sag.min_clients > fed.n_clients {
+            return Err(FlareError::Codec(format!(
+                "min_clients {} exceeds clients {}: no round could reach quorum",
+                fed.sag.min_clients, fed.n_clients
+            )));
         }
         Ok(cfg)
     }
+}
 
-    /// The ScatterAndGather settings this job describes.
-    pub fn sag_config(&self) -> SagConfig {
-        SagConfig {
-            rounds: self.rounds,
-            min_clients: self.min_clients,
-            round_timeout: self.round_timeout,
-            validate_global: self.validate_global,
-            ..SagConfig::default()
-        }
-    }
+/// A job name the host may use as a path component: 1–64 characters of
+/// `[A-Za-z0-9_-]`, so never `..`, a separator, or an absolute path.
+fn valid_name(name: &str) -> bool {
+    (1..=64).contains(&name.len())
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(text: &str) -> Result<JobConfig, FlareError> {
+        JobConfig::parse(text, &SimulatorConfig::default())
+    }
+
     #[test]
     fn parses_full_job() {
-        let cfg = JobConfig::parse(
+        let cfg = parse(
             "# ADR fine-tune job\n\
              name = adr-finetune\n\
              rounds = 10\n\
@@ -209,51 +208,55 @@ mod tests {
              aggregator = weighted_fedavg\n",
         )
         .unwrap();
+        let sag = &cfg.federation.sag;
         assert_eq!(cfg.name, "adr-finetune");
-        assert_eq!(cfg.rounds, 10);
-        assert_eq!(cfg.min_clients, 8);
-        assert_eq!(cfg.round_timeout, Duration::from_secs(120));
-        assert!(cfg.validate_global);
-        assert_eq!(cfg.aggregator, AggregatorKind::WeightedFedAvg);
-        let sag = cfg.sag_config();
         assert_eq!(sag.rounds, 10);
         assert_eq!(sag.min_clients, 8);
+        assert_eq!(sag.round_timeout, Duration::from_secs(120));
+        assert!(sag.validate_global);
+        assert_eq!(cfg.aggregator, AggregatorKind::WeightedFedAvg);
     }
 
     #[test]
     fn defaults_fill_missing_keys() {
-        let cfg = JobConfig::parse("rounds = 3\n").unwrap();
-        assert_eq!(cfg.rounds, 3);
-        assert_eq!(cfg.min_clients, 1);
-        assert!(cfg.validate_global);
+        let cfg = parse("rounds = 3\n").unwrap();
+        assert_eq!(cfg.federation.sag.rounds, 3);
+        assert_eq!(cfg.federation.sag.min_clients, 1);
+        assert!(cfg.federation.sag.validate_global);
     }
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let cfg = JobConfig::parse("\n# only comments\n\n").unwrap();
-        assert_eq!(cfg, JobConfig::default());
+        let base = SimulatorConfig::default();
+        let cfg = parse("\n# only comments\n\n").unwrap();
+        assert_eq!(cfg.name, "job");
+        assert_eq!(cfg.model, None);
+        assert_eq!(cfg.aggregator, AggregatorKind::WeightedFedAvg);
+        assert_eq!(cfg.federation.sag, base.sag);
+        assert_eq!(cfg.federation.n_clients, base.n_clients);
+        assert_eq!(cfg.federation.seed, base.seed);
     }
 
     #[test]
     fn unknown_key_rejected_with_line_number() {
-        let err = JobConfig::parse("rounds = 2\nbogus = 7\n").unwrap_err();
+        let err = parse("rounds = 2\nbogus = 7\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
         assert!(err.to_string().contains("bogus"));
     }
 
     #[test]
     fn malformed_values_rejected() {
-        assert!(JobConfig::parse("rounds = many").is_err());
-        assert!(JobConfig::parse("validate = maybe").is_err());
-        assert!(JobConfig::parse("not a kv line").is_err());
-        assert!(JobConfig::parse("rounds = 0").is_err());
-        assert!(JobConfig::parse("clients = 0").is_err());
-        assert!(JobConfig::parse("seed = minus-one").is_err());
+        assert!(parse("rounds = many").is_err());
+        assert!(parse("validate = maybe").is_err());
+        assert!(parse("not a kv line").is_err());
+        assert!(parse("rounds = 0").is_err());
+        assert!(parse("clients = 0").is_err());
+        assert!(parse("seed = minus-one").is_err());
     }
 
     #[test]
     fn duplicate_key_rejected_with_both_line_numbers() {
-        let err = JobConfig::parse(
+        let err = parse(
             "name = a\n\
              rounds = 2\n\
              # comment between\n\
@@ -269,15 +272,49 @@ mod tests {
 
     #[test]
     fn serve_mode_keys_parse() {
-        let cfg = JobConfig::parse("clients = 4\nmodel = lstm\nseed = 99\n").unwrap();
-        assert_eq!(cfg.clients, 4);
+        let cfg = parse("clients = 4\nmodel = lstm\nseed = 99\n").unwrap();
+        assert_eq!(cfg.federation.n_clients, 4);
         assert_eq!(cfg.model.as_deref(), Some("lstm"));
-        assert_eq!(cfg.seed, Some(99));
-        // Absent keys stay None / default.
-        let cfg = JobConfig::parse("rounds = 1\n").unwrap();
-        assert_eq!(cfg.clients, 8);
+        assert_eq!(cfg.federation.seed, 99);
+        // Absent keys keep the host's base values.
+        let base = SimulatorConfig {
+            seed: 7,
+            ..SimulatorConfig::default()
+        };
+        let cfg = JobConfig::parse("rounds = 1\n", &base).unwrap();
+        assert_eq!(cfg.federation.n_clients, 8);
         assert_eq!(cfg.model, None);
-        assert_eq!(cfg.seed, None);
+        assert_eq!(cfg.federation.seed, 7);
+    }
+
+    /// The name becomes a directory under the host's checkpoint root, so
+    /// anything but a plain path component is refused on its own line.
+    #[test]
+    fn names_must_be_path_safe() {
+        for name in ["x/../../../victim", "..", "/abs", "a b", "a\\b", "é"] {
+            let err = parse(&format!("rounds = 1\nname = {name}\n")).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains("line 2") && msg.contains("invalid name"),
+                "{msg}"
+            );
+        }
+        assert!(parse("name =").is_err());
+        assert!(parse(&format!("name = {}", "n".repeat(65))).is_err());
+        let long = "A-z_09".repeat(10) + "abcd";
+        assert_eq!(parse(&format!("name = {long}")).unwrap().name, long);
+    }
+
+    #[test]
+    fn unreachable_quorum_rejected() {
+        let msg = parse("clients = 2\nmin_clients = 3\n")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            msg.contains("min_clients 3") && msg.contains("clients 2"),
+            "{msg}"
+        );
+        assert!(parse("clients = 3\nmin_clients = 3\n").is_ok());
     }
 
     #[test]
@@ -288,10 +325,10 @@ mod tests {
             ("trimmed_mean", AggregatorKind::TrimmedMean),
             ("secure_sum", AggregatorKind::MaskedSum),
         ] {
-            let cfg = JobConfig::parse(&format!("aggregator = {alias}")).unwrap();
+            let cfg = parse(&format!("aggregator = {alias}")).unwrap();
             assert_eq!(cfg.aggregator, kind);
         }
-        assert!(JobConfig::parse("aggregator = quantum").is_err());
+        assert!(parse("aggregator = quantum").is_err());
     }
 
     #[test]

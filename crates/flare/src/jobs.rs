@@ -30,11 +30,10 @@ use crate::dxo::Weights;
 use crate::executor::Executor;
 use crate::job::JobConfig;
 use crate::log::EventLog;
-use crate::simulator::{SimulatorConfig, SimulatorRunner};
+use crate::simulator::SimulatorRunner;
 use crate::FlareError;
 use clinfl_obs::Registry;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -89,29 +88,25 @@ pub type ExecutorFactory = Box<dyn FnMut(usize, &str) -> Box<dyn Executor> + Sen
 /// Everything needed to launch one federation: the parsed config plus
 /// the host-side pieces a [`JobConfig`] cannot carry (initial weights
 /// and the executor factory).
+///
+/// The host writes its own settings — seed, checkpoint directory — into
+/// `config.federation`. Two jobs must not share a checkpoint directory:
+/// the [`crate::persistor::FilePersistor`] lock file fails the second job
+/// loudly.
 pub struct JobSpec {
-    /// Parsed job description (rounds, clients, aggregator, …).
+    /// Parsed job description: name, model, aggregator and federation.
     pub config: JobConfig,
-    /// Run seed; [`JobConfig::seed`] overrides it when set.
-    pub seed: u64,
     /// Initial global weights scattered at round 0.
     pub initial: Weights,
     /// Called once per site (index, site name) to build its local
     /// trainer; the executor moves onto that site's thread.
     pub make_executor: ExecutorFactory,
-    /// Checkpoint directory for this job, or `None` for in-memory
-    /// persistence. Two jobs must not share one — the
-    /// [`crate::persistor::FilePersistor`] lock file fails the second job
-    /// loudly.
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobSpec")
             .field("config", &self.config)
-            .field("seed", &self.seed)
-            .field("checkpoint_dir", &self.checkpoint_dir)
             .finish_non_exhaustive()
     }
 }
@@ -232,8 +227,8 @@ impl JobRuntime {
         let abort = Arc::new(AtomicBool::new(false));
         let entry = JobEntry {
             name: spec.config.name.clone(),
-            clients: spec.config.clients,
-            rounds: spec.config.rounds,
+            clients: spec.config.federation.n_clients,
+            rounds: spec.config.federation.sag.rounds,
             state: JobState::Submitted,
             status: status.clone(),
             obs: obs.clone(),
@@ -394,12 +389,11 @@ fn info_of(id: u64, e: &JobEntry) -> JobInfo {
     }
 }
 
-/// Runs one job as a [`SimulatorRunner`] run: the job's clients, seed,
-/// workflow settings and checkpoint directory become its
-/// [`SimulatorConfig`], and the job's registry, status and abort flag
-/// its host handles — so the server, every client and relay, the
-/// controller and the obs artifact (tagged `job<id>-<name>`) are all
-/// scoped to the job.
+/// Runs one job as a [`SimulatorRunner`] run of the job's own
+/// `federation`, with the job's registry, status and abort flag as its
+/// host handles — so the server, every client and relay, the controller
+/// and the obs artifact (tagged `job<id>-<name>`) are all scoped to the
+/// job.
 fn run_job(
     id: u64,
     spec: JobSpec,
@@ -408,26 +402,24 @@ fn run_job(
     abort: &Arc<AtomicBool>,
     log: &EventLog,
 ) -> Result<WorkflowResult, FlareError> {
-    let config = SimulatorConfig {
-        n_clients: spec.config.clients,
-        sag: spec.config.sag_config(),
-        seed: spec.config.seed.unwrap_or(spec.seed),
-        checkpoint_dir: spec.checkpoint_dir,
-        ..SimulatorConfig::default()
-    };
+    let JobConfig {
+        name,
+        aggregator,
+        federation,
+        ..
+    } = spec.config;
     log.info(
         "JobRuntime",
-        format!("job {id} starting on {} site(s)", config.n_clients),
+        format!("job {id} starting on {} site(s)", federation.n_clients),
     );
-    let runner = SimulatorRunner::with_log(config, log.clone())
-        .with_registry(obs.clone(), format!("job{id}-{}", spec.config.name))
+    SimulatorRunner::with_log(federation, log.clone())
+        .with_registry(obs.clone(), format!("job{id}-{name}"))
         .with_status(status.clone())
-        .with_abort(abort.clone());
-    runner
+        .with_abort(abort.clone())
         .run_simple(
             spec.initial,
             spec.make_executor,
-            spec.config.aggregator.build().as_ref(),
+            aggregator.build().as_ref(),
         )
         .map(|result| result.workflow)
 }
@@ -437,16 +429,23 @@ mod tests {
     use super::*;
     use crate::dxo::WeightTensor;
     use crate::executor::ArithmeticExecutor;
+    use crate::simulator::SimulatorConfig;
 
     fn spec(name: &str, rounds: u32, clients: usize, seed: u64) -> JobSpec {
         let mut w = Weights::new();
         w.insert("p".into(), WeightTensor::new(vec![4], vec![0.0; 4]));
-        JobSpec {
-            config: JobConfig::parse(&format!(
-                "name = {name}\nrounds = {rounds}\nclients = {clients}\nmin_clients = {clients}\n"
-            ))
-            .unwrap(),
+        let base = SimulatorConfig {
             seed,
+            ..SimulatorConfig::default()
+        };
+        JobSpec {
+            config: JobConfig::parse(
+                &format!(
+                    "name = {name}\nrounds = {rounds}\nclients = {clients}\nmin_clients = {clients}\n"
+                ),
+                &base,
+            )
+            .unwrap(),
             initial: w,
             make_executor: Box::new(|i, _| {
                 Box::new(ArithmeticExecutor {
@@ -454,7 +453,6 @@ mod tests {
                     n_examples: 10,
                 })
             }),
-            checkpoint_dir: None,
         }
     }
 

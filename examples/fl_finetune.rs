@@ -13,7 +13,7 @@ use clinfl_flare::EventLog;
 fn main() {
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 400;
-    cfg.rounds = 3;
+    cfg.federation.sag.rounds = 3;
     cfg.local_epochs = 2;
 
     println!("=== Initialize server and clients (provision + token registration) ===");
@@ -30,6 +30,6 @@ fn main() {
     println!(
         "Final global BERT-mini top-1 accuracy: {:.1}% after {} rounds",
         100.0 * out.accuracy,
-        cfg.rounds
+        cfg.federation.sag.rounds
     );
 }

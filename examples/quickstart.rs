@@ -12,7 +12,7 @@ fn main() {
     let cfg = PipelineConfig::fast_demo();
     println!(
         "Synthetic clopidogrel cohort: {} patients, {} federated sites",
-        cfg.cohort.n_patients, cfg.n_clients
+        cfg.cohort.n_patients, cfg.federation.n_clients
     );
 
     println!("\n[1/2] Centralized LSTM ({} epochs)…", cfg.epochs);
@@ -30,7 +30,7 @@ fn main() {
 
     println!(
         "\n[2/2] Federated LSTM ({} rounds x {} local epochs, imbalanced sites)…",
-        cfg.rounds, cfg.local_epochs
+        cfg.federation.sag.rounds, cfg.local_epochs
     );
     let fl = drivers::train_federated(&cfg, ModelSpec::Lstm).expect("federation runs");
     for (i, (loss, acc)) in fl.history.iter().enumerate() {

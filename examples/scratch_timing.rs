@@ -27,7 +27,13 @@ fn main() {
             batch_size: 32,
             clip_norm: 5.0,
         };
-        let mut l = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed);
+        let mut l = Learner::new(
+            ModelSpec::Lstm,
+            vocab,
+            cfg.seq_len,
+            hyper,
+            cfg.federation.seed,
+        );
         let t = Instant::now();
         print!("LSTM lr={lr}:");
         for e in 0..30 {

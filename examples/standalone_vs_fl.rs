@@ -13,7 +13,7 @@ fn main() {
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 600;
     cfg.epochs = 4;
-    cfg.rounds = 4;
+    cfg.federation.sag.rounds = 4;
     cfg.local_epochs = 1;
 
     println!("Site data shares (paper §IV-B1): {PAPER_IMBALANCED_RATIOS:?}\n");

@@ -13,6 +13,9 @@
 #      would cost)
 #   5. assert the survivor stayed green and both per-job checkpoint
 #      directories exist (isolation: one dir per job, lock-file guarded)
+#   6. submit jobs whose names climb out of --checkpoint-root and require
+#      `clinfl job submit` to fail with HTTP 400 and nothing to appear
+#      outside "$DIR/ckpts"
 #
 # Run from the repo root (scripts/check.sh does): scripts/ci_jobs.sh
 set -euo pipefail
@@ -71,4 +74,19 @@ grep -q "\"id\":$SURV,\"name\":\"survivor\",\"state\":\"finished\"" "$DIR/list.j
 [ -d "$DIR/ckpts/job-1-doomed" ] && [ -d "$DIR/ckpts/job-2-survivor" ] ||
     { echo "per-job checkpoint dirs missing"; ls -la "$DIR/ckpts" || true; exit 1; }
 
-echo "==> jobs leg ok: survivor finished, doomed aborted, per-job dirs intact"
+# A job name is a directory under --checkpoint-root: one that would leave
+# it is refused before anything touches the disk.
+outside() { find "$DIR" -path "$DIR/ckpts" -prune -o -print | sort; }
+BEFORE=$(outside)
+for NAME in '../escape' 'x/../../escape'; do
+    if OUT=$(printf 'name = %s\nrounds = 1\n' "$NAME" | "$BIN" job submit 2>&1); then
+        echo "job named $NAME was accepted: $OUT"; exit 1
+    fi
+    grep -q 'HTTP 400' <<<"$OUT" ||
+        { echo "job named $NAME: expected HTTP 400, got: $OUT"; exit 1; }
+done
+[ "$(outside)" = "$BEFORE" ] ||
+    { echo "a rejected job wrote outside $DIR/ckpts"; diff <(echo "$BEFORE") <(outside); exit 1; }
+echo "==> escaping job names refused with HTTP 400, nothing written"
+
+echo "==> jobs leg ok: survivor finished, doomed aborted, per-job dirs intact, names confined"

@@ -455,10 +455,10 @@ mod driver {
         let mut cfg = PipelineConfig::fast_demo();
         cfg.cohort.n_patients = 480;
         cfg.cohort.seed = 77;
-        cfg.rounds = 3;
+        cfg.federation.sag.rounds = 3;
         cfg.local_epochs = 1;
         cfg.epochs = 3;
-        cfg.seed = 42;
+        cfg.federation.seed = 42;
         cfg
     }
 
@@ -471,12 +471,12 @@ mod driver {
             drivers::train_federated(&test_cfg(), ModelSpec::Lstm).expect("clean federation runs");
 
         let mut cfg = test_cfg();
-        cfg.runtime.faults = FaultConfig::aggressive(4242);
-        cfg.runtime.min_clients = 3;
-        cfg.runtime.round_timeout = Duration::from_secs(120);
-        cfg.runtime.quorum_grace = Some(Duration::from_secs(8));
-        cfg.runtime.retry.message_timeout = Duration::from_secs(60);
-        cfg.runtime.retry.submit_copies = 2;
+        cfg.federation.faults = FaultConfig::aggressive(4242);
+        cfg.federation.sag.min_clients = 3;
+        cfg.federation.sag.round_timeout = Duration::from_secs(120);
+        cfg.federation.sag.quorum_grace = Some(Duration::from_secs(8));
+        cfg.federation.retry.message_timeout = Duration::from_secs(60);
+        cfg.federation.retry.submit_copies = 2;
         let faulty =
             drivers::train_federated(&cfg, ModelSpec::Lstm).expect("faulty federation runs");
 

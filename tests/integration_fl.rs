@@ -7,10 +7,10 @@ fn test_cfg() -> PipelineConfig {
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 480;
     cfg.cohort.seed = 77;
-    cfg.rounds = 3;
+    cfg.federation.sag.rounds = 3;
     cfg.local_epochs = 1;
     cfg.epochs = 3;
-    cfg.seed = 42;
+    cfg.federation.seed = 42;
     cfg
 }
 
@@ -21,7 +21,7 @@ fn federated_lstm_learns_better_than_chance() {
     // Positive rate ~21%, so majority-class is ~0.79; "better than chance"
     // here means clearly above 0.5 and the history must be non-empty.
     assert!(out.accuracy > 0.55, "accuracy {}", out.accuracy);
-    assert_eq!(out.history.len(), cfg.rounds as usize);
+    assert_eq!(out.history.len(), cfg.federation.sag.rounds as usize);
 }
 
 #[test]

@@ -30,16 +30,26 @@ fn arith_executor(i: usize, _site: &str) -> Box<dyn Executor> {
     })
 }
 
+/// The base a host hands [`JobConfig::parse`]: simulator defaults with
+/// the host's seed.
+fn host(seed: u64) -> SimulatorConfig {
+    SimulatorConfig {
+        seed,
+        ..SimulatorConfig::default()
+    }
+}
+
 fn arith_spec(name: &str, rounds: u32, clients: usize, seed: u64) -> JobSpec {
     JobSpec {
-        config: JobConfig::parse(&format!(
-            "name = {name}\nrounds = {rounds}\nclients = {clients}\nmin_clients = {clients}\n"
-        ))
+        config: JobConfig::parse(
+            &format!(
+                "name = {name}\nrounds = {rounds}\nclients = {clients}\nmin_clients = {clients}\n"
+            ),
+            &host(seed),
+        )
         .unwrap(),
-        seed,
         initial: initial(),
         make_executor: Box::new(arith_executor),
-        checkpoint_dir: None,
     }
 }
 
@@ -52,11 +62,9 @@ fn run_one(
 ) -> clinfl_flare::controller::WorkflowResult {
     let rt = JobRuntime::new(1);
     let id = rt.submit(JobSpec {
-        config: JobConfig::parse(config).expect("valid job"),
-        seed,
+        config: JobConfig::parse(config, &host(seed)).expect("valid job"),
         initial: initial(),
         make_executor: Box::new(make_executor),
-        checkpoint_dir: None,
     });
     assert_eq!(
         rt.wait(id, Duration::from_secs(60)),
@@ -94,7 +102,7 @@ fn job_config_drives_a_full_simulation() {
 fn job_config_median_aggregation_end_to_end() {
     let config = "rounds = 2\nclients = 3\naggregator = median\n";
     assert_eq!(
-        JobConfig::parse(config).unwrap().aggregator,
+        JobConfig::parse(config, &host(22)).unwrap().aggregator,
         AggregatorKind::CoordinateMedian
     );
     let result = run_one(config, 22, |i, _| {
@@ -118,21 +126,16 @@ fn job_equals_simulator_run() {
         );
         let job = run_one(&config, 31, arith_executor);
 
-        let parsed = JobConfig::parse(&config).unwrap();
-        let sim = SimulatorRunner::new(SimulatorConfig {
-            n_clients: parsed.clients,
-            sag: parsed.sag_config(),
-            seed: 31,
-            ..SimulatorConfig::default()
-        })
-        .run(
-            initial(),
-            arith_executor,
-            parsed.aggregator.build().as_ref(),
-            |_| FilterChain::new(),
-        )
-        .expect("simulation runs")
-        .workflow;
+        let parsed = JobConfig::parse(&config, &host(31)).unwrap();
+        let sim = SimulatorRunner::new(parsed.federation)
+            .run(
+                initial(),
+                arith_executor,
+                parsed.aggregator.build().as_ref(),
+                |_| FilterChain::new(),
+            )
+            .expect("simulation runs")
+            .workflow;
 
         assert!(
             weights_bits_equal(&job.final_weights, &sim.final_weights),
@@ -224,7 +227,7 @@ fn same_seed_clinical_jobs_concurrent_equals_solo() {
     let solo = |text: &str| {
         let rt = JobRuntime::new(1);
         let factory = clinfl::drivers::serve_job_factory(base.clone(), None);
-        let id = rt.submit(factory(JobConfig::parse(text).unwrap()).unwrap());
+        let id = rt.submit(factory(text).unwrap());
         assert_eq!(rt.wait(id, wait), Some(JobState::Finished));
         let weights = rt.result(id).unwrap().final_weights;
         rt.join_all();
@@ -234,7 +237,7 @@ fn same_seed_clinical_jobs_concurrent_equals_solo() {
 
     let rt = JobRuntime::new(3);
     let factory = clinfl::drivers::serve_job_factory(base.clone(), None);
-    let ids = [lstm, bert, lstm].map(|t| rt.submit(factory(JobConfig::parse(t).unwrap()).unwrap()));
+    let ids = [lstm, bert, lstm].map(|t| rt.submit(factory(t).unwrap()));
     for id in ids {
         assert_eq!(rt.wait(id, wait), Some(JobState::Finished));
     }
@@ -266,10 +269,10 @@ impl Executor for SlowExecutor {
 /// Factory for the HTTP tests: `model = slow` selects the sleeping
 /// executor, anything else the fast one.
 fn test_factory() -> JobFactory {
-    Box::new(|config: JobConfig| {
+    Box::new(|text: &str| {
+        let config = JobConfig::parse(text, &host(1))?;
         let slow = config.model.as_deref() == Some("slow");
         Ok(JobSpec {
-            seed: config.seed.unwrap_or(1),
             config,
             initial: initial(),
             make_executor: Box::new(move |i, _| {
@@ -283,7 +286,6 @@ fn test_factory() -> JobFactory {
                     Box::new(inner)
                 }
             }),
-            checkpoint_dir: None,
         })
     })
 }
@@ -414,4 +416,39 @@ fn http_abort_mid_round_releases_sessions_and_spares_neighbor() {
 
     server.join();
     runtime.shutdown();
+}
+
+/// A job name is a path component under `clinfl serve --checkpoint-root`:
+/// one that climbs out of the root is refused with an HTTP 400 before any
+/// directory is created, on either side of the root.
+#[test]
+fn http_rejects_job_names_that_escape_the_checkpoint_root() {
+    let base = std::env::temp_dir().join(format!("clinfl-job-names-{}", std::process::id()));
+    let root = base.join("ckpts");
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::create_dir_all(&root).unwrap();
+    let runtime = JobRuntime::new(1);
+    let factory =
+        clinfl::drivers::serve_job_factory(clinfl::PipelineConfig::scaled(256), Some(root.clone()));
+    let server = AdminServer::bind("127.0.0.1:0", runtime.clone(), factory).unwrap();
+    let addr = server.local_addr();
+
+    for name in ["x/../../escape", "../escape", "/tmp/escape"] {
+        let (status, body) = http(
+            addr,
+            "POST",
+            "/jobs",
+            &format!("name = {name}\nrounds = 1\n"),
+        );
+        assert_eq!(status, 400, "{name}: {body}");
+        assert!(body.contains("line 1: invalid name"), "{body}");
+    }
+    assert!(runtime.list().is_empty(), "a rejected job was scheduled");
+    let entries = |dir: &std::path::Path| std::fs::read_dir(dir).unwrap().count();
+    assert_eq!(entries(&root), 0, "a rejected job created a directory");
+    assert_eq!(entries(&base), 1, "a rejected job wrote beside the root");
+
+    server.join();
+    runtime.shutdown();
+    std::fs::remove_dir_all(&base).ok();
 }

@@ -8,7 +8,7 @@ fn micro_cfg() -> PipelineConfig {
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 160;
     cfg.epochs = 1;
-    cfg.rounds = 1;
+    cfg.federation.sag.rounds = 1;
     cfg.local_epochs = 1;
     cfg.pretrain.scale = 4096; // ~110 sequences
     cfg.pretrain_rounds = 1;

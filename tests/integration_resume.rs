@@ -364,15 +364,15 @@ fn driver_level_resume_extends_run() {
     let _serial = timing_guard();
     let dir = chaos_dir("driver");
     let mut cfg = clinfl::PipelineConfig::fast_demo();
-    cfg.runtime.checkpoint_dir = Some(dir.clone());
-    cfg.runtime.retain_checkpoints = Some(2);
-    cfg.rounds = 1;
+    cfg.federation.checkpoint_dir = Some(dir.clone());
+    cfg.federation.retain_checkpoints = Some(2);
+    cfg.federation.sag.rounds = 1;
     let first =
         clinfl::drivers::train_federated(&cfg, clinfl::ModelSpec::Lstm).expect("first leg trains");
     assert_eq!(first.history.len(), 1);
 
-    cfg.rounds = 2;
-    cfg.runtime.resume = true;
+    cfg.federation.sag.rounds = 2;
+    cfg.federation.resume = true;
     let resumed = clinfl::drivers::train_federated(&cfg, clinfl::ModelSpec::Lstm)
         .expect("resumed leg trains");
     assert_eq!(resumed.history.len(), 2, "history must cover both rounds");

@@ -17,10 +17,10 @@ fn test_cfg() -> PipelineConfig {
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 240;
     cfg.cohort.seed = 77;
-    cfg.rounds = 2;
+    cfg.federation.sag.rounds = 2;
     cfg.local_epochs = 1;
     cfg.epochs = 1;
-    cfg.seed = 42;
+    cfg.federation.seed = 42;
     cfg
 }
 

@@ -182,14 +182,14 @@ impl Executor for KeepArena {
 fn federate(spec: ModelSpec, tree: Option<TreeConfig>, park: bool) -> (Weights, Vec<u64>) {
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 200;
-    cfg.seed = 31;
+    cfg.federation.seed = 31;
     let data = drivers::build_task_data(&cfg);
     let shards = cfg
         .imbalanced_partitioner()
-        .partition(&data.train, cfg.seed ^ 0xA17);
+        .partition(&data.train, cfg.federation.seed ^ 0xA17);
     let hyper = TrainHyper::for_model(spec);
     let vocab = data.code_system.vocab().len();
-    let learner = || Learner::new(spec, vocab, cfg.seq_len, hyper, cfg.seed);
+    let learner = || Learner::new(spec, vocab, cfg.seq_len, hyper, cfg.federation.seed);
     let sim = SimulatorConfig {
         tree,
         ..SimulatorConfig::paper(2)
