@@ -16,10 +16,10 @@
 //!   the report's `wire.reduction` (raw bytes / encoded bytes) to be at
 //!   least `R`.
 //!
-//! The smoke workload honors `CLINFL_WIRE_CODEC` (same grammar as the
-//! `clinfl --wire-codec` flag, e.g. `delta+topk0.05+int8`) so CI can
-//! benchmark compressed weight exchange, and `CLINFL_FAULTS` (`mild`,
-//! `aggressive`) to run the workload under link faults with the
+//! The smoke workload honors `CLINFL_WIRE_CODEC` (a value of the spec's
+//! `codec` key, as `clinfl --codec` takes, e.g. `delta+topk0.05+int8`) so
+//! CI can benchmark compressed weight exchange, and `CLINFL_FAULTS`
+//! (`mild`, `aggressive`) to run the workload under link faults with the
 //! fault-tolerant runtime settings from the chaos suite.
 //!
 //! CI runs both back to back (`scripts/check.sh bench-smoke` and
@@ -27,7 +27,6 @@
 //! artifacts.
 
 use clinfl::{drivers, ModelSpec, PipelineConfig};
-use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::faults::FaultConfig;
 use clinfl_obs::json::Value;
 use clinfl_obs::{HistogramSnapshot, MetricsSnapshot};
@@ -81,10 +80,10 @@ fn main() {
 /// submits) so aggressive link faults cannot wedge the round.
 fn apply_env(cfg: &mut PipelineConfig) {
     if let Ok(codec) = std::env::var("CLINFL_WIRE_CODEC") {
-        cfg.federation.wire = CodecSpec::parse(&codec).unwrap_or_else(|e| {
-            eprintln!("invalid wire codec configuration: {e}");
+        if let Err(e) = cfg.federation.apply("codec", &codec) {
+            eprintln!("CLINFL_WIRE_CODEC: {e}");
             std::process::exit(2);
-        });
+        }
     }
     let faults = FaultConfig::from_env(cfg.federation.seed.wrapping_add(7));
     if faults.is_active() {

@@ -5,11 +5,9 @@
 //! clinfl centralized --model lstm --scale 16
 //! clinfl standalone  --model bert-mini --scale 16
 //! clinfl federated   --model lstm --scale 16 [--balanced] [--echo]
-//!                    [--dirichlet A] [--sample-fraction F]
-//!                    [--dp-clip C] [--dp-sigma S] [--dp-delta D]
-//!                    [--fedprox-mu M] [--personalize-epochs N]
-//!                    [--checkpoint-dir D] [--resume D] [--retain N]
-//!                    [--wire-codec S] [--tree-depth D] [--tree-fanout F]
+//!                    [--dirichlet A] [--dp-clip C] [--dp-sigma S]
+//!                    [--dp-delta D] [--fedprox-mu M] [--personalize-epochs N]
+//!                    [--resume D] [--<spec key> VALUE ...]
 //! clinfl pretrain    --scale 64 --scheme centralized
 //! clinfl table3      --scale 10
 //! clinfl fig2        --scale 32
@@ -21,29 +19,18 @@
 //! clinfl job metrics [--addr A] --id N [--follow]
 //! ```
 //!
-//! Every federation flag writes straight into the pipeline's
-//! `federation` (a `clinfl_flare::simulator::SimulatorConfig`), the same
-//! spec a `clinfl serve` job and a test build.
-//!
-//! `--checkpoint-dir D` persists per-round snapshots and a crash-safe run
-//! checkpoint into `D`; `--resume D` restarts an interrupted federated run
-//! from the checkpoint in `D` (same seed required); `--retain N` keeps at
-//! most `N` per-round snapshot files on disk.
-//!
-//! `--wire-codec S` selects the negotiated weight-exchange codec (e.g.
-//! `raw`, `delta`, `delta+int8`, `delta+topk0.05+int8`; grammar in
-//! `CodecSpec::parse`). See DESIGN.md §3g for the wire-format spec.
-//!
-//! `--tree-depth D` (with `--tree-fanout F`, default 8) runs the
-//! federation through a hierarchical aggregation tree: interior nodes
-//! partial-FedAvg their shard of sites and forward one update upstream
-//! (DESIGN.md §3h). Depth `<= 1` leaves the topology to `CLINFL_TREE`
-//! (flat when unset).
+//! Federation flags are the keys of the spec grammar
+//! (`clinfl_flare::spec`, the `key = value` lines of a `clinfl serve` job)
+//! as `--<key> VALUE`: `--clients 4`, `--codec delta+topk0.05+int8`
+//! (DESIGN.md §3g), `--tree 2x3` (depth-2, fan-out-3 aggregation tree,
+//! DESIGN.md §3h), `--sample-fraction 0.5`, `--checkpoint-dir D`,
+//! `--retain N`, … (`--wire-codec` and dashes for underscores are
+//! aliases). `--resume D` resumes the run checkpointed in `D` under the
+//! same spec, bar `rounds` and the checkpoint keys.
 //!
 //! Scenario knobs (DESIGN.md §3k): `--dirichlet A` draws the site
 //! partition from a symmetric Dirichlet(α) (lower α = more quantity
-//! skew); `--sample-fraction F` trains a seeded `ceil(F·n)`-site subset
-//! each round; `--dp-clip C` + `--dp-sigma S` enable DP-SGD (clip each
+//! skew); `--dp-clip C` + `--dp-sigma S` enable DP-SGD (clip each
 //! site's update to L2 norm `C`, add Gaussian noise `S·C`), with the
 //! cumulative (ε, δ) at `--dp-delta D` (default 1e-5) printed at the
 //! end; `--fedprox-mu M` adds the FedProx proximal term; and
@@ -65,14 +52,14 @@ use clinfl::drivers::{self, MlmScheme};
 use clinfl::experiments;
 use clinfl::{ModelSpec, PipelineConfig};
 use clinfl_flare::admin::AdminServer;
-use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::jobs::JobRuntime;
-use clinfl_flare::simulator::TreeConfig;
+use clinfl_flare::spec::SPEC_KEYS;
 use clinfl_flare::EventLog;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
+#[derive(Debug)]
 struct Args {
     command: String,
     scale: usize,
@@ -85,13 +72,16 @@ struct Args {
 }
 
 fn usage() -> ExitCode {
+    let keys: String = SPEC_KEYS
+        .iter()
+        .map(|k| format!(" [--{} {}]", k.name, k.hint))
+        .collect();
     eprintln!(
         "usage: clinfl <centralized|standalone|federated|pretrain|table3|fig2> \
          [--scale N] [--model lstm|bert|bert-mini] [--scheme centralized|small|fl-imbalanced|fl-balanced] \
-         [--balanced] [--dirichlet A] [--echo] [--checkpoint-dir D] [--resume D] [--retain N] \
-         [--wire-codec S] [--tree-depth D] [--tree-fanout F] \
-         [--sample-fraction F] [--dp-clip C] [--dp-sigma S] [--dp-delta D] \
+         [--balanced] [--dirichlet A] [--echo] [--resume D] [--dp-clip C] [--dp-sigma S] [--dp-delta D] \
          [--fedprox-mu M] [--personalize-epochs N]\n\
+         \x20      federation (spec keys):{keys}\n\
          \x20      clinfl serve [--addr A] [--addr-file F] [--max-jobs N] [--scale N] [--checkpoint-root D]\n\
          \x20      clinfl job <submit|list|abort|metrics> [--addr A] [--file F] [--id N] [--follow]"
     );
@@ -309,27 +299,24 @@ fn cmd_job(mut argv: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// Parses the next argument as a flag value (`usage` on a missing or
-/// malformed one).
-fn value<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>) -> Result<T, ExitCode> {
-    argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)
+/// Old flag names of spec keys (every other key is its own flag, with
+/// dashes for underscores accepted too).
+const FLAG_ALIASES: [(&str, &str); 1] = [("wire_codec", "codec")];
+
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: invalid value {v:?}"))
 }
 
-/// Reports an out-of-range flag value with exit code 2.
-fn invalid(msg: String) -> ExitCode {
-    eprintln!("{msg}");
-    ExitCode::from(2)
-}
-
-fn parse_args() -> Result<Args, ExitCode> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first().cloned() else {
-        return Err(usage());
-    };
+/// Parses `argv` (without the program name). Federation flags go through
+/// the spec grammar; `Err` carries the message to print before exiting
+/// with status 2.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let command = argv.first().cloned().ok_or("missing command")?;
     // The scale picks the base config every other flag edits, wherever it
     // appears on the line.
     let scale = match argv.iter().position(|a| a == "--scale") {
-        Some(i) => value(&mut argv[i + 1..].iter().cloned())?,
+        Some(i) => num("--scale", argv.get(i + 1).map_or("", String::as_str))?,
         None => 16,
     };
     let mut args = Args {
@@ -342,74 +329,73 @@ fn parse_args() -> Result<Args, ExitCode> {
         dirichlet: None,
         cfg: PipelineConfig::scaled(scale),
     };
-    let (mut tree_depth, mut tree_fanout) = (0u32, 8usize);
     let cfg = &mut args.cfg;
-    let fed = &mut cfg.federation;
-    let mut argv = argv.into_iter().skip(1);
+    let mut argv = argv[1..].iter();
     while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--scale" => {
-                argv.next();
-            }
+            "--balanced" => args.balanced = true,
+            "--echo" => args.echo = true,
+            "--scale" => _ = value()?,
             "--model" => {
-                args.model = match argv.next().as_deref() {
-                    Some("lstm") => ModelSpec::Lstm,
-                    Some("bert") => ModelSpec::Bert,
-                    Some("bert-mini") | Some("bert_mini") => ModelSpec::BertMini,
-                    _ => return Err(usage()),
+                args.model = match value()?.as_str() {
+                    "lstm" => ModelSpec::Lstm,
+                    "bert" => ModelSpec::Bert,
+                    "bert-mini" | "bert_mini" => ModelSpec::BertMini,
+                    other => return Err(format!("unknown model {other:?}")),
                 }
             }
             "--scheme" => {
-                args.scheme = match argv.next().as_deref() {
-                    Some("centralized") => MlmScheme::Centralized,
-                    Some("small") => MlmScheme::SmallData,
-                    Some("fl-imbalanced") => MlmScheme::FlImbalanced,
-                    Some("fl-balanced") => MlmScheme::FlBalanced,
-                    _ => return Err(usage()),
+                args.scheme = match value()?.as_str() {
+                    "centralized" => MlmScheme::Centralized,
+                    "small" => MlmScheme::SmallData,
+                    "fl-imbalanced" => MlmScheme::FlImbalanced,
+                    "fl-balanced" => MlmScheme::FlBalanced,
+                    other => return Err(format!("unknown scheme {other:?}")),
                 }
             }
-            "--balanced" => args.balanced = true,
-            "--echo" => args.echo = true,
-            "--dirichlet" => args.dirichlet = Some(value(&mut argv)?),
-            "--checkpoint-dir" => fed.checkpoint_dir = Some(value(&mut argv)?),
+            "--dirichlet" => args.dirichlet = Some(num(flag, value()?)?),
+            "--dp-clip" => cfg.dp_clip = Some(num(flag, value()?)?),
+            "--dp-sigma" => cfg.dp_sigma = num(flag, value()?)?,
+            "--dp-delta" => cfg.dp_delta = num(flag, value()?)?,
+            "--fedprox-mu" => cfg.fedprox_mu = Some(num(flag, value()?)?),
+            "--personalize-epochs" => cfg.personalize_epochs = num(flag, value()?)?,
             "--resume" => {
-                fed.checkpoint_dir = Some(value(&mut argv)?);
-                fed.resume = true;
+                cfg.federation.apply("checkpoint_dir", value()?)?;
+                cfg.federation.resume = true;
             }
-            "--retain" => fed.retain_checkpoints = Some(value(&mut argv)?),
-            "--wire-codec" => {
-                let spec: String = value(&mut argv)?;
-                fed.wire = CodecSpec::parse(&spec)
-                    .map_err(|e| invalid(format!("invalid wire codec: {e}")))?;
+            _ => {
+                let key = flag
+                    .strip_prefix("--")
+                    .ok_or_else(|| format!("unexpected argument {flag:?}"))?
+                    .replace('-', "_");
+                let key = FLAG_ALIASES
+                    .iter()
+                    .find(|(alias, _)| *alias == key)
+                    .map_or(key.as_str(), |(_, k)| k);
+                cfg.federation.apply(key, value()?)?;
             }
-            "--tree-depth" => tree_depth = value(&mut argv)?,
-            "--tree-fanout" => tree_fanout = value(&mut argv)?,
-            "--sample-fraction" => {
-                let f: f64 = value(&mut argv)?;
-                if f <= 0.0 || f.is_nan() {
-                    return Err(invalid(format!(
-                        "--sample-fraction must be positive, got {f}"
-                    )));
-                }
-                fed.sag.client_sample_fraction = f;
-            }
-            "--dp-clip" => cfg.dp_clip = Some(value(&mut argv)?),
-            "--dp-sigma" => cfg.dp_sigma = value(&mut argv)?,
-            "--dp-delta" => cfg.dp_delta = value(&mut argv)?,
-            "--fedprox-mu" => cfg.fedprox_mu = Some(value(&mut argv)?),
-            "--personalize-epochs" => cfg.personalize_epochs = value(&mut argv)?,
-            _ => return Err(usage()),
         }
     }
-    // Depth <= 1 leaves `tree` unset, so `CLINFL_TREE` still applies.
-    if tree_depth >= 2 {
-        fed.tree = Some(TreeConfig {
-            depth: tree_depth,
-            fanout: tree_fanout.max(2),
-        });
+    cfg.federation.validate()?;
+    if let Some(alpha) = args.dirichlet.filter(|a| a.is_nan() || *a <= 0.0) {
+        return Err(format!("--dirichlet alpha must be positive, got {alpha}"));
     }
-    if let Err(e) = cfg.dp_params() {
-        return Err(invalid(format!("invalid DP config: {e}")));
+    cfg.dp_params()
+        .map_err(|e| format!("invalid DP config: {e}"))?;
+    // The paper's imbalanced ratios define exactly 8 sites.
+    let imbalanced = match args.command.as_str() {
+        "federated" => !args.balanced && args.dirichlet.is_none(),
+        "pretrain" => args.scheme == MlmScheme::FlImbalanced,
+        "centralized" => false,
+        _ => true,
+    };
+    if imbalanced && cfg.federation.n_clients != 8 {
+        return Err(format!(
+            "clinfl {} splits data by the paper's 8-site imbalanced ratios; \
+             --clients {} needs `federated --balanced` or `--dirichlet A`",
+            args.command, cfg.federation.n_clients
+        ));
     }
     Ok(args)
 }
@@ -417,28 +403,24 @@ fn parse_args() -> Result<Args, ExitCode> {
 fn main() -> ExitCode {
     // The serve/job subcommands have their own flag sets; dispatch
     // before the training-pipeline parser sees the argv.
-    {
-        let mut argv = std::env::args().skip(1);
-        match argv.next().as_deref() {
-            Some("serve") => return cmd_serve(argv),
-            Some("job") => return cmd_job(argv),
-            _ => {}
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match argv.first().map(String::as_str) {
+        Some("serve") => return cmd_serve(argv.into_iter().skip(1)),
+        Some("job") => return cmd_job(argv.into_iter().skip(1)),
+        _ => {}
     }
-    let args = match parse_args() {
+    let args = match parse_args(&argv) {
         Ok(a) => a,
-        Err(code) => return code,
+        Err(msg) => {
+            eprintln!("clinfl: {msg}");
+            return usage();
+        }
     };
     let cfg = &args.cfg;
-    if let Some(tree) = cfg.federation.tree {
-        println!(
-            "aggregation tree: depth {} fan-out {}",
-            tree.depth, tree.fanout
-        );
-    }
-    if !cfg.federation.wire.is_raw() {
-        println!("wire codec: {}", cfg.federation.wire);
-    }
+    println!(
+        "federation spec: {}",
+        cfg.federation.to_text().trim_end().replace('\n', "; ")
+    );
     println!(
         "clinfl: {} at scale {} ({} patients, seq {}, {} sites)",
         args.command, args.scale, cfg.cohort.n_patients, cfg.seq_len, cfg.federation.n_clients
@@ -471,10 +453,6 @@ fn main() -> ExitCode {
         }
         "federated" => {
             let partitioner = if let Some(alpha) = args.dirichlet {
-                if alpha <= 0.0 || alpha.is_nan() {
-                    eprintln!("--dirichlet alpha must be positive, got {alpha}");
-                    return ExitCode::from(2);
-                }
                 clinfl_data::SitePartitioner::Dirichlet {
                     n_sites: cfg.federation.n_clients,
                     alpha,
@@ -557,4 +535,57 @@ fn main() -> ExitCode {
         _ => return usage(),
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&line.split(' ').map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn federation_flags_are_spec_keys() {
+        let args = parse(
+            "federated --balanced --clients 4 --wire-codec delta+int8 --tree 2x3 \
+             --sample-fraction 0.5 --min_clients 2 --retain 3 --resume runs/a",
+        )
+        .unwrap();
+        let text = args.cfg.federation.to_text();
+        for line in [
+            "checkpoint_dir = runs/a",
+            "clients = 4",
+            "codec = delta+int8",
+            "min_clients = 2",
+            "resume = true",
+            "retain = 3",
+            "sample_fraction = 0.5",
+            "tree = 2x3",
+        ] {
+            assert!(
+                text.contains(&format!("{line}\n")),
+                "{line} missing from\n{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_exit_with_a_message() {
+        for (line, what) in [
+            ("federated --clients 4", "--balanced"),
+            ("standalone --clients 4", "8-site"),
+            ("federated --sample-fraction 0", "sample_fraction"),
+            ("federated --sample-fraction NaN", "sample_fraction"),
+            ("federated --balanced --clients 5000", "clients"),
+            ("federated --tree-depth 2", "tree_depth"),
+            ("federated --dp-clip -1", "DP"),
+            ("federated --clients", "needs a value"),
+            ("federated --dirichlet 0", "alpha"),
+        ] {
+            let msg = parse(line).unwrap_err();
+            assert!(msg.contains(what), "{line}: {msg}");
+        }
+        assert!(parse("federated --clients 4 --dirichlet 0.5").is_ok());
+    }
 }

@@ -20,7 +20,7 @@
 //! | `GET /healthz` | liveness probe |
 //! | `POST /jobs` | submit a `key = value` job config body |
 //! | `GET /jobs` | list all jobs |
-//! | `GET /jobs/{id}` | one job's state/phase/metric |
+//! | `GET /jobs/{id}` | one job's state/phase/metric and spec text |
 //! | `POST /jobs/{id}/abort` | request an abort |
 //! | `GET /jobs/{id}/metrics` | the job's scoped metrics snapshot |
 //! | `GET /jobs/{id}/metrics/stream` | NDJSON snapshots until terminal |
@@ -384,6 +384,7 @@ fn job_to_json(info: &JobInfo) -> Value {
             "error",
             info.error.clone().map(Value::Str).unwrap_or(Value::Null),
         ),
+        ("spec", Value::Str(info.spec.clone())),
     ])
 }
 
@@ -633,6 +634,13 @@ mod tests {
         let (status, body) = http(addr, "GET", &format!("/jobs/{id}"), "");
         assert_eq!(status, 200);
         assert!(body.contains("\"state\":\"finished\""), "{body}");
+        let job = Value::parse(&body).unwrap();
+        let spec = job.get("spec").and_then(Value::as_str).unwrap();
+        assert!(
+            spec.contains("clients = 2\n") && spec.contains("rounds = 2\n"),
+            "{spec}"
+        );
+        assert_eq!(job.get("clients").and_then(Value::as_u64), Some(2));
 
         let (status, body) = http(addr, "GET", &format!("/jobs/{id}/metrics"), "");
         assert_eq!(status, 200);

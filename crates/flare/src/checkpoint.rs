@@ -20,8 +20,9 @@
 //!    [`crate::controller::ScatterAndGather`] loop needs to restart at
 //!    round *k+1* after a crash: the round cursor, the aggregated global
 //!    weights, every completed [`RoundSummary`] (contributors, per-site
-//!    metrics, drop/quorum bookkeeping), the run seed, and the
-//!    best-metric state. It rides the same wire codec as every federated
+//!    metrics, drop/quorum bookkeeping), the run seed, the best-metric
+//!    state, and the run's spec text (so a resume under a different spec
+//!    is refused). It rides the same wire codec as every federated
 //!    message and carries an explicit schema version so old binaries
 //!    reject checkpoints from the future with a useful error instead of
 //!    misparsing them.
@@ -36,8 +37,9 @@ use std::path::Path;
 
 /// Schema version written into every [`RunCheckpoint`]; decoding rejects
 /// anything newer. Version 2 added the aggregation-tree topology
-/// (`tree_depth`/`tree_fanout`); version-1 files decode as flat runs.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
+/// (`tree_depth`/`tree_fanout`; version-1 files decode as flat runs), and
+/// version 3 the run's spec text (older files decode with an empty one).
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 
 /// Marker that precedes the CRC-32 value in the 8-byte file trailer.
 pub const CRC_TRAILER_MAGIC: [u8; 4] = *b"CFC1";
@@ -187,6 +189,12 @@ pub struct RunCheckpoint {
     pub tree_depth: u32,
     /// Fan-out of each aggregation-tree node (`0` = flat fleet).
     pub tree_fanout: u32,
+    /// The effective spec the run was started under (canonical `key =
+    /// value` text, see [`crate::spec`]); a resume under a spec that
+    /// differs in a non-exempt key is refused. Empty when the writer
+    /// recorded none (schema v1/v2, or a controller built without
+    /// [`crate::controller::ScatterAndGather::with_spec`]).
+    pub spec: String,
 }
 
 impl RunCheckpoint {
@@ -245,6 +253,7 @@ impl WireEncode for RunCheckpoint {
         self.best_round.encode(out);
         self.tree_depth.encode(out);
         self.tree_fanout.encode(out);
+        self.spec.encode(out);
     }
 }
 
@@ -270,6 +279,11 @@ impl WireDecode for RunCheckpoint {
         } else {
             (0, 0)
         };
+        let spec = if version >= 3 {
+            String::decode(r)?
+        } else {
+            String::new()
+        };
         Ok(RunCheckpoint {
             seed,
             next_round,
@@ -280,6 +294,7 @@ impl WireDecode for RunCheckpoint {
             best_round,
             tree_depth,
             tree_fanout,
+            spec,
         })
     }
 }
@@ -322,15 +337,15 @@ mod tests {
             best_round: Some(2),
             tree_depth: 2,
             tree_fanout: 4,
+            spec: "aggregator = WeightedFedAvg\nclients = 8\ntree = 2x4\n".into(),
         }
     }
 
-    #[test]
-    fn v1_checkpoint_decodes_as_flat_topology() {
-        // A hand-built version-1 body: same fields minus the tree pair.
-        let ckpt = checkpoint();
+    /// A hand-built body of an older schema: the v3 fields minus the
+    /// spec text, and for v1 minus the tree pair too.
+    fn legacy_body(version: u32, ckpt: &RunCheckpoint) -> Vec<u8> {
         let mut body = crate::wire::FRAME_MAGIC.to_vec();
-        1u32.encode(&mut body);
+        version.encode(&mut body);
         ckpt.seed.encode(&mut body);
         ckpt.next_round.encode(&mut body);
         ckpt.total_rounds.encode(&mut body);
@@ -338,11 +353,35 @@ mod tests {
         ckpt.rounds.encode(&mut body);
         ckpt.best_metric.encode(&mut body);
         ckpt.best_round.encode(&mut body);
-        let decoded = RunCheckpoint::from_frame(&body).unwrap();
+        if version >= 2 {
+            ckpt.tree_depth.encode(&mut body);
+            ckpt.tree_fanout.encode(&mut body);
+        }
+        body
+    }
+
+    #[test]
+    fn v1_checkpoint_decodes_as_flat_topology() {
+        let ckpt = checkpoint();
+        let decoded = RunCheckpoint::from_frame(&legacy_body(1, &ckpt)).unwrap();
         assert_eq!(decoded.tree_depth, 0);
         assert_eq!(decoded.tree_fanout, 0);
+        assert_eq!(decoded.spec, "");
         assert_eq!(decoded.global, ckpt.global);
         assert_eq!(decoded.next_round, ckpt.next_round);
+    }
+
+    #[test]
+    fn v2_checkpoint_decodes_with_an_empty_spec() {
+        let ckpt = checkpoint();
+        let decoded = RunCheckpoint::from_frame(&legacy_body(2, &ckpt)).unwrap();
+        assert_eq!(
+            decoded,
+            RunCheckpoint {
+                spec: String::new(),
+                ..ckpt
+            }
+        );
     }
 
     #[test]

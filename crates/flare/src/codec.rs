@@ -77,7 +77,8 @@ pub enum QuantMode {
 /// A parsed wire-codec choice, e.g. `delta+int8` or `delta+topk0.05+f16`.
 ///
 /// The string form (see [`CodecSpec::parse`]) is what clients propose at
-/// negotiation time and what `clinfl --wire-codec` takes; a parsed spec is
+/// negotiation time and the value of the federation spec's `codec` key
+/// (`clinfl --codec`, see [`crate::spec`]); a parsed spec is
 /// [`crate::simulator::SimulatorConfig::wire`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodecSpec {

@@ -7,6 +7,7 @@ use crate::dxo::{Dxo, Weights};
 use crate::log::EventLog;
 use crate::messages::TaskAssignment;
 use crate::persistor::Persistor;
+use crate::simulator::TreeConfig;
 use crate::FlareError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,6 +235,7 @@ pub struct ScatterAndGather {
     log: EventLog,
     status: crate::admin::RunStatus,
     run_seed: u64,
+    spec: String,
     tree_depth: u32,
     tree_fanout: u32,
     obs: clinfl_obs::Registry,
@@ -248,6 +250,7 @@ impl ScatterAndGather {
             log,
             status: crate::admin::RunStatus::new(),
             run_seed: 0,
+            spec: String::new(),
             tree_depth: 0,
             tree_fanout: 0,
             obs: clinfl_obs::Registry::global(),
@@ -255,12 +258,15 @@ impl ScatterAndGather {
         }
     }
 
-    /// Records the aggregation-tree topology stamped into every
-    /// [`RunCheckpoint`], so a resumed run can stand the same tree back
-    /// up. `(0, 0)` means a flat (depth-1) fleet.
-    pub fn with_topology(mut self, depth: u32, fanout: u32) -> Self {
-        self.tree_depth = depth;
-        self.tree_fanout = fanout;
+    /// Records the run's effective spec text (see [`crate::spec`]) and
+    /// its resolved aggregation-tree topology in every [`RunCheckpoint`],
+    /// so a resume under a different spec can be refused and a resumed
+    /// run can stand the same tree back up. `None` means a flat fleet,
+    /// stamped `(0, 0)`.
+    pub fn with_spec(mut self, spec: String, topology: Option<TreeConfig>) -> Self {
+        (self.tree_depth, self.tree_fanout) =
+            topology.map_or((0, 0), |t| (t.depth, t.fanout as u32));
+        self.spec = spec;
         self
     }
 
@@ -335,7 +341,7 @@ impl ScatterAndGather {
     ) -> Result<WorkflowResult, FlareError> {
         let tag = "ScatterAndGather";
         let mut global = initial;
-        let mut rounds = Vec::with_capacity(self.config.rounds as usize);
+        let mut rounds = Vec::new();
         let mut best_metric: Option<f64> = None;
         let mut best_round: Option<u32> = None;
         let mut start_round = 0u32;
@@ -560,6 +566,7 @@ impl ScatterAndGather {
                 best_round,
                 tree_depth: self.tree_depth,
                 tree_fanout: self.tree_fanout,
+                spec: self.spec.clone(),
             });
             self.obs.add_counter("flare.checkpoint.saved", 1);
         }

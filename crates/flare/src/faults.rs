@@ -117,14 +117,64 @@ impl FaultConfig {
         }
     }
 
-    /// Reads the `CLINFL_FAULTS` environment variable (`none`, `mild`,
-    /// `aggressive`) into a profile; unset or unknown values mean no
-    /// faults.
+    /// Reads the `CLINFL_FAULTS` environment variable — any value of the
+    /// spec's `faults` key, usually just a profile name (`mild`,
+    /// `aggressive`) — and runs it under `seed`. Unset, unparsable or
+    /// inactive values mean no faults.
     pub fn from_env(seed: u64) -> Self {
-        std::env::var("CLINFL_FAULTS")
-            .ok()
-            .and_then(|v| FaultConfig::profile(v.trim(), seed))
-            .unwrap_or_else(FaultConfig::none)
+        let mut spec = crate::simulator::SimulatorConfig::default();
+        match std::env::var("CLINFL_FAULTS").map(|v| spec.apply("faults", &v)) {
+            Ok(Ok(())) if spec.faults.is_active() => FaultConfig {
+                seed,
+                ..spec.faults
+            },
+            _ => FaultConfig::none(),
+        }
+    }
+
+    /// Parses the text form [`Display`](fmt::Display) prints: `none`, or
+    /// comma-separated items — an optional leading profile name (`mild`,
+    /// `aggressive`) as the base, then `seed:N`, the per-mille rates
+    /// `drop:N`, `truncate:N` and `delay:N`, `delay_ms:MS`, and one
+    /// `crash:SITE@ROUND` per scheduled crash (0-based site index).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed item.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let mut items = s.split(',').map(str::trim).peekable();
+        let base = items.peek().and_then(|p| FaultConfig::profile(p, 0));
+        let mut cfg = match base {
+            Some(profile) => {
+                items.next();
+                profile
+            }
+            None => FaultConfig::none(),
+        };
+        for item in items {
+            let bad = || format!("bad fault item {item:?}");
+            let (name, value) = item.split_once(':').ok_or_else(bad)?;
+            let permille = || match value.parse::<u16>() {
+                Ok(p) if p <= 1000 => Ok(p),
+                _ => Err(format!(
+                    "{name} rate {value:?} is not a per-mille in 0..=1000"
+                )),
+            };
+            match name {
+                "seed" => cfg.seed = value.parse().map_err(|_| bad())?,
+                "drop" => cfg.drop_permille = permille()?,
+                "truncate" => cfg.truncate_permille = permille()?,
+                "delay" => cfg.delay_permille = permille()?,
+                "delay_ms" => cfg.delay = crate::spec::parse_duration(value, crate::spec::MS)?,
+                "crash" => {
+                    let (site, round) = value.split_once('@').ok_or_else(bad)?;
+                    let site = site.parse().map_err(|_| bad())?;
+                    cfg.crash_at.insert(site, round.parse().map_err(|_| bad())?);
+                }
+                _ => return Err(bad()),
+            }
+        }
+        Ok(cfg)
     }
 
     /// True when the plan can actually do something.
@@ -139,6 +189,30 @@ impl FaultConfig {
 impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig::none()
+    }
+}
+
+/// The canonical text form [`FaultConfig::parse`] reads back: `none`, or
+/// every field as `seed:…,drop:…,truncate:…,delay:…,delay_ms:…` followed
+/// by the crashes in site order.
+impl fmt::Display for FaultConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if *self == FaultConfig::none() {
+            return f.write_str("none");
+        }
+        write!(
+            f,
+            "seed:{},drop:{},truncate:{},delay:{},delay_ms:{}",
+            self.seed,
+            self.drop_permille,
+            self.truncate_permille,
+            self.delay_permille,
+            crate::spec::format_duration(self.delay, crate::spec::MS)
+        )?;
+        for (site, round) in &self.crash_at {
+            write!(f, ",crash:{site}@{round}")?;
+        }
+        Ok(())
     }
 }
 
@@ -432,6 +506,31 @@ mod tests {
         assert!(!FaultConfig::none().is_active());
         assert!(FaultConfig::aggressive(1).is_active());
         assert_eq!(FaultConfig::aggressive(1).crash_at.len(), 2);
+    }
+
+    #[test]
+    fn text_form_round_trips_and_starts_from_profiles() {
+        for cfg in [
+            FaultConfig::none(),
+            FaultConfig::mild(9),
+            FaultConfig::aggressive(3),
+        ] {
+            assert_eq!(FaultConfig::parse(&cfg.to_string()), Ok(cfg));
+        }
+        assert_eq!(
+            FaultConfig::aggressive(3).to_string(),
+            "seed:3,drop:200,truncate:60,delay:150,delay_ms:10,crash:5@1,crash:6@2"
+        );
+        assert_eq!(
+            FaultConfig::parse("aggressive, seed:3"),
+            Ok(FaultConfig::aggressive(3))
+        );
+        assert_eq!(
+            FaultConfig::parse("mild,drop:0").map(|c| c.drop_permille),
+            Ok(0)
+        );
+        assert!(FaultConfig::parse("seed:3,mild").is_err());
+        assert!(FaultConfig::parse("drop:1001").is_err());
     }
 
     #[test]

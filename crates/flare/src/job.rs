@@ -5,9 +5,12 @@
 //! filters — in a static config shipped to the server. This module gives
 //! `clinfl-flare` the same operational surface: a typed [`JobConfig`]
 //! parsed from a simple `key = value` text format (no external
-//! serialization crates are available offline). A job is a simulator run,
-//! so its federation settings land directly in a [`SimulatorConfig`];
-//! every key a job leaves out keeps the value of the host's base config.
+//! serialization crates are available offline). A job is a simulator run:
+//! besides `name`, `model` and `aggregator`, every key is a key of the
+//! federation spec ([`crate::spec`]) and lands in a [`SimulatorConfig`]
+//! through [`SimulatorConfig::apply`], bar the keys only the host may
+//! set (checkpointing, faults, retry). Every key a job leaves out keeps
+//! the value of the host's base config.
 //!
 //! ```text
 //! # adr-finetune.job
@@ -17,12 +20,13 @@
 //! timeout_s   = 600
 //! validate    = true
 //! aggregator  = weighted_fedavg
+//! codec       = delta+topk0.05+int8
+//! tree        = 2x3
 //! ```
 
 use crate::aggregator::{Aggregator, CoordinateMedian, MaskedSum, TrimmedMean, WeightedFedAvg};
 use crate::simulator::SimulatorConfig;
 use crate::FlareError;
-use std::time::Duration;
 
 /// Aggregation rule selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,15 +52,15 @@ impl AggregatorKind {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, FlareError> {
+    fn parse(s: &str) -> Result<Self, String> {
         match s {
             "weighted_fedavg" | "fedavg" => Ok(AggregatorKind::WeightedFedAvg),
             "coordinate_median" | "median" => Ok(AggregatorKind::CoordinateMedian),
             "trimmed_mean" => Ok(AggregatorKind::TrimmedMean),
             "masked_sum" | "secure_sum" => Ok(AggregatorKind::MaskedSum),
-            other => Err(FlareError::Codec(format!(
+            other => Err(format!(
                 "unknown aggregator {other:?} (expected weighted_fedavg, coordinate_median, trimmed_mean, masked_sum)"
-            ))),
+            )),
         }
     }
 }
@@ -74,15 +78,33 @@ pub struct JobConfig {
     /// Aggregation rule.
     pub aggregator: AggregatorKind,
     /// The federation the job runs: the host's base config with the job's
-    /// `clients`, `rounds`, `min_clients`, `timeout_s`, `validate` and
-    /// `seed` written over it.
+    /// spec keys written over it.
     pub federation: SimulatorConfig,
 }
 
+/// Spec keys only the host may set: a job text naming one is refused, so
+/// a submitted job can never choose where the host writes, nor inject
+/// faults or retry settings whose delays and copy counts an abort cannot
+/// cut short.
+const HOST_KEYS: [&str; 9] = [
+    "checkpoint_dir",
+    "faults",
+    "resume",
+    "retain",
+    "retry_backoff_ms",
+    "retry_heartbeat",
+    "retry_max_attempts",
+    "retry_message_timeout_s",
+    "retry_submit_copies",
+];
+
 impl JobConfig {
-    /// Parses the `key = value` job format onto `base`. Unknown keys are
-    /// rejected (config typos must fail loudly, not silently fall back to
-    /// defaults); blank lines and `#` comments are ignored.
+    /// Parses the `key = value` job format onto `base`: the job-only keys
+    /// `name`, `model` and `aggregator`, and every federation key of
+    /// [`crate::spec`] but the host-owned `checkpoint_dir`, `resume`,
+    /// `retain`, `faults` and `retry_*`. Unknown keys are rejected (config
+    /// typos must fail loudly, not silently fall back to defaults); blank
+    /// lines and `#` comments are ignored.
     ///
     /// ```
     /// use clinfl_flare::job::JobConfig;
@@ -95,11 +117,11 @@ impl JobConfig {
     /// # Errors
     ///
     /// [`FlareError::Codec`] with a line-numbered message on any
-    /// malformed, unknown, or duplicated entry (a duplicate key would
-    /// silently shadow the earlier value — in a config that gates a
-    /// multi-hour run, that must fail loudly instead), on a name that could
-    /// leave the host's checkpoint root, and on a quorum the job's own
-    /// clients could never meet.
+    /// malformed, unknown, host-owned or duplicated entry (a duplicate
+    /// key would silently shadow the earlier value — in a config that
+    /// gates a multi-hour run, that must fail loudly instead), on a name
+    /// that could leave the host's checkpoint root, and on a federation
+    /// [`SimulatorConfig::validate`] refuses.
     pub fn parse(text: &str, base: &SimulatorConfig) -> Result<Self, FlareError> {
         let mut cfg = JobConfig {
             name: "job".to_string(),
@@ -113,68 +135,32 @@ impl JobConfig {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
+            let at = |msg: String| FlareError::Codec(format!("line {}: {msg}", lineno + 1));
             let Some((key, value)) = line.split_once('=') else {
-                return Err(FlareError::Codec(format!(
-                    "line {}: expected `key = value`, got {line:?}",
-                    lineno + 1
-                )));
+                return Err(at(format!("expected `key = value`, got {line:?}")));
             };
             let (key, value) = (key.trim(), value.trim());
             if let Some(first) = seen.insert(key.to_string(), lineno + 1) {
-                return Err(FlareError::Codec(format!(
-                    "line {}: duplicate job key {key:?} (first set on line {first})",
-                    lineno + 1
+                return Err(at(format!(
+                    "duplicate job key {key:?} (first set on line {first})"
                 )));
             }
-            let bad = |what: &str| {
-                FlareError::Codec(format!("line {}: invalid {what}: {value:?}", lineno + 1))
-            };
+            if HOST_KEYS.contains(&key) {
+                return Err(at(format!("{key} is set by the host, not by a job")));
+            }
             match key {
                 "name" if valid_name(value) => cfg.name = value.to_string(),
-                "name" => return Err(bad("name (1-64 characters of A-Z a-z 0-9 _ -)")),
-                "rounds" => cfg.federation.sag.rounds = value.parse().map_err(|_| bad("rounds"))?,
-                "min_clients" => {
-                    cfg.federation.sag.min_clients =
-                        value.parse().map_err(|_| bad("min_clients"))?
-                }
-                "timeout_s" => {
-                    cfg.federation.sag.round_timeout =
-                        Duration::from_secs(value.parse().map_err(|_| bad("timeout_s"))?)
-                }
-                "validate" => {
-                    cfg.federation.sag.validate_global = match value {
-                        "true" | "yes" | "1" => true,
-                        "false" | "no" | "0" => false,
-                        _ => return Err(bad("validate")),
-                    }
-                }
-                "aggregator" => cfg.aggregator = AggregatorKind::parse(value)?,
-                "clients" => {
-                    cfg.federation.n_clients = value.parse().map_err(|_| bad("clients"))?
-                }
-                "model" => cfg.model = Some(value.to_string()),
-                "seed" => cfg.federation.seed = value.parse().map_err(|_| bad("seed"))?,
-                other => {
-                    return Err(FlareError::Codec(format!(
-                        "line {}: unknown job key {other:?}",
-                        lineno + 1
+                "name" => {
+                    return Err(at(format!(
+                        "invalid name (1-64 characters of A-Z a-z 0-9 _ -): {value:?}"
                     )))
                 }
+                "model" => cfg.model = Some(value.to_string()),
+                "aggregator" => cfg.aggregator = AggregatorKind::parse(value).map_err(at)?,
+                _ => cfg.federation.apply(key, value).map_err(at)?,
             }
         }
-        let fed = &cfg.federation;
-        if fed.sag.rounds == 0 {
-            return Err(FlareError::Codec("rounds must be at least 1".into()));
-        }
-        if fed.n_clients == 0 {
-            return Err(FlareError::Codec("clients must be at least 1".into()));
-        }
-        if fed.sag.min_clients > fed.n_clients {
-            return Err(FlareError::Codec(format!(
-                "min_clients {} exceeds clients {}: no round could reach quorum",
-                fed.sag.min_clients, fed.n_clients
-            )));
-        }
+        cfg.federation.validate().map_err(FlareError::Codec)?;
         Ok(cfg)
     }
 }
@@ -191,6 +177,7 @@ fn valid_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn parse(text: &str) -> Result<JobConfig, FlareError> {
         JobConfig::parse(text, &SimulatorConfig::default())
@@ -219,10 +206,9 @@ mod tests {
 
     #[test]
     fn defaults_fill_missing_keys() {
-        let cfg = parse("rounds = 3\n").unwrap();
-        assert_eq!(cfg.federation.sag.rounds, 3);
-        assert_eq!(cfg.federation.sag.min_clients, 1);
-        assert!(cfg.federation.sag.validate_global);
+        let mut want = SimulatorConfig::default();
+        want.sag.rounds = 3;
+        assert_eq!(parse("rounds = 3\n").unwrap().federation, want);
     }
 
     #[test]
@@ -232,9 +218,7 @@ mod tests {
         assert_eq!(cfg.name, "job");
         assert_eq!(cfg.model, None);
         assert_eq!(cfg.aggregator, AggregatorKind::WeightedFedAvg);
-        assert_eq!(cfg.federation.sag, base.sag);
-        assert_eq!(cfg.federation.n_clients, base.n_clients);
-        assert_eq!(cfg.federation.seed, base.seed);
+        assert_eq!(cfg.federation, base);
     }
 
     #[test]
@@ -303,6 +287,38 @@ mod tests {
         assert!(parse(&format!("name = {}", "n".repeat(65))).is_err());
         let long = "A-z_09".repeat(10) + "abcd";
         assert_eq!(parse(&format!("name = {long}")).unwrap().name, long);
+    }
+
+    /// Job text arrives over HTTP: sizes that would exhaust memory or the
+    /// stack are refused on their line, and so are the keys that would
+    /// let a job choose where the host writes or stall its own threads
+    /// past an abort.
+    #[test]
+    fn hostile_jobs_are_refused_on_their_line() {
+        for (line, what) in [
+            ("clients = 10000000000", "invalid clients"),
+            ("clients = 4097", "invalid clients"),
+            ("tree = 1000000x2", "invalid tree"),
+            ("checkpoint_dir = /tmp/x", "set by the host"),
+            ("resume = true", "set by the host"),
+            ("retain = 1", "set by the host"),
+            (
+                "faults = delay:1000,delay_ms:4294967296000",
+                "set by the host",
+            ),
+            ("retry_submit_copies = 4294967295", "set by the host"),
+            ("retry_backoff_ms = 4294967296000", "set by the host"),
+            ("retry_max_attempts = 4294967295", "set by the host"),
+            ("retry_message_timeout_s = 4294967296", "set by the host"),
+            ("retry_heartbeat = false", "set by the host"),
+        ] {
+            let msg = parse(&format!("rounds = 1\n{line}\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains("line 2") && msg.contains(what), "{msg}");
+        }
+        let job = parse("clients = 4096\ntree = 12x2\n").unwrap();
+        assert_eq!(job.federation.n_clients, crate::spec::MAX_SITES);
     }
 
     #[test]

@@ -128,6 +128,9 @@ pub struct JobInfo {
     pub clients: usize,
     /// Total configured rounds.
     pub rounds: u32,
+    /// The job's federation spec in canonical text form (see
+    /// [`crate::spec`]): sites, rounds, codec, tree, faults and the rest.
+    pub spec: String,
     /// Error display when `state == Failed`.
     pub error: Option<String>,
 }
@@ -137,6 +140,7 @@ struct JobEntry {
     name: String,
     clients: usize,
     rounds: u32,
+    spec: String,
     state: JobState,
     status: crate::admin::RunStatus,
     obs: Registry,
@@ -229,6 +233,7 @@ impl JobRuntime {
             name: spec.config.name.clone(),
             clients: spec.config.federation.n_clients,
             rounds: spec.config.federation.sag.rounds,
+            spec: spec.config.federation.to_text(),
             state: JobState::Submitted,
             status: status.clone(),
             obs: obs.clone(),
@@ -385,6 +390,7 @@ fn info_of(id: u64, e: &JobEntry) -> JobInfo {
         last_metric: e.status.last_metric(),
         clients: e.clients,
         rounds: e.rounds,
+        spec: e.spec.clone(),
         error: e.error.clone(),
     }
 }

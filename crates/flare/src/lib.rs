@@ -22,7 +22,9 @@
 //! 4. **Results** — the best global model and per-round metrics.
 //!
 //! The [`simulator::SimulatorRunner`] mirrors NVFlare's simulator mode used
-//! in the paper (one process, one thread per site), while
+//! in the paper (one process, one thread per site); its
+//! [`simulator::SimulatorConfig`] has one `key = value` text form
+//! ([`spec`]) that jobs, the CLI and checkpoints all share, while
 //! [`transport::TcpTransport`] runs the identical byte protocol across real
 //! sockets for multi-process deployments.
 //!
@@ -78,6 +80,7 @@ pub mod relay;
 pub mod security;
 pub mod server;
 pub mod simulator;
+pub mod spec;
 pub mod transport;
 pub mod wire;
 

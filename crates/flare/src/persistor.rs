@@ -442,6 +442,7 @@ mod tests {
             best_round: best_metric.map(|_| next_round.saturating_sub(1)),
             tree_depth: 0,
             tree_fanout: 0,
+            spec: String::new(),
         }
     }
 

@@ -15,6 +15,7 @@ use crate::persistor::{FilePersistor, InMemoryPersistor, Persistor};
 use crate::provision::{dh_secret, Project, Provisioned, SitePackage, RELAY_INDEX};
 use crate::relay::{AggregatorNode, RelayConfig};
 use crate::server::FlServer;
+use crate::spec::resume_mismatch;
 use crate::transport::Connection;
 use crate::FlareError;
 use clinfl_obs::Registry;
@@ -38,11 +39,14 @@ pub struct TreeConfig {
 }
 
 impl TreeConfig {
-    /// Reads the `CLINFL_TREE` environment knob: `"2"` (depth 2, fanout
-    /// 8) or `"2x8"` (`depth x fanout`). Unset, empty, or unparsable
-    /// values mean "no override".
+    /// Reads the `CLINFL_TREE` environment knob, a value of the spec's
+    /// `tree` key: `"2"` (depth 2, fanout 8) or `"2x8"` (`depth x
+    /// fanout`). Unset, empty, or invalid values mean "no override".
     pub fn from_env() -> Option<Self> {
-        Self::parse(&std::env::var("CLINFL_TREE").ok()?)
+        let mut spec = SimulatorConfig::default();
+        spec.apply("tree", &std::env::var("CLINFL_TREE").ok()?)
+            .ok()?;
+        spec.tree
     }
 
     /// Parses `"<depth>"` or `"<depth>x<fanout>"`.
@@ -160,8 +164,10 @@ fn subtree_leaves(children: &[TreeChild]) -> usize {
         .sum()
 }
 
-/// Configuration of a simulated federation.
-#[derive(Clone, Debug)]
+/// Configuration of a simulated federation. Its text form — one
+/// `key = value` line per field a run's bits depend on — is in
+/// [`crate::spec`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimulatorConfig {
     /// Number of simulated sites (the paper uses 8).
     pub n_clients: usize,
@@ -181,7 +187,8 @@ pub struct SimulatorConfig {
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume from the checkpoint in `checkpoint_dir` (if one is valid);
     /// the run restarts at round *k+1*. Refused if the checkpoint was
-    /// written under a different `seed`.
+    /// written under a different `seed`, or under a spec that differs in
+    /// any key but `rounds`, `tree` and the checkpoint keys.
     pub resume: bool,
     /// Keep at most this many `round_<n>.cfw` files on disk (oldest
     /// pruned first); `None` keeps all.
@@ -424,6 +431,29 @@ impl SimulatorRunner {
             }
             t => t,
         };
+        // The effective spec: what this run's bits depend on, as resolved
+        // (topology included), plus the aggregation rule.
+        let effective = SimulatorConfig {
+            tree: topology,
+            ..self.config.clone()
+        };
+        let spec = format!(
+            "aggregator = {}\n{}",
+            aggregator.name(),
+            effective.to_text()
+        );
+        let recorded = sag_cfg.resume_from.as_ref().map(|c| c.spec.as_str());
+        // Checkpoints from before the spec record (v1/v2) carry none; the
+        // seed check above is all they get.
+        if let Some(why) = recorded
+            .filter(|r| !r.is_empty())
+            .and_then(|r| resume_mismatch(r, &spec))
+        {
+            return Err(FlareError::Checkpoint(format!(
+                "checkpoint was written under a different spec; refusing to resume \
+                 (the run would diverge): {why}"
+            )));
+        }
         // A flat fleet is the depth-1 tree: every root child is a leaf, and
         // nothing below distinguishes it from a deeper shape except that
         // relays only exist at depth >= 2.
@@ -532,15 +562,12 @@ impl SimulatorRunner {
                 }
             }
 
-            let mut sag = ScatterAndGather::new(sag_cfg, log.clone())
+            let sag = ScatterAndGather::new(sag_cfg, log.clone())
                 .with_run_seed(self.config.seed)
                 .with_registry(self.obs.clone())
                 .with_status(self.status.clone())
-                .with_abort(self.abort.clone());
-            if topology.is_some() {
-                // Flat runs keep the (0, 0) stamp.
-                sag = sag.with_topology(shape.depth, shape.fanout as u32);
-            }
+                .with_abort(self.abort.clone())
+                .with_spec(spec, topology);
             let workflow = sag.run(&mut server, aggregator, persistor.as_mut(), initial);
 
             // Stop the server BEFORE joining clients: dropping the

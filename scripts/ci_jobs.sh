@@ -16,6 +16,9 @@
 #   6. submit jobs whose names climb out of --checkpoint-root and require
 #      `clinfl job submit` to fail with HTTP 400 and nothing to appear
 #      outside "$DIR/ckpts"
+#   7. submit jobs naming the host-owned `checkpoint_dir`, `faults` and
+#      `retry_*` keys and one asking for 10^8 sites, and require HTTP 400
+#      for each
 #
 # Run from the repo root (scripts/check.sh does): scripts/ci_jobs.sh
 set -euo pipefail
@@ -88,5 +91,20 @@ done
 [ "$(outside)" = "$BEFORE" ] ||
     { echo "a rejected job wrote outside $DIR/ckpts"; diff <(echo "$BEFORE") <(outside); exit 1; }
 echo "==> escaping job names refused with HTTP 400, nothing written"
+
+# Host-owned keys (where the host writes, injected faults, retry
+# settings) and sizes that would exhaust the server are refused the same
+# way, and the server keeps serving.
+for LINE in 'checkpoint_dir = /tmp/x' 'clients = 100000000' \
+    'faults = delay:1000,delay_ms:4294967296000' 'retry_submit_copies = 4294967295' \
+    'retry_backoff_ms = 4294967296000'; do
+    if OUT=$(printf 'rounds = 1\n%s\n' "$LINE" | "$BIN" job submit 2>&1); then
+        echo "job with '$LINE' was accepted: $OUT"; exit 1
+    fi
+    grep -q 'HTTP 400' <<<"$OUT" ||
+        { echo "job with '$LINE': expected HTTP 400, got: $OUT"; exit 1; }
+done
+"$BIN" job list >/dev/null || { echo "server stopped serving after hostile jobs"; exit 1; }
+echo "==> host-owned keys and oversized fleets refused with HTTP 400"
 
 echo "==> jobs leg ok: survivor finished, doomed aborted, per-job dirs intact, names confined"

@@ -5,12 +5,13 @@
 //! end-to-end.
 
 use clinfl_flare::admin::{AdminServer, JobFactory};
-use clinfl_flare::codec::weights_bits_equal;
+use clinfl_flare::codec::{weights_bits_equal, CodecSpec, QuantMode};
+use clinfl_flare::controller::SagConfig;
 use clinfl_flare::executor::{ArithmeticExecutor, Executor, TaskContext};
 use clinfl_flare::filters::FilterChain;
 use clinfl_flare::job::{AggregatorKind, JobConfig};
 use clinfl_flare::jobs::{JobRuntime, JobSpec, JobState};
-use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
+use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner, TreeConfig};
 use clinfl_flare::{Dxo, WeightTensor, Weights};
 use clinfl_obs::json::Value;
 use std::io::{Read, Write};
@@ -115,19 +116,57 @@ fn job_config_median_aggregation_end_to_end() {
     assert_eq!(result.final_weights["p"].data, vec![4.0; 4]);
 }
 
-/// A job is a simulator run: the same clients, rounds, seed and
-/// aggregator through `JobRuntime` and through `SimulatorRunner::run`
-/// give bit-equal final weights and equal round summaries.
+/// A job is a simulator run: the same clients, rounds, seed, codec, tree
+/// and aggregator through `JobRuntime` and through `SimulatorRunner::run`
+/// give bit-equal final weights and equal round summaries. Each job text
+/// is checked against a hand-built config, so what is under test is the
+/// spec table's key → field mapping, not a re-parse.
 #[test]
 fn job_equals_simulator_run() {
-    for aggregator in ["fedavg", "trimmed_mean"] {
-        let config = format!(
-            "name = twin\nrounds = 3\nclients = 4\nmin_clients = 4\naggregator = {aggregator}\n"
-        );
+    let sim = |n_clients, wire, tree| SimulatorConfig {
+        n_clients,
+        sag: SagConfig {
+            rounds: 3,
+            min_clients: n_clients,
+            ..SagConfig::default()
+        },
+        seed: 31,
+        wire,
+        tree,
+        ..SimulatorConfig::default()
+    };
+    let cases = [
+        (
+            "clients = 4\nmin_clients = 4\naggregator = fedavg",
+            sim(4, CodecSpec::raw(), None),
+        ),
+        (
+            "clients = 4\nmin_clients = 4\naggregator = trimmed_mean",
+            sim(4, CodecSpec::raw(), None),
+        ),
+        (
+            "clients = 8\nmin_clients = 8\ncodec = delta+topk0.05+int8\ntree = 2x3",
+            sim(
+                8,
+                CodecSpec {
+                    delta: true,
+                    quant: QuantMode::Int8,
+                    topk_permille: Some(50),
+                },
+                Some(TreeConfig {
+                    depth: 2,
+                    fanout: 3,
+                }),
+            ),
+        ),
+    ];
+    for (keys, expected) in cases {
+        let config = format!("name = twin\nrounds = 3\n{keys}\n");
+        let parsed = JobConfig::parse(&config, &host(31)).unwrap();
+        assert_eq!(parsed.federation, expected, "{keys}");
         let job = run_one(&config, 31, arith_executor);
 
-        let parsed = JobConfig::parse(&config, &host(31)).unwrap();
-        let sim = SimulatorRunner::new(parsed.federation)
+        let sim = SimulatorRunner::new(expected)
             .run(
                 initial(),
                 arith_executor,
@@ -139,21 +178,13 @@ fn job_equals_simulator_run() {
 
         assert!(
             weights_bits_equal(&job.final_weights, &sim.final_weights),
-            "{aggregator}: job weights differ from the simulator's"
+            "{keys}: job weights differ from the simulator's"
         );
         assert_eq!(job.rounds.len(), sim.rounds.len());
         for (j, s) in job.rounds.iter().zip(&sim.rounds) {
-            assert_eq!(
-                j.contributors, s.contributors,
-                "{aggregator} round {}",
-                j.round
-            );
-            assert_eq!(j.dropped, s.dropped, "{aggregator} round {}", j.round);
-            assert_eq!(
-                j.global_metric, s.global_metric,
-                "{aggregator} round {}",
-                j.round
-            );
+            assert_eq!(j.contributors, s.contributors, "{keys} round {}", j.round);
+            assert_eq!(j.dropped, s.dropped, "{keys} round {}", j.round);
+            assert_eq!(j.global_metric, s.global_metric, "{keys} round {}", j.round);
         }
     }
 }
@@ -451,4 +482,45 @@ fn http_rejects_job_names_that_escape_the_checkpoint_root() {
     server.join();
     runtime.shutdown();
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// Job text is hostile input: a site count that would exhaust memory, a
+/// tree deep enough to exhaust the stack, and the host-owned checkpoint,
+/// fault and retry keys are all refused with a line-numbered HTTP 400, nothing is
+/// scheduled or written, and the server keeps serving.
+#[test]
+fn http_rejects_hostile_job_text() {
+    let root = std::env::temp_dir().join(format!("clinfl-hostile-jobs-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).unwrap();
+    let runtime = JobRuntime::new(1);
+    let factory =
+        clinfl::drivers::serve_job_factory(clinfl::PipelineConfig::scaled(256), Some(root.clone()));
+    let server = AdminServer::bind("127.0.0.1:0", runtime.clone(), factory).unwrap();
+    let addr = server.local_addr();
+
+    for (line, why) in [
+        ("clients = 10000000000", "invalid clients"),
+        ("tree = 1000000x2", "invalid tree"),
+        ("checkpoint_dir = /tmp/x", "set by the host"),
+        ("resume = true", "set by the host"),
+        ("retain = 1", "set by the host"),
+        (
+            "faults = delay:1000,delay_ms:4294967296000",
+            "set by the host",
+        ),
+        ("retry_submit_copies = 4294967295", "set by the host"),
+        ("retry_backoff_ms = 4294967296000", "set by the host"),
+    ] {
+        let (status, body) = http(addr, "POST", "/jobs", &format!("rounds = 1\n{line}\n"));
+        assert_eq!(status, 400, "{line}: {body}");
+        assert!(body.contains("line 2") && body.contains(why), "{body}");
+    }
+    assert_eq!(http(addr, "GET", "/healthz", "").0, 200);
+    assert!(runtime.list().is_empty(), "a rejected job was scheduled");
+    assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
+
+    server.join();
+    runtime.shutdown();
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -228,7 +228,7 @@ fn resume_child_worker() {
     }
     let mut cfg = sim_config(Some(&dir), faults, resume);
     if let Ok(w) = std::env::var("CLINFL_RESUME_CHILD_WIRE") {
-        cfg.wire = CodecSpec::parse(&w).expect("child wire codec");
+        cfg.apply("codec", &w).expect("child wire codec");
     }
     run_sim(cfg).expect("child federation run");
 }
@@ -319,6 +319,44 @@ fn codec_resume_matches_uninterrupted_bitwise() {
         ckpt.global, reference.workflow.final_weights,
         "codec resume diverged from the uninterrupted codec run"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resume must continue the run it claims to: every checkpoint records
+/// its run's spec, so a raw run killed after round 1 and resumed with
+/// `codec = delta` is refused, naming the key, before any round runs.
+#[test]
+fn resume_under_a_changed_codec_is_refused() {
+    let _serial = timing_guard();
+    let dir = chaos_dir("changed-spec");
+    let completed = spawn_child(&dir, "delay", None, Some(1), false);
+    assert!(!completed, "child finished instead of crashing");
+    let ckpt = assert_recoverable(&dir).expect("checkpoint after kill");
+    let round_files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("round_"))
+            .collect();
+        names.sort();
+        names
+    };
+    let before = round_files();
+
+    let mut cfg = sim_config(Some(&dir), delay_faults(SEED), true);
+    cfg.apply("codec", "delta").unwrap();
+    let err = run_sim(cfg).expect_err("a resume under another codec must be refused");
+    assert!(
+        matches!(&err, FlareError::Checkpoint(m)
+            if m.contains("codec: checkpoint has raw, this run has delta")),
+        "{err}"
+    );
+    assert_eq!(
+        round_files(),
+        before,
+        "the refused resume wrote a round file"
+    );
+    assert_eq!(assert_recoverable(&dir), Some(ckpt), "checkpoint changed");
     std::fs::remove_dir_all(&dir).ok();
 }
 

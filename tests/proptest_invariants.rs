@@ -1,17 +1,23 @@
 //! Property-based tests over the core invariants of the stack: wire-codec
-//! roundtrips, secure-channel integrity, gradient correctness, masking
-//! bounds, and partition conservation.
+//! roundtrips, spec-text roundtrips, secure-channel integrity, gradient
+//! correctness, masking bounds, and partition conservation.
 
 use clinfl_data::{ClassifyDataset, SitePartitioner};
 use clinfl_flare::checkpoint::RunCheckpoint;
-use clinfl_flare::controller::RoundSummary;
+use clinfl_flare::client::RetryPolicy;
+use clinfl_flare::codec::{CodecSpec, QuantMode};
+use clinfl_flare::controller::{RoundSummary, SagConfig};
+use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::messages::{ClientMessage, ServerMessage, TaskAssignment};
 use clinfl_flare::security::{DhKeyPair, SecureChannel};
+use clinfl_flare::simulator::{SimulatorConfig, TreeConfig};
+use clinfl_flare::spec::{MAX_SITES, MAX_TREE_DEPTH};
 use clinfl_flare::wire::{WireDecode, WireEncode};
 use clinfl_flare::{Dxo, WeightTensor, Weights};
 use clinfl_tensor::{gradcheck, Graph, Tensor};
 use clinfl_text::{ClinicalTokenizer, Encoded, MlmMasker, Vocab, IGNORE_INDEX};
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn arb_weights() -> impl Strategy<Value = Weights> {
     proptest::collection::btree_map(
@@ -53,19 +59,126 @@ fn arb_checkpoint() -> impl Strategy<Value = RunCheckpoint> {
         arb_weights(),
         proptest::collection::vec(arb_round_summary(), 0..4),
         (any::<bool>(), -1e3f64..1e3, any::<u32>()),
-        (0u32..4, 0u32..16),
+        (
+            (0u32..4, 0u32..16),
+            "([a-z_]{1,12} = [a-z0-9.+:,]{0,12}\n){0,6}",
+        ),
     )
         .prop_map(
-            |((seed, next_round, total_rounds), global, rounds, best, tree)| RunCheckpoint {
+            |((seed, next_round, total_rounds), global, rounds, best, (tree, spec))| {
+                RunCheckpoint {
+                    seed,
+                    next_round,
+                    total_rounds,
+                    global,
+                    rounds,
+                    best_metric: best.0.then_some(best.1),
+                    best_round: best.0.then_some(best.2),
+                    tree_depth: tree.0,
+                    tree_fanout: tree.1,
+                    spec,
+                }
+            },
+        )
+}
+
+fn opt<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), s).prop_map(|(some, v)| some.then_some(v))
+}
+
+fn arb_duration(max_s: u64) -> impl Strategy<Value = Duration> {
+    (0..=max_s * 1_000_000_000).prop_map(Duration::from_nanos)
+}
+
+/// Every config the spec grammar can express: all keys set, optional ones
+/// sometimes, the test-only hooks at their defaults.
+fn arb_spec() -> impl Strategy<Value = SimulatorConfig> {
+    let codec =
+        (any::<bool>(), 0u8..3, opt(1u16..=1000)).prop_map(|(delta, q, topk_permille)| CodecSpec {
+            delta,
+            quant: [QuantMode::F32, QuantMode::F16, QuantMode::Int8][q as usize],
+            topk_permille,
+        });
+    let faults = (
+        any::<u64>(),
+        (0u16..=1000, 0u16..=1000, 0u16..=1000),
+        arb_duration(10),
+        proptest::collection::btree_map(0usize..64, any::<u32>(), 0..3),
+    )
+        .prop_map(
+            |(seed, (drop, truncate, delay), pause, crash_at)| FaultConfig {
                 seed,
-                next_round,
-                total_rounds,
-                global,
-                rounds,
-                best_metric: best.0.then_some(best.1),
-                best_round: best.0.then_some(best.2),
-                tree_depth: tree.0,
-                tree_fanout: tree.1,
+                drop_permille: drop,
+                truncate_permille: truncate,
+                delay_permille: delay,
+                delay: pause,
+                crash_at,
+            },
+        );
+    let retry = (
+        any::<u32>(),
+        arb_duration(60),
+        arb_duration(4_000_000),
+        any::<bool>(),
+        any::<u32>(),
+    )
+        .prop_map(
+            |(max_attempts, backoff, message_timeout, heartbeat, submit_copies)| RetryPolicy {
+                max_attempts,
+                backoff,
+                message_timeout,
+                heartbeat,
+                submit_copies,
+            },
+        );
+    let sag = (
+        (any::<u32>(), any::<usize>()),
+        arb_duration(4_000_000_000),
+        any::<bool>(),
+        opt(arb_duration(3600)),
+        1e-9f64..=1.0,
+    )
+        .prop_map(
+            |((rounds, min_clients), round_timeout, validate_global, quorum_grace, fraction)| {
+                SagConfig {
+                    rounds,
+                    min_clients,
+                    round_timeout,
+                    validate_global,
+                    quorum_grace,
+                    resume_from: None,
+                    client_sample_fraction: fraction,
+                }
+            },
+        );
+    let tree = opt((1u32..=MAX_TREE_DEPTH, 2usize..100))
+        .prop_map(|t| t.map(|(depth, fanout)| TreeConfig { depth, fanout }));
+    let host = (
+        opt("[a-z0-9/_.-]{1,24}"),
+        any::<bool>(),
+        opt(any::<usize>()),
+    );
+    (
+        (1..=MAX_SITES, any::<u64>()),
+        sag,
+        (codec, tree, faults, retry),
+        host,
+    )
+        .prop_map(
+            |((n_clients, seed), sag, (wire, tree, faults, retry), (dir, resume, retain))| {
+                SimulatorConfig {
+                    n_clients,
+                    sag,
+                    seed,
+                    faults,
+                    retry,
+                    checkpoint_dir: dir.map(Into::into),
+                    resume,
+                    retain_checkpoints: retain,
+                    wire,
+                    tree,
+                    ..SimulatorConfig::default()
+                }
             },
         )
 }
@@ -104,6 +217,20 @@ proptest! {
     fn run_checkpoint_roundtrips(ckpt in arb_checkpoint()) {
         let back = RunCheckpoint::from_frame(&ckpt.to_frame()).unwrap();
         prop_assert_eq!(ckpt, back);
+    }
+
+    /// `apply` over the lines of `to_text()` rebuilds the config exactly:
+    /// the printed form loses nothing the grammar can express.
+    #[test]
+    fn spec_text_round_trips(spec in arb_spec()) {
+        let text = spec.to_text();
+        let mut back = SimulatorConfig::default();
+        for line in text.lines() {
+            let (key, value) = line.split_once(" = ").unwrap();
+            back.apply(key, value).unwrap();
+        }
+        prop_assert_eq!(&back, &spec, "{}", text);
+        prop_assert_eq!(back.to_text(), text);
     }
 
     #[test]
