@@ -3,55 +3,22 @@
 //! same federated LSTM task with increasingly biased site label
 //! distributions.
 
-use clinfl::{drivers, ClinicalExecutor, Learner, ModelSpec, PipelineConfig, TrainHyper};
+use clinfl::{drivers, ModelSpec, PipelineConfig};
 use clinfl_data::SitePartitioner;
-use clinfl_flare::aggregator::{Aggregator, CoordinateMedian, TrimmedMean, WeightedFedAvg};
-use clinfl_flare::controller::SagConfig;
-use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
+use clinfl_flare::job::AggregatorKind;
 use clinfl_flare::EventLog;
 
-fn run_with(cfg: &PipelineConfig, bias: f64, aggregator: &dyn Aggregator) -> f64 {
-    let seed = cfg.federation.seed;
-    let data = drivers::build_task_data(cfg);
+fn run_with(cfg: &PipelineConfig, bias: f64, aggregator: AggregatorKind) -> f64 {
+    let mut cfg = cfg.clone();
+    cfg.federation.sag.validate_global = false;
+    cfg.aggregator = aggregator;
     let partitioner = SitePartitioner::LabelSkew {
         n_sites: cfg.federation.n_clients,
         bias,
     };
-    let shards = partitioner.partition(&data.train, seed);
-    let hyper = TrainHyper::for_model(ModelSpec::Lstm);
-    let vocab = data.code_system.vocab().len();
-    let seed_learner = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
-    let initial = seed_learner.export_weights();
-    let log = EventLog::new();
-    let runner = SimulatorRunner::with_log(
-        SimulatorConfig {
-            sag: SagConfig {
-                validate_global: false,
-                ..cfg.federation.sag.clone()
-            },
-            ..cfg.federation.clone()
-        },
-        log.clone(),
-    );
-    let valid = data.valid.clone();
-    let result = runner
-        .run_simple(
-            initial,
-            |i, _| {
-                Box::new(ClinicalExecutor::new(
-                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed),
-                    shards[i].clone(),
-                    valid.clone(),
-                    cfg.local_epochs,
-                    log.clone(),
-                ))
-            },
-            aggregator,
-        )
-        .expect("simulation runs");
-    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
-    eval.load_weights(&result.workflow.final_weights);
-    eval.evaluate(&data.valid)
+    drivers::train_federated_with(&cfg, ModelSpec::Lstm, &partitioner, EventLog::new())
+        .expect("simulation runs")
+        .accuracy
 }
 
 fn main() {
@@ -66,9 +33,9 @@ fn main() {
         "bias", "WeightedFedAvg", "CoordinateMedian", "TrimmedMean"
     );
     for bias in [0.0, 0.5, 0.9] {
-        let fedavg = run_with(&cfg, bias, &WeightedFedAvg);
-        let median = run_with(&cfg, bias, &CoordinateMedian);
-        let trimmed = run_with(&cfg, bias, &TrimmedMean { trim: 1 });
+        let fedavg = run_with(&cfg, bias, AggregatorKind::WeightedFedAvg);
+        let median = run_with(&cfg, bias, AggregatorKind::CoordinateMedian);
+        let trimmed = run_with(&cfg, bias, AggregatorKind::TrimmedMean);
         println!(
             "{bias:<10} {:>15.1}% {:>17.1}% {:>13.1}%",
             100.0 * fedavg,

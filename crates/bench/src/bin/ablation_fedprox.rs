@@ -3,58 +3,21 @@
 //! penalizes local drift from the global model, which matters exactly when
 //! site distributions diverge.
 
-use clinfl::{drivers, ClinicalExecutor, Learner, ModelSpec, PipelineConfig, TrainHyper};
+use clinfl::{drivers, ModelSpec, PipelineConfig};
 use clinfl_data::SitePartitioner;
-use clinfl_flare::aggregator::WeightedFedAvg;
-use clinfl_flare::controller::SagConfig;
-use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
 use clinfl_flare::EventLog;
 
 fn run(cfg: &PipelineConfig, bias: f64, prox_mu: Option<f32>) -> f64 {
-    let seed = cfg.federation.seed;
-    let data = drivers::build_task_data(cfg);
-    let shards = SitePartitioner::LabelSkew {
+    let mut cfg = cfg.clone();
+    cfg.federation.sag.validate_global = false;
+    cfg.fedprox_mu = prox_mu;
+    let partitioner = SitePartitioner::LabelSkew {
         n_sites: cfg.federation.n_clients,
         bias,
-    }
-    .partition(&data.train, seed);
-    let hyper = TrainHyper::for_model(ModelSpec::Lstm);
-    let vocab = data.code_system.vocab().len();
-    let initial = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed).export_weights();
-    let log = EventLog::new();
-    let runner = SimulatorRunner::with_log(
-        SimulatorConfig {
-            sag: SagConfig {
-                validate_global: false,
-                ..cfg.federation.sag.clone()
-            },
-            ..cfg.federation.clone()
-        },
-        log.clone(),
-    );
-    let valid = data.valid.clone();
-    let result = runner
-        .run_simple(
-            initial,
-            |i, _| {
-                let mut ex = ClinicalExecutor::new(
-                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed),
-                    shards[i].clone(),
-                    valid.clone(),
-                    cfg.local_epochs,
-                    log.clone(),
-                );
-                if let Some(mu) = prox_mu {
-                    ex = ex.with_prox(mu);
-                }
-                Box::new(ex)
-            },
-            &WeightedFedAvg,
-        )
-        .expect("simulation runs");
-    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
-    eval.load_weights(&result.workflow.final_weights);
-    eval.evaluate(&data.valid)
+    };
+    drivers::train_federated_with(&cfg, ModelSpec::Lstm, &partitioner, EventLog::new())
+        .expect("simulation runs")
+        .accuracy
 }
 
 fn main() {

@@ -2,12 +2,9 @@
 //! LSTM task — differential-privacy noise sweep and secure-aggregation
 //! masking, measuring the accuracy cost of each privacy mechanism.
 
-use clinfl::{drivers, ClinicalExecutor, Learner, ModelSpec, PipelineConfig, TrainHyper};
-use clinfl_flare::aggregator::{Aggregator, MaskedSum, WeightedFedAvg};
-use clinfl_flare::controller::SagConfig;
-use clinfl_flare::filters::{DpGaussian, FilterChain, SecureAggMask};
-use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
-use clinfl_flare::EventLog;
+use clinfl::{drivers, ModelSpec, PipelineConfig};
+use clinfl_flare::job::AggregatorKind;
+use clinfl_flare::privacy::DpConfig;
 
 enum Privacy {
     None,
@@ -16,69 +13,23 @@ enum Privacy {
 }
 
 fn run(cfg: &PipelineConfig, privacy: &Privacy) -> f64 {
-    let seed = cfg.federation.seed;
-    let data = drivers::build_task_data(cfg);
-    let shards = cfg.imbalanced_partitioner().partition(&data.train, seed);
-    let hyper = TrainHyper::for_model(ModelSpec::Lstm);
-    let vocab = data.code_system.vocab().len();
-    let initial = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed).export_weights();
-    let log = EventLog::new();
-    let runner = SimulatorRunner::with_log(
-        SimulatorConfig {
-            sag: SagConfig {
-                min_clients: cfg.federation.n_clients,
-                validate_global: false,
-                ..cfg.federation.sag.clone()
-            },
-            ..cfg.federation.clone()
-        },
-        log.clone(),
-    );
-    let aggregator: Box<dyn Aggregator> = match privacy {
-        Privacy::SecureAgg => Box::new(MaskedSum),
-        _ => Box::new(WeightedFedAvg),
-    };
-    let n_sites = cfg.federation.n_clients;
-    let valid = data.valid.clone();
-    let result = runner
-        .run(
-            initial,
-            |i, _| {
-                Box::new(ClinicalExecutor::new(
-                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed),
-                    shards[i].clone(),
-                    valid.clone(),
-                    cfg.local_epochs,
-                    log.clone(),
-                ))
-            },
-            aggregator.as_ref(),
-            |i| {
-                let mut chain = FilterChain::new();
-                match privacy {
-                    Privacy::None => {}
-                    Privacy::Dp { sigma } => {
-                        chain.push(Box::new(DpGaussian {
-                            clip_norm: 10.0,
-                            sigma: *sigma,
-                            seed: seed ^ i as u64,
-                        }));
-                    }
-                    Privacy::SecureAgg => {
-                        chain.push(Box::new(SecureAggMask {
-                            site_index: i,
-                            n_sites,
-                            session_seed: seed,
-                        }));
-                    }
-                }
-                chain
-            },
-        )
-        .expect("simulation runs");
-    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, seed);
-    eval.load_weights(&result.workflow.final_weights);
-    eval.evaluate(&data.valid)
+    let mut cfg = cfg.clone();
+    cfg.federation.sag.min_clients = cfg.federation.n_clients;
+    cfg.federation.sag.validate_global = false;
+    match privacy {
+        Privacy::None => {}
+        Privacy::Dp { sigma } => {
+            cfg.federation.dp = Some(DpConfig {
+                clip: 10.0,
+                sigma: *sigma,
+                delta: 1e-5,
+            })
+        }
+        Privacy::SecureAgg => cfg.aggregator = AggregatorKind::MaskedSum,
+    }
+    drivers::train_federated(&cfg, ModelSpec::Lstm)
+        .expect("simulation runs")
+        .accuracy
 }
 
 fn main() {

@@ -23,6 +23,7 @@
 
 use clinfl::{drivers, ModelSpec, PipelineConfig};
 use clinfl_data::SitePartitioner;
+use clinfl_flare::privacy::DpConfig;
 use clinfl_flare::EventLog;
 use clinfl_obs::json::Value;
 
@@ -97,8 +98,11 @@ fn run_cell(cell: &Cell) -> drivers::TrainOutcome {
     let mut cfg = base_config();
     cfg.federation.sag.client_sample_fraction = cell.sample_fraction;
     if cell.dp {
-        cfg.dp_clip = Some(DP_CLIP);
-        cfg.dp_sigma = DP_SIGMA;
+        cfg.federation.dp = Some(DpConfig {
+            clip: DP_CLIP,
+            sigma: DP_SIGMA,
+            delta: 1e-5,
+        });
     }
     if cell.fedprox_mu > 0.0 {
         cfg.fedprox_mu = Some(cell.fedprox_mu);

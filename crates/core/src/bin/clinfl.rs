@@ -5,8 +5,7 @@
 //! clinfl centralized --model lstm --scale 16
 //! clinfl standalone  --model bert-mini --scale 16
 //! clinfl federated   --model lstm --scale 16 [--balanced] [--echo]
-//!                    [--dirichlet A] [--dp-clip C] [--dp-sigma S]
-//!                    [--dp-delta D] [--fedprox-mu M] [--personalize-epochs N]
+//!                    [--dirichlet A] [--fedprox-mu M] [--personalize-epochs N]
 //!                    [--resume D] [--<spec key> VALUE ...]
 //! clinfl pretrain    --scale 64 --scheme centralized
 //! clinfl table3      --scale 10
@@ -23,17 +22,17 @@
 //! (`clinfl_flare::spec`, the `key = value` lines of a `clinfl serve` job)
 //! as `--<key> VALUE`: `--clients 4`, `--codec delta+topk0.05+int8`
 //! (DESIGN.md §3g), `--tree 2x3` (depth-2, fan-out-3 aggregation tree,
-//! DESIGN.md §3h), `--sample-fraction 0.5`, `--checkpoint-dir D`,
-//! `--retain N`, … (`--wire-codec` and dashes for underscores are
-//! aliases). `--resume D` resumes the run checkpointed in `D` under the
-//! same spec, bar `rounds` and the checkpoint keys.
+//! DESIGN.md §3h), `--sample-fraction 0.5`, `--dp clip:1,sigma:0.8`
+//! (DP-SGD: clip each site's update to L2 norm 1, add Gaussian noise
+//! 0.8·1, and print the cumulative (ε, δ) at `delta` (default 1e-5) at
+//! the end), `--checkpoint-dir D`, `--retain N`, … (`--wire-codec` and
+//! dashes for underscores are aliases). `--resume D` resumes the run
+//! checkpointed in `D` under the same spec, bar `rounds` and the
+//! checkpoint keys.
 //!
 //! Scenario knobs (DESIGN.md §3k): `--dirichlet A` draws the site
 //! partition from a symmetric Dirichlet(α) (lower α = more quantity
-//! skew); `--dp-clip C` + `--dp-sigma S` enable DP-SGD (clip each
-//! site's update to L2 norm `C`, add Gaussian noise `S·C`), with the
-//! cumulative (ε, δ) at `--dp-delta D` (default 1e-5) printed at the
-//! end; `--fedprox-mu M` adds the FedProx proximal term; and
+//! skew); `--fedprox-mu M` adds the FedProx proximal term; and
 //! `--personalize-epochs N` fine-tunes the final global model locally at
 //! each site for `N` epochs after the federation.
 //!
@@ -79,8 +78,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: clinfl <centralized|standalone|federated|pretrain|table3|fig2> \
          [--scale N] [--model lstm|bert|bert-mini] [--scheme centralized|small|fl-imbalanced|fl-balanced] \
-         [--balanced] [--dirichlet A] [--echo] [--resume D] [--dp-clip C] [--dp-sigma S] [--dp-delta D] \
-         [--fedprox-mu M] [--personalize-epochs N]\n\
+         [--balanced] [--dirichlet A] [--echo] [--resume D] [--fedprox-mu M] [--personalize-epochs N]\n\
          \x20      federation (spec keys):{keys}\n\
          \x20      clinfl serve [--addr A] [--addr-file F] [--max-jobs N] [--scale N] [--checkpoint-root D]\n\
          \x20      clinfl job <submit|list|abort|metrics> [--addr A] [--file F] [--id N] [--follow]"
@@ -355,9 +353,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
             }
             "--dirichlet" => args.dirichlet = Some(num(flag, value()?)?),
-            "--dp-clip" => cfg.dp_clip = Some(num(flag, value()?)?),
-            "--dp-sigma" => cfg.dp_sigma = num(flag, value()?)?,
-            "--dp-delta" => cfg.dp_delta = num(flag, value()?)?,
             "--fedprox-mu" => cfg.fedprox_mu = Some(num(flag, value()?)?),
             "--personalize-epochs" => cfg.personalize_epochs = num(flag, value()?)?,
             "--resume" => {
@@ -381,8 +376,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if let Some(alpha) = args.dirichlet.filter(|a| a.is_nan() || *a <= 0.0) {
         return Err(format!("--dirichlet alpha must be positive, got {alpha}"));
     }
-    cfg.dp_params()
-        .map_err(|e| format!("invalid DP config: {e}"))?;
     // The paper's imbalanced ratios define exactly 8 sites.
     let imbalanced = match args.command.as_str() {
         "federated" => !args.balanced && args.dirichlet.is_none(),
@@ -549,7 +542,7 @@ mod tests {
     fn federation_flags_are_spec_keys() {
         let args = parse(
             "federated --balanced --clients 4 --wire-codec delta+int8 --tree 2x3 \
-             --sample-fraction 0.5 --min_clients 2 --retain 3 --resume runs/a",
+             --sample-fraction 0.5 --min_clients 2 --retain 3 --resume runs/a --dp clip:2",
         )
         .unwrap();
         let text = args.cfg.federation.to_text();
@@ -557,6 +550,7 @@ mod tests {
             "checkpoint_dir = runs/a",
             "clients = 4",
             "codec = delta+int8",
+            "dp = clip:2,sigma:1,delta:0.00001",
             "min_clients = 2",
             "resume = true",
             "retain = 3",
@@ -579,7 +573,8 @@ mod tests {
             ("federated --sample-fraction NaN", "sample_fraction"),
             ("federated --balanced --clients 5000", "clients"),
             ("federated --tree-depth 2", "tree_depth"),
-            ("federated --dp-clip -1", "DP"),
+            ("federated --dp clip:-1", "invalid dp"),
+            ("federated --dp-clip 1", "dp_clip"),
             ("federated --clients", "needs a value"),
             ("federated --dirichlet 0", "alpha"),
         ] {

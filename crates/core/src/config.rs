@@ -2,6 +2,7 @@
 
 use clinfl_data::{CohortSpec, PretrainSpec};
 use clinfl_flare::controller::SagConfig;
+use clinfl_flare::job::AggregatorKind;
 use clinfl_flare::simulator::SimulatorConfig;
 use std::time::Duration;
 
@@ -112,18 +113,11 @@ pub struct PipelineConfig {
     /// The federation every federated phase runs, and the master seed
     /// (`federation.seed`): sites (paper: 8), fine-tuning rounds `E`,
     /// quorum and deadlines, faults, retry, checkpoints, wire codec,
-    /// aggregation tree and client sampling.
+    /// aggregation tree, client sampling and DP-SGD (`federation.dp`).
     pub federation: SimulatorConfig,
-    /// DP-SGD clipping norm: each site's weight delta is clipped to this
-    /// global L2 norm before Gaussian noise is added. `None` disables the
-    /// DP filter entirely (no clipping, no noise, no accountant).
-    pub dp_clip: Option<f32>,
-    /// DP-SGD noise multiplier σ (noise std = `dp_sigma · dp_clip` per
-    /// coordinate). Only meaningful with `dp_clip` set.
-    pub dp_sigma: f32,
-    /// Target δ of the (ε, δ) guarantee tracked by
-    /// `clinfl_flare::privacy::DpAccountant`.
-    pub dp_delta: f64,
+    /// Aggregation rule of federated fine-tuning (the job key
+    /// `aggregator`); `masked_sum` brings its site masks along.
+    pub aggregator: AggregatorKind,
     /// FedProx proximal coefficient μ: local training adds
     /// `μ/2 · ‖w − w_global‖²` to anchor sites near the global model
     /// under non-IID drift. `None` keeps plain FedAvg local training.
@@ -156,9 +150,7 @@ impl PipelineConfig {
                 seed: 20230,
                 ..SimulatorConfig::default()
             },
-            dp_clip: None,
-            dp_sigma: 1.0,
-            dp_delta: 1e-5,
+            aggregator: AggregatorKind::WeightedFedAvg,
             fedprox_mu: None,
             personalize_epochs: 0,
         }
@@ -208,32 +200,6 @@ impl PipelineConfig {
             n_sites: self.federation.n_clients,
         }
     }
-
-    /// Resolves the DP-SGD knobs: `Ok(None)` when DP is off (`dp_clip`
-    /// unset), `Ok(Some((clip, sigma)))` when on and in range.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when `dp_clip`, `dp_sigma`, or `dp_delta`
-    /// is out of range.
-    pub fn dp_params(&self) -> Result<Option<(f32, f32)>, String> {
-        let Some(clip) = self.dp_clip else {
-            return Ok(None);
-        };
-        if !(clip > 0.0 && clip.is_finite()) {
-            return Err(format!("dp_clip {clip} must be a positive finite norm"));
-        }
-        if !(self.dp_sigma > 0.0 && self.dp_sigma.is_finite()) {
-            return Err(format!(
-                "dp_sigma {} must be a positive finite noise multiplier",
-                self.dp_sigma
-            ));
-        }
-        if !(self.dp_delta > 0.0 && self.dp_delta < 1.0) {
-            return Err(format!("dp_delta {} must be in (0, 1)", self.dp_delta));
-        }
-        Ok(Some((clip, self.dp_sigma)))
-    }
 }
 
 #[cfg(test)]
@@ -274,6 +240,7 @@ mod tests {
         assert_eq!(fed.checkpoint_dir, None);
         assert!(!fed.resume);
         assert_eq!(fed.retain_checkpoints, None);
+        assert_eq!(fed.dp, None);
     }
 
     #[test]
@@ -289,19 +256,6 @@ mod tests {
         assert!(
             TrainHyper::for_model(ModelSpec::Lstm).lr > TrainHyper::for_model(ModelSpec::Bert).lr
         );
-    }
-
-    #[test]
-    fn dp_params_validate() {
-        let mut cfg = PipelineConfig::paper();
-        assert_eq!(cfg.dp_params(), Ok(None));
-        cfg.dp_clip = Some(1.0);
-        assert_eq!(cfg.dp_params(), Ok(Some((1.0, 1.0))));
-        cfg.dp_sigma = 0.0;
-        assert!(cfg.dp_params().is_err());
-        cfg.dp_sigma = 1.0;
-        cfg.dp_delta = 1.0;
-        assert!(cfg.dp_params().is_err());
     }
 
     #[test]

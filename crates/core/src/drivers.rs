@@ -6,11 +6,10 @@ use crate::executor::{ClinicalExecutor, MlmExecutor};
 use crate::learner::{Learner, MlmLearner, ParkArena, ParkOnDrop};
 use clinfl_data::{generate_cohort, generate_corpus, ClassifyDataset, CodeSystem, SitePartitioner};
 use clinfl_flare::aggregator::WeightedFedAvg;
-use clinfl_flare::filters::{DpGaussian, FilterChain};
+use clinfl_flare::executor::Executor;
 use clinfl_flare::job::JobConfig;
-use clinfl_flare::privacy::DpAccountant;
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
-use clinfl_flare::{EventLog, FlareError};
+use clinfl_flare::{EventLog, FlareError, Weights};
 use clinfl_models::BertConfig;
 use clinfl_tensor::LrSchedule;
 use clinfl_text::{ClinicalTokenizer, Encoded};
@@ -62,6 +61,8 @@ pub struct TrainOutcome {
     /// Cumulative `(ε, δ)` from the DP accountant (`None` when DP-SGD is
     /// off).
     pub privacy: Option<(f64, f64)>,
+    /// The final global model (federated runs only).
+    pub global: Option<Weights>,
 }
 
 /// Centralized training: one model over the pooled dataset — the paper's
@@ -102,6 +103,7 @@ fn centralized_on(
         personalized_per_site: Vec::new(),
         personalized_mean: None,
         privacy: None,
+        global: None,
     }
 }
 
@@ -146,8 +148,75 @@ pub fn train_standalone(cfg: &PipelineConfig, spec: ModelSpec) -> StandaloneOutc
     }
 }
 
+/// The sites of one clinical federation: the task data, its training set
+/// split over the sites by a partitioner, and one ADR-classifier trainer
+/// per shard. Every federated fine-tuning run builds its sites here —
+/// `clinfl federated`, each `clinfl serve` job, the ablations — so one
+/// config and seed give the same sites, and the same bits, whichever
+/// front end asks.
+#[derive(Debug)]
+pub struct ClinicalSites {
+    /// Validation split every site, and the final evaluation, score on.
+    pub valid: ClassifyDataset,
+    /// Each site's training shard, in site order.
+    pub shards: Vec<ClassifyDataset>,
+    model: ModelSpec,
+    hyper: TrainHyper,
+    vocab_size: usize,
+    seq_len: usize,
+    local_epochs: u32,
+    fedprox_mu: Option<f32>,
+    seed: u64,
+}
+
+impl ClinicalSites {
+    /// Builds `cfg`'s task data and splits its training set with
+    /// `partitioner`.
+    pub fn build(cfg: &PipelineConfig, model: ModelSpec, partitioner: &SitePartitioner) -> Self {
+        let seed = cfg.federation.seed;
+        let data = build_task_data(cfg);
+        ClinicalSites {
+            shards: partitioner.partition(&data.train, seed ^ 0xA17),
+            valid: data.valid,
+            model,
+            hyper: TrainHyper::for_model(model),
+            vocab_size: data.code_system.vocab().len(),
+            seq_len: cfg.seq_len,
+            local_epochs: cfg.local_epochs,
+            fedprox_mu: cfg.fedprox_mu,
+            seed,
+        }
+    }
+
+    /// A fresh learner of the federation's model, seeded with `seed`.
+    pub fn learner(&self, seed: u64) -> Learner {
+        Learner::new(self.model, self.vocab_size, self.seq_len, self.hyper, seed)
+    }
+
+    /// The initial global weights.
+    pub fn initial(&self) -> Weights {
+        self.learner(self.seed).export_weights()
+    }
+
+    /// Site `i`'s trainer (FedProx when the config asks for it), logging
+    /// into `log`.
+    pub fn executor(&self, i: usize, log: &EventLog) -> Box<dyn Executor> {
+        let mut executor = ClinicalExecutor::new(
+            self.learner(self.seed),
+            self.shards[i].clone(),
+            self.valid.clone(),
+            self.local_epochs,
+            log.clone(),
+        );
+        if let Some(mu) = self.fedprox_mu {
+            executor = executor.with_prox(mu);
+        }
+        Box::new(executor)
+    }
+}
+
 /// Federated training over the paper's 8-site imbalanced partition using
-/// the ScatterAndGather workflow and weighted FedAvg.
+/// the ScatterAndGather workflow.
 ///
 /// # Errors
 ///
@@ -156,8 +225,10 @@ pub fn train_federated(cfg: &PipelineConfig, spec: ModelSpec) -> Result<TrainOut
     train_federated_with(cfg, spec, &cfg.imbalanced_partitioner(), EventLog::new())
 }
 
-/// Federated training with an explicit partitioner and log (used by the
-/// benches for the balanced-vs-imbalanced ablation and the Fig. 3 demo).
+/// Federated training with an explicit partitioner and log: the
+/// [`ClinicalSites`] of `cfg` run `cfg.federation` (DP-SGD included) under
+/// `cfg.aggregator`, then the global model is scored and, with
+/// `personalize_epochs`, fine-tuned per site.
 ///
 /// # Errors
 ///
@@ -168,79 +239,20 @@ pub fn train_federated_with(
     partitioner: &SitePartitioner,
     log: EventLog,
 ) -> Result<TrainOutcome, FlareError> {
+    let sites = ClinicalSites::build(cfg, spec, partitioner);
     let seed = cfg.federation.seed;
-    let data = build_task_data(cfg);
-    let shards = partitioner.partition(&data.train, seed ^ 0xA17);
-    let hyper = TrainHyper::for_model(spec);
-    let vocab_size = data.code_system.vocab().len();
-
-    let dp = cfg
-        .dp_params()
-        .map_err(|e| FlareError::Codec(format!("bad DP config: {e}")))?;
-
-    let seed_learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
-    let initial = seed_learner.export_weights();
-
-    let runner = SimulatorRunner::with_log(cfg.federation.clone(), log.clone());
-    let valid = data.valid.clone();
-    let result = runner.run(
-        initial,
-        |i, _site| {
-            let learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
-            let mut executor = ClinicalExecutor::new(
-                learner,
-                shards[i].clone(),
-                valid.clone(),
-                cfg.local_epochs,
-                log.clone(),
-            );
-            if let Some(mu) = cfg.fedprox_mu {
-                executor = executor.with_prox(mu);
-            }
-            Box::new(executor)
-        },
-        &WeightedFedAvg,
-        |i| {
-            // With DP on, every site's outgoing update is clipped and
-            // noised before it leaves the client — the server only ever
-            // sees the privatized delta.
-            let mut chain = FilterChain::new();
-            if let Some((clip, sigma)) = dp {
-                chain.push(Box::new(DpGaussian {
-                    clip_norm: clip,
-                    sigma,
-                    seed: seed ^ (i as u64 + 1).wrapping_mul(0xD1FF),
-                }));
-            }
-            chain
-        },
+    let result = SimulatorRunner::with_log(cfg.federation.clone(), log.clone()).run_simple(
+        sites.initial(),
+        |i, _site| sites.executor(i, &log),
+        cfg.aggregator.build().as_ref(),
     )?;
-
-    // DP accounting: one noised release per completed round, amplified by
-    // the effective per-round sampling rate k/n (mirroring
-    // `clinfl_flare::controller::sample_sites`' k = ceil(fraction·n)).
-    let privacy = dp.map(|(_clip, sigma)| {
-        let n = cfg.federation.n_clients.max(1);
-        let fraction = cfg.federation.sag.client_sample_fraction;
-        let q = if fraction >= 1.0 {
-            1.0
-        } else {
-            ((fraction.max(0.0) * n as f64).ceil() as usize).clamp(1, n) as f64 / n as f64
-        };
-        let mut acc = DpAccountant::new(f64::from(sigma), q, cfg.dp_delta);
-        for _ in &result.workflow.rounds {
-            acc.step();
-        }
-        acc.publish(&clinfl_obs::Registry::global());
-        (acc.epsilon(), acc.delta())
-    });
 
     // Server-side final evaluation of the aggregated model on the full
     // validation split.
     let final_weights = &result.workflow.final_weights;
-    let mut eval = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
+    let mut eval = sites.learner(seed);
     eval.load_weights(final_weights);
-    let accuracy = eval.evaluate(&data.valid);
+    let accuracy = eval.evaluate(&sites.valid);
     eval.park_arena(); // back to the queue the sites left it in
 
     // Personalization arm: each site fine-tunes the final global model on
@@ -249,24 +261,24 @@ pub fn train_federated_with(
     // output never depends on the thread schedule).
     let mut personalized_per_site = Vec::new();
     if cfg.personalize_epochs > 0 {
-        personalized_per_site = vec![0.0f64; shards.len()];
+        personalized_per_site = vec![0.0f64; sites.shards.len()];
         std::thread::scope(|s| {
-            for (i, (shard, slot)) in shards
+            for (i, (shard, slot)) in sites
+                .shards
                 .iter()
                 .zip(personalized_per_site.iter_mut())
                 .enumerate()
             {
-                let valid = &data.valid;
+                let sites = &sites;
                 s.spawn(move || {
                     let _permit = clinfl_tensor::pool::compute_permit();
-                    let seed = seed.wrapping_add(0x9E + i as u64);
-                    let mut learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, seed);
+                    let mut learner = sites.learner(seed.wrapping_add(0x9E + i as u64));
                     let mut learner = ParkOnDrop(&mut learner);
                     learner.load_weights(final_weights);
                     for _ in 0..cfg.personalize_epochs {
                         learner.train_epoch(shard);
                     }
-                    *slot = learner.evaluate(valid);
+                    *slot = learner.evaluate(&sites.valid);
                 });
             }
         });
@@ -294,7 +306,8 @@ pub fn train_federated_with(
         log: Some(result.log),
         personalized_per_site,
         personalized_mean,
-        privacy,
+        privacy: result.privacy,
+        global: Some(result.workflow.final_weights),
     })
 }
 
@@ -305,12 +318,14 @@ pub fn train_federated_with(
 /// Builds the job factory behind `clinfl serve`: each submitted job text
 /// is parsed by [`JobConfig::parse`] onto `SimulatorConfig::default()`
 /// carrying `base`'s seed, and becomes a private clinical federation at
-/// `base`'s scale. The job's `model` key picks the architecture (`lstm` /
-/// `bert` / `bert-mini`, default `lstm`), `clients` sizes a balanced
-/// partition, and `seed` (if set) re-seeds data generation and training
-/// so two same-seed jobs are bit-identical. With `checkpoint_root`,
-/// every job persists into its own `job-<n>-<name>` subdirectory — never
-/// a shared one, which the persistor's lock file would refuse anyway.
+/// `base`'s scale — the [`ClinicalSites`] `clinfl federated --balanced`
+/// builds from the same keys. The job's `model` key picks the
+/// architecture (`lstm` / `bert` / `bert-mini`, default `lstm`), `clients`
+/// sizes a balanced partition, and `seed` (if set) re-seeds data
+/// generation and training so two same-seed jobs are bit-identical. With
+/// `checkpoint_root`, every job persists into its own `job-<n>-<name>`
+/// subdirectory — never a shared one, which the persistor's lock file
+/// would refuse anyway.
 pub fn serve_job_factory(
     base: PipelineConfig,
     checkpoint_root: Option<std::path::PathBuf>,
@@ -343,30 +358,12 @@ pub fn serve_job_factory(
             federation: config.federation.clone(),
             ..base.clone()
         };
-        let seed = cfg.federation.seed;
-        let data = build_task_data(&cfg);
-        let shards = cfg
-            .balanced_partitioner()
-            .partition(&data.train, seed ^ 0xA17);
-        let hyper = TrainHyper::for_model(model);
-        let vocab_size = data.code_system.vocab().len();
-        let initial = Learner::new(model, vocab_size, cfg.seq_len, hyper, seed).export_weights();
-        let valid = data.valid;
+        let sites = ClinicalSites::build(&cfg, model, &cfg.balanced_partitioner());
         let log = EventLog::new();
-        let (seq_len, local_epochs) = (cfg.seq_len, cfg.local_epochs);
         Ok(clinfl_flare::jobs::JobSpec {
             config,
-            initial,
-            make_executor: Box::new(move |i, _site| {
-                let learner = Learner::new(model, vocab_size, seq_len, hyper, seed);
-                Box::new(ClinicalExecutor::new(
-                    learner,
-                    shards[i % shards.len()].clone(),
-                    valid.clone(),
-                    local_epochs,
-                    log.clone(),
-                ))
-            }),
+            initial: sites.initial(),
+            make_executor: Box::new(move |i, _site| sites.executor(i, &log)),
         })
     })
 }
@@ -640,8 +637,7 @@ mod tests {
     fn federated_scenario_knobs_run() {
         let mut cfg = tiny_cfg();
         cfg.federation.sag.client_sample_fraction = 0.5;
-        cfg.dp_clip = Some(1.0);
-        cfg.dp_sigma = 0.8;
+        cfg.federation.apply("dp", "clip:1,sigma:0.8").unwrap();
         cfg.fedprox_mu = Some(0.01);
         cfg.personalize_epochs = 1;
         let out = train_federated(&cfg, ModelSpec::Lstm).unwrap();

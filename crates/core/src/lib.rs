@@ -18,8 +18,9 @@
 //!   [`clinfl_models::SequenceClassifier`],
 //! * [`ClinicalExecutor`] / [`MlmExecutor`] — the NVFlare executors
 //!   (the `CiBertLearner` of the paper's Fig. 3),
-//! * [`drivers`] — centralized / standalone / federated fine-tuning and
-//!   the four MLM pretraining schemes,
+//! * [`drivers`] — centralized / standalone / federated fine-tuning (every
+//!   federated run's sites from one [`drivers::ClinicalSites`]) and the
+//!   four MLM pretraining schemes,
 //! * [`experiments`] — typed runners regenerating Table III and Fig. 2.
 //!
 //! ## Quickstart

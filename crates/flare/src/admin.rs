@@ -385,6 +385,10 @@ fn job_to_json(info: &JobInfo) -> Value {
             info.error.clone().map(Value::Str).unwrap_or(Value::Null),
         ),
         ("spec", Value::Str(info.spec.clone())),
+        (
+            "epsilon",
+            info.epsilon.map(Value::Float).unwrap_or(Value::Null),
+        ),
     ])
 }
 

@@ -5,6 +5,7 @@
 //! robust aggregators are extensions used by the ablation benches.
 
 use crate::dxo::{Dxo, WeightTensor, Weights};
+use crate::filters::{Filter, SecureAggMask};
 use crate::FlareError;
 
 /// An aggregation rule combining per-site updates into a new global model.
@@ -23,6 +24,15 @@ pub trait Aggregator: Send + Sync {
 
     /// Human-readable rule name (for logs and bench tables).
     fn name(&self) -> &'static str;
+
+    /// The filter this rule needs last in site `site`'s outgoing chain
+    /// (of `n_sites`, in a run seeded with `seed`);
+    /// [`crate::simulator::SimulatorRunner::run`] appends it. Plain rules
+    /// need none.
+    fn site_filter(&self, site: usize, n_sites: usize, seed: u64) -> Option<Box<dyn Filter>> {
+        let _ = (site, n_sites, seed);
+        None
+    }
 
     /// Whether this rule decomposes over disjoint shards: an interior
     /// tree-aggregator node may combine its shard with [`Aggregator::partial`]
@@ -127,8 +137,9 @@ impl Aggregator for WeightedFedAvg {
 
 /// Masked-sum aggregation for the secure-aggregation filter: sums the
 /// (mask-cancelling) client payloads and divides by the total example
-/// count. Clients must pre-multiply their weights by `n_examples`
-/// (see [`crate::filters::SecureAggMask`]).
+/// count. Clients must pre-multiply their weights by `n_examples` and
+/// mask them ([`SecureAggMask`], which [`Aggregator::site_filter`] hands
+/// the simulator for every site).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MaskedSum;
 
@@ -174,6 +185,15 @@ impl Aggregator for MaskedSum {
 
     fn name(&self) -> &'static str {
         "MaskedSum"
+    }
+
+    /// The pairwise masks, seeded by the run seed over all `n_sites`.
+    fn site_filter(&self, site: usize, n_sites: usize, seed: u64) -> Option<Box<dyn Filter>> {
+        Some(Box::new(SecureAggMask {
+            site_index: site,
+            n_sites,
+            session_seed: seed,
+        }))
     }
 
     fn supports_partial(&self) -> bool {

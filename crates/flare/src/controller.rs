@@ -87,7 +87,7 @@ pub fn sample_sites(run_seed: u64, round: u32, fraction: f64, sites: &[String]) 
     if n == 0 || fraction >= 1.0 {
         return sites.to_vec();
     }
-    let k = ((fraction.max(0.0) * n as f64).ceil() as usize).clamp(1, n);
+    let k = sample_count(fraction, n);
     let mut order: Vec<usize> = (0..n).collect();
     let mut state =
         run_seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED_5A3B_1E55_0113;
@@ -98,6 +98,12 @@ pub fn sample_sites(run_seed: u64, round: u32, fraction: f64, sites: &[String]) 
     let mut chosen: Vec<String> = order[..k].iter().map(|&i| sites[i].clone()).collect();
     chosen.sort();
     chosen
+}
+
+/// How many of `n` sites a round at sampling `fraction` trains:
+/// `ceil(fraction · n)`, at least one and at most all of them.
+pub fn sample_count(fraction: f64, n: usize) -> usize {
+    ((fraction.max(0.0) * n as f64).ceil() as usize).clamp(1, n.max(1))
 }
 
 fn splitmix64(state: &mut u64) -> u64 {

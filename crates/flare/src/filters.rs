@@ -41,6 +41,12 @@ impl FilterChain {
         self
     }
 
+    /// Appends every filter of `other`, in order.
+    pub fn append(&mut self, mut other: FilterChain) -> &mut Self {
+        self.filters.append(&mut other.filters);
+        self
+    }
+
     /// Number of filters.
     pub fn len(&self) -> usize {
         self.filters.len()

@@ -161,6 +161,15 @@ impl JobConfig {
             }
         }
         cfg.federation.validate().map_err(FlareError::Codec)?;
+        if cfg.aggregator == AggregatorKind::MaskedSum
+            && cfg.federation.sag.client_sample_fraction < 1.0
+        {
+            return Err(FlareError::Codec(
+                "masked_sum needs every site every round: its masks cancel only in the full sum, \
+                 so sample_fraction must be 1"
+                    .into(),
+            ));
+        }
         Ok(cfg)
     }
 }
@@ -311,6 +320,9 @@ mod tests {
             ("retry_max_attempts = 4294967295", "set by the host"),
             ("retry_message_timeout_s = 4294967296", "set by the host"),
             ("retry_heartbeat = false", "set by the host"),
+            ("dp = clip:1,sigma:0", "invalid dp"),
+            ("dp = clip:inf", "invalid dp"),
+            ("dp = clip:1,delta:1", "invalid dp"),
         ] {
             let msg = parse(&format!("rounds = 1\n{line}\n"))
                 .unwrap_err()
@@ -331,6 +343,20 @@ mod tests {
             "{msg}"
         );
         assert!(parse("clients = 3\nmin_clients = 3\n").is_ok());
+    }
+
+    /// DP-SGD is a job key; `masked_sum`'s masks cancel only over every
+    /// site, so a sampled masked-sum job is refused.
+    #[test]
+    fn dp_is_a_job_key_and_masked_sum_needs_every_site() {
+        let job = parse("dp = clip:2,sigma:0.5\n").unwrap();
+        let dp = job.federation.dp.unwrap();
+        assert_eq!((dp.clip, dp.sigma, dp.delta), (2.0, 0.5, 1e-5));
+        let msg = parse("aggregator = masked_sum\nsample_fraction = 0.5\n")
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("masked_sum needs every site"), "{msg}");
+        assert!(parse("aggregator = masked_sum\n").is_ok());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::dxo::Weights;
 use crate::executor::Executor;
 use crate::job::JobConfig;
 use crate::log::EventLog;
-use crate::simulator::SimulatorRunner;
+use crate::simulator::{SimulationResult, SimulatorRunner};
 use crate::FlareError;
 use clinfl_obs::Registry;
 use std::collections::BTreeMap;
@@ -131,6 +131,9 @@ pub struct JobInfo {
     /// The job's federation spec in canonical text form (see
     /// [`crate::spec`]): sites, rounds, codec, tree, faults and the rest.
     pub spec: String,
+    /// ε of the finished run's `(ε, δ)` when the job trained with DP-SGD
+    /// (δ is in `spec`).
+    pub epsilon: Option<f64>,
     /// Error display when `state == Failed`.
     pub error: Option<String>,
 }
@@ -146,6 +149,7 @@ struct JobEntry {
     obs: Registry,
     abort: Arc<AtomicBool>,
     result: Option<WorkflowResult>,
+    epsilon: Option<f64>,
     error: Option<String>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -239,6 +243,7 @@ impl JobRuntime {
             obs: obs.clone(),
             abort: abort.clone(),
             result: None,
+            epsilon: None,
             error: None,
             handle: None,
         };
@@ -268,7 +273,8 @@ impl JobRuntime {
             match outcome {
                 Ok(result) => {
                     entry.state = JobState::Finished;
-                    entry.result = Some(result);
+                    entry.epsilon = result.privacy.map(|(eps, _)| eps);
+                    entry.result = Some(result.workflow);
                 }
                 Err(FlareError::Aborted) => entry.state = JobState::Aborted,
                 Err(e) => {
@@ -391,6 +397,7 @@ fn info_of(id: u64, e: &JobEntry) -> JobInfo {
         clients: e.clients,
         rounds: e.rounds,
         spec: e.spec.clone(),
+        epsilon: e.epsilon,
         error: e.error.clone(),
     }
 }
@@ -407,7 +414,7 @@ fn run_job(
     status: &crate::admin::RunStatus,
     abort: &Arc<AtomicBool>,
     log: &EventLog,
-) -> Result<WorkflowResult, FlareError> {
+) -> Result<SimulationResult, FlareError> {
     let JobConfig {
         name,
         aggregator,
@@ -427,7 +434,6 @@ fn run_job(
             spec.make_executor,
             aggregator.build().as_ref(),
         )
-        .map(|result| result.workflow)
 }
 
 #[cfg(test)]
@@ -478,6 +484,25 @@ mod tests {
         assert_eq!(result.rounds.len(), 3);
         // mean(1, 2) = 1.5 added per round over 3 rounds.
         assert_eq!(result.final_weights["p"].data, vec![4.5; 4]);
+        rt.join_all();
+    }
+
+    /// A `masked_sum` job gets its masks: the masked sum recovers the
+    /// weighted mean (deltas 1 and 2 over 3 rounds), where unmasked
+    /// payloads would have been divided by the example count.
+    #[test]
+    fn masked_sum_job_recovers_the_mean() {
+        let rt = JobRuntime::new(1);
+        let mut job = spec("masked", 3, 2, 7);
+        job.config.aggregator = crate::job::AggregatorKind::MaskedSum;
+        let id = rt.submit(job);
+        assert_eq!(
+            rt.wait(id, Duration::from_secs(30)),
+            Some(JobState::Finished)
+        );
+        for &v in &rt.result(id).unwrap().final_weights["p"].data {
+            assert!((v - 4.5).abs() < 1e-2, "expected ≈4.5 got {v}");
+        }
         rt.join_all();
     }
 

@@ -20,6 +20,14 @@
 //! The accountant is deterministic, allocation-light, and published per
 //! round as obs gauges (`flare.dp.epsilon_micro`, in millionths, because
 //! [`clinfl_obs::Gauge`] is integral).
+//!
+//! A federation asks for DP-SGD with the spec key `dp` ([`DpConfig`]);
+//! [`crate::simulator::SimulatorRunner::run`] then puts the filter first
+//! in every site's outgoing chain and runs the accountant over the
+//! completed rounds.
+
+use crate::filters::DpGaussian;
+use std::fmt;
 
 /// Rényi orders the conversion minimizes over (the standard Opacus-style
 /// grid: dense low orders where subsampled losses bottom out, sparse high
@@ -130,6 +138,92 @@ impl DpAccountant {
         obs.gauge("flare.dp.delta_exp")
             .set((-self.delta.log10()).ceil() as i64);
         obs.gauge("flare.dp.rounds").set(self.steps as i64);
+    }
+}
+
+/// DP-SGD settings of a federation: the value of the spec key `dp`,
+/// `clip:C[,sigma:S][,delta:D]` (σ defaults to 1, δ to 1e-5).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DpConfig {
+    /// Global L2 norm each site's weight delta is clipped to.
+    pub clip: f32,
+    /// Noise multiplier σ: per-coordinate noise std is `sigma · clip`.
+    pub sigma: f32,
+    /// Target δ of the tracked (ε, δ) guarantee.
+    pub delta: f64,
+}
+
+impl DpConfig {
+    /// Parses `clip:C[,sigma:S][,delta:D]` in any order, `clip` required.
+    ///
+    /// # Errors
+    ///
+    /// A message for a missing `clip`, an unknown or repeated item, a
+    /// non-finite or non-positive `clip` or `sigma`, or a `delta` outside
+    /// `(0, 1)` — every value [`DpAccountant::new`] would panic on.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let (mut clip, mut sigma, mut delta) = (None, None, None);
+        for item in s.split(',').map(str::trim) {
+            let bad = || format!("bad dp item {item:?}");
+            let (name, value) = item.split_once(':').ok_or_else(bad)?;
+            let slot = match name {
+                "clip" => &mut clip,
+                "sigma" => &mut sigma,
+                "delta" => &mut delta,
+                _ => return Err(bad()),
+            };
+            if slot.replace(value).is_some() {
+                return Err(format!("dp item {name:?} given twice"));
+            }
+        }
+        let positive = |name: &str, v: &str| match v.parse::<f32>() {
+            Ok(x) if x > 0.0 && x.is_finite() => Ok(x),
+            _ => Err(format!(
+                "dp {name} must be a positive finite number, got {v:?}"
+            )),
+        };
+        Ok(DpConfig {
+            clip: positive("clip", clip.ok_or("dp needs clip:C")?)?,
+            sigma: sigma.map_or(Ok(1.0), |v| positive("sigma", v))?,
+            delta: match delta.map(str::parse::<f64>) {
+                None => 1e-5,
+                Some(Ok(d)) if d > 0.0 && d < 1.0 => d,
+                _ => {
+                    let got = delta.unwrap_or_default();
+                    return Err(format!("dp delta must be in (0, 1), got {got:?}"));
+                }
+            },
+        })
+    }
+
+    /// Site `site`'s noise filter in a run seeded with `run_seed`.
+    pub fn filter(&self, run_seed: u64, site: usize) -> DpGaussian {
+        DpGaussian {
+            clip_norm: self.clip,
+            sigma: self.sigma,
+            seed: run_seed ^ (site as u64 + 1).wrapping_mul(0xD1FF),
+        }
+    }
+
+    /// The accountant after `rounds` releases at per-round sampling rate
+    /// `sample_rate`.
+    pub fn account(&self, sample_rate: f64, rounds: usize) -> DpAccountant {
+        let mut acc = DpAccountant::new(f64::from(self.sigma), sample_rate, self.delta);
+        for _ in 0..rounds {
+            acc.step();
+        }
+        acc
+    }
+}
+
+/// The canonical text form [`DpConfig::parse`] reads back.
+impl fmt::Display for DpConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "clip:{},sigma:{},delta:{}",
+            self.clip, self.sigma, self.delta
+        )
     }
 }
 

@@ -5,13 +5,14 @@ use crate::admin::RunStatus;
 use crate::aggregator::Aggregator;
 use crate::client::{ClientBehavior, FlClient, RetryPolicy};
 use crate::codec::CodecSpec;
-use crate::controller::{SagConfig, ScatterAndGather, WorkflowResult};
+use crate::controller::{sample_count, SagConfig, ScatterAndGather, WorkflowResult};
 use crate::dxo::Weights;
 use crate::executor::Executor;
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::filters::FilterChain;
 use crate::log::EventLog;
 use crate::persistor::{FilePersistor, InMemoryPersistor, Persistor};
+use crate::privacy::DpConfig;
 use crate::provision::{dh_secret, Project, Provisioned, SitePackage, RELAY_INDEX};
 use crate::relay::{AggregatorNode, RelayConfig};
 use crate::server::FlServer;
@@ -208,6 +209,10 @@ pub struct SimulatorConfig {
     /// instead. Trees need an aggregation rule with
     /// [`Aggregator::supports_partial`]; others warn and run flat.
     pub tree: Option<TreeConfig>,
+    /// DP-SGD: every site's outgoing update is clipped and noised first
+    /// in its filter chain, and the run reports its (ε, δ). `None` runs
+    /// without DP.
+    pub dp: Option<DpConfig>,
 }
 
 impl Default for SimulatorConfig {
@@ -226,6 +231,7 @@ impl Default for SimulatorConfig {
             wire_overrides: BTreeMap::new(),
             server_codecs_enabled: true,
             tree: None,
+            dp: None,
         }
     }
 }
@@ -254,6 +260,9 @@ pub struct SimulationResult {
     pub client_rounds: Vec<u32>,
     /// The run log.
     pub log: EventLog,
+    /// Cumulative `(ε, δ)` over the completed rounds when the run used
+    /// DP-SGD ([`SimulatorConfig::dp`]).
+    pub privacy: Option<(f64, f64)>,
 }
 
 /// Builds and runs an in-process federation: provision → server → client
@@ -329,7 +338,10 @@ impl SimulatorRunner {
     /// `make_executor` is called once per site, in site order (with its
     /// index and name), on the launching thread; the produced executor
     /// moves to that site's thread. `make_filters` may return a per-site
-    /// outgoing filter chain.
+    /// outgoing filter chain. With [`SimulatorConfig::dp`] set, the DP
+    /// filter runs before it; the filter the aggregation rule needs
+    /// ([`Aggregator::site_filter`], `MaskedSum`'s masks) runs after it,
+    /// so the masks see the final, privatized update.
     ///
     /// # Errors
     ///
@@ -523,7 +535,14 @@ impl SimulatorRunner {
                     behavior.drop_at_round = plan.crash_round(job.index);
                 }
                 let mut executor = make_executor(job.index, &job.package.site_name);
-                let filters = make_filters(job.index);
+                let mut filters = FilterChain::new();
+                if let Some(dp) = self.config.dp {
+                    filters.push(Box::new(dp.filter(self.config.seed, job.index)));
+                }
+                filters.append(make_filters(job.index));
+                if let Some(f) = aggregator.site_filter(job.index, n, self.config.seed) {
+                    filters.push(f);
+                }
                 let clog = log.clone();
                 let obs = self.obs.clone();
                 let secret = dh_secret(self.config.seed, job.index as u64 + 1);
@@ -619,11 +638,20 @@ impl SimulatorRunner {
             }
         }
         let workflow = workflow?;
+        // One noised release per completed round, amplified by the
+        // per-round sampling rate k/n.
+        let privacy = self.config.dp.map(|dp| {
+            let k = sample_count(self.config.sag.client_sample_fraction, n);
+            let acc = dp.account(k as f64 / n as f64, workflow.rounds.len());
+            acc.publish(&self.obs);
+            (acc.epsilon(), acc.delta())
+        });
         log.info("SimulatorRunner", "Simulation complete.");
         Ok(SimulationResult {
             workflow,
             client_rounds,
             log,
+            privacy,
         })
     }
 
@@ -743,8 +771,8 @@ mod tests {
         w
     }
 
-    fn sim(n: usize, rounds: u32) -> SimulatorRunner {
-        SimulatorRunner::new(SimulatorConfig {
+    fn sim_config(n: usize, rounds: u32) -> SimulatorConfig {
+        SimulatorConfig {
             n_clients: n,
             sag: SagConfig {
                 rounds,
@@ -755,7 +783,11 @@ mod tests {
             },
             seed: 7,
             ..SimulatorConfig::default()
-        })
+        }
+    }
+
+    fn sim(n: usize, rounds: u32) -> SimulatorRunner {
+        SimulatorRunner::new(sim_config(n, rounds))
     }
 
     #[test]
@@ -999,6 +1031,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `dp` is part of the recorded spec: turning DP on for a resume is
+    /// refused, naming the key.
+    #[test]
+    fn resume_with_dp_turned_on_is_refused() {
+        let dir = std::env::temp_dir().join(format!("clinfl-sim-dp-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        SimulatorRunner::new(ckpt_cfg(&dir, 2, 7))
+            .run_simple(initial(), exec, &WeightedFedAvg)
+            .unwrap();
+        let mut resume_cfg = ckpt_cfg(&dir, 4, 7);
+        resume_cfg.resume = true;
+        resume_cfg.apply("dp", "clip:1").unwrap();
+        let err = SimulatorRunner::new(resume_cfg)
+            .run_simple(initial(), exec, &WeightedFedAvg)
+            .unwrap_err();
+        assert!(
+            matches!(&err, FlareError::Checkpoint(m) if m.contains("dp: checkpoint has (unset)")),
+            "unexpected error {err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn tree_config_parses_and_autosizes() {
         assert_eq!(
@@ -1137,14 +1191,13 @@ mod tests {
         assert_eq!(res.workflow.rounds.len(), 2);
     }
 
+    /// `MaskedSum` brings its masks: every site's update is scaled and
+    /// masked, and the masked sum recovers the mean.
     #[test]
     fn secure_aggregation_end_to_end() {
         use crate::aggregator::MaskedSum;
-        use crate::filters::SecureAggMask;
-        let n = 4;
-        let runner = sim(n, 2);
-        let res = runner
-            .run(
+        let res = sim(4, 2)
+            .run_simple(
                 initial(),
                 |_, _| {
                     Box::new(ArithmeticExecutor {
@@ -1153,15 +1206,6 @@ mod tests {
                     })
                 },
                 &MaskedSum,
-                |i| {
-                    let mut chain = FilterChain::new();
-                    chain.push(Box::new(SecureAggMask {
-                        site_index: i,
-                        n_sites: n,
-                        session_seed: 42,
-                    }));
-                    chain
-                },
             )
             .unwrap();
         // All clients move +1 per round; masked sum must recover it.
@@ -1169,5 +1213,42 @@ mod tests {
         for v in &final_w.data {
             assert!((v - 2.0).abs() < 1e-2, "expected ≈2.0 got {v}");
         }
+    }
+
+    /// The `dp` key puts exactly the filter a caller used to build by hand
+    /// (same clip, noise and per-site seed) in front of the site's chain,
+    /// and reports the run's (ε, δ).
+    #[test]
+    fn dp_key_matches_a_hand_built_filter_and_reports_privacy() {
+        use crate::filters::DpGaussian;
+        use crate::privacy::DpAccountant;
+        let dp = DpConfig {
+            clip: 0.5,
+            sigma: 0.1,
+            delta: 1e-5,
+        };
+        let keyed = SimulatorRunner::new(SimulatorConfig {
+            dp: Some(dp),
+            ..sim_config(3, 2)
+        })
+        .run_simple(initial(), exec, &WeightedFedAvg)
+        .unwrap();
+        let by_hand = sim(3, 2)
+            .run(initial(), exec, &WeightedFedAvg, |i| {
+                let mut chain = FilterChain::new();
+                chain.push(Box::new(DpGaussian {
+                    clip_norm: 0.5,
+                    sigma: 0.1,
+                    seed: 7 ^ (i as u64 + 1).wrapping_mul(0xD1FF),
+                }));
+                chain
+            })
+            .unwrap();
+        assert_eq!(keyed.workflow.final_weights, by_hand.workflow.final_weights);
+        assert_eq!(by_hand.privacy, None);
+        let mut acc = DpAccountant::new(f64::from(0.1f32), 1.0, 1e-5);
+        acc.step();
+        acc.step();
+        assert_eq!(keyed.privacy, Some((acc.epsilon(), 1e-5)));
     }
 }

@@ -14,6 +14,7 @@
 //! ```text
 //! clients = 8
 //! codec = delta+topk0.05+int8
+//! dp = clip:1,sigma:0.8,delta:0.00001
 //! faults = none
 //! min_clients = 1
 //! rounds = 10
@@ -31,6 +32,7 @@
 
 use crate::codec::CodecSpec;
 use crate::faults::FaultConfig;
+use crate::privacy::DpConfig;
 use crate::simulator::{SimulatorConfig, TreeConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -92,6 +94,15 @@ pub const SPEC_KEYS: &[SpecKey] = &[
         hint: "CODEC",
         get: |c| Some(c.wire.to_string()),
         set: |c, v| put(&mut c.wire, CodecSpec::parse(v)),
+    },
+    SpecKey {
+        name: "dp",
+        hint: "clip:C[,sigma:S][,delta:D]",
+        get: |c| c.dp.map(|dp| dp.to_string()),
+        set: |c, v| match v {
+            "off" => put(&mut c.dp, Ok(None)),
+            dp => put(&mut c.dp, DpConfig::parse(dp).map(Some)),
+        },
     },
     SpecKey {
         name: "faults",
@@ -371,7 +382,7 @@ mod tests {
     #[test]
     fn default_text_round_trips_and_omits_unset_options() {
         let text = SimulatorConfig::default().to_text();
-        for absent in ["checkpoint_dir", "quorum_grace_ms", "retain", "tree"] {
+        for absent in ["checkpoint_dir", "dp", "quorum_grace_ms", "retain", "tree"] {
             assert_eq!(spec_value(&text, absent), None, "{text}");
         }
         assert_eq!(spec_value(&text, "codec"), Some("raw"));
@@ -389,6 +400,7 @@ mod tests {
         for (k, v) in [
             ("clients", "12"),
             ("codec", "delta+topk0.05+int8"),
+            ("dp", "sigma:0.8, clip:1.5"),
             ("faults", "aggressive,seed:4"),
             ("quorum_grace_ms", "250"),
             ("retry_message_timeout_s", "1.5"),
@@ -402,6 +414,14 @@ mod tests {
         assert_eq!(c.n_clients, 12);
         assert_eq!(c.wire.quant, QuantMode::Int8);
         assert_eq!(c.wire.topk_permille, Some(50));
+        assert_eq!(
+            c.dp,
+            Some(DpConfig {
+                clip: 1.5,
+                sigma: 0.8,
+                delta: 1e-5
+            })
+        );
         assert_eq!(c.faults, FaultConfig::aggressive(4));
         assert_eq!(c.sag.quorum_grace, Some(Duration::from_millis(250)));
         assert_eq!(c.retry.message_timeout, Duration::from_millis(1500));
@@ -432,6 +452,16 @@ mod tests {
             ("faults", "drop:1001"),
             ("faults", "crash:5"),
             ("codec", "zip"),
+            ("dp", "sigma:1"),
+            ("dp", "clip:0"),
+            ("dp", "clip:NaN"),
+            ("dp", "clip:1e39"),
+            ("dp", "clip:1,sigma:0"),
+            ("dp", "clip:1,sigma:inf"),
+            ("dp", "clip:1,delta:1"),
+            ("dp", "clip:1,delta:0"),
+            ("dp", "clip:1,clip:2"),
+            ("dp", "clip:1,noise:2"),
             ("validate", "maybe"),
             ("bogus", "1"),
         ] {
@@ -441,6 +471,13 @@ mod tests {
         assert_eq!(c, SimulatorConfig::default());
         c.apply("clients", &MAX_SITES.to_string()).unwrap();
         c.apply("tree", &format!("{MAX_TREE_DEPTH}x2")).unwrap();
+        c.apply("dp", "clip:1").unwrap();
+        assert_eq!(
+            spec_value(&c.to_text(), "dp"),
+            Some("clip:1,sigma:1,delta:0.00001")
+        );
+        c.apply("dp", "off").unwrap();
+        assert_eq!(c.dp, None);
     }
 
     #[test]
@@ -487,6 +524,7 @@ mod tests {
         assert_eq!(resume_mismatch(&a.to_text(), &b.to_text()), None);
         b.apply("codec", "delta").unwrap();
         a.apply("quorum_grace_ms", "100").unwrap();
+        b.apply("dp", "clip:1").unwrap();
         let why = resume_mismatch(&a.to_text(), &b.to_text()).unwrap();
         assert!(
             why.contains("codec: checkpoint has raw, this run has delta"),
@@ -494,6 +532,10 @@ mod tests {
         );
         assert!(
             why.contains("quorum_grace_ms: checkpoint has 100, this run has (unset)"),
+            "{why}"
+        );
+        assert!(
+            why.contains("dp: checkpoint has (unset), this run has clip:1,sigma:1,delta:0.00001"),
             "{why}"
         );
     }

@@ -17,8 +17,10 @@
 #      `clinfl job submit` to fail with HTTP 400 and nothing to appear
 #      outside "$DIR/ckpts"
 #   7. submit jobs naming the host-owned `checkpoint_dir`, `faults` and
-#      `retry_*` keys and one asking for 10^8 sites, and require HTTP 400
-#      for each
+#      `retry_*` keys, one asking for 10^8 sites and one with a DP noise
+#      multiplier of 0, and require HTTP 400 for each
+#   8. submit a DP-SGD job (`dp = clip:1,sigma:0.8`) and require it to
+#      finish with its spec's `dp` line and a numeric `epsilon`
 #
 # Run from the repo root (scripts/check.sh does): scripts/ci_jobs.sh
 set -euo pipefail
@@ -97,7 +99,7 @@ echo "==> escaping job names refused with HTTP 400, nothing written"
 # way, and the server keeps serving.
 for LINE in 'checkpoint_dir = /tmp/x' 'clients = 100000000' \
     'faults = delay:1000,delay_ms:4294967296000' 'retry_submit_copies = 4294967295' \
-    'retry_backoff_ms = 4294967296000'; do
+    'retry_backoff_ms = 4294967296000' 'dp = clip:1,sigma:0'; do
     if OUT=$(printf 'rounds = 1\n%s\n' "$LINE" | "$BIN" job submit 2>&1); then
         echo "job with '$LINE' was accepted: $OUT"; exit 1
     fi
@@ -105,6 +107,23 @@ for LINE in 'checkpoint_dir = /tmp/x' 'clients = 100000000' \
         { echo "job with '$LINE': expected HTTP 400, got: $OUT"; exit 1; }
 done
 "$BIN" job list >/dev/null || { echo "server stopped serving after hostile jobs"; exit 1; }
-echo "==> host-owned keys and oversized fleets refused with HTTP 400"
+echo "==> host-owned keys, oversized fleets and bad DP settings refused with HTTP 400"
 
-echo "==> jobs leg ok: survivor finished, doomed aborted, per-job dirs intact, names confined"
+# DP-SGD is a job key: the simulator noises every site's update and the
+# finished job reports its epsilon.
+printf 'name = private\nrounds = 2\nclients = 2\nmin_clients = 2\nseed = 3\ndp = clip:1,sigma:0.8\n' |
+    "$BIN" job submit >"$DIR/private.json"
+PRIV=$(grep -o '"id":[0-9]*' "$DIR/private.json" | head -1 | cut -d: -f2)
+for _ in $(seq 600); do
+    "$BIN" job list >"$DIR/list.json"
+    grep -q "\"id\":$PRIV,\"name\":\"private\",\"state\":\"finished\"" "$DIR/list.json" && break
+    sleep 0.2
+done
+grep -o "{\"id\":$PRIV,[^}]*}" "$DIR/list.json" >"$DIR/private-info.json"
+grep -q '"state":"finished"' "$DIR/private-info.json" &&
+    grep -q 'dp = clip:1,sigma:0.8,delta:0.00001' "$DIR/private-info.json" &&
+    grep -q '"epsilon":[0-9]' "$DIR/private-info.json" ||
+    { echo "DP job did not finish with its spec and epsilon"; cat "$DIR/list.json"; exit 1; }
+echo "==> DP job finished: $(grep -o '"epsilon":[0-9.e+-]*' "$DIR/private-info.json")"
+
+echo "==> jobs leg ok: survivor finished, doomed aborted, per-job dirs intact, names confined, DP job accounted"

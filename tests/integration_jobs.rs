@@ -12,7 +12,7 @@ use clinfl_flare::filters::FilterChain;
 use clinfl_flare::job::{AggregatorKind, JobConfig};
 use clinfl_flare::jobs::{JobRuntime, JobSpec, JobState};
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner, TreeConfig};
-use clinfl_flare::{Dxo, WeightTensor, Weights};
+use clinfl_flare::{Dxo, EventLog, WeightTensor, Weights};
 use clinfl_obs::json::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -279,6 +279,62 @@ fn same_seed_clinical_jobs_concurrent_equals_solo() {
     rt.join_all();
 }
 
+/// One clinical federation: a served job with a codec, a `2x3` tree,
+/// 0.5 sampling and DP-SGD, submitted over HTTP, trains the same sites to
+/// the same bits as `clinfl federated --balanced` given the same keys,
+/// and `GET /jobs/{id}` shows its spec and the ε the CLI prints.
+#[test]
+fn dp_job_over_http_equals_the_cli_run() {
+    let keys = [
+        ("clients", "4"),
+        ("rounds", "2"),
+        ("seed", "5"),
+        ("codec", "delta+topk0.05+int8"),
+        ("tree", "2x3"),
+        ("sample_fraction", "0.5"),
+        ("dp", "clip:1,sigma:0.8"),
+    ];
+    let base = clinfl::PipelineConfig::scaled(256);
+    let runtime = JobRuntime::new(1);
+    let factory = clinfl::drivers::serve_job_factory(base.clone(), None);
+    let server = AdminServer::bind("127.0.0.1:0", runtime.clone(), factory).unwrap();
+    let addr = server.local_addr();
+    let text: String = keys.iter().map(|(k, v)| format!("{k} = {v}\n")).collect();
+    let id = submit(addr, &format!("name = dp-twin\n{text}"));
+    wait_state(addr, id, "finished", Duration::from_secs(300));
+    let (_, body) = http(addr, "GET", &format!("/jobs/{id}"), "");
+    let info = Value::parse(&body).unwrap();
+    let spec = info.get("spec").and_then(Value::as_str).unwrap();
+    assert!(
+        spec.contains("dp = clip:1,sigma:0.8,delta:0.00001\n"),
+        "{spec}"
+    );
+    let epsilon = info.get("epsilon").and_then(Value::as_f64).unwrap();
+    let job = runtime.result(id).unwrap().final_weights;
+    server.join();
+    runtime.shutdown();
+
+    // The CLI run: `--balanced --scale 256` plus the same keys as flags.
+    let mut cfg = base;
+    for (k, v) in keys {
+        cfg.federation.apply(k, v).unwrap();
+    }
+    let partitioner = cfg.balanced_partitioner();
+    let cli = clinfl::drivers::train_federated_with(
+        &cfg,
+        clinfl::ModelSpec::Lstm,
+        &partitioner,
+        EventLog::new(),
+    )
+    .unwrap();
+    assert!(
+        weights_bits_equal(&job, cli.global.as_ref().unwrap()),
+        "the served job diverged from the CLI run"
+    );
+    let (cli_eps, _) = cli.privacy.unwrap();
+    assert!(cli_eps > 0.0 && (epsilon - cli_eps).abs() <= 1e-9 * cli_eps);
+}
+
 // ---------------------------------------------------------------------
 // Admin HTTP end-to-end
 // ---------------------------------------------------------------------
@@ -485,9 +541,10 @@ fn http_rejects_job_names_that_escape_the_checkpoint_root() {
 }
 
 /// Job text is hostile input: a site count that would exhaust memory, a
-/// tree deep enough to exhaust the stack, and the host-owned checkpoint,
-/// fault and retry keys are all refused with a line-numbered HTTP 400, nothing is
-/// scheduled or written, and the server keeps serving.
+/// tree deep enough to exhaust the stack, a DP setting the accountant
+/// cannot take, and the host-owned checkpoint, fault and retry keys are
+/// all refused with a line-numbered HTTP 400, nothing is scheduled or
+/// written, and the server keeps serving.
 #[test]
 fn http_rejects_hostile_job_text() {
     let root = std::env::temp_dir().join(format!("clinfl-hostile-jobs-{}", std::process::id()));
@@ -511,6 +568,7 @@ fn http_rejects_hostile_job_text() {
         ),
         ("retry_submit_copies = 4294967295", "set by the host"),
         ("retry_backoff_ms = 4294967296000", "set by the host"),
+        ("dp = clip:1,sigma:0", "invalid dp"),
     ] {
         let (status, body) = http(addr, "POST", "/jobs", &format!("rounds = 1\n{line}\n"));
         assert_eq!(status, 400, "{line}: {body}");

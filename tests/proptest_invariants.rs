@@ -9,6 +9,7 @@ use clinfl_flare::codec::{CodecSpec, QuantMode};
 use clinfl_flare::controller::{RoundSummary, SagConfig};
 use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::messages::{ClientMessage, ServerMessage, TaskAssignment};
+use clinfl_flare::privacy::DpConfig;
 use clinfl_flare::security::{DhKeyPair, SecureChannel};
 use clinfl_flare::simulator::{SimulatorConfig, TreeConfig};
 use clinfl_flare::spec::{MAX_SITES, MAX_TREE_DEPTH};
@@ -153,6 +154,8 @@ fn arb_spec() -> impl Strategy<Value = SimulatorConfig> {
         );
     let tree = opt((1u32..=MAX_TREE_DEPTH, 2usize..100))
         .prop_map(|t| t.map(|(depth, fanout)| TreeConfig { depth, fanout }));
+    let dp = opt((1e-6f32..1e6, 1e-6f32..1e3, 1e-12f64..0.999))
+        .prop_map(|dp| dp.map(|(clip, sigma, delta)| DpConfig { clip, sigma, delta }));
     let host = (
         opt("[a-z0-9/_.-]{1,24}"),
         any::<bool>(),
@@ -161,11 +164,11 @@ fn arb_spec() -> impl Strategy<Value = SimulatorConfig> {
     (
         (1..=MAX_SITES, any::<u64>()),
         sag,
-        (codec, tree, faults, retry),
+        (codec, tree, faults, retry, dp),
         host,
     )
         .prop_map(
-            |((n_clients, seed), sag, (wire, tree, faults, retry), (dir, resume, retain))| {
+            |((n_clients, seed), sag, (wire, tree, faults, retry, dp), (dir, resume, retain))| {
                 SimulatorConfig {
                     n_clients,
                     sag,
@@ -177,6 +180,7 @@ fn arb_spec() -> impl Strategy<Value = SimulatorConfig> {
                     retain_checkpoints: retain,
                     wire,
                     tree,
+                    dp,
                     ..SimulatorConfig::default()
                 }
             },

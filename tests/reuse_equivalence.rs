@@ -5,7 +5,7 @@
 //! sites park their arena after every task (what the shipped executors do)
 //! must end on the same bits as one whose sites keep it.
 
-use clinfl::{drivers, ClinicalExecutor, Learner, ModelSpec, PipelineConfig, TrainHyper};
+use clinfl::{drivers, Learner, ModelSpec, PipelineConfig};
 use clinfl_data::ClassifyDataset;
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::codec::weights_bits_equal;
@@ -183,35 +183,23 @@ fn federate(spec: ModelSpec, tree: Option<TreeConfig>, park: bool) -> (Weights, 
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 200;
     cfg.federation.seed = 31;
-    let data = drivers::build_task_data(&cfg);
-    let shards = cfg
-        .imbalanced_partitioner()
-        .partition(&data.train, cfg.federation.seed ^ 0xA17);
-    let hyper = TrainHyper::for_model(spec);
-    let vocab = data.code_system.vocab().len();
-    let learner = || Learner::new(spec, vocab, cfg.seq_len, hyper, cfg.federation.seed);
+    cfg.local_epochs = 1;
+    let sites = drivers::ClinicalSites::build(&cfg, spec, &cfg.imbalanced_partitioner());
     let sim = SimulatorConfig {
         tree,
         ..SimulatorConfig::paper(2)
     };
     let result = SimulatorRunner::new(sim)
         .run_simple(
-            learner().export_weights(),
+            sites.initial(),
             |i, _site| {
-                let (train, valid) = (shards[i].clone(), data.valid.clone());
                 if park {
-                    Box::new(ClinicalExecutor::new(
-                        learner(),
-                        train,
-                        valid,
-                        1,
-                        EventLog::new(),
-                    ))
+                    sites.executor(i, &EventLog::new())
                 } else {
                     Box::new(KeepArena {
-                        learner: learner(),
-                        train,
-                        valid,
+                        learner: sites.learner(cfg.federation.seed),
+                        train: sites.shards[i].clone(),
+                        valid: sites.valid.clone(),
                     })
                 }
             },
