@@ -1,7 +1,7 @@
 //! # clinfl-bench
 //!
 //! Benchmark harness for the `clinfl` reproduction: one binary per table /
-//! figure of the paper, plus Criterion micro-benchmarks.
+//! figure of the paper, plus the CI perf gates.
 //!
 //! | Paper artifact | Regenerate with |
 //! |---|---|
@@ -12,7 +12,7 @@
 //! | Fig. 3 (runtime demo)       | `cargo run -p clinfl-bench --release --bin fig3_demo` |
 //! | Ablations (extensions)      | `ablation_aggregators`, `ablation_partition`, `ablation_pretrain` |
 //! | Tape allocation pressure    | `cargo run -p clinfl-bench --release --bin alloc_stats` |
-//! | Micro-benchmarks            | `cargo bench -p clinfl-bench` |
+//! | GEMM kernel perf floor      | `cargo run -p clinfl-bench --release --bin bench_kernels -- --run` |
 //!
 //! `--scale N` divides the paper's data volumes by `N` (default shown per
 //! binary); `--scale 1` is full paper scale. Results are recorded in the

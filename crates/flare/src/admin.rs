@@ -27,13 +27,13 @@
 //! | `GET /metrics` | process-global metrics snapshot |
 
 use crate::jobs::{JobInfo, JobRuntime, JobSpec};
+use crate::lock;
 use crate::FlareError;
 use clinfl_obs::json::Value;
-use parking_lot::RwLock;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Lifecycle phase of a federated run.
@@ -86,14 +86,14 @@ struct StatusInner {
 /// [`AdminCommand`]s via [`RunStatus::execute`].
 #[derive(Clone, Debug)]
 pub struct RunStatus {
-    inner: Arc<RwLock<StatusInner>>,
+    inner: Arc<Mutex<StatusInner>>,
 }
 
 impl RunStatus {
     /// New status in the waiting phase.
     pub fn new() -> Self {
         RunStatus {
-            inner: Arc::new(RwLock::new(StatusInner {
+            inner: Arc::new(Mutex::new(StatusInner {
                 phase: RunPhase::WaitingForClients,
                 clients: Vec::new(),
                 last_metric: None,
@@ -104,12 +104,12 @@ impl RunStatus {
 
     /// Updates the lifecycle phase.
     pub fn set_phase(&self, phase: RunPhase) {
-        self.inner.write().phase = phase;
+        lock(&self.inner).phase = phase;
     }
 
     /// Registers or updates a client's liveness.
     pub fn set_client(&self, site: &str, alive: bool) {
-        let mut inner = self.inner.write();
+        let mut inner = lock(&self.inner);
         if let Some(c) = inner.clients.iter_mut().find(|(s, _)| s == site) {
             c.1 = alive;
         } else {
@@ -119,27 +119,27 @@ impl RunStatus {
 
     /// Records the latest global validation metric.
     pub fn set_metric(&self, metric: f64) {
-        self.inner.write().last_metric = Some(metric);
+        lock(&self.inner).last_metric = Some(metric);
     }
 
     /// Current phase.
     pub fn phase(&self) -> RunPhase {
-        self.inner.read().phase
+        lock(&self.inner).phase
     }
 
     /// `(site, alive)` pairs.
     pub fn clients(&self) -> Vec<(String, bool)> {
-        self.inner.read().clients.clone()
+        lock(&self.inner).clients.clone()
     }
 
     /// Latest global metric, if any.
     pub fn last_metric(&self) -> Option<f64> {
-        self.inner.read().last_metric
+        lock(&self.inner).last_metric
     }
 
     /// Executes an admin command, returning the formatted reply.
     pub fn execute(&self, cmd: AdminCommand) -> String {
-        let inner = self.inner.read();
+        let inner = lock(&self.inner);
         match cmd {
             AdminCommand::CheckStatus => format!(
                 "phase: {} | uptime: {:.1}s | last_metric: {}",
@@ -297,20 +297,35 @@ struct HttpRequest {
     body: String,
 }
 
+/// What the server reads of one request at most: the start line plus the
+/// headers, and the body (a job config is a few hundred bytes).
+const MAX_HEAD: u64 = 16 << 10;
+const MAX_BODY: usize = 1 << 20;
+
+/// A request refused before routing: the status and the reason.
+type Refusal = (u16, &'static str);
+
 /// Reads one HTTP/1.1 request (start line, headers, `Content-Length`
-/// body) from `stream`.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
+/// body) from `stream`. A head longer than [`MAX_HEAD`] is refused with
+/// 400 and a declared body longer than [`MAX_BODY`] with 413, both before
+/// the body is read.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<HttpRequest, Refusal>> {
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(stream);
+    let mut head = (&mut reader).take(MAX_HEAD);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    head.read_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if head.read_line(&mut header)? == 0 {
+            // The peer closed, or the head ran past its cap.
+            if head.limit() == 0 {
+                return Ok(Err((400, "request head exceeds 16 KiB")));
+            }
             break;
         }
         let header = header.trim();
@@ -323,14 +338,27 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
             }
         }
     }
-    // A job config body is small; refuse anything absurd outright.
-    let mut body = vec![0u8; content_length.min(1 << 20)];
+    if content_length > MAX_BODY {
+        return Ok(Err((413, "request body exceeds 1 MiB")));
+    }
+    let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(HttpRequest {
+    Ok(Ok(HttpRequest {
         method,
         path,
         body: String::from_utf8_lossy(&body).into_owned(),
-    })
+    }))
+}
+
+/// Answers a [`Refusal`], then drains (boundedly) what the peer already
+/// sent, so that closing with unread input does not reset the connection
+/// before the peer has read the answer.
+fn refuse(stream: &mut TcpStream, (status, why): Refusal) -> std::io::Result<()> {
+    error_response(stream, status, why)?;
+    stream.shutdown(Shutdown::Write)?;
+    stream.set_read_timeout(Some(Duration::from_secs(1)))?;
+    let _ = std::io::copy(&mut (&*stream).take(MAX_BODY as u64), &mut std::io::sink());
+    Ok(())
 }
 
 fn write_response(
@@ -345,6 +373,7 @@ fn write_response(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
     write!(
@@ -400,7 +429,10 @@ fn handle_connection(
     factory: &JobFactory,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    let req = read_request(&mut stream)?;
+    let req = match read_request(&mut stream)? {
+        Ok(req) => req,
+        Err(refusal) => return refuse(&mut stream, refusal),
+    };
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => json_response(

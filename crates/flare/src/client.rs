@@ -74,14 +74,13 @@ impl ClientObs {
     }
 }
 
-/// Failure-injection knobs for testing runtime resilience.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// Failure injection for a client run; the simulator fills it from the
+/// fault plan's `crash:S@R` items.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientBehavior {
     /// Crash (stop responding, no goodbye) when asked to train this round
     /// or any later one.
     pub drop_at_round: Option<u32>,
-    /// Sleep this long before every training task (straggler simulation).
-    pub straggle: Option<Duration>,
 }
 
 /// Bounded-retry knobs for the client's send/recv paths.
@@ -853,9 +852,6 @@ impl FlClient {
                             format!("{} simulating crash at round {round}", self.site),
                         );
                         return self.hang_until_disconnect(trained);
-                    }
-                    if let Some(d) = behavior.straggle {
-                        std::thread::sleep(d);
                     }
                     let _span = clinfl_obs::span("site");
                     let ctx = TaskContext {

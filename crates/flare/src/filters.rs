@@ -1,8 +1,8 @@
 //! Client-side DXO filters (NVFlare's privacy-filter concept).
 //!
 //! Filters transform an outgoing update before it leaves the site —
-//! differential-privacy noise, update compression, secure-aggregation
-//! masking. They compose in a [`FilterChain`].
+//! differential-privacy noise, secure-aggregation masking. They compose in
+//! a [`FilterChain`].
 
 use crate::dxo::{Dxo, Weights};
 use rand::rngs::StdRng;
@@ -113,39 +113,6 @@ impl Filter for DpGaussian {
 
     fn name(&self) -> &'static str {
         "DpGaussian"
-    }
-}
-
-/// Magnitude pruning: zeroes the smallest-|delta| fraction of each tensor's
-/// deviation from the global model (bandwidth reduction).
-#[derive(Clone, Debug)]
-pub struct MagnitudePrune {
-    /// Fraction of coordinates to reset to the global value, in `[0, 1)`.
-    pub fraction: f32,
-}
-
-impl Filter for MagnitudePrune {
-    fn apply(&mut self, mut dxo: Dxo, global: &Weights, _round: u32) -> Dxo {
-        for (name, t) in dxo.weights.iter_mut() {
-            let Some(g) = global.get(name) else { continue };
-            let mut mags: Vec<(usize, f32)> = t
-                .data
-                .iter()
-                .zip(&g.data)
-                .map(|(a, b)| (a - b).abs())
-                .enumerate()
-                .collect();
-            mags.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
-            let k = ((t.data.len() as f32) * self.fraction) as usize;
-            for &(i, _) in mags.iter().take(k) {
-                t.data[i] = g.data[i];
-            }
-        }
-        dxo
-    }
-
-    fn name(&self) -> &'static str {
-        "MagnitudePrune"
     }
 }
 
@@ -268,19 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_zeroes_smallest_deltas() {
-        let global = weights(0.0);
-        let mut w = Weights::new();
-        w.insert(
-            "p".into(),
-            WeightTensor::new(vec![4], vec![0.01, -5.0, 0.02, 3.0]),
-        );
-        let mut f = MagnitudePrune { fraction: 0.5 };
-        let out = f.apply(Dxo::from_weights(w, 1), &global, 0);
-        assert_eq!(out.weights["p"].data, vec![0.0, -5.0, 0.0, 3.0]);
-    }
-
-    #[test]
     fn secure_masks_cancel_in_sum() {
         let global = weights(0.0);
         let n_sites = 4;
@@ -325,12 +279,13 @@ mod tests {
         let global = weights(0.0);
         let mut chain = FilterChain::new();
         assert!(chain.is_empty());
-        chain.push(Box::new(MagnitudePrune { fraction: 0.0 }));
-        chain.push(Box::new(DpGaussian {
-            clip_norm: 1e6,
-            sigma: 0.0,
-            seed: 0,
-        }));
+        for seed in 0..2 {
+            chain.push(Box::new(DpGaussian {
+                clip_norm: 1e6,
+                sigma: 0.0,
+                seed,
+            }));
+        }
         assert_eq!(chain.len(), 2);
         let update = Dxo::from_weights(weights(1.5), 5);
         let out = chain.apply(update.clone(), &global, 0);

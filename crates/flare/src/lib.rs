@@ -29,7 +29,7 @@
 //! sockets for multi-process deployments.
 //!
 //! Optional [`filters`] implement NVFlare's filter concept: differential-
-//! privacy noise, magnitude pruning, and pairwise secure-aggregation masks.
+//! privacy noise and pairwise secure-aggregation masks.
 //!
 //! A seeded fault-injection layer ([`faults`]) can wrap any transport to
 //! deterministically drop, delay, or truncate frames and crash clients
@@ -88,3 +88,10 @@ pub use checkpoint::RunCheckpoint;
 pub use dxo::{Dxo, DxoKind, WeightTensor, Weights};
 pub use error::FlareError;
 pub use log::{EventLog, LogEntry, LogLevel};
+
+/// Locks `m`, recovering the guard if a panicking thread poisoned it. The
+/// state behind the runtime's locks is valid between statements, so a site
+/// thread that dies mid-round must not take the server or the log with it.
+pub(crate) fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -1,8 +1,8 @@
 //! Structured event log producing NVFlare-style run output (paper Fig. 3).
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Severity of a log line.
@@ -101,7 +101,7 @@ impl EventLog {
         if self.echo {
             println!("{}", entry.format());
         }
-        self.entries.lock().push(entry);
+        lock(&self.entries).push(entry);
     }
 
     /// Shorthand for [`LogLevel::Info`].
@@ -116,19 +116,18 @@ impl EventLog {
 
     /// Snapshot of all formatted lines so far.
     pub fn lines(&self) -> Vec<String> {
-        self.entries.lock().iter().map(LogEntry::format).collect()
+        lock(&self.entries).iter().map(LogEntry::format).collect()
     }
 
     /// Snapshot of the structured records.
     pub fn entries(&self) -> Vec<LogEntry> {
-        self.entries.lock().clone()
+        lock(&self.entries).clone()
     }
 
     /// Timestamp-free messages from one component, in append order. Fault
     /// and drop events are compared across chaos runs through this view.
     pub fn messages_from(&self, component: &str) -> Vec<String> {
-        self.entries
-            .lock()
+        lock(&self.entries)
             .iter()
             .filter(|e| e.component == component)
             .map(|e| e.message.clone())
@@ -137,8 +136,7 @@ impl EventLog {
 
     /// True if any formatted line contains `needle` (test helper).
     pub fn contains(&self, needle: &str) -> bool {
-        self.entries
-            .lock()
+        lock(&self.entries)
             .iter()
             .any(|e| e.format().contains(needle))
     }

@@ -25,6 +25,7 @@ use crate::codec::{
 };
 use crate::controller::{ClientGateway, RoundManifest, ShardMeta};
 use crate::dxo::{Dxo, DxoKind};
+use crate::lock;
 use crate::log::EventLog;
 use crate::messages::{ClientMessage, ServerMessage, ShardPayload, TaskAssignment};
 use crate::provision::ServerConfig;
@@ -34,13 +35,12 @@ use crate::transport::Connection;
 use crate::wire::{WireDecode, WireEncode};
 use crate::FlareError;
 use clinfl_obs::Registry;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -171,11 +171,11 @@ struct ServerShared {
 
 impl ServerShared {
     fn metric(&self, suffix: &str) -> String {
-        format!("{}.{suffix}", self.ns.lock())
+        format!("{}.{suffix}", lock(&self.ns))
     }
 
     fn obs(&self) -> Registry {
-        self.obs.lock().clone()
+        lock(&self.obs).clone()
     }
 
     fn inc_open(&self) {
@@ -191,7 +191,7 @@ impl ServerShared {
     }
 
     fn session_is_closed(&self, token: usize) -> bool {
-        matches!(self.sessions.lock()[token].phase, SessionPhase::Closed)
+        matches!(lock(&self.sessions)[token].phase, SessionPhase::Closed)
     }
 
     /// Handles one inbound frame for `token`. The phase is taken out of
@@ -200,7 +200,7 @@ impl ServerShared {
     fn on_frame(&self, token: usize, frame: &[u8], inbox: &mpsc::Sender<InboxMsg>) {
         let started = clinfl_obs::thread_time_ns();
         let phase = {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = lock(&self.sessions);
             std::mem::replace(&mut sessions[token].phase, SessionPhase::Busy)
         };
         let next = match phase {
@@ -216,7 +216,7 @@ impl ServerShared {
         };
         let closed = matches!(next, SessionPhase::Closed);
         {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = lock(&self.sessions);
             sessions[token].phase = next;
             if closed {
                 sessions[token].rx.close();
@@ -239,7 +239,7 @@ impl ServerShared {
     /// The session's mailbox closed: the peer hung up (or the pump died).
     fn on_session_closed(&self, token: usize) {
         let phase = {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = lock(&self.sessions);
             std::mem::replace(&mut sessions[token].phase, SessionPhase::Closed)
         };
         let stopping = self.stopping.load(Ordering::Relaxed);
@@ -256,7 +256,7 @@ impl ServerShared {
                 }
             }
             SessionPhase::Established { slot, site, .. } => {
-                let mut slots = self.slots.lock();
+                let mut slots = lock(&self.slots);
                 if slots[slot].alive {
                     slots[slot].alive = false;
                     if !stopping {
@@ -299,7 +299,7 @@ impl ServerShared {
             return SessionPhase::Closed;
         };
         let accepted = self.config.verify(&site, &token)
-            && !self.slots.lock().iter().any(|s| s.site == site && s.alive);
+            && !lock(&self.slots).iter().any(|s| s.site == site && s.alive);
         let keys = DhKeyPair::from_secret(dh_secret);
         // UUID-shaped session token, as in the paper's Fig. 3 log.
         let (hi, lo) = session_bits;
@@ -331,7 +331,7 @@ impl ServerShared {
         }
         let key = keys.shared_key(dh_public);
         let slot_idx = {
-            let mut guard = self.slots.lock();
+            let mut guard = lock(&self.slots);
             guard.push(ClientSlot {
                 site: site.clone(),
                 tx,
@@ -378,7 +378,7 @@ impl ServerShared {
     ) -> SessionPhase {
         self.obs()
             .add_counter(&self.metric("bytes_rx"), frame.len() as u64);
-        self.slots.lock()[slot_idx].last_seen = Instant::now();
+        lock(&self.slots)[slot_idx].last_seen = Instant::now();
         let plain = match open.open(frame) {
             Ok(p) => p,
             Err(e) => {
@@ -393,7 +393,7 @@ impl ServerShared {
         };
         match ClientMessage::from_frame(&plain) {
             Ok(ClientMessage::Bye { .. }) => {
-                self.slots.lock()[slot_idx].alive = false;
+                lock(&self.slots)[slot_idx].alive = false;
                 self.log
                     .info("ClientManager", format!("{site} disconnected."));
                 self.reg.bump();
@@ -419,7 +419,7 @@ impl ServerShared {
                         supported: SUPPORTED_CODECS.iter().map(|s| (*s).to_string()).collect(),
                     };
                     {
-                        let mut guard = self.slots.lock();
+                        let mut guard = lock(&self.slots);
                         let slot = &mut guard[slot_idx];
                         slot.codec = chosen.filter(|c| !c.is_raw());
                         slot.codec_decided = true;
@@ -448,7 +448,7 @@ impl ServerShared {
                 enc,
             }) => {
                 let spec = {
-                    let mut guard = self.slots.lock();
+                    let mut guard = lock(&self.slots);
                     let slot = &mut guard[slot_idx];
                     if ack != NO_BASE {
                         slot.acked = Some(ack);
@@ -486,7 +486,7 @@ impl ServerShared {
             }
             Ok(ClientMessage::ValidateReportEnc { round, metric, ack }) => {
                 if ack != NO_BASE {
-                    self.slots.lock()[slot_idx].acked = Some(ack);
+                    lock(&self.slots)[slot_idx].acked = Some(ack);
                 }
                 let _ = inbox.send(InboxMsg::Validate {
                     slot: slot_idx,
@@ -522,7 +522,7 @@ impl ServerShared {
                 payload,
             }) => {
                 let spec = {
-                    let mut guard = self.slots.lock();
+                    let mut guard = lock(&self.slots);
                     let slot = &mut guard[slot_idx];
                     if ack != NO_BASE {
                         slot.acked = Some(ack);
@@ -572,7 +572,7 @@ impl ServerShared {
                 reports,
             }) => {
                 if ack != NO_BASE {
-                    self.slots.lock()[slot_idx].acked = Some(ack);
+                    lock(&self.slots)[slot_idx].acked = Some(ack);
                 }
                 let _ = inbox.send(InboxMsg::Validate {
                     slot: slot_idx,
@@ -588,7 +588,7 @@ impl ServerShared {
                         sites.len()
                     ),
                 );
-                self.slots.lock()[slot_idx].leaves = Some(sites);
+                lock(&self.slots)[slot_idx].leaves = Some(sites);
                 self.reg.bump();
             }
             Ok(msg) => {
@@ -615,7 +615,7 @@ impl ServerShared {
         enc: &crate::codec::EncodedWeights,
         spec: Option<&CodecSpec>,
     ) -> Result<crate::dxo::Weights, FlareError> {
-        let ring = self.ring.lock();
+        let ring = lock(&self.ring);
         let base = if enc.base_id == NO_BASE {
             None
         } else {
@@ -637,7 +637,7 @@ impl ServerShared {
 fn run_reactor(shared: Arc<ServerShared>, inbox: mpsc::Sender<InboxMsg>) {
     while let Some(token) = shared.ready.pop() {
         let rx = {
-            let sessions = shared.sessions.lock();
+            let sessions = lock(&shared.sessions);
             match sessions.get(token) {
                 Some(cell) if !matches!(cell.phase, SessionPhase::Closed) => Arc::clone(&cell.rx),
                 _ => continue,
@@ -674,7 +674,7 @@ impl std::fmt::Debug for FlServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlServer")
             .field("project", &self.shared.config.project)
-            .field("clients", &self.shared.slots.lock().len())
+            .field("clients", &lock(&self.shared.slots).len())
             .finish_non_exhaustive()
     }
 }
@@ -726,7 +726,7 @@ impl FlServer {
     /// the default `flare.server` (interior tree nodes use `flare.tree`
     /// so root and relay traffic stay distinguishable in snapshots).
     pub fn set_metric_namespace(&mut self, ns: &str) {
-        *self.shared.ns.lock() = ns.to_string();
+        *lock(&self.shared.ns) = ns.to_string();
     }
 
     /// Records this server's metrics into `obs` instead of the global
@@ -734,7 +734,7 @@ impl FlServer {
     /// concurrent jobs never contaminate each other's snapshots; call
     /// before any client traffic, or early counts land in the old scope.
     pub fn set_registry(&mut self, obs: Registry) {
-        *self.shared.obs.lock() = obs;
+        *lock(&self.shared.obs) = obs;
     }
 
     /// Highest number of simultaneously open sessions this server has
@@ -766,7 +766,7 @@ impl FlServer {
     fn open_session(&mut self, tx: Box<dyn crate::transport::FrameTx>) -> (Arc<FrameQueue>, usize) {
         let dh_secret: u64 = self.rng.random();
         let session_bits: (u64, u64) = (self.rng.random(), self.rng.random());
-        let mut sessions = self.shared.sessions.lock();
+        let mut sessions = lock(&self.shared.sessions);
         let token = sessions.len();
         let c2s = FrameQueue::notifying(Arc::clone(&self.shared.ready), token);
         sessions.push(SessionCell {
@@ -843,7 +843,7 @@ impl FlServer {
         let deadline = Instant::now() + timeout;
         let count = loop {
             let since = self.shared.reg.version();
-            let count = self.shared.slots.lock().len();
+            let count = lock(&self.shared.slots).len();
             if count >= n || Instant::now() >= deadline {
                 break count;
             }
@@ -857,7 +857,7 @@ impl FlServer {
         loop {
             let since = self.shared.reg.version();
             let (decided, total) = {
-                let guard = self.shared.slots.lock();
+                let guard = lock(&self.shared.slots);
                 (
                     guard.iter().filter(|s| s.codec_decided).count(),
                     guard.len(),
@@ -872,7 +872,7 @@ impl FlServer {
             }
             self.shared.reg.wait_past(since, limit);
         }
-        self.shared.slots.lock().len()
+        lock(&self.shared.slots).len()
     }
 
     /// Blocks until the registered clients cover at least `n` leaf sites
@@ -885,10 +885,7 @@ impl FlServer {
         let deadline = Instant::now() + timeout;
         loop {
             let since = self.shared.reg.version();
-            let count: usize = self
-                .shared
-                .slots
-                .lock()
+            let count: usize = lock(&self.shared.slots)
                 .iter()
                 .filter(|s| s.alive)
                 .map(|s| s.leaves.as_ref().map_or(1, Vec::len))
@@ -924,11 +921,11 @@ impl FlServer {
     /// in the table (indices are stable) and remain visible to
     /// [`FlServer::liveness`].
     pub fn disconnect_all(&mut self) {
-        for slot in self.shared.slots.lock().iter_mut() {
+        for slot in lock(&self.shared.slots).iter_mut() {
             slot.tx = None;
             slot.alive = false;
         }
-        for cell in self.shared.sessions.lock().iter_mut() {
+        for cell in lock(&self.shared.sessions).iter_mut() {
             cell.rx.close();
             if let SessionPhase::AwaitRegister { tx, .. } = &mut cell.phase {
                 *tx = None;
@@ -941,9 +938,7 @@ impl FlServer {
     /// in registration order. `idle-for` is the time since the last frame
     /// (including heartbeats) arrived from that site.
     pub fn liveness(&self) -> Vec<(String, Duration, bool)> {
-        self.shared
-            .slots
-            .lock()
+        lock(&self.shared.slots)
             .iter()
             .map(|s| (s.site.clone(), s.last_seen.elapsed(), s.alive))
             .collect()
@@ -952,9 +947,7 @@ impl FlServer {
     /// Sites still marked alive whose last frame is older than `max_idle`
     /// — candidates for being declared dead by an operator.
     pub fn stale_sites(&self, max_idle: Duration) -> Vec<String> {
-        self.shared
-            .slots
-            .lock()
+        lock(&self.shared.slots)
             .iter()
             .filter(|s| s.alive && s.last_seen.elapsed() > max_idle)
             .map(|s| s.site.clone())
@@ -1019,9 +1012,7 @@ impl Drop for FlServer {
 
 impl ClientGateway for FlServer {
     fn client_sites(&self) -> Vec<String> {
-        self.shared
-            .slots
-            .lock()
+        lock(&self.shared.slots)
             .iter()
             .filter(|s| s.alive)
             .map(|s| s.site.clone())
@@ -1029,9 +1020,7 @@ impl ClientGateway for FlServer {
     }
 
     fn leaf_sites(&self) -> Vec<String> {
-        self.shared
-            .slots
-            .lock()
+        lock(&self.shared.slots)
             .iter()
             .filter(|s| s.alive)
             .flat_map(|s| match &s.leaves {
@@ -1042,7 +1031,7 @@ impl ClientGateway for FlServer {
     }
 
     fn round_manifest(&self, round: u32) -> Option<RoundManifest> {
-        self.manifests.lock().get(&round).cloned()
+        lock(&self.manifests).get(&round).cloned()
     }
 
     fn broadcast(&mut self, task: &TaskAssignment) -> usize {
@@ -1059,7 +1048,7 @@ impl ClientGateway for FlServer {
         let mut sent = 0;
         // Lock order: slots, then ring (matches the reactor, which never
         // holds both at once).
-        let mut slots = self.shared.slots.lock();
+        let mut slots = lock(&self.shared.slots);
         let any_codec = weights.is_some()
             && self.shared.codecs_enabled.load(Ordering::Relaxed)
             && slots.iter().any(|s| s.alive && s.codec.is_some());
@@ -1077,7 +1066,7 @@ impl ClientGateway for FlServer {
         }
         let weights = weights.expect("any_codec implies weight-bearing task");
         let raw_size = raw_task_frame_size(weights, is_train);
-        let mut ring = self.shared.ring.lock();
+        let mut ring = lock(&self.shared.ring);
         let id = ring.publish(weights);
         // Group the round's receivers by spec so the ring can downgrade
         // a spec's entry to a self-contained head when any of its clients
@@ -1157,7 +1146,7 @@ impl ClientGateway for FlServer {
         let tx_metric = self.shared.metric("bytes_tx");
         let obs = self.shared.obs();
         let mut sent = 0;
-        let mut slots = self.shared.slots.lock();
+        let mut slots = lock(&self.shared.slots);
         for slot in slots
             .iter_mut()
             .filter(|s| s.alive && sites.iter().any(|n| n == &s.site))
@@ -1203,7 +1192,7 @@ impl ClientGateway for FlServer {
                     dxo,
                     shard,
                 }) if r == round => {
-                    let site = self.shared.slots.lock()[slot].site.clone();
+                    let site = lock(&self.shared.slots)[slot].site.clone();
                     if out.iter().any(|(s, _)| *s == site) {
                         self.shared
                             .log
@@ -1229,7 +1218,7 @@ impl ClientGateway for FlServer {
                     let slot = match &msg {
                         InboxMsg::Submit { slot, .. } | InboxMsg::Validate { slot, .. } => *slot,
                     };
-                    let site = self.shared.slots.lock()[slot].site.clone();
+                    let site = lock(&self.shared.slots)[slot].site.clone();
                     self.shared.log.warn(
                         "ServerRunner",
                         format!("{site}: out-of-phase message during round {round}: {msg:?}"),
@@ -1241,7 +1230,7 @@ impl ClientGateway for FlServer {
             }
         }
         {
-            let mut manifests = self.manifests.lock();
+            let mut manifests = lock(&self.manifests);
             if any_shard {
                 manifests.insert(
                     round,

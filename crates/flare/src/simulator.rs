@@ -176,8 +176,6 @@ pub struct SimulatorConfig {
     pub sag: SagConfig,
     /// Provisioning / session seed.
     pub seed: u64,
-    /// Per-client failure injection, keyed by 0-based site index.
-    pub behaviors: BTreeMap<usize, ClientBehavior>,
     /// Deterministic link-level fault injection (defaults to none).
     pub faults: FaultConfig,
     /// Client send/recv retry policy.
@@ -221,7 +219,6 @@ impl Default for SimulatorConfig {
             n_clients: 8,
             sag: SagConfig::default(),
             seed: 2023,
-            behaviors: BTreeMap::new(),
             faults: FaultConfig::none(),
             retry: RetryPolicy::default(),
             checkpoint_dir: None,
@@ -524,16 +521,10 @@ impl SimulatorRunner {
                 .collect();
             let mut leaf_handles = Vec::with_capacity(n);
             for job in leaves {
-                let mut behavior = self
-                    .config
-                    .behaviors
-                    .get(&job.index)
-                    .copied()
-                    .unwrap_or_default();
-                if behavior.drop_at_round.is_none() {
-                    // The fault plan can schedule mid-round crashes too.
-                    behavior.drop_at_round = plan.crash_round(job.index);
-                }
+                // The fault plan's `crash:S@R` items are the only crashes.
+                let behavior = ClientBehavior {
+                    drop_at_round: plan.crash_round(job.index),
+                };
                 let mut executor = make_executor(job.index, &job.package.site_name);
                 let mut filters = FilterChain::new();
                 if let Some(dp) = self.config.dp {
@@ -762,8 +753,8 @@ impl SimulatorRunner {
 mod tests {
     use super::*;
     use crate::aggregator::WeightedFedAvg;
-    use crate::dxo::WeightTensor;
-    use crate::executor::ArithmeticExecutor;
+    use crate::dxo::{Dxo, WeightTensor};
+    use crate::executor::{ArithmeticExecutor, TaskContext};
 
     fn initial() -> Weights {
         let mut w = Weights::new();
@@ -853,13 +844,7 @@ mod tests {
             seed: 11,
             ..SimulatorConfig::default()
         };
-        cfg.behaviors.insert(
-            2,
-            ClientBehavior {
-                drop_at_round: Some(1),
-                straggle: None,
-            },
-        );
+        cfg.apply("faults", "crash:2@1").unwrap();
         let res = SimulatorRunner::new(cfg)
             .run_simple(
                 initial(),
@@ -878,9 +863,23 @@ mod tests {
         assert_eq!(res.client_rounds[2], 1);
     }
 
+    /// Sleeps before every training task: a site that is slow but alive.
+    struct Straggler(ArithmeticExecutor, Duration);
+
+    impl Executor for Straggler {
+        fn train(&mut self, global: &Weights, ctx: &TaskContext) -> Dxo {
+            std::thread::sleep(self.1);
+            self.0.train(global, ctx)
+        }
+
+        fn validate(&mut self, global: &Weights, ctx: &TaskContext) -> f64 {
+            self.0.validate(global, ctx)
+        }
+    }
+
     #[test]
     fn straggler_still_contributes() {
-        let mut cfg = SimulatorConfig {
+        let cfg = SimulatorConfig {
             n_clients: 2,
             sag: SagConfig {
                 rounds: 2,
@@ -892,21 +891,19 @@ mod tests {
             seed: 13,
             ..SimulatorConfig::default()
         };
-        cfg.behaviors.insert(
-            1,
-            ClientBehavior {
-                drop_at_round: None,
-                straggle: Some(Duration::from_millis(100)),
-            },
-        );
         let res = SimulatorRunner::new(cfg)
             .run_simple(
                 initial(),
-                |_, _| {
-                    Box::new(ArithmeticExecutor {
+                |i, _| {
+                    let ex = ArithmeticExecutor {
                         delta: 2.0,
                         n_examples: 5,
-                    })
+                    };
+                    if i == 1 {
+                        Box::new(Straggler(ex, Duration::from_millis(100)))
+                    } else {
+                        Box::new(ex)
+                    }
                 },
                 &WeightedFedAvg,
             )
@@ -933,20 +930,7 @@ mod tests {
             seed: 17,
             ..SimulatorConfig::default()
         };
-        cfg.behaviors.insert(
-            0,
-            ClientBehavior {
-                drop_at_round: Some(1),
-                straggle: None,
-            },
-        );
-        cfg.behaviors.insert(
-            1,
-            ClientBehavior {
-                drop_at_round: Some(1),
-                straggle: None,
-            },
-        );
+        cfg.apply("faults", "crash:0@1,crash:1@1").unwrap();
         let err = SimulatorRunner::new(cfg)
             .run_simple(
                 initial(),
@@ -1136,13 +1120,7 @@ mod tests {
             }),
             ..SimulatorConfig::default()
         };
-        cfg.behaviors.insert(
-            3,
-            ClientBehavior {
-                drop_at_round: Some(1),
-                straggle: None,
-            },
-        );
+        cfg.apply("faults", "crash:3@1").unwrap();
         let res = SimulatorRunner::new(cfg)
             .run_simple(
                 initial(),

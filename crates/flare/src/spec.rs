@@ -27,8 +27,9 @@
 //!
 //! Optional fields print only when set, and a missing key leaves the
 //! field as it was (so a spec without `tree` still lets `CLINFL_TREE`
-//! decide). The test-only hooks `behaviors`, `wire_overrides` and
-//! `server_codecs_enabled` have no key.
+//! decide). The test-only hooks `wire_overrides` and
+//! `server_codecs_enabled` have no key; a crashed site is the `faults`
+//! key's `crash:S@R`.
 
 use crate::codec::CodecSpec;
 use crate::faults::FaultConfig;

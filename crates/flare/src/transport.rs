@@ -5,9 +5,9 @@
 //! and a real multi-process deployment run byte-identical protocols.
 
 use crate::FlareError;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 /// Sending half of a connection.
@@ -50,7 +50,7 @@ impl std::fmt::Debug for Connection {
 // In-process transport
 // ---------------------------------------------------------------------
 
-struct ChanTx(Sender<Vec<u8>>);
+struct ChanTx(SyncSender<Vec<u8>>);
 
 impl FrameTx for ChanTx {
     fn send(&mut self, frame: &[u8]) -> Result<(), FlareError> {
@@ -77,8 +77,8 @@ impl FrameRx for ChanRx {
 /// Creates a connected in-process pair (simulator mode). Channels are
 /// bounded to apply backpressure like a real socket.
 pub fn in_proc_pair() -> (Connection, Connection) {
-    let (a_tx, b_rx) = bounded::<Vec<u8>>(256);
-    let (b_tx, a_rx) = bounded::<Vec<u8>>(256);
+    let (a_tx, b_rx) = sync_channel::<Vec<u8>>(256);
+    let (b_tx, a_rx) = sync_channel::<Vec<u8>>(256);
     (
         Connection {
             tx: Box::new(ChanTx(a_tx)),

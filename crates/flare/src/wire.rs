@@ -1,9 +1,8 @@
 //! Length-delimited binary codec for all federated messages.
 //!
-//! No general-purpose binary serde format is available in the offline
-//! dependency set, so the protocol is hand-rolled: little-endian integers,
-//! length-prefixed strings and sequences, and a magic/version header on
-//! every frame. The same bytes flow over the in-process simulator channels
+//! The workspace has no serialization dependency, so the protocol is
+//! hand-rolled: little-endian integers, length-prefixed strings and
+//! sequences, and a magic/version header on every frame. The same bytes flow over the in-process simulator channels
 //! and the TCP transport, so the codec is exercised on every test run.
 
 use crate::FlareError;

@@ -1,7 +1,7 @@
 //! Model hyper-parameter configurations (paper Table II).
 
 /// Configuration of the [`crate::BertModel`] transformer.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BertConfig {
     /// Vocabulary size (token embedding rows).
     pub vocab_size: usize,
@@ -89,7 +89,7 @@ impl BertConfig {
 }
 
 /// Configuration of the [`crate::LstmClassifier`].
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LstmConfig {
     /// Vocabulary size (embedding rows).
     pub vocab_size: usize,

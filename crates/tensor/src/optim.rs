@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(usize);
 
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 struct Entry {
     name: String,
     value: Tensor,
@@ -25,7 +25,7 @@ struct Entry {
 ///
 /// Iteration order (and therefore serialization order) is the registration
 /// order, which is deterministic for a given model constructor.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Params {
     entries: Vec<Entry>,
 }

@@ -16,7 +16,7 @@ pub const MAX_RANK: usize = 6;
 /// for every node pushed onto the autograd tape — never allocates. Unused
 /// trailing slots are kept at zero so the derived `PartialEq`/`Hash` agree
 /// with dimension-wise equality.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [usize; MAX_RANK],
     rank: u8,

@@ -42,7 +42,8 @@
 #                  requires >=8 cells with valid accuracies and (eps, delta)
 #   doc            rustdoc with warnings denied (broken links fail the gate)
 #   clippy         clippy --all-targets with warnings denied
-#   fmt            cargo fmt --check
+#   fmt            cargo fmt --check, then the line-count ratchet
+#                  (scripts/loc.sh --check against scripts/loc.tsv)
 #
 # Usage: scripts/check.sh [leg ...]   (no args = all legs, in order)
 #
@@ -184,7 +185,7 @@ run_leg() {
         ;;
     doc) leg doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
     clippy) leg clippy cargo clippy --workspace --all-targets -- -D warnings ;;
-    fmt) leg fmt cargo fmt --all -- --check ;;
+    fmt) leg fmt bash -c 'cargo fmt --all -- --check && scripts/loc.sh --check' ;;
     *)
         echo "unknown leg: $1 (expected ${ALL_LEGS// /|})" >&2
         exit 2

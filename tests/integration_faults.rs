@@ -10,12 +10,13 @@
 //! single-threaded controller's drop/quorum lines are compared verbatim.
 
 use clinfl_flare::aggregator::WeightedFedAvg;
-use clinfl_flare::client::{ClientBehavior, RetryPolicy};
+use clinfl_flare::client::RetryPolicy;
 use clinfl_flare::controller::SagConfig;
-use clinfl_flare::executor::ArithmeticExecutor;
+use clinfl_flare::executor::{ArithmeticExecutor, Executor, TaskContext};
 use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::simulator::{SimulationResult, SimulatorConfig, SimulatorRunner};
-use clinfl_flare::{WeightTensor, Weights};
+use clinfl_flare::{Dxo, WeightTensor, Weights};
+use clinfl_tensor::pool;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -282,13 +283,29 @@ fn sampled_chaos_run_completes_and_respects_the_sample() {
     assert!(res.log.contains("Sampled 6/8 site(s)"));
 }
 
+/// Sleeps before every training task: a site that is slow but alive.
+struct Straggler(ArithmeticExecutor, Duration);
+
+impl Executor for Straggler {
+    fn train(&mut self, global: &Weights, ctx: &TaskContext) -> Dxo {
+        std::thread::sleep(self.1);
+        self.0.train(global, ctx)
+    }
+
+    fn validate(&mut self, global: &Weights, ctx: &TaskContext) -> f64 {
+        self.0.validate(global, ctx)
+    }
+}
+
 /// The quorum aggregate must not depend on HOW a straggler missed the
 /// round: a site that crashes and a site that merely stalls past the
 /// deadline must yield the same global model from the reporters.
 #[test]
 fn quorum_aggregate_independent_of_straggler_mode() {
     let _serial = timing_guard();
-    let run = |behavior: ClientBehavior| {
+    // `None` crashes site-8 through the spec; `Some(d)` makes it sleep `d`
+    // in every training task instead.
+    let run = |straggle: Option<Duration>| {
         let mut cfg = SimulatorConfig {
             n_clients: 8,
             sag: SagConfig {
@@ -306,15 +323,21 @@ fn quorum_aggregate_independent_of_straggler_mode() {
             },
             ..SimulatorConfig::default()
         };
-        cfg.behaviors.insert(7, behavior);
+        if straggle.is_none() {
+            cfg.apply("faults", "crash:7@0").unwrap();
+        }
         SimulatorRunner::new(cfg)
             .run_simple(
                 initial(),
                 |i, _| {
-                    Box::new(ArithmeticExecutor {
+                    let ex = ArithmeticExecutor {
                         delta: (i as f32 + 1.0) * 0.25,
                         n_examples: 10,
-                    })
+                    };
+                    match straggle {
+                        Some(d) if i == 7 => Box::new(Straggler(ex, d)) as Box<dyn Executor>,
+                        _ => Box::new(ex),
+                    }
                 },
                 &WeightedFedAvg,
             )
@@ -322,15 +345,14 @@ fn quorum_aggregate_independent_of_straggler_mode() {
     };
 
     // Run A: site-8 crashes before round 0. Run B: site-8 straggles far
-    // past the grace window every round.
-    let crashed = run(ClientBehavior {
-        drop_at_round: Some(0),
-        straggle: None,
-    });
-    let straggling = run(ClientBehavior {
-        drop_at_round: None,
-        straggle: Some(Duration::from_secs(2)),
-    });
+    // past the grace window every round. The straggler sleeps while it
+    // holds a compute permit, so run B needs a second permit for the
+    // reporters to train meanwhile; the budget never changes results.
+    let crashed = run(None);
+    let budget = pool::num_threads();
+    pool::set_threads(budget.max(2));
+    let straggling = run(Some(Duration::from_secs(2)));
+    pool::set_threads(budget);
 
     let contributors: Vec<String> = (1..=7).map(|i| format!("site-{i}")).collect();
     for res in [&crashed, &straggling] {

@@ -379,13 +379,19 @@ fn test_factory() -> JobFactory {
 
 /// One HTTP/1.1 exchange; returns `(status, body)`.
 fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
+    raw_http(
+        addr,
+        &format!(
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
     )
-    .unwrap();
+}
+
+/// Sends `request` as is and reads the reply; returns `(status, body)`.
+fn raw_http(addr: std::net::SocketAddr, request: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     let status = raw
@@ -574,6 +580,15 @@ fn http_rejects_hostile_job_text() {
         assert_eq!(status, 400, "{line}: {body}");
         assert!(body.contains("line 2") && body.contains(why), "{body}");
     }
+    // Oversized requests are refused before their body is read, not cut
+    // to a prefix that could parse as a different job.
+    let (status, body) = raw_http(
+        addr,
+        "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: 2097152\r\n\r\n",
+    );
+    assert_eq!(status, 413, "{body}");
+    let (status, body) = raw_http(addr, &format!("POST /{}", "a".repeat(64 << 10)));
+    assert_eq!(status, 400, "{body}");
     assert_eq!(http(addr, "GET", "/healthz", "").0, 200);
     assert!(runtime.list().is_empty(), "a rejected job was scheduled");
     assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
