@@ -2,19 +2,14 @@
 //! kernels (DESIGN.md §3j) against the retained naive references across
 //! the matrix shapes the smoke run actually hits (LSTM gate products,
 //! BERT QKV projections, per-head attention products, the tied MLM
-//! decoder) and writes a schema-stable `BENCH_kernels.json`.
+//! decoder) and writes `BENCH_kernels.json`.
 //!
-//! Modes:
-//!
-//! * `bench_kernels --run [--out PATH]` — time every shape case and write
-//!   the report (default `BENCH_kernels.json`).
-//! * `bench_kernels --check PATH [--min-speedup X]` — validate an
-//!   existing report against the `clinfl-bench-kernels/v1` schema and
-//!   enforce the perf floor: the aggregate packed-vs-reference speedup
-//!   over the matmul histogram (total reference time / total packed
-//!   time, weighted by the per-case FLOP-proportional iteration counts)
-//!   must be at least `X` (default 2.5). This is the CI leg that keeps
-//!   the tentpole win of PR 9 from silently evaporating.
+//! `bench_kernels` takes no arguments. It times every shape case, writes
+//! the report, and exits 1 if the aggregate packed-vs-reference speedup
+//! over the matmul histogram (total reference time / total packed time,
+//! weighted by the per-case FLOP-proportional iteration counts) is below
+//! `MIN_SPEEDUP` (2.5). This is the CI leg that keeps the packed kernels'
+//! win from silently evaporating.
 //!
 //! Both kernels run on the same thread budget (whatever the pool grants;
 //! single-threaded on a 1-core CI box, where the references were serial
@@ -24,11 +19,14 @@ use clinfl_obs::json::Value;
 use clinfl_tensor::kernels;
 use std::time::Instant;
 
-/// Schema identifier stamped into (and required from) every report.
+/// Schema identifier stamped into every report.
 const SCHEMA: &str = "clinfl-bench-kernels/v1";
 
 /// Enforced floor on the aggregate matmul-histogram speedup.
-const DEFAULT_MIN_SPEEDUP: f64 = 2.5;
+const MIN_SPEEDUP: f64 = 2.5;
+
+/// Where the report lands (a CI upload artifact; nothing reads it back).
+const OUT: &str = "BENCH_kernels.json";
 
 /// Target measurement time per (case, kernel) timing loop, in ns. Long
 /// enough that the slowest case runs tens of iterations on the CI box.
@@ -97,44 +95,6 @@ fn cases() -> Vec<Case> {
         // Tied MLM decoder: h·Eᵀ over the vocab.
         c("mlm_decoder", Kind::ABt, 1, 416, 128, 443, false),
     ]
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run = false;
-    let mut out = String::from("BENCH_kernels.json");
-    let mut check: Option<String> = None;
-    let mut min_speedup = DEFAULT_MIN_SPEEDUP;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--run" => run = true,
-            "--out" => out = it.next().expect("--out requires a path").clone(),
-            "--check" => check = Some(it.next().expect("--check requires a path").clone()),
-            "--min-speedup" => {
-                min_speedup = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-speedup requires a number");
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: bench_kernels --run [--out PATH] | --check PATH [--min-speedup X]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = check {
-        run_check(&path, min_speedup);
-        return;
-    }
-    if !run {
-        eprintln!("usage: bench_kernels --run [--out PATH] | --check PATH [--min-speedup X]");
-        std::process::exit(2);
-    }
-    run_bench(&out);
 }
 
 /// Deterministic pseudo-random fill (xorshift) — no RNG dependency, and
@@ -219,74 +179,31 @@ fn time_case(c: &Case, a: &[f32], b: &[f32], out: &mut [f32], iters: u64, refere
 }
 
 struct Outcome {
-    name: &'static str,
-    kernel: &'static str,
-    lb: usize,
-    m: usize,
-    k: usize,
-    n: usize,
+    case: Case,
     iters: u64,
     packed_ns: u64,
     ref_ns: u64,
-    flops_per_call: u64,
 }
 
-fn run_bench(out_path: &str) {
-    println!("== bench_kernels: packed vs reference GEMM ==");
-    let mut outcomes = Vec::new();
-    for case in cases() {
-        let (a_len, b_len, o_len) = buffer_sizes(&case);
-        let mut a = vec![0.0f32; a_len];
-        let mut b = vec![0.0f32; b_len];
-        fill(&mut a, 0x9e37_79b9_7f4a_7c15 ^ a_len as u64);
-        fill(&mut b, 0x2545_f491_4f6c_dd1d ^ b_len as u64);
-        let mut o = vec![0.0f32; o_len];
-
-        // Calibrate the iteration count on the packed kernel, then run
-        // both kernels the same number of times. The output buffer keeps
-        // accumulating — harmless, the kernels are data-independent in
-        // cost — and is re-zeroed between the timed loops only to bound
-        // value growth.
-        run_case(&case, &a, &b, &mut o, false);
-        let probe = time_case(&case, &a, &b, &mut o, 1, false).max(1);
-        let iters = (TARGET_NS / probe).clamp(1, 100_000);
-        o.iter_mut().for_each(|v| *v = 0.0);
-        let packed_ns = time_case(&case, &a, &b, &mut o, iters, false);
-        o.iter_mut().for_each(|v| *v = 0.0);
-        let ref_ns = time_case(&case, &a, &b, &mut o, iters, true);
-
-        let flops_per_call = 2 * (case.lb * case.m * case.k * case.n) as u64;
-        let speedup = ref_ns as f64 / packed_ns.max(1) as f64;
-        let gflops = flops_per_call as f64 * iters as f64 / packed_ns.max(1) as f64;
-        println!(
-            "{:>12} {:>12} lb={:<3} {:>3}x{:<3}x{:<3} {:>6} iters  packed {:>8.3} ms  \
-             ref {:>8.3} ms  speedup {:>5.2}x  {:>6.2} GFLOP/s",
-            case.name,
-            case.kind.name(),
-            case.lb,
-            case.m,
-            case.k,
-            case.n,
-            iters,
-            packed_ns as f64 / 1e6,
-            ref_ns as f64 / 1e6,
-            speedup,
-            gflops,
-        );
-        outcomes.push(Outcome {
-            name: case.name,
-            kernel: case.kind.name(),
-            lb: case.lb,
-            m: case.m,
-            k: case.k,
-            n: case.n,
-            iters,
-            packed_ns,
-            ref_ns,
-            flops_per_call,
-        });
+impl Outcome {
+    fn speedup(&self) -> f64 {
+        self.ref_ns as f64 / self.packed_ns.max(1) as f64
     }
 
+    fn gflops(&self) -> f64 {
+        let c = &self.case;
+        let flops_per_call = 2 * (c.lb * c.m * c.k * c.n) as u64;
+        flops_per_call as f64 * self.iters as f64 / self.packed_ns.max(1) as f64
+    }
+}
+
+fn main() {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: bench_kernels (takes no arguments)");
+        std::process::exit(2);
+    }
+    println!("== bench_kernels: packed vs reference GEMM ==");
+    let outcomes: Vec<Outcome> = cases().into_iter().map(time_both).collect();
     let packed_total: u64 = outcomes.iter().map(|o| o.packed_ns).sum();
     let ref_total: u64 = outcomes.iter().map(|o| o.ref_ns).sum();
     let aggregate = ref_total as f64 / packed_total.max(1) as f64;
@@ -296,37 +213,83 @@ fn run_bench(out_path: &str) {
         ref_total as f64 / 1e6,
     );
 
-    let report = build_report(&outcomes);
-    std::fs::write(out_path, report.to_json()).expect("write report");
-    println!("report written to {out_path}");
+    let report = build_report(&outcomes, packed_total, ref_total);
+    std::fs::write(OUT, report.to_json()).expect("write report");
+    println!("report written to {OUT}");
+
+    if aggregate < MIN_SPEEDUP {
+        eprintln!(
+            "FAIL: packed GEMM speedup regressed: aggregate {aggregate:.2}x is below \
+             the enforced {MIN_SPEEDUP}x floor (see DESIGN.md §3j)"
+        );
+        std::process::exit(1);
+    }
+    println!("OK: aggregate speedup {aggregate:.2}x >= {MIN_SPEEDUP}x");
 }
 
-fn build_report(outcomes: &[Outcome]) -> Value {
-    let packed_total: u64 = outcomes.iter().map(|o| o.packed_ns).sum();
-    let ref_total: u64 = outcomes.iter().map(|o| o.ref_ns).sum();
+/// Times one case: calibrates the iteration count on the packed kernel,
+/// then runs both kernels the same number of times. The output buffer
+/// keeps accumulating — harmless, the kernels are data-independent in
+/// cost — and is re-zeroed between the timed loops only to bound value
+/// growth.
+fn time_both(case: Case) -> Outcome {
+    let (a_len, b_len, o_len) = buffer_sizes(&case);
+    let mut a = vec![0.0f32; a_len];
+    let mut b = vec![0.0f32; b_len];
+    fill(&mut a, 0x9e37_79b9_7f4a_7c15 ^ a_len as u64);
+    fill(&mut b, 0x2545_f491_4f6c_dd1d ^ b_len as u64);
+    let mut o = vec![0.0f32; o_len];
+
+    run_case(&case, &a, &b, &mut o, false);
+    let probe = time_case(&case, &a, &b, &mut o, 1, false).max(1);
+    let iters = (TARGET_NS / probe).clamp(1, 100_000);
+    o.iter_mut().for_each(|v| *v = 0.0);
+    let packed_ns = time_case(&case, &a, &b, &mut o, iters, false);
+    o.iter_mut().for_each(|v| *v = 0.0);
+    let ref_ns = time_case(&case, &a, &b, &mut o, iters, true);
+
+    let outcome = Outcome {
+        case,
+        iters,
+        packed_ns,
+        ref_ns,
+    };
+    let c = &outcome.case;
+    println!(
+        "{:>12} {:>12} lb={:<3} {:>3}x{:<3}x{:<3} {:>6} iters  packed {:>8.3} ms  \
+         ref {:>8.3} ms  speedup {:>5.2}x  {:>6.2} GFLOP/s",
+        c.name,
+        c.kind.name(),
+        c.lb,
+        c.m,
+        c.k,
+        c.n,
+        iters,
+        packed_ns as f64 / 1e6,
+        ref_ns as f64 / 1e6,
+        outcome.speedup(),
+        outcome.gflops(),
+    );
+    outcome
+}
+
+fn build_report(outcomes: &[Outcome], packed_total: u64, ref_total: u64) -> Value {
     let cases: Vec<Value> = outcomes
         .iter()
         .map(|o| {
+            let c = &o.case;
             Value::object(vec![
-                ("name", Value::Str(o.name.to_string())),
-                ("kernel", Value::Str(o.kernel.to_string())),
-                ("lb", Value::UInt(o.lb as u64)),
-                ("m", Value::UInt(o.m as u64)),
-                ("k", Value::UInt(o.k as u64)),
-                ("n", Value::UInt(o.n as u64)),
+                ("name", Value::Str(c.name.to_string())),
+                ("kernel", Value::Str(c.kind.name().to_string())),
+                ("lb", Value::UInt(c.lb as u64)),
+                ("m", Value::UInt(c.m as u64)),
+                ("k", Value::UInt(c.k as u64)),
+                ("n", Value::UInt(c.n as u64)),
                 ("iters", Value::UInt(o.iters)),
                 ("packed_ms", Value::Float(o.packed_ns as f64 / 1e6)),
                 ("ref_ms", Value::Float(o.ref_ns as f64 / 1e6)),
-                (
-                    "speedup",
-                    Value::Float(o.ref_ns as f64 / o.packed_ns.max(1) as f64),
-                ),
-                (
-                    "gflops",
-                    Value::Float(
-                        o.flops_per_call as f64 * o.iters as f64 / o.packed_ns.max(1) as f64,
-                    ),
-                ),
+                ("speedup", Value::Float(o.speedup())),
+                ("gflops", Value::Float(o.gflops())),
             ])
         })
         .collect();
@@ -355,79 +318,4 @@ fn build_report(outcomes: &[Outcome]) -> Value {
             ]),
         ),
     ])
-}
-
-/// Validates `path` against the v1 schema and enforces the speedup
-/// floor; prints every violation and exits 1 if any is found.
-fn run_check(path: &str, min_speedup: f64) {
-    let mut errors = Vec::new();
-    let report = match std::fs::read_to_string(path) {
-        Ok(text) => match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("FAIL {path}: unparsable JSON: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("FAIL {path}: unreadable: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    if report.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errors.push(format!("schema field is not {SCHEMA:?}"));
-    }
-    let cases = report.get("cases").and_then(Value::as_array).unwrap_or(&[]);
-    if cases.is_empty() {
-        errors.push("cases array missing or empty".to_string());
-    }
-    for (i, c) in cases.iter().enumerate() {
-        if c.get("name").and_then(Value::as_str).is_none() {
-            errors.push(format!("cases[{i}].name missing"));
-        }
-        for field in ["packed_ms", "ref_ms", "speedup", "gflops"] {
-            if c.get(field)
-                .and_then(Value::as_f64)
-                .is_none_or(|v| v <= 0.0)
-            {
-                errors.push(format!("cases[{i}].{field} missing or non-positive"));
-            }
-        }
-        if c.get("iters")
-            .and_then(Value::as_u64)
-            .is_none_or(|v| v == 0)
-        {
-            errors.push(format!("cases[{i}].iters missing or zero"));
-        }
-    }
-    match report
-        .get("aggregate")
-        .and_then(|a| a.get("speedup"))
-        .and_then(Value::as_f64)
-    {
-        Some(speedup) => {
-            if speedup < min_speedup {
-                errors.push(format!(
-                    "packed GEMM speedup regressed: aggregate {speedup:.2}x is below \
-                     the enforced {min_speedup}x floor (see DESIGN.md §3j)"
-                ));
-            }
-        }
-        None => errors.push("aggregate.speedup missing".to_string()),
-    }
-
-    if errors.is_empty() {
-        let speedup = report
-            .get("aggregate")
-            .and_then(|a| a.get("speedup"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        println!("OK {path}: valid {SCHEMA}, aggregate speedup {speedup:.2}x >= {min_speedup}x");
-    } else {
-        for e in &errors {
-            eprintln!("FAIL {path}: {e}");
-        }
-        std::process::exit(1);
-    }
 }

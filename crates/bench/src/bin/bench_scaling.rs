@@ -1,20 +1,16 @@
-//! Scaling-curve bench for the event-driven server and aggregation tree:
+//! Scaling-curve gate for the event-driven server and aggregation tree:
 //! runs the in-process federation at 8 → 64 → 256 → 1024 simulated sites
-//! (fan-out 8, auto-sized tree depth) and writes a schema-stable
+//! (fan-out 8, auto-sized tree depth, 3 rounds) and writes
 //! `BENCH_scaling.json` with per-scale root round latency, byte totals at
 //! the root vs the interior nodes vs the leaves, and peak session counts.
 //!
-//! Modes:
+//! `bench_scaling` takes no arguments. Every scale runs with a trivial
+//! arithmetic executor (no training, no sleeping — the curve isolates
+//! runtime overhead) and records into its own metrics registry. The run
+//! exits 1 if root round work at 1024 sites exceeds `MAX_RATIO` (4)
+//! times the 64-site figure.
 //!
-//! * `bench_scaling --run [--out PATH]` — run every scale with a trivial
-//!   arithmetic executor (no training, no sleeping — the curve isolates
-//!   runtime overhead) and write the report (default `BENCH_scaling.json`).
-//! * `bench_scaling --check PATH [--max-ratio R]` — validate an existing
-//!   report against the `clinfl-bench-scaling/v1` schema and enforce the
-//!   scaling gate: root round latency at the largest scale must stay
-//!   within `R`× (default 4) of the 64-site latency.
-//!
-//! "Root round latency" is the root server's measured per-round frame
+//! "Root round work" is the root server's measured per-round frame
 //! processing time (`flare.server.frame_work_ns` / rounds): the work
 //! attributable to the root itself. With tree aggregation that is
 //! `O(fanout)` per round instead of `O(n)` — a flat 1024-site fleet
@@ -24,11 +20,6 @@
 //! trains and serializes each round, so on a fixed-core box total round
 //! time grows with n under any topology — the tree flattens the root's
 //! share of it, which is exactly what the gate pins.
-//!
-//! Knobs (recorded in the report, and in the CI cache-key comment):
-//! `CLINFL_SCALE_SITES` (comma-separated site counts, default
-//! `8,64,256,1024`), `CLINFL_SCALE_ROUNDS` (default 3),
-//! `CLINFL_SCALE_FANOUT` (default 8).
 
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::controller::SagConfig;
@@ -36,11 +27,24 @@ use clinfl_flare::executor::ArithmeticExecutor;
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner, TreeConfig};
 use clinfl_flare::{WeightTensor, Weights};
 use clinfl_obs::json::Value;
-use clinfl_obs::MetricsSnapshot;
+use clinfl_obs::{MetricsSnapshot, Registry};
 use std::time::{Duration, Instant};
 
-/// Schema identifier stamped into (and required from) every report.
+/// Schema identifier stamped into every report.
 const SCHEMA: &str = "clinfl-bench-scaling/v1";
+
+/// Where the report lands (a CI upload artifact; nothing reads it back).
+const OUT: &str = "BENCH_scaling.json";
+
+/// Site counts swept, from the paper's 8 sites to a 1024-site fleet.
+const SCALES: [usize; 4] = [8, 64, 256, 1024];
+
+/// The gate compares the largest scale against this one.
+const ANCHOR_SITES: usize = 64;
+const TOP_SITES: usize = SCALES[SCALES.len() - 1];
+
+const ROUNDS: u32 = 3;
+const FANOUT: usize = 8;
 
 /// Floor for the gate's denominator: sub-millisecond root work is
 /// dominated by scheduler noise, not aggregation cost. A flat 1024-site
@@ -48,70 +52,8 @@ const SCHEMA: &str = "clinfl-bench-scaling/v1";
 /// keeps the gate meaningful while absorbing timer jitter.
 const LATENCY_FLOOR_MS: f64 = 2.0;
 
-/// Default gate: largest-scale round latency within 4× the 64-site one.
-const DEFAULT_MAX_RATIO: f64 = 4.0;
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run = false;
-    let mut out = String::from("BENCH_scaling.json");
-    let mut check: Option<String> = None;
-    let mut max_ratio = DEFAULT_MAX_RATIO;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--run" => run = true,
-            "--out" => out = it.next().expect("--out requires a path").clone(),
-            "--check" => check = Some(it.next().expect("--check requires a path").clone()),
-            "--max-ratio" => {
-                max_ratio = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-ratio requires a number");
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!("usage: bench_scaling --run [--out PATH] | --check PATH [--max-ratio R]");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = check {
-        run_check(&path, max_ratio);
-        return;
-    }
-    if !run {
-        eprintln!("usage: bench_scaling --run [--out PATH] | --check PATH [--max-ratio R]");
-        std::process::exit(2);
-    }
-    run_curve(&out);
-}
-
-/// Site counts to sweep, from `CLINFL_SCALE_SITES` or the paper-to-fleet
-/// default curve.
-fn scales_from_env() -> Vec<usize> {
-    match std::env::var("CLINFL_SCALE_SITES") {
-        Ok(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .expect("CLINFL_SCALE_SITES must be comma-separated site counts")
-            })
-            .collect(),
-        Err(_) => vec![8, 64, 256, 1024],
-    }
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{key} must be an integer"))
-        })
-        .unwrap_or(default)
-}
+/// Gate: root work at the largest scale within 4× the anchor's.
+const MAX_RATIO: f64 = 4.0;
 
 /// A small but non-degenerate model so byte counts are meaningful:
 /// four 256-float tensors (4 KiB of payload per exchange).
@@ -129,24 +71,35 @@ fn initial_weights() -> Weights {
 struct ScaleOutcome {
     sites: usize,
     depth: u32,
-    fanout: usize,
-    rounds: u32,
     wall: Duration,
-    delta: MetricsSnapshot,
+    /// Everything the run recorded, in its own registry.
+    metrics: MetricsSnapshot,
 }
 
-/// Runs one scale point and returns the metrics delta for just that run.
-/// Peak-session gauges are high-water marks, so they are re-zeroed before
-/// each run to keep the per-scale readings honest.
-fn run_scale(sites: usize, rounds: u32, fanout: usize) -> ScaleOutcome {
-    for g in ["flare.server.sessions_peak", "flare.tree.sessions_peak"] {
-        clinfl_obs::gauge(g).set(0);
+impl ScaleOutcome {
+    /// Root-attributable processing per round: the root reactor's frame
+    /// handling time (decrypt, decode, route, submit bookkeeping) divided
+    /// by the round count. Registration-time frames amortize into this
+    /// too, which only makes the gate stricter for a root with wide
+    /// fan-in.
+    fn root_work_ms(&self) -> f64 {
+        self.metrics.counter("flare.server.frame_work_ns") as f64 / 1e6 / f64::from(ROUNDS)
     }
-    let tree = TreeConfig::auto(sites, fanout);
+
+    fn round_ms(&self) -> (f64, f64) {
+        self.metrics
+            .histograms
+            .get("flare.round.time_ns")
+            .map_or((0.0, 0.0), |h| (h.mean() / 1e6, h.max as f64 / 1e6))
+    }
+}
+
+fn run_scale(sites: usize) -> ScaleOutcome {
+    let tree = TreeConfig::auto(sites, FANOUT);
     let config = SimulatorConfig {
         n_clients: sites,
         sag: SagConfig {
-            rounds,
+            rounds: ROUNDS,
             min_clients: 1,
             round_timeout: Duration::from_secs(300),
             validate_global: false,
@@ -156,8 +109,9 @@ fn run_scale(sites: usize, rounds: u32, fanout: usize) -> ScaleOutcome {
         tree: (tree.depth >= 2).then_some(tree),
         ..SimulatorConfig::default()
     };
-    let runner = SimulatorRunner::new(config);
-    let before = clinfl_obs::snapshot();
+    let registry = Registry::new();
+    let runner =
+        SimulatorRunner::new(config).with_registry(registry.clone(), format!("scale{sites}"));
     let started = Instant::now();
     let result = runner
         .run_simple(
@@ -172,108 +126,89 @@ fn run_scale(sites: usize, rounds: u32, fanout: usize) -> ScaleOutcome {
         )
         .unwrap_or_else(|e| panic!("{sites}-site run failed: {e}"));
     let wall = started.elapsed();
-    let after = clinfl_obs::snapshot();
     assert_eq!(
         result.workflow.rounds.len(),
-        rounds as usize,
-        "{sites}-site run completed {} of {rounds} rounds",
+        ROUNDS as usize,
+        "{sites}-site run completed {} of {ROUNDS} rounds",
         result.workflow.rounds.len()
     );
     ScaleOutcome {
         sites,
         depth: tree.depth.max(1),
-        fanout,
-        rounds,
         wall,
-        delta: snapshot_delta(&before, &after),
+        metrics: registry.snapshot(),
     }
 }
 
-fn run_curve(out: &str) {
+fn main() {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: bench_scaling (takes no arguments)");
+        std::process::exit(2);
+    }
     clinfl_obs::set_enabled(true);
-    let scales = scales_from_env();
-    let rounds = env_usize("CLINFL_SCALE_ROUNDS", 3) as u32;
-    let fanout = env_usize("CLINFL_SCALE_FANOUT", 8);
-    println!("== bench_scaling: {scales:?} sites, {rounds} rounds, fan-out {fanout} ==");
-
-    let mut outcomes = Vec::new();
-    for &sites in &scales {
-        let o = run_scale(sites, rounds, fanout);
+    println!("== bench_scaling: {SCALES:?} sites, {ROUNDS} rounds, fan-out {FANOUT} ==");
+    let outcomes: Vec<ScaleOutcome> = SCALES.iter().map(|&n| run_scale(n)).collect();
+    for o in &outcomes {
+        let m = &o.metrics;
+        let root_bytes = m.counter("flare.server.bytes_tx") + m.counter("flare.server.bytes_rx");
         println!(
             "{:>5} sites (depth {}): {:>8.1} ms/round end-to-end, \
              root work {:>6.2} ms/round, root {:>6} B/round, wall {:.2}s",
             o.sites,
             o.depth,
-            round_mean_ms(&o.delta),
-            root_work_ms(&o),
-            root_bytes_per_round(&o),
+            o.round_ms().0,
+            o.root_work_ms(),
+            root_bytes / u64::from(ROUNDS),
             o.wall.as_secs_f64(),
         );
-        outcomes.push(o);
     }
 
-    let report = build_report(&outcomes);
-    std::fs::write(out, report.to_json()).expect("write report");
-    println!("report written to {out}");
-}
-
-fn round_mean_ms(m: &MetricsSnapshot) -> f64 {
-    m.histograms
-        .get("flare.round.time_ns")
-        .map_or(0.0, |h| h.mean() / 1e6)
-}
-
-/// Root-attributable processing per round: the root reactor's frame
-/// handling time (decrypt, decode, route, submit bookkeeping) divided by
-/// the round count. Registration-time frames amortize into this too,
-/// which only makes the gate stricter for a root with wide fan-in.
-fn root_work_ms(o: &ScaleOutcome) -> f64 {
-    o.delta.counter("flare.server.frame_work_ns") as f64 / 1e6 / f64::from(o.rounds.max(1))
-}
-
-fn root_bytes_per_round(o: &ScaleOutcome) -> u64 {
-    let total = o.delta.counter("flare.server.bytes_tx") + o.delta.counter("flare.server.bytes_rx");
-    total / u64::from(o.rounds.max(1))
-}
-
-fn build_report(outcomes: &[ScaleOutcome]) -> Value {
-    let scales: Vec<Value> = outcomes.iter().map(scale_record).collect();
-    // The gate compares the largest scale against the 64-site anchor (or
-    // the smallest available scale when the sweep was overridden).
-    let anchor = outcomes
-        .iter()
-        .find(|o| o.sites == 64)
-        .or_else(|| outcomes.first())
-        .map_or(0.0, root_work_ms);
-    let top = outcomes.last().map_or(0.0, root_work_ms);
+    let work_at = |sites| {
+        outcomes
+            .iter()
+            .find(|o| o.sites == sites)
+            .map_or(0.0, ScaleOutcome::root_work_ms)
+    };
+    let (anchor, top) = (work_at(ANCHOR_SITES), work_at(TOP_SITES));
     let ratio = top / anchor.max(LATENCY_FLOOR_MS);
+
+    let report = build_report(&outcomes, anchor, top, ratio);
+    std::fs::write(OUT, report.to_json()).expect("write report");
+    println!("report written to {OUT}");
+
+    if ratio > MAX_RATIO {
+        eprintln!(
+            "FAIL: root round latency grew super-logarithmically: root work at \
+             {TOP_SITES} sites is {top:.2} ms/round, {ratio:.2}x the {ANCHOR_SITES}-site \
+             anchor (allowed {MAX_RATIO}x)"
+        );
+        std::process::exit(1);
+    }
+    println!("OK: root work ratio {ratio:.2}x <= {MAX_RATIO}x");
+}
+
+fn build_report(outcomes: &[ScaleOutcome], anchor: f64, top: f64, ratio: f64) -> Value {
     Value::object(vec![
         ("schema", Value::Str(SCHEMA.to_string())),
         (
             "run",
             Value::object(vec![
                 ("workload", Value::Str("scaling-curve".to_string())),
-                (
-                    "rounds",
-                    Value::UInt(outcomes.first().map_or(0, |o| u64::from(o.rounds))),
-                ),
-                (
-                    "fanout",
-                    Value::UInt(outcomes.first().map_or(0, |o| o.fanout as u64)),
-                ),
+                ("rounds", Value::UInt(u64::from(ROUNDS))),
+                ("fanout", Value::UInt(FANOUT as u64)),
             ]),
         ),
-        ("scales", Value::Array(scales)),
+        (
+            "scales",
+            Value::Array(outcomes.iter().map(scale_record).collect()),
+        ),
         (
             "gate",
             Value::object(vec![
                 ("metric", Value::Str("root_round_work_ms".to_string())),
-                ("anchor_sites", Value::UInt(64)),
+                ("anchor_sites", Value::UInt(ANCHOR_SITES as u64)),
                 ("anchor_root_work_ms", Value::Float(anchor)),
-                (
-                    "top_sites",
-                    Value::UInt(outcomes.last().map_or(0, |o| o.sites as u64)),
-                ),
+                ("top_sites", Value::UInt(TOP_SITES as u64)),
                 ("top_root_work_ms", Value::Float(top)),
                 ("latency_floor_ms", Value::Float(LATENCY_FLOOR_MS)),
                 ("ratio", Value::Float(ratio)),
@@ -283,12 +218,7 @@ fn build_report(outcomes: &[ScaleOutcome]) -> Value {
 }
 
 fn scale_record(o: &ScaleOutcome) -> Value {
-    let m = &o.delta;
-    let round = m
-        .histograms
-        .get("flare.round.time_ns")
-        .cloned()
-        .unwrap_or_default();
+    let m = &o.metrics;
     let pair = |ns: &str| {
         Value::object(vec![
             (
@@ -301,14 +231,16 @@ fn scale_record(o: &ScaleOutcome) -> Value {
             ),
         ])
     };
+    let peak = |g: &str| Value::Int(m.gauges.get(g).copied().unwrap_or(0));
+    let (round_mean, round_max) = o.round_ms();
     Value::object(vec![
         ("sites", Value::UInt(o.sites as u64)),
         ("tree_depth", Value::UInt(u64::from(o.depth))),
-        ("fanout", Value::UInt(o.fanout as u64)),
-        ("rounds", Value::UInt(u64::from(o.rounds))),
-        ("root_round_work_ms", Value::Float(root_work_ms(o))),
-        ("round_mean_ms", Value::Float(round.mean() / 1e6)),
-        ("round_max_ms", Value::Float(round.max as f64 / 1e6)),
+        ("fanout", Value::UInt(FANOUT as u64)),
+        ("rounds", Value::UInt(u64::from(ROUNDS))),
+        ("root_round_work_ms", Value::Float(o.root_work_ms())),
+        ("round_mean_ms", Value::Float(round_mean)),
+        ("round_max_ms", Value::Float(round_max)),
         ("wall_ms", Value::Float(o.wall.as_secs_f64() * 1e3)),
         ("root", pair("flare.server")),
         ("interior", pair("flare.tree")),
@@ -317,163 +249,9 @@ fn scale_record(o: &ScaleOutcome) -> Value {
         (
             "sessions",
             Value::object(vec![
-                (
-                    "root_peak",
-                    Value::Int(
-                        m.gauges
-                            .get("flare.server.sessions_peak")
-                            .copied()
-                            .unwrap_or(0),
-                    ),
-                ),
-                (
-                    "interior_peak",
-                    Value::Int(
-                        m.gauges
-                            .get("flare.tree.sessions_peak")
-                            .copied()
-                            .unwrap_or(0),
-                    ),
-                ),
+                ("root_peak", peak("flare.server.sessions_peak")),
+                ("interior_peak", peak("flare.tree.sessions_peak")),
             ]),
         ),
     ])
-}
-
-/// Per-counter difference `after - before`; gauges are level readings
-/// (peaks re-zeroed per scale in `run_scale`), so the latest value wins.
-fn snapshot_delta(before: &MetricsSnapshot, after: &MetricsSnapshot) -> MetricsSnapshot {
-    let mut delta = MetricsSnapshot::default();
-    for (k, &v) in &after.counters {
-        let prev = before.counters.get(k).copied().unwrap_or(0);
-        delta.counters.insert(k.clone(), v.saturating_sub(prev));
-    }
-    delta.gauges = after.gauges.clone();
-    for (k, h) in &after.histograms {
-        let prev = before.histograms.get(k);
-        let mut snap = h.clone();
-        snap.count = h.count.saturating_sub(prev.map_or(0, |p| p.count));
-        snap.sum = h.sum.saturating_sub(prev.map_or(0, |p| p.sum));
-        snap.buckets = h
-            .buckets
-            .iter()
-            .filter_map(|&(i, n)| {
-                let p = prev
-                    .and_then(|p| p.buckets.iter().find(|&&(pi, _)| pi == i))
-                    .map_or(0, |&(_, pn)| pn);
-                (n > p).then_some((i, n - p))
-            })
-            .collect();
-        delta.histograms.insert(k.clone(), snap);
-    }
-    delta
-}
-
-/// Validates `path` against the v1 schema and enforces the latency gate;
-/// prints every violation and exits 1 if any is found.
-fn run_check(path: &str, max_ratio: f64) {
-    let mut errors = Vec::new();
-    let report = match std::fs::read_to_string(path) {
-        Ok(text) => match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("FAIL {path}: unparsable JSON: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("FAIL {path}: unreadable: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    if report.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errors.push(format!("schema field is not {SCHEMA:?}"));
-    }
-    let scales = report
-        .get("scales")
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    if scales.is_empty() {
-        errors.push("scales array missing or empty".to_string());
-    }
-    let mut prev_sites = 0u64;
-    for (i, s) in scales.iter().enumerate() {
-        let sites = s.get("sites").and_then(Value::as_u64).unwrap_or(0);
-        if sites <= prev_sites {
-            errors.push(format!("scales[{i}].sites not strictly increasing"));
-        }
-        prev_sites = sites;
-        for field in ["root_round_work_ms", "round_mean_ms", "wall_ms"] {
-            if s.get(field).and_then(Value::as_f64).is_none() {
-                errors.push(format!("scales[{i}].{field} missing"));
-            }
-        }
-        if s.get("tree_depth")
-            .and_then(Value::as_u64)
-            .is_none_or(|d| d == 0)
-        {
-            errors.push(format!("scales[{i}].tree_depth missing or zero"));
-        }
-        for section in ["root", "leaves"] {
-            let bytes = s
-                .get(section)
-                .and_then(|b| b.get("bytes_tx"))
-                .and_then(Value::as_u64);
-            if bytes.is_none_or(|b| b == 0) {
-                errors.push(format!("scales[{i}].{section}.bytes_tx missing or zero"));
-            }
-        }
-        if s.get("sessions")
-            .and_then(|v| v.get("root_peak"))
-            .and_then(Value::as_i64)
-            .is_none_or(|p| p < 1)
-        {
-            errors.push(format!("scales[{i}].sessions.root_peak missing or < 1"));
-        }
-        // Deep trees must actually shrink the root's fan-in: with an
-        // aggregation tree the root sees its children, not every site.
-        let depth = s.get("tree_depth").and_then(Value::as_u64).unwrap_or(1);
-        let root_peak = s
-            .get("sessions")
-            .and_then(|v| v.get("root_peak"))
-            .and_then(Value::as_i64)
-            .unwrap_or(0);
-        if depth >= 2 && root_peak as u64 >= sites && sites > 1 {
-            errors.push(format!(
-                "scales[{i}]: tree depth {depth} but root held {root_peak} sessions \
-                 for {sites} sites (tree not engaged?)"
-            ));
-        }
-    }
-    match (
-        report
-            .get("gate")
-            .and_then(|g| g.get("ratio"))
-            .and_then(Value::as_f64),
-        report
-            .get("gate")
-            .and_then(|g| g.get("top_root_work_ms"))
-            .and_then(Value::as_f64),
-    ) {
-        (Some(ratio), Some(top)) => {
-            if ratio > max_ratio {
-                errors.push(format!(
-                    "root round latency grew super-logarithmically: root work at \
-                     the top scale is {top:.2} ms/round, {ratio:.2}x the 64-site \
-                     anchor (allowed {max_ratio}x)"
-                ));
-            }
-        }
-        _ => errors.push("gate.ratio / gate.top_root_work_ms missing".to_string()),
-    }
-
-    if errors.is_empty() {
-        println!("OK {path}: valid {SCHEMA}, scaling gate within {max_ratio}x");
-    } else {
-        for e in &errors {
-            eprintln!("FAIL {path}: {e}");
-        }
-        std::process::exit(1);
-    }
 }

@@ -10,9 +10,13 @@
 //! | Table III (top-1 accuracy)  | `cargo run -p clinfl-bench --release --bin table3_accuracy [--scale N]` |
 //! | Fig. 2 (MLM loss)           | `cargo run -p clinfl-bench --release --bin fig2_mlm_loss [--scale N]` |
 //! | Fig. 3 (runtime demo)       | `cargo run -p clinfl-bench --release --bin fig3_demo` |
-//! | Ablations (extensions)      | `ablation_aggregators`, `ablation_partition`, `ablation_pretrain` |
-//! | Tape allocation pressure    | `cargo run -p clinfl-bench --release --bin alloc_stats` |
-//! | GEMM kernel perf floor      | `cargo run -p clinfl-bench --release --bin bench_kernels -- --run` |
+//! | Ablations (extensions)      | `ablation_aggregators`, `ablation_fedprox`, `ablation_partition`, `ablation_pretrain`, `ablation_privacy` |
+//!
+//! | CI gate (no flags; exits 1 on a violation) | Binary |
+//! |---|---|
+//! | Packed-GEMM speedup ≥ 2.5×                 | `bench_kernels` |
+//! | Root work 1024 vs 64 sites ≤ 4×            | `bench_scaling` |
+//! | ≥ 8 valid scenario cells, exact baseline   | `scenario_matrix` |
 //!
 //! `--scale N` divides the paper's data volumes by `N` (default shown per
 //! binary); `--scale 1` is full paper scale. Results are recorded in the

@@ -8,7 +8,7 @@ use crate::FlareError;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sending half of a connection.
 pub trait FrameTx: Send {
@@ -26,8 +26,10 @@ pub trait FrameRx: Send {
     ///
     /// # Errors
     ///
-    /// [`FlareError::Timeout`] if the deadline passes;
-    /// [`FlareError::Transport`] when the peer is gone.
+    /// [`FlareError::Timeout`] if no frame starts before the deadline
+    /// (the connection is still in step, so the caller may retry);
+    /// [`FlareError::Transport`] when the peer is gone or a started frame
+    /// does not complete.
     fn recv(&mut self, timeout: Duration) -> Result<Vec<u8>, FlareError>;
 }
 
@@ -97,8 +99,16 @@ pub fn in_proc_pair() -> (Connection, Connection) {
 
 /// Default write deadline for TCP streams: a peer that stops draining its
 /// socket must surface as [`FlareError::Timeout`] instead of blocking a
-/// server handler thread forever.
+/// server handler thread forever. It is also how long a receiver waits
+/// for the rest of a frame once the frame's first byte has arrived.
 pub const TCP_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
 
 struct TcpTx(TcpStream);
 
@@ -112,12 +122,7 @@ impl FrameTx for TcpTx {
             .and_then(|_| self.0.write_all(frame))
         {
             Ok(()) => Ok(()),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Err(FlareError::Timeout)
-            }
+            Err(e) if is_timeout(&e) => Err(FlareError::Timeout),
             Err(e) => Err(FlareError::Transport(format!("tcp send: {e}"))),
         }
     }
@@ -125,22 +130,54 @@ impl FrameTx for TcpTx {
 
 struct TcpRx(TcpStream);
 
+impl TcpRx {
+    /// Fills `buf` from the stream by `deadline`. Runs only once a frame
+    /// has begun, so every failure — a stall included — is a
+    /// [`FlareError::Transport`]: returning the retryable `Timeout` here
+    /// would let the caller's next `recv` read mid-frame bytes as a
+    /// length prefix.
+    fn read_rest(&mut self, buf: &mut [u8], deadline: Instant) -> Result<(), FlareError> {
+        let mut filled = 0;
+        while filled < buf.len() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(FlareError::Transport("tcp frame stalled mid-read".into()));
+            }
+            self.0
+                .set_read_timeout(Some(left))
+                .map_err(|e| FlareError::Transport(format!("set timeout: {e}")))?;
+            match self.0.read(&mut buf[filled..]) {
+                Ok(0) => return Err(FlareError::Transport("tcp peer closed mid-frame".into())),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if is_timeout(&e) => {}
+                Err(e) => return Err(FlareError::Transport(format!("tcp recv mid-frame: {e}"))),
+            }
+        }
+        Ok(())
+    }
+}
+
 impl FrameRx for TcpRx {
     fn recv(&mut self, timeout: Duration) -> Result<Vec<u8>, FlareError> {
+        // Only the wait for a frame's first byte runs under the caller's
+        // timeout; once any byte is in, the rest of the frame gets
+        // TCP_WRITE_TIMEOUT, so a slow body never splits a frame in two.
         self.0
             .set_read_timeout(Some(timeout))
             .map_err(|e| FlareError::Transport(format!("set timeout: {e}")))?;
         let mut len_bytes = [0u8; 4];
-        match self.0.read_exact(&mut len_bytes) {
-            Ok(()) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(FlareError::Timeout)
+        loop {
+            match self.0.read(&mut len_bytes[..1]) {
+                Ok(0) => return Err(FlareError::Transport("tcp peer closed".into())),
+                Ok(_) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if is_timeout(&e) => return Err(FlareError::Timeout),
+                Err(e) => return Err(FlareError::Transport(format!("tcp recv: {e}"))),
             }
-            Err(e) => return Err(FlareError::Transport(format!("tcp recv: {e}"))),
         }
+        let deadline = Instant::now() + TCP_WRITE_TIMEOUT;
+        self.read_rest(&mut len_bytes[1..], deadline)?;
         let len = u32::from_le_bytes(len_bytes) as usize;
         if len > (1 << 30) {
             return Err(FlareError::Codec(format!(
@@ -148,19 +185,8 @@ impl FrameRx for TcpRx {
             )));
         }
         let mut buf = vec![0u8; len];
-        match self.0.read_exact(&mut buf) {
-            Ok(()) => Ok(buf),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // A frame header arrived but the body stalled past the
-                // deadline: the stream is desynchronized, but the caller's
-                // thread is free to give up instead of hanging.
-                Err(FlareError::Timeout)
-            }
-            Err(e) => Err(FlareError::Transport(format!("tcp recv body: {e}"))),
-        }
+        self.read_rest(&mut buf, deadline)?;
+        Ok(buf)
     }
 }
 
@@ -289,6 +315,44 @@ mod tests {
             client.rx.recv(Duration::from_millis(30)),
             Err(FlareError::Timeout)
         ));
+    }
+
+    /// A frame whose body stalls past the receiver's timeout still
+    /// arrives whole, and the stream stays in step for the next frame.
+    /// The receiver loops on `Timeout` the way the server pump and the
+    /// client's retry loop do.
+    #[test]
+    fn tcp_stalled_body_keeps_the_stream_in_step() {
+        let listener = TcpTransport::listen("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let first: Vec<u8> = (0..=255u8).cycle().take(4000).collect();
+        let second = b"second frame".to_vec();
+        let (f1, f2) = (first.clone(), second.clone());
+        let peer = thread::spawn(move || {
+            let mut raw = TcpStream::connect(&addr).unwrap();
+            raw.set_nodelay(true).unwrap();
+            raw.write_all(&(f1.len() as u32).to_le_bytes()).unwrap();
+            raw.write_all(&f1[..1000]).unwrap();
+            thread::sleep(Duration::from_millis(300));
+            raw.write_all(&f1[1000..]).unwrap();
+            raw.write_all(&(f2.len() as u32).to_le_bytes()).unwrap();
+            raw.write_all(&f2).unwrap();
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = TcpTransport::from_stream(stream).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..20 {
+            match conn.rx.recv(Duration::from_millis(100)) {
+                Ok(frame) => got.push(frame),
+                Err(FlareError::Timeout) => continue,
+                Err(e) => panic!("stream broke after a stalled body: {e}"),
+            }
+            if got.len() == 2 {
+                break;
+            }
+        }
+        peer.join().unwrap();
+        assert_eq!(got, vec![first, second]);
     }
 
     #[test]

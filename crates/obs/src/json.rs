@@ -2,9 +2,9 @@
 //!
 //! The workspace vendors its external dependencies as offline stubs, so
 //! the obs layer carries its own ~200-line JSON implementation: enough
-//! to serialize a [`crate::MetricsSnapshot`] / `BENCH_report.json`
-//! deterministically and parse them back for round-trip tests and
-//! schema validation. Objects preserve insertion order; serialization
+//! to serialize a [`crate::MetricsSnapshot`] and the `BENCH_*.json`
+//! reports deterministically and parse snapshots back for round-trip
+//! tests. Objects preserve insertion order; serialization
 //! is canonical (no whitespace choices), so equal values always render
 //! to equal strings.
 

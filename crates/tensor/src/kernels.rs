@@ -48,7 +48,7 @@ static OBS_LAYER_NORM: KernelTimer = KernelTimer::new("tensor.layer_norm");
 static OBS_LAYER_NORM_BWD: KernelTimer = KernelTimer::new("tensor.layer_norm_backward");
 
 /// Cached handle for a `<kernel>.flops` counter: pairs with the
-/// [`KernelTimer`] of the same family so `bench_report` can derive a
+/// [`KernelTimer`] of the same family so a metrics snapshot yields a
 /// GFLOP/s estimate (`flops / time_ns`).
 struct FlopsCounter {
     name: &'static str,

@@ -15,35 +15,34 @@
 #   test-serial    full test suite under CLINFL_THREADS=1
 #   test-parallel  full test suite under the default thread budget
 #   test-faults    full test suite under CLINFL_FAULTS=aggressive
-#   resume         crash-resume chaos tests (kill server mid-round, resume,
-#                  require bit-identical weights; dir kept in
-#                  target/chaos-resume on failure for artifact upload)
-#   bench-smoke    bench_report smoke run + schema check of BENCH_report.json
+#                  (each test leg includes the crash-resume chaos tests,
+#                  which keep their dir in target/chaos-resume on failure
+#                  for artifact upload)
 #   kernels        packed-GEMM perf floor (DESIGN.md §3j): bench_kernels times
 #                  the packed register-blocked kernels against the retained
 #                  naive references across the smoke run's hot shapes, writes
 #                  BENCH_kernels.json, and fails below a 2.5x aggregate speedup
-#   wire-codec     bench_report smoke with delta+topk0.05+int8 negotiated under
-#                  aggressive faults; fails unless encoded bytes are <= 1/10 of
-#                  the raw protocol (BENCH_wire_codec.json, DESIGN.md §3g)
 #   scale          scaling-curve gate (DESIGN.md §3h): bench_scaling runs the
-#                  8/64/256/1024-site tree-aggregation curve, BENCH_scaling.json
-#                  is schema-checked, and the run fails if root round work grows
-#                  super-logarithmically between 64 and 1024 sites; then the
-#                  fault/resume chaos suites re-run at tree depth 2 (fan-out 3)
+#                  8/64/256/1024-site tree-aggregation curve, writes
+#                  BENCH_scaling.json, and fails if root round work at 1024
+#                  sites exceeds 4x the 64-site figure; then the fault/resume
+#                  chaos suites re-run at tree depth 2 (fan-out 3)
 #   jobs           multi-tenant admin API gate (DESIGN.md §3i): scripts/ci_jobs.sh
 #                  starts `clinfl serve`, submits two jobs over HTTP, streams
 #                  live NDJSON metrics, aborts one mid-run, and asserts the
 #                  survivor finishes with its own checkpoint dir intact
 #   scenarios      scenario-matrix sweep (DESIGN.md §3k): scenario_matrix runs
 #                  the partition x sampling x DP x personalization smoke grid,
-#                  asserts the disabled-knobs cell is bit-identical to the flat
-#                  path, writes BENCH_scenarios.json, and the schema check
-#                  requires >=8 cells with valid accuracies and (eps, delta)
+#                  writes BENCH_scenarios.json, and fails unless >=8 cells have
+#                  valid accuracies and (eps, delta) and the disabled-knobs
+#                  cell is bit-identical to the flat path
 #   doc            rustdoc with warnings denied (broken links fail the gate)
 #   clippy         clippy --all-targets with warnings denied
 #   fmt            cargo fmt --check, then the line-count ratchet
 #                  (scripts/loc.sh --check against scripts/loc.tsv)
+#
+# Each gate checks its numbers in the run that computed them; the
+# BENCH_*.json files are upload artifacts that nothing reads back.
 #
 # Usage: scripts/check.sh [leg ...]   (no args = all legs, in order)
 #
@@ -55,7 +54,7 @@
 # wall-clocks against the committed scripts/ci_baseline.tsv.
 #
 # Each leg runs with CLINFL_OBS_DIR=target/obs/<leg> so metric artifacts
-# from different legs (wire-codec vs scale, say) never clobber each other.
+# from different legs (test-faults vs scale, say) never clobber each other.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,7 +62,7 @@ mkdir -p target
 TIMINGS=target/ci-timings.tsv
 RSS_FILE=target/.leg-rss
 
-ALL_LEGS="build fedbench test-serial test-parallel test-faults resume bench-smoke kernels wire-codec scale jobs scenarios doc clippy fmt"
+ALL_LEGS="build fedbench test-serial test-parallel test-faults kernels scale jobs scenarios doc clippy fmt"
 
 # Runs "$@" as a child and, after it exits, writes the peak RSS in KB of
 # the child process tree (getrusage RUSAGE_CHILDREN) to $RSS_FILE. The
@@ -122,41 +121,13 @@ run_leg() {
     test-serial) leg test-serial env CLINFL_THREADS=1 cargo test --workspace --release -q ;;
     test-parallel) leg test-parallel cargo test --workspace --release -q ;;
     test-faults) leg test-faults env CLINFL_FAULTS=aggressive cargo test --workspace --release -q ;;
-    resume) leg resume cargo test --release --test integration_resume -q ;;
-    bench-smoke)
-        # One leg = one command, so chain run + schema check in a subshell.
-        leg bench-smoke bash -c \
-            'cargo run --release -q -p clinfl-bench --bin bench_report -- --smoke --out BENCH_report.json \
-             && cargo run --release -q -p clinfl-bench --bin bench_report -- --check BENCH_report.json'
-        ;;
-    kernels)
-        # Kernel perf floor: the packed GEMM micro-kernels must hold an
-        # aggregate >=2.5x speedup over the naive references on the smoke
-        # run's hot shapes, or the tentpole win of PR 9 has regressed.
-        leg kernels bash -c \
-            'cargo run --release -q -p clinfl-bench --bin bench_kernels -- --run --out BENCH_kernels.json \
-             && cargo run --release -q -p clinfl-bench --bin bench_kernels -- --check BENCH_kernels.json --min-speedup 2.5'
-        ;;
-    wire-codec)
-        # Compression gate: the full negotiated stack (delta ring + top-k +
-        # int8) must hold a >=10x byte reduction even while the aggressive
-        # fault profile drops, truncates, and delays frames.
-        leg wire-codec bash -c \
-            'CLINFL_WIRE_CODEC=delta+topk0.05+int8 CLINFL_FAULTS=aggressive \
-               cargo run --release -q -p clinfl-bench --bin bench_report -- --smoke --out BENCH_wire_codec.json \
-             && cargo run --release -q -p clinfl-bench --bin bench_report -- --check BENCH_wire_codec.json --min-reduction 10'
-        ;;
+    kernels) leg kernels cargo run --release -q -p clinfl-bench --bin bench_kernels ;;
     scale)
-        # Scaling-curve gate: the bin targets must be rebuilt explicitly
-        # (a workspace build does not reliably relink them), then the
-        # 8->1024-site curve runs through tree aggregation and the JSON
-        # gate checks root-attributable round work stays O(log n). The
-        # chaos suites then repeat at tree depth 2 so fault handling,
-        # quorum, and resume are proven on the hierarchical topology too.
+        # Scaling-curve gate, then the chaos suites repeat at tree depth 2
+        # so fault handling, quorum, and resume are proven on the
+        # hierarchical topology too.
         leg scale bash -c \
-            'cargo build --release -q -p clinfl-bench \
-             && cargo run --release -q -p clinfl-bench --bin bench_scaling -- --run --out BENCH_scaling.json \
-             && cargo run --release -q -p clinfl-bench --bin bench_scaling -- --check BENCH_scaling.json \
+            'cargo run --release -q -p clinfl-bench --bin bench_scaling \
              && CLINFL_TREE=2x3 cargo test --release -q --test integration_faults --test integration_resume'
         ;;
     jobs)
@@ -166,16 +137,7 @@ run_leg() {
         # alone.
         leg jobs bash -c 'cargo build --release -q -p clinfl && scripts/ci_jobs.sh'
         ;;
-    scenarios)
-        # Scenario-matrix gate: the smoke grid (2 partitions x sampling
-        # on/off x DP on/off, plus a personalization arm per partition)
-        # must produce in-range accuracies, finite (eps, delta) on every
-        # DP cell, and a baseline cell bit-identical to the plain
-        # federated path — so the sampling/DP knobs provably default off.
-        leg scenarios bash -c \
-            'cargo run --release -q -p clinfl-bench --bin scenario_matrix -- --smoke --out BENCH_scenarios.json \
-             && cargo run --release -q -p clinfl-bench --bin scenario_matrix -- --check BENCH_scenarios.json'
-        ;;
+    scenarios) leg scenarios cargo run --release -q -p clinfl-bench --bin scenario_matrix ;;
     fedbench)
         # Run from the repo root so .cargo/config.toml (AVX2) applies; the
         # package has its own target dir (bench/target, gitignored).

@@ -72,32 +72,3 @@ else
     echo "| (no timings recorded) | - | - | - | - | - |"
 fi
 
-# Kernel-level metric: the smoke run's tensor.matmul histogram total from
-# BENCH_report.json, diffed against the "matmul_ms" row of the baseline
-# file. Leg wall-clocks can absorb a kernel regression (tests dominate
-# them), so the GEMM total is compared directly — same >25% flag as the
-# legs. Extraction is a sed pull from the single-line JSON (no jq in the
-# CI image); the report key "tensor.matmul" sorts before its _at_b/_a_bt
-# siblings, so the first match is the plain matmul histogram.
-REPORT=BENCH_report.json
-if [ -f "$REPORT" ]; then
-    matmul_ms=$(sed -n 's/.*"tensor\.matmul":{[^}]*"total_ms":\([0-9][0-9.eE+-]*\).*/\1/p' "$REPORT" | head -n1)
-    base_ms=""
-    [ -f "$BASELINE" ] && base_ms=$(awk -F'\t' '$1 == "matmul_ms" {print $2}' "$BASELINE")
-    if [ -n "$matmul_ms" ]; then
-        echo
-        echo "### Kernel metrics (BENCH_report.json)"
-        echo
-        echo "| Metric | Value (ms) | vs baseline |"
-        echo "|:-------|-----------:|:------------|"
-        awk -v v="$matmul_ms" -v b="$base_ms" 'BEGIN {
-            delta = "-"
-            if (b != "" && b + 0 > 0) {
-                pct = (v - b) * 100.0 / b
-                delta = sprintf("%+.0f%%", pct)
-                if (pct > 25) delta = delta " ⚠️ **slower than baseline**"
-            }
-            printf "| matmul_ms | %.2f | %s |\n", v, delta
-        }'
-    fi
-fi

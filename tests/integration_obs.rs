@@ -6,15 +6,26 @@
 //! deltas), because the registry is process-global and other tests in
 //! this binary may record into it concurrently.
 
+use clinfl::drivers::ClinicalSites;
+use clinfl::{ModelSpec, PipelineConfig};
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::client::RetryPolicy;
 use clinfl_flare::controller::SagConfig;
 use clinfl_flare::executor::ArithmeticExecutor;
 use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
-use clinfl_flare::{WeightTensor, Weights};
+use clinfl_flare::{EventLog, WeightTensor, Weights};
 use clinfl_obs as obs;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Simulations record spans into the global registry, and
+/// `spans_balance_under_aggressive_faults` counts `span.run` records
+/// exactly, so every test that runs a simulation takes this lock.
+fn simulation_guard() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn concurrent_counter_updates_are_lossless() {
@@ -77,6 +88,7 @@ fn spans_balance_under_aggressive_faults() {
     if !obs::enabled() {
         return; // CLINFL_OBS=0: nothing is recorded, nothing to check.
     }
+    let _serial = simulation_guard();
     let runs_before = obs::snapshot()
         .histograms
         .get("span.run")
@@ -130,6 +142,61 @@ fn spans_balance_under_aggressive_faults() {
         "expected at least 3 run>round spans, got {}",
         rounds.count
     );
+}
+
+/// A real-model federation feeds every layer's metrics: the GEMM kernel
+/// timers and the tape arena record into the process-global registry
+/// (checked as deltas), and the run's own registry holds its round count
+/// and the root's traffic.
+#[test]
+fn real_model_federation_records_kernel_arena_and_round_metrics() {
+    if !obs::enabled() {
+        return; // CLINFL_OBS=0: nothing is recorded, nothing to check.
+    }
+    let _serial = simulation_guard();
+    let mut cfg = PipelineConfig::fast_demo();
+    cfg.cohort.n_patients = 120;
+    cfg.federation.n_clients = 3;
+    let rounds = cfg.federation.sag.rounds;
+    let sites = ClinicalSites::build(&cfg, ModelSpec::Lstm, &cfg.balanced_partitioner());
+    let names = [
+        "tensor.matmul.calls",
+        "tensor.matmul.time_ns",
+        "tensor.matmul.flops",
+        "tensor.arena.hits",
+        "tensor.arena.misses",
+    ];
+    let before = names.map(obs::counter_value);
+    let run = obs::Registry::new();
+    let log = EventLog::new();
+    SimulatorRunner::new(cfg.federation.clone())
+        .with_registry(run.clone(), "obs-test")
+        .run_simple(
+            sites.initial(),
+            |i, _| sites.executor(i, &log),
+            &WeightedFedAvg,
+        )
+        .expect("federation completes");
+    let grown: Vec<u64> = names
+        .iter()
+        .zip(before)
+        .map(|(name, b)| obs::counter_value(name) - b)
+        .collect();
+
+    for (name, g) in names.iter().zip(&grown).take(3) {
+        assert!(*g > 0, "{name} did not grow over a real-model run");
+    }
+    assert!(
+        grown[3] + grown[4] > 0,
+        "the tape arena recorded no traffic"
+    );
+    assert_eq!(run.counter_value("flare.round.count"), u64::from(rounds));
+    for name in ["flare.server.bytes_tx", "flare.server.bytes_rx"] {
+        assert!(
+            run.counter_value(name) > 0,
+            "{name} is zero in the run's registry"
+        );
+    }
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! federation results. Lossless codecs reproduce the all-raw run
 //! bit-for-bit (including mixed fleets and pre-codec servers), lossy
 //! codecs with error feedback stay within quantization tolerance, and
-//! chaos runs complete with compression on.
+//! chaos runs complete with compression on and still cut the root's
+//! sealed bytes at least tenfold.
 //!
 //! The wire-format spec these runs exercise is DESIGN.md §3g.
 
@@ -13,6 +14,7 @@ use clinfl_flare::executor::ArithmeticExecutor;
 use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::simulator::{SimulationResult, SimulatorConfig, SimulatorRunner};
 use clinfl_flare::{WeightTensor, Weights};
+use clinfl_obs::Registry;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -54,9 +56,13 @@ fn base_config(rounds: u32) -> SimulatorConfig {
 }
 
 fn run_sim(cfg: SimulatorConfig) -> SimulationResult {
-    SimulatorRunner::new(cfg)
+    run_from(SimulatorRunner::new(cfg), initial())
+}
+
+fn run_from(runner: SimulatorRunner, initial: Weights) -> SimulationResult {
+    runner
         .run_simple(
-            initial(),
+            initial,
             |i, _| {
                 Box::new(ArithmeticExecutor {
                     delta: (i as f32 + 1.0) * 0.5,
@@ -160,21 +166,45 @@ fn error_feedback_keeps_lossy_runs_near_raw() {
 }
 
 /// Compression composes with the chaos layer: an aggressive-fault run
-/// with delta+top-k+int8 negotiated still completes every round.
+/// with delta+top-k+int8 negotiated still completes every round, and its
+/// root seals at most a tenth of the bytes the same run seals under the
+/// raw codec. The model is one 64 Ki-float tensor, so weight payloads,
+/// not frame headers, dominate both byte counts.
 #[test]
 fn codec_chaos_run_completes() {
     let _serial = timing_guard();
-    let mut cfg = base_config(5);
-    cfg.n_clients = 8;
-    cfg.sag.min_clients = 3;
-    cfg.sag.round_timeout = Duration::from_secs(8);
-    cfg.sag.quorum_grace = Some(Duration::from_millis(1500));
-    cfg.sag.validate_global = false;
-    cfg.faults = FaultConfig::aggressive(3);
-    cfg.retry.message_timeout = Duration::from_secs(30);
-    cfg.retry.submit_copies = 2;
-    cfg.wire = CodecSpec::parse("delta+topk0.05+int8").unwrap();
-    let res = run_sim(cfg);
+    let chaos_run = |codec: &str| {
+        let mut cfg = base_config(5);
+        cfg.n_clients = 8;
+        cfg.sag.min_clients = 3;
+        cfg.sag.round_timeout = Duration::from_secs(8);
+        cfg.sag.quorum_grace = Some(Duration::from_millis(1500));
+        cfg.sag.validate_global = false;
+        cfg.faults = FaultConfig::aggressive(3);
+        cfg.retry.message_timeout = Duration::from_secs(30);
+        cfg.retry.submit_copies = 2;
+        cfg.wire = CodecSpec::parse(codec).unwrap();
+        let mut model = Weights::new();
+        model.insert(
+            "w".into(),
+            WeightTensor::new(vec![1 << 16], vec![0.25; 1 << 16]),
+        );
+        let obs = Registry::new();
+        let res = run_from(
+            SimulatorRunner::new(cfg).with_registry(obs.clone(), "wire-test"),
+            model,
+        );
+        let sealed =
+            obs.counter_value("flare.server.bytes_tx") + obs.counter_value("flare.server.bytes_rx");
+        (res, sealed)
+    };
+    // The two runs mostly wait out fault delays, so they share the wall
+    // clock.
+    let ((res, coded), (_, raw)) = std::thread::scope(|s| {
+        let raw = s.spawn(|| chaos_run("raw"));
+        let coded = chaos_run("delta+topk0.05+int8");
+        (coded, raw.join().expect("raw run"))
+    });
     assert_eq!(res.workflow.rounds.len(), 5, "all rounds must complete");
     for r in &res.workflow.rounds {
         assert!(
@@ -185,4 +215,14 @@ fn codec_chaos_run_completes() {
         );
     }
     assert!(res.log.contains("FaultInjector"), "no faults were injected");
+
+    if !clinfl_obs::enabled() {
+        return; // CLINFL_OBS=0: no byte counts to compare.
+    }
+    assert!(
+        coded > 0 && coded * 10 <= raw,
+        "root sealed {coded} B with compression vs {raw} B raw \
+         ({:.1}x reduction, need >= 10x)",
+        raw as f64 / coded.max(1) as f64
+    );
 }
