@@ -7,8 +7,10 @@
 //! `bench_scaling` takes no arguments. Every scale runs with a trivial
 //! arithmetic executor (no training, no sleeping — the curve isolates
 //! runtime overhead) and records into its own metrics registry. The run
-//! exits 1 if root round work at 1024 sites exceeds `MAX_RATIO` (4)
-//! times the 64-site figure.
+//! prints every violation and exits 1 if root round work at 1024 sites
+//! exceeds `MAX_RATIO` (4) times the 64-site figure, or if at any scale
+//! the root or an interior node held more sessions at once than the
+//! fan-out (8): under a tree every node serves only its children.
 //!
 //! "Root round work" is the root server's measured per-round frame
 //! processing time (`flare.server.frame_work_ns` / rounds): the work
@@ -84,6 +86,11 @@ impl ScaleOutcome {
     /// fan-in.
     fn root_work_ms(&self) -> f64 {
         self.metrics.counter("flare.server.frame_work_ns") as f64 / 1e6 / f64::from(ROUNDS)
+    }
+
+    /// Peak of a `*.sessions_peak` gauge (0 if the run never set it).
+    fn peak(&self, gauge: &str) -> i64 {
+        self.metrics.gauges.get(gauge).copied().unwrap_or(0)
     }
 
     fn round_ms(&self) -> (f64, f64) {
@@ -176,15 +183,38 @@ fn main() {
     std::fs::write(OUT, report.to_json()).expect("write report");
     println!("report written to {OUT}");
 
+    let mut violations = Vec::new();
     if ratio > MAX_RATIO {
-        eprintln!(
-            "FAIL: root round latency grew super-logarithmically: root work at \
+        violations.push(format!(
+            "root round latency grew super-logarithmically: root work at \
              {TOP_SITES} sites is {top:.2} ms/round, {ratio:.2}x the {ANCHOR_SITES}-site \
              anchor (allowed {MAX_RATIO}x)"
-        );
+        ));
+    }
+    for o in &outcomes {
+        for (node, gauge) in [
+            ("root", "flare.server.sessions_peak"),
+            ("interior", "flare.tree.sessions_peak"),
+        ] {
+            let peak = o.peak(gauge);
+            if peak > FANOUT as i64 {
+                violations.push(format!(
+                    "{} sites: {node} peak sessions {peak} exceed the fan-out {FANOUT}",
+                    o.sites
+                ));
+            }
+        }
+    }
+    if !violations.is_empty() {
+        for v in &violations {
+            eprintln!("FAIL: {v}");
+        }
         std::process::exit(1);
     }
-    println!("OK: root work ratio {ratio:.2}x <= {MAX_RATIO}x");
+    println!(
+        "OK: root work ratio {ratio:.2}x <= {MAX_RATIO}x; root and interior peak \
+         sessions <= {FANOUT} at every scale"
+    );
 }
 
 fn build_report(outcomes: &[ScaleOutcome], anchor: f64, top: f64, ratio: f64) -> Value {
@@ -231,7 +261,7 @@ fn scale_record(o: &ScaleOutcome) -> Value {
             ),
         ])
     };
-    let peak = |g: &str| Value::Int(m.gauges.get(g).copied().unwrap_or(0));
+    let peak = |g: &str| Value::Int(o.peak(g));
     let (round_mean, round_max) = o.round_ms();
     Value::object(vec![
         ("sites", Value::UInt(o.sites as u64)),

@@ -5,8 +5,8 @@
 //! and a real multi-process deployment run byte-identical protocols.
 
 use crate::FlareError;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{IoSlice, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
@@ -110,21 +110,54 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-struct TcpTx(TcpStream);
+/// The sending half of a TCP connection. A frame is a 4-byte
+/// little-endian length and the body; once any byte of a frame is on the
+/// wire, the peer can only stay in step if the rest follows. So a send
+/// that fails part-way shuts the write half down — the peer reads EOF
+/// mid-frame instead of the next frame's bytes as this one's — and marks
+/// the stream broken: every later send fails with
+/// [`FlareError::Transport`] without writing. A send that wrote nothing
+/// leaves the stream usable, so its timeout stays retryable.
+struct TcpTx {
+    stream: TcpStream,
+    broken: bool,
+}
 
 impl FrameTx for TcpTx {
     fn send(&mut self, frame: &[u8]) -> Result<(), FlareError> {
+        if self.broken {
+            return Err(FlareError::Transport(
+                "tcp stream broken by an earlier partial send".into(),
+            ));
+        }
         let len = u32::try_from(frame.len())
             .map_err(|_| FlareError::Transport("frame exceeds u32 length".into()))?;
-        match self
-            .0
-            .write_all(&len.to_le_bytes())
-            .and_then(|_| self.0.write_all(frame))
-        {
-            Ok(()) => Ok(()),
-            Err(e) if is_timeout(&e) => Err(FlareError::Timeout),
-            Err(e) => Err(FlareError::Transport(format!("tcp send: {e}"))),
+        let head = len.to_le_bytes();
+        let total = head.len() + frame.len();
+        let mut written = 0;
+        while written < total {
+            let bufs = [
+                IoSlice::new(&head[written.min(head.len())..]),
+                IoSlice::new(&frame[written.saturating_sub(head.len())..]),
+            ];
+            let err = match self.stream.write_vectored(&bufs) {
+                Ok(0) => FlareError::Transport("tcp send wrote nothing".into()),
+                Ok(n) => {
+                    written += n;
+                    continue;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if is_timeout(&e) => FlareError::Timeout,
+                Err(e) => FlareError::Transport(format!("tcp send: {e}")),
+            };
+            if written > 0 {
+                self.broken = true;
+                // Best effort: the stream is unusable either way.
+                let _ = self.stream.shutdown(Shutdown::Write);
+            }
+            return Err(err);
         }
+        Ok(())
     }
 }
 
@@ -236,7 +269,10 @@ impl TcpTransport {
             .try_clone()
             .map_err(|e| FlareError::Transport(format!("clone stream: {e}")))?;
         Ok(Connection {
-            tx: Box::new(TcpTx(stream)),
+            tx: Box::new(TcpTx {
+                stream,
+                broken: false,
+            }),
             rx: Box::new(TcpRx(rx)),
         })
     }
@@ -382,6 +418,59 @@ mod tests {
             }
         }
         assert!(saw_timeout, "64 MiB of sends never hit the write deadline");
+    }
+
+    #[test]
+    fn tcp_send_cut_mid_frame_breaks_the_stream_instead_of_desyncing_it() {
+        let listener = TcpTransport::listen("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (failed_tx, failed_rx) = std::sync::mpsc::channel::<()>();
+        // The peer reads nothing until the client's first failed send, then
+        // drains every frame it can until the stream errors.
+        let server = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = TcpTransport::from_stream(stream).unwrap();
+            failed_rx.recv().unwrap();
+            let mut frames = Vec::new();
+            loop {
+                match conn.rx.recv(Duration::from_secs(5)) {
+                    Ok(f) => frames.push(f),
+                    Err(e) => return (frames, e),
+                }
+            }
+        });
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut client =
+            TcpTransport::from_stream_with_write_timeout(stream, Duration::from_millis(100))
+                .unwrap();
+        let small = |tag: u8| vec![tag; 1000];
+        let mut whole = vec![small(1)];
+        client.tx.send(&whole[0]).unwrap();
+        // Larger than both socket buffers together, so it times out with
+        // part of the frame written.
+        let big: Vec<u8> = (0..32u32 << 20).map(|i| (i % 251) as u8).collect();
+        assert!(matches!(client.tx.send(&big), Err(FlareError::Timeout)));
+        failed_tx.send(()).unwrap();
+        // A retry of the cut frame, then fresh frames, while the peer drains.
+        for frame in [big.clone(), small(2), small(3)] {
+            match client.tx.send(&frame) {
+                Ok(()) => whole.push(frame),
+                Err(e) => assert!(matches!(e, FlareError::Transport(_)), "got {e}"),
+            }
+        }
+        drop(client);
+        let (frames, end) = server.join().unwrap();
+        for f in &frames {
+            assert!(
+                whole.contains(f),
+                "the peer received a {}-byte frame that was never sent whole",
+                f.len()
+            );
+        }
+        assert!(
+            matches!(end, FlareError::Transport(_)),
+            "peer ended on {end}"
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@ use crate::config::LstmConfig;
 use crate::model::{SequenceClassifier, TokenBatch};
 use clinfl_tensor::{Graph, Init, ParamId, Params, Tensor, Var};
 
-/// Per-layer LSTM parameter handles (separate matrices per gate).
+/// Per-layer LSTM parameter handles (separate matrices per gate, packed
+/// side by side into `[H, 4H]` inside the graph).
 #[derive(Clone, Debug)]
 struct LstmLayerParams {
     /// Input weights per gate `[in_dim, hidden]`, order i, f, g, o.
@@ -107,91 +108,46 @@ impl LstmClassifier {
 
     /// Builds the encoder forward pass, returning the final hidden state of
     /// the top layer, shape `[batch, hidden]`.
+    ///
+    /// Each layer is two tape nodes: one GEMM projecting every timestep's
+    /// input onto the four gates at once, and one [`Graph::lstm_layer`]
+    /// running the recurrence. Rows are time-major (`t·B + b`), so a
+    /// step's rows are contiguous.
     fn encode(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
         batch.validate();
         let (b, s, h) = (batch.batch_size, batch.seq_len, self.config.hidden);
+        // Row r = t·B + bi reads position bi·S + t of the batch-major input.
+        let src = |r: usize| (r % b) * s + r / b;
+        let ids: Vec<u32> = (0..s * b).map(|r| batch.ids[src(r)]).collect();
+        let keep: Vec<u8> = (0..s * b).map(|r| batch.mask[src(r)]).collect();
         let table = g.param(&self.params, self.embedding);
-
-        // Per-timestep token embeddings: x_t = embed(ids[:, t])  [B, H].
-        let mut xs: Vec<Var> = Vec::with_capacity(s);
-        let mut keep_masks: Vec<(Var, Var)> = Vec::with_capacity(s);
-        let mut ids_t = vec![0u32; b];
-        for t in 0..s {
-            for (bi, id) in ids_t.iter_mut().enumerate() {
-                *id = batch.ids[bi * s + t];
-            }
-            xs.push(g.embedding(table, &ids_t));
-            // Expanded carry masks: keep = m, hold = 1 - m, both [B, H],
-            // written straight into pooled zeroed leaves.
-            let keep = g.input_with(&[b, h], |data| {
-                for bi in 0..b {
-                    if batch.mask[bi * s + t] != 0 {
-                        data[bi * h..(bi + 1) * h].fill(1.0);
-                    }
-                }
-            });
-            let hold = g.input_with(&[b, h], |data| {
-                for bi in 0..b {
-                    if batch.mask[bi * s + t] == 0 {
-                        data[bi * h..(bi + 1) * h].fill(1.0);
-                    }
-                }
-            });
-            keep_masks.push((keep, hold));
-        }
-
-        let mut layer_input = xs;
-        let mut last_h = None;
+        let mut x = g.embedding(table, &ids);
         for (li, layer) in self.layers.iter().enumerate() {
-            let wx = layer.w_x.map(|id| g.param(&self.params, id));
-            let wh = layer.w_h.map(|id| g.param(&self.params, id));
-            let bias = layer.b.map(|id| g.param(&self.params, id));
-            let mut h_prev = g.input_with(&[b, h], |_| {});
-            let mut c_prev = g.input_with(&[b, h], |_| {});
-            let mut outputs = Vec::with_capacity(s);
-            for (t, &x_t) in layer_input.iter().enumerate() {
-                let gate = |g: &mut Graph, k: usize| {
-                    let xz = g.matmul(x_t, wx[k]);
-                    let hz = g.matmul(h_prev, wh[k]);
-                    let z = g.add(xz, hz);
-                    g.add(z, bias[k])
-                };
-                let zi = gate(g, 0);
-                let i_g = g.sigmoid(zi);
-                let zf = gate(g, 1);
-                let f_g = g.sigmoid(zf);
-                let zg = gate(g, 2);
-                let g_g = g.tanh(zg);
-                let zo = gate(g, 3);
-                let o_g = g.sigmoid(zo);
-                let fc = g.mul(f_g, c_prev);
-                let ig = g.mul(i_g, g_g);
-                let c_new = g.add(fc, ig);
-                let c_tanh = g.tanh(c_new);
-                let h_new = g.mul(o_g, c_tanh);
-                // Carry state through padded positions.
-                let (keep, hold) = keep_masks[t];
-                let hk = g.mul(h_new, keep);
-                let hh = g.mul(h_prev, hold);
-                let h_t = g.add(hk, hh);
-                let ck = g.mul(c_new, keep);
-                let ch = g.mul(c_prev, hold);
-                let c_t = g.add(ck, ch);
-                h_prev = h_t;
-                c_prev = c_t;
-                outputs.push(h_t);
-            }
+            let wx = self.packed(g, &layer.w_x);
+            let wh = self.packed(g, &layer.w_h);
+            let bias = self.packed(g, &layer.b);
+            let xz = g.matmul(x, wx);
+            x = g.lstm_layer(xz, wh, bias, &keep, b);
             // Inter-layer dropout (not after the top layer; the head has
             // its own dropout).
             if li + 1 < self.layers.len() {
-                layer_input = outputs
-                    .iter()
-                    .map(|&o| g.dropout(o, self.config.dropout))
-                    .collect();
+                x = g.dropout(x, self.config.dropout);
             }
-            last_h = Some(h_prev);
         }
-        last_h.expect("at least one layer")
+        // Padding carries the state forward, so the last step holds every
+        // sequence's final state: rows (S-1)·B.. of the top layer.
+        let steps = g.reshape(x, &[1, s, b * h]);
+        let last = g.select_axis1(steps, s - 1);
+        g.reshape(last, &[b, h])
+    }
+
+    /// The four per-gate tensors `ids` (order i, f, g, o) as one tensor
+    /// with the gates side by side along the last dimension.
+    fn packed(&self, g: &mut Graph, ids: &[ParamId; 4]) -> Var {
+        let [i, f, gg, o] = ids.map(|id| g.param(&self.params, id));
+        let lo = g.concat_last(i, f);
+        let hi = g.concat_last(gg, o);
+        g.concat_last(lo, hi)
     }
 
     fn logits(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
@@ -405,6 +361,185 @@ mod tests {
         );
         // And the model now classifies the training set correctly.
         assert_eq!(model.predict(&batch), vec![1, 0, 1, 0, 1, 0]);
+    }
+
+    /// The per-gate, per-timestep tape the fused layer replaced: 8
+    /// `matmul`s and the gate, cell and carry arithmetic as separate nodes
+    /// for every step of every layer. Kept as the reference the fused
+    /// layer must match.
+    fn reference_logits(m: &LstmClassifier, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
+        let (b, s, h) = (batch.batch_size, batch.seq_len, m.config.hidden);
+        let table = g.param(&m.params, m.embedding);
+        let mut xs = Vec::with_capacity(s);
+        let mut masks = Vec::with_capacity(s);
+        for t in 0..s {
+            let ids_t: Vec<u32> = (0..b).map(|bi| batch.ids[bi * s + t]).collect();
+            xs.push(g.embedding(table, &ids_t));
+            let flags = |want_real: bool| {
+                let mut d = vec![0.0; b * h];
+                for bi in 0..b {
+                    if (batch.mask[bi * s + t] != 0) == want_real {
+                        d[bi * h..(bi + 1) * h].fill(1.0);
+                    }
+                }
+                Tensor::from_vec(&[b, h], d).unwrap()
+            };
+            masks.push((g.input(flags(true)), g.input(flags(false))));
+        }
+        let mut h_prev = None;
+        for (li, layer) in m.layers.iter().enumerate() {
+            let wx = layer.w_x.map(|id| g.param(&m.params, id));
+            let wh = layer.w_h.map(|id| g.param(&m.params, id));
+            let bias = layer.b.map(|id| g.param(&m.params, id));
+            let mut hp = g.input(Tensor::zeros(&[b, h]));
+            let mut cp = g.input(Tensor::zeros(&[b, h]));
+            let mut outs = Vec::with_capacity(s);
+            for (t, &x) in xs.iter().enumerate() {
+                let mut z = [0, 1, 2, 3].map(|k| {
+                    let xz = g.matmul(x, wx[k]);
+                    let hz = g.matmul(hp, wh[k]);
+                    let sum = g.add(xz, hz);
+                    g.add(sum, bias[k])
+                });
+                z = [
+                    g.sigmoid(z[0]),
+                    g.sigmoid(z[1]),
+                    g.tanh(z[2]),
+                    g.sigmoid(z[3]),
+                ];
+                let fc = g.mul(z[1], cp);
+                let ig = g.mul(z[0], z[2]);
+                let c_new = g.add(fc, ig);
+                let tc = g.tanh(c_new);
+                let h_new = g.mul(z[3], tc);
+                let (keep, hold) = masks[t];
+                let carry = |g: &mut Graph, new: Var, old: Var| {
+                    let a = g.mul(new, keep);
+                    let o = g.mul(old, hold);
+                    g.add(a, o)
+                };
+                hp = carry(g, h_new, hp);
+                cp = carry(g, c_new, cp);
+                outs.push(hp);
+            }
+            if li + 1 < m.layers.len() {
+                xs = outs
+                    .iter()
+                    .map(|&o| g.dropout(o, m.config.dropout))
+                    .collect();
+            }
+            h_prev = Some(hp);
+        }
+        let enc = g.dropout(h_prev.unwrap(), m.config.dropout);
+        let w = g.param(&m.params, m.head_w);
+        let bias = g.param(&m.params, m.head_b);
+        let proj = g.matmul(enc, w);
+        g.add(proj, bias)
+    }
+
+    /// Three sequences of 7: one with padding mid-sequence and at the end,
+    /// one unpadded, one fully padded.
+    fn padded_batch() -> (Vec<u32>, Vec<u8>) {
+        let ids: Vec<u32> = (0..21).map(|i| 1 + (i * 7 % 19) as u32).collect();
+        let mask = [[1, 1, 0, 1, 1, 0, 0], [1; 7], [0; 7]].concat();
+        (ids, mask)
+    }
+
+    fn wide_config() -> LstmConfig {
+        LstmConfig {
+            vocab_size: 20,
+            hidden: 16,
+            layers: 3,
+            dropout: 0.0,
+            num_classes: 3,
+        }
+    }
+
+    #[test]
+    fn eval_logits_are_bit_identical_to_per_gate_reference() {
+        let m = LstmClassifier::new(&wide_config(), 11);
+        let (ids, mask) = padded_batch();
+        let batch = TokenBatch {
+            ids: &ids,
+            mask: &mask,
+            batch_size: 3,
+            seq_len: 7,
+        };
+        let bits = |g: &Graph, v: Var| -> Vec<u32> {
+            g.value(v).data().iter().map(|x| x.to_bits()).collect()
+        };
+        let mut fused = Graph::new();
+        fused.set_training(false);
+        let got = m.logits(&mut fused, &batch);
+        let mut reference = Graph::new();
+        reference.set_training(false);
+        let want = reference_logits(&m, &mut reference, &batch);
+        assert_eq!(bits(&fused, got), bits(&reference, want));
+    }
+
+    #[test]
+    fn training_gradients_match_per_gate_reference() {
+        let m = LstmClassifier::new(&wide_config(), 12);
+        let (ids, mask) = padded_batch();
+        let batch = TokenBatch {
+            ids: &ids,
+            mask: &mask,
+            batch_size: 3,
+            seq_len: 7,
+        };
+        let labels = [2, 0, 1];
+        let grads = |build: &dyn Fn(&mut Graph) -> Var| {
+            let mut params = m.params().clone();
+            let mut g = Graph::new();
+            let logits = build(&mut g);
+            let loss = g.cross_entropy(logits, &labels, clinfl_text::IGNORE_INDEX);
+            g.backward(loss);
+            g.grads_into(&mut params);
+            params
+        };
+        let fused = grads(&|g| m.logits(g, &batch));
+        let reference = grads(&|g| reference_logits(&m, g, &batch));
+        let mut checked = 0;
+        for (id, name, _) in reference.iter() {
+            let (a, b) = (fused.grad(id).data(), reference.grad(id).data());
+            let scale = b.iter().fold(0.0f32, |s, v| s.max(v.abs()));
+            assert!(scale > 0.0, "{name} got no gradient");
+            for (x, y) in a.iter().zip(b) {
+                assert!(
+                    (x - y).abs() <= 1e-5 * scale,
+                    "{name}: {x} vs {y} (scale {scale})"
+                );
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, 1 + 3 * 12 + 2);
+    }
+
+    #[test]
+    fn one_training_step_records_a_fixed_tape() {
+        // Embedding leaf + gather (2); per layer 12 gate leaves, 9 packing
+        // concats, the projection GEMM and the layer op (23 × 2); one
+        // inter-layer dropout; reshape/select/reshape of the last step (3);
+        // head dropout, 2 leaves, GEMM, bias add (5); the loss (1).
+        let cfg = LstmConfig {
+            dropout: 0.1,
+            ..tiny_config()
+        };
+        let m = LstmClassifier::new(&cfg, 4);
+        let (ids, mask) = batch_data(2, 5);
+        let mut g = Graph::new();
+        let loss = m.classification_loss(
+            &mut g,
+            &TokenBatch {
+                ids: &ids,
+                mask: &mask,
+                batch_size: 2,
+                seq_len: 5,
+            },
+            &[0, 1],
+        );
+        g.backward(loss);
+        assert_eq!(g.len(), 58);
     }
 
     #[test]

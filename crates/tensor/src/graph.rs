@@ -142,6 +142,10 @@ impl Graph {
                 }
                 Op::Embedding { ids } => self.pool.give_u32(ids),
                 Op::NormalizeLast { rstd } => self.pool.give_f32(rstd),
+                Op::LstmLayer { keep, saved, .. } => {
+                    self.pool.give_f32(keep);
+                    self.pool.give_f32(saved);
+                }
                 _ => {}
             }
         }
@@ -842,6 +846,123 @@ impl Graph {
         )
     }
 
+    /// One LSTM layer over a whole time-major sequence, as one tape node.
+    ///
+    /// `xz` is every step's input projection, `[S·B, 4H]` with the gate
+    /// columns in the order i, f, g, o; `wh` the recurrent weights packed
+    /// the same way, `[H, 4H]`; `b` the packed biases, `[4H]`. `keep` has
+    /// one flag per row of `xz`: nonzero on a real token, zero on padding,
+    /// where the row carries its previous hidden and cell state unchanged.
+    /// The initial states are zero. The output is every step's hidden
+    /// state, `[S·B, H]`, so step `t` occupies rows `t·B..(t+1)·B`.
+    ///
+    /// Each step runs one `[B, H]×[H, 4H]` GEMM, then `z = (xz + h·wh) + b`,
+    /// `c = sigmoid(z_f)·c_prev + sigmoid(z_i)·tanh(z_g)`,
+    /// `h = sigmoid(z_o)·tanh(c)`, and the carry `h·keep + h_prev·hold` —
+    /// the operations and rounding order of the per-gate composition of
+    /// [`Graph::matmul`], [`Graph::add`], [`Graph::sigmoid`],
+    /// [`Graph::tanh`] and [`Graph::mul`], so the forward value is
+    /// bit-identical to it. Backward is a hand-written BPTT loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched shapes, or if `keep.len()` is not the row
+    /// count of `xz` or not a multiple of `batch`.
+    pub fn lstm_layer(&mut self, xz: Var, wh: Var, b: Var, keep: &[u8], batch: usize) -> Var {
+        let (ix, iw, ib) = (self.chk(xz), self.chk(wh), self.chk(b));
+        let dims = self.values[ix].dims();
+        assert_eq!(dims.len(), 2, "lstm_layer: xz must be [S·B, 4H]");
+        let (rows, h4) = (dims[0], dims[1]);
+        let h = h4 / 4;
+        assert!(h > 0 && h4 == 4 * h, "lstm_layer: xz width {h4} is not 4H");
+        assert_eq!(
+            self.values[iw].dims(),
+            [h, h4],
+            "lstm_layer: wh must be [H, 4H]"
+        );
+        assert_eq!(self.values[ib].dims(), [h4], "lstm_layer: b must be [4H]");
+        assert!(
+            keep.len() == rows && batch > 0 && rows % batch == 0,
+            "lstm_layer: {} keep flags for {rows} rows in steps of {batch}",
+            keep.len()
+        );
+        let mut keep_f = self.pool.take_f32(rows);
+        for (k, &m) in keep_f.iter_mut().zip(keep) {
+            *k = if m != 0 { 1.0 } else { 0.0 };
+        }
+        // Uninit, as are `out` and `hz`: every element is written before it
+        // is read.
+        let mut saved = self.pool.take_f32(rows * 6 * h);
+        let mut out = self.pool.tensor_uninit(Shape::new(&[rows, h]));
+        let mut hz = self.pool.take_f32(batch * h4);
+        // The states before the first step.
+        let zeros = self.pool.take_f32_zeroed(batch * h);
+        let mut wh_packed = self.pool.take_f32(h * h4);
+        kernels::pack_rhs(self.values[iw].data(), h4, 1, h, h4, &mut wh_packed);
+        let (xzd, bd) = (self.values[ix].data(), self.values[ib].data());
+        let (tanh_z, rest) = saved.split_at_mut(rows * h4);
+        let (tanh_c, c_carry) = rest.split_at_mut(rows * h);
+        for t in 0..rows / batch {
+            let r0 = t * batch;
+            let (h_done, h_rest) = out.data_mut().split_at_mut(r0 * h);
+            let (c_done, c_rest) = c_carry.split_at_mut(r0 * h);
+            let (h_prev, c_prev) = if t == 0 {
+                (&zeros[..], &zeros[..])
+            } else {
+                (&h_done[(r0 - batch) * h..], &c_done[(r0 - batch) * h..])
+            };
+            // Before the first step `h·wh` is the all-zero product.
+            hz.fill(0.0);
+            if t > 0 {
+                kernels::matmul_packed_acc(h_prev, &wh_packed, &mut hz, batch, h, h4);
+            }
+            for bi in 0..batch {
+                let r = r0 + bi;
+                let tz = &mut tanh_z[r * h4..(r + 1) * h4];
+                for ((v, &x), (&hv, &bv)) in tz
+                    .iter_mut()
+                    .zip(&xzd[r * h4..(r + 1) * h4])
+                    .zip(hz[bi * h4..(bi + 1) * h4].iter().zip(bd))
+                {
+                    *v = (x + hv) + bv;
+                }
+                // sigmoid(z) = (1 + tanh_fast(z/2)) / 2 for i, f and o, as in
+                // `kernels::sigmoid`; the g gate is tanh_fast(z) itself.
+                for (gate, zs) in tz.chunks_mut(h).enumerate() {
+                    let scale = if gate == 2 { 1.0 } else { 0.5 };
+                    for v in zs {
+                        *v = kernels::tanh_fast(scale * *v);
+                    }
+                }
+                let (ti, tf, g_g, to) = (&tz[..h], &tz[h..2 * h], &tz[2 * h..3 * h], &tz[3 * h..]);
+                let (k, hold) = (keep_f[r], 1.0 - keep_f[r]);
+                let row = bi * h..(bi + 1) * h;
+                let (hp, cp) = (&h_prev[row.clone()], &c_prev[row.clone()]);
+                let (h_t, c_t) = (&mut h_rest[row.clone()], &mut c_rest[row]);
+                let tc = &mut tanh_c[r * h..(r + 1) * h];
+                for j in 0..h {
+                    let (i_g, f_g) = (0.5 * (1.0 + ti[j]), 0.5 * (1.0 + tf[j]));
+                    let c = f_g * cp[j] + i_g * g_g[j];
+                    tc[j] = kernels::tanh_fast(c);
+                    c_t[j] = c * k + cp[j] * hold;
+                    h_t[j] = (0.5 * (1.0 + to[j]) * tc[j]) * k + hp[j] * hold;
+                }
+            }
+        }
+        self.pool.give_f32(hz);
+        self.pool.give_f32(zeros);
+        self.pool.give_f32(wh_packed);
+        self.push(
+            Op::LstmLayer {
+                batch,
+                keep: keep_f,
+                saved,
+            },
+            &[ix, iw, ib],
+            out,
+        )
+    }
+
     // ------------------------------------------------------------------
     // Backward
     // ------------------------------------------------------------------
@@ -1289,6 +1410,48 @@ mod tests {
         // Whatever pool the next reset adopts (its own, another test's, or
         // none), the step repeats bit for bit.
         assert_eq!(step(&mut g), want);
+    }
+
+    #[test]
+    fn lstm_layer_gradcheck_with_padding() {
+        // B = 3, S = 5, H = 4, time-major rows t·B + b. Sequence 0 is padded
+        // mid-sequence (steps 1 and 3), sequence 1 is never padded, sequence
+        // 2 is padding throughout.
+        let (b, s, h) = (3, 5, 4);
+        let mask = [[1, 0, 1, 0, 1], [1; 5], [0; 5]];
+        let keep: Vec<u8> = (0..s * b).map(|r| mask[r % b][r / b]).collect();
+        let inputs = [
+            Tensor::randn(&[s * b, 4 * h], 0.8, 21),
+            Tensor::randn(&[h, 4 * h], 0.5, 22),
+            Tensor::randn(&[4 * h], 0.5, 23),
+        ];
+        let weights = Tensor::randn(&[s * b, h], 1.0, 24);
+        let report = crate::gradcheck(&inputs, |g, v| {
+            let out = g.lstm_layer(v[0], v[1], v[2], &keep, b);
+            let w = g.input(weights.clone());
+            let weighted = g.mul(out, w);
+            g.sum(weighted)
+        });
+        assert_eq!(report.checked, s * b * 4 * h + 4 * h * h + 4 * h);
+        assert!(report.passes(1e-2), "{report:?}");
+    }
+
+    #[test]
+    fn lstm_layer_padded_rows_carry_state_and_get_no_gradient() {
+        let (b, h) = (2, 3);
+        let keep = [1, 1, 1, 0];
+        let mut g = Graph::new();
+        let xz = g.input(Tensor::randn(&[4, 4 * h], 1.0, 5));
+        let wh = g.input(Tensor::randn(&[h, 4 * h], 0.5, 6));
+        let bias = g.input(Tensor::zeros(&[4 * h]));
+        let out = g.lstm_layer(xz, wh, bias, &keep, b);
+        let rows: Vec<&[f32]> = g.value(out).data().chunks(h).collect();
+        assert_eq!(rows[3], rows[1], "padded step carries its row's state");
+        let loss = g.sum(out);
+        g.backward(loss);
+        let dxz = g.grad(xz).unwrap().data();
+        assert!(dxz[3 * 4 * h..].iter().all(|&v| v == 0.0));
+        assert!(dxz[..3 * 4 * h].iter().any(|&v| v != 0.0));
     }
 
     #[cfg(debug_assertions)]

@@ -149,7 +149,13 @@ fn pack_a(a: &[f32], rs: usize, cs: usize, m: usize, k: usize, out: &mut Vec<f32
 /// `b[p*rs + j*cs]`) into `NR`-column panels laid out `[kk][jj]`. Edge
 /// panels are zero-padded to full `NR` width. Row-major operands
 /// (`cs == 1`) pack with straight slice copies.
-fn pack_b(b: &[f32], rs: usize, cs: usize, k: usize, n: usize, out: &mut Vec<f32>) {
+///
+/// Public for [`matmul_packed_acc`]: a loop that multiplies many left
+/// operands by one matrix — the LSTM recurrence, every step times the
+/// recurrent weights — packs it once instead of once per product. A
+/// row-major `[k, n]` matrix is `(rs, cs) = (n, 1)`; the transpose of a
+/// row-major `[n, k]` matrix is `(1, k)`.
+pub fn pack_rhs(b: &[f32], rs: usize, cs: usize, k: usize, n: usize, out: &mut Vec<f32>) {
     let panels = n.div_ceil(NR);
     out.clear();
     out.resize(panels * k * NR, 0.0);
@@ -211,10 +217,6 @@ fn gemm_slab(a_pack: &[f32], b_pack: &[f32], c_slab: &mut [f32], row0: usize, k:
 /// `A[i, p] = a[i*rs_a + p*cs_a]` and `B[p, j] = b[p*rs_b + j*cs_b]`
 /// (`p` = contraction index, `0..k`). All three public GEMM variants and
 /// their batched/flattened forms reduce to this by choice of strides.
-///
-/// Packs both operands on the calling thread (so parallel workers share
-/// the read-only panels), then splits the output into `MR`-aligned row
-/// slabs across the worker pool.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     a: &[f32],
@@ -234,23 +236,42 @@ fn gemm_strided(
     PACK_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         let (a_buf, b_buf) = &mut *scratch;
-        pack_a(a, rs_a, cs_a, m, k, a_buf);
-        pack_b(b, rs_b, cs_b, k, n, b_buf);
-        let (a_pack, b_pack) = (a_buf.as_slice(), b_buf.as_slice());
-        let panels = m.div_ceil(MR);
-        let w = pool::workers_for(panels, 2 * MR * k * n);
-        if w <= 1 {
-            gemm_slab(a_pack, b_pack, c, 0, k, n);
-            return;
-        }
-        let slab_rows = panels.div_ceil(w) * MR;
-        let jobs: Vec<_> = c
-            .chunks_mut(slab_rows * n)
-            .enumerate()
-            .map(|(si, c_slab)| move || gemm_slab(a_pack, b_pack, c_slab, si * slab_rows, k, n))
-            .collect();
-        pool::run_jobs(jobs);
+        pack_rhs(b, rs_b, cs_b, k, n, b_buf);
+        gemm_packed_b(a, rs_a, cs_a, b_buf, a_buf, c, m, k, n);
     });
+}
+
+/// The rest of [`gemm_strided`] once `B` is packed: packs `A` into `a_buf`
+/// on the calling thread (so parallel workers share the read-only
+/// panels), then splits the output into `MR`-aligned row slabs across the
+/// worker pool.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed_b(
+    a: &[f32],
+    rs_a: usize,
+    cs_a: usize,
+    b_pack: &[f32],
+    a_buf: &mut Vec<f32>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    pack_a(a, rs_a, cs_a, m, k, a_buf);
+    let a_pack = a_buf.as_slice();
+    let panels = m.div_ceil(MR);
+    let w = pool::workers_for(panels, 2 * MR * k * n);
+    if w <= 1 {
+        gemm_slab(a_pack, b_pack, c, 0, k, n);
+        return;
+    }
+    let slab_rows = panels.div_ceil(w) * MR;
+    let jobs: Vec<_> = c
+        .chunks_mut(slab_rows * n)
+        .enumerate()
+        .map(|(si, c_slab)| move || gemm_slab(a_pack, b_pack, c_slab, si * slab_rows, k, n))
+        .collect();
+    pool::run_jobs(jobs);
 }
 
 /// Shared batch-parallel driver for the non-broadcast batched entry
@@ -361,6 +382,34 @@ pub fn matmul_batch_acc(
             k,
             n,
         );
+    });
+}
+
+/// `c[m, n] += a[m, k] * B` for a right operand `B` packed by
+/// [`pack_rhs`]. The same per-element chains as [`matmul_acc`] over the
+/// unpacked operand, so the results are bit-identical to it. Records one
+/// `tensor.matmul` invocation.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `m*k`, the packed `k×n`
+/// operand, and `m*n`.
+pub fn matmul_packed_acc(a: &[f32], b_pack: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let _obs = OBS_MATMUL.start();
+    assert_eq!(a.len(), m * k, "matmul_packed lhs length");
+    assert_eq!(
+        b_pack.len(),
+        n.div_ceil(NR) * k * NR,
+        "matmul_packed rhs length"
+    );
+    assert_eq!(c.len(), m * n, "matmul_packed out length");
+    FLOPS_MATMUL.add(2 * m * k * n);
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    PACK_SCRATCH.with(|cell| {
+        let a_buf = &mut cell.borrow_mut().0;
+        gemm_packed_b(a, k, 1, b_pack, a_buf, c, m, k, n);
     });
 }
 

@@ -132,26 +132,41 @@ pub(crate) enum Op {
         /// Multiplicative mask applied in the forward pass.
         mask: Vec<f32>,
     },
+    /// One LSTM layer over a whole time-major sequence (see
+    /// [`crate::Graph::lstm_layer`]); inputs are the input projection
+    /// `[S·B, 4H]`, the packed recurrent weights `[H, 4H]` and the packed
+    /// biases `[4H]`, the output every step's hidden state `[S·B, H]`.
+    LstmLayer {
+        /// Rows per timestep.
+        batch: usize,
+        /// Per-row carry flag, time-major `[S·B]`: 1 on a real token, 0 on
+        /// padding (the row keeps its previous state).
+        keep: Vec<f32>,
+        /// Forward state for BPTT, time-major: the gates' `tanh_fast`
+        /// values `[S·B, 4H]` (of `z/2` for i, f, o, of `z` for g), then
+        /// `tanh_fast(c)` and the carried cell state, `[S·B, H]` each.
+        saved: Vec<f32>,
+    },
 }
 
 /// A node on the tape: the operation and its input node ids. Forward
 /// values live in the graph's parallel `values` array so metadata and
 /// value storage recycle independently across [`crate::Graph::reset`].
 ///
-/// No op takes more than two inputs, so the ids are stored inline —
+/// No op takes more than three inputs, so the ids are stored inline —
 /// pushing a node never allocates.
 #[derive(Debug)]
 pub(crate) struct Node {
     pub(crate) op: Op,
-    ins: [usize; 2],
+    ins: [usize; 3],
     n_ins: u8,
 }
 
 impl Node {
     /// Creates a node record for `op` over the given input node ids.
     pub(crate) fn new(op: Op, inputs: &[usize]) -> Self {
-        debug_assert!(inputs.len() <= 2, "ops take at most two inputs");
-        let mut ins = [0usize; 2];
+        debug_assert!(inputs.len() <= 3, "ops take at most three inputs");
+        let mut ins = [0usize; 3];
         ins[..inputs.len()].copy_from_slice(inputs);
         Node {
             op,
@@ -622,5 +637,117 @@ pub(crate) fn backward_node(
             });
             accumulate(grads, pool, ins[0], dx);
         }
+        Op::LstmLayer { batch, keep, saved } => {
+            lstm_layer_backward(values, grads, pool, id, ins, *batch, keep, saved, dy);
+        }
     }
+}
+
+/// Backpropagation through time for one [`Op::LstmLayer`] node.
+///
+/// Walks the steps last to first. Each step writes its pre-activation
+/// gradient `dZ_t` — which is also the input projection's gradient — and
+/// hands `dh` and `dc` to the step before it; the hidden-state carry costs
+/// one `dZ_t · Whᵀ` GEMM. After the walk, the recurrent weights take a
+/// single `H_prevᵀ · dZ` GEMM over all steps and the biases a column sum
+/// of `dZ`. The gate and cell derivatives are those of the `tanh_fast`
+/// approximants at the forward pre-activations, taken from the saved
+/// `tanh_fast` values: `tanh_fast'(x) = 1 - tanh_fast(x)²` (exactly 0 where
+/// it clamps to ±1), and `sigmoid'(x) = (1 - tanh_fast(x/2)²) / 4` — the
+/// values [`Op::Tanh`] and [`Op::Sigmoid`] compute.
+#[allow(clippy::too_many_arguments)]
+fn lstm_layer_backward(
+    values: &[Tensor],
+    grads: &mut [Option<Tensor>],
+    pool: &mut BufferPool,
+    id: usize,
+    ins: &[usize],
+    batch: usize,
+    keep: &[f32],
+    saved: &[f32],
+    dy: Tensor,
+) {
+    let out = values[id].data();
+    let wh = &values[ins[1]];
+    let h = values[id].shape().last_dim();
+    let (rows, h4) = (keep.len(), 4 * h);
+    let (tanh_z, rest) = saved.split_at(rows * h4);
+    let (tanh_c, c_carry) = rest.split_at(rows * h);
+    // `dZ_t · Whᵀ` for every step: pack `Whᵀ` once.
+    let mut wht_packed = pool.take_f32(h * h4);
+    kernels::pack_rhs(wh.data(), 1, h4, h4, h, &mut wht_packed);
+    // Uninit: every row is assigned by its step below.
+    let mut dz = pool.tensor_uninit(Shape::new(&[rows, h4]));
+    // Gradients carried from step t+1 into step t (zero past the end), and
+    // the cell state before the first step.
+    let mut dh = pool.take_f32_zeroed(batch * h);
+    let mut dc = pool.take_f32_zeroed(batch * h);
+    let zeros = pool.take_f32_zeroed(batch * h);
+    for t in (0..rows / batch).rev() {
+        let r0 = t * batch;
+        let dz_t = &mut dz.data_mut()[r0 * h4..(r0 + batch) * h4];
+        for bi in 0..batch {
+            let r = r0 + bi;
+            let (k, hold) = (keep[r], 1.0 - keep[r]);
+            let tz = &tanh_z[r * h4..(r + 1) * h4];
+            let (ti, tf, g_g, to) = (&tz[..h], &tz[h..2 * h], &tz[2 * h..3 * h], &tz[3 * h..]);
+            let tc = &tanh_c[r * h..(r + 1) * h];
+            let row = bi * h..(bi + 1) * h;
+            let cp = if t == 0 {
+                &zeros[row.clone()]
+            } else {
+                &c_carry[(r - batch) * h..(r - batch + 1) * h]
+            };
+            let dyr = &dy.data()[r * h..(r + 1) * h];
+            let (dhr, dcr) = (&mut dh[row.clone()], &mut dc[row]);
+            let dzr = &mut dz_t[bi * h4..(bi + 1) * h4];
+            let (dz_if, dz_go) = dzr.split_at_mut(2 * h);
+            let (dz_i, dz_f) = dz_if.split_at_mut(h);
+            let (dz_g, dz_o) = dz_go.split_at_mut(h);
+            for j in 0..h {
+                let (i_g, f_g) = (0.5 * (1.0 + ti[j]), 0.5 * (1.0 + tf[j]));
+                let o_g = 0.5 * (1.0 + to[j]);
+                let dht = dyr[j] + dhr[j];
+                let dct = dcr[j];
+                let dh_new = dht * k;
+                let dc_new = dct * k + dh_new * o_g * (1.0 - tc[j] * tc[j]);
+                dz_i[j] = dc_new * g_g[j] * (0.25 * (1.0 - ti[j] * ti[j]));
+                dz_f[j] = dc_new * cp[j] * (0.25 * (1.0 - tf[j] * tf[j]));
+                dz_g[j] = dc_new * i_g * (1.0 - g_g[j] * g_g[j]);
+                dz_o[j] = dh_new * tc[j] * (0.25 * (1.0 - to[j] * to[j]));
+                dcr[j] = dct * hold + dc_new * f_g;
+                dhr[j] = dht * hold;
+            }
+        }
+        if t > 0 {
+            kernels::matmul_packed_acc(dz_t, &wht_packed, &mut dh, batch, h4, h);
+        }
+    }
+    pool.give_f32(wht_packed);
+    pool.give_f32(zeros);
+    pool.give_f32(dh);
+    pool.give_f32(dc);
+    pool.recycle(dy);
+    // Zeroed: both are accumulated into.
+    let mut dwh = pool.tensor_zeroed(*wh.shape());
+    if rows > batch {
+        let prev = rows - batch;
+        kernels::matmul_at_b_acc(
+            &out[..prev * h],
+            &dz.data()[batch * h4..],
+            dwh.data_mut(),
+            h,
+            prev,
+            h4,
+        );
+    }
+    let mut db = pool.tensor_zeroed(Shape::new(&[h4]));
+    for row in dz.data().chunks(h4) {
+        for (a, &v) in db.data_mut().iter_mut().zip(row) {
+            *a += v;
+        }
+    }
+    accumulate(grads, pool, ins[1], dwh);
+    accumulate(grads, pool, ins[2], db);
+    accumulate(grads, pool, ins[0], dz);
 }

@@ -9,9 +9,13 @@
 #                  a PR that renames one broke the benchmark, not CI. Builds
 #                  bench/ against this tree from the repo root, runs its unit
 #                  tests and `fedbench verify` (harness final weights
-#                  bit-identical to SimulatorRunner::run on two workloads).
-#                  Runs right after build: a break here fails in minutes,
-#                  not after the ~20 min of test legs
+#                  bit-identical to SimulatorRunner::run on two workloads),
+#                  then runs every workload the way the benchmark does
+#                  (`--seed 1 --seconds 1`, `--trace 0`, then `--trace 1`
+#                  for lstm_finetune and exchange_raw_tcp): a failed check
+#                  exits 1 and fails the leg. Runs right after build: a
+#                  break here fails in a few minutes, not after the ~20 min
+#                  of test legs
 #   test-serial    full test suite under CLINFL_THREADS=1
 #   test-parallel  full test suite under the default thread budget
 #   test-faults    full test suite under CLINFL_FAULTS=aggressive
@@ -140,10 +144,19 @@ run_leg() {
     scenarios) leg scenarios cargo run --release -q -p clinfl-bench --bin scenario_matrix ;;
     fedbench)
         # Run from the repo root so .cargo/config.toml (AVX2) applies; the
-        # package has its own target dir (bench/target, gitignored).
-        leg fedbench bash -c \
-            'cargo test --release -q --manifest-path bench/Cargo.toml \
-             && cargo run --release -q --manifest-path bench/Cargo.toml -- verify'
+        # package has its own target dir (bench/target, gitignored). Any
+        # run that exits non-zero fails the leg.
+        leg fedbench bash -c '
+            set -e
+            fedbench() { cargo run --release -q --manifest-path bench/Cargo.toml -- "$@"; }
+            cargo test --release -q --manifest-path bench/Cargo.toml
+            fedbench verify
+            for w in lstm_finetune bert_mlm exchange_raw_tcp exchange_codec; do
+                fedbench --workload "$w" --seed 1 --seconds 1 --trace 0
+            done
+            for w in lstm_finetune exchange_raw_tcp; do
+                fedbench --workload "$w" --seed 1 --seconds 1 --trace 1
+            done'
         ;;
     doc) leg doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
     clippy) leg clippy cargo clippy --workspace --all-targets -- -D warnings ;;
