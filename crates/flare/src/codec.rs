@@ -712,6 +712,29 @@ pub fn weights_bits_equal(a: &Weights, b: &Weights) -> bool {
             .all(|((an, at), (bn, bt))| an == bn && tensor_bits_equal(at, bt))
 }
 
+/// A 64-bit fingerprint of `w`'s exact contents: an FNV-1a-style fold
+/// over every name, shape and f32 bit pattern in name order. Maps that
+/// are [`weights_bits_equal`] share a digest, and changing any single
+/// value, dimension or name changes it (each fold step is a bijection of
+/// the running state), so a committed digest pins a result's bits across
+/// commits.
+pub fn weights_digest(w: &Weights) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (name, t) in w {
+        h = fold(h, name.len() as u64);
+        h = name.bytes().fold(h, |h, b| fold(h, u64::from(b)));
+        h = fold(h, t.dims.len() as u64);
+        h = t.dims.iter().fold(h, |h, &d| fold(h, d as u64));
+        h = t
+            .data
+            .iter()
+            .fold(h, |h, v| fold(h, u64::from(v.to_bits())));
+    }
+    h
+}
+
 fn checked_numel(dims: &[usize]) -> Result<usize, FlareError> {
     let mut n: usize = 1;
     for &d in dims {
@@ -1691,6 +1714,21 @@ mod tests {
         let mut frame = crate::wire::FRAME_MAGIC.to_vec();
         9u8.encode(&mut frame);
         assert!(SparseValues::from_frame(&frame).is_err());
+    }
+
+    #[test]
+    fn digest_tracks_bits_names_and_shapes() {
+        let base = w(&[("a", vec![1.0, -2.5, 3.25]), ("b", vec![0.0; 4])]);
+        let d = weights_digest(&base);
+        assert_eq!(d, weights_digest(&base.clone()));
+        let mut flipped = base.clone();
+        flipped.get_mut("b").unwrap().data[3] = -0.0;
+        assert_ne!(d, weights_digest(&flipped), "sign of zero");
+        let mut reshaped = base.clone();
+        reshaped.get_mut("b").unwrap().dims = vec![2, 2];
+        assert_ne!(d, weights_digest(&reshaped), "shape");
+        let renamed = w(&[("a", vec![1.0, -2.5, 3.25]), ("c", vec![0.0; 4])]);
+        assert_ne!(d, weights_digest(&renamed), "name");
     }
 
     // -- encode/decode semantics ---------------------------------------

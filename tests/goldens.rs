@@ -1,0 +1,307 @@
+//! Goldens: committed digests of exact result bits.
+//!
+//! Every other determinism suite compares two runs of the same build
+//! (threads 1 vs N, tree vs flat, resumed vs uninterrupted), so a change
+//! that moves both sides the same way passes them all. Each case here
+//! folds one result into a [`weights_digest`] and compares it with its
+//! row in the committed `tests/goldens.tsv`, which pins the bits across
+//! commits: a re-blocked GEMM k-loop, a changed top-k tie-break or a new
+//! rounding in the micro-kernel fails a row.
+//!
+//! The cases: one packed GEMM per kind at a shape the models run, one
+//! LSTM and one BERT-mini training step (gradient digests), three
+//! 4-site, 2-round LSTM federations (raw and flat; `delta+topk0.05+int8`
+//! under `tree = 2x2`; DP with client sampling) and a 3-site, 2-round
+//! BERT-mini MLM federation. Every result is identical at any
+//! `CLINFL_THREADS`, so one file serves every thread budget.
+//!
+//! `CLINFL_BLESS=1 cargo test --release --test goldens` rewrites the rows
+//! from the current build; a change that moves a row says which and why
+//! in `CHANGES.md`. The bits are those of the pinned `x86-64-v3` build
+//! (`.cargo/config.toml`): on a target without `avx2` and `fma` every
+//! case prints why and skips.
+
+use clinfl::{drivers, MlmExecutor, MlmLearner, ModelSpec, PipelineConfig, TrainHyper};
+use clinfl_data::CodeSystem;
+use clinfl_flare::aggregator::WeightedFedAvg;
+use clinfl_flare::codec::weights_digest;
+use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
+use clinfl_flare::{EventLog, WeightTensor, Weights};
+use clinfl_models::{
+    BertConfig, BertModel, LstmClassifier, LstmConfig, SequenceClassifier, TokenBatch,
+};
+use clinfl_tensor::{kernels, Graph};
+use std::collections::BTreeMap;
+use std::io::Write;
+use std::path::PathBuf;
+use std::sync::Mutex;
+
+const TARGET_FEATURES: [(&str, bool); 2] = [
+    ("avx2", cfg!(target_feature = "avx2")),
+    ("fma", cfg!(target_feature = "fma")),
+];
+
+fn goldens_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens.tsv")
+}
+
+/// Reads `tests/goldens.tsv` as case → digest. `#` lines are comments.
+fn read_goldens() -> BTreeMap<String, String> {
+    let text = std::fs::read_to_string(goldens_path()).unwrap_or_default();
+    text.lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .filter_map(|l| l.split_once('\t'))
+        .map(|(case, digest)| (case.to_string(), digest.trim().to_string()))
+        .collect()
+}
+
+/// Checks `case`'s digest against its committed row, or rewrites the row
+/// under `CLINFL_BLESS=1`.
+fn golden(case: &str, compute: impl FnOnce() -> u64) {
+    let features: Vec<String> = TARGET_FEATURES
+        .iter()
+        .map(|(name, on)| format!("{name}={on}"))
+        .collect();
+    println!("target features: {}", features.join(" "));
+    if TARGET_FEATURES.iter().any(|&(_, on)| !on) {
+        // Straight to the stderr handle: the test harness captures the
+        // print macros, and a skip must not pass silently.
+        let _ = writeln!(
+            std::io::stderr(),
+            "goldens: SKIPPED {case}: the rows pin x86-64-v3 bits and this build has {}",
+            features.join(" ")
+        );
+        return;
+    }
+    let digest = format!("{:016x}", compute());
+    if std::env::var("CLINFL_BLESS").as_deref() == Ok("1") {
+        // Cases run on parallel test threads: one rewrite at a time.
+        static FILE: Mutex<()> = Mutex::new(());
+        let _guard = FILE.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rows = read_goldens();
+        rows.insert(case.to_string(), digest);
+        let mut text = String::from(
+            "# Committed result digests (tests/goldens.rs); rewrite with\n\
+             # CLINFL_BLESS=1 cargo test --release --test goldens\n",
+        );
+        for (case, digest) in &rows {
+            text.push_str(&format!("{case}\t{digest}\n"));
+        }
+        std::fs::write(goldens_path(), text).expect("write tests/goldens.tsv");
+        return;
+    }
+    let committed = read_goldens().remove(case);
+    assert_eq!(
+        committed.as_deref(),
+        Some(digest.as_str()),
+        "{case}: digest {digest} differs from tests/goldens.tsv; if the change is \
+         intended, bless it (CLINFL_BLESS=1) and name the row in CHANGES.md"
+    );
+}
+
+/// One named f32 buffer as a digestible weight map.
+fn digest_of(name: &str, dims: &[usize], data: Vec<f32>) -> u64 {
+    let mut w = Weights::new();
+    w.insert(name.to_string(), WeightTensor::new(dims.to_vec(), data));
+    weights_digest(&w)
+}
+
+/// Deterministic pseudo-random fill in roughly [-0.5, 0.5].
+fn filled(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------
+// Packed GEMMs, accumulating into a non-zero output
+// ---------------------------------------------------------------------
+
+/// `c += a·b` at the LSTM input projection, `[S·B, H] × [H, 4H]`.
+#[test]
+fn gemm_a_b_832x128x512() {
+    golden("gemm_a_b_832x128x512", || {
+        let (m, k, n) = (832, 128, 512);
+        let mut c = filled(m * n, 3);
+        kernels::matmul_acc(&filled(m * k, 1), &filled(k * n, 2), &mut c, m, k, n);
+        digest_of("c", &[m, n], c)
+    });
+}
+
+/// `c += aᵀ·b` at the LSTM projection's weight gradient: `[128, 512]`
+/// contracting over `S·B = 832` rows, longer than one k-chunk.
+#[test]
+fn gemm_at_b_128x512_k832() {
+    golden("gemm_at_b_128x512_k832", || {
+        let (m, k, n) = (128, 832, 512);
+        let mut c = filled(m * n, 6);
+        kernels::matmul_at_b_acc(&filled(k * m, 4), &filled(k * n, 5), &mut c, m, k, n);
+        digest_of("c", &[m, n], c)
+    });
+}
+
+/// `c += a·bᵀ` at the LSTM recurrence's input gradient, `dz [B, 4H] ·
+/// Whᵀ` with `Wh [H, 4H]`.
+#[test]
+fn gemm_a_bt_32x128_k512() {
+    golden("gemm_a_bt_32x128_k512", || {
+        let (m, n, k) = (32, 512, 128);
+        let mut c = filled(m * k, 9);
+        kernels::matmul_a_bt_acc(&filled(m * n, 7), &filled(k * n, 8), &mut c, m, n, k);
+        digest_of("c", &[m, k], c)
+    });
+}
+
+// ---------------------------------------------------------------------
+// One training step: the digest of every parameter's gradient
+// ---------------------------------------------------------------------
+
+/// Gradients of one training step (dropout on) at batch 32 × length 26,
+/// with the last sequence padded.
+fn step_gradients<M: SequenceClassifier>(mut model: M, vocab: usize) -> u64 {
+    let (b, s) = (32, 26);
+    let ids: Vec<u32> = (0..b * s)
+        .map(|i| 5 + ((i * 7919) % (vocab - 6)) as u32)
+        .collect();
+    let mut mask = vec![1u8; b * s];
+    mask[b * s - 5..].fill(0);
+    let labels: Vec<i32> = (0..b).map(|i| (i % 3 == 0) as i32).collect();
+    let batch = TokenBatch {
+        ids: &ids,
+        mask: &mask,
+        batch_size: b,
+        seq_len: s,
+    };
+    let mut g = Graph::with_seed(0x601D);
+    g.set_training(true);
+    let loss = model.classification_loss(&mut g, &batch, &labels);
+    g.backward(loss);
+    g.grads_into(model.params_mut());
+    let params = model.params();
+    let grads: Weights = params
+        .iter()
+        .map(|(id, name, _)| {
+            let grad = params.grad(id);
+            let t = WeightTensor::new(grad.dims().to_vec(), grad.data().to_vec());
+            (name.to_string(), t)
+        })
+        .collect();
+    weights_digest(&grads)
+}
+
+#[test]
+fn step_lstm_gradients() {
+    golden("step_lstm_gradients", || {
+        step_gradients(LstmClassifier::new(&LstmConfig::with_vocab(300), 11), 300)
+    });
+}
+
+#[test]
+fn step_bert_mini_gradients() {
+    golden("step_bert_mini_gradients", || {
+        step_gradients(BertModel::new(&BertConfig::bert_mini(300, 26), 12), 300)
+    });
+}
+
+// ---------------------------------------------------------------------
+// Federations: the digest of the final global weights
+// ---------------------------------------------------------------------
+
+/// A 4-site, 2-round LSTM federation on a balanced split, under the spec
+/// keys `keys` (set explicitly, so no environment knob reshapes it).
+fn lstm_federation(keys: &[(&str, &str)]) -> u64 {
+    let mut cfg = PipelineConfig::fast_demo();
+    cfg.cohort.n_patients = 160;
+    cfg.personalize_epochs = 0;
+    for (k, v) in [("clients", "4"), ("rounds", "2"), ("seed", "40")]
+        .iter()
+        .chain(keys)
+    {
+        cfg.federation.apply(k, v).expect("valid spec key");
+    }
+    let outcome = drivers::train_federated_with(
+        &cfg,
+        ModelSpec::Lstm,
+        &cfg.balanced_partitioner(),
+        EventLog::new(),
+    )
+    .expect("federation runs");
+    weights_digest(
+        outcome
+            .global
+            .as_ref()
+            .expect("federated runs keep the global"),
+    )
+}
+
+#[test]
+fn fed_lstm_raw_flat() {
+    golden("fed_lstm_raw_flat", || {
+        lstm_federation(&[("codec", "raw"), ("tree", "1")])
+    });
+}
+
+#[test]
+fn fed_lstm_codec_tree_2x2() {
+    golden("fed_lstm_codec_tree_2x2", || {
+        lstm_federation(&[("codec", "delta+topk0.05+int8"), ("tree", "2x2")])
+    });
+}
+
+#[test]
+fn fed_lstm_dp_sampled() {
+    golden("fed_lstm_dp_sampled", || {
+        lstm_federation(&[
+            ("codec", "raw"),
+            ("tree", "1"),
+            ("dp", "clip:1,sigma:0.5"),
+            ("sample_fraction", "0.5"),
+        ])
+    });
+}
+
+/// A 3-site, 2-round BERT-mini MLM federation, raw and flat, one local
+/// epoch per round over a third of the corpus each.
+#[test]
+fn fed_bert_mini_mlm_raw() {
+    golden("fed_bert_mini_mlm_raw", || {
+        let cfg = PipelineConfig::fast_demo();
+        let data = drivers::build_mlm_data(&cfg);
+        let mut spec = SimulatorConfig::paper(2);
+        for (k, v) in [
+            ("clients", "3"),
+            ("seed", "41"),
+            ("codec", "raw"),
+            ("tree", "1"),
+        ] {
+            spec.apply(k, v).expect("valid spec key");
+        }
+        let bert = BertConfig::bert_mini(data.vocab_size, cfg.seq_len);
+        let vocab = CodeSystem::new().vocab().clone();
+        let hyper = TrainHyper::for_mlm();
+        let initial = MlmLearner::new(&bert, vocab.clone(), hyper, 41).export_weights();
+        let per_site = data.train.len() / 3;
+        let result = SimulatorRunner::new(spec)
+            .run_simple(
+                initial,
+                |i, _site| {
+                    Box::new(MlmExecutor::new(
+                        MlmLearner::new(&bert, vocab.clone(), hyper, 41),
+                        data.train[i * per_site..(i + 1) * per_site].to_vec(),
+                        data.valid.clone(),
+                        1,
+                        EventLog::new(),
+                    ))
+                },
+                &WeightedFedAvg,
+            )
+            .expect("federation runs");
+        weights_digest(&result.workflow.final_weights)
+    });
+}
