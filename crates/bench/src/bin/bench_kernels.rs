@@ -1,8 +1,9 @@
 //! Kernel-level perf gate: times the packed register-blocked GEMM
 //! kernels (DESIGN.md §3j) against the retained naive references across
-//! the matrix shapes the smoke run actually hits (LSTM gate products,
-//! BERT QKV projections, per-head attention products, the tied MLM
-//! decoder) and writes `BENCH_kernels.json`.
+//! the matrix shapes the models run (the LSTM layer's input projection
+//! and recurrence, BERT's projections and shared weight gradient,
+//! per-head attention products, the tied MLM decoder) and writes
+//! `BENCH_kernels.json`.
 //!
 //! `bench_kernels` takes no arguments. It times every shape case, writes
 //! the report, and exits 1 if the aggregate packed-vs-reference speedup
@@ -10,6 +11,10 @@
 //! weighted by the per-case FLOP-proportional iteration counts) is below
 //! `MIN_SPEEDUP` (2.5). This is the CI leg that keeps the packed kernels'
 //! win from silently evaporating.
+//!
+//! Both kernel families accumulate with `f32::mul_add`. The header
+//! prints whether the build targets `fma`; without it every `mul_add` is
+//! a libm call and the timings mean nothing, so the run exits 1.
 //!
 //! Both kernels run on the same thread budget (whatever the pool grants;
 //! single-threaded on a 1-core CI box, where the references were serial
@@ -63,12 +68,28 @@ struct Case {
     m: usize,
     k: usize,
     n: usize,
-    /// Broadcast/shared second operand (batched entry points only).
+    /// Broadcast second operand (`Matmul`, `ABt`) or shared output
+    /// (`AtB`), for the batched entry points.
     broadcast: bool,
 }
 
-/// The smoke run's hot shapes: LSTM hidden 128 / batch 32, BERT hidden
-/// 128 / 6 heads / head_dim 22 / seq_len 26 / batch 16, vocab 443.
+impl Case {
+    /// One second operand for the whole batch.
+    fn broadcast_rhs(&self) -> bool {
+        self.broadcast && self.kind != Kind::AtB
+    }
+
+    /// One output accumulated over the whole batch.
+    fn shared_out(&self) -> bool {
+        self.broadcast && self.kind == Kind::AtB
+    }
+}
+
+/// The models' hot shapes: LSTM hidden 128 / batch 32 / seq_len 26 (one
+/// `[S·B, H]×[H, 4H]` projection per layer, then a `[B, H]×[H, 4H]`
+/// recurrence per step whose weight gradient contracts over the
+/// `(S−1)·B = 800` carried rows), BERT hidden 128 / 6 heads × head_dim
+/// 22 = attention width 132 / seq_len 26 / batch 16, vocab 443.
 fn cases() -> Vec<Case> {
     let c = |name, kind, lb, m, k, n, broadcast| Case {
         name,
@@ -80,14 +101,20 @@ fn cases() -> Vec<Case> {
         broadcast,
     };
     vec![
-        // LSTM: per-gate x·W_x and h·W_h products and their dW gradients.
-        c("lstm_gate", Kind::Matmul, 1, 32, 128, 128, false),
-        c("lstm_gate_dw", Kind::AtB, 1, 128, 32, 128, false),
-        c("lstm_gate_dx", Kind::ABt, 1, 32, 128, 128, false),
-        // BERT: fused QKV/FFN projections over all batch*seq rows with a
-        // broadcast weight — the packing-amortized batched path.
-        c("bert_qkv", Kind::Matmul, 16, 26, 128, 128, true),
+        // LSTM: the input projection over every timestep, then the
+        // per-step recurrence h·W_h, its input gradient dz·W_hᵀ and its
+        // weight gradient over all carried rows.
+        c("lstm_proj", Kind::Matmul, 1, 832, 128, 512, false),
+        c("lstm_rec", Kind::Matmul, 1, 32, 128, 512, false),
+        c("lstm_rec_dh", Kind::ABt, 1, 32, 512, 128, false),
+        c("lstm_rec_dw", Kind::AtB, 1, 128, 800, 512, false),
+        // BERT: Q/K/V and FFN projections over all batch*seq rows with a
+        // broadcast weight — the packing-amortized batched path — and
+        // a projection's weight gradient, one shared accumulator
+        // contracting over all 416 rows.
+        c("bert_qkv", Kind::Matmul, 16, 26, 128, 132, true),
         c("bert_ffn", Kind::Matmul, 16, 26, 128, 256, true),
+        c("bert_qkv_dw", Kind::AtB, 16, 128, 26, 132, true),
         // Attention: per-head q·kᵀ scores and scores·v context, batched
         // over batch*heads items with per-item operands.
         c("attn_scores", Kind::ABt, 96, 26, 22, 26, false),
@@ -115,13 +142,8 @@ fn buffer_sizes(c: &Case) -> (usize, usize, usize) {
         Kind::AtB => (c.k * c.m, c.k * c.n, c.m * c.n),
         Kind::ABt => (c.m * c.k, c.n * c.k, c.m * c.n),
     };
-    let b_items = if c.broadcast { 1 } else { c.lb };
-    // A shared-accumulator AtB batch still writes one m×n output.
-    let o_items = if c.broadcast && c.kind == Kind::AtB {
-        1
-    } else {
-        c.lb
-    };
+    let b_items = if c.broadcast_rhs() { 1 } else { c.lb };
+    let o_items = if c.shared_out() { 1 } else { c.lb };
     (c.lb * a, b_items * b, o_items * o)
 }
 
@@ -129,8 +151,12 @@ fn buffer_sizes(c: &Case) -> (usize, usize, usize) {
 fn run_case(c: &Case, a: &[f32], b: &[f32], out: &mut [f32], reference: bool) {
     if reference {
         let la = a.len() / c.lb;
-        let lbuf = if c.broadcast { b.len() } else { b.len() / c.lb };
-        let shared_out = c.broadcast && c.kind == Kind::AtB;
+        let lbuf = if c.broadcast_rhs() {
+            b.len()
+        } else {
+            b.len() / c.lb
+        };
+        let shared_out = c.shared_out();
         let lo = if shared_out {
             out.len()
         } else {
@@ -138,7 +164,7 @@ fn run_case(c: &Case, a: &[f32], b: &[f32], out: &mut [f32], reference: bool) {
         };
         for bi in 0..c.lb {
             let ab = &a[bi * la..(bi + 1) * la];
-            let bb = if c.broadcast {
+            let bb = if c.broadcast_rhs() {
                 b
             } else {
                 &b[bi * lbuf..(bi + 1) * lbuf]
@@ -202,7 +228,15 @@ fn main() {
         eprintln!("usage: bench_kernels (takes no arguments)");
         std::process::exit(2);
     }
-    println!("== bench_kernels: packed vs reference GEMM ==");
+    let fma = cfg!(target_feature = "fma");
+    println!("== bench_kernels: packed vs reference GEMM (target_feature fma: {fma}) ==");
+    if !fma {
+        eprintln!(
+            "FAIL: this build does not target fma, so every f32::mul_add is a libm \
+             call; build with .cargo/config.toml's x86-64-v3 (DESIGN.md §3j)"
+        );
+        std::process::exit(1);
+    }
     let outcomes: Vec<Outcome> = cases().into_iter().map(time_both).collect();
     let packed_total: u64 = outcomes.iter().map(|o| o.packed_ns).sum();
     let ref_total: u64 = outcomes.iter().map(|o| o.ref_ns).sum();

@@ -18,9 +18,17 @@
 //! ([`matmul_batch_acc`] and friends) amortize packing across a whole
 //! batch: a broadcast right-hand side is packed exactly once.
 //!
-//! The serial reference kernels ([`matmul_acc_ref`] and friends) retain
-//! the previous naive loops; `bench_kernels` (CI leg `kernels`) times the
-//! packed kernels against them and fails below an enforced speedup floor.
+//! Every accumulation step is one `f32::mul_add`: a fused multiply-add
+//! with a single rounding, which IEEE 754 specifies exactly, so it yields
+//! the same bits on every host (`vfmadd` under the pinned `x86-64-v3`
+//! build, a correctly rounded `fmaf` elsewhere). The compiler contracts
+//! or reassociates nothing implicitly; the only fusion is the explicit one.
+//!
+//! The serial reference kernels ([`matmul_acc_ref`] and friends) keep the
+//! naive loop orders with the same per-element `mul_add` chain, so the
+//! packed kernels match them bitwise; `bench_kernels` (CI leg `kernels`)
+//! times the packed kernels against them and fails below an enforced
+//! speedup floor.
 //!
 //! The matrix and row kernels parallelize over contiguous blocks of output
 //! rows (output *tiles*, for the GEMMs) through [`crate::pool`] when the
@@ -105,13 +113,15 @@ thread_local! {
     static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// The register-tile inner loop: `acc[i][j] += a_panel[kk][i] *
-/// b_panel[kk][j]` for every `kk` in the panel slices.
+/// The register-tile inner loop: `acc[i][j] = fma(a_panel[kk][i],
+/// b_panel[kk][j], acc[i][j])` for every `kk` in the panel slices — one
+/// rounding per step.
 ///
 /// The fixed-size array refs let LLVM fully unroll the `MR×NR` body and
-/// vectorize the `j` loop; the accumulators stay in registers for the
-/// whole walk. Vector lanes run across `j` (distinct output elements), so
-/// vectorization never reorders any single element's additions.
+/// vectorize the `j` loop into `vfmadd231ps`; the accumulators stay in
+/// registers for the whole walk. Vector lanes run across `j` (distinct
+/// output elements), so vectorization never reorders any single
+/// element's chain.
 #[inline]
 fn micro_kernel(acc: &mut [[f32; NR]; MR], a_panel: &[f32], b_panel: &[f32]) {
     for (a_row, b_row) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
@@ -119,7 +129,7 @@ fn micro_kernel(acc: &mut [[f32; NR]; MR], a_panel: &[f32], b_panel: &[f32]) {
         let b_row: &[f32; NR] = b_row.try_into().expect("B panel row is NR wide");
         for (&av, acc_row) in a_row.iter().zip(acc.iter_mut()) {
             for (&bv, cv) in b_row.iter().zip(acc_row.iter_mut()) {
-                *cv += av * bv;
+                *cv = av.mul_add(bv, *cv);
             }
         }
     }
@@ -489,11 +499,9 @@ pub fn matmul_at_b_batch_acc(
 /// score product (`q·kᵀ`).
 ///
 /// The packing strides absorb the transpose. Each output element
-/// accumulates its products in ascending `n` order **on top of the
-/// entering value of `c`** — bit-identical to [`matmul_a_bt_acc_ref`]
-/// when `c` starts zeroed (the only way the training stack calls it);
-/// when accumulating into a non-zero `c` the reference sums into a local
-/// temporary first, which can differ by a final rounding.
+/// accumulates its products in ascending `n` order on top of the entering
+/// value of `c`, exactly like [`matmul_a_bt_acc_ref`], so results are
+/// bit-identical to the reference and across thread counts.
 ///
 /// # Panics
 ///
@@ -560,9 +568,10 @@ pub fn matmul_a_bt_batch_acc(
 // Naive reference GEMMs (retained for bench_kernels and the proptests)
 // ---------------------------------------------------------------------------
 
-/// Serial reference for [`matmul_acc`]: the previous naive `i-k-j` loop
-/// (with its zero-skip fast path). Retained so `bench_kernels` and the
-/// kernel proptests can pin the packed implementation against it.
+/// Serial reference for [`matmul_acc`]: the naive `i-k-j` loop (with its
+/// zero-skip fast path) over the packed kernel's `mul_add` chain.
+/// Retained so `bench_kernels` and the kernel proptests can pin the
+/// packed implementation against it.
 pub fn matmul_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "matmul lhs length");
     assert_eq!(b.len(), k * n, "matmul rhs length");
@@ -575,14 +584,14 @@ pub fn matmul_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
             }
             let b_row = &b[p * n..(p + 1) * n];
             for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
+                *cv = av.mul_add(bv, *cv);
             }
         }
     }
 }
 
-/// Serial reference for [`matmul_at_b_acc`]: the previous naive `p`-outer
-/// streaming loop.
+/// Serial reference for [`matmul_at_b_acc`]: the naive `p`-outer
+/// streaming loop over the same `mul_add` chain.
 pub fn matmul_at_b_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "matmul_at lhs length");
     assert_eq!(b.len(), k * n, "matmul_at rhs length");
@@ -596,15 +605,14 @@ pub fn matmul_at_b_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usi
             }
             let c_row = &mut c[i * n..(i + 1) * n];
             for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
+                *cv = av.mul_add(bv, *cv);
             }
         }
     }
 }
 
-/// Serial reference for [`matmul_a_bt_acc`]: the previous naive
-/// per-element dot product (summed into a local temporary, then added to
-/// `c` — identical to the packed chain when `c` starts zeroed).
+/// Serial reference for [`matmul_a_bt_acc`]: the naive per-element dot
+/// product, its `mul_add` chain starting at the entering value of `c`.
 pub fn matmul_a_bt_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     assert_eq!(a.len(), m * n, "matmul_bt lhs length");
     assert_eq!(b.len(), k * n, "matmul_bt rhs length");
@@ -613,11 +621,9 @@ pub fn matmul_a_bt_acc_ref(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usi
         let a_row = &a[i * n..(i + 1) * n];
         for (j, cv) in c_row.iter_mut().enumerate() {
             let b_row = &b[j * n..(j + 1) * n];
-            let mut acc = 0.0f32;
             for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
+                *cv = av.mul_add(bv, *cv);
             }
-            *cv += acc;
         }
     }
 }
