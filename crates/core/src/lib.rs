@@ -42,11 +42,10 @@ pub mod drivers;
 mod executor;
 pub mod experiments;
 mod learner;
-pub mod metrics;
 mod weights;
 
 pub use clinfl_obs as obs;
 pub use config::{ModelSpec, PipelineConfig, TrainHyper};
 pub use executor::{ClinicalExecutor, MlmExecutor};
 pub use learner::{EpochStats, Learner, MlmLearner};
-pub use weights::{params_to_weights, weights_into_params, weights_to_params};
+pub use weights::{params_to_weights, weights_to_params};

@@ -2,7 +2,7 @@
 //! wire format.
 
 use clinfl_flare::{WeightTensor, Weights};
-use clinfl_tensor::{Params, Tensor};
+use clinfl_tensor::Params;
 
 /// Exports a [`Params`] store as federated [`Weights`].
 pub fn params_to_weights(params: &Params) -> Weights {
@@ -32,59 +32,25 @@ pub fn weights_to_params(weights: &Weights, params: &mut Params) -> usize {
     })
 }
 
-/// Loads federated [`Weights`] into a [`Params`] store by value, moving each
-/// tensor's buffer into place instead of copying (the consuming counterpart
-/// of [`weights_to_params`] for payloads the caller no longer needs).
-/// Returns the number of parameters updated.
-///
-/// # Panics
-///
-/// Panics if a named tensor has a different shape locally (architecture
-/// mismatch between sites).
-pub fn weights_into_params(mut weights: Weights, params: &mut Params) -> usize {
-    params.replace_values(|name| {
-        weights.remove(name).map(|wt| {
-            let (dims, data) = wt.into_parts();
-            Tensor::from_vec(&dims, data).expect("wire tensors are shape-checked at decode")
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clinfl_tensor::Tensor;
 
     #[test]
     fn roundtrip_preserves_values() {
         let mut p = Params::new();
-        p.register("a", Tensor::randn(&[3, 2], 1.0, 1));
+        let pa = p.register("a", Tensor::randn(&[3, 2], 1.0, 1));
         p.register("b", Tensor::ones(&[4]));
         let w = params_to_weights(&p);
         assert_eq!(w.len(), 2);
         assert_eq!(w["a"].dims, vec![3, 2]);
 
         let mut q = Params::new();
-        q.register("a", Tensor::zeros(&[3, 2]));
+        let qa = q.register("a", Tensor::zeros(&[3, 2]));
         q.register("b", Tensor::zeros(&[4]));
         assert_eq!(weights_to_params(&w, &mut q), 2);
-        assert_eq!(
-            q.value(q.id_of("a").unwrap()),
-            p.value(p.id_of("a").unwrap())
-        );
-    }
-
-    #[test]
-    fn consuming_load_matches_copying_load() {
-        let mut p = Params::new();
-        p.register("a", Tensor::randn(&[2, 3], 1.0, 7));
-        let w = params_to_weights(&p);
-        let mut q = Params::new();
-        q.register("a", Tensor::zeros(&[2, 3]));
-        assert_eq!(weights_into_params(w, &mut q), 1);
-        assert_eq!(
-            q.value(q.id_of("a").unwrap()),
-            p.value(p.id_of("a").unwrap())
-        );
+        assert_eq!(q.value(qa), p.value(pa));
     }
 
     #[test]

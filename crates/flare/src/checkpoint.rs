@@ -11,8 +11,7 @@
 //!    (`"CFC1"` + CRC-32 of the body). [`read_with_crc`] validates the
 //!    trailer on load, so a torn write can never masquerade as a valid
 //!    checkpoint: either the old file survives intact or the new one is
-//!    complete. Files written before the trailer existed (no `"CFC1"`
-//!    marker) still load.
+//!    complete. A file without the `"CFC1"` trailer is refused as torn.
 //! 2. **Weights files** — [`save_weights_file`] / [`load_weights_file`]
 //!    move a [`Weights`] map through that format (the `.cfw` files the
 //!    [`crate::persistor::FilePersistor`] writes).
@@ -23,9 +22,9 @@
 //!    metrics, drop/quorum bookkeeping), the run seed, the best-metric
 //!    state, and the run's spec text (so a resume under a different spec
 //!    is refused). It rides the same wire codec as every federated
-//!    message and carries an explicit schema version so old binaries
-//!    reject checkpoints from the future with a useful error instead of
-//!    misparsing them.
+//!    message and carries an explicit schema version; a checkpoint of any
+//!    other version is refused with an error naming it instead of being
+//!    misparsed.
 
 use crate::controller::RoundSummary;
 use crate::dxo::Weights;
@@ -35,10 +34,9 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 
-/// Schema version written into every [`RunCheckpoint`]; decoding rejects
-/// anything newer. Version 2 added the aggregation-tree topology
-/// (`tree_depth`/`tree_fanout`; version-1 files decode as flat runs), and
-/// version 3 the run's spec text (older files decode with an empty one).
+/// Schema version written into every [`RunCheckpoint`]; decoding refuses
+/// any other. Version 2 added the aggregation-tree topology
+/// (`tree_depth`/`tree_fanout`) and version 3 the run's spec text.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 
 /// Marker that precedes the CRC-32 value in the 8-byte file trailer.
@@ -117,29 +115,30 @@ pub fn atomic_write_with_crc(path: impl AsRef<Path>, body: &[u8]) -> Result<(), 
 }
 
 /// Reads a file written by [`atomic_write_with_crc`], validates the CRC
-/// trailer, and returns the body. Files without the trailer (written
-/// before it existed) are returned whole; their framing is still fully
-/// validated by the caller's decoder.
+/// trailer, and returns the body.
 ///
 /// # Errors
 ///
 /// [`FlareError::Io`] on read failure, [`FlareError::Checkpoint`] on a
-/// CRC mismatch (torn or bit-flipped file).
+/// missing trailer or a CRC mismatch (torn or bit-flipped file).
 pub fn read_with_crc(path: impl AsRef<Path>) -> Result<Vec<u8>, FlareError> {
     let path = path.as_ref();
     let mut buf = std::fs::read(path)?;
     let n = buf.len();
-    if n >= 8 && buf[n - 8..n - 4] == CRC_TRAILER_MAGIC {
-        let stored = u32::from_le_bytes(buf[n - 4..].try_into().expect("4-byte slice"));
-        let computed = crc32(&buf[..n - 8]);
-        if stored != computed {
-            return Err(FlareError::Checkpoint(format!(
-                "CRC mismatch in {path:?}: stored {stored:#010x}, computed {computed:#010x} \
-                 (torn or corrupted write)"
-            )));
-        }
-        buf.truncate(n - 8);
+    if n < 8 || buf[n - 8..n - 4] != CRC_TRAILER_MAGIC {
+        return Err(FlareError::Checkpoint(format!(
+            "no CFC1 trailer in {path:?} (torn write)"
+        )));
     }
+    let stored = u32::from_le_bytes(buf[n - 4..].try_into().expect("4-byte slice"));
+    let computed = crc32(&buf[..n - 8]);
+    if stored != computed {
+        return Err(FlareError::Checkpoint(format!(
+            "CRC mismatch in {path:?}: stored {stored:#010x}, computed {computed:#010x} \
+             (torn or corrupted write)"
+        )));
+    }
+    buf.truncate(n - 8);
     Ok(buf)
 }
 
@@ -153,8 +152,7 @@ pub fn save_weights_file(path: impl AsRef<Path>, weights: &Weights) -> Result<()
     atomic_write_with_crc(path, &weights.to_frame())
 }
 
-/// Loads and verifies weights previously written by [`save_weights_file`]
-/// (or by the pre-CRC `std::fs::write` path — legacy files still load).
+/// Loads and verifies weights previously written by [`save_weights_file`].
 ///
 /// # Errors
 ///
@@ -192,7 +190,7 @@ pub struct RunCheckpoint {
     /// The effective spec the run was started under (canonical `key =
     /// value` text, see [`crate::spec`]); a resume under a spec that
     /// differs in a non-exempt key is refused. Empty when the writer
-    /// recorded none (schema v1/v2, or a controller built without
+    /// recorded none (a controller built without
     /// [`crate::controller::ScatterAndGather::with_spec`]).
     pub spec: String,
 }
@@ -260,41 +258,23 @@ impl WireEncode for RunCheckpoint {
 impl WireDecode for RunCheckpoint {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, FlareError> {
         let version = u32::decode(r)?;
-        if version == 0 || version > CHECKPOINT_SCHEMA_VERSION {
+        if version != CHECKPOINT_SCHEMA_VERSION {
             return Err(FlareError::Checkpoint(format!(
                 "unsupported checkpoint schema version {version} \
-                 (this build reads versions 1..={CHECKPOINT_SCHEMA_VERSION})"
+                 (this build reads version {CHECKPOINT_SCHEMA_VERSION})"
             )));
         }
-        let seed = u64::decode(r)?;
-        let next_round = u32::decode(r)?;
-        let total_rounds = u32::decode(r)?;
-        let global = BTreeMap::decode(r)?;
-        let rounds = Vec::decode(r)?;
-        let best_metric = Option::decode(r)?;
-        let best_round = Option::decode(r)?;
-        // Version-1 checkpoints predate tree aggregation: flat topology.
-        let (tree_depth, tree_fanout) = if version >= 2 {
-            (u32::decode(r)?, u32::decode(r)?)
-        } else {
-            (0, 0)
-        };
-        let spec = if version >= 3 {
-            String::decode(r)?
-        } else {
-            String::new()
-        };
         Ok(RunCheckpoint {
-            seed,
-            next_round,
-            total_rounds,
-            global,
-            rounds,
-            best_metric,
-            best_round,
-            tree_depth,
-            tree_fanout,
-            spec,
+            seed: u64::decode(r)?,
+            next_round: u32::decode(r)?,
+            total_rounds: u32::decode(r)?,
+            global: BTreeMap::decode(r)?,
+            rounds: Vec::decode(r)?,
+            best_metric: Option::decode(r)?,
+            best_round: Option::decode(r)?,
+            tree_depth: u32::decode(r)?,
+            tree_fanout: u32::decode(r)?,
+            spec: String::decode(r)?,
         })
     }
 }
@@ -342,7 +322,8 @@ mod tests {
     }
 
     /// A hand-built body of an older schema: the v3 fields minus the
-    /// spec text, and for v1 minus the tree pair too.
+    /// spec text, and for v1 minus the tree pair too. Nothing writes
+    /// these any more.
     fn legacy_body(version: u32, ckpt: &RunCheckpoint) -> Vec<u8> {
         let mut body = crate::wire::FRAME_MAGIC.to_vec();
         version.encode(&mut body);
@@ -360,28 +341,25 @@ mod tests {
         body
     }
 
-    #[test]
-    fn v1_checkpoint_decodes_as_flat_topology() {
-        let ckpt = checkpoint();
-        let decoded = RunCheckpoint::from_frame(&legacy_body(1, &ckpt)).unwrap();
-        assert_eq!(decoded.tree_depth, 0);
-        assert_eq!(decoded.tree_fanout, 0);
-        assert_eq!(decoded.spec, "");
-        assert_eq!(decoded.global, ckpt.global);
-        assert_eq!(decoded.next_round, ckpt.next_round);
+    fn assert_refused_naming_version(version: u32) {
+        let err = RunCheckpoint::from_frame(&legacy_body(version, &checkpoint())).unwrap_err();
+        assert!(
+            matches!(err, FlareError::Checkpoint(_))
+                && err
+                    .to_string()
+                    .contains(&format!("schema version {version} ")),
+            "error should name version {version}: {err}"
+        );
     }
 
     #[test]
-    fn v2_checkpoint_decodes_with_an_empty_spec() {
-        let ckpt = checkpoint();
-        let decoded = RunCheckpoint::from_frame(&legacy_body(2, &ckpt)).unwrap();
-        assert_eq!(
-            decoded,
-            RunCheckpoint {
-                spec: String::new(),
-                ..ckpt
-            }
-        );
+    fn v1_checkpoint_is_refused_naming_its_version() {
+        assert_refused_naming_version(1);
+    }
+
+    #[test]
+    fn v2_checkpoint_is_refused_naming_its_version() {
+        assert_refused_naming_version(2);
     }
 
     #[test]
@@ -405,12 +383,11 @@ mod tests {
         let path = tmp_path("truncated");
         checkpoint().save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        // Cut mid-body: the trailer disappears, so the legacy path tries a
-        // plain frame decode, which must fail loudly.
+        // Cut mid-body: the trailer disappears, which marks a torn write.
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let err = RunCheckpoint::load(&path).unwrap_err();
         assert!(
-            matches!(err, FlareError::Codec(_) | FlareError::Checkpoint(_)),
+            matches!(err, FlareError::Checkpoint(_)) && err.to_string().contains("trailer"),
             "unexpected error {err}"
         );
         std::fs::remove_file(&path).ok();
@@ -446,11 +423,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_weights_file_without_trailer_loads() {
+    fn weights_file_without_trailer_is_refused_as_torn() {
         let path = tmp_path("legacy");
-        let w = weights(4.0);
-        std::fs::write(&path, w.to_frame()).unwrap(); // pre-CRC format
-        assert_eq!(load_weights_file(&path).unwrap(), w);
+        // A well-formed frame with no trailer: the pre-CRC format.
+        std::fs::write(&path, weights(4.0).to_frame()).unwrap();
+        let err = load_weights_file(&path).unwrap_err();
+        assert!(
+            matches!(err, FlareError::Checkpoint(_)) && err.to_string().contains("torn"),
+            "unexpected error {err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

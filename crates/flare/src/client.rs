@@ -274,12 +274,6 @@ impl FlClient {
         self.wire = spec;
     }
 
-    /// The codec negotiated with the server, if any (`None` before
-    /// [`Self::run`] or after a raw fallback).
-    pub fn active_codec(&self) -> Option<&CodecSpec> {
-        self.active.as_ref()
-    }
-
     fn send_once(&mut self, msg: &ClientMessage) -> Result<(), FlareError> {
         let sealed = self.seal.seal(&msg.to_frame());
         let res = self.conn.tx.send(&sealed);

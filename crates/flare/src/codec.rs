@@ -1173,11 +1173,6 @@ impl UplinkEncoder {
     ) -> Result<EncodedWeights, FlareError> {
         encode_weights(w, 0, base, &self.spec, Some(&mut self.feedback))
     }
-
-    /// Total |residual| currently deferred (diagnostics).
-    pub fn deferred_error(&self) -> f64 {
-        self.feedback.total_abs()
-    }
 }
 
 // ---------------------------------------------------------------------

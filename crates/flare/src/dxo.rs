@@ -85,16 +85,6 @@ impl Dxo {
         }
     }
 
-    /// A metrics-only DXO.
-    pub fn from_metrics(metrics: BTreeMap<String, f64>) -> Self {
-        Dxo {
-            kind: DxoKind::Metrics,
-            weights: Weights::new(),
-            metrics,
-            n_examples: 0,
-        }
-    }
-
     /// Total scalar elements across all weight tensors.
     pub fn num_elements(&self) -> usize {
         self.weights.values().map(WeightTensor::numel).sum()

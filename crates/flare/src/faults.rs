@@ -117,21 +117,6 @@ impl FaultConfig {
         }
     }
 
-    /// Reads the `CLINFL_FAULTS` environment variable — any value of the
-    /// spec's `faults` key, usually just a profile name (`mild`,
-    /// `aggressive`) — and runs it under `seed`. Unset, unparsable or
-    /// inactive values mean no faults.
-    pub fn from_env(seed: u64) -> Self {
-        let mut spec = crate::simulator::SimulatorConfig::default();
-        match std::env::var("CLINFL_FAULTS").map(|v| spec.apply("faults", &v)) {
-            Ok(Ok(())) if spec.faults.is_active() => FaultConfig {
-                seed,
-                ..spec.faults
-            },
-            _ => FaultConfig::none(),
-        }
-    }
-
     /// Parses the text form [`Display`](fmt::Display) prints: `none`, or
     /// comma-separated items — an optional leading profile name (`mild`,
     /// `aggressive`) as the base, then `seed:N`, the per-mille rates

@@ -529,14 +529,16 @@ mod tests {
             p.save(1, &w(2.0), Some(0.8));
             p.save_checkpoint(&ckpt(2, Some(0.8)));
         }
-        // Corrupt the newest round file and the run checkpoint.
-        for name in ["round_1.cfw", RUN_CHECKPOINT_FILE] {
-            let path = d.join(name);
-            let mut bytes = std::fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xFF;
-            std::fs::write(&path, &bytes).unwrap();
-        }
+        // Strip the newest round file's CRC trailer (a torn or pre-CRC
+        // file) and flip a bit in the run checkpoint.
+        let round_1 = d.join("round_1.cfw");
+        let bytes = std::fs::read(&round_1).unwrap();
+        std::fs::write(&round_1, &bytes[..bytes.len() - 8]).unwrap();
+        let path = d.join(RUN_CHECKPOINT_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
         let p = FilePersistor::new(&d).unwrap().with_log(log.clone());
         // Corrupt checkpoint skipped; latest falls back to round_0.
         assert!(p.load_checkpoint().is_none());

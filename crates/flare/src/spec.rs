@@ -8,8 +8,8 @@
 //! holds the cross-key range checks. One table, [`SPEC_KEYS`], maps each
 //! key to its field in both directions, so the job format
 //! ([`crate::job::JobConfig::parse`]), the `clinfl` flags, the
-//! `CLINFL_FAULTS`/`CLINFL_TREE` knobs and the checkpoint record all speak
-//! the same grammar.
+//! `CLINFL_TREE` knob and the checkpoint record all speak the same
+//! grammar.
 //!
 //! ```text
 //! clients = 8

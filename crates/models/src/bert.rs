@@ -363,19 +363,6 @@ impl SequenceClassifier for BertModel {
         let logits = self.cls_logits(g, batch);
         g.value(logits).argmax_rows()
     }
-
-    fn predict_proba_with(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Vec<Vec<f32>> {
-        g.reset();
-        g.set_training(false);
-        let logits = self.cls_logits(g, batch);
-        let probs = g.softmax(logits);
-        let classes = self.config.num_classes;
-        g.value(probs)
-            .data()
-            .chunks(classes)
-            .map(<[f32]>::to_vec)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -482,23 +469,6 @@ mod tests {
         let after = batch(&ids);
         for (a, b) in before.iter().zip(&after) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn predict_proba_rows_are_distributions() {
-        let m = BertModel::new(&tiny_config(), 3);
-        let (ids, mask) = batch_data(2, 8);
-        let probs = m.predict_proba(&TokenBatch {
-            ids: &ids,
-            mask: &mask,
-            batch_size: 2,
-            seq_len: 8,
-        });
-        assert_eq!(probs.len(), 2);
-        for row in &probs {
-            let sum: f32 = row.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5);
         }
     }
 

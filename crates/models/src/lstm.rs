@@ -181,19 +181,6 @@ impl SequenceClassifier for LstmClassifier {
         let logits = self.logits(g, batch);
         g.value(logits).argmax_rows()
     }
-
-    fn predict_proba_with(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Vec<Vec<f32>> {
-        g.reset();
-        g.set_training(false);
-        let logits = self.logits(g, batch);
-        let probs = g.softmax(logits);
-        let classes = self.config.num_classes;
-        g.value(probs)
-            .data()
-            .chunks(classes)
-            .map(<[f32]>::to_vec)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -286,36 +273,6 @@ mod tests {
         let b = g2.value(h2).data();
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn predict_proba_rows_are_distributions() {
-        let m = LstmClassifier::new(&tiny_config(), 3);
-        let (ids, mask) = batch_data(3, 5);
-        let probs = m.predict_proba(&TokenBatch {
-            ids: &ids,
-            mask: &mask,
-            batch_size: 3,
-            seq_len: 5,
-        });
-        assert_eq!(probs.len(), 3);
-        for row in &probs {
-            assert_eq!(row.len(), 2);
-            let sum: f32 = row.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5, "row sums to {sum}");
-            assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        }
-        // argmax of proba agrees with predict.
-        let preds = m.predict(&TokenBatch {
-            ids: &ids,
-            mask: &mask,
-            batch_size: 3,
-            seq_len: 5,
-        });
-        for (p, row) in preds.iter().zip(&probs) {
-            let am = if row[1] > row[0] { 1 } else { 0 };
-            assert_eq!(*p, am);
         }
     }
 

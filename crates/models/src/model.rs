@@ -98,22 +98,10 @@ pub trait SequenceClassifier {
     /// (and the dropout seed) afterwards.
     fn predict_with(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Vec<usize>;
 
-    /// Class-probability rows per sequence (softmax over logits, evaluation
-    /// mode) on a caller-provided graph; see [`Self::predict_with`] for the
-    /// reset contract. Row order matches the batch; each row sums to 1.
-    fn predict_proba_with(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Vec<Vec<f32>>;
-
     /// Predicted class per sequence (evaluation mode, no dropout).
     fn predict(&self, batch: &TokenBatch<'_>) -> Vec<usize> {
         let mut g = Graph::new();
         self.predict_with(&mut g, batch)
-    }
-
-    /// Class-probability rows per sequence (softmax over logits,
-    /// evaluation mode). Row order matches the batch; each row sums to 1.
-    fn predict_proba(&self, batch: &TokenBatch<'_>) -> Vec<Vec<f32>> {
-        let mut g = Graph::new();
-        self.predict_proba_with(&mut g, batch)
     }
 
     /// Top-1 accuracy on a labelled batch.

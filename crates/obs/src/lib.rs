@@ -250,11 +250,6 @@ impl Registry {
         global_registry().clone()
     }
 
-    /// Whether this handle and `other` share the same underlying storage.
-    pub fn same_scope(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.shards, &other.shards)
-    }
-
     fn shard_for(&self, name: &str) -> &Mutex<HashMap<String, Metric>> {
         let mut h = DefaultHasher::new();
         name.hash(&mut h);
@@ -692,8 +687,6 @@ mod tests {
         assert_eq!(counter_value("test.scoped.hits"), 0);
         let snap = a.snapshot();
         assert_eq!(snap.counters.get("test.scoped.hits"), Some(&3));
-        assert!(!a.same_scope(&b));
-        assert!(a.same_scope(&a.clone()));
     }
 
     #[test]
@@ -703,7 +696,6 @@ mod tests {
         add_counter("test.scoped.global", 5);
         assert_eq!(counter_value("test.scoped.global"), 7);
         assert_eq!(g.counter_value("test.scoped.global"), 7);
-        assert!(g.same_scope(&Registry::global()));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,16 +96,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Sum of all counters whose name starts with `prefix` (convenient
-    /// for aggregating per-site metrics like `flare.site.*.bytes_tx`).
-    pub fn counter_sum(&self, prefix: &str, suffix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix) && k.ends_with(suffix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// The value of one counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -186,39 +175,6 @@ impl MetricsSnapshot {
             }
         }
         Ok(snap)
-    }
-
-    /// Renders a human-readable summary table (counters, gauges, and
-    /// histogram count/mean/max — span times shown in milliseconds).
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{:<44} {:>16}", "COUNTER", "VALUE");
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "{name:<44} {v:>16}");
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "\n{:<44} {:>16}", "GAUGE", "VALUE");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "{name:<44} {v:>16}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(
-                out,
-                "\n{:<44} {:>8} {:>12} {:>12}",
-                "HISTOGRAM", "COUNT", "MEAN(ms)", "MAX(ms)"
-            );
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "{name:<44} {:>8} {:>12.3} {:>12.3}",
-                    h.count,
-                    h.mean() / 1e6,
-                    h.max as f64 / 1e6
-                );
-            }
-        }
-        out
     }
 
     /// Writes this snapshot to `<obs_dir>/<run>-<pid>-<seq>.json` and
@@ -306,17 +262,6 @@ mod tests {
         let snap = sample();
         assert_eq!(snap.counter("a.calls"), 3);
         assert_eq!(snap.counter("missing"), 0);
-        assert_eq!(snap.counter_sum("a.", "calls"), 3);
-        assert_eq!(snap.counter_sum("a.", "bytes"), 0);
-    }
-
-    #[test]
-    fn render_table_mentions_every_metric() {
-        let snap = sample();
-        let table = snap.render_table();
-        for name in ["a.calls", "b.bytes", "g.peak", "span.run"] {
-            assert!(table.contains(name), "table missing {name}");
-        }
     }
 
     #[test]

@@ -206,16 +206,19 @@ impl BufferPool {
     }
 
     /// Buffer requests served from the free lists.
+    #[cfg(test)]
     pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Buffer requests that fell through to the system allocator.
+    #[cfg(test)]
     pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// High-water mark of bytes parked in the free lists.
+    #[cfg(test)]
     pub(crate) fn peak_bytes(&self) -> u64 {
         self.peak_bytes
     }

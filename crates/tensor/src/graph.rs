@@ -119,10 +119,8 @@ impl Graph {
     /// parked; the oldest beyond that are freed.
     ///
     /// The graph stays usable and its results do not change: a pool's
-    /// contents are never observable. [`Graph::pool_stats`] and
-    /// [`Graph::pool_peak_bytes`] describe the pool the graph holds now,
-    /// so they restart from zero. A graph that is never parked keeps its
-    /// pool for life.
+    /// contents are never observable. A graph that is never parked keeps
+    /// its pool for life.
     pub fn park(&mut self) {
         self.clear_tape(self.seed);
         PARKED.park(std::mem::take(&mut self.pool), crate::pool::num_threads());
@@ -168,26 +166,10 @@ impl Graph {
         self.reset_with_seed(seed);
     }
 
-    /// Buffer-pool counters `(hits, misses)`: requests served from
-    /// recycled buffers vs. requests that hit the system allocator.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool.hits(), self.pool.misses())
-    }
-
-    /// High-water mark of bytes parked in the buffer pool's free lists.
-    pub fn pool_peak_bytes(&self) -> u64 {
-        self.pool.peak_bytes()
-    }
-
     /// Switches between training mode (dropout active) and evaluation mode
     /// (dropout is the identity).
     pub fn set_training(&mut self, training: bool) {
         self.training = training;
-    }
-
-    /// Whether the tape is in training mode.
-    pub fn is_training(&self) -> bool {
-        self.training
     }
 
     /// Number of nodes recorded so far.
@@ -333,24 +315,6 @@ impl Graph {
         self.push(Op::Add(bcast), &[ia, ib], value)
     }
 
-    /// `a - b`, with the same broadcasting rules as [`Graph::add`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are not broadcast-compatible.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let bcast = self.broadcast_kind(a, b, "sub");
-        let (ia, ib) = (self.chk(a), self.chk(b));
-        let value = Self::apply_broadcast(
-            &mut self.pool,
-            &self.values[ia],
-            &self.values[ib],
-            bcast,
-            |x, y| x - y,
-        );
-        self.push(Op::Sub(bcast), &[ia, ib], value)
-    }
-
     /// Element-wise `a * b`, with the same broadcasting rules as
     /// [`Graph::add`].
     ///
@@ -370,14 +334,6 @@ impl Graph {
         self.push(Op::Mul(bcast), &[ia, ib], value)
     }
 
-    /// `-a`.
-    pub fn neg(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let mut value = self.pool.tensor_uninit(*self.values[ia].shape());
-        kernels::map_into(self.values[ia].data(), value.data_mut(), 16, |v| -v);
-        self.push(Op::Neg, &[ia], value)
-    }
-
     /// `a * c` for a constant.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let ia = self.chk(a);
@@ -386,19 +342,13 @@ impl Graph {
         self.push(Op::Scale(c), &[ia], value)
     }
 
-    /// `a + c` for a constant.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let ia = self.chk(a);
-        let mut value = self.pool.tensor_uninit(*self.values[ia].shape());
-        kernels::map_into(self.values[ia].data(), value.data_mut(), 16, |v| v + c);
-        self.push(Op::AddScalar, &[ia], value)
-    }
-
     // ------------------------------------------------------------------
     // Linear algebra & shape
     // ------------------------------------------------------------------
 
-    /// Batched matrix product (see [`Tensor::matmul`] for the shape rules).
+    /// Batched matrix product `a[.., M, K] · b -> [.., M, N]`, where `b` is
+    /// either rank-2 (`[K, N]`, broadcast over the batch) or has the same
+    /// batch dimensions as `a` (`[.., K, N]`).
     ///
     /// # Panics
     ///
@@ -415,13 +365,12 @@ impl Graph {
     }
 
     /// Batched matrix product with the right operand transposed in place:
-    /// `a[.., M, K] · b[.., N, K]ᵀ -> [.., M, N]` (see
-    /// [`Tensor::matmul_bt`]). Equivalent to
-    /// `matmul(a, transpose_last2(b))` — forward and backward are
-    /// bit-identical to that composition — but the packed `a·bᵀ` kernel
-    /// absorbs the transpose into its packing strides, so no transposed
-    /// copy of `b` (or of its gradient) is ever materialized. This is the
-    /// attention-score (`q·kᵀ`) and tied-decoder (`h·Eᵀ`) fast path.
+    /// `a[.., M, K] · b[.., N, K]ᵀ -> [.., M, N]`, with `b` either rank-2
+    /// (broadcast over the batch) or batch-matched. The packed `a·bᵀ`
+    /// kernel absorbs the transpose into its packing strides, so no
+    /// transposed copy of `b` (or of its gradient) is ever materialized.
+    /// This is the attention-score (`q·kᵀ`) and tied-decoder (`h·Eᵀ`) fast
+    /// path.
     ///
     /// # Panics
     ///
@@ -435,20 +384,6 @@ impl Graph {
         let rhs_broadcast =
             self.values[ib].shape().rank() == 2 && self.values[ia].shape().rank() > 2;
         self.push(Op::MatmulABt { rhs_broadcast }, &[ia, ib], value)
-    }
-
-    /// Transposes the last two dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is < 2.
-    pub fn transpose_last2(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let mut value = self
-            .pool
-            .tensor_uninit(self.values[ia].shape().transposed_last2());
-        self.values[ia].transpose_last2_into(value.data_mut());
-        self.push(Op::TransposeLast2, &[ia], value)
     }
 
     /// Swaps axes 1 and 2 of a rank-4 tensor (`[B, S, H, D]` →
@@ -540,81 +475,6 @@ impl Graph {
         self.push(Op::ConcatLast, &[ia, ib], out)
     }
 
-    /// Takes columns `start..start+len` of the last dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the last dimension.
-    pub fn slice_last(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let ia = self.chk(a);
-        let src = &self.values[ia];
-        let width = src.shape().last_dim();
-        assert!(
-            start + len <= width && len > 0,
-            "slice_last {start}..{} out of 0..{width}",
-            start + len
-        );
-        let out_shape = src.shape().with_last(len);
-        // Uninit: every output row is fully copied.
-        let mut out = self.pool.tensor_uninit(out_shape);
-        let src = &self.values[ia];
-        for (orow, srow) in out.data_mut().chunks_mut(len).zip(src.data().chunks(width)) {
-            orow.copy_from_slice(&srow[start..start + len]);
-        }
-        self.push(
-            Op::SliceLast {
-                start,
-                src_width: width,
-            },
-            &[ia],
-            out,
-        )
-    }
-
-    /// Sums over the last dimension (`[.., D]` → `[..]`).
-    pub fn sum_last(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let src = &self.values[ia];
-        let width = src.shape().last_dim().max(1);
-        let out_shape = Shape::new(&src.dims()[..src.dims().len().saturating_sub(1)]);
-        // Uninit: every output element is assigned.
-        let mut out = self.pool.tensor_uninit(out_shape);
-        let src = &self.values[ia];
-        for (o, r) in out.data_mut().iter_mut().zip(src.data().chunks(width)) {
-            *o = r.iter().sum();
-        }
-        self.push(Op::SumLast, &[ia], out)
-    }
-
-    /// Mean over axis 1 of a rank-3 tensor (`[B, S, H]` → `[B, H]`):
-    /// sequence mean pooling.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the input is rank-3.
-    pub fn mean_axis1(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let dims = self.values[ia].dims();
-        assert_eq!(dims.len(), 3, "mean_axis1 requires rank-3 input");
-        let (b, s, h) = (dims[0], dims[1], dims[2]);
-        // Zeroed: rows accumulate before the final divide.
-        let mut out = self.pool.tensor_zeroed(Shape::new(&[b, h]));
-        let src = &self.values[ia];
-        for bi in 0..b {
-            let orow = &mut out.data_mut()[bi * h..(bi + 1) * h];
-            for si in 0..s {
-                let srow = &src.data()[(bi * s + si) * h..(bi * s + si + 1) * h];
-                for (o, &v) in orow.iter_mut().zip(srow) {
-                    *o += v;
-                }
-            }
-            for o in orow.iter_mut() {
-                *o /= s as f32;
-            }
-        }
-        self.push(Op::MeanAxis1 { axis_len: s }, &[ia], out)
-    }
-
     // ------------------------------------------------------------------
     // Reductions
     // ------------------------------------------------------------------
@@ -625,14 +485,6 @@ impl Graph {
         let v = self.values[ia].sum();
         let value = self.pool.tensor_full(Shape::new(&[]), v);
         self.push(Op::Sum, &[ia], value)
-    }
-
-    /// Mean of all elements (scalar output).
-    pub fn mean(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let v = self.values[ia].mean();
-        let value = self.pool.tensor_full(Shape::new(&[]), v);
-        self.push(Op::Mean, &[ia], value)
     }
 
     // ------------------------------------------------------------------
@@ -646,15 +498,6 @@ impl Graph {
         let width = value.shape().last_dim();
         kernels::softmax_rows(value.data_mut(), width);
         self.push(Op::Softmax, &[ia], value)
-    }
-
-    /// Log-softmax over the last dimension.
-    pub fn log_softmax(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let mut value = self.pool.tensor_copy(&self.values[ia]);
-        let width = value.shape().last_dim();
-        kernels::log_softmax_rows(value.data_mut(), width);
-        self.push(Op::LogSoftmax, &[ia], value)
     }
 
     /// `tanh(a)` (fast Padé approximation; see
@@ -682,14 +525,6 @@ impl Graph {
             kernels::sigmoid,
         );
         self.push(Op::Sigmoid, &[ia], value)
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let mut value = self.pool.tensor_uninit(*self.values[ia].shape());
-        kernels::map_into(self.values[ia].data(), value.data_mut(), 16, |v| v.max(0.0));
-        self.push(Op::Relu, &[ia], value)
     }
 
     /// GELU (tanh approximation, as in BERT).
@@ -1046,7 +881,7 @@ mod tests {
     fn mul_scalar_broadcast() {
         let mut g = Graph::new();
         let a = g.input(t(&[2], &[3.0, 5.0]));
-        let c = g.input(Tensor::scalar(2.0));
+        let c = g.input(Tensor::full(&[], 2.0));
         let m = g.mul(a, c);
         assert_eq!(g.value(m).data(), &[6.0, 10.0]);
         let loss = g.sum(m);
@@ -1229,56 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_last_values_and_grads() {
-        let mut g = Graph::new();
-        let x = g.input(t(&[2, 3], &[1., 2., 3., 4., 5., 6.]));
-        let s = g.slice_last(x, 1, 2);
-        assert_eq!(g.value(s).data(), &[2., 3., 5., 6.]);
-        let loss = g.sum(s);
-        g.backward(loss);
-        assert_eq!(g.grad(x).unwrap().data(), &[0., 1., 1., 0., 1., 1.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn slice_last_out_of_range_panics() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::zeros(&[2, 3]));
-        g.slice_last(x, 2, 2);
-    }
-
-    #[test]
-    fn sum_last_values_and_grads() {
-        let mut g = Graph::new();
-        let x = g.input(t(&[2, 3], &[1., 2., 3., 4., 5., 6.]));
-        let s = g.sum_last(x);
-        assert_eq!(g.value(s).dims(), &[2]);
-        assert_eq!(g.value(s).data(), &[6., 15.]);
-        let w = g.input(t(&[2], &[1., 10.]));
-        let p = g.mul(s, w);
-        let loss = g.sum(p);
-        g.backward(loss);
-        assert_eq!(g.grad(x).unwrap().data(), &[1., 1., 1., 10., 10., 10.]);
-    }
-
-    #[test]
-    fn mean_axis1_pools_sequence() {
-        let mut g = Graph::new();
-        let x = g.input(t(&[1, 2, 2], &[1., 2., 3., 4.]));
-        let m = g.mean_axis1(x);
-        assert_eq!(g.value(m).dims(), &[1, 2]);
-        assert_eq!(g.value(m).data(), &[2., 3.]);
-        let loss = g.sum(m);
-        g.backward(loss);
-        assert!(g
-            .grad(x)
-            .unwrap()
-            .data()
-            .iter()
-            .all(|&v| (v - 0.5).abs() < 1e-6));
-    }
-
-    #[test]
     fn grad_reused_var_accumulates() {
         // loss = sum(x * x) uses x twice.
         let mut g = Graph::new();
@@ -1315,8 +1100,10 @@ mod tests {
         let x2 = g.input(Tensor::ones(&[512]));
         let d2 = g.dropout(x2, 0.3);
         assert_eq!(g.value(d2).data(), &first[..]);
-        let (hits, _misses) = g.pool_stats();
-        assert!(hits > 0, "second pass should reuse recycled buffers");
+        assert!(
+            g.pool.hits() > 0,
+            "second pass should reuse recycled buffers"
+        );
     }
 
     #[test]
@@ -1328,7 +1115,9 @@ mod tests {
             let a = g.tanh(h);
             let d = g.dropout(a, 0.25);
             let n = g.normalize_last(d, 1e-5);
-            let loss = g.mean(n);
+            let c = g.input(t(&[2, 2], &[1.0, -2.0, 0.5, 3.0]));
+            let p = g.mul(n, c);
+            let loss = g.sum(p);
             g.backward(loss);
             (
                 g.value(loss).item().to_bits(),
@@ -1354,8 +1143,7 @@ mod tests {
             let want = step(&mut fresh);
             assert_eq!(got, want);
         }
-        let (hits, _) = reused.pool_stats();
-        assert!(hits > 0, "reused graph should hit the pool");
+        assert!(reused.pool.hits() > 0, "reused graph should hit the pool");
     }
 
     #[test]
@@ -1386,9 +1174,11 @@ mod tests {
             let loss = g.sum(s);
             g.backward(loss);
         }
-        let (hits, _) = g.pool_stats();
-        assert!(hits > 0, "later steps reuse the first step's buffers");
-        assert!(g.pool_peak_bytes() > 0);
+        assert!(
+            g.pool.hits() > 0,
+            "later steps reuse the first step's buffers"
+        );
+        assert!(g.pool.peak_bytes() > 0);
     }
 
     #[test]
@@ -1405,8 +1195,8 @@ mod tests {
         let want = step(&mut g);
         g.park();
         assert!(g.is_empty());
-        assert_eq!(g.pool_stats(), (0, 0), "the pool left with park()");
-        assert_eq!(g.pool_peak_bytes(), 0);
+        let pool = (g.pool.hits(), g.pool.misses(), g.pool.peak_bytes());
+        assert_eq!(pool, (0, 0, 0), "the pool left with park()");
         // Whatever pool the next reset adopts (its own, another test's, or
         // none), the step repeats bit for bit.
         assert_eq!(step(&mut g), want);

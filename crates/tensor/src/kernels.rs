@@ -50,8 +50,6 @@ static OBS_MATMUL_AT_B: KernelTimer = KernelTimer::new("tensor.matmul_at_b");
 static OBS_MATMUL_A_BT: KernelTimer = KernelTimer::new("tensor.matmul_a_bt");
 static OBS_SOFTMAX: KernelTimer = KernelTimer::new("tensor.softmax");
 static OBS_SOFTMAX_BWD: KernelTimer = KernelTimer::new("tensor.softmax_backward");
-static OBS_LOG_SOFTMAX: KernelTimer = KernelTimer::new("tensor.log_softmax");
-static OBS_LOG_SOFTMAX_BWD: KernelTimer = KernelTimer::new("tensor.log_softmax_backward");
 static OBS_LAYER_NORM: KernelTimer = KernelTimer::new("tensor.layer_norm");
 static OBS_LAYER_NORM_BWD: KernelTimer = KernelTimer::new("tensor.layer_norm_backward");
 
@@ -346,14 +344,14 @@ pub fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 /// Batched `c[b, m, n] += a[b, m, k] * rhs`, where `rhs` is one shared
 /// `[k, n]` matrix (`rhs_broadcast`) or a per-batch `[b, k, n]` stack.
 ///
-/// This is the packing-amortized entry point behind [`Tensor::matmul`]:
+/// This is the packing-amortized entry point behind [`Graph::matmul`]:
 /// a broadcast RHS is packed exactly once and the batch collapses into a
 /// single `(b·m)×k×n` GEMM (batch items are just extra output rows, so
 /// the per-element chains are unchanged); per-batch right-hand sides run
 /// as parallel per-item GEMMs. Records one `tensor.matmul` timer
 /// invocation for the whole batch.
 ///
-/// [`Tensor::matmul`]: crate::Tensor::matmul
+/// [`Graph::matmul`]: crate::Graph::matmul
 ///
 /// # Panics
 ///
@@ -680,123 +678,24 @@ fn softmax_row(row: &mut [f32]) {
     }
 }
 
-/// In-place log-softmax over contiguous rows of width `width`. Rows are
-/// independent and run on pool threads in blocks.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or does not divide `data.len()`.
-pub fn log_softmax_rows(data: &mut [f32], width: usize) {
-    let _obs = OBS_LOG_SOFTMAX.start();
-    assert!(width > 0, "log_softmax row width must be > 0");
-    assert_eq!(
-        data.len() % width,
-        0,
-        "log_softmax data not a multiple of width"
-    );
-    let rows = data.len() / width;
-    let w = pool::workers_for(rows, 8 * width);
-    if w <= 1 {
-        for row in data.chunks_mut(width) {
-            log_softmax_row(row);
-        }
-        return;
-    }
-    let block_rows = rows.div_ceil(w).max(1);
-    let jobs: Vec<_> = data
-        .chunks_mut(block_rows * width)
-        .map(|block| {
-            move || {
-                for row in block.chunks_mut(width) {
-                    log_softmax_row(row);
-                }
-            }
-        })
-        .collect();
-    pool::run_jobs(jobs);
-}
-
 /// Per-row body shared by the serial and parallel paths of
-/// [`log_softmax_rows`].
+/// [`layer_norm_rows_rstd`]: normalizes the row in place and returns its
+/// `rstd`.
 #[inline]
-fn log_softmax_row(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter() {
-        sum += (*v - max).exp();
-    }
-    let log_z = max + sum.ln();
-    for v in row.iter_mut() {
-        *v -= log_z;
-    }
-}
-
-/// Normalizes each row to zero mean / unit variance; returns `(mean, rstd)`
-/// per row for use by the backward pass. Row blocks run on pool threads,
-/// each writing its own span of the `mean` / `rstd` outputs.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or does not divide `data.len()`.
-pub fn layer_norm_rows(data: &mut [f32], width: usize, eps: f32) -> (Vec<f32>, Vec<f32>) {
-    let _obs = OBS_LAYER_NORM.start();
-    assert!(width > 0, "layer_norm row width must be > 0");
-    assert_eq!(
-        data.len() % width,
-        0,
-        "layer_norm data not a multiple of width"
-    );
-    let rows = data.len() / width;
-    let mut means = vec![0.0f32; rows];
-    let mut rstds = vec![0.0f32; rows];
-    let w = pool::workers_for(rows, 6 * width);
-    if w <= 1 {
-        for ((row, mv), rv) in data.chunks_mut(width).zip(&mut means).zip(&mut rstds) {
-            let (mean, rstd) = layer_norm_row(row, width, eps);
-            *mv = mean;
-            *rv = rstd;
-        }
-        return (means, rstds);
-    }
-    let block_rows = rows.div_ceil(w).max(1);
-    let jobs: Vec<_> = data
-        .chunks_mut(block_rows * width)
-        .zip(
-            means
-                .chunks_mut(block_rows)
-                .zip(rstds.chunks_mut(block_rows)),
-        )
-        .map(|(block, (mean_block, rstd_block))| {
-            move || {
-                for ((row, mv), rv) in block.chunks_mut(width).zip(mean_block).zip(rstd_block) {
-                    let (mean, rstd) = layer_norm_row(row, width, eps);
-                    *mv = mean;
-                    *rv = rstd;
-                }
-            }
-        })
-        .collect();
-    pool::run_jobs(jobs);
-    (means, rstds)
-}
-
-/// Per-row body shared by all layer-norm entry points: normalizes the row
-/// in place and returns its `(mean, rstd)`.
-#[inline]
-fn layer_norm_row(row: &mut [f32], width: usize, eps: f32) -> (f32, f32) {
+fn layer_norm_row(row: &mut [f32], width: usize, eps: f32) -> f32 {
     let mean = row.iter().sum::<f32>() / width as f32;
     let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / width as f32;
     let rstd = 1.0 / (var + eps).sqrt();
     for v in row.iter_mut() {
         *v = (*v - mean) * rstd;
     }
-    (mean, rstd)
+    rstd
 }
 
-/// Like [`layer_norm_rows`] but writes the per-row `rstd` values into a
-/// caller-provided (typically recycled) buffer and discards the means,
-/// which the backward pass never needs. Same arithmetic, same order —
-/// bit-identical normalized outputs.
+/// Normalizes each row to zero mean / unit variance and writes the per-row
+/// `rstd`, which the backward pass needs, into a caller-provided
+/// (typically recycled) buffer. Row blocks run on pool threads, each
+/// writing its own span of `rstd_out`.
 ///
 /// # Panics
 ///
@@ -815,8 +714,7 @@ pub fn layer_norm_rows_rstd(data: &mut [f32], width: usize, eps: f32, rstd_out: 
     let w = pool::workers_for(rows, 6 * width);
     if w <= 1 {
         for (row, rv) in data.chunks_mut(width).zip(rstd_out) {
-            let (_mean, rstd) = layer_norm_row(row, width, eps);
-            *rv = rstd;
+            *rv = layer_norm_row(row, width, eps);
         }
         return;
     }
@@ -827,8 +725,7 @@ pub fn layer_norm_rows_rstd(data: &mut [f32], width: usize, eps: f32, rstd_out: 
         .map(|(block, rstd_block)| {
             move || {
                 for (row, rv) in block.chunks_mut(width).zip(rstd_block) {
-                    let (_mean, rstd) = layer_norm_row(row, width, eps);
-                    *rv = rstd;
+                    *rv = layer_norm_row(row, width, eps);
                 }
             }
         })
@@ -836,7 +733,7 @@ pub fn layer_norm_rows_rstd(data: &mut [f32], width: usize, eps: f32, rstd_out: 
     pool::run_jobs(jobs);
 }
 
-/// Backward of [`layer_norm_rows`]: given normalized outputs `y`, per-row
+/// Backward of [`layer_norm_rows_rstd`]: given normalized outputs `y`, per-row
 /// `rstd` and upstream gradient `dy`, accumulates `dx` into `dx_acc`. Row
 /// blocks run on pool threads.
 ///
@@ -973,56 +870,6 @@ fn softmax_backward_block(y: &[f32], dy: &[f32], dx_block: &mut [f32], at0: usiz
     }
 }
 
-/// Backward of [`log_softmax_rows`]: `dx = dy - exp(y) * Σdy` per row,
-/// where `y` is the saved log-softmax output. Row blocks run on pool
-/// threads.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or the slice lengths disagree.
-pub fn log_softmax_rows_backward(y: &[f32], dy: &[f32], dx: &mut [f32], width: usize) {
-    let _obs = OBS_LOG_SOFTMAX_BWD.start();
-    assert!(width > 0, "log_softmax backward width must be > 0");
-    assert_eq!(dy.len(), y.len(), "log_softmax backward dy length");
-    assert_eq!(dx.len(), y.len(), "log_softmax backward dx length");
-    let rows = y.len() / width;
-    let w = pool::workers_for(rows, 6 * width);
-    if w <= 1 {
-        log_softmax_backward_block(y, dy, dx, 0, width);
-        return;
-    }
-    let block_rows = rows.div_ceil(w).max(1);
-    let jobs: Vec<_> = dx
-        .chunks_mut(block_rows * width)
-        .enumerate()
-        .map(|(blk, dx_block)| {
-            move || log_softmax_backward_block(y, dy, dx_block, blk * block_rows * width, width)
-        })
-        .collect();
-    pool::run_jobs(jobs);
-}
-
-/// Row-block body shared by the serial and parallel paths of
-/// [`log_softmax_rows_backward`]; `at0` is the element offset of the block.
-#[inline]
-fn log_softmax_backward_block(
-    y: &[f32],
-    dy: &[f32],
-    dx_block: &mut [f32],
-    at0: usize,
-    width: usize,
-) {
-    for (local, dxrow) in dx_block.chunks_mut(width).enumerate() {
-        let at = at0 + local * width;
-        let yrow = &y[at..at + width];
-        let dyrow = &dy[at..at + width];
-        let sum_dy: f32 = dyrow.iter().sum();
-        for ((d, &yv), &dyv) in dxrow.iter_mut().zip(yrow).zip(dyrow) {
-            *d = dyv - yv.exp() * sum_dy;
-        }
-    }
-}
-
 /// Fast `tanh` via the order-7 continued-fraction rational
 /// `x (135135 + 17325x² + 378x⁴ + x⁶) / (135135 + 62370x² + 3150x⁴ + 28x⁶)`,
 /// clamped to ±1 beyond |x| ≈ 4.97 (where the rational crosses 1).
@@ -1135,41 +982,18 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_is_log_of_softmax() {
-        let src = [0.5f32, -1.0, 2.0, 0.0];
-        let mut s = src;
-        softmax_rows(&mut s, 4);
-        let mut ls = src;
-        log_softmax_rows(&mut ls, 4);
-        for (a, b) in s.iter().zip(ls.iter()) {
-            assert!((a.ln() - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn layer_norm_zero_mean_unit_var() {
         let mut d = [1., 2., 3., 4., 10., 20., 30., 40.];
-        let (means, rstds) = layer_norm_rows(&mut d, 4, 1e-5);
-        assert_eq!(means.len(), 2);
-        assert_eq!(rstds.len(), 2);
+        let mut rstds = [0.0f32; 2];
+        layer_norm_rows_rstd(&mut d, 4, 1e-5, &mut rstds);
+        // Row 1 is row 0 times 10: a tenth of the reciprocal stddev.
+        assert!((rstds[0] / rstds[1] - 10.0).abs() < 1e-3);
         for row in d.chunks(4) {
             let m: f32 = row.iter().sum::<f32>() / 4.0;
             let v: f32 = row.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / 4.0;
             assert!(m.abs() < 1e-5, "mean {m}");
             assert!((v - 1.0).abs() < 1e-3, "var {v}");
         }
-    }
-
-    #[test]
-    fn layer_norm_rstd_variant_matches_full_version() {
-        let src = [1.0f32, 2., 3., 4., 10., 20., 30., 40.];
-        let mut a = src;
-        let (_means, rstds) = layer_norm_rows(&mut a, 4, 1e-5);
-        let mut b = src;
-        let mut rstd_out = [0.0f32; 2];
-        layer_norm_rows_rstd(&mut b, 4, 1e-5, &mut rstd_out);
-        assert_eq!(a, b);
-        assert_eq!(&rstds[..], &rstd_out[..]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   backpropagation-through-time for the LSTM).
 //! * [`Params`] — a named parameter store shared between models, optimizers
 //!   and the federated-learning weight exchange.
-//! * [`Adam`] / [`Sgd`] — optimizers (the paper uses Adam, lr = 1e-2).
+//! * [`Adam`] — the optimizer (the paper uses Adam, lr = 1e-2).
 //! * [`gradcheck`] — finite-difference gradient checking used heavily by the
 //!   test-suite.
 //!
@@ -24,25 +24,22 @@
 //! ```
 //! use clinfl_tensor::{Graph, Params, Tensor, Adam, Optimizer};
 //!
-//! // y = relu(x W + b), loss = mean((y - t)^2)
+//! // logits = tanh(x W) + b, loss = cross-entropy against class targets
 //! let mut params = Params::new();
-//! let w = params.register("w", Tensor::randn(&[4, 2], 0.5, 42));
-//! let b = params.register("b", Tensor::zeros(&[2]));
+//! let w = params.register("w", Tensor::randn(&[4, 3], 0.5, 42));
+//! let b = params.register("b", Tensor::zeros(&[3]));
 //!
 //! let mut adam = Adam::with_lr(1e-2);
 //! let mut g = Graph::new();
 //! for _ in 0..10 {
 //!     g.reset(); // clear the tape, recycling last step's buffers
-//!     let x = g.input(Tensor::ones(&[3, 4]));
-//!     let t = g.input(Tensor::zeros(&[3, 2]));
+//!     let x = g.input(Tensor::ones(&[2, 4]));
 //!     let wv = g.param(&params, w);
 //!     let bv = g.param(&params, b);
 //!     let h = g.matmul(x, wv);
-//!     let h = g.add(h, bv);
-//!     let y = g.relu(h);
-//!     let d = g.sub(y, t);
-//!     let sq = g.mul(d, d);
-//!     let loss = g.mean(sq);
+//!     let h = g.tanh(h);
+//!     let logits = g.add(h, bv);
+//!     let loss = g.cross_entropy(logits, &[0, 2], -100);
 //!     g.backward(loss);
 //!     g.grads_into(&mut params);
 //!     adam.step(&mut params);
@@ -69,6 +66,6 @@ pub use error::TensorError;
 pub use gradcheck_impl::{gradcheck, GradCheckReport};
 pub use graph::{Graph, Var};
 pub use init::Init;
-pub use optim::{Adam, AdamConfig, GradClip, LrSchedule, Optimizer, ParamId, Params, Sgd};
+pub use optim::{Adam, AdamConfig, GradClip, LrSchedule, Optimizer, ParamId, Params};
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;

@@ -33,16 +33,10 @@ pub(crate) enum Op {
     Leaf,
     /// `a + b` with RHS broadcast.
     Add(Broadcast),
-    /// `a - b` with RHS broadcast.
-    Sub(Broadcast),
     /// `a * b` (element-wise) with RHS broadcast.
     Mul(Broadcast),
-    /// `-a`.
-    Neg,
     /// `a * c` for a constant `c`.
     Scale(f32),
-    /// `a + c` for a constant `c`.
-    AddScalar,
     /// Batched matrix product; `rhs_broadcast` is true when the RHS was a
     /// rank-2 matrix shared across the batch.
     Matmul {
@@ -57,33 +51,14 @@ pub(crate) enum Op {
         /// RHS was rank-2 and shared across the whole batch.
         rhs_broadcast: bool,
     },
-    /// Swap of the last two dimensions.
-    TransposeLast2,
     /// Swap of axes 1 and 2 of a rank-4 tensor (attention head split).
     SwapAxes12,
     /// Shape change over the same data.
     Reshape,
     /// Concatenation of two tensors along the last dimension.
     ConcatLast,
-    /// Contiguous slice along the last dimension.
-    SliceLast {
-        /// First kept column.
-        start: usize,
-        /// Extent of the input's last dimension.
-        src_width: usize,
-    },
-    /// Sum over the last dimension (`[.., D]` → `[..]`).
-    SumLast,
-    /// Mean over axis 1 of a rank-3 tensor (`[B, S, H]` → `[B, H]`),
-    /// i.e. mean pooling over sequence positions.
-    MeanAxis1 {
-        /// Extent of axis 1 in the input.
-        axis_len: usize,
-    },
     /// Sum of all elements to a scalar.
     Sum,
-    /// Mean of all elements to a scalar.
-    Mean,
     /// Selection of one index along axis 1 of a rank-3 tensor
     /// (`[B, S, H] -> [B, H]`), used for `[CLS]` pooling.
     Select {
@@ -94,9 +69,6 @@ pub(crate) enum Op {
     },
     /// Softmax over the last dimension (output saved as the node value).
     Softmax,
-    /// Log-softmax over the last dimension (output saved as the node
-    /// value).
-    LogSoftmax,
     /// Mean cross-entropy from logits `[N, C]` against integer targets.
     CrossEntropy {
         /// Per-row class targets; rows equal to `ignore_index` are skipped.
@@ -123,8 +95,6 @@ pub(crate) enum Op {
     Tanh,
     /// Logistic sigmoid.
     Sigmoid,
-    /// Rectified linear unit.
-    Relu,
     /// Gaussian error linear unit (tanh approximation).
     Gelu,
     /// Inverted dropout; the mask already includes the `1/(1-p)` scale.
@@ -274,16 +244,6 @@ pub(crate) fn backward_node(
             accumulate(grads, pool, ins[1], db);
             accumulate(grads, pool, ins[0], dy);
         }
-        Op::Sub(bcast) => {
-            let rhs_shape = *values[ins[1]].shape();
-            let mut neg = pool.tensor_copy(&dy);
-            for v in neg.data_mut() {
-                *v *= -1.0;
-            }
-            let db = reduce_for_broadcast_owned(pool, neg, *bcast, rhs_shape);
-            accumulate(grads, pool, ins[1], db);
-            accumulate(grads, pool, ins[0], dy);
-        }
         Op::Mul(bcast) => {
             let a = &values[ins[0]];
             let b = &values[ins[1]];
@@ -320,13 +280,6 @@ pub(crate) fn backward_node(
             accumulate(grads, pool, ins[1], db);
             accumulate(grads, pool, ins[0], da);
         }
-        Op::Neg => {
-            let mut dx = dy;
-            for v in dx.data_mut() {
-                *v *= -1.0;
-            }
-            accumulate(grads, pool, ins[0], dx);
-        }
         Op::Scale(c) => {
             let c = *c;
             let mut dx = dy;
@@ -335,7 +288,6 @@ pub(crate) fn backward_node(
             }
             accumulate(grads, pool, ins[0], dx);
         }
-        Op::AddScalar => accumulate(grads, pool, ins[0], dy),
         Op::Matmul { rhs_broadcast } => {
             let a = &values[ins[0]];
             let b = &values[ins[1]];
@@ -409,12 +361,6 @@ pub(crate) fn backward_node(
             accumulate(grads, pool, ins[0], da);
             accumulate(grads, pool, ins[1], db);
         }
-        Op::TransposeLast2 => {
-            let mut dx = pool.tensor_uninit(dy.shape().transposed_last2());
-            dy.transpose_last2_into(dx.data_mut());
-            pool.recycle(dy);
-            accumulate(grads, pool, ins[0], dx);
-        }
         Op::SwapAxes12 => {
             let mut dx = pool.tensor_uninit(dy.shape().swapped_axes12());
             dy.swap_axes12_into(dx.data_mut());
@@ -448,63 +394,10 @@ pub(crate) fn backward_node(
             accumulate(grads, pool, ins[0], da);
             accumulate(grads, pool, ins[1], db);
         }
-        Op::SliceLast { start, src_width } => {
-            let src_shape = *values[ins[0]].shape();
-            let width = dy.shape().last_dim();
-            // Zeroed: only the sliced columns are written.
-            let mut dx = pool.tensor_zeroed(src_shape);
-            for (drow, dyrow) in dx
-                .data_mut()
-                .chunks_mut(*src_width)
-                .zip(dy.data().chunks(width))
-            {
-                drow[*start..*start + width].copy_from_slice(dyrow);
-            }
-            pool.recycle(dy);
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::SumLast => {
-            let src_shape = *values[ins[0]].shape();
-            let width = src_shape.last_dim();
-            // Uninit: every row is filled below.
-            let mut dx = pool.tensor_uninit(src_shape);
-            for (drow, &g) in dx.data_mut().chunks_mut(width).zip(dy.data()) {
-                drow.fill(g);
-            }
-            pool.recycle(dy);
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::MeanAxis1 { axis_len } => {
-            let src_shape = *values[ins[0]].shape();
-            let dims = src_shape.dims();
-            let (b, s, h) = (dims[0], dims[1], dims[2]);
-            debug_assert_eq!(s, *axis_len);
-            let scale = 1.0 / s as f32;
-            // Uninit: every element is assigned below.
-            let mut dx = pool.tensor_uninit(src_shape);
-            for bi in 0..b {
-                let g = &dy.data()[bi * h..(bi + 1) * h];
-                for si in 0..s {
-                    let drow = &mut dx.data_mut()[(bi * s + si) * h..(bi * s + si + 1) * h];
-                    for (d, &gv) in drow.iter_mut().zip(g) {
-                        *d = gv * scale;
-                    }
-                }
-            }
-            pool.recycle(dy);
-            accumulate(grads, pool, ins[0], dx);
-        }
         Op::Sum => {
             let g = dy.item();
             pool.recycle(dy);
             let dx = pool.tensor_full(*values[ins[0]].shape(), g);
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::Mean => {
-            let src_shape = *values[ins[0]].shape();
-            let g = dy.item() / src_shape.numel() as f32;
-            pool.recycle(dy);
-            let dx = pool.tensor_full(src_shape, g);
             accumulate(grads, pool, ins[0], dx);
         }
         Op::Select { index, axis_len } => {
@@ -528,16 +421,6 @@ pub(crate) fn backward_node(
             // Uninit: the kernel assigns every element.
             let mut dx = pool.tensor_uninit(*y.shape());
             kernels::softmax_rows_backward(y.data(), dy.data(), dx.data_mut(), width);
-            pool.recycle(dy);
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::LogSoftmax => {
-            // dx = dy - softmax(x) * sum(dy) per row; softmax = exp(saved y).
-            let y = &values[id];
-            let width = y.shape().last_dim();
-            // Uninit: the kernel assigns every element.
-            let mut dx = pool.tensor_uninit(*y.shape());
-            kernels::log_softmax_rows_backward(y.data(), dy.data(), dx.data_mut(), width);
             pool.recycle(dy);
             accumulate(grads, pool, ins[0], dx);
         }
@@ -604,20 +487,6 @@ pub(crate) fn backward_node(
             let mut dx = dy;
             kernels::mul_map_inplace(x.data(), dx.data_mut(), 16, |xv| {
                 0.25 * kernels::tanh_fast_grad(0.5 * xv)
-            });
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::Relu => {
-            let x = &values[ins[0]];
-            let mut dx = dy;
-            let xs = x.data();
-            crate::pool::for_blocks(dx.data_mut(), 2, |offset, block| {
-                let len = block.len();
-                for (d, &xv) in block.iter_mut().zip(&xs[offset..offset + len]) {
-                    if xv <= 0.0 {
-                        *d = 0.0;
-                    }
-                }
             });
             accumulate(grads, pool, ins[0], dx);
         }

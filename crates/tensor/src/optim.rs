@@ -20,8 +20,8 @@ struct Entry {
 /// optimizers, and the federated weight exchange: models register tensors by
 /// name, training accumulates gradients via
 /// [`crate::Graph::grads_into`], optimizers update values in place, and the
-/// FL layer reads/writes the full set with [`Params::to_named`] /
-/// [`Params::load_named`].
+/// FL layer reads the full set with [`Params::iter`] and writes it with
+/// [`Params::copy_values_from`].
 ///
 /// Iteration order (and therefore serialization order) is the registration
 /// order, which is deterministic for a given model constructor.
@@ -73,11 +73,6 @@ impl Params {
         &self.entries[id.0].value
     }
 
-    /// Mutable access to a parameter value.
-    pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.entries[id.0].value
-    }
-
     /// The accumulated gradient of a parameter.
     pub fn grad(&self, id: ParamId) -> &Tensor {
         &self.entries[id.0].grad
@@ -94,19 +89,6 @@ impl Params {
     pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
         let e = &mut self.entries[id.0];
         (&mut e.value, &e.grad)
-    }
-
-    /// The name a parameter was registered under.
-    pub fn name(&self, id: ParamId) -> &str {
-        &self.entries[id.0].name
-    }
-
-    /// Looks up a parameter by name.
-    pub fn id_of(&self, name: &str) -> Option<ParamId> {
-        self.entries
-            .iter()
-            .position(|e| e.name == name)
-            .map(ParamId)
     }
 
     /// Iterates over `(id, name, value)` in registration order.
@@ -142,28 +124,12 @@ impl Params {
             .sqrt()
     }
 
-    /// Exports all values as a name → tensor map (the federated "model
-    /// weights" payload).
+    /// Exports all values as a name → tensor map.
     pub fn to_named(&self) -> BTreeMap<String, Tensor> {
         self.entries
             .iter()
             .map(|e| (e.name.clone(), e.value.clone()))
             .collect()
-    }
-
-    /// Loads values from a name → tensor map produced by [`Params::to_named`]
-    /// on an identically-constructed model.
-    ///
-    /// Returns the number of parameters updated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named tensor exists locally with a different shape
-    /// (indicates a model-architecture mismatch between FL sites). Names
-    /// present in the map but not registered locally are ignored, so a
-    /// server checkpoint with extra heads can still initialize a backbone.
-    pub fn load_named(&mut self, named: &BTreeMap<String, Tensor>) -> usize {
-        self.copy_values_from(|name| named.get(name).map(|t| (t.dims(), t.data())))
     }
 
     /// Loads parameter values by copying from borrowed `(dims, data)` slices
@@ -190,34 +156,6 @@ impl Params {
                     e.name
                 );
                 e.value.data_mut().copy_from_slice(data);
-                updated += 1;
-            }
-        }
-        updated
-    }
-
-    /// Loads parameter values by taking ownership of tensors produced by
-    /// `take`, replacing each parameter's buffer outright (the consuming
-    /// counterpart of [`Params::copy_values_from`] for callers that already
-    /// hold owned storage, e.g. deserialized wire payloads).
-    ///
-    /// Returns the number of parameters updated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a taken tensor has a different shape than the local
-    /// parameter.
-    pub fn replace_values(&mut self, mut take: impl FnMut(&str) -> Option<Tensor>) -> usize {
-        let mut updated = 0;
-        for e in &mut self.entries {
-            if let Some(t) = take(&e.name) {
-                assert_eq!(
-                    t.dims(),
-                    e.value.dims(),
-                    "parameter {:?} shape mismatch on load",
-                    e.name
-                );
-                e.value = t;
                 updated += 1;
             }
         }
@@ -279,8 +217,6 @@ impl LrSchedule {
 pub trait Optimizer {
     /// Applies one update from the accumulated gradients, then zeroes them.
     fn step(&mut self, params: &mut Params);
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
     /// Overrides the learning rate (e.g. for schedules).
     fn set_learning_rate(&mut self, lr: f32);
 }
@@ -307,66 +243,6 @@ impl GradClip {
             }
         }
         norm
-    }
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no momentum.
-    pub fn with_lr(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params) {
-        if self.velocity.len() != params.len() {
-            self.velocity = (0..params.len())
-                .map(|i| Tensor::zeros(params.value(ParamId(i)).dims()))
-                .collect();
-        }
-        for i in 0..params.len() {
-            let id = ParamId(i);
-            let (value, grad) = params.value_and_grad_mut(id);
-            if self.momentum > 0.0 {
-                let v = &mut self.velocity[i];
-                for (vv, gv) in v.data_mut().iter_mut().zip(grad.data()) {
-                    *vv = self.momentum * *vv + gv;
-                }
-                value.axpy(-self.lr, &self.velocity[i]);
-            } else {
-                value.axpy(-self.lr, grad);
-            }
-        }
-        params.zero_grads();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -425,11 +301,6 @@ impl Adam {
             ..AdamConfig::default()
         })
     }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.step_count
-    }
 }
 
 impl Optimizer for Adam {
@@ -479,10 +350,6 @@ impl Optimizer for Adam {
         params.zero_grads();
     }
 
-    fn learning_rate(&self) -> f32 {
-        self.cfg.lr
-    }
-
     fn set_learning_rate(&mut self, lr: f32) {
         self.cfg.lr = lr;
     }
@@ -499,9 +366,8 @@ mod tests {
         let b = p.register("b", Tensor::zeros(&[3]));
         assert_eq!(p.len(), 2);
         assert_eq!(p.num_elements(), 7);
-        assert_eq!(p.name(a), "a");
-        assert_eq!(p.id_of("b"), Some(b));
-        assert_eq!(p.id_of("missing"), None);
+        let order: Vec<_> = p.iter().map(|(id, name, _)| (id, name)).collect();
+        assert_eq!(order, [(a, "a"), (b, "b")]);
     }
 
     #[test]
@@ -513,82 +379,28 @@ mod tests {
     }
 
     #[test]
-    fn named_roundtrip() {
+    fn named_roundtrip_ignores_unknown() {
         let mut p = Params::new();
         let a = p.register("w", Tensor::randn(&[4], 1.0, 3));
-        let map = p.to_named();
+        let mut map = p.to_named();
+        map.insert("extra".into(), Tensor::ones(&[5]));
         let mut q = Params::new();
         let qa = q.register("w", Tensor::zeros(&[4]));
-        assert_eq!(q.load_named(&map), 1);
+        assert_eq!(
+            q.copy_values_from(|n| map.get(n).map(|t| (t.dims(), t.data()))),
+            1
+        );
         assert_eq!(q.value(qa), p.value(a));
     }
 
     #[test]
-    fn load_named_ignores_unknown() {
-        let mut p = Params::new();
-        p.register("w", Tensor::zeros(&[2]));
-        let mut map = p.to_named();
-        map.insert("extra".into(), Tensor::ones(&[5]));
-        assert_eq!(p.load_named(&map), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "shape mismatch")]
-    fn load_named_shape_mismatch_panics() {
+    fn copy_values_from_shape_mismatch_panics() {
         let mut p = Params::new();
         p.register("w", Tensor::zeros(&[2]));
         let mut map = BTreeMap::new();
         map.insert("w".to_string(), Tensor::zeros(&[3]));
-        p.load_named(&map);
-    }
-
-    #[test]
-    fn replace_values_moves_owned_tensors() {
-        let mut p = Params::new();
-        let w = p.register("w", Tensor::zeros(&[2]));
-        let mut incoming = BTreeMap::new();
-        incoming.insert(
-            "w".to_string(),
-            Tensor::from_vec(&[2], vec![1.5, -2.5]).unwrap(),
-        );
-        incoming.insert("extra".to_string(), Tensor::ones(&[3]));
-        assert_eq!(p.replace_values(|name| incoming.remove(name)), 1);
-        assert_eq!(p.value(w).data(), &[1.5, -2.5]);
-        // Unknown names are left in the source, known ones were consumed.
-        assert!(incoming.contains_key("extra") && !incoming.contains_key("w"));
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn replace_values_shape_mismatch_panics() {
-        let mut p = Params::new();
-        p.register("w", Tensor::zeros(&[2]));
-        p.replace_values(|_| Some(Tensor::zeros(&[3])));
-    }
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut p = Params::new();
-        let w = p.register("w", Tensor::from_vec(&[2], vec![1.0, -1.0]).unwrap());
-        p.grad_mut(w).data_mut().copy_from_slice(&[0.5, -0.5]);
-        let mut opt = Sgd::with_lr(0.1);
-        opt.step(&mut p);
-        assert_eq!(p.value(w).data(), &[0.95, -0.95]);
-        // Gradients are cleared after the step.
-        assert_eq!(p.grad(w).data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates() {
-        let mut p = Params::new();
-        let w = p.register("w", Tensor::zeros(&[1]));
-        let mut opt = Sgd::with_momentum(1.0, 0.5);
-        for _ in 0..2 {
-            p.grad_mut(w).data_mut()[0] = 1.0;
-            opt.step(&mut p);
-        }
-        // v1 = 1, x = -1; v2 = 1.5, x = -2.5
-        assert!((p.value(w).data()[0] + 2.5).abs() < 1e-6);
+        p.copy_values_from(|n| map.get(n).map(|t| (t.dims(), t.data())));
     }
 
     #[test]
@@ -601,7 +413,6 @@ mod tests {
         let mut opt = Adam::with_lr(0.01);
         opt.step(&mut p);
         assert!((p.value(w).data()[0] + 0.01).abs() < 1e-4);
-        assert_eq!(opt.steps(), 1);
     }
 
     #[test]

@@ -64,16 +64,6 @@ impl Shape {
         self.dims().last().copied().unwrap_or(1)
     }
 
-    /// Number of rows when the tensor is viewed as a `[numel/last, last]`
-    /// matrix, or 1 for a scalar.
-    pub fn leading(&self) -> usize {
-        if self.rank == 0 {
-            1
-        } else {
-            self.numel() / self.last_dim().max(1)
-        }
-    }
-
     /// For rank >= 2: `(batch, rows, cols)` where `batch` is the product of
     /// all leading dimensions.
     ///
@@ -90,19 +80,6 @@ impl Shape {
         let cols = self.dims[n - 1];
         let batch: usize = self.dims[..n - 2].iter().product();
         (batch, rows, cols)
-    }
-
-    /// Shape with the last two dimensions swapped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is < 2.
-    pub fn transposed_last2(&self) -> Shape {
-        assert!(self.rank() >= 2, "transpose requires rank >= 2, got {self}");
-        let mut s = *self;
-        let n = self.rank();
-        s.dims.swap(n - 2, n - 1);
-        s
     }
 
     /// Shape with the last dimension replaced by `n` (e.g. the output shape
@@ -128,14 +105,6 @@ impl Shape {
         let mut s = *self;
         s.dims.swap(1, 2);
         s
-    }
-
-    /// Whether `other` can broadcast onto `self` under this crate's rules:
-    /// identical shape, a scalar, or a vector matching the last dimension.
-    pub fn broadcasts_from(&self, other: &Shape) -> bool {
-        other == self
-            || other.numel() == 1
-            || (other.rank() == 1 && other.last_dim() == self.last_dim())
     }
 }
 
@@ -180,7 +149,6 @@ mod tests {
         assert_eq!(s.numel(), 24);
         assert_eq!(s.rank(), 3);
         assert_eq!(s.last_dim(), 4);
-        assert_eq!(s.leading(), 6);
     }
 
     #[test]
@@ -189,7 +157,6 @@ mod tests {
         assert_eq!(s.numel(), 1);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.last_dim(), 1);
-        assert_eq!(s.leading(), 1);
     }
 
     #[test]
@@ -201,26 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn transpose_last2() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.transposed_last2(), Shape::new(&[2, 4, 3]));
-    }
-
-    #[test]
     #[should_panic(expected = "rank >= 2")]
-    fn transpose_rank1_panics() {
-        Shape::new(&[3]).transposed_last2();
-    }
-
-    #[test]
-    fn broadcast_rules() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert!(s.broadcasts_from(&Shape::new(&[2, 3, 4])));
-        assert!(s.broadcasts_from(&Shape::new(&[4])));
-        assert!(s.broadcasts_from(&Shape::new(&[1])));
-        assert!(s.broadcasts_from(&Shape::new(&[])));
-        assert!(!s.broadcasts_from(&Shape::new(&[3])));
-        assert!(!s.broadcasts_from(&Shape::new(&[3, 4])));
+    fn batched_matrix_rank1_panics() {
+        Shape::new(&[3]).as_batched_matrix();
     }
 
     #[test]

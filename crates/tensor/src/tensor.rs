@@ -16,7 +16,8 @@ use std::fmt;
 /// ```
 /// use clinfl_tensor::Tensor;
 /// let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0])?;
-/// assert_eq!(t.matmul(&t).data(), &[7.0, 10.0, 15.0, 22.0]);
+/// assert_eq!(t.sum(), 10.0);
+/// assert_eq!(t.argmax_rows(), vec![1, 1]);
 /// # Ok::<(), clinfl_tensor::TensorError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -48,14 +49,6 @@ impl Tensor {
     pub(crate) fn from_raw(shape: Shape, data: Vec<f32>) -> Self {
         debug_assert_eq!(shape.numel(), data.len(), "from_raw shape/data mismatch");
         Tensor { shape, data }
-    }
-
-    /// Creates a scalar (rank-0) tensor.
-    pub fn scalar(v: f32) -> Self {
-        Tensor {
-            shape: Shape::new(&[]),
-            data: vec![v],
-        }
     }
 
     /// All-zeros tensor of the given shape.
@@ -163,46 +156,13 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape has a different number of elements.
-    pub fn reshaped(&self, dims: &[usize]) -> Tensor {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.numel(),
-            self.numel(),
-            "reshape from {} to {shape} changes element count",
-            self.shape
-        );
-        Tensor {
-            shape,
-            data: self.data.clone(),
-        }
-    }
-
-    /// Matrix product supporting batched operands.
-    ///
-    /// `self` may have rank >= 2 (`[.., M, K]`). `rhs` is either rank-2
-    /// (`[K, N]`, broadcast over the batch) or has the same batch dimensions
-    /// as `self` (`[.., K, N]`).
+    /// The output shape of the batched product `self · rhs` (see
+    /// [`crate::Graph::matmul`] for the shape rules), validating the
+    /// operands.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension or batch mismatch.
-    pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.matmul_shape(rhs).dims());
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// The output shape of `self.matmul(rhs)`, validating the operands.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension or batch mismatch (same conditions as
-    /// [`Tensor::matmul`]).
     pub(crate) fn matmul_shape(&self, rhs: &Tensor) -> Shape {
         let (lb, _m, k) = self.shape.as_batched_matrix();
         let (rb, rk, n) = rhs.shape.as_batched_matrix();
@@ -247,27 +207,12 @@ impl Tensor {
         );
     }
 
-    /// Matrix product with the right operand transposed:
-    /// `self[.., M, K] · rhs[.., N, K]ᵀ -> [.., M, N]`, with `rhs` either
-    /// rank-2 (broadcast over the batch) or batch-matched. Computed
-    /// directly by the packed `a·bᵀ` kernel — no transposed copy of `rhs`
-    /// is ever materialized.
+    /// The output shape of the batched product `self · rhsᵀ` (see
+    /// [`crate::Graph::matmul_bt`]), validating the operands.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension or batch mismatch.
-    pub fn matmul_bt(&self, rhs: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.matmul_bt_shape(rhs).dims());
-        self.matmul_bt_into(rhs, &mut out);
-        out
-    }
-
-    /// The output shape of `self.matmul_bt(rhs)`, validating the operands.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension or batch mismatch (same conditions as
-    /// [`Tensor::matmul_bt`]).
     pub(crate) fn matmul_bt_shape(&self, rhs: &Tensor) -> Shape {
         let (lb, _m, k) = self.shape.as_batched_matrix();
         let (rb, n, rk) = rhs.shape.as_batched_matrix();
@@ -308,55 +253,6 @@ impl Tensor {
         );
     }
 
-    /// Returns the tensor with its last two dimensions transposed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is < 2.
-    pub fn transposed_last2(&self) -> Tensor {
-        let mut out = vec![0.0f32; self.numel()];
-        self.transpose_last2_into(&mut out);
-        Tensor {
-            shape: self.shape.transposed_last2(),
-            data: out,
-        }
-    }
-
-    /// Writes the last-two-dims transpose into `out` (fully overwriting
-    /// it), so callers can supply a recycled buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is < 2 or `out` has the wrong length.
-    pub(crate) fn transpose_last2_into(&self, out: &mut [f32]) {
-        let (b, m, n) = self.shape.as_batched_matrix();
-        assert_eq!(out.len(), self.numel(), "transpose out length");
-        for bi in 0..b {
-            let src = &self.data[bi * m * n..(bi + 1) * m * n];
-            let dst = &mut out[bi * m * n..(bi + 1) * m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    dst[j * m + i] = src[i * n + j];
-                }
-            }
-        }
-    }
-
-    /// Swaps axes 1 and 2 of a rank-4 tensor (`[B, S, H, D]` →
-    /// `[B, H, S, D]`), the permutation used to split attention heads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is not 4.
-    pub fn swapped_axes12(&self) -> Tensor {
-        let mut out = vec![0.0f32; self.numel()];
-        self.swap_axes12_into(&mut out);
-        Tensor {
-            shape: self.shape.swapped_axes12(),
-            data: out,
-        }
-    }
-
     /// Writes the axes-1/2 permutation into `out` (fully overwriting it),
     /// so callers can supply a recycled buffer.
     ///
@@ -379,59 +275,6 @@ impl Tensor {
         }
     }
 
-    /// Element-wise map, parallel across the worker pool for large tensors.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let mut data = vec![0.0f32; self.data.len()];
-        kernels::map_into(&self.data, &mut data, 16, f);
-        Tensor {
-            shape: self.shape,
-            data,
-        }
-    }
-
-    /// Element-wise addition of same-shape tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape, rhs.shape, "add shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Tensor {
-            shape: self.shape,
-            data,
-        }
-    }
-
-    /// Element-wise subtraction of same-shape tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape, rhs.shape, "sub shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Tensor {
-            shape: self.shape,
-            data,
-        }
-    }
-
-    /// Scales every element by `c`.
-    pub fn scaled(&self, c: f32) -> Tensor {
-        self.map(|v| v * c)
-    }
-
     /// In-place `self += rhs * c` (axpy). Used by optimizers and aggregators.
     ///
     /// # Panics
@@ -452,20 +295,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// L2 norm of all elements.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Index of the maximum element in each row of the trailing dimension.
@@ -529,7 +358,7 @@ mod tests {
         assert_eq!(Tensor::zeros(&[2, 3]).numel(), 6);
         assert_eq!(Tensor::ones(&[3]).data(), &[1.0, 1.0, 1.0]);
         assert_eq!(Tensor::full(&[2], 7.0).data(), &[7.0, 7.0]);
-        assert_eq!(Tensor::scalar(2.5).item(), 2.5);
+        assert_eq!(Tensor::full(&[], 2.5).item(), 2.5);
     }
 
     #[test]
@@ -537,7 +366,7 @@ mod tests {
         let a = Tensor::randn(&[1000], 1.0, 7);
         let b = Tensor::randn(&[1000], 1.0, 7);
         assert_eq!(a, b);
-        let mean = a.mean();
+        let mean = a.sum() / 1000.0;
         let var = a
             .data()
             .iter()
@@ -554,12 +383,18 @@ mod tests {
         assert!(t.data().iter().all(|&v| (-2.0..3.0).contains(&v)));
     }
 
+    fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.matmul_shape(b).dims());
+        a.matmul_into(b, &mut out);
+        out
+    }
+
     #[test]
     fn matmul_batched_rhs_broadcast() {
         // Batch of two 1x2 matrices times a shared 2x1.
         let a = Tensor::from_vec(&[2, 1, 2], vec![1., 2., 3., 4.]).unwrap();
         let w = Tensor::from_vec(&[2, 1], vec![10., 100.]).unwrap();
-        let c = a.matmul(&w);
+        let c = matmul(&a, &w);
         assert_eq!(c.dims(), &[2, 1, 1]);
         assert_eq!(c.data(), &[210., 430.]);
     }
@@ -568,7 +403,7 @@ mod tests {
     fn matmul_batched_both() {
         let a = Tensor::from_vec(&[2, 1, 2], vec![1., 2., 3., 4.]).unwrap();
         let b = Tensor::from_vec(&[2, 2, 1], vec![1., 1., 2., 2.]).unwrap();
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c.dims(), &[2, 1, 1]);
         assert_eq!(c.data(), &[3., 14.]);
     }
@@ -578,16 +413,7 @@ mod tests {
     fn matmul_mismatch_panics() {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
-        a.matmul(&b);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let t = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let tt = t.transposed_last2();
-        assert_eq!(tt.dims(), &[3, 2]);
-        assert_eq!(tt.data(), &[1., 4., 2., 5., 3., 6.]);
-        assert_eq!(tt.transposed_last2(), t);
+        matmul(&a, &b);
     }
 
     #[test]
@@ -597,9 +423,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_norms() {
+    fn axpy_and_zero() {
         let mut a = Tensor::from_vec(&[2], vec![3.0, 4.0]).unwrap();
-        assert_eq!(a.l2_norm(), 5.0);
         let b = Tensor::from_vec(&[2], vec![1.0, 1.0]).unwrap();
         a.axpy(2.0, &b);
         assert_eq!(a.data(), &[5.0, 6.0]);

@@ -3,7 +3,7 @@
 //! order unchanged, so these tests compare `to_bits()`, not approximate
 //! closeness, across odd and degenerate shapes.
 
-use clinfl_tensor::{kernels, pool, Tensor};
+use clinfl_tensor::{kernels, pool, Graph, Tensor};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests that reconfigure the process-global thread budget.
@@ -78,16 +78,11 @@ fn row_kernels_bit_identical_across_widths() {
             kernels::softmax_rows(&mut d, width);
             d
         });
-        assert_bit_identical(&format!("log_softmax_rows {rows}x{width}"), || {
+        assert_bit_identical(&format!("layer_norm_rows_rstd {rows}x{width}"), || {
             let mut d = x.data().to_vec();
-            kernels::log_softmax_rows(&mut d, width);
-            d
-        });
-        assert_bit_identical(&format!("layer_norm_rows {rows}x{width}"), || {
-            let mut d = x.data().to_vec();
-            let (means, rstds) = kernels::layer_norm_rows(&mut d, width, 1e-5);
-            d.extend(means);
-            d.extend(rstds);
+            let mut rstd = vec![0.0f32; rows];
+            kernels::layer_norm_rows_rstd(&mut d, width, 1e-5, &mut rstd);
+            d.extend(rstd);
             d
         });
     }
@@ -104,13 +99,6 @@ fn backward_kernels_bit_identical() {
         assert_bit_identical(&format!("softmax_rows_backward {rows}x{width}"), || {
             let mut dx = vec![0.0f32; n];
             kernels::softmax_rows_backward(&y, dy.data(), &mut dx, width);
-            dx
-        });
-        let mut logy = Tensor::randn(&[n], 1.0, 41).data().to_vec();
-        kernels::log_softmax_rows(&mut logy, width);
-        assert_bit_identical(&format!("log_softmax_rows_backward {rows}x{width}"), || {
-            let mut dx = vec![0.0f32; n];
-            kernels::log_softmax_rows_backward(&logy, dy.data(), &mut dx, width);
             dx
         });
     }
@@ -144,11 +132,17 @@ fn batched_matmul_bit_identical() {
         let a = Tensor::randn(&[batch, m, k], 1.0, 53);
         let b = Tensor::randn(&[batch, k, n], 1.0, 59);
         let b2 = Tensor::randn(&[k, n], 1.0, 61);
+        let matmul = |rhs: &Tensor| {
+            let mut g = Graph::new();
+            let (x, y) = (g.input(a.clone()), g.input(rhs.clone()));
+            let c = g.matmul(x, y);
+            g.value(c).data().to_vec()
+        };
         assert_bit_identical(&format!("batched matmul {batch}x{m}x{k}x{n}"), || {
-            a.matmul(&b).data().to_vec()
+            matmul(&b)
         });
         assert_bit_identical(&format!("broadcast matmul {batch}x{m}x{k}x{n}"), || {
-            a.matmul(&b2).data().to_vec()
+            matmul(&b2)
         });
     }
 }

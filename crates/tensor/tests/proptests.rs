@@ -19,11 +19,11 @@ proptest! {
     }
 
     #[test]
-    fn sub_scalar_broadcast_grad(seed in 0u64..1000) {
+    fn add_scalar_broadcast_grad(seed in 0u64..1000) {
         let x = Tensor::randn(&[2, 3], 1.0, seed);
         let c = Tensor::randn(&[1], 1.0, seed ^ 2);
         let r = gradcheck(&[x, c], |g, v| {
-            let s = g.sub(v[0], v[1]);
+            let s = g.add(v[0], v[1]);
             let t = g.tanh(s);
             g.sum(t)
         });
@@ -65,13 +65,13 @@ proptest! {
     }
 
     #[test]
-    fn transpose_and_swap_grads(seed in 0u64..500) {
-        let a = Tensor::randn(&[1, 2, 2, 3], 1.0, seed);
-        let r = gradcheck(&[a], |g, v| {
+    fn swap_axes12_grad(seed in 0u64..500) {
+        let a = Tensor::randn(&[1, 2, 3, 2], 1.0, seed);
+        let w = Tensor::randn(&[1, 3, 2, 2], 1.0, seed ^ 12);
+        let r = gradcheck(&[a, w], |g, v| {
             let s = g.swap_axes12(v[0]);
-            let t = g.transpose_last2(s);
-            let sq = g.mul(t, t);
-            g.sum(sq)
+            let m = g.mul(s, v[1]);
+            g.sum(m)
         });
         prop_assert!(r.passes(2e-2), "{r:?}");
     }
@@ -93,18 +93,6 @@ proptest! {
         let w = Tensor::randn(&[2, 5], 1.0, seed ^ 6);
         let r = gradcheck(&[x, w], |g, v| {
             let s = g.softmax(v[0]);
-            let m = g.mul(s, v[1]);
-            g.sum(m)
-        });
-        prop_assert!(r.passes(3e-2), "{r:?}");
-    }
-
-    #[test]
-    fn log_softmax_grad(seed in 0u64..500) {
-        let x = Tensor::randn(&[2, 4], 1.0, seed);
-        let w = Tensor::randn(&[2, 4], 1.0, seed ^ 7);
-        let r = gradcheck(&[x, w], |g, v| {
-            let s = g.log_softmax(v[0]);
             let m = g.mul(s, v[1]);
             g.sum(m)
         });
@@ -138,26 +126,23 @@ proptest! {
     }
 
     #[test]
-    fn relu_gelu_sigmoid_chain_grad(seed in 0u64..500) {
+    fn gelu_sigmoid_chain_grad(seed in 0u64..500) {
         let x = Tensor::randn(&[8], 2.0, seed);
         let r = gradcheck(&[x], |g, v| {
-            let a = g.relu(v[0]);
-            let b = g.gelu(a);
+            let b = g.gelu(v[0]);
             let c = g.sigmoid(b);
-            g.mean(c)
+            g.sum(c)
         });
         prop_assert!(r.passes(3e-2), "{r:?}");
     }
 
     #[test]
-    fn scale_neg_add_scalar_grad(seed in 0u64..500, c in -2.0f32..2.0) {
+    fn scale_grad(seed in 0u64..500, c in -2.0f32..2.0) {
         let x = Tensor::randn(&[5], 1.0, seed);
         let r = gradcheck(&[x], |g, v| {
             let a = g.scale(v[0], c);
-            let b = g.neg(a);
-            let d = g.add_scalar(b, 0.5);
-            let sq = g.mul(d, d);
-            g.mean(sq)
+            let sq = g.mul(a, a);
+            g.sum(sq)
         });
         prop_assert!(r.passes(3e-2), "{r:?}");
     }
@@ -175,26 +160,14 @@ proptest! {
     }
 
     #[test]
-    fn concat_slice_gradcheck(seed in 0u64..500) {
+    fn concat_last_grad(seed in 0u64..500) {
         let a = Tensor::randn(&[2, 3], 1.0, seed);
         let b = Tensor::randn(&[2, 2], 1.0, seed ^ 11);
-        let r = gradcheck(&[a, b], |g, v| {
+        let w = Tensor::randn(&[2, 5], 1.0, seed ^ 13);
+        let r = gradcheck(&[a, b, w], |g, v| {
             let c = g.concat_last(v[0], v[1]);
-            let s = g.slice_last(c, 1, 3);
-            let sq = g.mul(s, s);
-            g.sum(sq)
-        });
-        prop_assert!(r.passes(2e-2), "{r:?}");
-    }
-
-    #[test]
-    fn sum_last_mean_axis1_gradcheck(seed in 0u64..500) {
-        let x = Tensor::randn(&[2, 3, 4], 1.0, seed);
-        let r = gradcheck(&[x], |g, v| {
-            let m = g.mean_axis1(v[0]); // [2, 4]
-            let s = g.sum_last(m); // [2]
-            let sq = g.mul(s, s);
-            g.sum(sq)
+            let m = g.mul(c, v[2]);
+            g.sum(m)
         });
         prop_assert!(r.passes(2e-2), "{r:?}");
     }
@@ -205,7 +178,10 @@ proptest! {
     ) {
         let a = Tensor::randn(&[m, k], 1.0, seed);
         let b = Tensor::randn(&[k, n], 1.0, seed ^ 10);
-        let c = a.matmul(&b);
+        let mut g = Graph::new();
+        let (av, bv) = (g.input(a.clone()), g.input(b.clone()));
+        let cv = g.matmul(av, bv);
+        let c = g.value(cv);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -215,12 +191,6 @@ proptest! {
                 prop_assert!((c.data()[i * n + j] - acc).abs() < 1e-4);
             }
         }
-    }
-
-    #[test]
-    fn transpose_is_involution(b in 1usize..3, m in 1usize..5, n in 1usize..5, seed in 0u64..100) {
-        let t = Tensor::randn(&[b, m, n], 1.0, seed);
-        prop_assert_eq!(t.transposed_last2().transposed_last2(), t);
     }
 
     #[test]

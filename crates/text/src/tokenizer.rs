@@ -48,12 +48,6 @@ impl ClinicalTokenizer {
         &self.vocab
     }
 
-    /// Mutable access to the vocabulary (e.g. to extend it while building a
-    /// corpus before any encoding happens).
-    pub fn vocab_mut(&mut self) -> &mut Vocab {
-        &mut self.vocab
-    }
-
     /// The fixed output length.
     pub fn max_len(&self) -> usize {
         self.max_len

@@ -149,17 +149,6 @@ impl Vocab {
     pub fn regular_ids(&self) -> std::ops::Range<u32> {
         self.num_special() as u32..self.len() as u32
     }
-
-    /// Rebuilds the internal hash index (needed after deserialization,
-    /// which skips the index).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i as u32))
-            .collect();
-    }
 }
 
 impl Default for Vocab {
@@ -211,17 +200,5 @@ mod tests {
     fn regular_ids_range() {
         let v = Vocab::from_tokens(["A", "B", "C"]);
         assert_eq!(v.regular_ids(), 5..8);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let v = Vocab::from_tokens(["A", "B"]);
-        // Simulate a deserialized vocab: clone tokens, empty index.
-        let mut v2 = Vocab {
-            tokens: v.tokens.clone(),
-            index: HashMap::new(),
-        };
-        v2.rebuild_index();
-        assert_eq!(v2.id("B"), Some(6));
     }
 }

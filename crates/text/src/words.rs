@@ -42,11 +42,6 @@ impl WordVocabBuilder {
         self
     }
 
-    /// Number of distinct words seen so far (before thresholding).
-    pub fn distinct_words(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Finalizes the vocabulary: words meeting the threshold, ordered by
     /// descending frequency (ties broken alphabetically for determinism).
     pub fn build(&self) -> Vocab {
@@ -144,7 +139,6 @@ mod tests {
     fn builder_thresholds_by_frequency() {
         let mut b = WordVocabBuilder::new(2);
         b.feed("chest pain chest pain dyspnea");
-        assert_eq!(b.distinct_words(), 3);
         let v = b.build();
         assert!(v.id("chest").is_some());
         assert!(v.id("pain").is_some());

@@ -18,7 +18,6 @@
 #                  of test legs
 #   test-serial    full test suite under CLINFL_THREADS=1
 #   test-parallel  full test suite under the default thread budget
-#   test-faults    full test suite under CLINFL_FAULTS=aggressive
 #                  (each test leg includes the crash-resume chaos tests,
 #                  which keep their dir in target/chaos-resume on failure
 #                  for artifact upload)
@@ -58,7 +57,7 @@
 # wall-clocks against the committed scripts/ci_baseline.tsv.
 #
 # Each leg runs with CLINFL_OBS_DIR=target/obs/<leg> so metric artifacts
-# from different legs (test-faults vs scale, say) never clobber each other.
+# from different legs (test-parallel vs scale, say) never clobber each other.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -66,7 +65,7 @@ mkdir -p target
 TIMINGS=target/ci-timings.tsv
 RSS_FILE=target/.leg-rss
 
-ALL_LEGS="build fedbench test-serial test-parallel test-faults kernels scale jobs scenarios doc clippy fmt"
+ALL_LEGS="build fedbench test-serial test-parallel kernels scale jobs scenarios doc clippy fmt"
 
 # Runs "$@" as a child and, after it exits, writes the peak RSS in KB of
 # the child process tree (getrusage RUSAGE_CHILDREN) to $RSS_FILE. The
@@ -124,7 +123,6 @@ run_leg() {
     build) leg build cargo build --workspace --release ;;
     test-serial) leg test-serial env CLINFL_THREADS=1 cargo test --workspace --release -q ;;
     test-parallel) leg test-parallel cargo test --workspace --release -q ;;
-    test-faults) leg test-faults env CLINFL_FAULTS=aggressive cargo test --workspace --release -q ;;
     kernels) leg kernels cargo run --release -q -p clinfl-bench --bin bench_kernels ;;
     scale)
         # Scaling-curve gate, then the chaos suites repeat at tree depth 2

@@ -119,26 +119,6 @@ fn scout_sampled_seeds() {
     }
 }
 
-/// CI's fault leg (`CLINFL_FAULTS=aggressive scripts/check.sh
-/// test-faults`) re-runs the suite with the fault profile taken from the
-/// environment. Without the variable this is a clean, fast completion
-/// check; under the fault leg it is a full chaos run.
-#[test]
-fn env_selected_fault_profile_completes() {
-    let _serial = timing_guard();
-    let mut cfg = chaos_config(3);
-    cfg.faults = FaultConfig::from_env(3);
-    let injecting = cfg.faults.is_active();
-    let res = run_sim(cfg).expect("env-profile run completes");
-    assert_eq!(res.workflow.rounds.len(), 5, "all rounds must complete");
-    for r in &res.workflow.rounds {
-        assert!(r.contributors.len() >= 3, "round {} under quorum", r.round);
-    }
-    if injecting {
-        assert!(res.log.contains("active with seed 3"));
-    }
-}
-
 #[test]
 fn aggressive_faults_still_complete_all_rounds() {
     let _serial = timing_guard();

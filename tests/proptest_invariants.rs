@@ -322,7 +322,9 @@ proptest! {
             let t = g.tanh(h);
             let d = g.dropout(t, 0.3);
             let nrm = g.normalize_last(d, 1e-5);
-            let loss = g.mean(nrm);
+            let c = g.input(Tensor::randn(&[b, n], 1.0, seed ^ 0xCD));
+            let p = g.mul(nrm, c);
+            let loss = g.sum(p);
             g.backward(loss);
             let mut bits = vec![g.value(loss).item().to_bits()];
             bits.extend(g.grad(x).unwrap().data().iter().map(|v| v.to_bits()));
