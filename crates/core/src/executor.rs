@@ -17,8 +17,9 @@ pub struct ClinicalExecutor {
     learner: Learner,
     train: ClassifyDataset,
     valid: ClassifyDataset,
-    /// Small validation probe used for the per-epoch log lines (full
-    /// validation happens once per round in [`Executor::validate`]).
+    /// Small validation probe used for the per-epoch log lines. The
+    /// round's validation is [`Executor::validate`], where each site
+    /// scores its shard of `valid`.
     valid_probe: ClassifyDataset,
     local_epochs: u32,
     log: EventLog,
@@ -98,10 +99,10 @@ impl Executor for ClinicalExecutor {
         dxo
     }
 
-    fn validate(&mut self, global: &Weights, _ctx: &TaskContext) -> f64 {
-        let mut learner = ParkOnDrop(&mut self.learner);
-        learner.load_weights(global);
-        learner.evaluate(&self.valid)
+    /// `valid` is the split every site shares: this site scores its
+    /// `ctx.shard` of it ([`Learner::validate_shard`]).
+    fn validate(&mut self, global: &Weights, ctx: &TaskContext) -> f64 {
+        ParkOnDrop(&mut self.learner).validate_shard(global, &self.valid, ctx.shard)
     }
 }
 
@@ -171,9 +172,100 @@ impl Executor for MlmExecutor {
         dxo
     }
 
-    fn validate(&mut self, global: &Weights, _ctx: &TaskContext) -> f64 {
-        let mut learner = ParkOnDrop(&mut self.learner);
-        learner.load_weights(global);
-        learner.eval_loss(&self.valid)
+    /// `valid` is the held-out corpus every site shares: this site scores
+    /// its `ctx.shard` of it ([`MlmLearner::validate_shard`]).
+    fn validate(&mut self, global: &Weights, ctx: &TaskContext) -> f64 {
+        ParkOnDrop(&mut self.learner).validate_shard(global, &self.valid, ctx.shard)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ModelSpec, TrainHyper};
+    use clinfl_data::{generate_cohort, CodeSystem, CohortSpec};
+    use clinfl_flare::executor::Shard;
+    use clinfl_models::BertConfig;
+    use clinfl_text::ClinicalTokenizer;
+
+    const SEQ_LEN: usize = 24;
+
+    /// 150 rows: ten eval batches of 16 with a short last one.
+    fn split() -> (CodeSystem, ClassifyDataset) {
+        let cs = CodeSystem::new();
+        let cohort = generate_cohort(&cs, &CohortSpec::small(150, 5));
+        let tok = ClinicalTokenizer::new(cs.vocab().clone(), SEQ_LEN);
+        (cs, ClassifyDataset::from_cohort(&cohort, &tok))
+    }
+
+    /// The mean of the roster's answers, as the controller takes it.
+    fn roster_mean(of: usize, mut answer: impl FnMut(Shard) -> f64) -> f64 {
+        (0..of)
+            .map(|index| answer(Shard { index, of }))
+            .sum::<f64>()
+            / of as f64
+    }
+
+    fn ctx(shard: Shard) -> TaskContext {
+        TaskContext {
+            site: format!("site-{}", shard.index + 1),
+            round: 0,
+            total_rounds: 1,
+            shard,
+        }
+    }
+
+    fn assert_close(mean: f64, full: f64, what: &str) {
+        assert!(full > 0.0, "{what}: degenerate reference {full}");
+        assert!(
+            (mean - full).abs() <= 1e-12 * full,
+            "{what}: roster mean {mean} vs full split {full}"
+        );
+    }
+
+    #[test]
+    fn clinical_roster_mean_is_the_full_split_accuracy() {
+        let (cs, valid) = split();
+        let mut hyper = TrainHyper::for_model(ModelSpec::Lstm);
+        hyper.batch_size = 16;
+        let learner = || Learner::new(ModelSpec::Lstm, cs.vocab().len(), SEQ_LEN, hyper, 3);
+        let global = learner().export_weights();
+        let full = learner().evaluate(&valid);
+        for of in [1, 2, 3, 8, 9, 10, 13] {
+            let mut site =
+                ClinicalExecutor::new(learner(), valid.clone(), valid.clone(), 1, EventLog::new());
+            let mean = roster_mean(of, |shard| site.validate(&global, &ctx(shard)));
+            assert_close(mean, full, &format!("{of} validators"));
+        }
+        let mut site = ClinicalExecutor::new(learner(), valid.clone(), valid, 1, EventLog::new());
+        assert_eq!(
+            site.validate(&global, &ctx(Shard { index: 0, of: 1 })),
+            full
+        );
+        assert_eq!(
+            site.validate(&global, &ctx(Shard { index: 12, of: 13 })),
+            0.0
+        );
+    }
+
+    #[test]
+    fn mlm_roster_mean_is_the_full_split_loss() {
+        let (cs, valid) = split();
+        let seqs: Vec<Encoded> = valid.examples()[..70]
+            .iter()
+            .map(|e| e.encoded.clone())
+            .collect();
+        let bert = BertConfig::bert_mini(cs.vocab().len(), SEQ_LEN);
+        let hyper = TrainHyper::for_mlm();
+        let learner = || MlmLearner::new(&bert, cs.vocab().clone(), hyper, 3);
+        let global = learner().export_weights();
+        let full = learner().eval_loss(&seqs);
+        // 70 sequences in batches of 16: five eval batches.
+        for of in [1, 2, 3, 8, 9] {
+            let mut site =
+                MlmExecutor::new(learner(), seqs.clone(), seqs.clone(), 1, EventLog::new());
+            let mean = roster_mean(of, |shard| site.validate(&global, &ctx(shard)));
+            assert_close(mean, full, &format!("{of} validators"));
+        }
     }
 }

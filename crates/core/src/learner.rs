@@ -3,6 +3,7 @@
 use crate::config::{ModelSpec, TrainHyper};
 use crate::weights::{params_to_weights, weights_to_params};
 use clinfl_data::{Batch, ClassifyDataset};
+use clinfl_flare::executor::Shard;
 use clinfl_flare::Weights;
 use clinfl_models::{
     BertConfig, BertModel, LstmClassifier, LstmConfig, SequenceClassifier, TokenBatch,
@@ -233,9 +234,39 @@ impl Learner {
 
     /// Top-1 accuracy on a dataset (evaluation mode).
     pub fn evaluate(&mut self, data: &ClassifyDataset) -> f64 {
+        let (correct, total) = self.count_correct(data, Shard::WHOLE);
+        if total == 0 {
+            0.0
+        } else {
+            correct as f64 / total as f64
+        }
+    }
+
+    /// A validate task on a split that `shard.of` validators share: loads
+    /// `global` and scores the eval batches of [`Self::evaluate`] that
+    /// `shard` owns. Answers `of · correct / data.len()`, so the mean of
+    /// the roster's answers is `evaluate(data)`. A shard with no batches
+    /// answers 0 and loads nothing.
+    pub fn validate_shard(
+        &mut self,
+        global: &Weights,
+        data: &ClassifyDataset,
+        shard: Shard,
+    ) -> f64 {
+        if shard.index >= data.len().div_ceil(self.hyper.batch_size) {
+            return 0.0;
+        }
+        self.load_weights(global);
+        let (correct, rows) = self.count_correct(data, shard);
+        clinfl_obs::add_counter("core.executor.validate_rows", rows as u64);
+        shard.of as f64 * correct as f64 / data.len() as f64
+    }
+
+    /// Correct predictions and rows over `shard`'s eval batches of `data`.
+    fn count_correct(&mut self, data: &ClassifyDataset, shard: Shard) -> (usize, usize) {
         let mut correct = 0usize;
         let mut total = 0usize;
-        for batch in data.batches(self.hyper.batch_size, 0) {
+        for batch in shard.select(data.batches(self.hyper.batch_size, 0)) {
             let preds = self
                 .model
                 .predict_with(&mut self.graph, &token_batch(&batch));
@@ -246,11 +277,7 @@ impl Learner {
                 .count();
             total += batch.labels.len();
         }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
+        (correct, total)
     }
 }
 
@@ -411,10 +438,34 @@ impl MlmLearner {
         if seqs.is_empty() {
             return 0.0;
         }
+        let (total, _) = self.sum_batch_losses(seqs, Shard::WHOLE);
+        total / seqs.len().div_ceil(self.hyper.batch_size) as f64
+    }
+
+    /// A validate task on held-out sequences that `shard.of` validators
+    /// share: loads `global` and sums the losses of the eval batches of
+    /// [`Self::eval_loss`] that `shard` owns. Answers `of · sum / (all
+    /// batches)`, so the mean of the roster's answers is
+    /// `eval_loss(seqs)`. A shard with no batches answers 0 and loads
+    /// nothing.
+    pub fn validate_shard(&mut self, global: &Weights, seqs: &[Encoded], shard: Shard) -> f64 {
+        let n_batches = seqs.len().div_ceil(self.hyper.batch_size);
+        if shard.index >= n_batches {
+            return 0.0;
+        }
+        self.load_weights(global);
+        let (total, rows) = self.sum_batch_losses(seqs, shard);
+        clinfl_obs::add_counter("core.executor.validate_rows", rows as u64);
+        shard.of as f64 * total / n_batches as f64
+    }
+
+    /// Summed loss over `shard`'s eval batches of `seqs`, and the rows
+    /// they hold.
+    fn sum_batch_losses(&mut self, seqs: &[Encoded], shard: Shard) -> (f64, usize) {
         let idx: Vec<usize> = (0..seqs.len()).collect();
         let mut total = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in idx.chunks(self.hyper.batch_size) {
+        let mut rows = 0usize;
+        for chunk in shard.select(idx.chunks(self.hyper.batch_size)) {
             const EVAL_MASK_SEED: u64 = 0xE7A1_5EED;
             let (ids, mask, labels) = self.masked_batch(seqs, chunk, EVAL_MASK_SEED);
             let seq_len = ids.len() / chunk.len();
@@ -429,9 +480,9 @@ impl MlmLearner {
             let g = &mut self.graph;
             let loss = self.model.mlm_loss(g, &batch, &labels);
             total += g.value(loss).item() as f64;
-            batches += 1;
+            rows += chunk.len();
         }
-        total / batches as f64
+        (total, rows)
     }
 }
 

@@ -11,7 +11,7 @@ use crate::codec::{
     decode_weights, wire_count, CodecSpec, EncodedWeights, PayloadCache, UplinkEncoder, NO_BASE,
 };
 use crate::dxo::{Dxo, DxoKind, Weights};
-use crate::executor::{Executor, TaskContext};
+use crate::executor::{Executor, Shard, TaskContext};
 use crate::filters::FilterChain;
 use crate::log::EventLog;
 use crate::messages::{ClientMessage, ServerMessage, ShardPayload, TaskAssignment};
@@ -148,6 +148,8 @@ pub struct FlClient {
     /// Whether this site has already logged a best-effort send failure
     /// (the counter keeps ticking; the warning fires once per site).
     send_error_warned: bool,
+    /// This site's part of a shared validation split, from its package.
+    shard: Shard,
 }
 
 impl std::fmt::Debug for FlClient {
@@ -221,6 +223,10 @@ impl FlClient {
             uplink: None,
             pending: VecDeque::new(),
             send_error_warned: false,
+            shard: Shard {
+                index: package.position,
+                of: package.roster_size,
+            },
         })
     }
 
@@ -852,6 +858,7 @@ impl FlClient {
                         site: self.site.clone(),
                         round,
                         total_rounds,
+                        shard: self.shard,
                     };
                     // At most CLINFL_THREADS sites compute at once; with a
                     // budget of 1 the round schedule is strictly sequential.
@@ -869,6 +876,7 @@ impl FlClient {
                         site: self.site.clone(),
                         round,
                         total_rounds: 0,
+                        shard: self.shard,
                     };
                     let permit = clinfl_tensor::pool::compute_permit();
                     let metric = executor.validate(&weights, &ctx);

@@ -679,17 +679,6 @@ pub struct ErrorFeedback {
     residuals: BTreeMap<String, Vec<f32>>,
 }
 
-impl ErrorFeedback {
-    /// Sum of |residual| across all tensors (diagnostics and tests).
-    pub fn total_abs(&self) -> f64 {
-        self.residuals
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|x| f64::from(x.abs()))
-            .sum()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Core encode / decode
 // ---------------------------------------------------------------------
@@ -1841,7 +1830,7 @@ mod tests {
         let cur = w(&[("a", vec![0.123, -4.56])]);
         let base = w(&[("a", vec![0.0, 0.0])]);
         encode_weights(&cur, 2, Some((&base, 1)), &spec("delta"), Some(&mut fb)).unwrap();
-        assert_eq!(fb.total_abs(), 0.0);
+        assert!(fb.residuals.values().flatten().all(|&r| r == 0.0));
     }
 
     #[test]

@@ -522,15 +522,25 @@ impl ScatterAndGather {
                 if reports.is_empty() {
                     None
                 } else {
+                    // Each validator scored its shard of the shared split
+                    // and scaled it by the roster size, so the mean over a
+                    // full roster is the full-split metric.
                     let mean = reports.iter().map(|(_, m)| m).sum::<f64>() / reports.len() as f64;
                     self.status.set_metric(mean);
+                    let got = reports.len();
                     self.log.info(
                         tag,
-                        format!(
-                            "Global model valid_acc={mean:.3} over {} site(s)",
-                            reports.len()
-                        ),
+                        format!("Global model metric={mean:.3} over {got}/{expected} validator(s)"),
                     );
+                    if got < expected {
+                        self.log.warn(
+                            tag,
+                            format!(
+                                "Round {round} validation covered {got}/{expected} shard(s); \
+                                 the metric extrapolates from them"
+                            ),
+                        );
+                    }
                     Some(mean)
                 }
             } else {

@@ -46,9 +46,12 @@ impl Project {
         let sites = self
             .sites
             .iter()
-            .map(|s| SitePackage {
+            .enumerate()
+            .map(|(position, s)| SitePackage {
                 site_name: s.clone(),
                 token: generate_token(&mut rng),
+                position,
+                roster_size: self.sites.len(),
             })
             .collect::<Vec<_>>();
         let server = ServerConfig {
@@ -94,6 +97,12 @@ pub struct SitePackage {
     pub site_name: String,
     /// Registration token presented to the server.
     pub token: String,
+    /// The site's 0-based position in the roster it validates with, which
+    /// fixes its part of a shared validation split
+    /// ([`crate::executor::Shard`]).
+    pub position: usize,
+    /// The size of that roster.
+    pub roster_size: usize,
 }
 
 /// The server's provisioned state.
@@ -147,6 +156,9 @@ mod tests {
         tokens.sort_unstable();
         tokens.dedup();
         assert_eq!(tokens.len(), 8, "tokens must be unique");
+        for (i, p) in prov.sites.iter().enumerate() {
+            assert_eq!((p.position, p.roster_size), (i, 8));
+        }
     }
 
     #[test]

@@ -683,10 +683,16 @@ impl SimulatorRunner {
             let spec = match child {
                 TreeChild::Node(spec) => spec,
                 TreeChild::Leaf(index) => {
+                    // A leaf validates as part of the whole federation,
+                    // not of its parent node's roster.
                     fleet.leaves.push(LeafJob {
                         index: *index,
                         conn: fleet.plan.wrap(&package.site_name, conn),
-                        package: package.clone(),
+                        package: SitePackage {
+                            position: *index,
+                            roster_size: self.config.n_clients,
+                            ..package.clone()
+                        },
                     });
                     continue;
                 }
@@ -755,6 +761,8 @@ mod tests {
     use crate::aggregator::WeightedFedAvg;
     use crate::dxo::{Dxo, WeightTensor};
     use crate::executor::{ArithmeticExecutor, TaskContext};
+    use std::collections::BTreeSet;
+    use std::sync::{Arc, Mutex};
 
     fn initial() -> Weights {
         let mut w = Weights::new();
@@ -1099,6 +1107,54 @@ mod tests {
             tree.workflow.rounds[0].contributors, flat.workflow.rounds[0].contributors,
             "round summaries must stay leaf-granular"
         );
+    }
+
+    /// Records the shard every validate task carried.
+    struct ShardProbe(
+        ArithmeticExecutor,
+        Arc<Mutex<BTreeSet<(String, usize, usize)>>>,
+    );
+
+    impl Executor for ShardProbe {
+        fn train(&mut self, global: &Weights, ctx: &TaskContext) -> Dxo {
+            self.0.train(global, ctx)
+        }
+
+        fn validate(&mut self, global: &Weights, ctx: &TaskContext) -> f64 {
+            crate::lock(&self.1).insert((ctx.site.clone(), ctx.shard.index, ctx.shard.of));
+            self.0.validate(global, ctx)
+        }
+    }
+
+    /// A leaf's validation shard is its place in the whole federation,
+    /// whatever the tree, and not its place in the name-sorted roster of
+    /// its parent node (`site-10` sorts before `site-2`).
+    #[test]
+    fn leaves_validate_their_federation_shard_in_any_topology() {
+        let n = 11;
+        for tree in [None, TreeConfig::parse("2x3")] {
+            let seen = Arc::new(Mutex::new(BTreeSet::new()));
+            SimulatorRunner::new(SimulatorConfig {
+                tree,
+                ..sim_config(n, 1)
+            })
+            .run_simple(
+                initial(),
+                |_, _| {
+                    Box::new(ShardProbe(
+                        ArithmeticExecutor {
+                            delta: 1.0,
+                            n_examples: 1,
+                        },
+                        seen.clone(),
+                    ))
+                },
+                &WeightedFedAvg,
+            )
+            .unwrap();
+            let want: BTreeSet<_> = (0..n).map(|index| (site_name(index), index, n)).collect();
+            assert_eq!(*crate::lock(&seen), want, "tree {tree:?}");
+        }
     }
 
     #[test]

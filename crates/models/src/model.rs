@@ -103,15 +103,4 @@ pub trait SequenceClassifier {
         let mut g = Graph::new();
         self.predict_with(&mut g, batch)
     }
-
-    /// Top-1 accuracy on a labelled batch.
-    fn accuracy(&self, batch: &TokenBatch<'_>, labels: &[i32]) -> f64 {
-        let preds = self.predict(batch);
-        let correct = preds
-            .iter()
-            .zip(labels)
-            .filter(|(p, l)| **p as i32 == **l)
-            .count();
-        correct as f64 / labels.len().max(1) as f64
-    }
 }

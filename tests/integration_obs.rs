@@ -145,9 +145,9 @@ fn spans_balance_under_aggressive_faults() {
 }
 
 /// A real-model federation feeds every layer's metrics: the GEMM kernel
-/// timers and the tape arena record into the process-global registry
-/// (checked as deltas), and the run's own registry holds its round count
-/// and the root's traffic.
+/// timers, the tape arena and the validated-row count record into the
+/// process-global registry (checked as deltas), and the run's own registry
+/// holds its round count and the root's traffic.
 #[test]
 fn real_model_federation_records_kernel_arena_and_round_metrics() {
     if !obs::enabled() {
@@ -165,6 +165,7 @@ fn real_model_federation_records_kernel_arena_and_round_metrics() {
         "tensor.matmul.flops",
         "tensor.arena.hits",
         "tensor.arena.misses",
+        "core.executor.validate_rows",
     ];
     let before = names.map(obs::counter_value);
     let run = obs::Registry::new();
@@ -190,6 +191,9 @@ fn real_model_federation_records_kernel_arena_and_round_metrics() {
         grown[3] + grown[4] > 0,
         "the tape arena recorded no traffic"
     );
+    // Each round the sites split the shared validation split between
+    // them: every row is scored once, not once per site.
+    assert_eq!(grown[5], u64::from(rounds) * sites.valid.len() as u64);
     assert_eq!(run.counter_value("flare.round.count"), u64::from(rounds));
     for name in ["flare.server.bytes_tx", "flare.server.bytes_rx"] {
         assert!(

@@ -89,12 +89,12 @@ fn invalid_token_is_rejected_over_tcp() {
     let mut server = FlServer::new(provisioned.server.clone(), log.clone(), 6);
 
     let clog = log.clone();
+    let forged = SitePackage {
+        token: "forged-token".into(),
+        ..provisioned.sites[0].clone()
+    };
     let handle = std::thread::spawn(move || {
         let conn = TcpTransport::connect(&addr).unwrap();
-        let forged = SitePackage {
-            site_name: "site-1".into(),
-            token: "forged-token".into(),
-        };
         FlClient::register(conn, &forged, 1, clog)
     });
     let (stream, _) = listener.accept().unwrap();

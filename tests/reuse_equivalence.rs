@@ -171,9 +171,8 @@ impl Executor for KeepArena {
         Dxo::from_weights(self.learner.export_weights(), self.train.len() as u64)
     }
 
-    fn validate(&mut self, global: &Weights, _ctx: &TaskContext) -> f64 {
-        self.learner.load_weights(global);
-        self.learner.evaluate(&self.valid)
+    fn validate(&mut self, global: &Weights, ctx: &TaskContext) -> f64 {
+        self.learner.validate_shard(global, &self.valid, ctx.shard)
     }
 }
 
