@@ -1,9 +1,11 @@
 //! Kernel-level perf gate: times the packed register-blocked GEMM
 //! kernels (DESIGN.md §3j) against the retained naive references across
 //! the matrix shapes the models run (the LSTM layer's input projection
-//! and recurrence, BERT's projections and shared weight gradient,
-//! per-head attention products, the tied MLM decoder) and writes
-//! `BENCH_kernels.json`.
+//! and recurrence, BERT's packed Q|K|V and FFN projections and a
+//! projection's weight gradient, the tied MLM decoder over the labelled
+//! rows) and writes `BENCH_kernels.json`. The attention node's per-head
+//! products run inside the node, not through these entry points, so they
+//! are not timed here.
 //!
 //! `bench_kernels` takes no arguments. It times every shape case, writes
 //! the report, and exits 1 if the aggregate packed-vs-reference speedup
@@ -25,7 +27,7 @@ use clinfl_tensor::kernels;
 use std::time::Instant;
 
 /// Schema identifier stamped into every report.
-const SCHEMA: &str = "clinfl-bench-kernels/v1";
+const SCHEMA: &str = "clinfl-bench-kernels/v2";
 
 /// Enforced floor on the aggregate matmul-histogram speedup.
 const MIN_SPEEDUP: f64 = 2.5;
@@ -40,11 +42,11 @@ const TARGET_NS: u64 = 150_000_000;
 /// Which GEMM variant a case exercises.
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
-    /// `c += a·b`, optionally batched with a broadcast right-hand side.
+    /// `c += a·b`.
     Matmul,
     /// `c += aᵀ·b` (weight-gradient shape).
     AtB,
-    /// `c += a·bᵀ` (input-gradient / attention-score shape).
+    /// `c += a·bᵀ` (input-gradient / tied-decoder shape).
     ABt,
 }
 
@@ -58,69 +60,47 @@ impl Kind {
     }
 }
 
-/// One timed shape: `lb` batch items of an `m×k · k×n` product (for
-/// `AtB`, `k` is the contraction rows; for `ABt`, the product is
-/// `m×k · (n×k)ᵀ` with contraction `k`).
+/// One timed shape: an `m×k · k×n` product (for `AtB`, `k` is the
+/// contraction rows; for `ABt`, the product is `m×k · (n×k)ᵀ` with
+/// contraction `k`).
 struct Case {
     name: &'static str,
     kind: Kind,
-    lb: usize,
     m: usize,
     k: usize,
     n: usize,
-    /// Broadcast second operand (`Matmul`, `ABt`) or shared output
-    /// (`AtB`), for the batched entry points.
-    broadcast: bool,
-}
-
-impl Case {
-    /// One second operand for the whole batch.
-    fn broadcast_rhs(&self) -> bool {
-        self.broadcast && self.kind != Kind::AtB
-    }
-
-    /// One output accumulated over the whole batch.
-    fn shared_out(&self) -> bool {
-        self.broadcast && self.kind == Kind::AtB
-    }
 }
 
 /// The models' hot shapes: LSTM hidden 128 / batch 32 / seq_len 26 (one
 /// `[S·B, H]×[H, 4H]` projection per layer, then a `[B, H]×[H, 4H]`
 /// recurrence per step whose weight gradient contracts over the
 /// `(S−1)·B = 800` carried rows), BERT hidden 128 / 6 heads × head_dim
-/// 22 = attention width 132 / seq_len 26 / batch 16, vocab 443.
+/// 22 = attention width 132 / seq_len 26 / batch 16 (416 rows), vocab 443,
+/// about 40 labelled MLM positions per batch.
 fn cases() -> Vec<Case> {
-    let c = |name, kind, lb, m, k, n, broadcast| Case {
+    let c = |name, kind, m, k, n| Case {
         name,
         kind,
-        lb,
         m,
         k,
         n,
-        broadcast,
     };
     vec![
         // LSTM: the input projection over every timestep, then the
         // per-step recurrence h·W_h, its input gradient dz·W_hᵀ and its
         // weight gradient over all carried rows.
-        c("lstm_proj", Kind::Matmul, 1, 832, 128, 512, false),
-        c("lstm_rec", Kind::Matmul, 1, 32, 128, 512, false),
-        c("lstm_rec_dh", Kind::ABt, 1, 32, 512, 128, false),
-        c("lstm_rec_dw", Kind::AtB, 1, 128, 800, 512, false),
-        // BERT: Q/K/V and FFN projections over all batch*seq rows with a
-        // broadcast weight — the packing-amortized batched path — and
-        // a projection's weight gradient, one shared accumulator
-        // contracting over all 416 rows.
-        c("bert_qkv", Kind::Matmul, 16, 26, 128, 132, true),
-        c("bert_ffn", Kind::Matmul, 16, 26, 128, 256, true),
-        c("bert_qkv_dw", Kind::AtB, 16, 128, 26, 132, true),
-        // Attention: per-head q·kᵀ scores and scores·v context, batched
-        // over batch*heads items with per-item operands.
-        c("attn_scores", Kind::ABt, 96, 26, 22, 26, false),
-        c("attn_ctx", Kind::Matmul, 96, 26, 26, 22, false),
-        // Tied MLM decoder: h·Eᵀ over the vocab.
-        c("mlm_decoder", Kind::ABt, 1, 416, 128, 443, false),
+        c("lstm_proj", Kind::Matmul, 832, 128, 512),
+        c("lstm_rec", Kind::Matmul, 32, 128, 512),
+        c("lstm_rec_dh", Kind::ABt, 32, 512, 128),
+        c("lstm_rec_dw", Kind::AtB, 128, 800, 512),
+        // BERT: the packed Q|K|V and the FFN projections over all
+        // batch·seq rows, and the Q|K|V weight gradient contracting over
+        // all 416 rows.
+        c("bert_qkv", Kind::Matmul, 416, 128, 396),
+        c("bert_ffn", Kind::Matmul, 416, 128, 256),
+        c("bert_qkv_dw", Kind::AtB, 128, 416, 396),
+        // Tied MLM decoder: h·Eᵀ over the vocab for the labelled rows.
+        c("mlm_decoder", Kind::ABt, 40, 128, 443),
     ]
 }
 
@@ -135,67 +115,29 @@ fn fill(buf: &mut [f32], mut state: u64) {
     }
 }
 
-/// Sizes of (a, b, c) for a case, accounting for batching and broadcast.
+/// Sizes of (a, b, c) for a case.
 fn buffer_sizes(c: &Case) -> (usize, usize, usize) {
-    let (a, b, o) = match c.kind {
+    match c.kind {
         Kind::Matmul => (c.m * c.k, c.k * c.n, c.m * c.n),
         Kind::AtB => (c.k * c.m, c.k * c.n, c.m * c.n),
         Kind::ABt => (c.m * c.k, c.n * c.k, c.m * c.n),
-    };
-    let b_items = if c.broadcast_rhs() { 1 } else { c.lb };
-    let o_items = if c.shared_out() { 1 } else { c.lb };
-    (c.lb * a, b_items * b, o_items * o)
-}
-
-/// Runs the packed (or reference) kernel once over the whole batch.
-fn run_case(c: &Case, a: &[f32], b: &[f32], out: &mut [f32], reference: bool) {
-    if reference {
-        let la = a.len() / c.lb;
-        let lbuf = if c.broadcast_rhs() {
-            b.len()
-        } else {
-            b.len() / c.lb
-        };
-        let shared_out = c.shared_out();
-        let lo = if shared_out {
-            out.len()
-        } else {
-            out.len() / c.lb
-        };
-        for bi in 0..c.lb {
-            let ab = &a[bi * la..(bi + 1) * la];
-            let bb = if c.broadcast_rhs() {
-                b
-            } else {
-                &b[bi * lbuf..(bi + 1) * lbuf]
-            };
-            let ob = if shared_out {
-                &mut out[..]
-            } else {
-                &mut out[bi * lo..(bi + 1) * lo]
-            };
-            match c.kind {
-                Kind::Matmul => kernels::matmul_acc_ref(ab, bb, ob, c.m, c.k, c.n),
-                Kind::AtB => kernels::matmul_at_b_acc_ref(ab, bb, ob, c.m, c.k, c.n),
-                Kind::ABt => kernels::matmul_a_bt_acc_ref(ab, bb, ob, c.m, c.k, c.n),
-            }
-        }
-    } else {
-        match c.kind {
-            Kind::Matmul => {
-                kernels::matmul_batch_acc(a, b, out, c.lb, c.m, c.k, c.n, c.broadcast);
-            }
-            Kind::AtB => {
-                kernels::matmul_at_b_batch_acc(a, b, out, c.lb, c.k, c.m, c.n, c.broadcast);
-            }
-            Kind::ABt => {
-                kernels::matmul_a_bt_batch_acc(a, b, out, c.lb, c.m, c.k, c.n, c.broadcast);
-            }
-        }
     }
 }
 
-/// Times `iters` whole-batch invocations; returns total ns.
+/// Runs the packed (or reference) kernel once.
+fn run_case(c: &Case, a: &[f32], b: &[f32], out: &mut [f32], reference: bool) {
+    let (m, k, n) = (c.m, c.k, c.n);
+    match (c.kind, reference) {
+        (Kind::Matmul, false) => kernels::matmul_acc(a, b, out, m, k, n),
+        (Kind::Matmul, true) => kernels::matmul_acc_ref(a, b, out, m, k, n),
+        (Kind::AtB, false) => kernels::matmul_at_b_acc(a, b, out, m, k, n),
+        (Kind::AtB, true) => kernels::matmul_at_b_acc_ref(a, b, out, m, k, n),
+        (Kind::ABt, false) => kernels::matmul_a_bt_acc(a, b, out, m, k, n),
+        (Kind::ABt, true) => kernels::matmul_a_bt_acc_ref(a, b, out, m, k, n),
+    }
+}
+
+/// Times `iters` invocations; returns total ns.
 fn time_case(c: &Case, a: &[f32], b: &[f32], out: &mut [f32], iters: u64, reference: bool) -> u64 {
     let started = Instant::now();
     for _ in 0..iters {
@@ -218,7 +160,7 @@ impl Outcome {
 
     fn gflops(&self) -> f64 {
         let c = &self.case;
-        let flops_per_call = 2 * (c.lb * c.m * c.k * c.n) as u64;
+        let flops_per_call = 2 * (c.m * c.k * c.n) as u64;
         flops_per_call as f64 * self.iters as f64 / self.packed_ns.max(1) as f64
     }
 }
@@ -290,11 +232,10 @@ fn time_both(case: Case) -> Outcome {
     };
     let c = &outcome.case;
     println!(
-        "{:>12} {:>12} lb={:<3} {:>3}x{:<3}x{:<3} {:>6} iters  packed {:>8.3} ms  \
+        "{:>12} {:>12} {:>3}x{:<3}x{:<3} {:>6} iters  packed {:>8.3} ms  \
          ref {:>8.3} ms  speedup {:>5.2}x  {:>6.2} GFLOP/s",
         c.name,
         c.kind.name(),
-        c.lb,
         c.m,
         c.k,
         c.n,
@@ -315,7 +256,6 @@ fn build_report(outcomes: &[Outcome], packed_total: u64, ref_total: u64) -> Valu
             Value::object(vec![
                 ("name", Value::Str(c.name.to_string())),
                 ("kernel", Value::Str(c.kind.name().to_string())),
-                ("lb", Value::UInt(c.lb as u64)),
                 ("m", Value::UInt(c.m as u64)),
                 ("k", Value::UInt(c.k as u64)),
                 ("n", Value::UInt(c.n as u64)),

@@ -6,13 +6,10 @@ use crate::model::{SequenceClassifier, TokenBatch};
 use clinfl_obs::KernelTimer;
 use clinfl_tensor::{Graph, Init, ParamId, Params, Tensor, Var};
 
-/// Additive attention-mask value for padded key positions. `-1e4` (rather
-/// than `-inf`) keeps `f32` softmax numerically safe.
-const NEG_ATTN: f32 = -1.0e4;
-
 /// Wall time and invocation count of the whole multi-head self-attention
 /// sublayer (the graph runs define-by-run, so this covers the forward
-/// compute of Q/K/V projections, scores, softmax, and output projection).
+/// compute of its layer norm, the packed Q/K/V projection, the attention
+/// node, the output projection, its dropout and the residual add).
 static OBS_ATTENTION: KernelTimer = KernelTimer::new("model.attention");
 
 #[derive(Clone, Debug)]
@@ -50,6 +47,10 @@ struct BlockParams {
 /// When `hidden` is not divisible by `heads` (the paper's BERT: 128 / 6),
 /// each head uses `ceil(hidden/heads)` dimensions and the attention output
 /// is projected back from `heads * head_dim` to `hidden`.
+///
+/// Attention runs over each sequence's real tokens, which must come first:
+/// every row of a batch's mask is a prefix of ones, as the tokenizer pads
+/// at the end. A mask with a hole panics.
 #[derive(Clone, Debug)]
 pub struct BertModel {
     config: BertConfig,
@@ -194,82 +195,65 @@ impl BertModel {
         g.add(scaled, bias)
     }
 
-    /// Builds the additive attention mask `[B, heads, S, S]` from the key
-    /// padding mask, writing into a pooled graph input.
-    fn attention_mask(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
-        let (b, s, heads) = (batch.batch_size, batch.seq_len, self.config.heads);
-        g.input_with(&[b, heads, s, s], |data| {
-            for bi in 0..b {
-                for key in 0..s {
-                    if batch.mask[bi * s + key] == 0 {
-                        for hd in 0..heads {
-                            for q in 0..s {
-                                data[((bi * heads + hd) * s + q) * s + key] = NEG_ATTN;
-                            }
-                        }
-                    }
-                }
-            }
-        })
+    /// Packs three parameters side by side along their last dimension, as
+    /// the LSTM packs its gates: Q|K|V projection weights or biases.
+    fn packed(&self, g: &mut Graph, ids: [ParamId; 3]) -> Var {
+        let [q, k, v] = ids.map(|id| g.param(&self.params, id));
+        let qk = g.concat_last(q, k);
+        g.concat_last(qk, v)
     }
 
     /// Builds the encoder forward pass, returning hidden states
-    /// `[B, S, hidden]`.
+    /// `[B·S, hidden]` (row `b·S + i` is token `i` of sequence `b`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is malformed, longer than `max_seq_len`, or a
+    /// row's mask is not a prefix of ones (the tokenizer pads at the end).
     fn encode(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
         batch.validate();
-        let (b, s, h) = (batch.batch_size, batch.seq_len, self.config.hidden);
+        let (b, s) = (batch.batch_size, batch.seq_len);
         assert!(
             s <= self.config.max_seq_len,
             "sequence length {s} exceeds max_seq_len {}",
             self.config.max_seq_len
         );
-        let heads = self.config.heads;
-        let dh = self.config.head_dim();
-        let inner = self.config.attn_inner();
+        let key_lens: Vec<usize> = batch
+            .mask
+            .chunks(s.max(1))
+            .enumerate()
+            .map(|(row, m)| {
+                let len = m.iter().take_while(|&&v| v != 0).count();
+                assert!(
+                    m[len..].iter().all(|&v| v == 0),
+                    "attention mask row {row} is not a prefix of ones: {m:?}"
+                );
+                len
+            })
+            .collect();
         let p = self.config.dropout;
 
         let tok_table = g.param(&self.params, self.tok_emb);
         let tok = g.embedding(tok_table, batch.ids);
-        let tok = g.reshape(tok, &[b, s, h]);
         let mut pos_ids = vec![0u32; b * s];
         for (i, v) in pos_ids.iter_mut().enumerate() {
             *v = (i % s) as u32;
         }
         let pos_table = g.param(&self.params, self.pos_emb);
         let pos = g.embedding(pos_table, &pos_ids);
-        let pos = g.reshape(pos, &[b, s, h]);
         let x = g.add(tok, pos);
         let x = self.layer_norm(g, x, self.emb_ln_g, self.emb_ln_b);
         let mut x = g.dropout(x, p);
-
-        let amask = self.attention_mask(g, batch);
-        let scale = 1.0 / (dh as f32).sqrt();
 
         for blk in &self.blocks {
             // --- Multi-head self-attention sublayer (pre-LN) ---
             let obs_attn = OBS_ATTENTION.start();
             let hn = self.layer_norm(g, x, blk.ln1_g, blk.ln1_b);
-            let proj = |g: &mut Graph, model: &Self, w, bias| {
-                let wv = g.param(&model.params, w);
-                let bv = g.param(&model.params, bias);
-                let y = g.matmul(hn, wv);
-                let y = g.add(y, bv);
-                let y = g.reshape(y, &[b, s, heads, dh]);
-                g.swap_axes12(y) // [B, heads, S, dh]
-            };
-            let q = proj(g, self, blk.wq, blk.bq);
-            let k = proj(g, self, blk.wk, blk.bk);
-            let v = proj(g, self, blk.wv, blk.bv);
-            // q·kᵀ through the packed a·bᵀ kernel: one batched call over
-            // all B·heads score matrices, no transposed copy of k.
-            let scores = g.matmul_bt(q, k); // [B, heads, S, S]
-            let scores = g.scale(scores, scale);
-            let scores = g.add(scores, amask);
-            let attn = g.softmax(scores);
-            let attn = g.dropout(attn, p);
-            let ctx = g.matmul(attn, v); // [B, heads, S, dh]
-            let ctx = g.swap_axes12(ctx); // [B, S, heads, dh]
-            let ctx = g.reshape(ctx, &[b, s, inner]);
+            let w_qkv = self.packed(g, [blk.wq, blk.wk, blk.wv]);
+            let b_qkv = self.packed(g, [blk.bq, blk.bk, blk.bv]);
+            let qkv = g.matmul(hn, w_qkv);
+            let qkv = g.add(qkv, b_qkv); // [B·S, 3·inner]
+            let ctx = g.attention(qkv, &key_lens, self.config.heads, p);
             let wo = g.param(&self.params, blk.wo);
             let bo = g.param(&self.params, blk.bo);
             let out = g.matmul(ctx, wo);
@@ -297,7 +281,10 @@ impl BertModel {
 
     fn cls_logits(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
         let enc = self.encode(g, batch);
-        let cls = g.select_axis1(enc, 0);
+        let cls_rows: Vec<u32> = (0..batch.batch_size)
+            .map(|i| (i * batch.seq_len) as u32)
+            .collect();
+        let cls = g.embedding(enc, &cls_rows);
         let cls = g.dropout(cls, self.config.dropout);
         let w = g.param(&self.params, self.cls_w);
         let bias = g.param(&self.params, self.cls_b);
@@ -310,23 +297,31 @@ impl BertModel {
     /// `mlm_labels` has one entry per token position (`batch * seq_len`),
     /// holding the original token id at corrupted positions and
     /// [`clinfl_text::IGNORE_INDEX`] elsewhere — exactly the output of
-    /// [`clinfl_text::MlmMasker::mask`].
+    /// [`clinfl_text::MlmMasker::mask`]. The head runs on the labelled
+    /// positions only, gathered from the encoder output; with none the
+    /// loss is 0.
     ///
     /// # Panics
     ///
-    /// Panics if `mlm_labels.len() != batch_size * seq_len`.
+    /// Panics if `mlm_labels.len() != batch_size * seq_len`, or if a mask
+    /// row is not a prefix of ones.
     pub fn mlm_loss(&self, g: &mut Graph, batch: &TokenBatch<'_>, mlm_labels: &[i32]) -> Var {
         assert_eq!(
             mlm_labels.len(),
             batch.batch_size * batch.seq_len,
             "one MLM label per token position"
         );
-        let (b, s, h) = (batch.batch_size, batch.seq_len, self.config.hidden);
         let enc = self.encode(g, batch);
-        let flat = g.reshape(enc, &[b * s, h]);
+        let (rows, targets): (Vec<u32>, Vec<i32>) = mlm_labels
+            .iter()
+            .enumerate()
+            .filter(|&(_, &label)| label != clinfl_text::IGNORE_INDEX)
+            .map(|(row, &label)| (row as u32, label))
+            .unzip();
+        let labelled = g.embedding(enc, &rows);
         let dw = g.param(&self.params, self.mlm_dense_w);
         let db = g.param(&self.params, self.mlm_dense_b);
-        let d = g.matmul(flat, dw);
+        let d = g.matmul(labelled, dw);
         let d = g.add(d, db);
         let d = g.gelu(d);
         let d = self.layer_norm(g, d, self.mlm_ln_g, self.mlm_ln_b);
@@ -338,7 +333,7 @@ impl BertModel {
         let dec_b = g.param(&self.params, self.mlm_dec_b);
         let logits = g.matmul_bt(d, table);
         let logits = g.add(logits, dec_b);
-        g.cross_entropy(logits, mlm_labels, clinfl_text::IGNORE_INDEX)
+        g.cross_entropy(logits, &targets, clinfl_text::IGNORE_INDEX)
     }
 }
 
@@ -445,31 +440,298 @@ mod tests {
         assert!(preds.iter().all(|&p| p < 2));
     }
 
+    /// Three sequences of length 1, 5 and 8 (= S), padded at the end.
+    fn ragged_batch() -> (Vec<u32>, Vec<u8>) {
+        let lens = [1, 5, 8];
+        let mut ids = Vec::new();
+        let mut mask = Vec::new();
+        for (row, &len) in lens.iter().enumerate() {
+            for i in 0..8 {
+                let real = i < len;
+                ids.push(if real {
+                    5 + ((row * 8 + i) * 7 % 20) as u32
+                } else {
+                    0
+                });
+                mask.push(real as u8);
+            }
+        }
+        (ids, mask)
+    }
+
+    fn ragged<'a>(ids: &'a [u32], mask: &'a [u8]) -> TokenBatch<'a> {
+        TokenBatch {
+            ids,
+            mask,
+            batch_size: 3,
+            seq_len: 8,
+        }
+    }
+
     #[test]
     fn padded_keys_are_ignored() {
-        // Changing token ids at padded positions must not affect logits.
+        // Token ids at padded positions change neither the logits nor the
+        // MLM loss, bit for bit, for rows of length 1, 5 and S.
         let m = BertModel::new(&tiny_config(), 3);
-        let mut ids = vec![2, 5, 6, 3, 0, 0, 0, 0];
-        let mask = vec![1, 1, 1, 1, 0, 0, 0, 0];
-        let batch = |ids: &[u32]| {
+        let (ids, mask) = ragged_batch();
+        let labels: Vec<i32> = (0..24)
+            .map(|i| {
+                if mask[i] == 1 && i % 3 == 0 {
+                    7
+                } else {
+                    IGNORE_INDEX
+                }
+            })
+            .collect();
+        let outputs = |ids: &[u32]| {
+            let batch = ragged(ids, &mask);
             let mut g = Graph::new();
             g.set_training(false);
-            let b = TokenBatch {
-                ids,
-                mask: &mask,
-                batch_size: 1,
-                seq_len: 8,
-            };
-            let l = m.cls_logits(&mut g, &b);
-            g.value(l).data().to_vec()
+            let l = m.cls_logits(&mut g, &batch);
+            let mut bits: Vec<u32> = g.value(l).data().iter().map(|v| v.to_bits()).collect();
+            let loss = m.mlm_loss(&mut g, &batch, &labels);
+            bits.push(g.value(loss).item().to_bits());
+            bits
         };
-        let before = batch(&ids);
-        ids[5] = 17;
-        ids[7] = 9;
-        let after = batch(&ids);
-        for (a, b) in before.iter().zip(&after) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        let before = outputs(&ids);
+        let mut changed = ids.clone();
+        for (id, &keep) in changed.iter_mut().zip(&mask) {
+            if keep == 0 {
+                *id = 17;
+            }
         }
+        assert_eq!(outputs(&changed), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a prefix of ones")]
+    fn mask_with_a_hole_panics() {
+        let m = BertModel::new(&tiny_config(), 3);
+        let (ids, mut mask) = batch_data(2, 8);
+        mask[8 + 3] = 0;
+        m.predict(&TokenBatch {
+            ids: &ids,
+            mask: &mask,
+            batch_size: 2,
+            seq_len: 8,
+        });
+    }
+
+    /// The encoder as composed before the packed projection: Q, K and V
+    /// by three GEMMs joined for the attention node, `[CLS]` selected
+    /// through a `[B, S, H]` reshape, and the MLM head run on every
+    /// position. (The attention node itself is pinned against the unfused
+    /// score, mask, softmax and context ops in `clinfl-tensor`.)
+    fn reference_encode(m: &BertModel, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
+        let (b, s) = (batch.batch_size, batch.seq_len);
+        let key_lens: Vec<usize> = batch
+            .mask
+            .chunks(s)
+            .map(|r| r.iter().filter(|&&v| v != 0).count())
+            .collect();
+        let p = m.config.dropout;
+        let tok_table = g.param(&m.params, m.tok_emb);
+        let tok = g.embedding(tok_table, batch.ids);
+        let pos_ids: Vec<u32> = (0..b * s).map(|i| (i % s) as u32).collect();
+        let pos_table = g.param(&m.params, m.pos_emb);
+        let pos = g.embedding(pos_table, &pos_ids);
+        let x = g.add(tok, pos);
+        let x = m.layer_norm(g, x, m.emb_ln_g, m.emb_ln_b);
+        let mut x = g.dropout(x, p);
+        for blk in &m.blocks {
+            let hn = m.layer_norm(g, x, blk.ln1_g, blk.ln1_b);
+            let proj = |g: &mut Graph, w, bias| {
+                let w = g.param(&m.params, w);
+                let bias = g.param(&m.params, bias);
+                let y = g.matmul(hn, w);
+                g.add(y, bias)
+            };
+            let q = proj(g, blk.wq, blk.bq);
+            let k = proj(g, blk.wk, blk.bk);
+            let v = proj(g, blk.wv, blk.bv);
+            let qk = g.concat_last(q, k);
+            let qkv = g.concat_last(qk, v);
+            let ctx = g.attention(qkv, &key_lens, m.config.heads, p);
+            let wo = g.param(&m.params, blk.wo);
+            let bo = g.param(&m.params, blk.bo);
+            let out = g.matmul(ctx, wo);
+            let out = g.add(out, bo);
+            let out = g.dropout(out, p);
+            x = g.add(x, out);
+            let hn2 = m.layer_norm(g, x, blk.ln2_g, blk.ln2_b);
+            let w1 = g.param(&m.params, blk.w_ff1);
+            let b1 = g.param(&m.params, blk.b_ff1);
+            let f = g.matmul(hn2, w1);
+            let f = g.add(f, b1);
+            let f = g.gelu(f);
+            let w2 = g.param(&m.params, blk.w_ff2);
+            let b2 = g.param(&m.params, blk.b_ff2);
+            let f = g.matmul(f, w2);
+            let f = g.add(f, b2);
+            let f = g.dropout(f, p);
+            x = g.add(x, f);
+        }
+        m.layer_norm(g, x, m.final_ln_g, m.final_ln_b)
+    }
+
+    fn reference_cls_logits(m: &BertModel, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
+        let enc = reference_encode(m, g, batch);
+        let enc = g.reshape(enc, &[batch.batch_size, batch.seq_len, m.config.hidden]);
+        let cls = g.select_axis1(enc, 0);
+        let cls = g.dropout(cls, m.config.dropout);
+        let w = g.param(&m.params, m.cls_w);
+        let bias = g.param(&m.params, m.cls_b);
+        let logits = g.matmul(cls, w);
+        g.add(logits, bias)
+    }
+
+    fn reference_mlm_loss(
+        m: &BertModel,
+        g: &mut Graph,
+        batch: &TokenBatch<'_>,
+        labels: &[i32],
+    ) -> Var {
+        let enc = reference_encode(m, g, batch);
+        let dw = g.param(&m.params, m.mlm_dense_w);
+        let db = g.param(&m.params, m.mlm_dense_b);
+        let d = g.matmul(enc, dw);
+        let d = g.add(d, db);
+        let d = g.gelu(d);
+        let d = m.layer_norm(g, d, m.mlm_ln_g, m.mlm_ln_b);
+        let table = g.param(&m.params, m.tok_emb);
+        let dec_b = g.param(&m.params, m.mlm_dec_b);
+        let logits = g.matmul_bt(d, table);
+        let logits = g.add(logits, dec_b);
+        g.cross_entropy(logits, labels, IGNORE_INDEX)
+    }
+
+    fn ragged_labels(mask: &[u8]) -> Vec<i32> {
+        (0..mask.len())
+            .map(|i| {
+                if mask[i] == 1 && i % 4 == 1 {
+                    5 + (i % 9) as i32
+                } else {
+                    IGNORE_INDEX
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn eval_outputs_are_bit_identical_to_the_reference() {
+        let m = BertModel::new(&tiny_config(), 8);
+        let (ids, mask) = ragged_batch();
+        let batch = ragged(&ids, &mask);
+        let labels = ragged_labels(&mask);
+        let eval = |build: &dyn Fn(&mut Graph) -> Var| {
+            let mut g = Graph::new();
+            g.set_training(false);
+            let out = build(&mut g);
+            g.value(out)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            eval(&|g| m.cls_logits(g, &batch)),
+            eval(&|g| reference_cls_logits(&m, g, &batch))
+        );
+        assert_eq!(
+            eval(&|g| m.mlm_loss(g, &batch, &labels)),
+            eval(&|g| reference_mlm_loss(&m, g, &batch, &labels))
+        );
+    }
+
+    #[test]
+    fn training_gradients_match_the_reference() {
+        let m = BertModel::new(&tiny_config(), 9);
+        let (ids, mask) = ragged_batch();
+        let batch = ragged(&ids, &mask);
+        let labels = ragged_labels(&mask);
+        let classes = [1, 0, 1];
+        let grads = |build: &dyn Fn(&mut Graph) -> Var| {
+            let mut params = m.params().clone();
+            let mut g = Graph::new();
+            let loss = build(&mut g);
+            g.backward(loss);
+            g.grads_into(&mut params);
+            params
+        };
+        let fused = grads(&|g| {
+            let mlm = m.mlm_loss(g, &batch, &labels);
+            let cls = m.classification_loss(g, &batch, &classes);
+            g.add(mlm, cls)
+        });
+        let reference = grads(&|g| {
+            let mlm = reference_mlm_loss(&m, g, &batch, &labels);
+            let logits = reference_cls_logits(&m, g, &batch);
+            let cls = g.cross_entropy(logits, &classes, IGNORE_INDEX);
+            g.add(mlm, cls)
+        });
+        let mut checked = 0;
+        for (id, name, _) in reference.iter() {
+            let (a, b) = (fused.grad(id).data(), reference.grad(id).data());
+            let scale = b.iter().fold(0.0f32, |s, v| s.max(v.abs()));
+            checked += 1;
+            if name.ends_with("attn.bk") {
+                // A key bias shifts every score of a query row by the same
+                // amount, which the softmax cancels: its true gradient is 0
+                // and both sides hold rounding noise.
+                assert!(a.iter().chain(b).all(|v| v.abs() < 1e-9), "{name}");
+                continue;
+            }
+            assert!(scale > 0.0, "{name} got no gradient");
+            for (x, y) in a.iter().zip(b) {
+                assert!(
+                    (x - y).abs() <= 1e-5 * scale,
+                    "{name}: {x} vs {y} (scale {scale})"
+                );
+            }
+        }
+        assert_eq!(checked, m.params().len());
+    }
+
+    #[test]
+    fn mlm_with_no_labelled_position_is_zero_with_zero_head_gradients() {
+        let mut m = BertModel::new(&tiny_config(), 10);
+        let (ids, mask) = ragged_batch();
+        let batch = ragged(&ids, &mask);
+        let mut g = Graph::new();
+        let loss = m.mlm_loss(&mut g, &batch, &[IGNORE_INDEX; 24]);
+        assert_eq!(g.value(loss).item(), 0.0);
+        g.backward(loss);
+        g.grads_into(m.params_mut());
+        let params = m.params();
+        let mut heads = 0;
+        for (id, name, _) in params.iter() {
+            if name.contains("mlm_head") || name == "bert.embeddings.token" {
+                assert!(params.grad(id).data().iter().all(|&v| v == 0.0), "{name}");
+                heads += 1;
+            }
+        }
+        assert_eq!(heads, 6);
+    }
+
+    #[test]
+    fn one_training_step_records_a_fixed_tape() {
+        // Embeddings: 2 leaves, 2 gathers, add, layer norm (5), dropout
+        // (11). Per layer (40): layer norm (5), Q|K|V weights and biases
+        // packed from 6 leaves by 4 concats, GEMM, bias add, the
+        // attention node, output projection (2 leaves, GEMM, add),
+        // dropout, residual add; then layer norm (5), 4 leaves, 2 GEMMs,
+        // 2 bias adds, GELU, dropout, residual add. Final layer norm (5).
+        // MLM head (16): gather, dense (2 leaves, GEMM, add), GELU, layer
+        // norm (5), decoder (2 leaves, GEMM, add), the loss.
+        let cfg = BertConfig::bert_mini(30, 8);
+        let m = BertModel::new(&cfg, 11);
+        let (ids, mask) = ragged_batch();
+        let batch = ragged(&ids, &mask);
+        let mut g = Graph::new();
+        let loss = m.mlm_loss(&mut g, &batch, &ragged_labels(&mask));
+        g.backward(loss);
+        assert_eq!(g.len(), 11 + 40 * cfg.layers + 5 + 16);
+        assert_eq!(g.len(), 272);
     }
 
     #[test]

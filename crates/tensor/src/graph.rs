@@ -1,6 +1,7 @@
 //! The autograd tape: forward-op construction and reverse-mode backward.
 
 use crate::arena::{BufferPool, PARKED};
+use crate::attention;
 use crate::kernels;
 use crate::ops::{accumulate, backward_node, Broadcast, Node, Op};
 use crate::optim::{ParamId, Params};
@@ -144,6 +145,13 @@ impl Graph {
                     self.pool.give_f32(keep);
                     self.pool.give_f32(saved);
                 }
+                Op::Attention {
+                    lens, probs, mask, ..
+                } => {
+                    self.pool.give_u32(lens);
+                    self.pool.give_f32(probs);
+                    self.pool.give_f32(mask);
+                }
                 _ => {}
             }
         }
@@ -219,21 +227,8 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Adds a constant input (leaf) to the tape, taking ownership of `t`
-    /// as-is. Prefer [`Graph::input_with`] on hot paths so the leaf's
-    /// buffer comes from the pool.
+    /// as-is.
     pub fn input(&mut self, t: Tensor) -> Var {
-        self.push(Op::Leaf, &[], t)
-    }
-
-    /// Adds a zero-initialized constant input (leaf) of shape `dims`,
-    /// drawing its buffer from the pool, and lets `init` fill it in place.
-    ///
-    /// This is the allocation-free counterpart of building a `Tensor` and
-    /// calling [`Graph::input`]: batch encodings, masks and initial
-    /// recurrent states write into a recycled zeroed buffer instead.
-    pub fn input_with(&mut self, dims: &[usize], init: impl FnOnce(&mut [f32])) -> Var {
-        let mut t = self.pool.tensor_zeroed(Shape::new(dims));
-        init(t.data_mut());
         self.push(Op::Leaf, &[], t)
     }
 
@@ -334,71 +329,43 @@ impl Graph {
         self.push(Op::Mul(bcast), &[ia, ib], value)
     }
 
-    /// `a * c` for a constant.
-    pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let ia = self.chk(a);
-        let mut value = self.pool.tensor_uninit(*self.values[ia].shape());
-        kernels::map_into(self.values[ia].data(), value.data_mut(), 16, |v| v * c);
-        self.push(Op::Scale(c), &[ia], value)
-    }
-
     // ------------------------------------------------------------------
     // Linear algebra & shape
     // ------------------------------------------------------------------
 
-    /// Batched matrix product `a[.., M, K] · b -> [.., M, N]`, where `b` is
-    /// either rank-2 (`[K, N]`, broadcast over the batch) or has the same
-    /// batch dimensions as `a` (`[.., K, N]`).
+    /// Matrix product `a[.., M, K] · b[K, N] -> [.., M, N]`: the rows of
+    /// every leading dimension of `a` form one GEMM against the shared `b`.
     ///
     /// # Panics
     ///
-    /// Panics on inner-dimension or batch mismatch.
+    /// Panics if `a` is below rank 2, `b` is not rank-2, or the inner
+    /// dimensions differ.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (ia, ib) = (self.chk(a), self.chk(b));
         let out_shape = self.values[ia].matmul_shape(&self.values[ib]);
         // Zeroed: the matmul kernel accumulates into its output.
         let mut value = self.pool.tensor_zeroed(out_shape);
         self.values[ia].matmul_into(&self.values[ib], &mut value);
-        let rhs_broadcast =
-            self.values[ib].shape().rank() == 2 && self.values[ia].shape().rank() > 2;
-        self.push(Op::Matmul { rhs_broadcast }, &[ia, ib], value)
+        self.push(Op::Matmul, &[ia, ib], value)
     }
 
-    /// Batched matrix product with the right operand transposed in place:
-    /// `a[.., M, K] · b[.., N, K]ᵀ -> [.., M, N]`, with `b` either rank-2
-    /// (broadcast over the batch) or batch-matched. The packed `a·bᵀ`
-    /// kernel absorbs the transpose into its packing strides, so no
-    /// transposed copy of `b` (or of its gradient) is ever materialized.
-    /// This is the attention-score (`q·kᵀ`) and tied-decoder (`h·Eᵀ`) fast
-    /// path.
+    /// Matrix product with the right operand transposed in place:
+    /// `a[.., M, K] · b[N, K]ᵀ -> [.., M, N]`. The packed `a·bᵀ` kernel
+    /// absorbs the transpose into its packing strides, so no transposed
+    /// copy of `b` (or of its gradient) is ever materialized. This is the
+    /// tied-decoder (`h·Eᵀ`) fast path.
     ///
     /// # Panics
     ///
-    /// Panics on inner-dimension or batch mismatch.
+    /// Panics if `a` is below rank 2, `b` is not rank-2, or the inner
+    /// dimensions differ.
     pub fn matmul_bt(&mut self, a: Var, b: Var) -> Var {
         let (ia, ib) = (self.chk(a), self.chk(b));
         let out_shape = self.values[ia].matmul_bt_shape(&self.values[ib]);
         // Zeroed: the kernel accumulates into its output.
         let mut value = self.pool.tensor_zeroed(out_shape);
         self.values[ia].matmul_bt_into(&self.values[ib], &mut value);
-        let rhs_broadcast =
-            self.values[ib].shape().rank() == 2 && self.values[ia].shape().rank() > 2;
-        self.push(Op::MatmulABt { rhs_broadcast }, &[ia, ib], value)
-    }
-
-    /// Swaps axes 1 and 2 of a rank-4 tensor (`[B, S, H, D]` →
-    /// `[B, H, S, D]`), used to split/merge attention heads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is not 4.
-    pub fn swap_axes12(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let mut value = self
-            .pool
-            .tensor_uninit(self.values[ia].shape().swapped_axes12());
-        self.values[ia].swap_axes12_into(value.data_mut());
-        self.push(Op::SwapAxes12, &[ia], value)
+        self.push(Op::MatmulABt, &[ia, ib], value)
     }
 
     /// Reshapes to `dims` (same element count).
@@ -491,15 +458,6 @@ impl Graph {
     // Nonlinearities
     // ------------------------------------------------------------------
 
-    /// Softmax over the last dimension.
-    pub fn softmax(&mut self, a: Var) -> Var {
-        let ia = self.chk(a);
-        let mut value = self.pool.tensor_copy(&self.values[ia]);
-        let width = value.shape().last_dim();
-        kernels::softmax_rows(value.data_mut(), width);
-        self.push(Op::Softmax, &[ia], value)
-    }
-
     /// `tanh(a)` (fast Padé approximation; see
     /// [`kernels::tanh_fast`](crate::kernels::tanh_fast)).
     pub fn tanh(&mut self, a: Var) -> Var {
@@ -546,16 +504,27 @@ impl Graph {
         if !self.training || p == 0.0 {
             return a;
         }
+        let mut mask = self.pool.take_f32(self.values[ia].numel());
+        self.dropout_mask(p, &mut mask);
+        let mut value = self.pool.tensor_copy(&self.values[ia]);
+        for (v, &m) in value.data_mut().iter_mut().zip(&mask) {
+            *v *= m;
+        }
+        self.push(Op::Dropout { mask }, &[ia], value)
+    }
+
+    /// Fills `mask` with an inverted-dropout mask: each element is
+    /// `1/(1-p)` with probability `1-p`, else 0.
+    ///
+    /// Mask generation is on the hot path (every activation tensor in a
+    /// transformer); a xorshift64* stream seeded from one draw of the graph
+    /// RNG is an order of magnitude faster than drawing each element from
+    /// StdRng while remaining deterministic per graph seed.
+    fn dropout_mask(&mut self, p: f32, mask: &mut [f32]) {
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let n = self.values[ia].numel();
-        // Mask generation is on the hot path (every activation tensor in a
-        // transformer); a xorshift64* stream seeded from the graph RNG is
-        // an order of magnitude faster than drawing each element from
-        // StdRng while remaining deterministic per graph seed.
         let mut state: u64 = self.rng.random::<u64>() | 1;
         let threshold = (keep as f64 * (1u64 << 32) as f64) as u64;
-        let mut mask = self.pool.take_f32(n);
         for m in mask.iter_mut() {
             state ^= state << 13;
             state ^= state >> 7;
@@ -566,11 +535,6 @@ impl Graph {
                 0.0
             };
         }
-        let mut value = self.pool.tensor_copy(&self.values[ia]);
-        for (v, &m) in value.data_mut().iter_mut().zip(&mask) {
-            *v *= m;
-        }
-        self.push(Op::Dropout { mask }, &[ia], value)
     }
 
     // ------------------------------------------------------------------
@@ -798,6 +762,101 @@ impl Graph {
         )
     }
 
+    /// Multi-head scaled dot-product self-attention over each sequence's
+    /// real tokens, as one tape node.
+    ///
+    /// `qkv` is the packed projection `[B·S, 3·inner]`: row `b·S + i` holds
+    /// token `i` of sequence `b`, its query, key and value side by side,
+    /// each `inner = heads·dh` wide with head `h` at columns `h·dh..`.
+    /// `key_lens[b]` is the number of real tokens of sequence `b`, which
+    /// come first (padding trails). Per sequence and head, over its `L`
+    /// real tokens only:
+    ///
+    /// - scores `q·kᵀ`, one `mul_add` chain per pair over ascending `d`,
+    ///   then `× 1/√dh` as its own rounding;
+    /// - a softmax over the `L` keys of each query;
+    /// - inverted dropout with probability `p` in training mode, its mask
+    ///   drawn serially from the graph's RNG over the real pairs;
+    /// - the context `probs · v`, one `mul_add` chain per element over
+    ///   ascending keys.
+    ///
+    /// The output is the context `[B·S, inner]`, with zero rows at padded
+    /// queries. Heads are addressed through the row stride; no per-head
+    /// tensor is built.
+    ///
+    /// Without dropout, every real query row gets the bits of the unfused
+    /// composition this replaces (`a·bᵀ` product, scale, an additive `-1e4`
+    /// mask on padded keys, softmax, product): a masked key's softmax
+    /// weight was exactly 0 there, and the softmax sums a row in order.
+    ///
+    /// Backward is hand-written from the saved probabilities and dropout
+    /// mask of the real pairs; padded rows get a zero gradient. Work is
+    /// split over blocks of sequences, so results are the same at any
+    /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qkv` is not `[B·S, 3·heads·dh]` for `B = key_lens.len()`,
+    /// a key length exceeds `S`, or `p` is not within `[0, 1)`.
+    pub fn attention(&mut self, qkv: Var, key_lens: &[usize], heads: usize, p: f32) -> Var {
+        assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
+        let iq = self.chk(qkv);
+        let dims = self.values[iq].dims();
+        assert_eq!(dims.len(), 2, "attention: qkv must be [B·S, 3·inner]");
+        let (rows, width) = (dims[0], dims[1]);
+        let batch = key_lens.len();
+        assert!(
+            batch > 0 && rows % batch == 0,
+            "attention: {rows} rows do not split into {batch} sequences"
+        );
+        assert!(
+            heads > 0 && width > 0 && width % (3 * heads) == 0,
+            "attention: width {width} is not 3·{heads}·dh"
+        );
+        let d = attention::Dims {
+            seq: rows / batch,
+            heads,
+            dh: width / (3 * heads),
+        };
+        assert!(
+            key_lens.iter().all(|&l| l <= d.seq),
+            "attention: a key length exceeds the sequence length {}",
+            d.seq
+        );
+        let mut lens = self.pool.take_u32(batch);
+        for (l, &k) in lens.iter_mut().zip(key_lens) {
+            *l = k as u32;
+        }
+        let n_pairs = d.pairs(&lens);
+        let mut mask = Vec::new();
+        if self.training && p > 0.0 {
+            mask = self.pool.take_f32(n_pairs);
+            self.dropout_mask(p, &mut mask);
+        }
+        // Zeroed, as is `out`: the products accumulate into them, and
+        // padded query rows of `out` stay zero.
+        let mut probs = self.pool.take_f32_zeroed(n_pairs);
+        let mut out = self.pool.tensor_zeroed(Shape::new(&[rows, d.inner()]));
+        attention::forward(
+            self.values[iq].data(),
+            &lens,
+            d,
+            &mut probs,
+            &mask,
+            out.data_mut(),
+        );
+        self.push(
+            Op::Attention {
+                heads,
+                lens,
+                probs,
+                mask,
+            },
+            &[iq],
+            out,
+        )
+    }
+
     // ------------------------------------------------------------------
     // Backward
     // ------------------------------------------------------------------
@@ -916,19 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_and_backward_shape() {
-        let mut g = Graph::new();
-        let x = g.input(t(&[1, 3], &[1.0, 2.0, 3.0]));
-        let s = g.softmax(x);
-        let sum: f32 = g.value(s).data().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        let loss = g.sum(s);
-        g.backward(loss);
-        // Softmax rows sum to 1 regardless of input, so d(sum)/dx = 0.
-        assert!(g.grad(x).unwrap().data().iter().all(|v| v.abs() < 1e-6));
-    }
-
-    #[test]
     fn cross_entropy_uniform_logits() {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros(&[2, 4]));
@@ -984,24 +1030,6 @@ mod tests {
         let loss = g.sum(cls);
         g.backward(loss);
         assert_eq!(g.grad(x).unwrap().data(), &[1., 1., 0., 0., 1., 1., 0., 0.]);
-    }
-
-    #[test]
-    fn swap_axes12_roundtrip_and_grad() {
-        let mut g = Graph::new();
-        // [1, 2, 2, 1]: values 1..4 laid out as (s, h) = (0,0),(0,1),(1,0),(1,1)
-        let x = g.input(t(&[1, 2, 2, 1], &[1., 2., 3., 4.]));
-        let y = g.swap_axes12(x);
-        assert_eq!(g.value(y).dims(), &[1, 2, 2, 1]);
-        assert_eq!(g.value(y).data(), &[1., 3., 2., 4.]);
-        let z = g.swap_axes12(y);
-        assert_eq!(g.value(z).data(), g.value(x).data());
-        let w = g.input(t(&[1, 2, 2, 1], &[1., 10., 100., 1000.]));
-        let prod = g.mul(y, w);
-        let loss = g.sum(prod);
-        g.backward(loss);
-        // dy/dx routes gradient through the permutation.
-        assert_eq!(g.grad(x).unwrap().data(), &[1., 100., 10., 1000.]);
     }
 
     #[test]
@@ -1083,14 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn input_with_builds_leaf_from_closure() {
-        let mut g = Graph::new();
-        let x = g.input_with(&[2, 2], |d| d[3] = 7.0);
-        assert_eq!(g.value(x).dims(), &[2, 2]);
-        assert_eq!(g.value(x).data(), &[0.0, 0.0, 0.0, 7.0]);
-    }
-
-    #[test]
     fn reset_replays_dropout_stream() {
         let mut g = Graph::with_seed(42);
         let x = g.input(Tensor::ones(&[512]));
@@ -1150,13 +1170,13 @@ mod tests {
     fn reset_handles_shape_changes_without_bleed_through() {
         let mut g = Graph::new();
         let x = g.input(t(&[4], &[5.0; 4]));
-        let s = g.scale(x, 2.0);
+        let s = g.add(x, x);
         let loss = g.sum(s);
         g.backward(loss);
         g.reset();
         // Smaller tensors next step: recycled buffers must be re-sized and
         // (where required) re-zeroed.
-        let y = g.input_with(&[2], |d| d[0] = 1.0);
+        let y = g.input(t(&[2], &[1.0, 0.0]));
         assert_eq!(g.value(y).data(), &[1.0, 0.0]);
         let sq = g.mul(y, y);
         let loss2 = g.sum(sq);
@@ -1169,8 +1189,8 @@ mod tests {
         let mut g = Graph::new();
         for _ in 0..3 {
             g.reset();
-            let x = g.input_with(&[64], |d| d.fill(1.0));
-            let s = g.scale(x, 2.0);
+            let x = g.input(Tensor::ones(&[64]));
+            let s = g.add(x, x);
             let loss = g.sum(s);
             g.backward(loss);
         }
@@ -1185,7 +1205,7 @@ mod tests {
     fn parked_graph_gives_up_its_pool_and_stays_usable() {
         fn step(g: &mut Graph) -> u32 {
             g.reset_with_seed(9);
-            let x = g.input_with(&[32], |d| d.fill(0.5));
+            let x = g.input(Tensor::full(&[32], 0.5));
             let d = g.dropout(x, 0.25);
             let loss = g.sum(d);
             g.backward(loss);

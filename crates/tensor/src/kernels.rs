@@ -14,9 +14,9 @@
 //! the panels with a fully unrolled inner loop that LLVM autovectorizes —
 //! no intrinsics, no `unsafe` (the crate denies it). Transposed operands
 //! are handled by the packing strides, so the backward passes never
-//! materialize a transposed copy. The batched entry points
-//! ([`matmul_batch_acc`] and friends) amortize packing across a whole
-//! batch: a broadcast right-hand side is packed exactly once.
+//! materialize a transposed copy. A product over a batch of rows with one
+//! shared weight matrix is a single GEMM over all the rows, so the weight
+//! is packed once.
 //!
 //! Every accumulation step is one `f32::mul_add`: a fused multiply-add
 //! with a single rounding, which IEEE 754 specifies exactly, so it yields
@@ -44,19 +44,21 @@ use std::sync::{Arc, OnceLock};
 
 // Per-op wall-time + invocation counters (see DESIGN.md §3e). Each is a
 // static so the registry handles resolve once; a timed call costs two
-// clock reads and two relaxed atomic adds.
-static OBS_MATMUL: KernelTimer = KernelTimer::new("tensor.matmul");
-static OBS_MATMUL_AT_B: KernelTimer = KernelTimer::new("tensor.matmul_at_b");
-static OBS_MATMUL_A_BT: KernelTimer = KernelTimer::new("tensor.matmul_a_bt");
-static OBS_SOFTMAX: KernelTimer = KernelTimer::new("tensor.softmax");
-static OBS_SOFTMAX_BWD: KernelTimer = KernelTimer::new("tensor.softmax_backward");
+// clock reads and two relaxed atomic adds. The attention node
+// (`crate::attention`) times its products and softmax passes under the
+// same names.
+pub(crate) static OBS_MATMUL: KernelTimer = KernelTimer::new("tensor.matmul");
+pub(crate) static OBS_MATMUL_AT_B: KernelTimer = KernelTimer::new("tensor.matmul_at_b");
+pub(crate) static OBS_MATMUL_A_BT: KernelTimer = KernelTimer::new("tensor.matmul_a_bt");
+pub(crate) static OBS_SOFTMAX: KernelTimer = KernelTimer::new("tensor.softmax");
+pub(crate) static OBS_SOFTMAX_BWD: KernelTimer = KernelTimer::new("tensor.softmax_backward");
 static OBS_LAYER_NORM: KernelTimer = KernelTimer::new("tensor.layer_norm");
 static OBS_LAYER_NORM_BWD: KernelTimer = KernelTimer::new("tensor.layer_norm_backward");
 
 /// Cached handle for a `<kernel>.flops` counter: pairs with the
 /// [`KernelTimer`] of the same family so a metrics snapshot yields a
 /// GFLOP/s estimate (`flops / time_ns`).
-struct FlopsCounter {
+pub(crate) struct FlopsCounter {
     name: &'static str,
     handle: OnceLock<Arc<clinfl_obs::Counter>>,
 }
@@ -69,7 +71,7 @@ impl FlopsCounter {
         }
     }
 
-    fn add(&self, flops: usize) {
+    pub(crate) fn add(&self, flops: usize) {
         if clinfl_obs::enabled() {
             self.handle
                 .get_or_init(|| clinfl_obs::counter(self.name))
@@ -78,9 +80,9 @@ impl FlopsCounter {
     }
 }
 
-static FLOPS_MATMUL: FlopsCounter = FlopsCounter::new("tensor.matmul.flops");
-static FLOPS_MATMUL_AT_B: FlopsCounter = FlopsCounter::new("tensor.matmul_at_b.flops");
-static FLOPS_MATMUL_A_BT: FlopsCounter = FlopsCounter::new("tensor.matmul_a_bt.flops");
+pub(crate) static FLOPS_MATMUL: FlopsCounter = FlopsCounter::new("tensor.matmul.flops");
+pub(crate) static FLOPS_MATMUL_AT_B: FlopsCounter = FlopsCounter::new("tensor.matmul_at_b.flops");
+pub(crate) static FLOPS_MATMUL_A_BT: FlopsCounter = FlopsCounter::new("tensor.matmul_a_bt.flops");
 
 // ---------------------------------------------------------------------------
 // Packed register-blocked GEMM core (DESIGN.md §3j)
@@ -184,8 +186,8 @@ pub fn pack_rhs(b: &[f32], rs: usize, cs: usize, k: usize, n: usize, out: &mut V
     }
 }
 
-/// Computes one horizontal slab of the output (`c_slab` = rows
-/// `row0..row0+c_slab.len()/n`, full width `n`) from the packed panels.
+/// Computes one horizontal slab of the output (`c_slab` = rows from
+/// `row0`, each `n` wide at a stride of `ldc`) from the packed panels.
 /// `row0` must be a multiple of `MR` (slab partitioning is tile-aligned).
 ///
 /// Per `MR×NR` tile: load the live `mr×nr` sub-tile of `c` into the
@@ -194,10 +196,19 @@ pub fn pack_rhs(b: &[f32], rs: usize, cs: usize, k: usize, n: usize, out: &mut V
 /// products in ascending-`k` order on top of the entering value of `c` —
 /// the same per-element chain as the naive reference kernels. Padded
 /// accumulator lanes are computed but never stored.
-fn gemm_slab(a_pack: &[f32], b_pack: &[f32], c_slab: &mut [f32], row0: usize, k: usize, n: usize) {
+#[allow(clippy::too_many_arguments)]
+fn gemm_slab(
+    a_pack: &[f32],
+    b_pack: &[f32],
+    c_slab: &mut [f32],
+    row0: usize,
+    k: usize,
+    n: usize,
+    ldc: usize,
+) {
     debug_assert_eq!(row0 % MR, 0, "slab start must be tile-aligned");
     let jp_count = n.div_ceil(NR);
-    for (pi, c_rows) in c_slab.chunks_mut(MR * n).enumerate() {
+    for (pi, c_rows) in c_slab.chunks_mut(MR * ldc).enumerate() {
         let ip = row0 / MR + pi;
         let a_panel = &a_pack[ip * k * MR..(ip + 1) * k * MR];
         for jp in 0..jp_count {
@@ -205,7 +216,7 @@ fn gemm_slab(a_pack: &[f32], b_pack: &[f32], c_slab: &mut [f32], row0: usize, k:
             let nr = (n - j0).min(NR);
             let b_panel = &b_pack[jp * k * NR..(jp + 1) * k * NR];
             let mut acc = [[0.0f32; NR]; MR];
-            for (acc_row, c_row) in acc.iter_mut().zip(c_rows.chunks(n)) {
+            for (acc_row, c_row) in acc.iter_mut().zip(c_rows.chunks(ldc)) {
                 acc_row[..nr].copy_from_slice(&c_row[j0..j0 + nr]);
             }
             for (a_chunk, b_chunk) in a_panel
@@ -214,7 +225,7 @@ fn gemm_slab(a_pack: &[f32], b_pack: &[f32], c_slab: &mut [f32], row0: usize, k:
             {
                 micro_kernel(&mut acc, a_chunk, b_chunk);
             }
-            for (acc_row, c_row) in acc.iter().zip(c_rows.chunks_mut(n)) {
+            for (acc_row, c_row) in acc.iter().zip(c_rows.chunks_mut(ldc)) {
                 c_row[j0..j0 + nr].copy_from_slice(&acc_row[..nr]);
             }
         }
@@ -222,18 +233,20 @@ fn gemm_slab(a_pack: &[f32], b_pack: &[f32], c_slab: &mut [f32], row0: usize, k:
 }
 
 /// One strided GEMM through the packed core: `c[m, n] += A·B` where
-/// `A[i, p] = a[i*rs_a + p*cs_a]` and `B[p, j] = b[p*rs_b + j*cs_b]`
-/// (`p` = contraction index, `0..k`). All three public GEMM variants and
-/// their batched/flattened forms reduce to this by choice of strides.
+/// `A[i, p] = a[i*rs_a + p*cs_a]`, `B[p, j] = b[p*rs_b + j*cs_b]` (`p` =
+/// contraction index, `0..k`) and row `i` of the output is
+/// `c[i*ldc..][..n]` (`c` ends with the last row's `n`-th element). All
+/// three public GEMM variants reduce to this by choice of strides, with
+/// `ldc = n`; the attention node runs its per-head products through it
+/// with the strides of the packed projection.
 #[allow(clippy::too_many_arguments)]
-fn gemm_strided(
+pub(crate) fn gemm_strided(
     a: &[f32],
-    rs_a: usize,
-    cs_a: usize,
+    (rs_a, cs_a): (usize, usize),
     b: &[f32],
-    rs_b: usize,
-    cs_b: usize,
+    (rs_b, cs_b): (usize, usize),
     c: &mut [f32],
+    ldc: usize,
     m: usize,
     k: usize,
     n: usize,
@@ -245,7 +258,7 @@ fn gemm_strided(
         let mut scratch = cell.borrow_mut();
         let (a_buf, b_buf) = &mut *scratch;
         pack_rhs(b, rs_b, cs_b, k, n, b_buf);
-        gemm_packed_b(a, rs_a, cs_a, b_buf, a_buf, c, m, k, n);
+        gemm_packed_b(a, rs_a, cs_a, b_buf, a_buf, c, ldc, m, k, n);
     });
 }
 
@@ -261,6 +274,7 @@ fn gemm_packed_b(
     b_pack: &[f32],
     a_buf: &mut Vec<f32>,
     c: &mut [f32],
+    ldc: usize,
     m: usize,
     k: usize,
     n: usize,
@@ -270,49 +284,14 @@ fn gemm_packed_b(
     let panels = m.div_ceil(MR);
     let w = pool::workers_for(panels, 2 * MR * k * n);
     if w <= 1 {
-        gemm_slab(a_pack, b_pack, c, 0, k, n);
+        gemm_slab(a_pack, b_pack, c, 0, k, n, ldc);
         return;
     }
     let slab_rows = panels.div_ceil(w) * MR;
     let jobs: Vec<_> = c
-        .chunks_mut(slab_rows * n)
+        .chunks_mut(slab_rows * ldc)
         .enumerate()
-        .map(|(si, c_slab)| move || gemm_slab(a_pack, b_pack, c_slab, si * slab_rows, k, n))
-        .collect();
-    pool::run_jobs(jobs);
-}
-
-/// Shared batch-parallel driver for the non-broadcast batched entry
-/// points: runs `gemm(bi, c_batch_slice)` for every batch index, in
-/// parallel blocks over the batch when the region is large enough. Each
-/// per-item GEMM packs into the running worker's own thread-local
-/// scratch, so workers never contend.
-fn batch_gemms(
-    c: &mut [f32],
-    lb: usize,
-    c_stride: usize,
-    work_per_item: usize,
-    gemm: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    let w = pool::workers_for(lb, work_per_item);
-    if w <= 1 {
-        for (bi, cb) in c.chunks_mut(c_stride).enumerate() {
-            gemm(bi, cb);
-        }
-        return;
-    }
-    let block = lb.div_ceil(w);
-    let jobs: Vec<_> = c
-        .chunks_mut(block * c_stride)
-        .enumerate()
-        .map(|(blk, c_block)| {
-            let gemm = &gemm;
-            move || {
-                for (bi, cb) in c_block.chunks_mut(c_stride).enumerate() {
-                    gemm(blk * block + bi, cb);
-                }
-            }
-        })
+        .map(|(si, c_slab)| move || gemm_slab(a_pack, b_pack, c_slab, si * slab_rows, k, n, ldc))
         .collect();
     pool::run_jobs(jobs);
 }
@@ -338,59 +317,7 @@ pub fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
     assert_eq!(b.len(), k * n, "matmul rhs length");
     assert_eq!(c.len(), m * n, "matmul out length");
     FLOPS_MATMUL.add(2 * m * k * n);
-    gemm_strided(a, k, 1, b, n, 1, c, m, k, n);
-}
-
-/// Batched `c[b, m, n] += a[b, m, k] * rhs`, where `rhs` is one shared
-/// `[k, n]` matrix (`rhs_broadcast`) or a per-batch `[b, k, n]` stack.
-///
-/// This is the packing-amortized entry point behind [`Graph::matmul`]:
-/// a broadcast RHS is packed exactly once and the batch collapses into a
-/// single `(b·m)×k×n` GEMM (batch items are just extra output rows, so
-/// the per-element chains are unchanged); per-batch right-hand sides run
-/// as parallel per-item GEMMs. Records one `tensor.matmul` timer
-/// invocation for the whole batch.
-///
-/// [`Graph::matmul`]: crate::Graph::matmul
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the batched shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_batch_acc(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    lb: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    rhs_broadcast: bool,
-) {
-    let _obs = OBS_MATMUL.start();
-    assert_eq!(a.len(), lb * m * k, "matmul batch lhs length");
-    let b_len = if rhs_broadcast { k * n } else { lb * k * n };
-    assert_eq!(b.len(), b_len, "matmul batch rhs length");
-    assert_eq!(c.len(), lb * m * n, "matmul batch out length");
-    FLOPS_MATMUL.add(2 * lb * m * k * n);
-    if rhs_broadcast || lb == 1 {
-        gemm_strided(a, k, 1, b, n, 1, c, lb * m, k, n);
-        return;
-    }
-    batch_gemms(c, lb, m * n, 2 * m * k * n, |bi, cb| {
-        gemm_strided(
-            &a[bi * m * k..][..m * k],
-            k,
-            1,
-            &b[bi * k * n..][..k * n],
-            n,
-            1,
-            cb,
-            m,
-            k,
-            n,
-        );
-    });
+    gemm_strided(a, (k, 1), b, (n, 1), c, n, m, k, n);
 }
 
 /// `c[m, n] += a[m, k] * B` for a right operand `B` packed by
@@ -417,7 +344,7 @@ pub fn matmul_packed_acc(a: &[f32], b_pack: &[f32], c: &mut [f32], m: usize, k: 
     }
     PACK_SCRATCH.with(|cell| {
         let a_buf = &mut cell.borrow_mut().0;
-        gemm_packed_b(a, k, 1, b_pack, a_buf, c, m, k, n);
+        gemm_packed_b(a, k, 1, b_pack, a_buf, c, n, m, k, n);
     });
 }
 
@@ -438,63 +365,12 @@ pub fn matmul_at_b_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
     assert_eq!(b.len(), k * n, "matmul_at rhs length");
     assert_eq!(c.len(), m * n, "matmul_at out length");
     FLOPS_MATMUL_AT_B.add(2 * m * k * n);
-    gemm_strided(a, 1, m, b, n, 1, c, m, k, n);
-}
-
-/// Batched `aᵀ·b`: for each batch item, `c_bi[m, n] += a[bi][rows, m]^T *
-/// b[bi][rows, n]`. With `acc_shared`, all batch items accumulate into
-/// one shared `c[m, n]` in ascending batch order — the `dW = Σ_b x_bᵀ dy_b`
-/// shape of a broadcast matmul's weight gradient.
-///
-/// The shared-accumulator case collapses into a single GEMM contracting
-/// over all `lb*rows` rows at once (batch-major row order — the identical
-/// per-element chain to looping batches in order), so both operands are
-/// packed exactly once. Records one `tensor.matmul_at_b` timer invocation
-/// for the whole batch.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the batched shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_at_b_batch_acc(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    lb: usize,
-    rows: usize,
-    m: usize,
-    n: usize,
-    acc_shared: bool,
-) {
-    let _obs = OBS_MATMUL_AT_B.start();
-    assert_eq!(a.len(), lb * rows * m, "matmul_at batch lhs length");
-    assert_eq!(b.len(), lb * rows * n, "matmul_at batch rhs length");
-    let c_len = if acc_shared { m * n } else { lb * m * n };
-    assert_eq!(c.len(), c_len, "matmul_at batch out length");
-    FLOPS_MATMUL_AT_B.add(2 * lb * rows * m * n);
-    if acc_shared || lb == 1 {
-        gemm_strided(a, 1, m, b, n, 1, c, m, lb * rows, n);
-        return;
-    }
-    batch_gemms(c, lb, m * n, 2 * rows * m * n, |bi, cb| {
-        gemm_strided(
-            &a[bi * rows * m..][..rows * m],
-            1,
-            m,
-            &b[bi * rows * n..][..rows * n],
-            n,
-            1,
-            cb,
-            m,
-            rows,
-            n,
-        );
-    });
+    gemm_strided(a, (1, m), b, (n, 1), c, n, m, k, n);
 }
 
 /// `c[m, k] += a[m, n] * b[k, n]^T` — matmul with the right operand
-/// transposed, used by backward passes (`dx = dy W^T`) and the attention
-/// score product (`q·kᵀ`).
+/// transposed, used by backward passes (`dx = dy W^T`) and the tied MLM
+/// decoder (`h·Eᵀ`).
 ///
 /// The packing strides absorb the transpose. Each output element
 /// accumulates its products in ascending `n` order on top of the entering
@@ -510,56 +386,7 @@ pub fn matmul_a_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, 
     assert_eq!(b.len(), k * n, "matmul_bt rhs length");
     assert_eq!(c.len(), m * k, "matmul_bt out length");
     FLOPS_MATMUL_A_BT.add(2 * m * k * n);
-    gemm_strided(a, n, 1, b, 1, n, c, m, n, k);
-}
-
-/// Batched `a·bᵀ`: for each batch item, `c[bi][m, kr] += a[bi][m, nc] *
-/// b[bi][kr, nc]^T`, with `rhs_broadcast` sharing one `[kr, nc]` right
-/// operand across the batch (packed exactly once; the batch collapses
-/// into a single flattened GEMM). Records one `tensor.matmul_a_bt` timer
-/// invocation for the whole batch.
-///
-/// This is the kernel behind attention scores (`q·kᵀ` per head) and the
-/// tied MLM decoder (`h·Eᵀ`), neither of which materializes a transpose.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the batched shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_a_bt_batch_acc(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    lb: usize,
-    m: usize,
-    nc: usize,
-    kr: usize,
-    rhs_broadcast: bool,
-) {
-    let _obs = OBS_MATMUL_A_BT.start();
-    assert_eq!(a.len(), lb * m * nc, "matmul_bt batch lhs length");
-    let b_len = if rhs_broadcast { kr * nc } else { lb * kr * nc };
-    assert_eq!(b.len(), b_len, "matmul_bt batch rhs length");
-    assert_eq!(c.len(), lb * m * kr, "matmul_bt batch out length");
-    FLOPS_MATMUL_A_BT.add(2 * lb * m * nc * kr);
-    if rhs_broadcast || lb == 1 {
-        gemm_strided(a, nc, 1, b, 1, nc, c, lb * m, nc, kr);
-        return;
-    }
-    batch_gemms(c, lb, m * kr, 2 * m * nc * kr, |bi, cb| {
-        gemm_strided(
-            &a[bi * m * nc..][..m * nc],
-            nc,
-            1,
-            &b[bi * kr * nc..][..kr * nc],
-            1,
-            nc,
-            cb,
-            m,
-            nc,
-            kr,
-        );
-    });
+    gemm_strided(a, (n, 1), b, (1, n), c, k, m, n, k);
 }
 
 // ---------------------------------------------------------------------------
@@ -663,9 +490,9 @@ pub fn softmax_rows(data: &mut [f32], width: usize) {
 }
 
 /// Per-row body shared by the serial and parallel paths of
-/// [`softmax_rows`].
+/// [`softmax_rows`] and by the attention node.
 #[inline]
-fn softmax_row(row: &mut [f32]) {
+pub(crate) fn softmax_row(row: &mut [f32]) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {

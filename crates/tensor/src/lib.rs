@@ -51,6 +51,7 @@
 #![deny(unsafe_code)]
 
 mod arena;
+mod attention;
 mod error;
 mod gradcheck_impl;
 mod graph;

@@ -9,6 +9,7 @@
 //! to fresh ones.
 
 use crate::arena::BufferPool;
+use crate::attention;
 use crate::kernels;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -35,24 +36,13 @@ pub(crate) enum Op {
     Add(Broadcast),
     /// `a * b` (element-wise) with RHS broadcast.
     Mul(Broadcast),
-    /// `a * c` for a constant `c`.
-    Scale(f32),
-    /// Batched matrix product; `rhs_broadcast` is true when the RHS was a
-    /// rank-2 matrix shared across the batch.
-    Matmul {
-        /// RHS was rank-2 and shared across the whole batch.
-        rhs_broadcast: bool,
-    },
-    /// Batched matrix product with the RHS transposed in place
-    /// (`a · bᵀ`), computed directly by the packed `a·bᵀ` kernel —
-    /// attention scores (`q·kᵀ`) and the tied MLM decoder (`h·Eᵀ`)
-    /// without materializing a transposed operand.
-    MatmulABt {
-        /// RHS was rank-2 and shared across the whole batch.
-        rhs_broadcast: bool,
-    },
-    /// Swap of axes 1 and 2 of a rank-4 tensor (attention head split).
-    SwapAxes12,
+    /// Matrix product `a · b` with a rank-2 `b`, every leading dimension
+    /// of `a` taken as rows.
+    Matmul,
+    /// Matrix product with the rank-2 RHS transposed in place (`a · bᵀ`),
+    /// computed directly by the packed `a·bᵀ` kernel: the tied MLM decoder
+    /// (`h·Eᵀ`) without materializing a transposed operand.
+    MatmulABt,
     /// Shape change over the same data.
     Reshape,
     /// Concatenation of two tensors along the last dimension.
@@ -67,8 +57,6 @@ pub(crate) enum Op {
         /// Extent of axis 1 in the input.
         axis_len: usize,
     },
-    /// Softmax over the last dimension (output saved as the node value).
-    Softmax,
     /// Mean cross-entropy from logits `[N, C]` against integer targets.
     CrossEntropy {
         /// Per-row class targets; rows equal to `ignore_index` are skipped.
@@ -116,6 +104,21 @@ pub(crate) enum Op {
         /// values `[S·B, 4H]` (of `z/2` for i, f, o, of `z` for g), then
         /// `tanh_fast(c)` and the carried cell state, `[S·B, H]` each.
         saved: Vec<f32>,
+    },
+    /// Multi-head self-attention over each sequence's real tokens (see
+    /// [`crate::Graph::attention`]); the input is the packed projection
+    /// `[B·S, 3·inner]`, the output the context `[B·S, inner]`.
+    Attention {
+        /// Number of heads.
+        heads: usize,
+        /// Real length of each sequence.
+        lens: Vec<u32>,
+        /// Softmax probabilities of every real (query, key) pair, before
+        /// dropout (layout in [`crate::attention`]).
+        probs: Vec<f32>,
+        /// Dropout mask over the same pairs, scaled by `1/(1-p)`; empty
+        /// when dropout was off.
+        mask: Vec<f32>,
     },
 }
 
@@ -280,92 +283,40 @@ pub(crate) fn backward_node(
             accumulate(grads, pool, ins[1], db);
             accumulate(grads, pool, ins[0], da);
         }
-        Op::Scale(c) => {
-            let c = *c;
-            let mut dx = dy;
-            for v in dx.data_mut() {
-                *v *= c;
-            }
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::Matmul { rhs_broadcast } => {
+        Op::Matmul => {
             let a = &values[ins[0]];
             let b = &values[ins[1]];
             let (batch, m, k) = a.shape().as_batched_matrix();
             let n = b.shape().last_dim();
-            // da[b] = dy[b] · b[b]ᵀ ; db[b] = a[b]ᵀ · dy[b]. Both go
-            // through the packed batched kernels, whose packing strides
-            // absorb the transposes — no transposed copy of `b` is built,
-            // and a broadcast `db` collapses the per-batch accumulation
-            // into one GEMM contracting over all batch·m rows.
+            let rows = batch * m;
+            // da = dy · bᵀ ; db = aᵀ · dy over all rows at once. The packing
+            // strides absorb the transposes — no transposed copy of `b` is
+            // built.
             // Zeroed: the kernels accumulate into these.
             let mut da = pool.tensor_zeroed(*a.shape());
             let mut db = pool.tensor_zeroed(*b.shape());
-            kernels::matmul_a_bt_batch_acc(
-                dy.data(),
-                b.data(),
-                da.data_mut(),
-                batch,
-                m,
-                n,
-                k,
-                *rhs_broadcast,
-            );
-            kernels::matmul_at_b_batch_acc(
-                a.data(),
-                dy.data(),
-                db.data_mut(),
-                batch,
-                m,
-                k,
-                n,
-                *rhs_broadcast,
-            );
+            kernels::matmul_a_bt_acc(dy.data(), b.data(), da.data_mut(), rows, n, k);
+            kernels::matmul_at_b_acc(a.data(), dy.data(), db.data_mut(), k, rows, n);
             pool.recycle(dy);
             accumulate(grads, pool, ins[0], da);
             accumulate(grads, pool, ins[1], db);
         }
-        Op::MatmulABt { rhs_broadcast } => {
-            // y[b] = a[b] · b[b]ᵀ with a `[.., m, nc]`, b `[.., kr, nc]`,
-            // dy `[.., m, kr]`:
-            //   da[b] = dy[b] · b[b]          (plain matmul)
-            //   db[b] = dy[b]ᵀ · a[b]         (lands directly in b's layout)
-            // with db batch-accumulated when the RHS was broadcast.
+        Op::MatmulABt => {
+            // y = a · bᵀ with a `[.., nc]` (rows m), b `[kr, nc]`, dy `[.., kr]`:
+            //   da = dy · b          (plain matmul)
+            //   db = dyᵀ · a         (lands directly in b's layout)
             let a = &values[ins[0]];
             let b = &values[ins[1]];
             let (batch, m, nc) = a.shape().as_batched_matrix();
-            let (_, kr, _) = b.shape().as_batched_matrix();
+            let kr = b.dims()[0];
+            let rows = batch * m;
             let mut da = pool.tensor_zeroed(*a.shape());
             let mut db = pool.tensor_zeroed(*b.shape());
-            kernels::matmul_batch_acc(
-                dy.data(),
-                b.data(),
-                da.data_mut(),
-                batch,
-                m,
-                kr,
-                nc,
-                *rhs_broadcast,
-            );
-            kernels::matmul_at_b_batch_acc(
-                dy.data(),
-                a.data(),
-                db.data_mut(),
-                batch,
-                m,
-                kr,
-                nc,
-                *rhs_broadcast,
-            );
+            kernels::matmul_acc(dy.data(), b.data(), da.data_mut(), rows, kr, nc);
+            kernels::matmul_at_b_acc(dy.data(), a.data(), db.data_mut(), kr, rows, nc);
             pool.recycle(dy);
             accumulate(grads, pool, ins[0], da);
             accumulate(grads, pool, ins[1], db);
-        }
-        Op::SwapAxes12 => {
-            let mut dx = pool.tensor_uninit(dy.shape().swapped_axes12());
-            dy.swap_axes12_into(dx.data_mut());
-            pool.recycle(dy);
-            accumulate(grads, pool, ins[0], dx);
         }
         Op::Reshape => {
             // Zero-copy: the gradient keeps its buffer under the input
@@ -411,16 +362,6 @@ pub(crate) fn backward_node(
                 let dst = &mut dx.data_mut()[(bi * s + index) * h..(bi * s + index + 1) * h];
                 dst.copy_from_slice(&dy.data()[bi * h..(bi + 1) * h]);
             }
-            pool.recycle(dy);
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::Softmax => {
-            // dx = y * (dy - sum(dy * y)) per row, y = saved output.
-            let y = &values[id];
-            let width = y.shape().last_dim();
-            // Uninit: the kernel assigns every element.
-            let mut dx = pool.tensor_uninit(*y.shape());
-            kernels::softmax_rows_backward(y.data(), dy.data(), dx.data_mut(), width);
             pool.recycle(dy);
             accumulate(grads, pool, ins[0], dx);
         }
@@ -508,6 +449,37 @@ pub(crate) fn backward_node(
         }
         Op::LstmLayer { batch, keep, saved } => {
             lstm_layer_backward(values, grads, pool, id, ins, *batch, keep, saved, dy);
+        }
+        Op::Attention {
+            heads,
+            lens,
+            probs,
+            mask,
+        } => {
+            let qkv = &values[ins[0]];
+            let dims = qkv.dims();
+            let d = attention::Dims {
+                seq: dims[0] / lens.len(),
+                heads: *heads,
+                dh: dims[1] / (3 * heads),
+            };
+            // Zeroed: the products accumulate into both, and padded rows
+            // keep a zero gradient.
+            let mut ds = pool.take_f32_zeroed(probs.len());
+            let mut dqkv = pool.tensor_zeroed(*qkv.shape());
+            attention::backward(
+                qkv.data(),
+                lens,
+                d,
+                probs,
+                mask,
+                dy.data(),
+                &mut ds,
+                dqkv.data_mut(),
+            );
+            pool.give_f32(ds);
+            pool.recycle(dy);
+            accumulate(grads, pool, ins[0], dqkv);
         }
     }
 }

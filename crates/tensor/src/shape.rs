@@ -4,9 +4,8 @@ use std::fmt;
 
 /// Maximum rank (number of dimensions) a [`Shape`] can represent.
 ///
-/// The models in this workspace never exceed rank 4 (`[B, heads, S, S]`
-/// attention scores); 6 leaves headroom without bloating the inline
-/// representation.
+/// The models in this workspace never exceed rank 3 (`[B, S, H]`); 6 leaves
+/// headroom without bloating the inline representation.
 pub const MAX_RANK: usize = 6;
 
 /// A tensor shape: the extent of each dimension, row-major.
@@ -92,18 +91,6 @@ impl Shape {
         assert!(self.rank >= 1, "with_last requires rank >= 1");
         let mut s = *self;
         s.dims[self.rank as usize - 1] = n;
-        s
-    }
-
-    /// Shape with dimensions 1 and 2 swapped (rank-4 head split).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is not 4.
-    pub(crate) fn swapped_axes12(&self) -> Shape {
-        assert_eq!(self.rank(), 4, "swapped_axes12 requires rank-4 input");
-        let mut s = *self;
-        s.dims.swap(1, 2);
         s
     }
 }

@@ -156,123 +156,72 @@ impl Tensor {
         self.data[0]
     }
 
-    /// The output shape of the batched product `self · rhs` (see
-    /// [`crate::Graph::matmul`] for the shape rules), validating the
-    /// operands.
+    /// The output shape of `self · rhs` (see [`crate::Graph::matmul`] for
+    /// the shape rules), validating the operands.
     ///
     /// # Panics
     ///
-    /// Panics on inner-dimension or batch mismatch.
+    /// Panics if `self` is below rank 2, `rhs` is not rank-2, or the inner
+    /// dimensions differ.
     pub(crate) fn matmul_shape(&self, rhs: &Tensor) -> Shape {
-        let (lb, _m, k) = self.shape.as_batched_matrix();
-        let (rb, rk, n) = rhs.shape.as_batched_matrix();
+        let (_, _, k) = self.shape.as_batched_matrix();
         assert_eq!(
-            k, rk,
-            "matmul inner dims differ: {} vs {}",
-            self.shape, rhs.shape
+            rhs.shape.rank(),
+            2,
+            "matmul rhs must be rank-2, got {}",
+            rhs.shape
         );
-        if rhs.shape.rank() != 2 {
-            assert_eq!(
-                lb, rb,
-                "matmul batch dims differ: {} vs {}",
-                self.shape, rhs.shape
-            );
-        }
-        self.shape.with_last(n)
+        assert_eq!(
+            k,
+            rhs.dims()[0],
+            "matmul inner dims differ: {} vs {}",
+            self.shape,
+            rhs.shape
+        );
+        self.shape.with_last(rhs.dims()[1])
     }
 
-    /// Batched matrix product accumulated into `out`, which must have the
-    /// shape from [`Tensor::matmul_shape`] and be pre-zeroed (the kernel
-    /// accumulates). Lets callers supply a recycled output buffer.
+    /// `self · rhs` accumulated into `out`, which must have the shape from
+    /// [`Tensor::matmul_shape`] and be pre-zeroed (the kernel accumulates).
+    /// The rows of every leading dimension form one GEMM, so `rhs` is
+    /// packed once.
     pub(crate) fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         let (lb, m, k) = self.shape.as_batched_matrix();
         let n = rhs.shape.last_dim();
-        let rhs_broadcast = rhs.shape.rank() == 2;
-        debug_assert_eq!(out.numel(), lb * m * n, "matmul_into out size");
-        if out.numel() == 0 || k == 0 {
-            return;
-        }
-        // One batched kernel entry: a broadcast RHS is packed once for the
-        // whole batch; per-batch right-hand sides parallelize over batch
-        // blocks inside the kernel.
-        kernels::matmul_batch_acc(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            lb,
-            m,
-            k,
-            n,
-            rhs_broadcast,
-        );
+        kernels::matmul_acc(&self.data, &rhs.data, &mut out.data, lb * m, k, n);
     }
 
-    /// The output shape of the batched product `self · rhsᵀ` (see
-    /// [`crate::Graph::matmul_bt`]), validating the operands.
+    /// The output shape of `self · rhsᵀ` (see [`crate::Graph::matmul_bt`]),
+    /// validating the operands.
     ///
     /// # Panics
     ///
-    /// Panics on inner-dimension or batch mismatch.
+    /// Panics if `self` is below rank 2, `rhs` is not rank-2, or the inner
+    /// dimensions differ.
     pub(crate) fn matmul_bt_shape(&self, rhs: &Tensor) -> Shape {
-        let (lb, _m, k) = self.shape.as_batched_matrix();
-        let (rb, n, rk) = rhs.shape.as_batched_matrix();
+        let (_, _, k) = self.shape.as_batched_matrix();
         assert_eq!(
-            k, rk,
-            "matmul_bt inner dims differ: {} vs {}",
-            self.shape, rhs.shape
+            rhs.shape.rank(),
+            2,
+            "matmul_bt rhs must be rank-2, got {}",
+            rhs.shape
         );
-        if rhs.shape.rank() != 2 {
-            assert_eq!(
-                lb, rb,
-                "matmul_bt batch dims differ: {} vs {}",
-                self.shape, rhs.shape
-            );
-        }
-        self.shape.with_last(n)
+        assert_eq!(
+            k,
+            rhs.dims()[1],
+            "matmul_bt inner dims differ: {} vs {}",
+            self.shape,
+            rhs.shape
+        );
+        self.shape.with_last(rhs.dims()[0])
     }
 
-    /// Batched `self · rhsᵀ` accumulated into `out` (shape from
-    /// [`Tensor::matmul_bt_shape`], pre-zeroed).
+    /// `self · rhsᵀ` accumulated into `out` (shape from
+    /// [`Tensor::matmul_bt_shape`], pre-zeroed), as one GEMM over all rows.
     pub(crate) fn matmul_bt_into(&self, rhs: &Tensor, out: &mut Tensor) {
         let (lb, m, k) = self.shape.as_batched_matrix();
-        let (_, n, _) = rhs.shape.as_batched_matrix();
-        let rhs_broadcast = rhs.shape.rank() == 2;
-        debug_assert_eq!(out.numel(), lb * m * n, "matmul_bt_into out size");
-        if out.numel() == 0 || k == 0 {
-            return;
-        }
-        kernels::matmul_a_bt_batch_acc(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            lb,
-            m,
-            k,
-            n,
-            rhs_broadcast,
-        );
-    }
-
-    /// Writes the axes-1/2 permutation into `out` (fully overwriting it),
-    /// so callers can supply a recycled buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank is not 4 or `out` has the wrong length.
-    pub(crate) fn swap_axes12_into(&self, out: &mut [f32]) {
-        let dims = self.dims();
-        assert_eq!(dims.len(), 4, "swapped_axes12 requires rank-4 input");
-        assert_eq!(out.len(), self.numel(), "swap_axes12 out length");
-        let (b, s, h, d) = (dims[0], dims[1], dims[2], dims[3]);
-        for bi in 0..b {
-            for si in 0..s {
-                for hi in 0..h {
-                    let src = &self.data[((bi * s + si) * h + hi) * d..][..d];
-                    let dst = &mut out[((bi * h + hi) * s + si) * d..][..d];
-                    dst.copy_from_slice(src);
-                }
-            }
-        }
+        let n = rhs.dims()[0];
+        kernels::matmul_a_bt_acc(&self.data, &rhs.data, &mut out.data, lb * m, k, n);
     }
 
     /// In-place `self += rhs * c` (axpy). Used by optimizers and aggregators.
@@ -397,15 +346,6 @@ mod tests {
         let c = matmul(&a, &w);
         assert_eq!(c.dims(), &[2, 1, 1]);
         assert_eq!(c.data(), &[210., 430.]);
-    }
-
-    #[test]
-    fn matmul_batched_both() {
-        let a = Tensor::from_vec(&[2, 1, 2], vec![1., 2., 3., 4.]).unwrap();
-        let b = Tensor::from_vec(&[2, 2, 1], vec![1., 1., 2., 2.]).unwrap();
-        let c = matmul(&a, &b);
-        assert_eq!(c.dims(), &[2, 1, 1]);
-        assert_eq!(c.data(), &[3., 14.]);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! IEEE 754 defines, so the serial references compute the same chain with
 //! the same `mul_add`. These tests therefore pin **bitwise** agreement
 //! with the retained naive references for all three products and any
-//! initial output. A second group pins the batched entry points against
-//! loops of single GEMMs.
+//! initial output.
 //!
 //! Shapes sweep the degenerate and tile-boundary cases: every dimension
 //! draws from {1, 3, MR−1, MR, MR+1, NR−1, NR, NR+1, 257}.
@@ -123,87 +122,5 @@ proptest! {
         kernels::matmul_a_bt_acc(&a, &b, &mut packed, m, n, k);
         kernels::matmul_a_bt_acc_ref(&a, &b, &mut reference, m, n, k);
         assert_bits_eq(&packed, &reference, "matmul_a_bt");
-    }
-
-    /// The batched `matmul` and `a·bᵀ` entry points are bitwise
-    /// equivalent to looping single GEMMs over the batch, for both
-    /// per-batch and broadcast second operands.
-    #[test]
-    fn batched_matches_loop_of_gemms(
-        lb in 1usize..5, mi in 0usize..6, ki in 0usize..6, ni in 0usize..6,
-        broadcast_bit in 0u8..2,
-        seed in 0u64..1000,
-    ) {
-        let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
-        let broadcast = broadcast_bit == 1;
-        let b_items = if broadcast { 1 } else { lb };
-
-        // matmul: c[bi] += a[bi] · b([bi]).
-        let mut a = vec![0.0f32; lb * m * k];
-        let mut b = vec![0.0f32; b_items * k * n];
-        fill(&mut a, seed);
-        fill(&mut b, seed ^ 0xa5a5);
-        let mut batched = vec![0.0f32; lb * m * n];
-        let mut looped = vec![0.0f32; lb * m * n];
-        kernels::matmul_batch_acc(&a, &b, &mut batched, lb, m, k, n, broadcast);
-        for bi in 0..lb {
-            let bb = if broadcast { &b[..] } else { &b[bi * k * n..][..k * n] };
-            kernels::matmul_acc(
-                &a[bi * m * k..][..m * k], bb,
-                &mut looped[bi * m * n..][..m * n], m, k, n,
-            );
-        }
-        assert_bits_eq(&batched, &looped, "matmul_batch vs loop");
-
-        // a·bᵀ: c[bi] += a[bi] · b([bi])ᵀ with a [lb, m, k], b [(lb,) n, k].
-        let mut a2 = vec![0.0f32; lb * m * k];
-        let mut b2 = vec![0.0f32; b_items * n * k];
-        fill(&mut a2, seed ^ 0x1111);
-        fill(&mut b2, seed ^ 0x2222);
-        let mut batched = vec![0.0f32; lb * m * n];
-        let mut looped = vec![0.0f32; lb * m * n];
-        kernels::matmul_a_bt_batch_acc(&a2, &b2, &mut batched, lb, m, k, n, broadcast);
-        for bi in 0..lb {
-            let bb = if broadcast { &b2[..] } else { &b2[bi * n * k..][..n * k] };
-            kernels::matmul_a_bt_acc(
-                &a2[bi * m * k..][..m * k], bb,
-                &mut looped[bi * m * n..][..m * n], m, k, n,
-            );
-        }
-        assert_bits_eq(&batched, &looped, "matmul_a_bt_batch vs loop");
-    }
-
-    /// The batched `aᵀ·b` entry point matches looping single GEMMs, both
-    /// with per-batch outputs and with one shared accumulator summed over
-    /// the batch in ascending order (the broadcast-`dW` gradient shape).
-    #[test]
-    fn batched_at_b_matches_loop_of_gemms(
-        lb in 1usize..5, ri in 0usize..6, mi in 0usize..6, ni in 0usize..6,
-        shared_bit in 0u8..2,
-        seed in 0u64..1000,
-    ) {
-        let (rows, m, n) = (DIMS[ri], DIMS[mi], DIMS[ni]);
-        let shared = shared_bit == 1;
-        let mut a = vec![0.0f32; lb * rows * m];
-        let mut b = vec![0.0f32; lb * rows * n];
-        fill(&mut a, seed);
-        fill(&mut b, seed ^ 0xa5a5);
-        let c_items = if shared { 1 } else { lb };
-        let mut batched = vec![0.0f32; c_items * m * n];
-        let mut looped = vec![0.0f32; c_items * m * n];
-        kernels::matmul_at_b_batch_acc(&a, &b, &mut batched, lb, rows, m, n, shared);
-        for bi in 0..lb {
-            let cb = if shared {
-                &mut looped[..]
-            } else {
-                &mut looped[bi * m * n..][..m * n]
-            };
-            kernels::matmul_at_b_acc(
-                &a[bi * rows * m..][..rows * m],
-                &b[bi * rows * n..][..rows * n],
-                cb, m, rows, n,
-            );
-        }
-        assert_bits_eq(&batched, &looped, "matmul_at_b_batch vs loop");
     }
 }

@@ -130,19 +130,35 @@ fn batched_matmul_bit_identical() {
         (3, 1, 257, 1),
     ] {
         let a = Tensor::randn(&[batch, m, k], 1.0, 53);
-        let b = Tensor::randn(&[batch, k, n], 1.0, 59);
-        let b2 = Tensor::randn(&[k, n], 1.0, 61);
-        let matmul = |rhs: &Tensor| {
+        let b = Tensor::randn(&[k, n], 1.0, 61);
+        assert_bit_identical(&format!("batched matmul {batch}x{m}x{k}x{n}"), || {
             let mut g = Graph::new();
-            let (x, y) = (g.input(a.clone()), g.input(rhs.clone()));
+            let (x, y) = (g.input(a.clone()), g.input(b.clone()));
             let c = g.matmul(x, y);
             g.value(c).data().to_vec()
-        };
-        assert_bit_identical(&format!("batched matmul {batch}x{m}x{k}x{n}"), || {
-            matmul(&b)
-        });
-        assert_bit_identical(&format!("broadcast matmul {batch}x{m}x{k}x{n}"), || {
-            matmul(&b2)
         });
     }
+}
+
+#[test]
+fn attention_bit_identical_with_dropout() {
+    let _guard = config_lock();
+    // BERT's shape: 16 ragged sequences of up to 26 tokens, 6 heads of 22.
+    let (s, heads, dh) = (26, 6, 22);
+    let lens: Vec<usize> = (0..16).map(|b| 10 + (b * 7) % 17).collect();
+    let inner = heads * dh;
+    let qkv = Tensor::randn(&[lens.len() * s, 3 * inner], 1.0, 67);
+    let weights = Tensor::randn(&[lens.len() * s, inner], 1.0, 71);
+    assert_bit_identical("attention forward and backward", || {
+        let mut g = Graph::with_seed(5);
+        let x = g.input(qkv.clone());
+        let ctx = g.attention(x, &lens, heads, 0.1);
+        let w = g.input(weights.clone());
+        let weighted = g.mul(ctx, w);
+        let loss = g.sum(weighted);
+        g.backward(loss);
+        let mut out = g.value(ctx).data().to_vec();
+        out.extend_from_slice(g.grad(x).unwrap().data());
+        out
+    });
 }

@@ -42,18 +42,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_matmul_grad(seed in 0u64..500) {
-        let a = Tensor::randn(&[2, 2, 3], 0.8, seed);
-        let b = Tensor::randn(&[2, 3, 2], 0.8, seed ^ 4);
-        let r = gradcheck(&[a, b], |g, v| {
-            let m = g.matmul(v[0], v[1]);
-            let sq = g.mul(m, m);
-            g.sum(sq)
-        });
-        prop_assert!(r.passes(3e-2), "{r:?}");
-    }
-
-    #[test]
     fn broadcast_rhs_matmul_grad(seed in 0u64..500) {
         let a = Tensor::randn(&[2, 2, 3], 0.8, seed);
         let w = Tensor::randn(&[3, 2], 0.8, seed ^ 5);
@@ -65,18 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn swap_axes12_grad(seed in 0u64..500) {
-        let a = Tensor::randn(&[1, 2, 3, 2], 1.0, seed);
-        let w = Tensor::randn(&[1, 3, 2, 2], 1.0, seed ^ 12);
-        let r = gradcheck(&[a, w], |g, v| {
-            let s = g.swap_axes12(v[0]);
-            let m = g.mul(s, v[1]);
-            g.sum(m)
-        });
-        prop_assert!(r.passes(2e-2), "{r:?}");
-    }
-
-    #[test]
     fn select_axis1_grad(seed in 0u64..500, index in 0usize..3) {
         let a = Tensor::randn(&[2, 3, 4], 1.0, seed);
         let r = gradcheck(&[a], |g, v| {
@@ -85,18 +61,6 @@ proptest! {
             g.sum(sq)
         });
         prop_assert!(r.passes(2e-2), "{r:?}");
-    }
-
-    #[test]
-    fn softmax_weighted_grad(seed in 0u64..500) {
-        let x = Tensor::randn(&[2, 5], 1.0, seed);
-        let w = Tensor::randn(&[2, 5], 1.0, seed ^ 6);
-        let r = gradcheck(&[x, w], |g, v| {
-            let s = g.softmax(v[0]);
-            let m = g.mul(s, v[1]);
-            g.sum(m)
-        });
-        prop_assert!(r.passes(3e-2), "{r:?}");
     }
 
     #[test]
@@ -132,17 +96,6 @@ proptest! {
             let b = g.gelu(v[0]);
             let c = g.sigmoid(b);
             g.sum(c)
-        });
-        prop_assert!(r.passes(3e-2), "{r:?}");
-    }
-
-    #[test]
-    fn scale_grad(seed in 0u64..500, c in -2.0f32..2.0) {
-        let x = Tensor::randn(&[5], 1.0, seed);
-        let r = gradcheck(&[x], |g, v| {
-            let a = g.scale(v[0], c);
-            let sq = g.mul(a, a);
-            g.sum(sq)
         });
         prop_assert!(r.passes(3e-2), "{r:?}");
     }

@@ -3,9 +3,10 @@
 # directory (crates/* and vendor/*), committed in scripts/loc.tsv.
 #
 # A directory's count is the number of lines in its git-tracked *.rs files
-# outside its tests/ directory, where each file is cut at its first
-# column-0 `#[cfg(test)]` (the line that opens `mod tests`). The fedbench
-# package (bench/) is not counted.
+# outside its tests/ directory, where each file is cut at the first
+# column-0 `#[cfg(test)]` line that is followed by `mod tests`. A
+# `#[cfg(test)]` on any other item (an `impl`, a helper `fn`) is counted
+# like the item itself. The fedbench package (bench/) is not counted.
 #
 #   scripts/loc.sh            print the table (directory<TAB>lines, then total)
 #   scripts/loc.sh --write    rewrite scripts/loc.tsv from the tree
@@ -24,7 +25,12 @@ count() {
         [ -d "$dir" ] || continue
         # xargs may split a long file list over several awk runs; sum them.
         n=$(git ls-files -- "$dir/*.rs" | { grep -v "^$dir/tests/" || true; } \
-            | xargs -r awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' \
+            | xargs -r awk '
+                FNR == 1 { held = 0 }
+                held { held = 0; if (/^mod tests([ {;]|$)/) nextfile; n++ }
+                /^#\[cfg\(test\)\]/ { held = 1; next }
+                { n++ }
+                END { print n + 0 }' \
             | awk '{ s += $1 } END { print s + 0 }')
         printf '%s\t%s\n' "$dir" "$n"
         total=$((total + n))

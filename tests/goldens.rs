@@ -9,7 +9,8 @@
 //! rounding in the micro-kernel fails a row.
 //!
 //! The cases: one packed GEMM per kind at a shape the models run, one
-//! LSTM and one BERT-mini training step (gradient digests), three
+//! LSTM and one BERT-mini training step (gradient digests), BERT-mini's
+//! evaluation outputs on ragged lengths, three
 //! 4-site, 2-round LSTM federations (raw and flat; `delta+topk0.05+int8`
 //! under `tree = 2x2`; DP with client sampling) and a 3-site, 2-round
 //! BERT-mini MLM federation. Every result is identical at any
@@ -31,6 +32,7 @@ use clinfl_models::{
     BertConfig, BertModel, LstmClassifier, LstmConfig, SequenceClassifier, TokenBatch,
 };
 use clinfl_tensor::{kernels, Graph};
+use clinfl_text::IGNORE_INDEX;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -206,6 +208,62 @@ fn step_lstm_gradients() {
 fn step_bert_mini_gradients() {
     golden("step_bert_mini_gradients", || {
         step_gradients(BertModel::new(&BertConfig::bert_mini(300, 26), 12), 300)
+    });
+}
+
+/// BERT-mini in evaluation mode on 32 sequences of 6 to 26 real tokens:
+/// the classification and MLM losses, and the gradients of the two heads,
+/// which are functions of forward values only (the `[CLS]` states and
+/// logits, the labelled positions' states and logits). Evaluation reorders
+/// no sum, so the row pins the attention's key-length masking and the MLM
+/// head's gather of labelled rows to the bits of the composition they
+/// replaced: the additive-mask attention over every padded position and
+/// the head over every position.
+#[test]
+fn eval_bert_mini_outputs() {
+    golden("eval_bert_mini_outputs", || {
+        let (b, s, vocab) = (32, 26, 300);
+        let mut model = BertModel::new(&BertConfig::bert_mini(vocab, s), 13);
+        let mut ids = vec![0u32; b * s];
+        let mut mask = vec![0u8; b * s];
+        let mut mlm_labels = vec![IGNORE_INDEX; b * s];
+        for row in 0..b {
+            for i in 0..6 + (row * 5) % 21 {
+                let at = row * s + i;
+                ids[at] = 5 + ((at * 7919) % (vocab - 6)) as u32;
+                mask[at] = 1;
+                if i > 0 && at % 7 == 3 {
+                    mlm_labels[at] = 5 + (at % 50) as i32;
+                }
+            }
+        }
+        let labels: Vec<i32> = (0..b).map(|i| (i % 3 == 0) as i32).collect();
+        let batch = TokenBatch {
+            ids: &ids,
+            mask: &mask,
+            batch_size: b,
+            seq_len: s,
+        };
+        let mut g = Graph::new();
+        g.set_training(false);
+        let cls = model.classification_loss(&mut g, &batch, &labels);
+        let mlm = model.mlm_loss(&mut g, &batch, &mlm_labels);
+        let losses = vec![g.value(cls).item(), g.value(mlm).item()];
+        let loss = g.add(cls, mlm);
+        g.backward(loss);
+        g.grads_into(model.params_mut());
+        let params = model.params();
+        let mut out: Weights = params
+            .iter()
+            .filter(|(_, name, _)| name.contains("_head"))
+            .map(|(id, name, _)| {
+                let grad = params.grad(id);
+                let t = WeightTensor::new(grad.dims().to_vec(), grad.data().to_vec());
+                (name.to_string(), t)
+            })
+            .collect();
+        out.insert("losses".to_string(), WeightTensor::new(vec![2], losses));
+        weights_digest(&out)
     });
 }
 
