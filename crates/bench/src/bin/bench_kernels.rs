@@ -14,6 +14,11 @@
 //! `MIN_SPEEDUP` (2.5). This is the CI leg that keeps the packed kernels'
 //! win from silently evaporating.
 //!
+//! Each case alternates short repeats of its packed and reference loops
+//! and keeps each side's fastest repeat, so a burst of noise on a shared
+//! host slows one repeat of one side instead of a whole side, and the
+//! aggregate does not flip on it.
+//!
 //! Both kernel families accumulate with `f32::mul_add`. The header
 //! prints whether the build targets `fma`; without it every `mul_add` is
 //! a libm call and the timings mean nothing, so the run exits 1.
@@ -26,8 +31,10 @@ use clinfl_obs::json::Value;
 use clinfl_tensor::kernels;
 use std::time::Instant;
 
-/// Schema identifier stamped into every report.
-const SCHEMA: &str = "clinfl-bench-kernels/v2";
+/// Schema identifier stamped into every report. Since v3 a case's
+/// `iters` count one repeat and its `packed_ms` / `ref_ms` are each
+/// kernel's fastest repeat.
+const SCHEMA: &str = "clinfl-bench-kernels/v3";
 
 /// Enforced floor on the aggregate matmul-histogram speedup.
 const MIN_SPEEDUP: f64 = 2.5;
@@ -35,9 +42,12 @@ const MIN_SPEEDUP: f64 = 2.5;
 /// Where the report lands (a CI upload artifact; nothing reads it back).
 const OUT: &str = "BENCH_kernels.json";
 
-/// Target measurement time per (case, kernel) timing loop, in ns. Long
-/// enough that the slowest case runs tens of iterations on the CI box.
-const TARGET_NS: u64 = 150_000_000;
+/// Timed repeats per (case, kernel); the two kernels alternate.
+const REPEATS: u64 = 5;
+
+/// Target measurement time per packed repeat, in ns: the repeats of a
+/// case together take about as long as one 150 ms loop.
+const TARGET_NS: u64 = 150_000_000 / REPEATS;
 
 /// Which GEMM variant a case exercises.
 #[derive(Clone, Copy, PartialEq)]
@@ -203,11 +213,11 @@ fn main() {
     println!("OK: aggregate speedup {aggregate:.2}x >= {MIN_SPEEDUP}x");
 }
 
-/// Times one case: calibrates the iteration count on the packed kernel,
-/// then runs both kernels the same number of times. The output buffer
-/// keeps accumulating — harmless, the kernels are data-independent in
-/// cost — and is re-zeroed between the timed loops only to bound value
-/// growth.
+/// Times one case: calibrates the per-repeat iteration count on the
+/// packed kernel's fastest single call, then alternates `REPEATS` repeats of each kernel at that
+/// count and keeps each kernel's fastest. The output buffer keeps
+/// accumulating — harmless, the kernels are data-independent in cost —
+/// and is re-zeroed between the timed loops only to bound value growth.
 fn time_both(case: Case) -> Outcome {
     let (a_len, b_len, o_len) = buffer_sizes(&case);
     let mut a = vec![0.0f32; a_len];
@@ -217,12 +227,21 @@ fn time_both(case: Case) -> Outcome {
     let mut o = vec![0.0f32; o_len];
 
     run_case(&case, &a, &b, &mut o, false);
-    let probe = time_case(&case, &a, &b, &mut o, 1, false).max(1);
+    // The fastest of several single calls: the iteration counts weight the
+    // aggregate, so a slow probe must not reweight it.
+    let probe = (0..REPEATS)
+        .map(|_| time_case(&case, &a, &b, &mut o, 1, false))
+        .min()
+        .unwrap_or(0)
+        .max(1);
     let iters = (TARGET_NS / probe).clamp(1, 100_000);
-    o.iter_mut().for_each(|v| *v = 0.0);
-    let packed_ns = time_case(&case, &a, &b, &mut o, iters, false);
-    o.iter_mut().for_each(|v| *v = 0.0);
-    let ref_ns = time_case(&case, &a, &b, &mut o, iters, true);
+    let (mut packed_ns, mut ref_ns) = (u64::MAX, u64::MAX);
+    for _ in 0..REPEATS {
+        for (reference, best) in [(false, &mut packed_ns), (true, &mut ref_ns)] {
+            o.iter_mut().for_each(|v| *v = 0.0);
+            *best = (*best).min(time_case(&case, &a, &b, &mut o, iters, reference));
+        }
+    }
 
     let outcome = Outcome {
         case,
@@ -232,7 +251,7 @@ fn time_both(case: Case) -> Outcome {
     };
     let c = &outcome.case;
     println!(
-        "{:>12} {:>12} {:>3}x{:<3}x{:<3} {:>6} iters  packed {:>8.3} ms  \
+        "{:>12} {:>12} {:>3}x{:<3}x{:<3} {:>6} iters/repeat  packed {:>8.3} ms  \
          ref {:>8.3} ms  speedup {:>5.2}x  {:>6.2} GFLOP/s",
         c.name,
         c.kind.name(),
@@ -273,6 +292,7 @@ fn build_report(outcomes: &[Outcome], packed_total: u64, ref_total: u64) -> Valu
             "run",
             Value::object(vec![
                 ("workload", Value::Str("gemm-shapes".to_string())),
+                ("repeats", Value::UInt(REPEATS)),
                 (
                     "threads",
                     Value::UInt(clinfl_tensor::pool::num_threads() as u64),

@@ -96,11 +96,9 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Base backoff between attempts; doubles each retry.
     pub backoff: Duration,
-    /// Deadline for a single receive attempt.
+    /// Deadline for a single receive attempt; when one times out the
+    /// client sends a keepalive [`ClientMessage::Heartbeat`].
     pub message_timeout: Duration,
-    /// Whether to send a keepalive [`ClientMessage::Heartbeat`] after a
-    /// receive attempt times out.
-    pub heartbeat: bool,
     /// How many copies of each `Submit`/`ValidateReport` to send. A
     /// sender cannot detect a silently dropped frame, so on lossy links
     /// redundant copies are the only recovery; the server dedups by site,
@@ -114,7 +112,6 @@ impl Default for RetryPolicy {
             max_attempts: 6,
             backoff: Duration::from_millis(50),
             message_timeout: Duration::from_secs(600),
-            heartbeat: true,
             submit_copies: 1,
         }
     }
@@ -373,16 +370,13 @@ impl FlClient {
     }
 
     /// Receives the next frame under the retry policy: each attempt waits
-    /// `message_timeout`; on timeout a heartbeat is sent (if enabled) and
-    /// the attempt is retried after backoff, up to `max_attempts`.
+    /// `message_timeout`; on timeout a heartbeat is sent and the attempt
+    /// is retried after backoff, up to `max_attempts`.
     fn recv_with_retry(&mut self) -> Result<Vec<u8>, FlareError> {
         let mut backoff = self.retry.backoff;
         for attempt in 1..=self.retry.max_attempts.max(1) {
             match self.conn.rx.recv(self.retry.message_timeout) {
-                Ok(frame) => {
-                    self.obs.bytes_rx.add(frame.len() as u64);
-                    return Ok(frame);
-                }
+                Ok(frame) => return Ok(frame),
                 Err(FlareError::Timeout) if attempt < self.retry.max_attempts => {
                     self.obs.timeouts.add(1);
                     self.obs.retries.add(1);
@@ -395,10 +389,8 @@ impl FlClient {
                             self.retry.max_attempts - 1
                         ),
                     );
-                    if self.retry.heartbeat {
-                        if let Err(e) = self.heartbeat() {
-                            self.note_send_error("heartbeat", &e);
-                        }
+                    if let Err(e) = self.heartbeat() {
+                        self.note_send_error("heartbeat", &e);
                     }
                     std::thread::sleep(backoff);
                     backoff = backoff.saturating_mul(2);
@@ -457,22 +449,14 @@ impl FlClient {
                     break; // re-propose (the frame may have been dropped)
                 }
                 match self.conn.rx.recv(left) {
-                    Ok(frame) => {
-                        self.obs.bytes_rx.add(frame.len() as u64);
-                        let Ok(plain) = self.open.open(&frame) else {
-                            continue;
-                        };
-                        let Ok(msg) = ServerMessage::from_frame(&plain) else {
-                            continue;
-                        };
-                        match msg {
-                            ServerMessage::CodecAck { chosen: c, .. } => {
-                                chosen = c;
-                                break 'attempts;
-                            }
-                            other => self.pending.push_back(other),
+                    Ok(frame) => match self.open_frame(&frame) {
+                        Some(ServerMessage::CodecAck { chosen: c, .. }) => {
+                            chosen = c;
+                            break 'attempts;
                         }
-                    }
+                        Some(other) => self.pending.push_back(other),
+                        None => {}
+                    },
                     Err(FlareError::Timeout) => break,
                     Err(_) => break 'attempts,
                 }
@@ -547,34 +531,28 @@ impl FlClient {
         }
     }
 
-    /// Builds the uplink submission: codec-encoded when a codec is
-    /// active and the payload is plain weights, raw otherwise (e.g.
-    /// `WeightDiff` produced by a filter chain).
-    fn encode_submit(&mut self, round: u32, dxo: Dxo) -> ClientMessage {
-        if matches!(dxo.kind, DxoKind::Weights) {
-            if let Some(uplink) = self.uplink.as_mut() {
-                let ack = self.cache.latest_id();
-                let base = ack.and_then(|id| self.cache.get(id).map(|w| (&**w, id)));
-                match uplink.encode(&dxo.weights, base) {
-                    Ok(enc) => {
-                        return ClientMessage::SubmitEnc {
-                            round,
-                            ack: ack.unwrap_or(NO_BASE),
-                            n_examples: dxo.n_examples,
-                            metrics: dxo.metrics,
-                            enc,
-                        };
-                    }
-                    Err(e) => {
-                        self.log.warn(
-                            "FederatedClient",
-                            format!("{}: uplink encode failed ({e}); sending raw", self.site),
-                        );
-                    }
-                }
+    /// Encodes an uplink payload with the negotiated codec, against the
+    /// latest downlink this client reconstructed, and returns it with that
+    /// downlink's ack. `None` means the payload ships raw: no codec is
+    /// active, the payload is not plain weights (e.g. `WeightDiff` from a
+    /// filter chain), or the encode failed.
+    fn encode_uplink(&mut self, dxo: &Dxo) -> Option<(EncodedWeights, u32)> {
+        if !matches!(dxo.kind, DxoKind::Weights) {
+            return None;
+        }
+        let uplink = self.uplink.as_mut()?;
+        let ack = self.cache.latest_id();
+        let base = ack.and_then(|id| self.cache.get(id).map(|w| (&**w, id)));
+        match uplink.encode(&dxo.weights, base) {
+            Ok(enc) => Some((enc, ack.unwrap_or(NO_BASE))),
+            Err(e) => {
+                self.log.warn(
+                    "FederatedClient",
+                    format!("{}: uplink encode failed ({e}); sending raw", self.site),
+                );
+                None
             }
         }
-        ClientMessage::Submit { round, dxo }
     }
 
     /// Runs codec negotiation if it has not happened yet: proposes the
@@ -618,33 +596,17 @@ impl FlClient {
         sites: Vec<(String, BTreeMap<String, f64>)>,
         dropped: Vec<String>,
     ) -> Result<(), FlareError> {
-        let mut ack = NO_BASE;
-        let mut payload = None;
-        if matches!(dxo.kind, DxoKind::Weights) {
-            if let Some(uplink) = self.uplink.as_mut() {
-                let latest = self.cache.latest_id();
-                let base = latest.and_then(|id| self.cache.get(id).map(|w| (&**w, id)));
-                match uplink.encode(&dxo.weights, base) {
-                    Ok(enc) => {
-                        ack = latest.unwrap_or(NO_BASE);
-                        payload = Some(ShardPayload::Encoded(enc));
-                    }
-                    Err(e) => {
-                        self.log.warn(
-                            "FederatedClient",
-                            format!("{}: uplink encode failed ({e}); sending raw", self.site),
-                        );
-                    }
-                }
-            }
-        }
+        let (payload, ack) = match self.encode_uplink(&dxo) {
+            Some((enc, ack)) => (ShardPayload::Encoded(enc), ack),
+            None => (ShardPayload::Raw(dxo.weights), NO_BASE),
+        };
         let msg = ClientMessage::SubmitShard {
             round,
             ack,
             n_examples: dxo.n_examples,
             sites,
             dropped,
-            payload: payload.unwrap_or(ShardPayload::Raw(dxo.weights)),
+            payload,
         };
         self.send_redundant(&msg, &format!("submit shard round {round}"))
     }
@@ -667,6 +629,28 @@ impl FlClient {
         self.send_redundant(&msg, &format!("validate shard round {round}"))
     }
 
+    /// Counts, decrypts, and decodes one server frame. A truncated,
+    /// tampered or undecodable frame is a link fault, not a session killer:
+    /// it is logged and skipped (`None`).
+    fn open_frame(&mut self, frame: &[u8]) -> Option<ServerMessage> {
+        self.obs.bytes_rx.add(frame.len() as u64);
+        let decoded = self
+            .open
+            .open(frame)
+            .map_err(|e| format!("rejected corrupt frame: {e}"))
+            .and_then(|plain| {
+                ServerMessage::from_frame(&plain).map_err(|e| format!("undecodable message: {e}"))
+            });
+        match decoded {
+            Ok(msg) => Some(msg),
+            Err(why) => {
+                self.log
+                    .warn("FederatedClient", format!("{}: {why}", self.site));
+                None
+            }
+        }
+    }
+
     /// Receives, decrypts, and decodes the next task assignment. Corrupt
     /// or non-task frames are skipped; encoded tasks are decoded against
     /// the payload cache (an undecodable payload skips the task and waits
@@ -677,30 +661,13 @@ impl FlClient {
     /// Transport failures or an exhausted receive budget.
     pub fn next_task(&mut self) -> Result<TaskAssignment, FlareError> {
         loop {
-            let msg = if let Some(m) = self.pending.pop_front() {
-                m
-            } else {
-                let frame = self.recv_with_retry()?;
-                let plain = match self.open.open(&frame) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        // A truncated/tampered frame is a link fault, not a
-                        // session killer: skip it and wait for the next task.
-                        self.log.warn(
-                            "FederatedClient",
-                            format!("{}: rejected corrupt frame: {e}", self.site),
-                        );
-                        continue;
-                    }
-                };
-                match ServerMessage::from_frame(&plain) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        self.log.warn(
-                            "FederatedClient",
-                            format!("{}: undecodable message: {e}", self.site),
-                        );
-                        continue;
+            let msg = match self.pending.pop_front() {
+                Some(m) => m,
+                None => {
+                    let frame = self.recv_with_retry()?;
+                    match self.open_frame(&frame) {
+                        Some(m) => m,
+                        None => continue,
                     }
                 }
             };
@@ -754,25 +721,8 @@ impl FlClient {
             }
             match self.conn.rx.recv(Duration::from_millis(1)) {
                 Ok(frame) => {
-                    self.obs.bytes_rx.add(frame.len() as u64);
-                    let plain = match self.open.open(&frame) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            self.log.warn(
-                                "FederatedClient",
-                                format!("{}: rejected corrupt frame: {e}", self.site),
-                            );
-                            continue;
-                        }
-                    };
-                    match ServerMessage::from_frame(&plain) {
-                        Ok(m) => self.pending.push_back(m),
-                        Err(e) => {
-                            self.log.warn(
-                                "FederatedClient",
-                                format!("{}: undecodable message: {e}", self.site),
-                            );
-                        }
+                    if let Some(m) = self.open_frame(&frame) {
+                        self.pending.push_back(m);
                     }
                 }
                 Err(FlareError::Timeout) => return false,
@@ -867,7 +817,16 @@ impl FlClient {
                     drop(permit);
                     dxo = self.filters.apply(dxo, &weights, round);
                     debug_assert!(matches!(dxo.kind, DxoKind::Weights | DxoKind::WeightDiff));
-                    let msg = self.encode_submit(round, dxo);
+                    let msg = match self.encode_uplink(&dxo) {
+                        Some((enc, ack)) => ClientMessage::SubmitEnc {
+                            round,
+                            ack,
+                            n_examples: dxo.n_examples,
+                            metrics: dxo.metrics,
+                            enc,
+                        },
+                        None => ClientMessage::Submit { round, dxo },
+                    };
                     self.send_redundant(&msg, &format!("submit round {round}"))?;
                     trained += 1;
                 }

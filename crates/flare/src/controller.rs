@@ -9,7 +9,7 @@ use crate::messages::TaskAssignment;
 use crate::persistor::Persistor;
 use crate::simulator::TreeConfig;
 use crate::FlareError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,6 +25,8 @@ pub trait ClientGateway {
 
     /// Gathers model updates for `round` until `expected` leaf sites are
     /// covered, `timeout` elapses, or the quorum grace closes the round.
+    /// Each update comes as `(child, update, the leaves it covers)`: a
+    /// leaf's own update is a one-leaf shard (see [`leaf_roll_call`]).
     /// Returns `None` — abandoning the gather — once `cancel` reports
     /// `true`: the controller passes its abort flag, an interior tree
     /// node a probe that its parent has already moved on.
@@ -36,7 +38,7 @@ pub trait ClientGateway {
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, Dxo)>>;
+    ) -> Option<Vec<(String, Dxo, ShardMeta)>>;
 
     /// The validation-phase twin of [`ClientGateway::gather_submissions`]:
     /// one `(leaf site, metric)` pair per reporting leaf.
@@ -53,14 +55,6 @@ pub trait ClientGateway {
     /// expands interior aggregator nodes into the leaves they announced.
     fn leaf_sites(&self) -> Vec<String> {
         self.client_sites()
-    }
-
-    /// Leaf-granular bookkeeping for `round` gathered from interior
-    /// aggregator shards, or `None` when every update came straight from
-    /// a leaf (flat topology).
-    fn round_manifest(&self, round: u32) -> Option<RoundManifest> {
-        let _ = round;
-        None
     }
 
     /// Sends a task to the named subset of sites, returning the delivered
@@ -114,37 +108,43 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-leaf bookkeeping for one shard of a tree round: which leaf sites
-/// an interior aggregator folded into its partial update (with their
-/// training metrics), and which of its leaves it expected but lost.
+/// Per-leaf bookkeeping for one gathered update: which leaf sites it
+/// folds in (with their training metrics), and which leaves its sender
+/// expected but lost. A leaf's own update is a one-leaf shard.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardMeta {
-    /// `(leaf site, training metrics)` pairs folded into the shard.
+    /// `(leaf site, training metrics)` pairs folded into the update.
     pub sites: Vec<(String, BTreeMap<String, f64>)>,
-    /// Leaf sites the shard's aggregator expected but did not hear from.
+    /// Leaf sites the sender expected but did not hear from.
     pub dropped: Vec<String>,
 }
 
-/// The leaf-granular view of a tree round, keyed by the direct child
-/// (interior node or leaf) that delivered each shard.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RoundManifest {
-    /// Shard bookkeeping per direct child, in child-name order.
-    pub shards: BTreeMap<String, ShardMeta>,
+impl ShardMeta {
+    /// The bookkeeping of a leaf's own update.
+    pub fn leaf(site: &str, metrics: &BTreeMap<String, f64>) -> Self {
+        ShardMeta {
+            sites: vec![(site.to_string(), metrics.clone())],
+            dropped: Vec::new(),
+        }
+    }
 }
 
-impl RoundManifest {
-    /// Every leaf contributor across all shards with its metrics, sorted
-    /// by leaf name.
-    pub fn leaf_contributors(&self) -> Vec<(String, BTreeMap<String, f64>)> {
-        let mut out: Vec<(String, BTreeMap<String, f64>)> = self
-            .shards
-            .values()
-            .flat_map(|s| s.sites.iter().cloned())
-            .collect();
-        out.sort_by(|(a, _), (b, _)| a.cmp(b));
-        out
-    }
+/// The leaf-granular view of a gather, the same for flat and tree rounds:
+/// every leaf the updates cover, with its training metrics, sorted by
+/// leaf name, and the `expected` leaves that none of them covers.
+pub fn leaf_roll_call(updates: &[(String, Dxo, ShardMeta)], expected: &[String]) -> ShardMeta {
+    let mut sites: Vec<(String, BTreeMap<String, f64>)> = updates
+        .iter()
+        .flat_map(|(_, _, meta)| meta.sites.iter().cloned())
+        .collect();
+    sites.sort_by(|(a, _), (b, _)| a.cmp(b));
+    let covered: BTreeSet<&String> = sites.iter().map(|(s, _)| s).collect();
+    let dropped = expected
+        .iter()
+        .filter(|s| !covered.contains(s))
+        .cloned()
+        .collect();
+    ShardMeta { sites, dropped }
 }
 
 /// Configuration of the ScatterAndGather workflow.
@@ -419,7 +419,7 @@ impl ScatterAndGather {
             self.log
                 .info(tag, format!("Scattered global model to {sent} client(s)."));
             let mut cancel = || self.abort_requested();
-            let Some(mut updates) =
+            let Some(mut gathered) =
                 gateway.gather_submissions(round, expected, self.config.round_timeout, &mut cancel)
             else {
                 return Err(self.finish_aborted(gateway, tag, round));
@@ -427,38 +427,26 @@ impl ScatterAndGather {
             // Sites train concurrently and submit in arrival order; sort by
             // site name so aggregation order (and the floating-point result)
             // is independent of the thread schedule.
-            updates.sort_by(|(a, _), (b, _)| a.cmp(b));
+            gathered.sort_by(|(a, ..), (b, ..)| a.cmp(b));
+            // Leaf-granular view: quorum, drop bookkeeping, and round
+            // summaries are expressed in leaf sites, whether an update is a
+            // leaf's own or an interior shard covering several leaves.
+            let ShardMeta {
+                sites: mut leaf_updates,
+                dropped,
+            } = leaf_roll_call(&gathered, &expected_sites);
             // Under sampling, drop any update from an unsampled site: a
             // gateway whose `send_to` falls back to broadcast (mocks, old
             // implementations) still has every client training, and their
             // updates must not leak into the aggregate.
             if sampling {
-                updates.retain(|(s, _)| expected_sites.binary_search(s).is_ok());
-            }
-            // Leaf-granular view: with a tree gateway each update is an
-            // interior shard covering several leaves; the manifest expands
-            // it so quorum, drop bookkeeping, and round summaries stay
-            // expressed in leaf sites exactly as in a flat run.
-            let mut leaf_updates: Vec<(String, BTreeMap<String, f64>)> =
-                match gateway.round_manifest(round) {
-                    Some(manifest) => manifest.leaf_contributors(),
-                    None => updates
-                        .iter()
-                        .map(|(s, d)| (s.clone(), d.metrics.clone()))
-                        .collect(),
-                };
-            if sampling {
+                gathered.retain(|(s, ..)| expected_sites.binary_search(s).is_ok());
                 leaf_updates.retain(|(s, _)| expected_sites.binary_search(s).is_ok());
             }
             for (site, _) in &leaf_updates {
                 self.log
                     .info(tag, format!("Contribution from {site} received."));
             }
-            let dropped: Vec<String> = expected_sites
-                .iter()
-                .filter(|site| !leaf_updates.iter().any(|(s, _)| s == *site))
-                .cloned()
-                .collect();
             for site in &dropped {
                 self.log
                     .warn(tag, format!("{site} missed round {round}; marked dropped."));
@@ -498,6 +486,8 @@ impl ScatterAndGather {
                     aggregator.name()
                 ),
             );
+            let updates: Vec<(String, Dxo)> =
+                gathered.into_iter().map(|(s, d, _)| (s, d)).collect();
             global = aggregator.aggregate(&updates, &global)?;
             self.log.info(tag, "End aggregation.");
 
@@ -657,7 +647,7 @@ mod tests {
             _expected: usize,
             _timeout: Duration,
             cancel: &mut dyn FnMut() -> bool,
-        ) -> Option<Vec<(String, Dxo)>> {
+        ) -> Option<Vec<(String, Dxo, ShardMeta)>> {
             if cancel() {
                 return None;
             }
@@ -674,7 +664,9 @@ mod tests {
                             *v += d;
                         }
                     }
-                    (format!("site-{}", i + 1), Dxo::from_weights(w, 10))
+                    let site = format!("site-{}", i + 1);
+                    let meta = ShardMeta::leaf(&site, &BTreeMap::new());
+                    (site, Dxo::from_weights(w, 10), meta)
                 })
                 .collect();
             Some(updates)

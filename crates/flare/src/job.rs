@@ -86,13 +86,12 @@ pub struct JobConfig {
 /// a submitted job can never choose where the host writes, nor inject
 /// faults or retry settings whose delays and copy counts an abort cannot
 /// cut short.
-const HOST_KEYS: [&str; 9] = [
+const HOST_KEYS: [&str; 8] = [
     "checkpoint_dir",
     "faults",
     "resume",
     "retain",
     "retry_backoff_ms",
-    "retry_heartbeat",
     "retry_max_attempts",
     "retry_message_timeout_s",
     "retry_submit_copies",
@@ -319,7 +318,7 @@ mod tests {
             ("retry_backoff_ms = 4294967296000", "set by the host"),
             ("retry_max_attempts = 4294967295", "set by the host"),
             ("retry_message_timeout_s = 4294967296", "set by the host"),
-            ("retry_heartbeat = false", "set by the host"),
+            ("retry_heartbeat = false", "unknown key"),
             ("dp = clip:1,sigma:0", "invalid dp"),
             ("dp = clip:inf", "invalid dp"),
             ("dp = clip:1,delta:1", "invalid dp"),

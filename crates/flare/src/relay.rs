@@ -21,12 +21,12 @@
 
 use crate::aggregator::Aggregator;
 use crate::client::FlClient;
-use crate::controller::ClientGateway;
+use crate::controller::{leaf_roll_call, ClientGateway, ShardMeta};
+use crate::dxo::Dxo;
 use crate::log::EventLog;
 use crate::messages::TaskAssignment;
 use crate::server::FlServer;
 use crate::FlareError;
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Knobs for one interior tree node.
@@ -180,17 +180,12 @@ impl AggregatorNode {
                 }
                 Err(e) => return Err(e),
             };
-            match task {
-                TaskAssignment::Train {
-                    round,
-                    total_rounds,
-                    weights,
+            match &task {
+                &TaskAssignment::Train {
+                    round, ref weights, ..
                 } => {
-                    let task = TaskAssignment::Train {
-                        round,
-                        total_rounds,
-                        weights: weights.clone(),
-                    };
+                    // The received task goes down as is; `weights` stays
+                    // the reference for the partial fold.
                     let delivered = self.server.broadcast(&task);
                     let expected = self.server.leaf_sites().len();
                     // The parent only sends another task after closing the
@@ -207,7 +202,7 @@ impl AggregatorNode {
                         self.cfg.round_timeout,
                         &mut || uplink.poll_pending_task(),
                     );
-                    let Some(mut updates) = gathered else {
+                    let Some(mut gathered) = gathered else {
                         self.log.warn(
                             "AggregatorNode",
                             format!(
@@ -218,8 +213,8 @@ impl AggregatorNode {
                         continue;
                     };
                     // Deterministic fold order regardless of arrival order.
-                    updates.sort_by(|(a, _), (b, _)| a.cmp(b));
-                    if updates.is_empty() {
+                    gathered.sort_by(|(a, ..), (b, ..)| a.cmp(b));
+                    if gathered.is_empty() {
                         self.log.warn(
                             "AggregatorNode",
                             format!(
@@ -230,20 +225,10 @@ impl AggregatorNode {
                         );
                         continue;
                     }
-                    let sites = match self.server.round_manifest(round) {
-                        Some(m) => m.leaf_contributors(),
-                        None => updates
-                            .iter()
-                            .map(|(s, d)| (s.clone(), d.metrics.clone()))
-                            .collect(),
-                    };
-                    let contributed: BTreeSet<&String> = sites.iter().map(|(s, _)| s).collect();
-                    let dropped: Vec<String> = leaves
-                        .iter()
-                        .filter(|l| !contributed.contains(l))
-                        .cloned()
-                        .collect();
-                    let partial = aggregator.partial(&updates, &weights)?;
+                    let ShardMeta { sites, dropped } = leaf_roll_call(&gathered, leaves);
+                    let updates: Vec<(String, Dxo)> =
+                        gathered.into_iter().map(|(s, d, _)| (s, d)).collect();
+                    let partial = aggregator.partial(&updates, weights)?;
                     self.log.info(
                         "AggregatorNode",
                         format!(
@@ -274,9 +259,8 @@ impl AggregatorNode {
                         Err(e) => return Err(e),
                     }
                 }
-                TaskAssignment::Validate { round, weights } => {
-                    self.server
-                        .broadcast(&TaskAssignment::Validate { round, weights });
+                &TaskAssignment::Validate { round, .. } => {
+                    self.server.broadcast(&task);
                     let expected = self.server.leaf_sites().len();
                     let server = &mut self.server;
                     let uplink = &mut self.uplink;

@@ -15,16 +15,18 @@
 //!
 //! The server also understands interior aggregation-tree nodes
 //! ([`crate::relay::AggregatorNode`]): a client that announces leaves and
-//! submits pre-aggregated shards is expanded back into per-leaf
-//! bookkeeping ([`crate::controller::RoundManifest`]) so quorum, drop
-//! accounting, and round summaries stay leaf-granular.
+//! submits pre-aggregated shards hands each update to the gather with
+//! its per-leaf bookkeeping ([`ShardMeta`]) so quorum, drop accounting,
+//! and round summaries stay leaf-granular. A leaf's own update is a
+//! one-leaf shard: every submit spelling is decoded into one `Uplink`
+//! record and takes one path into the gather.
 
 use crate::codec::{
     decode_weights, raw_submit_frame_size, raw_task_frame_size, wire_count, CodecSpec,
-    DownlinkKind, GlobalRing, NO_BASE, SUPPORTED_CODECS,
+    DownlinkKind, EncodedWeights, GlobalRing, NO_BASE, SUPPORTED_CODECS,
 };
-use crate::controller::{ClientGateway, RoundManifest, ShardMeta};
-use crate::dxo::{Dxo, DxoKind};
+use crate::controller::{ClientGateway, ShardMeta};
+use crate::dxo::{Dxo, DxoKind, Weights};
 use crate::lock;
 use crate::log::EventLog;
 use crate::messages::{ClientMessage, ServerMessage, ShardPayload, TaskAssignment};
@@ -53,10 +55,6 @@ const SERVER_NONCE_BASE: u64 = 1 << 32;
 /// and an interior node's uplink probe (a 1 ms receive) stays negligible.
 pub const GATHER_SLICE: Duration = Duration::from_millis(50);
 
-/// How many recent rounds of leaf manifests to retain for
-/// [`ClientGateway::round_manifest`] queries.
-const MANIFEST_RETENTION: usize = 4;
-
 struct ClientSlot {
     site: String,
     /// `None` once the server has released the connection (see
@@ -78,9 +76,9 @@ struct ClientSlot {
     /// Most recent downlink payload id this client acknowledged — the
     /// delta base for its next encoded downlink.
     acked: Option<u32>,
-    /// Leaf sites announced by an interior tree node, or `None` for an
-    /// ordinary leaf client.
-    leaves: Option<Vec<String>>,
+    /// The leaf sites below this client: the ones an interior tree node
+    /// announced, or just the client's own site.
+    leaves: Vec<String>,
 }
 
 /// Quorum knobs for the gather phase (see [`FlServer::set_quorum`]).
@@ -124,21 +122,35 @@ struct SessionCell {
 /// controller-facing gather loops.
 #[derive(Debug)]
 enum InboxMsg {
-    /// A round-`round` model update from the client in `slot`; `shard`
-    /// carries leaf bookkeeping when the update is a tree-node partial.
+    /// A round-`round` model update from the client `site`, with the
+    /// leaves it covers.
     Submit {
-        slot: usize,
+        site: String,
         round: u32,
         dxo: Dxo,
-        shard: Option<ShardMeta>,
+        shard: ShardMeta,
     },
     /// Validation metrics — one `(leaf, metric)` pair per leaf below the
-    /// client in `slot` (exactly one for an ordinary leaf client).
+    /// client `site` (exactly one for an ordinary leaf client).
     Validate {
-        slot: usize,
+        site: String,
         round: u32,
         reports: Vec<(String, f64)>,
     },
+}
+
+/// One uplink update as the server's edge decodes it, whichever message
+/// spelled it: a leaf's `Submit` or `SubmitEnc` is a one-leaf shard, an
+/// interior node's `SubmitShard` names its leaves itself.
+struct Uplink {
+    round: u32,
+    /// Downlink ack, or [`NO_BASE`] (a raw `Submit` carries none).
+    ack: u32,
+    kind: DxoKind,
+    payload: ShardPayload,
+    n_examples: u64,
+    metrics: BTreeMap<String, f64>,
+    shard: ShardMeta,
 }
 
 /// State shared between the [`FlServer`] handle, the reactor thread, and
@@ -341,7 +353,7 @@ impl ServerShared {
                 codec: None,
                 codec_decided: false,
                 acked: None,
-                leaves: None,
+                leaves: vec![site.clone()],
             });
             guard.len() - 1
         };
@@ -440,6 +452,18 @@ impl ServerShared {
                     self.reg.bump();
                 }
             }
+            Ok(ClientMessage::Submit { round, dxo }) => {
+                let up = Uplink {
+                    round,
+                    ack: NO_BASE,
+                    kind: dxo.kind,
+                    shard: ShardMeta::leaf(&site, &dxo.metrics),
+                    payload: ShardPayload::Raw(dxo.weights),
+                    n_examples: dxo.n_examples,
+                    metrics: dxo.metrics,
+                };
+                self.accept_update(slot_idx, &site, plain.len(), up, inbox);
+            }
             Ok(ClientMessage::SubmitEnc {
                 round,
                 ack,
@@ -447,71 +471,16 @@ impl ServerShared {
                 metrics,
                 enc,
             }) => {
-                let spec = {
-                    let mut guard = lock(&self.slots);
-                    let slot = &mut guard[slot_idx];
-                    if ack != NO_BASE {
-                        slot.acked = Some(ack);
-                    }
-                    slot.codec.clone()
+                let up = Uplink {
+                    round,
+                    ack,
+                    kind: DxoKind::Weights,
+                    shard: ShardMeta::leaf(&site, &metrics),
+                    payload: ShardPayload::Encoded(enc),
+                    n_examples,
+                    metrics,
                 };
-                match self.decode_uplink(&enc, spec.as_ref()) {
-                    Ok(weights) => {
-                        wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                        wire_count(
-                            "flare.wire.bytes_rx_raw",
-                            raw_submit_frame_size(&weights, &metrics),
-                        );
-                        let dxo = Dxo {
-                            kind: DxoKind::Weights,
-                            weights,
-                            metrics,
-                            n_examples,
-                        };
-                        let _ = inbox.send(InboxMsg::Submit {
-                            slot: slot_idx,
-                            round,
-                            dxo,
-                            shard: None,
-                        });
-                    }
-                    Err(e) => {
-                        wire_count("flare.wire.codec.decode_errors", 1);
-                        self.log.warn(
-                            "ClientManager",
-                            format!("{site}: dropping undecodable round-{round} submission: {e}"),
-                        );
-                    }
-                }
-            }
-            Ok(ClientMessage::ValidateReportEnc { round, metric, ack }) => {
-                if ack != NO_BASE {
-                    lock(&self.slots)[slot_idx].acked = Some(ack);
-                }
-                let _ = inbox.send(InboxMsg::Validate {
-                    slot: slot_idx,
-                    round,
-                    reports: vec![(site.clone(), metric)],
-                });
-            }
-            Ok(ClientMessage::Submit { round, dxo }) => {
-                // Raw submissions: raw and encoded wire bytes are the
-                // same by definition.
-                wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                wire_count("flare.wire.bytes_rx_raw", plain.len() as u64);
-                let _ = inbox.send(InboxMsg::Submit {
-                    slot: slot_idx,
-                    round,
-                    dxo,
-                    shard: None,
-                });
-            }
-            Ok(ClientMessage::ValidateReport { round, metric }) => {
-                let _ = inbox.send(InboxMsg::Validate {
-                    slot: slot_idx,
-                    round,
-                    reports: vec![(site.clone(), metric)],
-                });
+                self.accept_update(slot_idx, &site, plain.len(), up, inbox);
             }
             Ok(ClientMessage::SubmitShard {
                 round,
@@ -521,65 +490,30 @@ impl ServerShared {
                 dropped,
                 payload,
             }) => {
-                let spec = {
-                    let mut guard = lock(&self.slots);
-                    let slot = &mut guard[slot_idx];
-                    if ack != NO_BASE {
-                        slot.acked = Some(ack);
-                    }
-                    slot.codec.clone()
+                let up = Uplink {
+                    round,
+                    ack,
+                    kind: DxoKind::Weights,
+                    shard: ShardMeta { sites, dropped },
+                    payload,
+                    n_examples,
+                    metrics: BTreeMap::new(),
                 };
-                let decoded = match payload {
-                    ShardPayload::Raw(w) => {
-                        wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                        wire_count("flare.wire.bytes_rx_raw", plain.len() as u64);
-                        Ok(w)
-                    }
-                    ShardPayload::Encoded(enc) => {
-                        let r = self.decode_uplink(&enc, spec.as_ref());
-                        if let Ok(w) = &r {
-                            wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                            wire_count(
-                                "flare.wire.bytes_rx_raw",
-                                raw_submit_frame_size(w, &BTreeMap::new()),
-                            );
-                        }
-                        r
-                    }
-                };
-                match decoded {
-                    Ok(weights) => {
-                        let dxo = Dxo::from_weights(weights, n_examples);
-                        let _ = inbox.send(InboxMsg::Submit {
-                            slot: slot_idx,
-                            round,
-                            dxo,
-                            shard: Some(ShardMeta { sites, dropped }),
-                        });
-                    }
-                    Err(e) => {
-                        wire_count("flare.wire.codec.decode_errors", 1);
-                        self.log.warn(
-                            "ClientManager",
-                            format!("{site}: dropping undecodable round-{round} shard: {e}"),
-                        );
-                    }
-                }
+                self.accept_update(slot_idx, &site, plain.len(), up, inbox);
+            }
+            Ok(ClientMessage::ValidateReport { round, metric }) => {
+                let reports = vec![(site.clone(), metric)];
+                self.accept_reports(slot_idx, &site, round, NO_BASE, reports, inbox);
+            }
+            Ok(ClientMessage::ValidateReportEnc { round, metric, ack }) => {
+                let reports = vec![(site.clone(), metric)];
+                self.accept_reports(slot_idx, &site, round, ack, reports, inbox);
             }
             Ok(ClientMessage::ValidateShard {
                 round,
                 ack,
                 reports,
-            }) => {
-                if ack != NO_BASE {
-                    lock(&self.slots)[slot_idx].acked = Some(ack);
-                }
-                let _ = inbox.send(InboxMsg::Validate {
-                    slot: slot_idx,
-                    round,
-                    reports,
-                });
-            }
+            }) => self.accept_reports(slot_idx, &site, round, ack, reports, inbox),
             Ok(ClientMessage::AnnounceLeaves { sites }) => {
                 self.log.info(
                     "ClientManager",
@@ -588,7 +522,7 @@ impl ServerShared {
                         sites.len()
                     ),
                 );
-                lock(&self.slots)[slot_idx].leaves = Some(sites);
+                lock(&self.slots)[slot_idx].leaves = sites;
                 self.reg.bump();
             }
             Ok(msg) => {
@@ -608,26 +542,95 @@ impl ServerShared {
         }
     }
 
-    /// Reconstructs uplink weights against the ring (shared by `SubmitEnc`
-    /// and encoded `SubmitShard` payloads).
-    fn decode_uplink(
-        &self,
-        enc: &crate::codec::EncodedWeights,
-        spec: Option<&CodecSpec>,
-    ) -> Result<crate::dxo::Weights, FlareError> {
-        let ring = lock(&self.ring);
-        let base = if enc.base_id == NO_BASE {
-            None
-        } else {
-            spec.and_then(|sp| ring.recon(sp, enc.base_id))
-        };
-        if enc.base_id != NO_BASE && base.is_none() {
-            wire_count("flare.wire.codec.base_misses", 1);
-            return Err(FlareError::Codec(format!(
-                "uplink base payload {} unknown",
-                enc.base_id
-            )));
+    /// Records the downlink payload `slot` acknowledged: the delta base of
+    /// its next encoded downlink.
+    fn note_ack(&self, slot: usize, ack: u32) {
+        if ack != NO_BASE {
+            lock(&self.slots)[slot].acked = Some(ack);
         }
+    }
+
+    /// The one update routine: records the ack, decodes the payload,
+    /// counts its wire bytes and hands the update to the gather. A raw
+    /// payload's raw and encoded bytes are its frame by definition; an
+    /// encoded one stands for the raw `Submit` frame of what it decodes to.
+    fn accept_update(
+        &self,
+        slot: usize,
+        site: &str,
+        plain_len: usize,
+        up: Uplink,
+        inbox: &mpsc::Sender<InboxMsg>,
+    ) {
+        self.note_ack(slot, up.ack);
+        let plain_len = plain_len as u64;
+        let (weights, raw_len) = match up.payload {
+            ShardPayload::Raw(w) => (w, plain_len),
+            ShardPayload::Encoded(enc) => match self.decode_uplink(slot, &enc) {
+                Ok(w) => {
+                    let raw_len = raw_submit_frame_size(&w, &up.metrics);
+                    (w, raw_len)
+                }
+                Err(e) => {
+                    wire_count("flare.wire.codec.decode_errors", 1);
+                    self.log.warn(
+                        "ClientManager",
+                        format!(
+                            "{site}: dropping undecodable round-{} update: {e}",
+                            up.round
+                        ),
+                    );
+                    return;
+                }
+            },
+        };
+        wire_count("flare.wire.bytes_rx_encoded", plain_len);
+        wire_count("flare.wire.bytes_rx_raw", raw_len);
+        let dxo = Dxo {
+            kind: up.kind,
+            weights,
+            metrics: up.metrics,
+            n_examples: up.n_examples,
+        };
+        let _ = inbox.send(InboxMsg::Submit {
+            site: site.to_string(),
+            round: up.round,
+            dxo,
+            shard: up.shard,
+        });
+    }
+
+    /// The one report routine: records the ack and hands the `(leaf,
+    /// metric)` reports to the gather (a leaf's report is a one-leaf
+    /// `ValidateShard`).
+    fn accept_reports(
+        &self,
+        slot: usize,
+        site: &str,
+        round: u32,
+        ack: u32,
+        reports: Vec<(String, f64)>,
+        inbox: &mpsc::Sender<InboxMsg>,
+    ) {
+        self.note_ack(slot, ack);
+        let _ = inbox.send(InboxMsg::Validate {
+            site: site.to_string(),
+            round,
+            reports,
+        });
+    }
+
+    /// Reconstructs `slot`'s encoded uplink weights against the ring.
+    fn decode_uplink(&self, slot: usize, enc: &EncodedWeights) -> Result<Weights, FlareError> {
+        let spec = lock(&self.slots)[slot].codec.clone();
+        let ring = lock(&self.ring);
+        let base = match enc.base_id {
+            NO_BASE => None,
+            id => Some(spec.and_then(|sp| ring.recon(&sp, id)).ok_or_else(|| {
+                wire_count("flare.wire.codec.base_misses", 1);
+                FlareError::Codec(format!("uplink base payload {id} unknown"))
+            })?),
+        };
         decode_weights(enc, base)
     }
 }
@@ -666,8 +669,6 @@ pub struct FlServer {
     pump_threads: Vec<JoinHandle<()>>,
     rng: StdRng,
     quorum: QuorumPolicy,
-    /// Leaf manifests per gathered round (tree topologies only).
-    manifests: Mutex<BTreeMap<u32, RoundManifest>>,
 }
 
 impl std::fmt::Debug for FlServer {
@@ -711,7 +712,6 @@ impl FlServer {
                 min_clients: usize::MAX,
                 grace: None,
             },
-            manifests: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -888,7 +888,7 @@ impl FlServer {
             let count: usize = lock(&self.shared.slots)
                 .iter()
                 .filter(|s| s.alive)
-                .map(|s| s.leaves.as_ref().map_or(1, Vec::len))
+                .map(|s| s.leaves.len())
                 .sum();
             if count >= n || Instant::now() >= deadline {
                 return count;
@@ -978,29 +978,50 @@ impl FlServer {
         }
     }
 
-    /// How long the next inbox wait may run: bounded by the round
-    /// deadline, and — once the quorum is met — by the remaining grace
-    /// since the last accepted submission. `None` means stop waiting.
-    fn gather_wait(
+    /// The one wait loop behind both gathers. Hands each inbox message
+    /// to `take`, which returns how many leaves it newly covers, until
+    /// `expected` leaves are covered, the round deadline passes, or —
+    /// once the quorum is met — the grace since the last covering message
+    /// runs out. Returns `false` once `cancel` reports `true`; it is probed
+    /// at least every [`GATHER_SLICE`].
+    fn gather_leaves(
         &self,
-        got: usize,
-        deadline: Instant,
-        last_progress: Instant,
-    ) -> Option<Duration> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return None;
-        }
-        if got >= self.quorum.min_clients {
-            if let Some(grace) = self.quorum.grace {
-                let grace_left = grace.saturating_sub(last_progress.elapsed());
-                if grace_left.is_zero() {
-                    return None;
+        expected: usize,
+        timeout: Duration,
+        cancel: &mut dyn FnMut() -> bool,
+        mut take: impl FnMut(InboxMsg) -> usize,
+    ) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut last_progress = Instant::now();
+        let mut got = 0;
+        while got < expected {
+            if cancel() {
+                return false;
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let wait = match self.quorum.grace {
+                Some(grace) if got >= self.quorum.min_clients => {
+                    remaining.min(grace.saturating_sub(last_progress.elapsed()))
                 }
-                return Some(remaining.min(grace_left));
+                _ => remaining,
+            };
+            if wait.is_zero() {
+                break;
+            }
+            match self.inbox_rx.recv_timeout(wait.min(GATHER_SLICE)) {
+                Ok(msg) => {
+                    let covered = take(msg);
+                    if covered > 0 {
+                        got += covered;
+                        last_progress = Instant::now();
+                    }
+                }
+                // Re-evaluate the deadline/grace budget at the top.
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
-        Some(remaining)
+        true
     }
 }
 
@@ -1023,15 +1044,8 @@ impl ClientGateway for FlServer {
         lock(&self.shared.slots)
             .iter()
             .filter(|s| s.alive)
-            .flat_map(|s| match &s.leaves {
-                Some(leaves) => leaves.clone(),
-                None => vec![s.site.clone()],
-            })
+            .flat_map(|s| s.leaves.iter().cloned())
             .collect()
-    }
-
-    fn round_manifest(&self, round: u32) -> Option<RoundManifest> {
-        lock(&self.manifests).get(&round).cloned()
     }
 
     fn broadcast(&mut self, task: &TaskAssignment) -> usize {
@@ -1168,85 +1182,36 @@ impl ClientGateway for FlServer {
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, Dxo)>> {
-        let deadline = Instant::now() + timeout;
-        let mut last_progress = Instant::now();
-        let mut out: Vec<(String, Dxo)> = Vec::new();
-        // Leaf-granular accounting: a shard covering k leaves advances
-        // the quorum by k, and its bookkeeping lands in the round
-        // manifest so the controller can expand it back to leaves.
-        let mut metas: Vec<(String, ShardMeta)> = Vec::new();
-        let mut any_shard = false;
-        let mut got_leaves = 0usize;
-        while got_leaves < expected {
-            if cancel() {
-                return None;
-            }
-            let Some(wait) = self.gather_wait(got_leaves, deadline, last_progress) else {
-                break;
-            };
-            match self.inbox_rx.recv_timeout(wait.min(GATHER_SLICE)) {
-                Ok(InboxMsg::Submit {
-                    slot,
-                    round: r,
-                    dxo,
-                    shard,
-                }) if r == round => {
-                    let site = lock(&self.shared.slots)[slot].site.clone();
-                    if out.iter().any(|(s, _)| *s == site) {
-                        self.shared
-                            .log
-                            .warn("ServerRunner", format!("duplicate submit from {site}"));
-                        continue;
-                    }
-                    let meta = match shard {
-                        Some(m) => {
-                            any_shard = true;
-                            m
-                        }
-                        None => ShardMeta {
-                            sites: vec![(site.clone(), dxo.metrics.clone())],
-                            dropped: Vec::new(),
-                        },
-                    };
-                    got_leaves += meta.sites.len().max(1);
-                    metas.push((site.clone(), meta));
-                    out.push((site, dxo));
-                    last_progress = Instant::now();
+    ) -> Option<Vec<(String, Dxo, ShardMeta)>> {
+        // Leaf-granular quorum: a shard covering k leaves counts k. One
+        // update per direct child; a repeat is a redundant copy.
+        let mut out: Vec<(String, Dxo, ShardMeta)> = Vec::new();
+        let log = &self.shared.log;
+        let finished = self.gather_leaves(expected, timeout, cancel, |msg| match msg {
+            InboxMsg::Submit {
+                site,
+                round: r,
+                dxo,
+                shard,
+            } if r == round => {
+                if out.iter().any(|(s, ..)| *s == site) {
+                    log.warn("ServerRunner", format!("duplicate submit from {site}"));
+                    return 0;
                 }
-                Ok(msg) => {
-                    let slot = match &msg {
-                        InboxMsg::Submit { slot, .. } | InboxMsg::Validate { slot, .. } => *slot,
-                    };
-                    let site = lock(&self.shared.slots)[slot].site.clone();
-                    self.shared.log.warn(
-                        "ServerRunner",
-                        format!("{site}: out-of-phase message during round {round}: {msg:?}"),
-                    );
-                }
-                // Re-evaluate the deadline/grace budget at the top.
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                let covered = shard.sites.len().max(1);
+                out.push((site, dxo, shard));
+                covered
             }
-        }
-        {
-            let mut manifests = lock(&self.manifests);
-            if any_shard {
-                manifests.insert(
-                    round,
-                    RoundManifest {
-                        shards: metas.into_iter().collect(),
-                    },
+            msg => {
+                let (InboxMsg::Submit { site, .. } | InboxMsg::Validate { site, .. }) = &msg;
+                log.warn(
+                    "ServerRunner",
+                    format!("{site}: out-of-phase message during round {round}: {msg:?}"),
                 );
-            } else {
-                manifests.remove(&round);
+                0
             }
-            while manifests.len() > MANIFEST_RETENTION {
-                let oldest = *manifests.keys().next().expect("non-empty");
-                manifests.remove(&oldest);
-            }
-        }
-        Some(out)
+        });
+        finished.then_some(out)
     }
 
     fn gather_validations(
@@ -1256,32 +1221,22 @@ impl ClientGateway for FlServer {
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Vec<(String, f64)>> {
-        let deadline = Instant::now() + timeout;
-        let mut last_progress = Instant::now();
+        // One report per leaf, whichever child relayed it.
         let mut out: Vec<(String, f64)> = Vec::new();
-        while out.len() < expected {
-            if cancel() {
-                return None;
-            }
-            let Some(wait) = self.gather_wait(out.len(), deadline, last_progress) else {
-                break;
-            };
-            match self.inbox_rx.recv_timeout(wait.min(GATHER_SLICE)) {
-                Ok(InboxMsg::Validate {
-                    round: r, reports, ..
-                }) if r == round => {
-                    for (leaf, metric) in reports {
-                        if !out.iter().any(|(s, _)| *s == leaf) {
-                            out.push((leaf, metric));
-                            last_progress = Instant::now();
-                        }
+        let finished = self.gather_leaves(expected, timeout, cancel, |msg| match msg {
+            InboxMsg::Validate {
+                round: r, reports, ..
+            } if r == round => {
+                let before = out.len();
+                for (leaf, metric) in reports {
+                    if !out.iter().any(|(s, _)| *s == leaf) {
+                        out.push((leaf, metric));
                     }
                 }
-                Ok(_) => {} // stale submit etc.
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                out.len() - before
             }
-        }
-        Some(out)
+            _ => 0, // stale submit etc.
+        });
+        finished.then_some(out)
     }
 }

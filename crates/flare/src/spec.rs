@@ -142,12 +142,6 @@ pub const SPEC_KEYS: &[SpecKey] = &[
         set: |c, v| put(&mut c.retry.backoff, parse_duration(v, MS)),
     },
     SpecKey {
-        name: "retry_heartbeat",
-        hint: "BOOL",
-        get: |c| Some(c.retry.heartbeat.to_string()),
-        set: |c, v| put(&mut c.retry.heartbeat, boolean(v)),
-    },
-    SpecKey {
         name: "retry_max_attempts",
         hint: "N",
         get: |c| Some(c.retry.max_attempts.to_string()),
@@ -537,6 +531,20 @@ mod tests {
         );
         assert!(
             why.contains("dp: checkpoint has (unset), this run has clip:1,sigma:1,delta:0.00001"),
+            "{why}"
+        );
+    }
+
+    /// A checkpoint recorded under a key that no longer exists
+    /// (`retry_heartbeat`, whose heartbeat is now always on) is refused
+    /// at resume, and the refusal names the key.
+    #[test]
+    fn resume_refuses_a_spec_naming_a_removed_key() {
+        let now = SimulatorConfig::default().to_text();
+        let recorded = format!("{now}retry_heartbeat = true\n");
+        let why = resume_mismatch(&recorded, &now).unwrap();
+        assert_eq!(
+            why, "retry_heartbeat: checkpoint has true, this run has (unset)",
             "{why}"
         );
     }

@@ -120,15 +120,13 @@ fn arb_spec() -> impl Strategy<Value = SimulatorConfig> {
         any::<u32>(),
         arb_duration(60),
         arb_duration(4_000_000),
-        any::<bool>(),
         any::<u32>(),
     )
         .prop_map(
-            |(max_attempts, backoff, message_timeout, heartbeat, submit_copies)| RetryPolicy {
+            |(max_attempts, backoff, message_timeout, submit_copies)| RetryPolicy {
                 max_attempts,
                 backoff,
                 message_timeout,
-                heartbeat,
                 submit_copies,
             },
         );
