@@ -96,8 +96,13 @@ fn centralized_on(
         let acc = learner.evaluate(valid);
         history.push((stats.mean_loss, acc));
     }
+    // The last epoch's score is already the final model's.
+    let accuracy = match history.last() {
+        Some(&(_, acc)) => acc,
+        None => learner.evaluate(valid),
+    };
     TrainOutcome {
-        accuracy: learner.evaluate(valid),
+        accuracy,
         history,
         log: None,
         personalized_per_site: Vec::new(),

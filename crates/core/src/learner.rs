@@ -1,4 +1,5 @@
-//! Local training engines around the paper's models.
+//! Local training engines around the paper's models: one [`SiteLearner`]
+//! that runs either [`Head`], ADR classification or MLM pretraining.
 
 use crate::config::{ModelSpec, TrainHyper};
 use crate::weights::{params_to_weights, weights_to_params};
@@ -8,8 +9,9 @@ use clinfl_flare::Weights;
 use clinfl_models::{
     BertConfig, BertModel, LstmClassifier, LstmConfig, SequenceClassifier, TokenBatch,
 };
-use clinfl_tensor::{Adam, GradClip, Graph, LrSchedule, Optimizer};
+use clinfl_tensor::{Adam, GradClip, Graph, LrSchedule, Optimizer, Params, Var};
 use clinfl_text::{Encoded, MlmMasker, Vocab};
+use std::collections::BTreeMap;
 
 /// Summary of one local training epoch.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -65,16 +67,77 @@ impl<L: ParkArena> Drop for ParkOnDrop<'_, L> {
     }
 }
 
-/// A classification learner: one of the paper's three models plus an Adam
-/// optimizer and hyper-parameters, trainable locally and exchangeable with
-/// the federated runtime via [`Weights`].
-pub struct Learner {
-    model: Box<dyn SequenceClassifier + Send>,
+/// Training batches, each with the seed its step's graph is reset with.
+pub type Steps<'a> = Box<dyn Iterator<Item = (Batch, u64)> + 'a>;
+
+/// Evaluation batches.
+pub type Batches<'a> = Box<dyn Iterator<Item = Batch> + 'a>;
+
+/// What one learning task adds to the [`SiteLearner`] both tasks share:
+/// its model, its batches, its loss and score, and what its federated
+/// train task logs and reports. Weight exchange, the epoch loop (graph
+/// reset, forward, backward, clip, Adam step), FedProx and sharded
+/// validation are the learner's.
+pub trait Head: Send + 'static {
+    /// The network the head trains.
+    type Model: SequenceClassifier + Send + ?Sized;
+    /// One site's data: labelled rows, or a corpus of sequences.
+    type Data: ?Sized + ToOwned<Owned: Send>;
+    /// Whether each federated train task starts from fresh Adam moments.
+    /// A clinical site resets them, so its round depends only on the
+    /// global weights, its shard and its epoch count, not on moments
+    /// gathered on weights the server has since replaced. An MLM site
+    /// keeps its moments and its warm-up step across rounds, so the
+    /// warm-up ramps once per run; resetting them would move Fig. 2.
+    const FRESH_OPTIMIZER_EACH_ROUND: bool;
+    /// Whether the score is a mean over eval batches (a loss) rather than
+    /// over rows (an accuracy).
+    const MEAN_PER_BATCH: bool;
+
+    /// Rows (examples or sequences) in `data`.
+    fn len(data: &Self::Data) -> usize;
+    /// Training epoch `epoch`'s batches of `data`, `bs` rows each, for a
+    /// learner seeded with `seed`.
+    fn epoch<'a>(&'a self, data: &'a Self::Data, bs: usize, seed: u64, epoch: u64) -> Steps<'a>;
+    /// One training batch's loss.
+    fn loss(model: &Self::Model, g: &mut Graph, batch: &Batch) -> Var;
+    /// `shard`'s eval batches of `data`, `bs` rows each.
+    fn eval_batches<'a>(&'a self, data: &'a Self::Data, bs: usize, shard: Shard) -> Batches<'a>;
+    /// One eval batch's summed score (correct predictions, or its loss),
+    /// in evaluation mode.
+    fn eval_score(model: &Self::Model, g: &mut Graph, batch: &Batch) -> f64;
+    /// The rows of `valid` a train task scores after every local epoch
+    /// for its log line, if any.
+    fn probe(_valid: &Self::Data) -> Option<<Self::Data as ToOwned>::Owned> {
+        None
+    }
+    /// A train task's log line after local epoch `epoch` of `epochs`, with
+    /// the epoch's probe score.
+    fn epoch_line(
+        site: &str,
+        epoch: u32,
+        epochs: u32,
+        lr: f32,
+        stats: &EpochStats,
+        probe: Option<f64>,
+    ) -> String;
+    /// A train task's DXO metrics: its last epoch's loss and probe score.
+    fn metrics(loss: f64, probe: Option<f64>) -> BTreeMap<String, f64>;
+}
+
+/// A site's learner: a [`Head`]'s model plus an Adam optimizer and
+/// hyper-parameters, trainable locally and exchangeable with the
+/// federated runtime via [`Weights`].
+pub struct SiteLearner<H: Head> {
+    head: H,
+    model: Box<H::Model>,
     hyper: TrainHyper,
     optimizer: Adam,
+    schedule: LrSchedule,
     /// Reused autograd tape: reset (not reallocated) per step so buffers
     /// recycle across iterations, until [`ParkArena::park_arena`] hands them on.
     graph: Graph,
+    step_counter: u64,
     epoch_counter: u64,
     seed: u64,
     /// FedProx proximal coefficient μ and the reference (global) weights:
@@ -84,47 +147,43 @@ pub struct Learner {
     prox: Option<(f32, Weights)>,
 }
 
-impl ParkArena for Learner {
+/// The ADR classification learner: one of the paper's three models.
+pub type Learner = SiteLearner<ClassifyHead>;
+
+/// The MLM pretraining learner around [`BertModel`] (the paper's §III-B
+/// pretraining stage, Fig. 2).
+pub type MlmLearner = SiteLearner<MlmHead>;
+
+impl<H: Head> ParkArena for SiteLearner<H> {
     fn park_arena(&mut self) {
         self.graph.park();
     }
 }
 
-impl std::fmt::Debug for Learner {
+impl<H: Head> std::fmt::Debug for SiteLearner<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Learner")
+        f.debug_struct(std::any::type_name::<Self>())
             .field("hyper", &self.hyper)
             .finish_non_exhaustive()
     }
 }
 
-impl Learner {
-    /// Builds the given model (Table II geometry) over a vocabulary.
-    pub fn new(
-        spec: ModelSpec,
-        vocab_size: usize,
-        seq_len: usize,
+impl<H: Head> SiteLearner<H> {
+    fn build(
+        head: H,
+        model: Box<H::Model>,
         hyper: TrainHyper,
+        schedule: LrSchedule,
         seed: u64,
     ) -> Self {
-        let model: Box<dyn SequenceClassifier + Send> = match spec {
-            ModelSpec::Bert => {
-                Box::new(BertModel::new(&BertConfig::bert(vocab_size, seq_len), seed))
-            }
-            ModelSpec::BertMini => Box::new(BertModel::new(
-                &BertConfig::bert_mini(vocab_size, seq_len),
-                seed,
-            )),
-            ModelSpec::Lstm => Box::new(LstmClassifier::new(
-                &LstmConfig::with_vocab(vocab_size),
-                seed,
-            )),
-        };
-        Learner {
+        SiteLearner {
+            head,
             model,
             hyper,
             optimizer: Adam::with_lr(hyper.lr),
+            schedule,
             graph: Graph::new(),
+            step_counter: 0,
             epoch_counter: 0,
             seed,
             prox: None,
@@ -133,16 +192,10 @@ impl Learner {
 
     /// Enables FedProx local training: gradients gain `mu (w - w_global)`
     /// where `w_global` is the weight set from the most recent
-    /// [`Learner::load_weights`] call after this one. Pass `mu = 0` or call
-    /// with `None`-like semantics via [`Learner::clear_prox`] to disable.
+    /// [`Self::load_weights`] call after this one. `mu = 0` disables it.
     pub fn set_prox(&mut self, mu: f32) {
         let anchor = self.export_weights();
         self.prox = Some((mu, anchor));
-    }
-
-    /// Disables the FedProx proximal term.
-    pub fn clear_prox(&mut self) {
-        self.prox = None;
     }
 
     /// The hyper-parameters in use.
@@ -172,198 +225,204 @@ impl Learner {
     }
 
     /// Runs one epoch of mini-batch training; returns loss statistics.
-    pub fn train_epoch(&mut self, data: &ClassifyDataset) -> EpochStats {
+    pub fn train_epoch(&mut self, data: &H::Data) -> EpochStats {
         let start = std::time::Instant::now();
         self.epoch_counter += 1;
-        let shuffle_seed = self
-            .seed
-            .wrapping_mul(0x100000001b3)
-            .wrapping_add(self.epoch_counter);
         let mut total = 0.0f64;
         let mut batches = 0usize;
-        for batch in data.batches(self.hyper.batch_size, shuffle_seed) {
+        let (bs, epoch) = (self.hyper.batch_size, self.epoch_counter);
+        for (batch, graph_seed) in self.head.epoch(data, bs, self.seed, epoch) {
             let _step_span = clinfl_obs::span("train_step");
-            self.graph.reset_with_seed(shuffle_seed ^ batches as u64);
+            self.graph.reset_with_seed(graph_seed);
             self.graph.set_training(true);
             let g = &mut self.graph;
-            let loss = self
-                .model
-                .classification_loss(g, &token_batch(&batch), &batch.labels);
+            let loss = H::loss(&self.model, g, &batch);
             total += g.value(loss).item() as f64;
             g.backward(loss);
-            self.graph.grads_into(self.model.params_mut());
-            self.apply_prox_gradient();
+            let params = self.model.params_mut();
+            self.graph.grads_into(params);
+            if let Some((mu, anchor)) = &self.prox {
+                apply_prox_gradient(*mu, anchor, params);
+            }
             if self.hyper.clip_norm > 0.0 {
                 GradClip {
                     max_norm: self.hyper.clip_norm,
                 }
-                .apply(self.model.params_mut());
+                .apply(params);
             }
-            self.optimizer.step(self.model.params_mut());
+            self.step_counter += 1;
+            let lr = self.schedule.lr_at(self.hyper.lr, self.step_counter);
+            self.optimizer.set_learning_rate(lr);
+            self.optimizer.step(params);
             batches += 1;
         }
         EpochStats {
-            mean_loss: if batches == 0 {
-                0.0
-            } else {
-                total / batches as f64
-            },
+            mean_loss: total / batches.max(1) as f64,
             batches,
             seconds: start.elapsed().as_secs_f64(),
         }
     }
 
-    /// Adds the FedProx gradient `μ (w - w_anchor)` directly into the
-    /// parameter gradients (equivalent to the μ/2‖w−w₀‖² loss term, without
-    /// paying for it on the autograd tape).
-    fn apply_prox_gradient(&mut self) {
-        let Some((mu, anchor)) = &self.prox else {
-            return;
-        };
-        let mu = *mu;
-        if mu == 0.0 {
-            return;
+    /// The head's score on all of `data` (evaluation mode): top-1
+    /// accuracy, or the mean MLM loss. Empty `data` scores 0.
+    pub fn evaluate(&mut self, data: &H::Data) -> f64 {
+        if H::len(data) == 0 {
+            return 0.0;
         }
-        for (name, w, g) in self.model.params_mut().iter_grads_mut() {
-            let Some(a) = anchor.get(name) else { continue };
-            for ((gv, &wv), &av) in g.data_mut().iter_mut().zip(w.data()).zip(&a.data) {
-                *gv += mu * (wv - av);
-            }
-        }
-    }
-
-    /// Top-1 accuracy on a dataset (evaluation mode).
-    pub fn evaluate(&mut self, data: &ClassifyDataset) -> f64 {
-        let (correct, total) = self.count_correct(data, Shard::WHOLE);
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
+        self.score(data, Shard::WHOLE).0
     }
 
     /// A validate task on a split that `shard.of` validators share: loads
     /// `global` and scores the eval batches of [`Self::evaluate`] that
-    /// `shard` owns. Answers `of · correct / data.len()`, so the mean of
-    /// the roster's answers is `evaluate(data)`. A shard with no batches
-    /// answers 0 and loads nothing.
-    pub fn validate_shard(
-        &mut self,
-        global: &Weights,
-        data: &ClassifyDataset,
-        shard: Shard,
-    ) -> f64 {
-        if shard.index >= data.len().div_ceil(self.hyper.batch_size) {
+    /// `shard` owns. Answers `of · (its part of the score's sum) / (the
+    /// full split's denominator)`, so the mean of the roster's answers is
+    /// `evaluate(data)`. A shard with no batches answers 0 and loads
+    /// nothing.
+    pub fn validate_shard(&mut self, global: &Weights, data: &H::Data, shard: Shard) -> f64 {
+        if shard.index >= H::len(data).div_ceil(self.hyper.batch_size) {
             return 0.0;
         }
         self.load_weights(global);
-        let (correct, rows) = self.count_correct(data, shard);
+        let (score, rows) = self.score(data, shard);
         clinfl_obs::add_counter("core.executor.validate_rows", rows as u64);
-        shard.of as f64 * correct as f64 / data.len() as f64
+        score
     }
 
-    /// Correct predictions and rows over `shard`'s eval batches of `data`.
-    fn count_correct(&mut self, data: &ClassifyDataset, shard: Shard) -> (usize, usize) {
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for batch in shard.select(data.batches(self.hyper.batch_size, 0)) {
-            let preds = self
-                .model
-                .predict_with(&mut self.graph, &token_batch(&batch));
-            correct += preds
-                .iter()
-                .zip(&batch.labels)
-                .filter(|(p, l)| **p as i32 == **l)
-                .count();
-            total += batch.labels.len();
+    /// `shard`'s answer on `data` under the loaded weights, and the rows
+    /// it scored.
+    fn score(&mut self, data: &H::Data, shard: Shard) -> (f64, usize) {
+        let (mut sum, mut rows) = (0.0f64, 0usize);
+        let bs = self.hyper.batch_size;
+        for batch in self.head.eval_batches(data, bs, shard) {
+            sum += H::eval_score(&self.model, &mut self.graph, &batch);
+            rows += batch.batch_size;
         }
-        (correct, total)
+        let (len, batches) = (H::len(data), H::len(data).div_ceil(bs));
+        let denominator = if H::MEAN_PER_BATCH { batches } else { len };
+        (shard.of as f64 * sum / denominator as f64, rows)
     }
 }
 
-/// An MLM pretraining learner around [`BertModel`] (the paper's §III-B
-/// pretraining stage, Fig. 2).
-pub struct MlmLearner {
-    model: BertModel,
+/// Adds the FedProx gradient `μ (w - w_anchor)` directly into the
+/// parameter gradients (equivalent to the μ/2‖w−w₀‖² loss term, without
+/// paying for it on the autograd tape).
+fn apply_prox_gradient(mu: f32, anchor: &Weights, params: &mut Params) {
+    if mu == 0.0 {
+        return;
+    }
+    for (name, w, g) in params.iter_grads_mut() {
+        let Some(a) = anchor.get(name) else { continue };
+        for ((gv, &wv), &av) in g.data_mut().iter_mut().zip(w.data()).zip(&a.data) {
+            *gv += mu * (wv - av);
+        }
+    }
+}
+
+/// The ADR classification head: one of the paper's three models (Table
+/// II) at a constant rate, scored by top-1 accuracy.
+#[derive(Debug)]
+pub struct ClassifyHead;
+
+impl Head for ClassifyHead {
+    type Model = dyn SequenceClassifier + Send;
+    type Data = ClassifyDataset;
+    const FRESH_OPTIMIZER_EACH_ROUND: bool = true;
+    const MEAN_PER_BATCH: bool = false;
+
+    fn len(data: &ClassifyDataset) -> usize {
+        data.len()
+    }
+
+    fn epoch<'a>(&self, data: &'a ClassifyDataset, bs: usize, seed: u64, epoch: u64) -> Steps<'a> {
+        let shuffle_seed = seed.wrapping_mul(0x100000001b3).wrapping_add(epoch);
+        let batches = data.batches(bs, shuffle_seed).enumerate();
+        Box::new(batches.map(move |(j, batch)| (batch, shuffle_seed ^ j as u64)))
+    }
+
+    fn loss(model: &Self::Model, g: &mut Graph, batch: &Batch) -> Var {
+        model.classification_loss(g, &token_batch(batch), &batch.labels)
+    }
+
+    fn eval_batches<'a>(&self, data: &'a ClassifyDataset, bs: usize, shard: Shard) -> Batches<'a> {
+        Box::new(shard.select(data.batches(bs, 0)))
+    }
+
+    fn eval_score(model: &Self::Model, g: &mut Graph, batch: &Batch) -> f64 {
+        let preds = model.predict_with(g, &token_batch(batch));
+        let correct = preds.iter().zip(&batch.labels);
+        correct.filter(|(p, l)| **p as i32 == **l).count() as f64
+    }
+
+    fn probe(valid: &ClassifyDataset) -> Option<ClassifyDataset> {
+        let rows = valid.examples()[..valid.len().min(96)].to_vec();
+        Some(ClassifyDataset::from_examples(rows, valid.seq_len()))
+    }
+
+    fn epoch_line(
+        site: &str,
+        epoch: u32,
+        epochs: u32,
+        lr: f32,
+        stats: &EpochStats,
+        probe: Option<f64>,
+    ) -> String {
+        format!(
+            "Local epoch {site}: {epoch}/{epochs} (lr={lr}), train_loss={loss:.3}, valid_acc={acc:.3} [{secs:.1} sec/local epoch]",
+            loss = stats.mean_loss,
+            acc = probe.unwrap_or(0.0),
+            secs = stats.seconds,
+        )
+    }
+
+    fn metrics(loss: f64, probe: Option<f64>) -> BTreeMap<String, f64> {
+        let acc = probe.unwrap_or(0.0);
+        BTreeMap::from([("train_loss".into(), loss), ("valid_acc".into(), acc)])
+    }
+}
+
+impl Learner {
+    /// Builds the given model (Table II geometry) over a vocabulary.
+    pub fn new(
+        spec: ModelSpec,
+        vocab_size: usize,
+        seq_len: usize,
+        hyper: TrainHyper,
+        seed: u64,
+    ) -> Self {
+        let model: Box<dyn SequenceClassifier + Send> = match spec {
+            ModelSpec::Bert => {
+                Box::new(BertModel::new(&BertConfig::bert(vocab_size, seq_len), seed))
+            }
+            ModelSpec::BertMini => Box::new(BertModel::new(
+                &BertConfig::bert_mini(vocab_size, seq_len),
+                seed,
+            )),
+            ModelSpec::Lstm => Box::new(LstmClassifier::new(
+                &LstmConfig::with_vocab(vocab_size),
+                seed,
+            )),
+        };
+        SiteLearner::build(ClassifyHead, model, hyper, LrSchedule::Constant, seed)
+    }
+}
+
+/// The MLM pretraining head: BERT under fresh dynamic masking every
+/// epoch, scored by the mean MLM loss under a fixed masking.
+#[derive(Debug)]
+pub struct MlmHead {
     vocab: Vocab,
     masker: MlmMasker,
-    hyper: TrainHyper,
-    optimizer: Adam,
-    schedule: LrSchedule,
-    /// Reused autograd tape: reset (not reallocated) per step so buffers
-    /// recycle across iterations, until [`ParkArena::park_arena`] hands them on.
-    graph: Graph,
-    step_counter: u64,
-    epoch_counter: u64,
-    seed: u64,
 }
 
-impl ParkArena for MlmLearner {
-    fn park_arena(&mut self) {
-        self.graph.park();
-    }
-}
-
-impl std::fmt::Debug for MlmLearner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MlmLearner")
-            .field("hyper", &self.hyper)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MlmLearner {
-    /// Builds a BERT MLM learner (use [`BertConfig::bert`] or
-    /// [`BertConfig::bert_mini`] geometry via `config`).
-    pub fn new(config: &BertConfig, vocab: Vocab, hyper: TrainHyper, seed: u64) -> Self {
-        MlmLearner {
-            model: BertModel::new(config, seed),
-            vocab,
-            masker: MlmMasker::default(),
-            hyper,
-            optimizer: Adam::with_lr(hyper.lr),
-            // Standard transformer warmup: ramp the rate over the first
-            // optimizer steps so the 12-layer stack does not destabilize.
-            schedule: LrSchedule::LinearWarmup { warmup_steps: 64 },
-            graph: Graph::new(),
-            step_counter: 0,
-            epoch_counter: 0,
-            seed,
-        }
-    }
-
-    /// Overrides the learning-rate schedule (default: 64-step linear
-    /// warmup).
-    pub fn set_schedule(&mut self, schedule: LrSchedule) {
-        self.schedule = schedule;
-    }
-
-    /// Current weights in federated wire form.
-    pub fn export_weights(&self) -> Weights {
-        params_to_weights(self.model.params())
-    }
-
-    /// Loads global weights.
-    pub fn load_weights(&mut self, weights: &Weights) {
-        weights_to_params(weights, self.model.params_mut());
-    }
-
-    /// The underlying model (e.g. to transfer the pretrained backbone into
-    /// a fine-tuning learner).
-    pub fn model(&self) -> &BertModel {
-        &self.model
-    }
-
-    fn masked_batch(
-        &self,
-        seqs: &[Encoded],
-        idx: &[usize],
-        seed: u64,
-    ) -> (Vec<u32>, Vec<u8>, Vec<i32>) {
-        let seq_len = seqs[idx[0]].ids.len();
-        let mut ids = Vec::with_capacity(idx.len() * seq_len);
-        let mut mask = Vec::with_capacity(idx.len() * seq_len);
-        let mut labels = Vec::with_capacity(idx.len() * seq_len);
+impl MlmHead {
+    /// Batch `j` of `bs` sequences of `seqs` taken in `order`, masked
+    /// under `seed`.
+    fn masked(&self, seqs: &[Encoded], order: &[usize], bs: usize, j: usize, seed: u64) -> Batch {
+        let idx = &order[j * bs..order.len().min(j * bs + bs)];
+        let n = idx.len() * seqs[idx[0]].ids.len();
+        let mut ids = Vec::with_capacity(n);
+        let mut mask = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
         for (k, &i) in idx.iter().enumerate() {
             let m = self
                 .masker
@@ -372,117 +431,107 @@ impl MlmLearner {
             mask.extend_from_slice(&seqs[i].attention_mask);
             labels.extend_from_slice(&m.labels);
         }
-        (ids, mask, labels)
+        let (batch_size, seq_len) = (idx.len(), ids.len() / idx.len());
+        Batch {
+            ids,
+            mask,
+            labels,
+            batch_size,
+            seq_len,
+        }
+    }
+}
+
+impl Head for MlmHead {
+    type Model = BertModel;
+    type Data = [Encoded];
+    const FRESH_OPTIMIZER_EACH_ROUND: bool = false;
+    const MEAN_PER_BATCH: bool = true;
+
+    fn len(seqs: &[Encoded]) -> usize {
+        seqs.len()
     }
 
-    /// One epoch of MLM training with fresh dynamic masking; returns loss
-    /// statistics.
-    pub fn train_epoch(&mut self, seqs: &[Encoded]) -> EpochStats {
-        let start = std::time::Instant::now();
-        self.epoch_counter += 1;
+    fn epoch<'a>(&'a self, seqs: &'a [Encoded], bs: usize, seed: u64, epoch: u64) -> Steps<'a> {
         let mut order: Vec<usize> = (0..seqs.len()).collect();
         // Deterministic shuffle differing per epoch.
-        let mut state = self.seed ^ self.epoch_counter.wrapping_mul(0x9E3779B97F4A7C15);
+        let mut state = seed ^ epoch.wrapping_mul(0x9E3779B97F4A7C15);
         for i in (1..order.len()).rev() {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             order.swap(i, (state % (i as u64 + 1)) as usize);
         }
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(self.hyper.batch_size) {
-            let _step_span = clinfl_obs::span("train_step");
-            let mask_seed = state.wrapping_add(batches as u64 * 7919);
-            let (ids, mask, labels) = self.masked_batch(seqs, chunk, mask_seed);
-            let seq_len = ids.len() / chunk.len();
-            let batch = TokenBatch {
-                ids: &ids,
-                mask: &mask,
-                batch_size: chunk.len(),
-                seq_len,
-            };
-            self.graph.reset_with_seed(mask_seed);
-            self.graph.set_training(true);
-            let g = &mut self.graph;
-            let loss = self.model.mlm_loss(g, &batch, &labels);
-            total += g.value(loss).item() as f64;
-            g.backward(loss);
-            self.graph.grads_into(self.model.params_mut());
-            if self.hyper.clip_norm > 0.0 {
-                GradClip {
-                    max_norm: self.hyper.clip_norm,
-                }
-                .apply(self.model.params_mut());
-            }
-            self.step_counter += 1;
-            self.optimizer
-                .set_learning_rate(self.schedule.lr_at(self.hyper.lr, self.step_counter));
-            self.optimizer.step(self.model.params_mut());
-            batches += 1;
-        }
-        EpochStats {
-            mean_loss: if batches == 0 {
-                0.0
-            } else {
-                total / batches as f64
-            },
-            batches,
-            seconds: start.elapsed().as_secs_f64(),
-        }
+        let steps = 0..order.len().div_ceil(bs);
+        Box::new(steps.map(move |j| {
+            let mask_seed = state.wrapping_add(j as u64 * 7919);
+            (self.masked(seqs, &order, bs, j, mask_seed), mask_seed)
+        }))
+    }
+
+    fn loss(model: &BertModel, g: &mut Graph, batch: &Batch) -> Var {
+        model.mlm_loss(g, &token_batch(batch), &batch.labels)
+    }
+
+    fn eval_batches<'a>(&'a self, seqs: &'a [Encoded], bs: usize, shard: Shard) -> Batches<'a> {
+        const EVAL_MASK_SEED: u64 = 0xE7A1_5EED;
+        let order: Vec<usize> = (0..seqs.len()).collect();
+        let steps = shard.select(0..order.len().div_ceil(bs));
+        Box::new(steps.map(move |j| self.masked(seqs, &order, bs, j, EVAL_MASK_SEED)))
+    }
+
+    fn eval_score(model: &BertModel, g: &mut Graph, batch: &Batch) -> f64 {
+        g.reset();
+        g.set_training(false);
+        let loss = model.mlm_loss(g, &token_batch(batch), &batch.labels);
+        g.value(loss).item() as f64
+    }
+
+    fn epoch_line(
+        site: &str,
+        epoch: u32,
+        epochs: u32,
+        _lr: f32,
+        stats: &EpochStats,
+        _probe: Option<f64>,
+    ) -> String {
+        format!(
+            "MLM epoch {site}: {epoch}/{epochs}, mlm_loss={loss:.3} [{secs:.1} sec]",
+            loss = stats.mean_loss,
+            secs = stats.seconds,
+        )
+    }
+
+    fn metrics(loss: f64, _probe: Option<f64>) -> BTreeMap<String, f64> {
+        BTreeMap::from([("mlm_loss".into(), loss)])
+    }
+}
+
+impl MlmLearner {
+    /// Builds a BERT MLM learner (use [`BertConfig::bert`] or
+    /// [`BertConfig::bert_mini`] geometry via `config`).
+    pub fn new(config: &BertConfig, vocab: Vocab, hyper: TrainHyper, seed: u64) -> Self {
+        let head = MlmHead {
+            vocab,
+            masker: MlmMasker::default(),
+        };
+        // Standard transformer warmup: ramp the rate over the first
+        // optimizer steps so the 12-layer stack does not destabilize.
+        let schedule = LrSchedule::LinearWarmup { warmup_steps: 64 };
+        let model = Box::new(BertModel::new(config, seed));
+        SiteLearner::build(head, model, hyper, schedule, seed)
+    }
+
+    /// Overrides the learning-rate schedule (default: 64-step linear
+    /// warmup).
+    pub fn set_schedule(&mut self, schedule: LrSchedule) {
+        self.schedule = schedule;
     }
 
     /// Mean MLM loss on held-out sequences (fixed masking seed, evaluation
     /// mode) — the quantity plotted in the paper's Fig. 2.
     pub fn eval_loss(&mut self, seqs: &[Encoded]) -> f64 {
-        if seqs.is_empty() {
-            return 0.0;
-        }
-        let (total, _) = self.sum_batch_losses(seqs, Shard::WHOLE);
-        total / seqs.len().div_ceil(self.hyper.batch_size) as f64
-    }
-
-    /// A validate task on held-out sequences that `shard.of` validators
-    /// share: loads `global` and sums the losses of the eval batches of
-    /// [`Self::eval_loss`] that `shard` owns. Answers `of · sum / (all
-    /// batches)`, so the mean of the roster's answers is
-    /// `eval_loss(seqs)`. A shard with no batches answers 0 and loads
-    /// nothing.
-    pub fn validate_shard(&mut self, global: &Weights, seqs: &[Encoded], shard: Shard) -> f64 {
-        let n_batches = seqs.len().div_ceil(self.hyper.batch_size);
-        if shard.index >= n_batches {
-            return 0.0;
-        }
-        self.load_weights(global);
-        let (total, rows) = self.sum_batch_losses(seqs, shard);
-        clinfl_obs::add_counter("core.executor.validate_rows", rows as u64);
-        shard.of as f64 * total / n_batches as f64
-    }
-
-    /// Summed loss over `shard`'s eval batches of `seqs`, and the rows
-    /// they hold.
-    fn sum_batch_losses(&mut self, seqs: &[Encoded], shard: Shard) -> (f64, usize) {
-        let idx: Vec<usize> = (0..seqs.len()).collect();
-        let mut total = 0.0f64;
-        let mut rows = 0usize;
-        for chunk in shard.select(idx.chunks(self.hyper.batch_size)) {
-            const EVAL_MASK_SEED: u64 = 0xE7A1_5EED;
-            let (ids, mask, labels) = self.masked_batch(seqs, chunk, EVAL_MASK_SEED);
-            let seq_len = ids.len() / chunk.len();
-            let batch = TokenBatch {
-                ids: &ids,
-                mask: &mask,
-                batch_size: chunk.len(),
-                seq_len,
-            };
-            self.graph.reset();
-            self.graph.set_training(false);
-            let g = &mut self.graph;
-            let loss = self.model.mlm_loss(g, &batch, &labels);
-            total += g.value(loss).item() as f64;
-            rows += chunk.len();
-        }
-        (total, rows)
+        self.evaluate(seqs)
     }
 }
 

@@ -14,10 +14,13 @@
 //! Following the paper's Fig. 1 pipeline, this crate provides:
 //!
 //! * [`PipelineConfig`] — Table I parameters with a scale knob,
-//! * [`Learner`] — local training/evaluation around any
-//!   [`clinfl_models::SequenceClassifier`],
-//! * [`ClinicalExecutor`] / [`MlmExecutor`] — the NVFlare executors
-//!   (the `CiBertLearner` of the paper's Fig. 3),
+//! * [`SiteLearner`] — local training and evaluation, one loop for both
+//!   tasks, with a [`Head`] supplying what differs: [`ClassifyHead`] for
+//!   ADR fine-tuning of any [`clinfl_models::SequenceClassifier`]
+//!   ([`Learner`]), [`MlmHead`] for BERT MLM pretraining ([`MlmLearner`]),
+//! * [`SiteExecutor`] — the NVFlare executor around one learner (the
+//!   `CiBertLearner` of the paper's Fig. 3; [`ClinicalExecutor`] /
+//!   [`MlmExecutor`]),
 //! * [`drivers`] — centralized / standalone / federated fine-tuning (every
 //!   federated run's sites from one [`drivers::ClinicalSites`]) and the
 //!   four MLM pretraining schemes,
@@ -46,6 +49,6 @@ mod weights;
 
 pub use clinfl_obs as obs;
 pub use config::{ModelSpec, PipelineConfig, TrainHyper};
-pub use executor::{ClinicalExecutor, MlmExecutor};
-pub use learner::{EpochStats, Learner, MlmLearner};
+pub use executor::{ClinicalExecutor, MlmExecutor, SiteExecutor};
+pub use learner::{ClassifyHead, EpochStats, Head, Learner, MlmHead, MlmLearner, SiteLearner};
 pub use weights::{params_to_weights, weights_to_params};

@@ -528,6 +528,18 @@ impl WireDecode for TaskAssignment {
     }
 }
 
+/// A borrowed task encoded as [`ServerMessage::Task`]: its `to_frame` is
+/// the same bytes as `ServerMessage::Task(task.clone()).to_frame()`,
+/// without copying the task's weights.
+pub(crate) struct TaskMessage<'a>(pub(crate) &'a TaskAssignment);
+
+impl WireEncode for TaskMessage<'_> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        1u8.encode(out);
+        self.0.encode(out);
+    }
+}
+
 impl WireEncode for ServerMessage {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -541,10 +553,7 @@ impl WireEncode for ServerMessage {
                 session.encode(out);
                 dh_public.encode(out);
             }
-            ServerMessage::Task(t) => {
-                1u8.encode(out);
-                t.encode(out);
-            }
+            ServerMessage::Task(t) => TaskMessage(t).encode(out),
             ServerMessage::CodecAck { chosen, supported } => {
                 2u8.encode(out);
                 chosen.encode(out);
@@ -676,6 +685,27 @@ mod tests {
             weights: weights(),
         }));
         roundtrip(ServerMessage::Task(TaskAssignment::Finish));
+    }
+
+    #[test]
+    fn borrowed_task_frame_is_the_owned_message_frame() {
+        for task in [
+            TaskAssignment::Train {
+                round: 3,
+                total_rounds: 10,
+                weights: weights(),
+            },
+            TaskAssignment::Validate {
+                round: 3,
+                weights: weights(),
+            },
+            TaskAssignment::Finish,
+        ] {
+            let frame = TaskMessage(&task).to_frame();
+            assert_eq!(frame, ServerMessage::Task(task.clone()).to_frame());
+            let decoded = ServerMessage::from_frame(&frame).expect("decode");
+            assert_eq!(decoded, ServerMessage::Task(task));
+        }
     }
 
     #[test]

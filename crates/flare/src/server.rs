@@ -29,7 +29,7 @@ use crate::controller::{ClientGateway, ShardMeta};
 use crate::dxo::{Dxo, DxoKind, Weights};
 use crate::lock;
 use crate::log::EventLog;
-use crate::messages::{ClientMessage, ServerMessage, ShardPayload, TaskAssignment};
+use crate::messages::{ClientMessage, ServerMessage, ShardPayload, TaskAssignment, TaskMessage};
 use crate::provision::ServerConfig;
 use crate::reactor::{FrameQueue, QueueRx, QueueTx, ReadyQueue, Signal};
 use crate::security::{DhKeyPair, SecureChannel};
@@ -1056,7 +1056,7 @@ impl ClientGateway for FlServer {
             TaskAssignment::Validate { weights, .. } => (Some(weights), false),
             _ => (None, false),
         };
-        let raw_frame = ServerMessage::Task(task.clone()).to_frame();
+        let raw_frame = TaskMessage(task).to_frame();
         let tx_metric = self.shared.metric("bytes_tx");
         let obs = self.shared.obs();
         let mut sent = 0;
@@ -1156,7 +1156,7 @@ impl ClientGateway for FlServer {
             task,
             TaskAssignment::Train { .. } | TaskAssignment::Validate { .. }
         );
-        let raw_frame = ServerMessage::Task(task.clone()).to_frame();
+        let raw_frame = TaskMessage(task).to_frame();
         let tx_metric = self.shared.metric("bytes_tx");
         let obs = self.shared.obs();
         let mut sent = 0;

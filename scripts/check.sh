@@ -11,8 +11,8 @@
 #                  tests and `fedbench verify` (harness final weights
 #                  bit-identical to SimulatorRunner::run on two workloads),
 #                  then runs every workload the way the benchmark does
-#                  (`--seed 1 --seconds 1`, `--trace 0`, then `--trace 1`
-#                  for lstm_finetune and exchange_raw_tcp): a failed check
+#                  (`--seed 1 --seconds 1`, `--trace 0`, then all four
+#                  again under `--trace 1`): a failed check
 #                  exits 1 and fails the leg. Runs right after build: a
 #                  break here fails in a few minutes, not after the ~20 min
 #                  of test legs
@@ -149,11 +149,10 @@ run_leg() {
             fedbench() { cargo run --release -q --manifest-path bench/Cargo.toml -- "$@"; }
             cargo test --release -q --manifest-path bench/Cargo.toml
             fedbench verify
-            for w in lstm_finetune bert_mlm exchange_raw_tcp exchange_codec; do
-                fedbench --workload "$w" --seed 1 --seconds 1 --trace 0
-            done
-            for w in lstm_finetune exchange_raw_tcp; do
-                fedbench --workload "$w" --seed 1 --seconds 1 --trace 1
+            for trace in 0 1; do
+                for w in lstm_finetune bert_mlm exchange_raw_tcp exchange_codec; do
+                    fedbench --workload "$w" --seed 1 --seconds 1 --trace "$trace"
+                done
             done'
         ;;
     doc) leg doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
