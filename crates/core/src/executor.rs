@@ -14,14 +14,18 @@ type Owned<H> = <<H as Head>::Data as ToOwned>::Owned;
 /// shard, and submits the updated weights with the head's metrics,
 /// logging the per-epoch lines of the paper's Fig. 3. On each `Validate`
 /// task it scores its shard of the split every site shares.
+///
+/// A head that [probes](Head::PROBES) scores, after every local epoch,
+/// the same shard of that split under the weights just trained
+/// ([`SiteLearner::probe_shard`]), so across the roster each local epoch
+/// scores the split once. A site whose shard owns no eval batch has no
+/// probe score: its line says `valid_acc=n/a` and its update carries no
+/// `valid_acc`.
 pub struct SiteExecutor<H: Head> {
     learner: SiteLearner<H>,
     train: Owned<H>,
+    /// The validation split every site shares.
     valid: Owned<H>,
-    /// Small validation probe ([`Head::probe`]) scored after every local
-    /// epoch for the log line. The round's validation is
-    /// [`Executor::validate`], where each site scores its shard of `valid`.
-    probe: Option<Owned<H>>,
     local_epochs: u32,
     log: EventLog,
 }
@@ -57,7 +61,6 @@ impl<H: Head> SiteExecutor<H> {
         SiteExecutor {
             learner,
             train,
-            probe: H::probe(valid.borrow()),
             valid,
             local_epochs,
             log,
@@ -87,7 +90,9 @@ impl<H: Head> Executor for SiteExecutor<H> {
         for e in 0..self.local_epochs {
             let stats = learner.train_epoch(self.train.borrow());
             last_loss = stats.mean_loss;
-            last_probe = self.probe.as_ref().map(|p| learner.evaluate(p.borrow()));
+            if H::PROBES {
+                last_probe = learner.probe_shard(self.valid.borrow(), ctx.shard);
+            }
             let lr = learner.hyper().lr;
             let line = H::epoch_line(&ctx.site, e + 1, self.local_epochs, lr, &stats, last_probe);
             self.log.info("CiBertLearner", line);
@@ -110,7 +115,7 @@ mod tests {
     use super::*;
     use crate::config::{ModelSpec, TrainHyper};
     use crate::learner::{Learner, MlmLearner};
-    use clinfl_data::{generate_cohort, ClassifyDataset, CodeSystem, CohortSpec};
+    use clinfl_data::{generate_cohort, ClassifyDataset, CodeSystem, CohortSpec, Example};
     use clinfl_flare::executor::Shard;
     use clinfl_flare::WeightTensor;
     use clinfl_models::BertConfig;
@@ -197,5 +202,67 @@ mod tests {
         let bert = BertConfig::bert_mini(cs.vocab().len(), SEQ_LEN);
         let learner = || MlmLearner::new(&bert, cs.vocab().clone(), TrainHyper::for_mlm(), 3);
         assert_roster_mean_is_the_full_split_score(learner, seqs, &[1, 2, 3, 8, 9]);
+    }
+
+    /// The rows of `shard`'s eval batches of `valid` (batches of `bs`, in
+    /// the order validation scores them), as a dataset of their own.
+    fn shard_rows(valid: &ClassifyDataset, bs: usize, shard: Shard) -> ClassifyDataset {
+        let rows = shard.select(valid.batches(bs, 0)).flat_map(|b| {
+            (0..b.batch_size).map(move |r| {
+                let cols = r * b.seq_len..(r + 1) * b.seq_len;
+                let encoded = Encoded {
+                    ids: b.ids[cols.clone()].to_vec(),
+                    attention_mask: b.mask[cols].to_vec(),
+                };
+                let label = b.labels[r] as u8;
+                Example { encoded, label }
+            })
+        });
+        ClassifyDataset::from_examples(rows.collect(), valid.seq_len())
+    }
+
+    /// A site's per-epoch probe is the top-1 of the weights it submits on
+    /// its own shard of the shared split, as an independent evaluation of
+    /// those rows answers it; a site whose shard owns no eval batch has no
+    /// probe score to log or send.
+    #[test]
+    fn probe_scores_the_sites_shard_of_the_shared_split() {
+        let (cs, valid) = split();
+        let mut hyper = TrainHyper::for_model(ModelSpec::Lstm);
+        hyper.batch_size = 16;
+        let learner = || Learner::new(ModelSpec::Lstm, cs.vocab().len(), SEQ_LEN, hyper, 3);
+        let train = ClassifyDataset::from_examples(valid.examples()[..48].to_vec(), SEQ_LEN);
+        let global = learner().export_weights();
+        let site = |log: &EventLog| {
+            SiteExecutor::new(learner(), train.clone(), valid.clone(), 2, log.clone())
+        };
+
+        // Eval batches 1, 5 and 9 of ten (the last one short): 38 rows.
+        let shard = Shard { index: 1, of: 4 };
+        let log = EventLog::new();
+        let dxo = site(&log).train(&global, &ctx(shard));
+        let rows = shard_rows(&valid, hyper.batch_size, shard);
+        assert_eq!(rows.len(), 38);
+        let mut reference = learner();
+        reference.load_weights(&dxo.weights);
+        let acc = reference.evaluate(&rows);
+        assert_eq!(dxo.metrics.get("valid_acc"), Some(&acc));
+        let line = format!("Local epoch site-2: 2/2 (lr={}), ", hyper.lr);
+        let line = log.lines().into_iter().find(|l| l.contains(&line));
+        let line = line.expect("the last epoch's line");
+        assert!(line.contains(&format!("valid_acc={acc:.3} [")), "{line}");
+
+        // Past the last eval batch: no score, and no key sent.
+        let past_the_end = Shard { index: 10, of: 11 };
+        let log = EventLog::new();
+        let dxo = site(&log).train(&global, &ctx(past_the_end));
+        assert!(dxo.metrics.contains_key("train_loss"));
+        assert!(!dxo.metrics.contains_key("valid_acc"), "{:?}", dxo.metrics);
+        let epochs = log.messages_from("CiBertLearner");
+        assert_eq!(epochs.len(), 2);
+        assert!(
+            epochs.iter().all(|l| l.contains("valid_acc=n/a [")),
+            "{epochs:?}"
+        );
     }
 }

@@ -74,10 +74,11 @@ pub type Steps<'a> = Box<dyn Iterator<Item = (Batch, u64)> + 'a>;
 pub type Batches<'a> = Box<dyn Iterator<Item = Batch> + 'a>;
 
 /// What one learning task adds to the [`SiteLearner`] both tasks share:
-/// its model, its batches, its loss and score, and what its federated
-/// train task logs and reports. Weight exchange, the epoch loop (graph
-/// reset, forward, backward, clip, Adam step), FedProx and sharded
-/// validation are the learner's.
+/// its model, its batches, its loss and score, whether its federated train
+/// task probes validation, and what that task logs and reports. Weight
+/// exchange, the epoch loop (graph reset, forward, backward, clip, Adam
+/// step), FedProx, sharded validation and the sharded probe are the
+/// learner's.
 pub trait Head: Send + 'static {
     /// The network the head trains.
     type Model: SequenceClassifier + Send + ?Sized;
@@ -93,6 +94,10 @@ pub trait Head: Send + 'static {
     /// Whether the score is a mean over eval batches (a loss) rather than
     /// over rows (an accuracy).
     const MEAN_PER_BATCH: bool;
+    /// Whether a federated train task scores, after every local epoch,
+    /// its shard of the validation split every site shares
+    /// ([`SiteLearner::probe_shard`]) for its log line and metrics.
+    const PROBES: bool;
 
     /// Rows (examples or sequences) in `data`.
     fn len(data: &Self::Data) -> usize;
@@ -106,13 +111,8 @@ pub trait Head: Send + 'static {
     /// One eval batch's summed score (correct predictions, or its loss),
     /// in evaluation mode.
     fn eval_score(model: &Self::Model, g: &mut Graph, batch: &Batch) -> f64;
-    /// The rows of `valid` a train task scores after every local epoch
-    /// for its log line, if any.
-    fn probe(_valid: &Self::Data) -> Option<<Self::Data as ToOwned>::Owned> {
-        None
-    }
     /// A train task's log line after local epoch `epoch` of `epochs`, with
-    /// the epoch's probe score.
+    /// the epoch's probe score (`None`: no probe, or an empty shard).
     fn epoch_line(
         site: &str,
         epoch: u32,
@@ -121,7 +121,8 @@ pub trait Head: Send + 'static {
         stats: &EpochStats,
         probe: Option<f64>,
     ) -> String;
-    /// A train task's DXO metrics: its last epoch's loss and probe score.
+    /// A train task's DXO metrics: its last epoch's loss and probe score
+    /// (`None`: no probe, or an empty shard).
     fn metrics(loss: f64, probe: Option<f64>) -> BTreeMap<String, f64>;
 }
 
@@ -269,7 +270,8 @@ impl<H: Head> SiteLearner<H> {
         if H::len(data) == 0 {
             return 0.0;
         }
-        self.score(data, Shard::WHOLE).0
+        let (sum, rows, batches) = self.score(data, Shard::WHOLE);
+        sum / Self::denominator(rows, batches) as f64
     }
 
     /// A validate task on a split that `shard.of` validators share: loads
@@ -279,27 +281,50 @@ impl<H: Head> SiteLearner<H> {
     /// `evaluate(data)`. A shard with no batches answers 0 and loads
     /// nothing.
     pub fn validate_shard(&mut self, global: &Weights, data: &H::Data, shard: Shard) -> f64 {
-        if shard.index >= H::len(data).div_ceil(self.hyper.batch_size) {
+        let (len, batches) = (H::len(data), H::len(data).div_ceil(self.hyper.batch_size));
+        if shard.index >= batches {
             return 0.0;
         }
         self.load_weights(global);
-        let (score, rows) = self.score(data, shard);
+        let (sum, rows, _) = self.score(data, shard);
         clinfl_obs::add_counter("core.executor.validate_rows", rows as u64);
-        score
+        shard.of as f64 * sum / Self::denominator(len, batches) as f64
     }
 
-    /// `shard`'s answer on `data` under the loaded weights, and the rows
-    /// it scored.
-    fn score(&mut self, data: &H::Data, shard: Shard) -> (f64, usize) {
-        let (mut sum, mut rows) = (0.0f64, 0usize);
-        let bs = self.hyper.batch_size;
-        for batch in self.head.eval_batches(data, bs, shard) {
+    /// A train task's per-epoch probe under the weights it has trained:
+    /// the head's score on the eval batches of `data` that `shard` owns,
+    /// as that shard's own mean (correct predictions over the rows it
+    /// scored, or loss over its batches), not scaled to the roster as
+    /// [`Self::validate_shard`] is. `None` when the shard owns no batch.
+    pub fn probe_shard(&mut self, data: &H::Data, shard: Shard) -> Option<f64> {
+        let (sum, rows, batches) = self.score(data, shard);
+        if batches == 0 {
+            return None;
+        }
+        clinfl_obs::add_counter("core.executor.probe_rows", rows as u64);
+        Some(sum / Self::denominator(rows, batches) as f64)
+    }
+
+    /// `shard`'s summed score on `data` under the loaded weights, with the
+    /// rows and eval batches it scored.
+    fn score(&mut self, data: &H::Data, shard: Shard) -> (f64, usize, usize) {
+        let (mut sum, mut rows, mut batches) = (0.0f64, 0usize, 0usize);
+        for batch in self.head.eval_batches(data, self.hyper.batch_size, shard) {
             sum += H::eval_score(&self.model, &mut self.graph, &batch);
             rows += batch.batch_size;
+            batches += 1;
         }
-        let (len, batches) = (H::len(data), H::len(data).div_ceil(bs));
-        let denominator = if H::MEAN_PER_BATCH { batches } else { len };
-        (shard.of as f64 * sum / denominator as f64, rows)
+        (sum, rows, batches)
+    }
+
+    /// What the head's summed score is divided by over `rows` rows in
+    /// `batches` eval batches.
+    fn denominator(rows: usize, batches: usize) -> usize {
+        if H::MEAN_PER_BATCH {
+            batches
+        } else {
+            rows
+        }
     }
 }
 
@@ -328,6 +353,7 @@ impl Head for ClassifyHead {
     type Data = ClassifyDataset;
     const FRESH_OPTIMIZER_EACH_ROUND: bool = true;
     const MEAN_PER_BATCH: bool = false;
+    const PROBES: bool = true;
 
     fn len(data: &ClassifyDataset) -> usize {
         data.len()
@@ -353,11 +379,6 @@ impl Head for ClassifyHead {
         correct.filter(|(p, l)| **p as i32 == **l).count() as f64
     }
 
-    fn probe(valid: &ClassifyDataset) -> Option<ClassifyDataset> {
-        let rows = valid.examples()[..valid.len().min(96)].to_vec();
-        Some(ClassifyDataset::from_examples(rows, valid.seq_len()))
-    }
-
     fn epoch_line(
         site: &str,
         epoch: u32,
@@ -367,16 +388,19 @@ impl Head for ClassifyHead {
         probe: Option<f64>,
     ) -> String {
         format!(
-            "Local epoch {site}: {epoch}/{epochs} (lr={lr}), train_loss={loss:.3}, valid_acc={acc:.3} [{secs:.1} sec/local epoch]",
+            "Local epoch {site}: {epoch}/{epochs} (lr={lr}), train_loss={loss:.3}, valid_acc={acc} [{secs:.1} sec/local epoch]",
             loss = stats.mean_loss,
-            acc = probe.unwrap_or(0.0),
+            acc = probe.map_or("n/a".into(), |acc| format!("{acc:.3}")),
             secs = stats.seconds,
         )
     }
 
     fn metrics(loss: f64, probe: Option<f64>) -> BTreeMap<String, f64> {
-        let acc = probe.unwrap_or(0.0);
-        BTreeMap::from([("train_loss".into(), loss), ("valid_acc".into(), acc)])
+        let mut metrics = BTreeMap::from([("train_loss".into(), loss)]);
+        if let Some(acc) = probe {
+            metrics.insert("valid_acc".into(), acc);
+        }
+        metrics
     }
 }
 
@@ -447,6 +471,7 @@ impl Head for MlmHead {
     type Data = [Encoded];
     const FRESH_OPTIMIZER_EACH_ROUND: bool = false;
     const MEAN_PER_BATCH: bool = true;
+    const PROBES: bool = false;
 
     fn len(seqs: &[Encoded]) -> usize {
         seqs.len()

@@ -288,7 +288,7 @@ impl FlClient {
 
     /// Accounts for a best-effort send that failed: the paths that
     /// deliberately tolerate failure (duplicate submits, heartbeats, codec
-    /// announce, goodbye) used to drop the error on the floor, leaving a
+    /// announce, a goodbye on a live link) used to drop the error on the floor, leaving a
     /// persistently broken link invisible. Every failure now ticks
     /// `flare.client.send_errors` (plus the per-site series) and the first
     /// one per site logs a warning.
@@ -732,11 +732,16 @@ impl FlClient {
     }
 
     /// Sends the best-effort goodbye that lets the server log a graceful
-    /// disconnect instead of a lost connection.
+    /// disconnect instead of a lost connection. After `Finish` the server
+    /// may already have closed the link, so a goodbye that finds it closed
+    /// is the expected outcome: it is neither counted nor warned about,
+    /// which keeps `flare.client.send_errors` and the log the same across
+    /// same-seed runs. Any other failure is a best-effort send error.
     pub fn send_bye(&mut self) {
         let site = self.site.clone();
-        if let Err(e) = self.send_once(&ClientMessage::Bye { site }) {
-            self.note_send_error("goodbye", &e);
+        match self.send_once(&ClientMessage::Bye { site }) {
+            Ok(()) | Err(FlareError::Transport(_)) => {}
+            Err(e) => self.note_send_error("goodbye", &e),
         }
     }
 

@@ -13,7 +13,8 @@ pub struct TaskContext {
     pub total_rounds: u32,
     /// This site's part of a validation split every site shares: its
     /// position in the provisioned roster and the roster's size (see
-    /// [`Executor::validate`]).
+    /// [`Executor::validate`]). A train task that probes validation after
+    /// each local epoch scores the same part.
     pub shard: Shard,
 }
 

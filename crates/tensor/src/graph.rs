@@ -504,36 +504,40 @@ impl Graph {
         if !self.training || p == 0.0 {
             return a;
         }
+        // One pass draws each mask element and writes its product; the
+        // mask stays for backward.
         let mut mask = self.pool.take_f32(self.values[ia].numel());
-        self.dropout_mask(p, &mut mask);
-        let mut value = self.pool.tensor_copy(&self.values[ia]);
-        for (v, &m) in value.data_mut().iter_mut().zip(&mask) {
-            *v *= m;
+        let mut value = self.pool.tensor_uninit(*self.values[ia].shape());
+        let mut draw = self.dropout_draws(p);
+        let out = value.data_mut().iter_mut().zip(&mut mask);
+        for ((v, m), &x) in out.zip(self.values[ia].data()) {
+            *m = draw();
+            *v = x * *m;
         }
         self.push(Op::Dropout { mask }, &[ia], value)
     }
 
-    /// Fills `mask` with an inverted-dropout mask: each element is
-    /// `1/(1-p)` with probability `1-p`, else 0.
+    /// An inverted-dropout mask stream: each draw is `1/(1-p)` with
+    /// probability `1-p`, else 0.
     ///
     /// Mask generation is on the hot path (every activation tensor in a
     /// transformer); a xorshift64* stream seeded from one draw of the graph
     /// RNG is an order of magnitude faster than drawing each element from
     /// StdRng while remaining deterministic per graph seed.
-    fn dropout_mask(&mut self, p: f32, mask: &mut [f32]) {
+    fn dropout_draws(&mut self, p: f32) -> impl FnMut() -> f32 {
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
         let mut state: u64 = self.rng.random::<u64>() | 1;
         let threshold = (keep as f64 * (1u64 << 32) as f64) as u64;
-        for m in mask.iter_mut() {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            *m = if (state >> 32) < threshold {
+            if (state >> 32) < threshold {
                 scale
             } else {
                 0.0
-            };
+            }
         }
     }
 
@@ -831,7 +835,7 @@ impl Graph {
         let mut mask = Vec::new();
         if self.training && p > 0.0 {
             mask = self.pool.take_f32(n_pairs);
-            self.dropout_mask(p, &mut mask);
+            mask.fill_with(self.dropout_draws(p));
         }
         // Zeroed, as is `out`: the products accumulate into them, and
         // padded query rows of `out` stay zero.

@@ -13,7 +13,10 @@
 #                  then runs every workload the way the benchmark does
 #                  (`--seed 1 --seconds 1`, `--trace 0`, then all four
 #                  again under `--trace 1`): a failed check
-#                  exits 1 and fails the leg. Runs right after build: a
+#                  exits 1 and fails the leg, which names the run. Each
+#                  traced run also prints one "fedbench executor share:"
+#                  line, its workload and its training + validation shape
+#                  check with the measured share. Runs right after build: a
 #                  break here fails in a few minutes, not after the ~20 min
 #                  of test legs
 #   test-serial    full test suite under CLINFL_THREADS=1
@@ -151,7 +154,17 @@ run_leg() {
             fedbench verify
             for trace in 0 1; do
                 for w in lstm_finetune bert_mlm exchange_raw_tcp exchange_codec; do
-                    fedbench --workload "$w" --seed 1 --seconds 1 --trace "$trace"
+                    status=0
+                    out=$(fedbench --workload "$w" --seed 1 --seconds 1 --trace "$trace") || status=$?
+                    printf "%s\n" "$out"
+                    if [ "$trace" = 1 ]; then
+                        share=$(printf "%s\n" "$out" | grep "training + validation" || echo "no executor-share check")
+                        echo "fedbench executor share: $w: $share"
+                    fi
+                    if [ "$status" -ne 0 ]; then
+                        echo "fedbench: $w --trace $trace exited $status" >&2
+                        exit "$status"
+                    fi
                 done
             done'
         ;;

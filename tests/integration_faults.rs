@@ -407,12 +407,10 @@ mod liveness {
         assert!(server.liveness().iter().all(|(_, _, alive)| !alive));
     }
 
-    /// Best-effort sends (goodbye, duplicate submits, heartbeats) used to
-    /// swallow their errors silently; they must now tick the
-    /// `flare.client.send_errors` counter and warn exactly once per site.
-    #[test]
-    fn failed_best_effort_sends_are_counted_and_warned_once() {
-        let _serial = timing_guard();
+    /// A registered client whose link the server has closed, recording
+    /// into a registry of its own (isolated from every other test running
+    /// in the process), with the log both sides write to.
+    fn client_on_a_closed_link() -> (FlClient, clinfl_obs::Registry, EventLog) {
         let log = EventLog::new();
         let project = Project::with_n_sites("simulator_server", 1, 5);
         let provisioned = project.provision();
@@ -422,17 +420,27 @@ mod liveness {
         let mut client =
             FlClient::register(client_side, &provisioned.sites[0], 0xBEEF, log.clone())
                 .expect("registration");
-        // A scoped registry isolates this client's counters from every
-        // other test running in the process.
         let obs = clinfl_obs::Registry::new();
         client.set_registry(obs.clone());
-
-        // Kill the link out from under the client: every further
-        // best-effort send fails.
         server.shutdown();
         server.disconnect_all();
-        client.send_bye();
-        client.send_bye();
+        (client, obs, log)
+    }
+
+    /// Best-effort sends (codec announce, duplicate submits, heartbeats)
+    /// used to swallow their errors silently; they must now tick the
+    /// `flare.client.send_errors` counter and warn exactly once per site.
+    #[test]
+    fn failed_best_effort_sends_are_counted_and_warned_once() {
+        let _serial = timing_guard();
+        let (mut client, obs, log) = client_on_a_closed_link();
+        // One attempt per send: no retry backoff on the dead link.
+        client.set_retry_policy(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        });
+        client.negotiate_codec();
+        client.negotiate_codec();
 
         if clinfl_obs::enabled() {
             let errors = obs.snapshot().counter("flare.client.send_errors");
@@ -444,6 +452,24 @@ mod liveness {
             .filter(|m| m.contains("best-effort"))
             .count();
         assert_eq!(warnings, 1, "send-error warning must fire exactly once");
+    }
+
+    /// After `Finish` the server may close the link before the goodbye
+    /// goes out; that goodbye failing is the expected outcome, so it is
+    /// neither a send error nor a warning, and same-seed runs log alike.
+    #[test]
+    fn goodbye_on_a_closed_link_is_not_a_send_error() {
+        let _serial = timing_guard();
+        let (mut client, obs, log) = client_on_a_closed_link();
+        assert!(client.heartbeat().is_err(), "the link is still open");
+        client.send_bye();
+        client.send_bye();
+        assert_eq!(obs.snapshot().counter("flare.client.send_errors"), 0);
+        let warnings = log.messages_from("FederatedClient");
+        assert!(
+            warnings.iter().all(|m| !m.contains("best-effort")),
+            "goodbye warned: {warnings:?}"
+        );
     }
 }
 

@@ -6,7 +6,7 @@
 //! deltas), because the registry is process-global and other tests in
 //! this binary may record into it concurrently.
 
-use clinfl::drivers::ClinicalSites;
+use clinfl::drivers::{build_mlm_data, pretrain_mlm, ClinicalSites, MlmScheme};
 use clinfl::{ModelSpec, PipelineConfig};
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::client::RetryPolicy;
@@ -201,6 +201,57 @@ fn real_model_federation_records_kernel_arena_and_round_metrics() {
             "{name} is zero in the run's registry"
         );
     }
+}
+
+/// Across a flat 8-site LSTM roster with every site taking part, each
+/// local epoch's probe scores the shared split once, not once per site,
+/// and each round's validation scores it once; MLM sites do not probe.
+#[test]
+fn probe_and_validation_score_the_shared_split_once_per_roster() {
+    if !obs::enabled() {
+        return; // CLINFL_OBS=0: nothing is recorded, nothing to check.
+    }
+    let _serial = simulation_guard();
+    let names = ["core.executor.probe_rows", "core.executor.validate_rows"];
+    let grown = |before: [u64; 2]| -> Vec<u64> {
+        names
+            .iter()
+            .zip(before)
+            .map(|(name, b)| obs::counter_value(name) - b)
+            .collect()
+    };
+
+    let mut cfg = PipelineConfig::fast_demo();
+    cfg.cohort.n_patients = 200;
+    cfg.local_epochs = 2;
+    assert_eq!(cfg.federation.n_clients, 8);
+    assert_eq!(cfg.federation.sag.client_sample_fraction, 1.0);
+    let rounds = u64::from(cfg.federation.sag.rounds);
+    let sites = ClinicalSites::build(&cfg, ModelSpec::Lstm, &cfg.imbalanced_partitioner());
+    let valid = sites.valid.len() as u64;
+    let before = names.map(obs::counter_value);
+    let log = EventLog::new();
+    SimulatorRunner::new(cfg.federation.clone())
+        .run_simple(
+            sites.initial(),
+            |i, _| sites.executor(i, &log),
+            &WeightedFedAvg,
+        )
+        .expect("federation completes");
+    let epochs = u64::from(cfg.local_epochs);
+    assert_eq!(
+        grown(before),
+        [rounds * epochs * valid, rounds * valid],
+        "probe and validate rows over {rounds} rounds of {epochs} local epochs, {valid} rows"
+    );
+
+    let mut cfg = PipelineConfig::fast_demo();
+    cfg.pretrain.scale = 4096;
+    cfg.pretrain_rounds = 1;
+    let data = build_mlm_data(&cfg);
+    let before = names.map(obs::counter_value);
+    pretrain_mlm(&cfg, MlmScheme::FlBalanced, &data).expect("MLM federation completes");
+    assert_eq!(grown(before), [0, data.valid.len() as u64]);
 }
 
 #[test]

@@ -161,13 +161,13 @@ struct KeepArena {
 }
 
 impl Executor for KeepArena {
-    fn train(&mut self, global: &Weights, _ctx: &TaskContext) -> Dxo {
+    fn train(&mut self, global: &Weights, ctx: &TaskContext) -> Dxo {
         self.learner.load_weights(global);
         self.learner.reset_optimizer();
         self.learner.train_epoch(&self.train);
-        // The shipped executor probes validation after each epoch, on the
-        // same tape.
-        self.learner.evaluate(&self.valid);
+        // The shipped executor probes its shard of validation after each
+        // epoch, on the same tape.
+        self.learner.probe_shard(&self.valid, ctx.shard);
         Dxo::from_weights(self.learner.export_weights(), self.train.len() as u64)
     }
 
