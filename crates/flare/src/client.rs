@@ -288,8 +288,8 @@ impl FlClient {
 
     /// Accounts for a best-effort send that failed: the paths that
     /// deliberately tolerate failure (duplicate submits, heartbeats, codec
-    /// announce, a goodbye on a live link) used to drop the error on the floor, leaving a
-    /// persistently broken link invisible. Every failure now ticks
+    /// announce, a goodbye on a live link) used to drop the error on the
+    /// floor, leaving a persistently broken link invisible. Every failure now ticks
     /// `flare.client.send_errors` (plus the per-site series) and the first
     /// one per site logs a warning.
     fn note_send_error(&mut self, op: &str, err: &FlareError) {
