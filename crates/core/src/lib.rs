@@ -39,7 +39,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod checkpoint;
 mod config;
 pub mod drivers;
 mod executor;

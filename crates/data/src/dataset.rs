@@ -202,6 +202,14 @@ impl Iterator for BatchIter<'_> {
             seq_len: s,
         })
     }
+
+    /// Skips `n` batches by moving the cursor, without assembling them
+    /// (a validation shard's `skip`/`step_by` lands here).
+    fn nth(&mut self, n: usize) -> Option<Batch> {
+        let skipped = n.saturating_mul(self.batch_size);
+        self.cursor = self.cursor.saturating_add(skipped).min(self.order.len());
+        self.next()
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +265,18 @@ mod tests {
             seen += b.batch_size;
         }
         assert_eq!(seen, 53);
+    }
+
+    #[test]
+    fn nth_returns_the_batch_next_would_reach() {
+        let d = dataset(53);
+        for k in 0..6 {
+            let mut walked = d.batches(16, 4);
+            let expected = (0..=k).map(|_| walked.next()).last().flatten();
+            let mut skipped = d.batches(16, 4);
+            assert_eq!(skipped.nth(k), expected, "nth({k})");
+            assert_eq!(skipped.next(), walked.next(), "after nth({k})");
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Admin/status API (NVFlare's admin-console equivalent).
 //!
 //! NVFlare deployments ship an admin client (`check_status`,
-//! `list_clients`, `abort_job`, …). This module provides the same
-//! introspection surface over a running workflow at two levels:
+//! `list_clients`, `abort_job`, …). This module serves the job-level
+//! part of that surface, in two pieces:
 //!
-//! * In-process: a shared [`RunStatus`] that the controller updates and
-//!   any observer thread can query, plus typed [`AdminCommand`]s with
-//!   formatted replies.
+//! * In-process: a shared [`RunStatus`] (phase and last global metric)
+//!   that the controller updates and the job runtime reads.
 //! * Over the wire: [`AdminServer`], a dependency-free HTTP/1.1
 //!   endpoint fronting a [`crate::jobs::JobRuntime`] — submit a job
 //!   config, list jobs with phase/round/metrics, abort a job, and
@@ -34,7 +33,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Lifecycle phase of a federated run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,16 +73,13 @@ impl std::fmt::Display for RunPhase {
 #[derive(Debug)]
 struct StatusInner {
     phase: RunPhase,
-    clients: Vec<(String, bool)>,
     last_metric: Option<f64>,
-    started: Instant,
 }
 
 /// Shared, thread-safe view of a run's live status.
 ///
 /// Cheap to clone (it is an `Arc` handle); the workflow side calls the
-/// `set_*` methods, observers call the getters or issue
-/// [`AdminCommand`]s via [`RunStatus::execute`].
+/// `set_*` methods, observers call the getters.
 #[derive(Clone, Debug)]
 pub struct RunStatus {
     inner: Arc<Mutex<StatusInner>>,
@@ -95,9 +91,7 @@ impl RunStatus {
         RunStatus {
             inner: Arc::new(Mutex::new(StatusInner {
                 phase: RunPhase::WaitingForClients,
-                clients: Vec::new(),
                 last_metric: None,
-                started: Instant::now(),
             })),
         }
     }
@@ -105,16 +99,6 @@ impl RunStatus {
     /// Updates the lifecycle phase.
     pub fn set_phase(&self, phase: RunPhase) {
         lock(&self.inner).phase = phase;
-    }
-
-    /// Registers or updates a client's liveness.
-    pub fn set_client(&self, site: &str, alive: bool) {
-        let mut inner = lock(&self.inner);
-        if let Some(c) = inner.clients.iter_mut().find(|(s, _)| s == site) {
-            c.1 = alive;
-        } else {
-            inner.clients.push((site.to_string(), alive));
-        }
     }
 
     /// Records the latest global validation metric.
@@ -127,42 +111,9 @@ impl RunStatus {
         lock(&self.inner).phase
     }
 
-    /// `(site, alive)` pairs.
-    pub fn clients(&self) -> Vec<(String, bool)> {
-        lock(&self.inner).clients.clone()
-    }
-
     /// Latest global metric, if any.
     pub fn last_metric(&self) -> Option<f64> {
         lock(&self.inner).last_metric
-    }
-
-    /// Executes an admin command, returning the formatted reply.
-    pub fn execute(&self, cmd: AdminCommand) -> String {
-        let inner = lock(&self.inner);
-        match cmd {
-            AdminCommand::CheckStatus => format!(
-                "phase: {} | uptime: {:.1}s | last_metric: {}",
-                inner.phase,
-                inner.started.elapsed().as_secs_f64(),
-                inner
-                    .last_metric
-                    .map(|m| format!("{m:.4}"))
-                    .unwrap_or_else(|| "n/a".into()),
-            ),
-            AdminCommand::ListClients => {
-                if inner.clients.is_empty() {
-                    "no clients registered".to_string()
-                } else {
-                    inner
-                        .clients
-                        .iter()
-                        .map(|(s, alive)| format!("{s}: {}", if *alive { "alive" } else { "dead" }))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                }
-            }
-        }
     }
 }
 
@@ -170,15 +121,6 @@ impl Default for RunStatus {
     fn default() -> Self {
         RunStatus::new()
     }
-}
-
-/// Admin-console commands (a subset of NVFlare's).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdminCommand {
-    /// Server + workflow status summary.
-    CheckStatus,
-    /// Per-client liveness listing.
-    ListClients,
 }
 
 // ======================================================================
@@ -543,24 +485,9 @@ mod tests {
             round: 2,
             total: 10,
         });
-        assert!(s
-            .execute(AdminCommand::CheckStatus)
-            .contains("training round 2/10"));
+        assert_eq!(s.phase().to_string(), "training round 2/10");
         s.set_phase(RunPhase::Finished);
         assert_eq!(s.phase(), RunPhase::Finished);
-    }
-
-    #[test]
-    fn client_listing() {
-        let s = RunStatus::new();
-        assert!(s.execute(AdminCommand::ListClients).contains("no clients"));
-        s.set_client("site-1", true);
-        s.set_client("site-2", true);
-        s.set_client("site-2", false);
-        let listing = s.execute(AdminCommand::ListClients);
-        assert!(listing.contains("site-1: alive"));
-        assert!(listing.contains("site-2: dead"));
-        assert_eq!(s.clients().len(), 2);
     }
 
     #[test]
@@ -569,7 +496,6 @@ mod tests {
         assert_eq!(s.last_metric(), None);
         s.set_metric(0.875);
         assert_eq!(s.last_metric(), Some(0.875));
-        assert!(s.execute(AdminCommand::CheckStatus).contains("0.8750"));
     }
 
     #[test]

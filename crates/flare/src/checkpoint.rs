@@ -444,8 +444,17 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[10] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
+        let err = load_weights_file(&path).unwrap_err();
+        assert!(err.to_string().contains("CRC mismatch"), "{err}");
+        std::fs::write(&path, b"not a checkpoint").unwrap();
         assert!(load_weights_file(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn missing_weights_file_is_an_io_error() {
+        let err = load_weights_file(tmp_path("never-written")).unwrap_err();
+        assert!(matches!(err, FlareError::Io(_)), "{err}");
     }
 
     #[test]

@@ -108,8 +108,8 @@ impl CodecSpec {
     }
 
     /// True when encode→decode is bit-exact (no quantization, no
-    /// sparsification). Bit-exact specs keep mixed-fleet federations and
-    /// chaos-resume runs byte-identical to all-raw runs.
+    /// sparsification). Bit-exact specs keep federations and chaos-resume
+    /// runs byte-identical to all-raw runs.
     pub fn is_lossless(&self) -> bool {
         self.quant == QuantMode::F32 && self.topk_permille.is_none()
     }

@@ -276,8 +276,8 @@ impl ScatterAndGather {
         self
     }
 
-    /// Attaches a shared [`crate::admin::RunStatus`] for admin-console
-    /// observation of the run.
+    /// Attaches a shared [`crate::admin::RunStatus`] that the run keeps
+    /// at its current phase and latest global metric.
     pub fn with_status(mut self, status: crate::admin::RunStatus) -> Self {
         self.status = status;
         self
@@ -307,11 +307,6 @@ impl ScatterAndGather {
     pub fn with_abort(mut self, abort: Arc<AtomicBool>) -> Self {
         self.abort = Some(abort);
         self
-    }
-
-    /// The live status handle.
-    pub fn status(&self) -> &crate::admin::RunStatus {
-        &self.status
     }
 
     fn abort_requested(&self) -> bool {
@@ -365,9 +360,6 @@ impl ScatterAndGather {
                 ),
             );
             self.obs.add_counter("flare.checkpoint.resumed", 1);
-        }
-        for site in gateway.client_sites() {
-            self.status.set_client(&site, true);
         }
         for round in start_round..self.config.rounds {
             if self.abort_requested() {
@@ -848,7 +840,7 @@ mod tests {
 
     #[test]
     fn status_reflects_run_lifecycle() {
-        use crate::admin::{AdminCommand, RunPhase, RunStatus};
+        use crate::admin::{RunPhase, RunStatus};
         let status = RunStatus::new();
         let mut gw = MockGateway::new(vec![1.0, 2.0]);
         let sag = ScatterAndGather::new(
@@ -869,11 +861,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status.phase(), RunPhase::Finished);
-        assert_eq!(status.clients().len(), 2);
         assert_eq!(status.last_metric(), Some(0.5));
-        assert!(status
-            .execute(AdminCommand::CheckStatus)
-            .contains("finished"));
     }
 
     #[test]

@@ -33,13 +33,6 @@ impl WeightTensor {
         self.data.len()
     }
 
-    /// Decomposes into `(dims, data)`, handing the buffers to the caller
-    /// without copying (e.g. to rebuild an autograd tensor from a received
-    /// payload).
-    pub fn into_parts(self) -> (Vec<usize>, Vec<f32>) {
-        (self.dims, self.data)
-    }
-
     /// True when every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())

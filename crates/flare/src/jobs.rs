@@ -10,11 +10,12 @@
 //!   many federations train at once (`max_concurrent`); excess jobs
 //!   queue in submission order.
 //! * Each running job is one [`SimulatorRunner`] run — the same
-//!   bring-up, resume refusal, tree fallback and `CLINFL_TREE` knob as
-//!   any simulator run — handed the job's own [`clinfl_obs::Registry`]
-//!   (so per-job metric namespaces never cross), its own checkpoint
-//!   directory guarded by [`crate::persistor::FilePersistor`]'s
-//!   exclusive lock, and an obs artifact tagged `job<id>-<name>`.
+//!   bring-up, resume refusal and tree fallback as any simulator run,
+//!   shaped by its job text alone — handed the job's own
+//!   [`clinfl_obs::Registry`] (so per-job metric namespaces never
+//!   cross), its own checkpoint directory guarded by
+//!   [`crate::persistor::FilePersistor`]'s exclusive lock, and an obs
+//!   artifact tagged `job<id>-<name>`.
 //! * [`JobRuntime::abort`] flips the job's abort flag; the controller's
 //!   gathers notice within one [`crate::server::GATHER_SLICE`],
 //!   broadcast `Finish` so client sessions wind down promptly, and the

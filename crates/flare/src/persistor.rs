@@ -238,16 +238,6 @@ impl FilePersistor {
         &self.dir
     }
 
-    /// Loads a previously saved model file, validating its CRC trailer
-    /// (files from before the trailer existed still load).
-    ///
-    /// # Errors
-    ///
-    /// I/O, CRC, or codec errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Weights, FlareError> {
-        load_weights_file(path)
-    }
-
     fn report_corrupt(&self, path: &Path, err: &FlareError) {
         clinfl_obs::add_counter("flare.persist.corrupt", 1);
         self.log.warn(
@@ -474,9 +464,9 @@ mod tests {
         let mut p = FilePersistor::new(&d).unwrap();
         p.save(0, &w(4.0), Some(0.8));
         p.save(1, &w(5.0), Some(0.6));
-        let loaded = FilePersistor::load(d.join("round_0.cfw")).unwrap();
+        let loaded = load_weights_file(d.join("round_0.cfw")).unwrap();
         assert_eq!(loaded["p"].data, vec![4.0, 4.0]);
-        let best = FilePersistor::load(d.join("best.cfw")).unwrap();
+        let best = load_weights_file(d.join("best.cfw")).unwrap();
         assert_eq!(best["p"].data, vec![4.0, 4.0]);
         let latest = p.latest().unwrap();
         assert_eq!(latest["p"].data, vec![5.0, 5.0]);

@@ -162,7 +162,6 @@ struct ServerShared {
     sessions: Mutex<Vec<SessionCell>>,
     ready: Arc<ReadyQueue>,
     stopping: AtomicBool,
-    codecs_enabled: AtomicBool,
     /// Ring of recent global payloads + canonical per-codec chains.
     /// Session-scoped: a resumed run starts fresh, forcing one
     /// self-contained downlink per client (DESIGN.md §3g).
@@ -417,40 +416,31 @@ impl ServerShared {
                     .info("ClientManager", format!("{site}: heartbeat received"));
             }
             Ok(ClientMessage::CodecPropose { specs, .. }) => {
-                if !self.codecs_enabled.load(Ordering::Relaxed) {
-                    // A pre-codec server would not know this tag; stay
-                    // silent so the client falls back to raw.
-                    self.log.warn(
-                        "ClientManager",
-                        format!("{site}: ignoring codec proposal (codecs disabled)"),
-                    );
-                } else {
-                    let chosen = specs.iter().find_map(|s| CodecSpec::parse(s).ok());
-                    let reply = ServerMessage::CodecAck {
-                        chosen: chosen.as_ref().map(|c| c.to_string()),
-                        supported: SUPPORTED_CODECS.iter().map(|s| (*s).to_string()).collect(),
-                    };
-                    {
-                        let mut guard = lock(&self.slots);
-                        let slot = &mut guard[slot_idx];
-                        slot.codec = chosen.filter(|c| !c.is_raw());
-                        slot.codec_decided = true;
-                        if let Some(c) = &slot.codec {
-                            self.log.info(
-                                "ClientManager",
-                                format!("{site}: negotiated wire codec {c}"),
-                            );
-                        }
-                        FlServer::send_frame_to_slot(
-                            slot,
-                            &reply.to_frame(),
-                            &self.log,
-                            &self.obs(),
-                            &self.metric("bytes_tx"),
+                let chosen = specs.iter().find_map(|s| CodecSpec::parse(s).ok());
+                let reply = ServerMessage::CodecAck {
+                    chosen: chosen.as_ref().map(|c| c.to_string()),
+                    supported: SUPPORTED_CODECS.iter().map(|s| (*s).to_string()).collect(),
+                };
+                {
+                    let mut guard = lock(&self.slots);
+                    let slot = &mut guard[slot_idx];
+                    slot.codec = chosen.filter(|c| !c.is_raw());
+                    slot.codec_decided = true;
+                    if let Some(c) = &slot.codec {
+                        self.log.info(
+                            "ClientManager",
+                            format!("{site}: negotiated wire codec {c}"),
                         );
                     }
-                    self.reg.bump();
+                    FlServer::send_frame_to_slot(
+                        slot,
+                        &reply.to_frame(),
+                        &self.log,
+                        &self.obs(),
+                        &self.metric("bytes_tx"),
+                    );
                 }
+                self.reg.bump();
             }
             Ok(ClientMessage::Submit { round, dxo }) => {
                 let up = Uplink {
@@ -692,7 +682,6 @@ impl FlServer {
             sessions: Mutex::new(Vec::new()),
             ready: Arc::new(ReadyQueue::default()),
             stopping: AtomicBool::new(false),
-            codecs_enabled: AtomicBool::new(true),
             ring: Mutex::new(GlobalRing::default()),
             reg: Signal::default(),
             ns: Mutex::new("flare.server".to_string()),
@@ -715,12 +704,10 @@ impl FlServer {
         }
     }
 
-    /// Enables or disables wire-codec negotiation (default enabled).
-    /// Disabling makes the server behave like a pre-codec peer: codec
-    /// proposals are ignored and every downlink ships raw f32.
-    pub fn set_wire_codecs_enabled(&mut self, enabled: bool) {
-        self.shared.codecs_enabled.store(enabled, Ordering::Relaxed);
-    }
+    /// Does nothing: the server always answers codec proposals. Kept
+    /// only because the `bench/` harness still calls it with `true`; it
+    /// goes once the harness is ported off it.
+    pub fn set_wire_codecs_enabled(&mut self, _enabled: bool) {}
 
     /// Routes this server's byte/session metrics under `ns` instead of
     /// the default `flare.server` (interior tree nodes use `flare.tree`
@@ -829,28 +816,22 @@ impl FlServer {
     /// Blocks until `n` clients have registered or `timeout` passes.
     /// Returns the registered count.
     ///
-    /// With codecs enabled, a short settle window follows: codec
-    /// proposals ride a separate message right after registration, so
-    /// broadcasting immediately would race them and ship full-f32 frames
-    /// to clients that were about to negotiate. The settle waits up to
-    /// 150 ms for every registered client to announce a codec choice —
-    /// extended to 1 s once at least one announcement has arrived
-    /// (evidence of a negotiating fleet whose remaining proposals may
-    /// have been lost to link faults). Old peers never announce, so an
-    /// all-legacy fleet pays at most the 150 ms floor. Both waits block
-    /// on the registration [`Signal`] — no sleep-polling.
+    /// A short settle window follows: codec proposals ride a separate
+    /// message right after registration, so broadcasting immediately
+    /// would race them and ship full-f32 frames to clients that were
+    /// about to negotiate. The settle waits up to 150 ms for every
+    /// registered client to announce a codec choice — extended to 1 s
+    /// once at least one announcement has arrived (the rest may have
+    /// been lost to link faults). Both waits block on the registration
+    /// [`Signal`] — no sleep-polling.
     pub fn wait_for_clients(&self, n: usize, timeout: Duration) -> usize {
         let deadline = Instant::now() + timeout;
-        let count = loop {
+        loop {
             let since = self.shared.reg.version();
-            let count = lock(&self.shared.slots).len();
-            if count >= n || Instant::now() >= deadline {
-                break count;
+            if lock(&self.shared.slots).len() >= n || Instant::now() >= deadline {
+                break;
             }
             self.shared.reg.wait_past(since, deadline);
-        };
-        if !self.shared.codecs_enabled.load(Ordering::Relaxed) {
-            return count;
         }
         let settle = Instant::now() + Duration::from_millis(150);
         let grace = Instant::now() + Duration::from_secs(1);
@@ -1050,7 +1031,7 @@ impl ClientGateway for FlServer {
 
     fn broadcast(&mut self, task: &TaskAssignment) -> usize {
         // Weight-bearing tasks go through the wire codec per slot; Finish
-        // (and any task for a raw peer) ships in the legacy format.
+        // (and any task for a raw peer) ships in the raw format.
         let (weights, is_train) = match task {
             TaskAssignment::Train { weights, .. } => (Some(weights), true),
             TaskAssignment::Validate { weights, .. } => (Some(weights), false),
@@ -1063,9 +1044,7 @@ impl ClientGateway for FlServer {
         // Lock order: slots, then ring (matches the reactor, which never
         // holds both at once).
         let mut slots = lock(&self.shared.slots);
-        let any_codec = weights.is_some()
-            && self.shared.codecs_enabled.load(Ordering::Relaxed)
-            && slots.iter().any(|s| s.alive && s.codec.is_some());
+        let any_codec = weights.is_some() && slots.iter().any(|s| s.alive && s.codec.is_some());
         if !any_codec {
             for slot in slots.iter_mut().filter(|s| s.alive) {
                 if Self::send_frame_to_slot(slot, &raw_frame, &self.shared.log, &obs, &tx_metric) {

@@ -20,7 +20,6 @@ use crate::spec::resume_mismatch;
 use crate::transport::Connection;
 use crate::FlareError;
 use clinfl_obs::Registry;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -40,16 +39,6 @@ pub struct TreeConfig {
 }
 
 impl TreeConfig {
-    /// Reads the `CLINFL_TREE` environment knob, a value of the spec's
-    /// `tree` key: `"2"` (depth 2, fanout 8) or `"2x8"` (`depth x
-    /// fanout`). Unset, empty, or invalid values mean "no override".
-    pub fn from_env() -> Option<Self> {
-        let mut spec = SimulatorConfig::default();
-        spec.apply("tree", &std::env::var("CLINFL_TREE").ok()?)
-            .ok()?;
-        spec.tree
-    }
-
     /// Parses `"<depth>"` or `"<depth>x<fanout>"`.
     pub fn parse(raw: &str) -> Option<Self> {
         let raw = raw.trim();
@@ -193,19 +182,12 @@ pub struct SimulatorConfig {
     /// pruned first); `None` keeps all.
     pub retain_checkpoints: Option<usize>,
     /// Wire codec every client proposes at registration (see
-    /// [`crate::codec`]); raw keeps the legacy full-f32 exchange.
+    /// [`crate::codec`]); raw keeps the full-f32 exchange.
     pub wire: CodecSpec,
-    /// Per-site codec overrides keyed by 0-based site index (mixed-fleet
-    /// testing: some sites raw, some compressed).
-    pub wire_overrides: BTreeMap<usize, CodecSpec>,
-    /// When false the server ignores codec proposals (emulates a
-    /// pre-codec server, exercising the client's raw fallback).
-    pub server_codecs_enabled: bool,
-    /// Aggregation-tree topology. `None` falls back to the `CLINFL_TREE`
-    /// environment knob, and to a flat fleet when that is unset too. A
-    /// resumed run restores the topology recorded in its checkpoint
-    /// instead. Trees need an aggregation rule with
-    /// [`Aggregator::supports_partial`]; others warn and run flat.
+    /// Aggregation-tree topology; `None` is a flat fleet. A resumed run
+    /// restores the topology recorded in its checkpoint instead. Trees
+    /// need an aggregation rule with [`Aggregator::supports_partial`];
+    /// others warn and run flat.
     pub tree: Option<TreeConfig>,
     /// DP-SGD: every site's outgoing update is clipped and noised first
     /// in its filter chain, and the run reports its (ε, δ). `None` runs
@@ -225,8 +207,6 @@ impl Default for SimulatorConfig {
             resume: false,
             retain_checkpoints: None,
             wire: CodecSpec::raw(),
-            wire_overrides: BTreeMap::new(),
-            server_codecs_enabled: true,
             tree: None,
             dp: None,
         }
@@ -315,7 +295,7 @@ impl SimulatorRunner {
         self
     }
 
-    /// Publishes the run's live phase, clients and last metric into
+    /// Publishes the run's live phase and last metric into
     /// `status` (see [`ScatterAndGather::with_status`]).
     pub fn with_status(mut self, status: RunStatus) -> Self {
         self.status = status;
@@ -403,7 +383,7 @@ impl SimulatorRunner {
         }
         // Topology: a resumed run restores whatever its checkpoint
         // recorded (a run must not change shape mid-flight); otherwise the
-        // config, then the CLINFL_TREE environment knob, decides.
+        // config decides.
         let topology = match sag_cfg
             .resume_from
             .as_ref()
@@ -414,7 +394,7 @@ impl SimulatorRunner {
                 fanout: (f as usize).max(2),
             }),
             Some(_) => None,
-            None => self.config.tree.or_else(TreeConfig::from_env),
+            None => self.config.tree,
         };
         let topology = match topology.filter(|t| t.depth >= 2 && n >= 2) {
             Some(_) if !aggregator.supports_partial() => {
@@ -538,12 +518,7 @@ impl SimulatorRunner {
                 let obs = self.obs.clone();
                 let secret = dh_secret(self.config.seed, job.index as u64 + 1);
                 let retry = self.config.retry;
-                let wire = self
-                    .config
-                    .wire_overrides
-                    .get(&job.index)
-                    .cloned()
-                    .unwrap_or_else(|| self.config.wire.clone());
+                let wire = self.config.wire.clone();
                 leaf_handles.push(scope.spawn(move || -> Result<u32, FlareError> {
                     let mut client = FlClient::register(job.conn, &job.package, secret, clog)?;
                     client.set_registry(obs);
@@ -657,7 +632,6 @@ impl SimulatorRunner {
         .provision();
         let mut server = FlServer::new(prov.server.clone(), self.log.clone(), seed);
         server.set_registry(self.obs.clone());
-        server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
         (server, prov)
     }
 

@@ -7,9 +7,9 @@
 //! prints every key in canonical form, and [`SimulatorConfig::validate`]
 //! holds the cross-key range checks. One table, [`SPEC_KEYS`], maps each
 //! key to its field in both directions, so the job format
-//! ([`crate::job::JobConfig::parse`]), the `clinfl` flags, the
-//! `CLINFL_TREE` knob and the checkpoint record all speak the same
-//! grammar.
+//! ([`crate::job::JobConfig::parse`]), the `clinfl` flags and the
+//! checkpoint record all speak the same grammar. No environment
+//! variable reshapes a run: what the text says is what runs.
 //!
 //! ```text
 //! clients = 8
@@ -26,10 +26,8 @@
 //! ```
 //!
 //! Optional fields print only when set, and a missing key leaves the
-//! field as it was (so a spec without `tree` still lets `CLINFL_TREE`
-//! decide). The test-only hooks `wire_overrides` and
-//! `server_codecs_enabled` have no key; a crashed site is the `faults`
-//! key's `crash:S@R`.
+//! field as it was (a spec without `tree` runs a flat fleet). A crashed
+//! site is the `faults` key's `crash:S@R`.
 
 use crate::codec::CodecSpec;
 use crate::faults::FaultConfig;
@@ -229,7 +227,7 @@ impl SimulatorConfig {
 
     /// The canonical spec text: one `key = value` line per set key, in
     /// key order. Applying its lines to a default config rebuilds this
-    /// one (test-only hooks aside).
+    /// one.
     pub fn to_text(&self) -> String {
         SPEC_KEYS
             .iter()

@@ -8,6 +8,12 @@
 //! large enough that no timeout-driven traffic fires mid-run; fault
 //! events are compared sorted (threads interleave log order), and the
 //! single-threaded controller's drop/quorum lines are compared verbatim.
+//!
+//! `CLINFL_TREE=DxF` reruns every federation here on that aggregation
+//! tree; each run then asserts that it really formed the tree (see
+//! `common`).
+
+mod common;
 
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::client::RetryPolicy;
@@ -17,6 +23,7 @@ use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::simulator::{SimulationResult, SimulatorConfig, SimulatorRunner};
 use clinfl_flare::{Dxo, WeightTensor, Weights};
 use clinfl_tensor::pool;
+use common::{assert_topology, env_tree};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -66,8 +73,9 @@ fn chaos_config(seed: u64) -> SimulatorConfig {
     }
 }
 
-fn run_sim(cfg: SimulatorConfig) -> Result<SimulationResult, clinfl_flare::FlareError> {
-    SimulatorRunner::new(cfg).run_simple(
+fn run_sim(mut cfg: SimulatorConfig) -> Result<SimulationResult, clinfl_flare::FlareError> {
+    env_tree(&mut cfg);
+    let res = SimulatorRunner::new(cfg.clone()).run_simple(
         initial(),
         |i, _| {
             Box::new(ArithmeticExecutor {
@@ -76,7 +84,11 @@ fn run_sim(cfg: SimulatorConfig) -> Result<SimulationResult, clinfl_flare::Flare
             })
         },
         &WeightedFedAvg,
-    )
+    );
+    if let Ok(res) = &res {
+        assert_topology(&cfg, &res.log);
+    }
+    res
 }
 
 fn run_chaos(seed: u64) -> SimulationResult {
@@ -306,7 +318,8 @@ fn quorum_aggregate_independent_of_straggler_mode() {
         if straggle.is_none() {
             cfg.apply("faults", "crash:7@0").unwrap();
         }
-        SimulatorRunner::new(cfg)
+        env_tree(&mut cfg);
+        let res = SimulatorRunner::new(cfg.clone())
             .run_simple(
                 initial(),
                 |i, _| {
@@ -321,7 +334,9 @@ fn quorum_aggregate_independent_of_straggler_mode() {
                 },
                 &WeightedFedAvg,
             )
-            .expect("quorum run completes")
+            .expect("quorum run completes");
+        assert_topology(&cfg, &res.log);
+        res
     };
 
     // Run A: site-8 crashes before round 0. Run B: site-8 straggles far
@@ -474,7 +489,7 @@ mod liveness {
 }
 
 mod driver {
-    use super::timing_guard;
+    use super::{assert_topology, env_tree, timing_guard};
     use clinfl::{drivers, ModelSpec, PipelineConfig};
     use clinfl_flare::faults::FaultConfig;
     use std::time::Duration;
@@ -487,6 +502,7 @@ mod driver {
         cfg.local_epochs = 1;
         cfg.epochs = 3;
         cfg.federation.seed = 42;
+        env_tree(&mut cfg.federation);
         cfg
     }
 
@@ -525,6 +541,7 @@ mod driver {
             faulty.accuracy
         );
         let log = faulty.log.expect("federated runs carry a log");
+        assert_topology(&cfg.federation, &log);
         assert!(log.contains("FaultInjector"), "no faults were injected");
         assert_eq!(faulty.history.len(), 3, "faulty run must finish 3 rounds");
     }

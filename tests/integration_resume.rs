@@ -13,13 +13,21 @@
 //! completion and checkpoint integrity, not bit-equality.
 //!
 //! The kill mechanism: the parent re-invokes its own test binary filtered
-//! to `resume_child_worker`; the child runs the federation with a
-//! checkpoint directory while a watchdog thread polls `run.cfc` and calls
-//! `std::process::abort()` (no destructors, no flushes — a SIGKILL-grade
-//! stop) once the checkpoint passes the requested round.
+//! to `resume_child_worker`, handing it the run's whole spec text in
+//! `CLINFL_RESUME_CHILD_SPEC` (checkpoint directory, faults, resume,
+//! codec and tree included); the child runs that federation while a
+//! watchdog thread polls `run.cfc` and calls `std::process::abort()` (no
+//! destructors, no flushes — a SIGKILL-grade stop) once the checkpoint
+//! passes the round in `CLINFL_RESUME_KILL_AFTER`.
+//!
+//! `CLINFL_TREE=DxF` reruns every federation here on that aggregation
+//! tree; each completed run then asserts that it really formed the tree
+//! (see `common`).
+
+mod common;
 
 use clinfl_flare::aggregator::WeightedFedAvg;
-use clinfl_flare::checkpoint::{RunCheckpoint, RUN_CHECKPOINT_FILE};
+use clinfl_flare::checkpoint::{load_weights_file, RunCheckpoint, RUN_CHECKPOINT_FILE};
 use clinfl_flare::client::RetryPolicy;
 use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::controller::SagConfig;
@@ -28,7 +36,7 @@ use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::persistor::{FilePersistor, Persistor};
 use clinfl_flare::simulator::{SimulationResult, SimulatorConfig, SimulatorRunner};
 use clinfl_flare::{FlareError, WeightTensor, Weights};
-use std::collections::BTreeMap;
+use common::{assert_topology, env_tree};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -69,20 +77,13 @@ fn quiet_retry() -> RetryPolicy {
 
 /// Delay-only faults: frames are held back but never lost, so every site
 /// contributes every round and the outcome is schedule-independent.
-fn delay_faults(seed: u64) -> FaultConfig {
-    FaultConfig {
-        seed,
-        drop_permille: 0,
-        truncate_permille: 0,
-        delay_permille: 300,
-        delay: Duration::from_millis(5),
-        crash_at: BTreeMap::new(),
-    }
+fn delay_faults() -> FaultConfig {
+    FaultConfig::parse(&format!("seed:{SEED},delay:300,delay_ms:5")).expect("delay-only profile")
 }
 
 fn sim_config(dir: Option<&Path>, faults: FaultConfig, resume: bool) -> SimulatorConfig {
     let lossy = faults.drop_permille > 0 || faults.truncate_permille > 0;
-    SimulatorConfig {
+    let mut cfg = SimulatorConfig {
         n_clients: 8,
         sag: SagConfig {
             rounds: ROUNDS,
@@ -98,11 +99,13 @@ fn sim_config(dir: Option<&Path>, faults: FaultConfig, resume: bool) -> Simulato
         checkpoint_dir: dir.map(Path::to_path_buf),
         resume,
         ..SimulatorConfig::default()
-    }
+    };
+    env_tree(&mut cfg);
+    cfg
 }
 
 fn run_sim(cfg: SimulatorConfig) -> Result<SimulationResult, FlareError> {
-    SimulatorRunner::new(cfg).run_simple(
+    let res = SimulatorRunner::new(cfg.clone()).run_simple(
         initial(),
         |i, _| {
             Box::new(ArithmeticExecutor {
@@ -111,7 +114,11 @@ fn run_sim(cfg: SimulatorConfig) -> Result<SimulationResult, FlareError> {
             })
         },
         &WeightedFedAvg,
-    )
+    );
+    if let Ok(res) = &res {
+        assert_topology(&cfg, &res.log);
+    }
+    res
 }
 
 /// Checkpoint dirs live under `target/chaos-resume/` so CI can upload the
@@ -139,30 +146,17 @@ fn assert_recoverable(dir: &Path) -> Option<RunCheckpoint> {
     ckpt
 }
 
-/// Re-invokes this test binary filtered to [`resume_child_worker`].
-fn spawn_child(
-    dir: &Path,
-    faults: &str,
-    wire: Option<&str>,
-    kill_after: Option<u32>,
-    resume: bool,
-) -> bool {
+/// Re-invokes this test binary filtered to [`resume_child_worker`], which
+/// runs `cfg` (its checkpoint directory included) and, with `kill_after`,
+/// aborts once the checkpoint passes that round.
+fn spawn_child(cfg: &SimulatorConfig, kill_after: Option<u32>) -> bool {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = std::process::Command::new(exe);
     cmd.args(["resume_child_worker", "--exact", "--test-threads", "1"])
-        .env("CLINFL_RESUME_CHILD_DIR", dir)
-        .env("CLINFL_RESUME_CHILD_FAULTS", faults)
-        .env_remove("CLINFL_RESUME_KILL_AFTER")
-        .env_remove("CLINFL_RESUME_CHILD_RESUME")
-        .env_remove("CLINFL_RESUME_CHILD_WIRE");
-    if let Some(w) = wire {
-        cmd.env("CLINFL_RESUME_CHILD_WIRE", w);
-    }
+        .env("CLINFL_RESUME_CHILD_SPEC", cfg.to_text())
+        .env_remove("CLINFL_RESUME_KILL_AFTER");
     if let Some(k) = kill_after {
         cmd.env("CLINFL_RESUME_KILL_AFTER", k.to_string());
-    }
-    if resume {
-        cmd.env("CLINFL_RESUME_CHILD_RESUME", "1");
     }
     let out = cmd.output().expect("spawn child test process");
     if !out.status.success() && kill_after.is_none() {
@@ -202,15 +196,17 @@ fn scout_aggressive_resume_seeds() {
 /// sweep, a crash-able federation server when the parent sets the env.
 #[test]
 fn resume_child_worker() {
-    let Ok(dir) = std::env::var("CLINFL_RESUME_CHILD_DIR") else {
+    let Ok(spec) = std::env::var("CLINFL_RESUME_CHILD_SPEC") else {
         return;
     };
-    let dir = PathBuf::from(dir);
-    let resume = std::env::var("CLINFL_RESUME_CHILD_RESUME").is_ok();
-    let faults = match std::env::var("CLINFL_RESUME_CHILD_FAULTS").as_deref() {
-        Ok("aggressive") => FaultConfig::aggressive(AGGR_FAULT_SEED),
-        _ => delay_faults(SEED),
-    };
+    let mut cfg = SimulatorConfig::default();
+    for (key, value) in spec.lines().filter_map(|line| line.split_once('=')) {
+        cfg.apply(key.trim(), value).expect("child spec line");
+    }
+    let dir = cfg
+        .checkpoint_dir
+        .clone()
+        .expect("child spec names a checkpoint_dir");
     if let Some(k) = std::env::var("CLINFL_RESUME_KILL_AFTER")
         .ok()
         .and_then(|v| v.parse::<u32>().ok())
@@ -226,10 +222,6 @@ fn resume_child_worker() {
             std::thread::sleep(Duration::from_micros(200));
         });
     }
-    let mut cfg = sim_config(Some(&dir), faults, resume);
-    if let Ok(w) = std::env::var("CLINFL_RESUME_CHILD_WIRE") {
-        cfg.apply("codec", &w).expect("child wire codec");
-    }
     run_sim(cfg).expect("child federation run");
 }
 
@@ -240,12 +232,13 @@ fn resume_child_worker() {
 #[test]
 fn killed_and_resumed_run_matches_uninterrupted_bitwise() {
     let _serial = timing_guard();
-    let reference = run_sim(sim_config(None, delay_faults(SEED), false)).expect("reference run");
+    let reference = run_sim(sim_config(None, delay_faults(), false)).expect("reference run");
     assert_eq!(reference.workflow.rounds.len() as u32, ROUNDS);
 
     let dir = chaos_dir("bitwise");
+    let child = |resume| sim_config(Some(&dir), delay_faults(), resume);
     for k in 0..ROUNDS - 1 {
-        let completed = spawn_child(&dir, "delay", None, Some(k), k > 0);
+        let completed = spawn_child(&child(k > 0), Some(k));
         assert!(
             !completed,
             "child with kill_after={k} finished instead of crashing"
@@ -254,10 +247,7 @@ fn killed_and_resumed_run_matches_uninterrupted_bitwise() {
         assert!(ckpt.next_round > k, "no progress before kill at {k}");
         assert_eq!(ckpt.seed, SEED);
     }
-    assert!(
-        spawn_child(&dir, "delay", None, None, true),
-        "final resume leg failed"
-    );
+    assert!(spawn_child(&child(true), None), "final resume leg failed");
 
     let p = FilePersistor::new(&dir).unwrap();
     let ckpt = p.load_checkpoint().expect("final checkpoint");
@@ -278,7 +268,7 @@ fn killed_and_resumed_run_matches_uninterrupted_bitwise() {
         assert_eq!(c.contributors, r.contributors);
         assert_eq!(c.dropped, r.dropped);
     }
-    let best = FilePersistor::load(dir.join("best.cfw")).expect("best.cfw readable");
+    let best = load_weights_file(dir.join("best.cfw")).expect("best.cfw readable");
     assert!(!best.is_empty());
     std::fs::remove_dir_all(&dir).ok(); // kept on failure for CI artifacts
 }
@@ -293,9 +283,12 @@ fn killed_and_resumed_run_matches_uninterrupted_bitwise() {
 #[test]
 fn codec_resume_matches_uninterrupted_bitwise() {
     let _serial = timing_guard();
-    let mut ref_cfg = sim_config(None, delay_faults(SEED), false);
-    ref_cfg.wire = CodecSpec::parse("delta").unwrap();
-    let reference = run_sim(ref_cfg).expect("reference codec run");
+    let codec = |dir: Option<&Path>, resume| {
+        let mut cfg = sim_config(dir, delay_faults(), resume);
+        cfg.wire = CodecSpec::parse("delta").unwrap();
+        cfg
+    };
+    let reference = run_sim(codec(None, false)).expect("reference codec run");
     assert_eq!(reference.workflow.rounds.len() as u32, ROUNDS);
     assert!(
         reference.log.contains("negotiated wire codec delta"),
@@ -303,12 +296,12 @@ fn codec_resume_matches_uninterrupted_bitwise() {
     );
 
     let dir = chaos_dir("codec-bitwise");
-    let completed = spawn_child(&dir, "delay", Some("delta"), Some(1), false);
+    let completed = spawn_child(&codec(Some(&dir), false), Some(1));
     assert!(!completed, "codec child finished instead of crashing");
     let ckpt = assert_recoverable(&dir).expect("checkpoint after codec kill");
     assert!(ckpt.next_round > 1, "no progress before the codec kill");
     assert!(
-        spawn_child(&dir, "delay", Some("delta"), None, true),
+        spawn_child(&codec(Some(&dir), true), None),
         "codec resume leg failed"
     );
 
@@ -329,7 +322,7 @@ fn codec_resume_matches_uninterrupted_bitwise() {
 fn resume_under_a_changed_codec_is_refused() {
     let _serial = timing_guard();
     let dir = chaos_dir("changed-spec");
-    let completed = spawn_child(&dir, "delay", None, Some(1), false);
+    let completed = spawn_child(&sim_config(Some(&dir), delay_faults(), false), Some(1));
     assert!(!completed, "child finished instead of crashing");
     let ckpt = assert_recoverable(&dir).expect("checkpoint after kill");
     let round_files = || {
@@ -343,7 +336,7 @@ fn resume_under_a_changed_codec_is_refused() {
     };
     let before = round_files();
 
-    let mut cfg = sim_config(Some(&dir), delay_faults(SEED), true);
+    let mut cfg = sim_config(Some(&dir), delay_faults(), true);
     cfg.apply("codec", "delta").unwrap();
     let err = run_sim(cfg).expect_err("a resume under another codec must be refused");
     assert!(
@@ -369,12 +362,13 @@ fn resume_under_a_changed_codec_is_refused() {
 fn aggressive_fault_kill_resume_completes_and_stays_recoverable() {
     let _serial = timing_guard();
     let dir = chaos_dir("aggressive");
-    let completed = spawn_child(&dir, "aggressive", None, Some(1), false);
+    let child = |resume| sim_config(Some(&dir), FaultConfig::aggressive(AGGR_FAULT_SEED), resume);
+    let completed = spawn_child(&child(false), Some(1));
     assert!(!completed, "child should have been killed mid-run");
     let ckpt = assert_recoverable(&dir).expect("checkpoint after aggressive kill");
     assert!(ckpt.next_round >= 2);
     assert!(
-        spawn_child(&dir, "aggressive", None, None, true),
+        spawn_child(&child(true), None),
         "resume under aggressive faults failed"
     );
     let p = FilePersistor::new(&dir).unwrap();
@@ -402,6 +396,7 @@ fn driver_level_resume_extends_run() {
     let _serial = timing_guard();
     let dir = chaos_dir("driver");
     let mut cfg = clinfl::PipelineConfig::fast_demo();
+    env_tree(&mut cfg.federation);
     cfg.federation.checkpoint_dir = Some(dir.clone());
     cfg.federation.retain_checkpoints = Some(2);
     cfg.federation.sag.rounds = 1;
@@ -413,6 +408,7 @@ fn driver_level_resume_extends_run() {
     cfg.federation.resume = true;
     let resumed = clinfl::drivers::train_federated(&cfg, clinfl::ModelSpec::Lstm)
         .expect("resumed leg trains");
+    assert_topology(&cfg.federation, resumed.log.as_ref().unwrap());
     assert_eq!(resumed.history.len(), 2, "history must cover both rounds");
     assert!(resumed.accuracy > 0.0 && resumed.accuracy <= 1.0);
     assert!(
@@ -434,7 +430,7 @@ fn driver_level_resume_extends_run() {
 fn resume_with_empty_dir_starts_fresh() {
     let _serial = timing_guard();
     let dir = chaos_dir("fresh");
-    let res = run_sim(sim_config(Some(&dir), delay_faults(SEED), true)).expect("fresh run");
+    let res = run_sim(sim_config(Some(&dir), delay_faults(), true)).expect("fresh run");
     assert_eq!(res.workflow.rounds.len() as u32, ROUNDS);
     assert!(res
         .log

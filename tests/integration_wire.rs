@@ -1,9 +1,8 @@
 //! Wire-codec integration: negotiated weight compression must not change
 //! federation results. Lossless codecs reproduce the all-raw run
-//! bit-for-bit (including mixed fleets and pre-codec servers), lossy
-//! codecs with error feedback stay within quantization tolerance, and
-//! chaos runs complete with compression on and still cut the root's
-//! sealed bytes at least tenfold.
+//! bit-for-bit, lossy codecs with error feedback stay within
+//! quantization tolerance, and chaos runs complete with compression on
+//! and still cut the root's sealed bytes at least tenfold.
 //!
 //! The wire-format spec these runs exercise is DESIGN.md §3g.
 
@@ -15,7 +14,6 @@ use clinfl_flare::faults::FaultConfig;
 use clinfl_flare::simulator::{SimulationResult, SimulatorConfig, SimulatorRunner};
 use clinfl_flare::{WeightTensor, Weights};
 use clinfl_obs::Registry;
-use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -96,45 +94,6 @@ fn lossless_fleet_matches_all_raw_bitwise() {
     assert!(
         coded.log.contains("negotiated wire codec delta"),
         "codec was never negotiated"
-    );
-}
-
-/// Raw and codec clients can share one federation; the result still
-/// matches the all-raw run bit-for-bit when the codecs are lossless.
-#[test]
-fn mixed_fleet_matches_all_raw_bitwise() {
-    let raw = run_sim(base_config(4));
-    let mut cfg = base_config(4);
-    cfg.wire = CodecSpec::parse("delta").unwrap();
-    let mut overrides = BTreeMap::new();
-    overrides.insert(1, CodecSpec::raw());
-    overrides.insert(3, CodecSpec::raw());
-    cfg.wire_overrides = overrides;
-    let mixed = run_sim(cfg);
-    assert_eq!(
-        bits(&raw.workflow.final_weights),
-        bits(&mixed.workflow.final_weights),
-        "mixed raw/codec fleet diverged from the all-raw run"
-    );
-}
-
-/// A pre-codec server ignores proposals; clients must fall back to the
-/// raw format and still reproduce the all-raw result exactly.
-#[test]
-fn silent_server_falls_back_to_raw() {
-    let raw = run_sim(base_config(3));
-    let mut cfg = base_config(3);
-    cfg.wire = CodecSpec::parse("delta+int8").unwrap();
-    cfg.server_codecs_enabled = false;
-    let fallback = run_sim(cfg);
-    assert_eq!(
-        bits(&raw.workflow.final_weights),
-        bits(&fallback.workflow.final_weights),
-        "raw fallback diverged from the all-raw run"
-    );
-    assert!(
-        fallback.log.contains("using raw format"),
-        "expected the clients to log the raw fallback"
     );
 }
 

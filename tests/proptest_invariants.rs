@@ -92,7 +92,8 @@ fn arb_duration(max_s: u64) -> impl Strategy<Value = Duration> {
 }
 
 /// Every config the spec grammar can express: all keys set, optional ones
-/// sometimes, the test-only hooks at their defaults.
+/// sometimes. Every field is spelled out, so a new `SimulatorConfig`
+/// field does not compile until it has a generator here.
 fn arb_spec() -> impl Strategy<Value = SimulatorConfig> {
     let codec =
         (any::<bool>(), 0u8..3, opt(1u16..=1000)).prop_map(|(delta, q, topk_permille)| CodecSpec {
@@ -179,7 +180,6 @@ fn arb_spec() -> impl Strategy<Value = SimulatorConfig> {
                     wire,
                     tree,
                     dp,
-                    ..SimulatorConfig::default()
                 }
             },
         )
