@@ -34,12 +34,10 @@ mod codes;
 mod cohort;
 mod corpus;
 mod dataset;
-mod notes;
 mod partition;
 
 pub use codes::{CodeSystem, CodeSystemSpec};
 pub use cohort::{generate_cohort, Cohort, CohortSpec, Patient};
 pub use corpus::{generate_corpus, Corpus, PretrainSpec};
 pub use dataset::{Batch, BatchIter, ClassifyDataset, Example};
-pub use notes::{render_note, render_note_for_site};
 pub use partition::{allocate_counts, SitePartitioner, PAPER_IMBALANCED_RATIOS};

@@ -4,11 +4,12 @@
 //! retry budget with per-message timeouts and exponential backoff,
 //! corrupt frames are rejected and skipped instead of killing the
 //! session, and sends retry transient transport failures. Heartbeats are
-//! emitted while the client waits out a retry so the server's liveness
-//! table can tell "slow" from "gone".
+//! emitted while the client waits out a retry; the server logs them, so
+//! a run log tells "slow" from "gone".
 
 use crate::codec::{
-    decode_weights, wire_count, CodecSpec, EncodedWeights, PayloadCache, UplinkEncoder, NO_BASE,
+    count_crc_reject, decode_weights, CodecSpec, EncodedWeights, PayloadCache, UplinkEncoder,
+    NO_BASE,
 };
 use crate::dxo::{Dxo, DxoKind, Weights};
 use crate::executor::{Executor, Shard, TaskContext};
@@ -354,8 +355,8 @@ impl FlClient {
         Ok(())
     }
 
-    /// Sends a keepalive so the server's liveness table sees this site as
-    /// alive even when no task traffic flows.
+    /// Sends a keepalive, which the server logs, so the run log shows
+    /// this site alive even when no task traffic flows.
     ///
     /// # Errors
     ///
@@ -468,7 +469,7 @@ impl FlClient {
                     "FederatedClient",
                     format!("{}: negotiated wire codec {sp}", self.site),
                 );
-                wire_count("flare.wire.codec.negotiated", 1);
+                self.registry.add_counter("flare.wire.codec.negotiated", 1);
                 self.uplink = Some(UplinkEncoder::new(sp.clone()));
                 self.active = Some(sp);
             }
@@ -480,7 +481,8 @@ impl FlClient {
                         self.site, self.wire
                     ),
                 );
-                wire_count("flare.wire.codec.fallback_raw", 1);
+                self.registry
+                    .add_counter("flare.wire.codec.fallback_raw", 1);
                 self.wire = CodecSpec::raw();
             }
         }
@@ -497,7 +499,7 @@ impl FlClient {
             match self.cache.get(enc.base_id) {
                 Some(b) => Some(b),
                 None => {
-                    wire_count("flare.wire.codec.base_misses", 1);
+                    self.registry.add_counter("flare.wire.codec.base_misses", 1);
                     self.log.warn(
                         "FederatedClient",
                         format!(
@@ -521,7 +523,8 @@ impl FlClient {
                 Some(w)
             }
             Err(e) => {
-                wire_count("flare.wire.codec.decode_errors", 1);
+                self.registry
+                    .add_counter("flare.wire.codec.decode_errors", 1);
                 self.log.warn(
                     "FederatedClient",
                     format!("{}: undecodable downlink payload: {e}", self.site),
@@ -639,7 +642,10 @@ impl FlClient {
             .open(frame)
             .map_err(|e| format!("rejected corrupt frame: {e}"))
             .and_then(|plain| {
-                ServerMessage::from_frame(&plain).map_err(|e| format!("undecodable message: {e}"))
+                ServerMessage::from_frame(&plain).map_err(|e| {
+                    count_crc_reject(&self.registry, &e);
+                    format!("undecodable message: {e}")
+                })
             });
         match decoded {
             Ok(msg) => Some(msg),

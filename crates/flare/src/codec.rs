@@ -33,6 +33,7 @@ use crate::checkpoint::crc32;
 use crate::dxo::{WeightTensor, Weights};
 use crate::wire::{WireDecode, WireEncode, WireReader};
 use crate::FlareError;
+use clinfl_obs::Registry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -49,11 +50,14 @@ pub const DEFAULT_RING_DEPTH: usize = 8;
 /// trusted.
 const MAX_DECODE_ELEMS: usize = 1 << 31;
 
-/// Bumps a `flare.wire.*` counter when obs is enabled (shared by the
-/// client and server codec paths; cold, so the registry lookup is fine).
-pub(crate) fn wire_count(name: &str, n: u64) {
-    if clinfl_obs::enabled() {
-        clinfl_obs::counter(name).add(n);
+/// Start of the error an [`EncodedWeights`] CRC mismatch decodes to.
+const CRC_MISMATCH: &str = "encoded-weights CRC mismatch";
+
+/// Counts `flare.wire.codec.crc_rejects` in the endpoint's `obs` when a
+/// frame failed to decode on an [`EncodedWeights`] CRC mismatch.
+pub(crate) fn count_crc_reject(obs: &Registry, e: &FlareError) {
+    if matches!(e, FlareError::Codec(m) if m.starts_with(CRC_MISMATCH)) {
+        obs.add_counter("flare.wire.codec.crc_rejects", 1);
     }
 }
 
@@ -618,9 +622,8 @@ impl WireDecode for EncodedWeights {
         let want = crc32(r.since(mark));
         let got = u32::decode(r)?;
         if want != got {
-            wire_count("flare.wire.codec.crc_rejects", 1);
             return Err(FlareError::Codec(format!(
-                "encoded-weights CRC mismatch: stored {got:#010x}, computed {want:#010x}"
+                "{CRC_MISMATCH}: stored {got:#010x}, computed {want:#010x}"
             )));
         }
         Ok(EncodedWeights {
@@ -1172,14 +1175,12 @@ impl UplinkEncoder {
 /// drives the `flare.wire.codec.*` counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DownlinkKind {
-    /// Self-contained frame (chain head or fallback for lost bases).
+    /// Self-contained frame: the chain head.
     Full,
     /// Canonical delta against the client's acknowledged payload.
     Delta,
     /// Payload is bitwise-identical to the acknowledged payload.
     Alias,
-    /// Lossless catch-up delta for a straggler off the canonical chain.
-    CatchUp,
 }
 
 struct ChainEntry {
@@ -1209,7 +1210,7 @@ impl Chain {
 /// compliant client converges to. Downlink deltas are computed against
 /// *reconstructions* (not raw globals), so quantization error does not
 /// accumulate across rounds, and every client that follows the
-/// canonical/alias/catch-up frames lands on exactly the same bits.
+/// canonical/alias frames lands on exactly the same bits.
 pub struct GlobalRing {
     depth: usize,
     next_id: u32,
@@ -1336,12 +1337,11 @@ impl GlobalRing {
     /// every client about to receive it: when any ack cannot take the
     /// cheap alias/canonical-delta path (fresh client, evicted or
     /// off-chain ack), the chain entry for `id` is rebuilt as a
-    /// self-contained head frame, which is valid for *every* receiver and
-    /// far smaller than the exact-f32 full / lossless catch-up frames
-    /// those clients would otherwise need. Earlier entries are kept so
-    /// in-flight uplink deltas against older reconstructions still
-    /// resolve. No-op when everyone is on the cheap path or `id` already
-    /// heads the chain.
+    /// self-contained head frame, which is valid for *every* receiver:
+    /// [`Self::encode_for`] serves only what this plan covers. Earlier
+    /// entries are kept so in-flight uplink deltas against older
+    /// reconstructions still resolve. No-op when everyone is on the cheap
+    /// path or `id` already heads the chain.
     pub fn prepare_round(&mut self, spec: &CodecSpec, acks: &[Option<u32>], id: u32) {
         if self.chain_through(spec, id).is_none() {
             return;
@@ -1377,61 +1377,38 @@ impl GlobalRing {
     }
 
     /// Encodes payload `id` for a client that has acknowledged `acked`
-    /// (or nothing), returning the frame plus its kind for counters.
-    /// Returns `None` when `id` has been evicted from the ring.
+    /// (or nothing), returning the frame plus its kind for counters: an
+    /// alias when the ack already holds `id`'s reconstruction, the
+    /// canonical delta when the ack is its canonical base, or the entry
+    /// itself when [`Self::prepare_round`] made it a self-contained head.
+    /// Returns `None` for anything else (an ack the round's plan did not
+    /// cover, or `id` evicted from the ring); the caller then ships the
+    /// raw format. The entry is never rebuilt here: a delta already sent
+    /// to another receiver must keep resolving.
     pub fn encode_for(
         &mut self,
         spec: &CodecSpec,
         acked: Option<u32>,
         id: u32,
     ) -> Option<(EncodedWeights, DownlinkKind)> {
-        let lossless = CodecSpec {
-            delta: true,
-            quant: QuantMode::F32,
-            topk_permille: None,
-        };
         let chain = self.chain_through(spec, id)?;
-        let tag = chain.spec.tag();
-        let target_class = chain.get(id)?.class;
-        if let Some(a) = acked {
-            if let Some(a_entry) = chain.get(a) {
-                if a_entry.class == target_class {
-                    return Some((alias_frame(tag, id, a), DownlinkKind::Alias));
-                }
-                // A self-contained head frame serves any receiver.
-                let entry = chain.get(id)?;
-                if entry.canon.base_id == NO_BASE && !entry.canon.alias {
-                    return Some((entry.canon.clone(), DownlinkKind::Full));
-                }
-                // Canonical delta applies when the client sits exactly on
-                // the canonical predecessor's reconstruction.
-                let entry = chain.get(id)?;
-                let canon_base = entry.canon.base_id;
-                let canon_base_class = chain.get(canon_base).map(|e| e.class);
-                if Some(a_entry.class) == canon_base_class {
-                    let mut frame = entry.canon.clone();
-                    frame.base_id = a;
-                    return Some((frame, DownlinkKind::Delta));
-                }
-                // Straggler off the canonical path: exact lossless
-                // catch-up from its reconstruction to the canonical one.
-                let entry_recon = entry.recon.clone();
-                let frame =
-                    encode_weights(&entry_recon, id, Some((&a_entry.recon, a)), &lossless, None)
-                        .ok()?;
-                return Some((frame, DownlinkKind::CatchUp));
+        let entry = chain.get(id)?;
+        let acked = acked.and_then(|a| Some((a, chain.get(a)?.class)));
+        if let Some((a, a_class)) = acked {
+            if a_class == entry.class {
+                return Some((alias_frame(chain.spec.tag(), id, a), DownlinkKind::Alias));
             }
         }
-        // No usable base: self-contained frame. The chain head's full
-        // frame is canonical as-is; otherwise ship the canonical
-        // reconstruction as exact f32 so the client joins the chain.
-        let entry = chain.get(id)?;
         if entry.canon.base_id == NO_BASE && !entry.canon.alias {
             return Some((entry.canon.clone(), DownlinkKind::Full));
         }
-        let full = CodecSpec::raw();
-        let frame = encode_weights(&entry.recon, id, None, &full, None).ok()?;
-        Some((frame, DownlinkKind::Full))
+        let (a, a_class) = acked?;
+        if Some(a_class) == chain.get(entry.canon.base_id).map(|e| e.class) {
+            let mut frame = entry.canon.clone();
+            frame.base_id = a;
+            return Some((frame, DownlinkKind::Delta));
+        }
+        None
     }
 
     /// The canonical reconstruction of payload `id` under `spec` — the
@@ -1977,25 +1954,30 @@ mod tests {
     }
 
     #[test]
-    fn ring_straggler_catches_up_exactly() {
+    fn ring_straggler_gets_the_planned_head() {
         let sp = spec("delta+int8");
         let mut ring = GlobalRing::new(8);
         let id1 = ring.publish(&w(&[("a", vec![1.0; 8])]));
-        let (f1, _) = ring.encode_for(&sp, None, id1).unwrap();
-        let c1 = decode_weights(&f1, None).unwrap();
+        ring.encode_for(&sp, None, id1).unwrap();
 
-        // The straggler missed payloads 2 and 3 entirely.
+        // The straggler missed payload 2: payload 3's canonical delta is
+        // against 2, so without a plan covering its ack there is no frame.
         ring.publish(&w(&[("a", vec![2.0; 8])]));
         let id3 = ring.publish(&w(&[("a", vec![3.0; 8])]));
+        assert!(ring.encode_for(&sp, Some(id1), id3).is_none());
+
+        // Planned with its ack, payload 3 becomes a self-contained head
+        // carrying the canonical bits.
+        ring.prepare_round(&sp, &[Some(id1)], id3);
         let (f3, k3) = ring.encode_for(&sp, Some(id1), id3).unwrap();
-        assert_eq!(k3, DownlinkKind::CatchUp);
-        let c3 = decode_weights(&f3, Some(&c1)).unwrap();
-        // Catch-up lands bit-exactly on the canonical reconstruction.
+        assert_eq!(k3, DownlinkKind::Full);
+        assert_eq!(f3.base_id, NO_BASE);
+        let c3 = decode_weights(&f3, None).unwrap();
         assert!(weights_bits_equal(&c3, ring.recon(&sp, id3).unwrap()));
     }
 
     #[test]
-    fn ring_evicted_ack_falls_back_to_full() {
+    fn ring_evicted_ack_gets_the_planned_head() {
         let sp = spec("delta+int8");
         let mut ring = GlobalRing::new(2);
         let id1 = ring.publish(&w(&[("a", vec![1.0; 4])]));
@@ -2003,6 +1985,8 @@ mod tests {
         ring.publish(&w(&[("a", vec![2.0; 4])]));
         ring.publish(&w(&[("a", vec![3.0; 4])]));
         let id4 = ring.publish(&w(&[("a", vec![4.0; 4])]));
+        assert!(ring.encode_for(&sp, Some(id1), id4).is_none());
+        ring.prepare_round(&sp, &[Some(id1)], id4);
         let (f4, k4) = ring.encode_for(&sp, Some(id1), id4).unwrap();
         assert_eq!(k4, DownlinkKind::Full);
         let c4 = decode_weights(&f4, None).unwrap();

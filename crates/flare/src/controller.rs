@@ -15,13 +15,20 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Server-side view of the client fleet, implemented by
-/// [`crate::server::FlServer`] and by mocks in tests.
+/// [`crate::server::FlServer`] and by the controller tests' mock.
 pub trait ClientGateway {
-    /// Names of currently registered, alive clients.
-    fn client_sites(&self) -> Vec<String>;
+    /// All leaf sites reachable through the alive clients: a leaf client
+    /// is its own site, an interior aggregator node stands for the leaves
+    /// it announced.
+    fn leaf_sites(&self) -> Vec<String>;
 
     /// Sends a task to every alive client; returns the delivered count.
     fn broadcast(&mut self, task: &TaskAssignment) -> usize;
+
+    /// Sends a task to the named subset of sites only (sampled rounds),
+    /// returning the delivered count: an unsampled site never receives
+    /// the round's weights, so it never submits for the round.
+    fn send_to(&mut self, sites: &[String], task: &TaskAssignment) -> usize;
 
     /// Gathers model updates for `round` until `expected` leaf sites are
     /// covered, `timeout` elapses, or the quorum grace closes the round.
@@ -49,24 +56,6 @@ pub trait ClientGateway {
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Vec<(String, f64)>>;
-
-    /// All leaf sites reachable through the registered clients. For a
-    /// flat fleet this is [`ClientGateway::client_sites`]; a tree gateway
-    /// expands interior aggregator nodes into the leaves they announced.
-    fn leaf_sites(&self) -> Vec<String> {
-        self.client_sites()
-    }
-
-    /// Sends a task to the named subset of sites, returning the delivered
-    /// count. The default falls back to [`ClientGateway::broadcast`]
-    /// (mocks stay correct because the controller filters collected
-    /// updates to the sampled set anyway); [`crate::server::FlServer`]
-    /// overrides this with a slot-targeted send so unsampled sites never
-    /// even receive the round's weights.
-    fn send_to(&mut self, sites: &[String], task: &TaskAssignment) -> usize {
-        let _ = sites;
-        self.broadcast(task)
-    }
 }
 
 /// The deterministic per-round client sample: a Fisher–Yates shuffle of
@@ -424,17 +413,9 @@ impl ScatterAndGather {
             // summaries are expressed in leaf sites, whether an update is a
             // leaf's own or an interior shard covering several leaves.
             let ShardMeta {
-                sites: mut leaf_updates,
+                sites: leaf_updates,
                 dropped,
             } = leaf_roll_call(&gathered, &expected_sites);
-            // Under sampling, drop any update from an unsampled site: a
-            // gateway whose `send_to` falls back to broadcast (mocks, old
-            // implementations) still has every client training, and their
-            // updates must not leak into the aggregate.
-            if sampling {
-                gathered.retain(|(s, ..)| expected_sites.binary_search(s).is_ok());
-                leaf_updates.retain(|(s, _)| expected_sites.binary_search(s).is_ok());
-            }
             for (site, _) in &leaf_updates {
                 self.log
                     .info(tag, format!("Contribution from {site} received."));
@@ -592,6 +573,8 @@ mod tests {
         dead_from: Vec<Option<u32>>,
         current_global: Weights,
         pending_round: Option<u32>,
+        /// The sites the last `send_to` named; `None` after a broadcast.
+        targets: Option<Vec<String>>,
         /// `Finish` broadcasts seen.
         finishes: usize,
         /// Abort flag to flip while gathering this round's validations.
@@ -607,6 +590,7 @@ mod tests {
                 dead_from: vec![None; n],
                 current_global: Weights::new(),
                 pending_round: None,
+                targets: None,
                 finishes: 0,
                 abort: None,
                 abort_during_validation: None,
@@ -615,13 +599,20 @@ mod tests {
     }
 
     impl ClientGateway for MockGateway {
-        fn client_sites(&self) -> Vec<String> {
+        fn leaf_sites(&self) -> Vec<String> {
             (0..self.deltas.len())
                 .map(|i| format!("site-{}", i + 1))
                 .collect()
         }
 
+        fn send_to(&mut self, sites: &[String], task: &TaskAssignment) -> usize {
+            self.broadcast(task);
+            self.targets = Some(sites.to_vec());
+            sites.len()
+        }
+
         fn broadcast(&mut self, task: &TaskAssignment) -> usize {
+            self.targets = None;
             match task {
                 TaskAssignment::Train { round, weights, .. } => {
                     self.current_global = weights.clone();
@@ -649,14 +640,15 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| self.dead_from[*i].map(|d| round < d).unwrap_or(true))
-                .map(|(i, &d)| {
+                .map(|(i, &d)| (format!("site-{}", i + 1), d))
+                .filter(|(site, _)| self.targets.as_ref().is_none_or(|t| t.contains(site)))
+                .map(|(site, d)| {
                     let mut w = self.current_global.clone();
                     for t in w.values_mut() {
                         for v in t.data.iter_mut() {
                             *v += d;
                         }
                     }
-                    let site = format!("site-{}", i + 1);
                     let meta = ShardMeta::leaf(&site, &BTreeMap::new());
                     (site, Dxo::from_weights(w, 10), meta)
                 })
@@ -941,8 +933,8 @@ mod tests {
 
     #[test]
     fn sampling_restricts_contributors_to_the_sampled_set() {
-        // MockGateway broadcasts (default send_to) and every client
-        // submits; the controller must keep only the sampled subset.
+        // MockGateway's `send_to` reaches only the named sites, so only
+        // the sampled subset trains and contributes.
         let mut gw = MockGateway::new(vec![1.0, 2.0, 3.0, 4.0]);
         let sag = ScatterAndGather::new(
             SagConfig {

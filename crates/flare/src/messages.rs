@@ -40,7 +40,7 @@ pub enum ClientMessage {
         site: String,
     },
     /// Keepalive sent while a client is idle (e.g. waiting out a recv
-    /// retry); refreshes the server's liveness table for the site.
+    /// retry); the server logs it and keeps it out of the workflow.
     Heartbeat {
         /// Site name.
         site: String,

@@ -22,7 +22,7 @@
 //! record and takes one path into the gather.
 
 use crate::codec::{
-    decode_weights, raw_submit_frame_size, raw_task_frame_size, wire_count, CodecSpec,
+    count_crc_reject, decode_weights, raw_submit_frame_size, raw_task_frame_size, CodecSpec,
     DownlinkKind, EncodedWeights, GlobalRing, NO_BASE, SUPPORTED_CODECS,
 };
 use crate::controller::{ClientGateway, ShardMeta};
@@ -62,9 +62,6 @@ struct ClientSlot {
     tx: Option<Box<dyn crate::transport::FrameTx>>,
     seal: SecureChannel,
     alive: bool,
-    /// Last time any frame (task reply, heartbeat, even a corrupt one)
-    /// arrived from this site.
-    last_seen: Instant,
     /// Wire codec negotiated with this client (`None` = raw peer).
     codec: Option<CodecSpec>,
     /// True once the client has announced its codec choice (including an
@@ -166,7 +163,7 @@ struct ServerShared {
     /// Session-scoped: a resumed run starts fresh, forcing one
     /// self-contained downlink per client (DESIGN.md §3g).
     ring: Mutex<GlobalRing>,
-    /// Bumped on every registration / codec decision / liveness change;
+    /// Bumped on every registration / codec decision / slot death;
     /// [`FlServer::wait_for_clients`] blocks on it.
     reg: Signal,
     /// Metric namespace (`flare.server` by default; interior tree nodes
@@ -348,7 +345,6 @@ impl ServerShared {
                 tx,
                 seal: SecureChannel::new(key, SERVER_NONCE_BASE),
                 alive: true,
-                last_seen: Instant::now(),
                 codec: None,
                 codec_decided: false,
                 acked: None,
@@ -389,7 +385,6 @@ impl ServerShared {
     ) -> SessionPhase {
         self.obs()
             .add_counter(&self.metric("bytes_rx"), frame.len() as u64);
-        lock(&self.slots)[slot_idx].last_seen = Instant::now();
         let plain = match open.open(frame) {
             Ok(p) => p,
             Err(e) => {
@@ -404,14 +399,17 @@ impl ServerShared {
         };
         match ClientMessage::from_frame(&plain) {
             Ok(ClientMessage::Bye { .. }) => {
-                lock(&self.slots)[slot_idx].alive = false;
-                self.log
-                    .info("ClientManager", format!("{site} disconnected."));
+                // Only the flip logs: `disconnect_all` logs the slots
+                // whose goodbye never got here, so each slot logs once.
+                if std::mem::replace(&mut lock(&self.slots)[slot_idx].alive, false) {
+                    self.log
+                        .info("ClientManager", format!("{site} disconnected."));
+                }
                 self.reg.bump();
                 return SessionPhase::Closed;
             }
             Ok(ClientMessage::Heartbeat { .. }) => {
-                // Liveness refresh only; not workflow traffic.
+                // Logged only; not workflow traffic.
                 self.log
                     .info("ClientManager", format!("{site}: heartbeat received"));
             }
@@ -521,9 +519,11 @@ impl ServerShared {
                     format!("{site}: unexpected message: {msg:?}"),
                 );
             }
-            Err(e) => self
-                .log
-                .warn("ClientManager", format!("{site}: bad message: {e}")),
+            Err(e) => {
+                count_crc_reject(&self.obs(), &e);
+                self.log
+                    .warn("ClientManager", format!("{site}: bad message: {e}"));
+            }
         }
         SessionPhase::Established {
             slot: slot_idx,
@@ -553,6 +553,7 @@ impl ServerShared {
         inbox: &mpsc::Sender<InboxMsg>,
     ) {
         self.note_ack(slot, up.ack);
+        let obs = self.obs();
         let plain_len = plain_len as u64;
         let (weights, raw_len) = match up.payload {
             ShardPayload::Raw(w) => (w, plain_len),
@@ -562,7 +563,7 @@ impl ServerShared {
                     (w, raw_len)
                 }
                 Err(e) => {
-                    wire_count("flare.wire.codec.decode_errors", 1);
+                    obs.add_counter("flare.wire.codec.decode_errors", 1);
                     self.log.warn(
                         "ClientManager",
                         format!(
@@ -574,8 +575,8 @@ impl ServerShared {
                 }
             },
         };
-        wire_count("flare.wire.bytes_rx_encoded", plain_len);
-        wire_count("flare.wire.bytes_rx_raw", raw_len);
+        obs.add_counter("flare.wire.bytes_rx_encoded", plain_len);
+        obs.add_counter("flare.wire.bytes_rx_raw", raw_len);
         let dxo = Dxo {
             kind: up.kind,
             weights,
@@ -617,7 +618,7 @@ impl ServerShared {
         let base = match enc.base_id {
             NO_BASE => None,
             id => Some(spec.and_then(|sp| ring.recon(&sp, id)).ok_or_else(|| {
-                wire_count("flare.wire.codec.base_misses", 1);
+                self.obs().add_counter("flare.wire.codec.base_misses", 1);
                 FlareError::Codec(format!("uplink base payload {id} unknown"))
             })?),
         };
@@ -898,13 +899,18 @@ impl FlServer {
     /// this closes both channel directions, so a client blocked in `recv`
     /// wakes with a disconnect instead of waiting out its full timeout —
     /// the simulator calls this after [`FlServer::shutdown`] so a
-    /// fault-dropped `Finish` frame cannot strand its client. Slots stay
-    /// in the table (indices are stable) and remain visible to
-    /// [`FlServer::liveness`].
+    /// fault-dropped `Finish` frame cannot strand its client. Each slot
+    /// still alive logs `<site> disconnected.` here, the line its `Bye`
+    /// would have logged had it reached the reactor first. Slots stay in
+    /// the table, so indices are stable.
     pub fn disconnect_all(&mut self) {
         for slot in lock(&self.shared.slots).iter_mut() {
             slot.tx = None;
-            slot.alive = false;
+            if std::mem::replace(&mut slot.alive, false) {
+                self.shared
+                    .log
+                    .info("ClientManager", format!("{} disconnected.", slot.site));
+            }
         }
         for cell in lock(&self.shared.sessions).iter_mut() {
             cell.rx.close();
@@ -913,26 +919,6 @@ impl FlServer {
             }
         }
         self.shared.reg.bump();
-    }
-
-    /// Liveness snapshot: `(site, idle-for, alive)` per registered client,
-    /// in registration order. `idle-for` is the time since the last frame
-    /// (including heartbeats) arrived from that site.
-    pub fn liveness(&self) -> Vec<(String, Duration, bool)> {
-        lock(&self.shared.slots)
-            .iter()
-            .map(|s| (s.site.clone(), s.last_seen.elapsed(), s.alive))
-            .collect()
-    }
-
-    /// Sites still marked alive whose last frame is older than `max_idle`
-    /// — candidates for being declared dead by an operator.
-    pub fn stale_sites(&self, max_idle: Duration) -> Vec<String> {
-        lock(&self.shared.slots)
-            .iter()
-            .filter(|s| s.alive && s.last_seen.elapsed() > max_idle)
-            .map(|s| s.site.clone())
-            .collect()
     }
 
     fn send_frame_to_slot(
@@ -1013,14 +999,6 @@ impl Drop for FlServer {
 }
 
 impl ClientGateway for FlServer {
-    fn client_sites(&self) -> Vec<String> {
-        lock(&self.shared.slots)
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.site.clone())
-            .collect()
-    }
-
     fn leaf_sites(&self) -> Vec<String> {
         lock(&self.shared.slots)
             .iter()
@@ -1049,8 +1027,8 @@ impl ClientGateway for FlServer {
             for slot in slots.iter_mut().filter(|s| s.alive) {
                 if Self::send_frame_to_slot(slot, &raw_frame, &self.shared.log, &obs, &tx_metric) {
                     if weights.is_some() {
-                        wire_count("flare.wire.bytes_tx_encoded", raw_frame.len() as u64);
-                        wire_count("flare.wire.bytes_tx_raw", raw_frame.len() as u64);
+                        obs.add_counter("flare.wire.bytes_tx_encoded", raw_frame.len() as u64);
+                        obs.add_counter("flare.wire.bytes_tx_raw", raw_frame.len() as u64);
                     }
                     sent += 1;
                 }
@@ -1063,7 +1041,7 @@ impl ClientGateway for FlServer {
         let id = ring.publish(weights);
         // Group the round's receivers by spec so the ring can downgrade
         // a spec's entry to a self-contained head when any of its clients
-        // would otherwise need an expensive exact full / catch-up frame.
+        // is off the alias/canonical-delta path.
         let mut by_spec: BTreeMap<String, (CodecSpec, Vec<Option<u32>>)> = BTreeMap::new();
         for slot in slots.iter().filter(|s| s.alive) {
             if let Some(spec) = &slot.codec {
@@ -1080,12 +1058,11 @@ impl ClientGateway for FlServer {
         for slot in slots.iter_mut().filter(|s| s.alive) {
             let encoded = slot.codec.as_ref().and_then(|spec| {
                 let (enc, kind) = ring.encode_for(spec, slot.acked, id)?;
-                wire_count(
+                obs.add_counter(
                     match kind {
                         DownlinkKind::Full => "flare.wire.codec.full_frames",
                         DownlinkKind::Delta => "flare.wire.codec.delta_frames",
                         DownlinkKind::Alias => "flare.wire.codec.alias_frames",
-                        DownlinkKind::CatchUp => "flare.wire.codec.catchup_frames",
                     },
                     1,
                 );
@@ -1116,8 +1093,8 @@ impl ClientGateway for FlServer {
                 None => (raw_frame.as_slice(), raw_frame.len() as u64),
             };
             if Self::send_frame_to_slot(slot, frame, &self.shared.log, &obs, &tx_metric) {
-                wire_count("flare.wire.bytes_tx_encoded", frame.len() as u64);
-                wire_count("flare.wire.bytes_tx_raw", raw_equiv);
+                obs.add_counter("flare.wire.bytes_tx_encoded", frame.len() as u64);
+                obs.add_counter("flare.wire.bytes_tx_raw", raw_equiv);
                 sent += 1;
             }
         }
@@ -1146,8 +1123,8 @@ impl ClientGateway for FlServer {
         {
             if Self::send_frame_to_slot(slot, &raw_frame, &self.shared.log, &obs, &tx_metric) {
                 if weight_bearing {
-                    wire_count("flare.wire.bytes_tx_encoded", raw_frame.len() as u64);
-                    wire_count("flare.wire.bytes_tx_raw", raw_frame.len() as u64);
+                    obs.add_counter("flare.wire.bytes_tx_encoded", raw_frame.len() as u64);
+                    obs.add_counter("flare.wire.bytes_tx_raw", raw_frame.len() as u64);
                 }
                 sent += 1;
             }

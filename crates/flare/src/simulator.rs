@@ -432,8 +432,9 @@ impl SimulatorRunner {
             effective.to_text()
         );
         let recorded = sag_cfg.resume_from.as_ref().map(|c| c.spec.as_str());
-        // Checkpoints from before the spec record (v1/v2) carry none; the
-        // seed check above is all they get.
+        // Only a controller run without `with_spec` writes an empty spec
+        // (checkpoints older than the spec record, v1/v2, are refused when
+        // decoded); the seed check above is all such a checkpoint gets.
         if let Some(why) = recorded
             .filter(|r| !r.is_empty())
             .and_then(|r| resume_mismatch(r, &spec))

@@ -1,13 +1,17 @@
-//! Frame transports: in-process channels (simulator mode) and TCP.
+//! Frame transports: an in-process pair and TCP.
 //!
-//! Both transports move opaque byte frames; the [`crate::wire`] codec and
+//! The in-process pair is two [`crate::reactor::FrameQueue`]s, the
+//! mailbox every simulator session already runs on, so in-process links
+//! have one channel implementation. Both transports move opaque byte
+//! frames; the [`crate::wire`] codec and
 //! [`crate::security::SecureChannel`] layers sit on top, so the simulator
 //! and a real multi-process deployment run byte-identical protocols.
 
+use crate::reactor::{FrameQueue, QueueRx, QueueTx};
 use crate::FlareError;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Sending half of a connection.
@@ -52,43 +56,20 @@ impl std::fmt::Debug for Connection {
 // In-process transport
 // ---------------------------------------------------------------------
 
-struct ChanTx(SyncSender<Vec<u8>>);
-
-impl FrameTx for ChanTx {
-    fn send(&mut self, frame: &[u8]) -> Result<(), FlareError> {
-        self.0
-            .send(frame.to_vec())
-            .map_err(|_| FlareError::Transport("in-proc peer disconnected".into()))
-    }
-}
-
-struct ChanRx(Receiver<Vec<u8>>);
-
-impl FrameRx for ChanRx {
-    fn recv(&mut self, timeout: Duration) -> Result<Vec<u8>, FlareError> {
-        match self.0.recv_timeout(timeout) {
-            Ok(f) => Ok(f),
-            Err(RecvTimeoutError::Timeout) => Err(FlareError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(FlareError::Transport("in-proc peer disconnected".into()))
-            }
-        }
-    }
-}
-
-/// Creates a connected in-process pair (simulator mode). Channels are
-/// bounded to apply backpressure like a real socket.
+/// Creates a connected in-process pair: one [`FrameQueue`] per
+/// direction, the same mailbox that carries every
+/// [`crate::server::FlServer::serve_session`] session, so a dropped half
+/// disconnects its peer and buffered frames still deliver after a close.
 pub fn in_proc_pair() -> (Connection, Connection) {
-    let (a_tx, b_rx) = sync_channel::<Vec<u8>>(256);
-    let (b_tx, a_rx) = sync_channel::<Vec<u8>>(256);
+    let (a_to_b, b_to_a) = (FrameQueue::new(), FrameQueue::new());
     (
         Connection {
-            tx: Box::new(ChanTx(a_tx)),
-            rx: Box::new(ChanRx(a_rx)),
+            tx: Box::new(QueueTx(Arc::clone(&a_to_b))),
+            rx: Box::new(QueueRx(Arc::clone(&b_to_a))),
         },
         Connection {
-            tx: Box::new(ChanTx(b_tx)),
-            rx: Box::new(ChanRx(b_rx)),
+            tx: Box::new(QueueTx(b_to_a)),
+            rx: Box::new(QueueRx(a_to_b)),
         },
     )
 }

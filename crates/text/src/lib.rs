@@ -31,12 +31,10 @@
 mod masking;
 mod tokenizer;
 mod vocab;
-mod words;
 
 pub use masking::{MaskedSequence, MlmMasker};
 pub use tokenizer::{ClinicalTokenizer, Encoded};
 pub use vocab::{SpecialToken, Vocab};
-pub use words::{tokenize_words, NoteTokenizer, WordVocabBuilder};
 
 /// Target value that excludes a position from loss computation, matching
 /// the conventional `ignore_index` of cross-entropy implementations.

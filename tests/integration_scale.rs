@@ -213,3 +213,42 @@ fn tree_depth3_matches_flat_at_256_sites() {
     assert_eq!(tree.client_rounds, vec![3; N_SITES]);
     assert_tree_matches_flat(&flat, &tree);
 }
+
+/// Every registered site logs `site-N disconnected.` exactly once per
+/// run, whether its goodbye reached the reactor before teardown or the
+/// teardown released its slot first, so same-seed runs log alike.
+#[test]
+fn every_site_logs_one_disconnect_per_run() {
+    for _ in 0..3 {
+        let cfg = SimulatorConfig {
+            n_clients: 8,
+            sag: SagConfig {
+                rounds: 2,
+                ..SagConfig::default()
+            },
+            seed: 11,
+            ..SimulatorConfig::default()
+        };
+        let res = SimulatorRunner::new(cfg)
+            .run_simple(
+                initial(),
+                |i, _| {
+                    Box::new(ArithmeticExecutor {
+                        delta: i as f32,
+                        n_examples: 1,
+                    })
+                },
+                &WeightedFedAvg,
+            )
+            .expect("simulation completes");
+        let mut gone: Vec<String> = res
+            .log
+            .messages_from("ClientManager")
+            .into_iter()
+            .filter(|m| m.ends_with(" disconnected."))
+            .collect();
+        gone.sort();
+        let want: Vec<String> = (1..=8).map(|i| format!("site-{i} disconnected.")).collect();
+        assert_eq!(gone, want);
+    }
+}

@@ -2,7 +2,9 @@
 //! federation results. Lossless codecs reproduce the all-raw run
 //! bit-for-bit, lossy codecs with error feedback stay within
 //! quantization tolerance, and chaos runs complete with compression on
-//! and still cut the root's sealed bytes at least tenfold.
+//! and still cut the root's sealed bytes at least tenfold. A healthy
+//! fleet's downlink takes only the planned frame kinds, and the wire
+//! counters stay inside each run's registry.
 //!
 //! The wire-format spec these runs exercise is DESIGN.md §3g.
 
@@ -183,5 +185,72 @@ fn codec_chaos_run_completes() {
         "root sealed {coded} B with compression vs {raw} B raw \
          ({:.1}x reduction, need >= 10x)",
         raw as f64 / coded.max(1) as f64
+    );
+}
+
+/// One `delta+int8` run recording into a registry of its own; returns
+/// the registry's count of encoded downlink bytes.
+fn wire_bytes_tx(n_clients: usize, rounds: u32) -> u64 {
+    let mut cfg = base_config(rounds);
+    cfg.n_clients = n_clients;
+    cfg.wire = CodecSpec::parse("delta+int8").unwrap();
+    let obs = Registry::new();
+    run_from(
+        SimulatorRunner::new(cfg).with_registry(obs.clone(), "wire-test"),
+        initial(),
+    );
+    obs.counter_value("flare.wire.bytes_tx_encoded")
+}
+
+/// `flare.wire.*` counters follow the run's registry: two codec runs of
+/// different sizes, side by side, each count exactly the encoded bytes
+/// they count alone.
+#[test]
+fn concurrent_codec_runs_count_only_their_own_wire_bytes() {
+    if !clinfl_obs::enabled() {
+        return; // CLINFL_OBS=0: no byte counts to compare.
+    }
+    let solo = (wire_bytes_tx(4, 3), wire_bytes_tx(8, 3));
+    assert!(solo.0 > 0 && solo.0 != solo.1, "solo counts {solo:?}");
+    let side_by_side = std::thread::scope(|s| {
+        let big = s.spawn(|| wire_bytes_tx(8, 3));
+        (wire_bytes_tx(4, 3), big.join().expect("8-site run"))
+    });
+    assert_eq!(side_by_side, solo, "concurrent runs mixed their wire bytes");
+}
+
+/// The downlink of a healthy flat fleet takes only the planned frame
+/// kinds: one self-contained head per site for round 0's Train, then a
+/// canonical delta per site for every Validate and an alias per site for
+/// every later Train, which republishes the validated global.
+#[test]
+fn healthy_downlink_sends_only_planned_frame_kinds() {
+    if !clinfl_obs::enabled() {
+        return; // CLINFL_OBS=0: no frame counts to compare.
+    }
+    let (sites, rounds) = (8u64, 4u32);
+    let mut cfg = base_config(rounds);
+    cfg.n_clients = sites as usize;
+    cfg.sag.validate_global = true;
+    cfg.wire = CodecSpec::parse("delta+topk0.05+int8").unwrap();
+    let obs = Registry::new();
+    run_from(
+        SimulatorRunner::new(cfg).with_registry(obs.clone(), "wire-test"),
+        initial(),
+    );
+    let r = u64::from(rounds);
+    let frames: Vec<(String, u64)> = obs
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("flare.wire.codec.") && name.ends_with("_frames"))
+        .collect();
+    assert_eq!(
+        frames,
+        vec![
+            ("flare.wire.codec.alias_frames".to_string(), sites * (r - 1)),
+            ("flare.wire.codec.delta_frames".to_string(), sites * r),
+            ("flare.wire.codec.full_frames".to_string(), sites),
+        ]
     );
 }
