@@ -116,6 +116,7 @@ mod tests {
     use crate::config::{ModelSpec, TrainHyper};
     use crate::learner::{Learner, MlmLearner};
     use clinfl_data::{generate_cohort, ClassifyDataset, CodeSystem, CohortSpec, Example};
+    use clinfl_flare::codec::weights_digest;
     use clinfl_flare::executor::Shard;
     use clinfl_flare::WeightTensor;
     use clinfl_models::BertConfig;
@@ -202,6 +203,30 @@ mod tests {
         let bert = BertConfig::bert_mini(cs.vocab().len(), SEQ_LEN);
         let learner = || MlmLearner::new(&bert, cs.vocab().clone(), TrainHyper::for_mlm(), 3);
         assert_roster_mean_is_the_full_split_score(learner, seqs, &[1, 2, 3, 8, 9]);
+    }
+
+    /// A FedProx site's round-1 update is the bits an eager learner sent:
+    /// the anchor is the loaded global either way, and building the site
+    /// draws nothing.
+    #[test]
+    fn fedprox_round_one_update_keeps_its_bits() {
+        let cs = CodeSystem::new();
+        let cohort = generate_cohort(&cs, &CohortSpec::small(160, 3));
+        let data =
+            ClassifyDataset::from_cohort(&cohort, &ClinicalTokenizer::new(cs.vocab().clone(), 36));
+        for (spec, update) in [
+            (ModelSpec::Lstm, 0x959c_6d5d_c720_77bd),
+            (ModelSpec::BertMini, 0x93e8_942e_99f1_1023),
+        ] {
+            let mut hyper = TrainHyper::for_model(spec);
+            hyper.batch_size = 16;
+            let learner = |seed| Learner::new(spec, cs.vocab().len(), 36, hyper, seed);
+            let global = learner(7).export_weights();
+            let log = EventLog::new();
+            let site = SiteExecutor::new(learner(11), data.clone(), data.clone(), 1, log);
+            let dxo = site.with_prox(0.5).train(&global, &ctx(Shard::WHOLE));
+            assert_eq!(weights_digest(&dxo.weights), update, "{spec:?}");
+        }
     }
 
     /// The rows of `shard`'s eval batches of `valid` (batches of `bs`, in

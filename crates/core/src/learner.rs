@@ -11,6 +11,7 @@ use clinfl_models::{
 };
 use clinfl_tensor::{Adam, GradClip, Graph, LrSchedule, Optimizer, Params, Var};
 use clinfl_text::{Encoded, MlmMasker, Vocab};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 /// Summary of one local training epoch.
@@ -126,12 +127,26 @@ pub trait Head: Send + 'static {
     fn metrics(loss: f64, probe: Option<f64>) -> BTreeMap<String, f64>;
 }
 
+/// A seeded model init not drawn yet.
+type Draw<H> = Box<dyn FnOnce() -> Box<<H as Head>::Model> + Send>;
+
 /// A site's learner: a [`Head`]'s model plus an Adam optimizer and
 /// hyper-parameters, trainable locally and exchangeable with the
 /// federated runtime via [`Weights`].
+///
+/// A learner is built without drawing its seeded init: its parameters
+/// are zero buffers nothing has written. It draws on the first read of
+/// the model that no [`Self::load_weights`] came before: an export, a
+/// training epoch, an evaluation, a validation or a probe. A load that
+/// covers every parameter name cancels the draw, so a federated site,
+/// which loads the global model before each task, never draws.
 pub struct SiteLearner<H: Head> {
     head: H,
-    model: Box<H::Model>,
+    /// Interior so that [`Self::export_weights`] can draw through `&self`.
+    model: RefCell<Box<H::Model>>,
+    /// The seeded init the model has yet to draw; `None` once it has drawn
+    /// or loaded every parameter.
+    draw: Cell<Option<Draw<H>>>,
     hyper: TrainHyper,
     optimizer: Adam,
     schedule: LrSchedule,
@@ -144,8 +159,10 @@ pub struct SiteLearner<H: Head> {
     /// FedProx proximal coefficient μ and the reference (global) weights:
     /// when set, every step adds `μ (w - w_global)` to the gradients,
     /// penalizing local drift (Li et al., *Federated Optimization in
-    /// Heterogeneous Networks*). Extension beyond the paper.
-    prox: Option<(f32, Weights)>,
+    /// Heterogeneous Networks*). Extension beyond the paper. The anchor
+    /// is `None` until the first training epoch after [`Self::set_prox`]
+    /// takes it, unless a load sets it first.
+    prox: Option<(f32, Option<Weights>)>,
 }
 
 /// The ADR classification learner: one of the paper's three models.
@@ -172,14 +189,15 @@ impl<H: Head> std::fmt::Debug for SiteLearner<H> {
 impl<H: Head> SiteLearner<H> {
     fn build(
         head: H,
-        model: Box<H::Model>,
+        (zeroed, draw): (Box<H::Model>, Draw<H>),
         hyper: TrainHyper,
         schedule: LrSchedule,
         seed: u64,
     ) -> Self {
         SiteLearner {
             head,
-            model,
+            model: RefCell::new(zeroed),
+            draw: Cell::new(Some(draw)),
             hyper,
             optimizer: Adam::with_lr(hyper.lr),
             schedule,
@@ -193,10 +211,19 @@ impl<H: Head> SiteLearner<H> {
 
     /// Enables FedProx local training: gradients gain `mu (w - w_global)`
     /// where `w_global` is the weight set from the most recent
-    /// [`Self::load_weights`] call after this one. `mu = 0` disables it.
+    /// [`Self::load_weights`] call after this one, or else the weights the
+    /// first training epoch starts from. `mu = 0` disables it. Reads
+    /// nothing, so it draws nothing.
     pub fn set_prox(&mut self, mu: f32) {
-        let anchor = self.export_weights();
-        self.prox = Some((mu, anchor));
+        self.prox = Some((mu, None));
+    }
+
+    /// Draws the seeded init into the model if it is still pending.
+    fn draw_pending(&self) {
+        if let Some(draw) = self.draw.take() {
+            clinfl_obs::add_counter("core.learner.draws", 1);
+            *self.model.borrow_mut() = draw();
+        }
     }
 
     /// The hyper-parameters in use.
@@ -204,18 +231,27 @@ impl<H: Head> SiteLearner<H> {
         &self.hyper
     }
 
-    /// Current weights in federated wire form.
+    /// Current weights in federated wire form (the seeded init, drawn now,
+    /// if nothing has loaded or drawn the model).
     pub fn export_weights(&self) -> Weights {
-        params_to_weights(self.model.params())
+        self.draw_pending();
+        params_to_weights(self.model.borrow().params())
     }
 
     /// Loads global weights (e.g. at the start of a federated round).
-    /// When FedProx is enabled, the loaded weights become the new proximal
+    /// Weights that cover every parameter name cancel a pending draw; a
+    /// parameter they leave out keeps its seeded init, drawn first. When
+    /// FedProx is enabled, the loaded weights become the new proximal
     /// anchor.
     pub fn load_weights(&mut self, weights: &Weights) {
-        weights_to_params(weights, self.model.params_mut());
+        let params = self.model.get_mut().params();
+        if params.iter().all(|(_, name, _)| weights.contains_key(name)) {
+            *self.draw.get_mut() = None;
+        }
+        self.draw_pending();
+        weights_to_params(weights, self.model.get_mut().params_mut());
         if let Some((_mu, anchor)) = &mut self.prox {
-            *anchor = weights.clone();
+            *anchor = Some(weights.clone());
         }
     }
 
@@ -228,6 +264,11 @@ impl<H: Head> SiteLearner<H> {
     /// Runs one epoch of mini-batch training; returns loss statistics.
     pub fn train_epoch(&mut self, data: &H::Data) -> EpochStats {
         let start = std::time::Instant::now();
+        if let Some((mu, None)) = self.prox {
+            self.prox = Some((mu, Some(self.export_weights())));
+        }
+        self.draw_pending();
+        let model = self.model.get_mut();
         self.epoch_counter += 1;
         let mut total = 0.0f64;
         let mut batches = 0usize;
@@ -237,12 +278,12 @@ impl<H: Head> SiteLearner<H> {
             self.graph.reset_with_seed(graph_seed);
             self.graph.set_training(true);
             let g = &mut self.graph;
-            let loss = H::loss(&self.model, g, &batch);
+            let loss = H::loss(model, g, &batch);
             total += g.value(loss).item() as f64;
             g.backward(loss);
-            let params = self.model.params_mut();
+            let params = model.params_mut();
             self.graph.grads_into(params);
-            if let Some((mu, anchor)) = &self.prox {
+            if let Some((mu, Some(anchor))) = &self.prox {
                 apply_prox_gradient(*mu, anchor, params);
             }
             if self.hyper.clip_norm > 0.0 {
@@ -309,8 +350,10 @@ impl<H: Head> SiteLearner<H> {
     /// rows and eval batches it scored.
     fn score(&mut self, data: &H::Data, shard: Shard) -> (f64, usize, usize) {
         let (mut sum, mut rows, mut batches) = (0.0f64, 0usize, 0usize);
+        self.draw_pending();
+        let model = self.model.get_mut();
         for batch in self.head.eval_batches(data, self.hyper.batch_size, shard) {
-            sum += H::eval_score(&self.model, &mut self.graph, &batch);
+            sum += H::eval_score(model, &mut self.graph, &batch);
             rows += batch.batch_size;
             batches += 1;
         }
@@ -405,7 +448,9 @@ impl Head for ClassifyHead {
 }
 
 impl Learner {
-    /// Builds the given model (Table II geometry) over a vocabulary.
+    /// Builds the given model (Table II geometry) over a vocabulary,
+    /// without drawing its seeded init: see [`SiteLearner`] for when it
+    /// draws.
     pub fn new(
         spec: ModelSpec,
         vocab_size: usize,
@@ -413,18 +458,20 @@ impl Learner {
         hyper: TrainHyper,
         seed: u64,
     ) -> Self {
-        let model: Box<dyn SequenceClassifier + Send> = match spec {
-            ModelSpec::Bert => {
-                Box::new(BertModel::new(&BertConfig::bert(vocab_size, seq_len), seed))
+        let model: (Box<dyn SequenceClassifier + Send>, Draw<ClassifyHead>) = match spec {
+            ModelSpec::Bert | ModelSpec::BertMini => {
+                let config = match spec {
+                    ModelSpec::Bert => BertConfig::bert(vocab_size, seq_len),
+                    _ => BertConfig::bert_mini(vocab_size, seq_len),
+                };
+                let draw = move || Box::new(BertModel::new(&config, seed)) as _;
+                (Box::new(BertModel::zeroed(&config)), Box::new(draw))
             }
-            ModelSpec::BertMini => Box::new(BertModel::new(
-                &BertConfig::bert_mini(vocab_size, seq_len),
-                seed,
-            )),
-            ModelSpec::Lstm => Box::new(LstmClassifier::new(
-                &LstmConfig::with_vocab(vocab_size),
-                seed,
-            )),
+            ModelSpec::Lstm => {
+                let config = LstmConfig::with_vocab(vocab_size);
+                let draw = move || Box::new(LstmClassifier::new(&config, seed)) as _;
+                (Box::new(LstmClassifier::zeroed(&config)), Box::new(draw))
+            }
         };
         SiteLearner::build(ClassifyHead, model, hyper, LrSchedule::Constant, seed)
     }
@@ -534,7 +581,8 @@ impl Head for MlmHead {
 
 impl MlmLearner {
     /// Builds a BERT MLM learner (use [`BertConfig::bert`] or
-    /// [`BertConfig::bert_mini`] geometry via `config`).
+    /// [`BertConfig::bert_mini`] geometry via `config`), without drawing
+    /// its seeded init: see [`SiteLearner`] for when it draws.
     pub fn new(config: &BertConfig, vocab: Vocab, hyper: TrainHyper, seed: u64) -> Self {
         let head = MlmHead {
             vocab,
@@ -543,7 +591,9 @@ impl MlmLearner {
         // Standard transformer warmup: ramp the rate over the first
         // optimizer steps so the 12-layer stack does not destabilize.
         let schedule = LrSchedule::LinearWarmup { warmup_steps: 64 };
-        let model = Box::new(BertModel::new(config, seed));
+        let config = *config;
+        let draw = move || Box::new(BertModel::new(&config, seed));
+        let model = (Box::new(BertModel::zeroed(&config)), Box::new(draw) as _);
         SiteLearner::build(head, model, hyper, schedule, seed)
     }
 
@@ -564,6 +614,8 @@ impl MlmLearner {
 mod tests {
     use super::*;
     use clinfl_data::{generate_cohort, CodeSystem, CohortSpec};
+    use clinfl_flare::codec::{weights_bits_equal, weights_digest};
+    use clinfl_flare::WeightTensor;
     use clinfl_text::ClinicalTokenizer;
 
     fn small_data() -> (CodeSystem, ClassifyDataset) {
@@ -641,6 +693,70 @@ mod tests {
             proximal < free,
             "prox drift {proximal} should be below free drift {free}"
         );
+    }
+
+    /// For one head: a fresh learner exports the seeded init a learner that
+    /// drew at construction exported (`seeded`, its digest); a learner that
+    /// loads `global` and trains an epoch without drawing ends on the same
+    /// bits as one forced to draw first; and a load that omits a parameter
+    /// leaves it at its seeded value.
+    fn assert_the_lazy_draw_is_invisible<H: Head>(
+        learner: impl Fn() -> SiteLearner<H>,
+        data: &H::Data,
+        global: &Weights,
+        seeded: u64,
+    ) {
+        let init = learner().export_weights();
+        assert_eq!(weights_digest(&init), seeded, "seeded init moved");
+        assert!(!weights_bits_equal(&init, global), "degenerate global");
+
+        let trained = |mut l: SiteLearner<H>| {
+            l.load_weights(global);
+            l.train_epoch(data);
+            l.export_weights()
+        };
+        let forced = learner();
+        forced.export_weights();
+        assert!(weights_bits_equal(&trained(learner()), &trained(forced)));
+
+        let omitted = global.keys().next().expect("a parameter").clone();
+        let mut partial = global.clone();
+        partial.remove(&omitted);
+        let mut l = learner();
+        l.load_weights(&partial);
+        let loaded = l.export_weights();
+        let bits = |t: &WeightTensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, t) in &loaded {
+            let want = if *name == omitted { &init } else { global };
+            assert_eq!(bits(t), bits(&want[name]), "{name}");
+        }
+    }
+
+    #[test]
+    fn the_lazy_draw_is_invisible_under_either_head() {
+        let (cs, data) = small_data();
+        let rows = ClassifyDataset::from_examples(data.examples()[..48].to_vec(), 36);
+        let v = cs.vocab().len();
+        for (spec, seeded) in [
+            (ModelSpec::Lstm, 0xf75b_f611_2997_5eb3),
+            (ModelSpec::BertMini, 0xd3bb_c834_0d5c_b338),
+            (ModelSpec::Bert, 0xd0cd_a7b8_3304_00f2),
+        ] {
+            let mut hyper = TrainHyper::for_model(spec);
+            hyper.batch_size = 16;
+            let learner = |seed| Learner::new(spec, v, 36, hyper, seed);
+            let global = learner(7).export_weights();
+            assert_the_lazy_draw_is_invisible(|| learner(11), &rows, &global, seeded);
+        }
+
+        let seqs: Vec<Encoded> = rows.examples().iter().map(|e| e.encoded.clone()).collect();
+        let bert = BertConfig::bert(v, 36);
+        let mut hyper = TrainHyper::for_mlm();
+        hyper.batch_size = 16;
+        let learner = |seed| MlmLearner::new(&bert, cs.vocab().clone(), hyper, seed);
+        let global = learner(7).export_weights();
+        let seeded = 0xd0cd_a7b8_3304_00f2;
+        assert_the_lazy_draw_is_invisible(|| learner(11), &seqs[..], &global, seeded);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! classification heads.
 
 use crate::config::BertConfig;
-use crate::model::{SequenceClassifier, TokenBatch};
+use crate::model::{ParamBuilder, SequenceClassifier, TokenBatch};
 use clinfl_obs::KernelTimer;
-use clinfl_tensor::{Graph, Init, ParamId, Params, Tensor, Var};
+use clinfl_tensor::{Graph, Init, ParamId, Params, Var};
 
 /// Wall time and invocation count of the whole multi-head self-attention
 /// sublayer (the graph runs define-by-run, so this covers the forward
@@ -72,81 +72,77 @@ pub struct BertModel {
 }
 
 impl BertModel {
-    /// Builds the model with deterministic initialization in `seed`.
+    /// Builds the model with its seeded initialization, deterministic in
+    /// `seed`.
     ///
     /// # Panics
     ///
     /// Panics if the config is invalid (see [`BertConfig::validate`]).
     pub fn new(config: &BertConfig, seed: u64) -> Self {
+        Self::build(config, Some(seed))
+    }
+
+    /// The model of [`Self::new`] without drawing its init: the same
+    /// parameter names and shapes, every value zero. For a model whose
+    /// weights are loaded before anything reads them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is invalid (see [`BertConfig::validate`]).
+    pub fn zeroed(config: &BertConfig) -> Self {
+        Self::build(config, None)
+    }
+
+    fn build(config: &BertConfig, seed: Option<u64>) -> Self {
         config.validate();
-        let mut params = Params::new();
+        let mut params = ParamBuilder::new(seed);
         let h = config.hidden;
         let inner = config.attn_inner();
-        let mut s = seed;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s
-        };
-        let norm = Init::Normal(0.02);
-        let tok_emb = params.register(
-            "bert.embeddings.token",
-            norm.tensor(&[config.vocab_size, h], next()),
-        );
-        let pos_emb = params.register(
-            "bert.embeddings.position",
-            norm.tensor(&[config.max_seq_len, h], next()),
-        );
-        let emb_ln_g = params.register("bert.embeddings.ln.gain", Tensor::ones(&[h]));
-        let emb_ln_b = params.register("bert.embeddings.ln.bias", Tensor::zeros(&[h]));
+        let (norm, ones, zeros) = (Init::Normal(0.02), Init::Ones, Init::Zeros);
+        let tok_emb = params.register("bert.embeddings.token", norm, &[config.vocab_size, h]);
+        let pos_emb = params.register("bert.embeddings.position", norm, &[config.max_seq_len, h]);
+        let emb_ln_g = params.register("bert.embeddings.ln.gain", ones, &[h]);
+        let emb_ln_b = params.register("bert.embeddings.ln.bias", zeros, &[h]);
         let mut blocks = Vec::with_capacity(config.layers);
         for l in 0..config.layers {
-            let p = |params: &mut Params, name: &str, dims: &[usize], seed: u64| {
-                params.register(format!("bert.layer{l}.{name}"), norm.tensor(dims, seed))
-            };
-            let z = |params: &mut Params, name: &str, dims: &[usize]| {
-                params.register(format!("bert.layer{l}.{name}"), Tensor::zeros(dims))
-            };
-            let o = |params: &mut Params, name: &str, dims: &[usize]| {
-                params.register(format!("bert.layer{l}.{name}"), Tensor::ones(dims))
+            let mut p = |name: &str, init: Init, dims: &[usize]| {
+                params.register(format!("bert.layer{l}.{name}"), init, dims)
             };
             blocks.push(BlockParams {
-                ln1_g: o(&mut params, "ln1.gain", &[h]),
-                ln1_b: z(&mut params, "ln1.bias", &[h]),
-                wq: p(&mut params, "attn.wq", &[h, inner], next()),
-                bq: z(&mut params, "attn.bq", &[inner]),
-                wk: p(&mut params, "attn.wk", &[h, inner], next()),
-                bk: z(&mut params, "attn.bk", &[inner]),
-                wv: p(&mut params, "attn.wv", &[h, inner], next()),
-                bv: z(&mut params, "attn.bv", &[inner]),
-                wo: p(&mut params, "attn.wo", &[inner, h], next()),
-                bo: z(&mut params, "attn.bo", &[h]),
-                ln2_g: o(&mut params, "ln2.gain", &[h]),
-                ln2_b: z(&mut params, "ln2.bias", &[h]),
-                w_ff1: p(&mut params, "ffn.w1", &[h, config.ffn], next()),
-                b_ff1: z(&mut params, "ffn.b1", &[config.ffn]),
-                w_ff2: p(&mut params, "ffn.w2", &[config.ffn, h], next()),
-                b_ff2: z(&mut params, "ffn.b2", &[h]),
+                ln1_g: p("ln1.gain", ones, &[h]),
+                ln1_b: p("ln1.bias", zeros, &[h]),
+                wq: p("attn.wq", norm, &[h, inner]),
+                bq: p("attn.bq", zeros, &[inner]),
+                wk: p("attn.wk", norm, &[h, inner]),
+                bk: p("attn.bk", zeros, &[inner]),
+                wv: p("attn.wv", norm, &[h, inner]),
+                bv: p("attn.bv", zeros, &[inner]),
+                wo: p("attn.wo", norm, &[inner, h]),
+                bo: p("attn.bo", zeros, &[h]),
+                ln2_g: p("ln2.gain", ones, &[h]),
+                ln2_b: p("ln2.bias", zeros, &[h]),
+                w_ff1: p("ffn.w1", norm, &[h, config.ffn]),
+                b_ff1: p("ffn.b1", zeros, &[config.ffn]),
+                w_ff2: p("ffn.w2", norm, &[config.ffn, h]),
+                b_ff2: p("ffn.b2", zeros, &[h]),
             });
         }
-        let final_ln_g = params.register("bert.final_ln.gain", Tensor::ones(&[h]));
-        let final_ln_b = params.register("bert.final_ln.bias", Tensor::zeros(&[h]));
+        let final_ln_g = params.register("bert.final_ln.gain", ones, &[h]);
+        let final_ln_b = params.register("bert.final_ln.bias", zeros, &[h]);
         let cls_w = params.register(
             "bert.cls_head.w",
-            Init::XavierUniform.tensor(&[h, config.num_classes], next()),
+            Init::XavierUniform,
+            &[h, config.num_classes],
         );
-        let cls_b = params.register("bert.cls_head.b", Tensor::zeros(&[config.num_classes]));
-        let mlm_dense_w = params.register("bert.mlm_head.dense.w", norm.tensor(&[h, h], next()));
-        let mlm_dense_b = params.register("bert.mlm_head.dense.b", Tensor::zeros(&[h]));
-        let mlm_ln_g = params.register("bert.mlm_head.ln.gain", Tensor::ones(&[h]));
-        let mlm_ln_b = params.register("bert.mlm_head.ln.bias", Tensor::zeros(&[h]));
+        let cls_b = params.register("bert.cls_head.b", zeros, &[config.num_classes]);
+        let mlm_dense_w = params.register("bert.mlm_head.dense.w", norm, &[h, h]);
+        let mlm_dense_b = params.register("bert.mlm_head.dense.b", zeros, &[h]);
+        let mlm_ln_g = params.register("bert.mlm_head.ln.gain", ones, &[h]);
+        let mlm_ln_b = params.register("bert.mlm_head.ln.bias", zeros, &[h]);
         // The MLM decoder weight is tied to the token-embedding table (as
         // in BERT); only its bias is a separate parameter.
-        let mlm_dec_b = params.register(
-            "bert.mlm_head.decoder.b",
-            Tensor::zeros(&[config.vocab_size]),
-        );
+        let mlm_dec_b = params.register("bert.mlm_head.decoder.b", zeros, &[config.vocab_size]);
+        let params = params.finish();
         BertModel {
             config: *config,
             params,
@@ -390,6 +386,20 @@ mod tests {
         let a = BertModel::new(&tiny_config(), 2);
         let b = BertModel::new(&tiny_config(), 2);
         assert_eq!(a.params().to_named(), b.params().to_named());
+    }
+
+    #[test]
+    fn zeroed_has_the_seeded_names_and_shapes_at_zero() {
+        let shapes = |m: &BertModel| -> Vec<(String, Vec<usize>)> {
+            let params = m.params().iter();
+            params
+                .map(|(_, n, t)| (n.to_string(), t.dims().to_vec()))
+                .collect()
+        };
+        let zeroed = BertModel::zeroed(&tiny_config());
+        assert_eq!(shapes(&zeroed), shapes(&BertModel::new(&tiny_config(), 2)));
+        let mut values = zeroed.params().iter().flat_map(|(_, _, t)| t.data());
+        assert!(values.all(|&v| v == 0.0));
     }
 
     #[test]

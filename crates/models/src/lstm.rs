@@ -1,8 +1,8 @@
 //! The recursive model: a stacked LSTM sequence classifier.
 
 use crate::config::LstmConfig;
-use crate::model::{SequenceClassifier, TokenBatch};
-use clinfl_tensor::{Graph, Init, ParamId, Params, Tensor, Var};
+use crate::model::{ParamBuilder, SequenceClassifier, TokenBatch};
+use clinfl_tensor::{Graph, Init, ParamId, Params, Var};
 
 /// Per-layer LSTM parameter handles (separate matrices per gate, packed
 /// side by side into `[H, 4H]` inside the graph).
@@ -35,60 +35,59 @@ pub struct LstmClassifier {
 const GATE_NAMES: [&str; 4] = ["i", "f", "g", "o"];
 
 impl LstmClassifier {
-    /// Builds the classifier with deterministic initialization in `seed`.
+    /// Builds the classifier with its seeded initialization, deterministic
+    /// in `seed`.
     ///
     /// # Panics
     ///
     /// Panics if the config is invalid (see [`LstmConfig::validate`]).
     pub fn new(config: &LstmConfig, seed: u64) -> Self {
+        Self::build(config, Some(seed))
+    }
+
+    /// The classifier of [`Self::new`] without drawing its init: the same
+    /// parameter names and shapes, every value zero. For a model whose
+    /// weights are loaded before anything reads them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is invalid (see [`LstmConfig::validate`]).
+    pub fn zeroed(config: &LstmConfig) -> Self {
+        Self::build(config, None)
+    }
+
+    fn build(config: &LstmConfig, seed: Option<u64>) -> Self {
         config.validate();
-        let mut params = Params::new();
+        let mut params = ParamBuilder::new(seed);
         let h = config.hidden;
-        let mut s = seed;
-        let mut next_seed = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s
-        };
         // Unlike BERT (whose LayerNorm rescales tiny embeddings), the LSTM
         // consumes embeddings raw: N(0, 0.02) would leave the gates pinned
         // near their bias values and stall learning, so use a conventional
         // recurrent-model scale.
-        let embedding = params.register(
-            "lstm.embedding",
-            Init::Normal(0.2).tensor(&[config.vocab_size, h], next_seed()),
-        );
+        let embedding =
+            params.register("lstm.embedding", Init::Normal(0.2), &[config.vocab_size, h]);
         let mut layers = Vec::with_capacity(config.layers);
         for l in 0..config.layers {
-            let make = |params: &mut Params, kind: &str, gate: &str, dims: &[usize], seed: u64| {
-                params.register(
-                    format!("lstm.l{l}.{kind}_{gate}"),
-                    Init::XavierUniform.tensor(dims, seed),
-                )
+            let mut gates = |kind: &str, init: fn(&str) -> Init, dims: &[usize]| {
+                GATE_NAMES
+                    .map(|gd| params.register(format!("lstm.l{l}.{kind}_{gd}"), init(gd), dims))
             };
-            let w_x = GATE_NAMES.map(|gd| make(&mut params, "wx", gd, &[h, h], next_seed()));
-            let w_h = GATE_NAMES.map(|gd| make(&mut params, "wh", gd, &[h, h], next_seed()));
-            let b = GATE_NAMES.map(|gd| {
-                // Forget-gate bias starts at 1.0 (standard LSTM practice) so
-                // early training does not forget everything.
-                let init = if gd == "f" {
-                    Tensor::ones(&[h])
-                } else {
-                    Tensor::zeros(&[h])
-                };
-                params.register(format!("lstm.l{l}.b_{gd}"), init)
-            });
+            let w_x = gates("wx", |_| Init::XavierUniform, &[h, h]);
+            let w_h = gates("wh", |_| Init::XavierUniform, &[h, h]);
+            // Forget-gate bias starts at 1.0 (standard LSTM practice) so
+            // early training does not forget everything.
+            let b = gates(
+                "b",
+                |gd| if gd == "f" { Init::Ones } else { Init::Zeros },
+                &[h],
+            );
             layers.push(LstmLayerParams { w_x, w_h, b });
         }
-        let head_w = params.register(
-            "lstm.head.w",
-            Init::XavierUniform.tensor(&[h, config.num_classes], next_seed()),
-        );
-        let head_b = params.register("lstm.head.b", Tensor::zeros(&[config.num_classes]));
+        let head_w = params.register("lstm.head.w", Init::XavierUniform, &[h, config.num_classes]);
+        let head_b = params.register("lstm.head.b", Init::Zeros, &[config.num_classes]);
         LstmClassifier {
             config: *config,
-            params,
+            params: params.finish(),
             embedding,
             layers,
             head_w,
@@ -186,7 +185,7 @@ impl SequenceClassifier for LstmClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clinfl_tensor::{Adam, Optimizer};
+    use clinfl_tensor::{Adam, Optimizer, Tensor};
 
     fn tiny_config() -> LstmConfig {
         LstmConfig {
@@ -211,6 +210,23 @@ mod tests {
         assert_eq!(a.params().to_named(), b.params().to_named());
         let c = LstmClassifier::new(&tiny_config(), 8);
         assert_ne!(a.params().to_named(), c.params().to_named());
+    }
+
+    #[test]
+    fn zeroed_has_the_seeded_names_and_shapes_at_zero() {
+        let shapes = |m: &LstmClassifier| -> Vec<(String, Vec<usize>)> {
+            let params = m.params().iter();
+            params
+                .map(|(_, n, t)| (n.to_string(), t.dims().to_vec()))
+                .collect()
+        };
+        let zeroed = LstmClassifier::zeroed(&tiny_config());
+        assert_eq!(
+            shapes(&zeroed),
+            shapes(&LstmClassifier::new(&tiny_config(), 7))
+        );
+        let mut values = zeroed.params().iter().flat_map(|(_, _, t)| t.data());
+        assert!(values.all(|&v| v == 0.0));
     }
 
     #[test]

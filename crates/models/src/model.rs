@@ -1,6 +1,6 @@
 //! The common interface federated executors train against.
 
-use clinfl_tensor::{Graph, Params, Var};
+use clinfl_tensor::{Graph, Init, ParamId, Params, Tensor, Var};
 
 /// A borrowed mini-batch of token sequences in flat row-major layout.
 ///
@@ -36,6 +36,52 @@ impl TokenBatch<'_> {
             self.batch_size * self.seq_len,
             "mask length mismatch"
         );
+    }
+}
+
+/// A model constructor's parameter store under construction: registers
+/// each name and shape either with its seeded [`Init`] fill or, for a
+/// model built without drawing, with a zero buffer (`vec![0.0; n]`, which
+/// allocates zeroed memory without writing it).
+pub(crate) struct ParamBuilder {
+    params: Params,
+    /// The seed stream's state; `None` registers zero buffers.
+    seed: Option<u64>,
+}
+
+impl ParamBuilder {
+    /// A store that draws from `seed`'s stream, or registers zeros.
+    pub(crate) fn new(seed: Option<u64>) -> Self {
+        ParamBuilder {
+            params: Params::new(),
+            seed,
+        }
+    }
+
+    /// Registers `name` with shape `dims` under `init`. A random scheme
+    /// takes the next seed of the stream; a constant one takes none.
+    pub(crate) fn register(
+        &mut self,
+        name: impl Into<String>,
+        init: Init,
+        dims: &[usize],
+    ) -> ParamId {
+        let value = match &mut self.seed {
+            None => Tensor::zeros(dims),
+            Some(_) if matches!(init, Init::Zeros | Init::Ones) => init.tensor(dims, 0),
+            Some(s) => {
+                *s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                init.tensor(dims, *s)
+            }
+        };
+        self.params.register(name, value)
+    }
+
+    /// The finished store.
+    pub(crate) fn finish(self) -> Params {
+        self.params
     }
 }
 

@@ -5,9 +5,11 @@ use crate::tensor::Tensor;
 /// Weight initialization scheme for model parameters.
 ///
 /// All schemes are deterministic given the seed passed to
-/// [`Init::tensor`], so model construction is reproducible across
-/// federated sites (every site starts from the same global model, as the
-/// NVFlare server distributes the initial weights).
+/// [`Init::tensor`], so a model's seeded init is reproducible: the same
+/// seed draws the same initial global model, and the same standalone or
+/// centralized start. Federated sites draw none: as the NVFlare server
+/// distributes the initial weights, each site loads them over a model
+/// built without drawing.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Init {
     /// All zeros (biases, layer-norm shift).

@@ -16,7 +16,9 @@
 #                  exits 1 and fails the leg, which names the run. Each
 #                  traced run also prints one "fedbench executor share:"
 #                  line, its workload and its training + validation shape
-#                  check with the measured share. Runs right after build: a
+#                  check with the measured share, and one "fedbench setup:"
+#                  line with its setup_s and core.learner.init_ms, so a setup
+#                  regression shows in the log. Runs right after build: a
 #                  break here fails in a few minutes, not after the ~20 min
 #                  of test legs
 #   test-serial    full test suite under CLINFL_THREADS=1
@@ -160,6 +162,8 @@ run_leg() {
                     if [ "$trace" = 1 ]; then
                         share=$(printf "%s\n" "$out" | grep "training + validation" || echo "no executor-share check")
                         echo "fedbench executor share: $w: $share"
+                        setup=$(printf "%s\n" "$out" | grep -E "^(setup_s|core\.learner\.init_ms) = " | sed -E "s/ = ([^ ]+).*/=\1/" | tr "\n" " ")
+                        echo "fedbench setup: $w: ${setup% }"
                     fi
                     if [ "$status" -ne 0 ]; then
                         echo "fedbench: $w --trace $trace exited $status" >&2

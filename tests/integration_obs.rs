@@ -254,6 +254,41 @@ fn probe_and_validation_score_the_shared_split_once_per_roster() {
     assert_eq!(grown(before), [0, data.valid.len() as u64]);
 }
 
+/// A site loads the global before it trains or validates, so its
+/// learner never draws a seeded init: a flat 8-site LSTM federation and
+/// an 8-site MLM federation each draw one model, the initial global.
+#[test]
+fn each_federation_draws_only_the_initial_global() {
+    if !obs::enabled() {
+        return; // CLINFL_OBS=0: nothing is recorded, nothing to check.
+    }
+    let _serial = simulation_guard();
+    let draws = || obs::counter_value("core.learner.draws");
+
+    let mut cfg = PipelineConfig::fast_demo();
+    cfg.cohort.n_patients = 200;
+    assert_eq!(cfg.federation.n_clients, 8);
+    let sites = ClinicalSites::build(&cfg, ModelSpec::Lstm, &cfg.imbalanced_partitioner());
+    let before = draws();
+    let log = EventLog::new();
+    SimulatorRunner::new(cfg.federation.clone())
+        .run_simple(
+            sites.initial(),
+            |i, _| sites.executor(i, &log),
+            &WeightedFedAvg,
+        )
+        .expect("federation completes");
+    assert_eq!(draws() - before, 1, "LSTM federation draws");
+
+    let mut cfg = PipelineConfig::fast_demo();
+    cfg.pretrain.scale = 4096;
+    cfg.pretrain_rounds = 1;
+    let data = build_mlm_data(&cfg);
+    let before = draws();
+    pretrain_mlm(&cfg, MlmScheme::FlBalanced, &data).expect("MLM federation completes");
+    assert_eq!(draws() - before, 1, "MLM federation draws");
+}
+
 #[test]
 fn snapshot_json_round_trips_deterministically() {
     // Populate at least one metric of each kind, then freeze.
