@@ -1921,6 +1921,41 @@ mod tests {
         assert_eq!(raw_weights_wire_size(&cur), buf.len() as u64);
     }
 
+    #[test]
+    fn raw_frame_sizes_match_actual_messages() {
+        use crate::dxo::Dxo;
+        use crate::messages::{ClientMessage, ServerMessage, TaskAssignment};
+        use crate::wire::WireEncode;
+        let mut weights = w(&[("encoder.bias", vec![0.25; 5]), ("head", vec![-1.0; 2])]);
+        weights.insert(
+            "encoder.weight".into(),
+            WeightTensor::new(vec![3, 4, 2], vec![0.5; 24]),
+        );
+        let train = ServerMessage::Task(TaskAssignment::Train {
+            round: 3,
+            total_rounds: 9,
+            weights: weights.clone(),
+        });
+        let validate = ServerMessage::Task(TaskAssignment::Validate {
+            round: 3,
+            weights: weights.clone(),
+        });
+        assert_eq!(
+            raw_task_frame_size(&weights, true),
+            train.to_frame().len() as u64
+        );
+        assert_eq!(
+            raw_task_frame_size(&weights, false),
+            validate.to_frame().len() as u64
+        );
+        let mut dxo = Dxo::from_weights(weights.clone(), 42);
+        dxo.metrics.insert("train_loss".into(), 0.5);
+        dxo.metrics.insert("valid_acc".into(), 0.75);
+        let submit_len = raw_submit_frame_size(&weights, &dxo.metrics);
+        let submit = ClientMessage::Submit { round: 3, dxo };
+        assert_eq!(submit_len, submit.to_frame().len() as u64);
+    }
+
     // -- ring behaviour -------------------------------------------------
 
     #[test]

@@ -9,12 +9,17 @@
 //! The wire-format spec these runs exercise is DESIGN.md §3g.
 
 use clinfl_flare::aggregator::WeightedFedAvg;
-use clinfl_flare::codec::CodecSpec;
-use clinfl_flare::controller::SagConfig;
+use clinfl_flare::client::FlClient;
+use clinfl_flare::codec::{encode_weights, CodecSpec};
+use clinfl_flare::controller::{ClientGateway, SagConfig};
 use clinfl_flare::executor::ArithmeticExecutor;
 use clinfl_flare::faults::FaultConfig;
+use clinfl_flare::messages::{ServerMessage, TaskAssignment};
+use clinfl_flare::provision::{dh_secret, Project};
+use clinfl_flare::server::FlServer;
 use clinfl_flare::simulator::{SimulationResult, SimulatorConfig, SimulatorRunner};
-use clinfl_flare::{WeightTensor, Weights};
+use clinfl_flare::wire::WireEncode;
+use clinfl_flare::{EventLog, WeightTensor, Weights};
 use clinfl_obs::Registry;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -253,4 +258,105 @@ fn healthy_downlink_sends_only_planned_frame_kinds() {
             ("flare.wire.codec.full_frames".to_string(), sites),
         ]
     );
+}
+
+/// The server registry counters a scatter moves, in this order.
+const SCATTER_COUNTERS: [&str; 6] = [
+    "flare.wire.codec.full_frames",
+    "flare.wire.codec.delta_frames",
+    "flare.wire.codec.alias_frames",
+    "flare.wire.bytes_tx_encoded",
+    "flare.wire.bytes_tx_raw",
+    "flare.server.bytes_tx",
+];
+
+/// Runs one scatter and returns how far it moved [`SCATTER_COUNTERS`].
+fn scatter_counts(
+    obs: &Registry,
+    server: &mut FlServer,
+    scatter: impl FnOnce(&mut FlServer) -> usize,
+) -> [u64; 6] {
+    let before = SCATTER_COUNTERS.map(|name| obs.counter_value(name));
+    assert_eq!(scatter(server), 2, "both sites are alive");
+    let after = SCATTER_COUNTERS.map(|name| obs.counter_value(name));
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// One server scattering to a mixed fleet, a `delta` site and a `raw`
+/// site, seen through the server registry's counters alone. A full
+/// broadcast sends the codec site a ring-encoded frame and the raw site
+/// the raw one; a site that has acknowledged nothing gets a
+/// self-contained head again; a targeted scatter ships raw to both; and
+/// `Finish` carries no weights, so it moves no wire-byte count.
+#[test]
+fn scatter_picks_each_sites_frame_on_a_mixed_fleet() {
+    if !clinfl_obs::enabled() {
+        return; // CLINFL_OBS=0: no counts to compare.
+    }
+    const SEED: u64 = 7;
+    // A sealed frame is its plaintext plus an 8-byte nonce and 8-byte MAC.
+    const SEAL: u64 = 16;
+    let provisioned = Project::with_n_sites("scatter", 2, SEED).provision();
+    let log = EventLog::new();
+    let obs = Registry::new();
+    let mut server = FlServer::new(provisioned.server.clone(), log.clone(), SEED);
+    server.set_registry(obs.clone());
+    let delta = CodecSpec::parse("delta").unwrap();
+    let _clients: Vec<FlClient> = [delta.clone(), CodecSpec::raw()]
+        .into_iter()
+        .enumerate()
+        .map(|(i, codec)| {
+            let conn = server.serve_session();
+            let package = &provisioned.sites[i];
+            let mut client =
+                FlClient::register(conn, package, dh_secret(SEED, i as u64), log.clone())
+                    .expect("registration");
+            client.set_registry(Registry::new());
+            client.set_wire_codec(codec);
+            client.negotiate_codec();
+            client
+        })
+        .collect();
+    assert_eq!(server.wait_for_clients(2, Duration::from_secs(10)), 2);
+
+    let weights = initial();
+    let train = TaskAssignment::Train {
+        round: 0,
+        total_rounds: 2,
+        weights: weights.clone(),
+    };
+    let raw = ServerMessage::Task(train.clone()).to_frame().len() as u64;
+    let head = encode_weights(&weights, 1, None, &delta, None).unwrap();
+    let full = ServerMessage::Task(TaskAssignment::TrainEnc {
+        round: 0,
+        total_rounds: 2,
+        enc: head,
+    })
+    .to_frame()
+    .len() as u64;
+    let one_of_each = [1, 0, 0, full + raw, 2 * raw, full + raw + 2 * SEAL];
+    assert_eq!(
+        scatter_counts(&obs, &mut server, |s| s.broadcast(&train)),
+        one_of_each,
+        "a full broadcast: one head for the delta site, raw for the raw site"
+    );
+    assert_eq!(
+        scatter_counts(&obs, &mut server, |s| s.broadcast(&train)),
+        one_of_each,
+        "no ack yet: the delta site gets a self-contained head again"
+    );
+    let both = ["site-1".to_string(), "site-2".to_string()];
+    assert_eq!(
+        scatter_counts(&obs, &mut server, |s| s.send_to(&both, &train)),
+        [0, 0, 0, 2 * raw, 2 * raw, 2 * (raw + SEAL)],
+        "a targeted scatter ships raw to both sites"
+    );
+    let finish = ServerMessage::Task(TaskAssignment::Finish).to_frame().len() as u64;
+    assert_eq!(
+        scatter_counts(&obs, &mut server, |s| s.broadcast(&TaskAssignment::Finish)),
+        [0, 0, 0, 0, 0, 2 * (finish + SEAL)],
+        "Finish carries no weights"
+    );
+    server.shutdown();
+    server.disconnect_all();
 }
