@@ -1,6 +1,6 @@
 //! The federated client: registration, encrypted session, task loop.
 //!
-//! The task loop is fault-tolerant (PR 2): receives run under a bounded
+//! The task loop is fault-tolerant: receives run under a bounded
 //! retry budget with per-message timeouts and exponential backoff,
 //! corrupt frames are rejected and skipped instead of killing the
 //! session, and sends retry transient transport failures. Heartbeats are
@@ -135,11 +135,10 @@ pub struct FlClient {
     obs: ClientObs,
     /// Codec this client *wants* (negotiated at the start of [`Self::run`]).
     wire: CodecSpec,
-    /// Codec actually negotiated with the server; `None` = raw.
-    active: Option<CodecSpec>,
     /// Reconstructions of recent downlink payloads (delta bases).
     cache: PayloadCache,
-    /// Uplink encoder (error-feedback state) once negotiated.
+    /// Uplink encoder (error-feedback state) for the codec negotiated
+    /// with the server; `None` = raw.
     uplink: Option<UplinkEncoder>,
     /// Server messages that raced in during codec negotiation.
     pending: VecDeque<ServerMessage>,
@@ -216,7 +215,6 @@ impl FlClient {
             filters: FilterChain::new(),
             retry: RetryPolicy::default(),
             wire: CodecSpec::raw(),
-            active: None,
             cache: PayloadCache::default(),
             uplink: None,
             pending: VecDeque::new(),
@@ -270,10 +268,8 @@ impl FlClient {
         self.registry = obs;
     }
 
-    /// Requests a wire codec for weight exchange (see [`crate::codec`]).
-    /// The spec is proposed to the server at the start of [`Self::run`];
-    /// if the server never acknowledges (an old peer), the client falls
-    /// back to the raw format.
+    /// Requests a wire codec for weight exchange (see [`crate::codec`]),
+    /// proposed by [`Self::negotiate_codec`].
     pub fn set_wire_codec(&mut self, spec: CodecSpec) {
         self.wire = spec;
     }
@@ -411,83 +407,6 @@ impl FlClient {
         })
     }
 
-    /// Tells the server this client stays on the raw format, without
-    /// waiting for an acknowledgement (the outcome is raw either way).
-    /// The announcement lets the server's pre-round settle close as soon
-    /// as every client has declared a codec instead of waiting out its
-    /// grace window; a lost or ignored frame merely costs that wait.
-    fn announce_raw(&mut self) {
-        let propose = ClientMessage::CodecPropose {
-            site: self.site.clone(),
-            specs: vec![CodecSpec::raw().to_string()],
-        };
-        if let Err(e) = self.send_with_retry(&propose, "codec announce") {
-            self.note_send_error("codec-announce", &e);
-        }
-    }
-
-    /// Proposes `self.wire` to the server and waits (bounded) for the
-    /// [`ServerMessage::CodecAck`]. Task frames that race in while we
-    /// wait are buffered in `self.pending` and handled by the main loop.
-    /// A server that never acknowledges — an old peer, or repeated frame
-    /// loss — leaves the client on the raw format.
-    fn negotiate(&mut self) {
-        const ATTEMPTS: u32 = 10;
-        const WAIT_PER_ATTEMPT: Duration = Duration::from_millis(300);
-        let propose = ClientMessage::CodecPropose {
-            site: self.site.clone(),
-            specs: vec![self.wire.to_string()],
-        };
-        let mut chosen: Option<String> = None;
-        'attempts: for _ in 0..ATTEMPTS {
-            if self.send_with_retry(&propose, "codec propose").is_err() {
-                break;
-            }
-            let deadline = Instant::now() + WAIT_PER_ATTEMPT;
-            loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break; // re-propose (the frame may have been dropped)
-                }
-                match self.conn.rx.recv(left) {
-                    Ok(frame) => match self.open_frame(&frame) {
-                        Some(ServerMessage::CodecAck { chosen: c, .. }) => {
-                            chosen = c;
-                            break 'attempts;
-                        }
-                        Some(other) => self.pending.push_back(other),
-                        None => {}
-                    },
-                    Err(FlareError::Timeout) => break,
-                    Err(_) => break 'attempts,
-                }
-            }
-        }
-        match chosen.and_then(|s| CodecSpec::parse(&s).ok()) {
-            Some(sp) if !sp.is_raw() => {
-                self.log.info(
-                    "FederatedClient",
-                    format!("{}: negotiated wire codec {sp}", self.site),
-                );
-                self.registry.add_counter("flare.wire.codec.negotiated", 1);
-                self.uplink = Some(UplinkEncoder::new(sp.clone()));
-                self.active = Some(sp);
-            }
-            _ => {
-                self.log.warn(
-                    "FederatedClient",
-                    format!(
-                        "{}: wire codec {} not negotiated; using raw format",
-                        self.site, self.wire
-                    ),
-                );
-                self.registry
-                    .add_counter("flare.wire.codec.fallback_raw", 1);
-                self.wire = CodecSpec::raw();
-            }
-        }
-    }
-
     /// Decodes a codec downlink payload against the cached base and
     /// stores the reconstruction for future deltas. `None` means the
     /// frame was unusable (missing base / corrupt); the caller skips the
@@ -558,17 +477,74 @@ impl FlClient {
         }
     }
 
-    /// Runs codec negotiation if it has not happened yet: proposes the
-    /// configured spec (or announces raw) and settles on the negotiated
-    /// outcome. [`Self::run`] calls this implicitly; interior tree nodes
-    /// driving the task loop by hand via [`Self::next_task`] call it once
-    /// before their first round.
+    /// Proposes the configured spec to the server unless a codec is
+    /// already active. [`Self::run`] calls this; interior tree nodes
+    /// driving [`Self::next_task`] by hand call it before their first
+    /// round. A raw spec is only announced (a lost frame merely costs the
+    /// server's settle wait); any other waits, bounded, for the
+    /// [`ServerMessage::CodecAck`], buffering task frames that race in,
+    /// and stays on the raw format if none comes.
     pub fn negotiate_codec(&mut self) {
-        if self.active.is_none() {
-            if self.wire.is_raw() {
-                self.announce_raw();
-            } else {
-                self.negotiate();
+        const ATTEMPTS: u32 = 10;
+        const WAIT_PER_ATTEMPT: Duration = Duration::from_millis(300);
+        if self.uplink.is_some() {
+            return;
+        }
+        let propose = ClientMessage::CodecPropose {
+            site: self.site.clone(),
+            specs: vec![self.wire.to_string()],
+        };
+        if self.wire.is_raw() {
+            if let Err(e) = self.send_with_retry(&propose, "codec announce") {
+                self.note_send_error("codec-announce", &e);
+            }
+            return;
+        }
+        let mut chosen: Option<String> = None;
+        'attempts: for _ in 0..ATTEMPTS {
+            if self.send_with_retry(&propose, "codec propose").is_err() {
+                break;
+            }
+            let deadline = Instant::now() + WAIT_PER_ATTEMPT;
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break; // re-propose (the frame may have been dropped)
+                }
+                match self.conn.rx.recv(left) {
+                    Ok(frame) => match self.open_frame(&frame) {
+                        Some(ServerMessage::CodecAck { chosen: c, .. }) => {
+                            chosen = c;
+                            break 'attempts;
+                        }
+                        Some(other) => self.pending.push_back(other),
+                        None => {}
+                    },
+                    Err(FlareError::Timeout) => break,
+                    Err(_) => break 'attempts,
+                }
+            }
+        }
+        match chosen.and_then(|s| CodecSpec::parse(&s).ok()) {
+            Some(sp) if !sp.is_raw() => {
+                self.log.info(
+                    "FederatedClient",
+                    format!("{}: negotiated wire codec {sp}", self.site),
+                );
+                self.registry.add_counter("flare.wire.codec.negotiated", 1);
+                self.uplink = Some(UplinkEncoder::new(sp));
+            }
+            _ => {
+                self.log.warn(
+                    "FederatedClient",
+                    format!(
+                        "{}: wire codec {} not negotiated; using raw format",
+                        self.site, self.wire
+                    ),
+                );
+                self.registry
+                    .add_counter("flare.wire.codec.fallback_raw", 1);
+                self.wire = CodecSpec::raw();
             }
         }
     }
@@ -851,7 +827,7 @@ impl FlClient {
                     let permit = clinfl_tensor::pool::compute_permit();
                     let metric = executor.validate(&weights, &ctx);
                     drop(permit);
-                    let msg = if self.active.is_some() {
+                    let msg = if self.uplink.is_some() {
                         ClientMessage::ValidateReportEnc {
                             round,
                             metric,

@@ -25,36 +25,9 @@ use crate::controller::{leaf_roll_call, ClientGateway, ShardMeta};
 use crate::dxo::Dxo;
 use crate::log::EventLog;
 use crate::messages::TaskAssignment;
-use crate::server::FlServer;
+use crate::server::{FlServer, REGISTRATION_TIMEOUT};
 use crate::FlareError;
 use std::time::Duration;
-
-/// Knobs for one interior tree node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RelayConfig {
-    /// How long to wait for the shard's children to register before
-    /// announcing leaves upstream.
-    pub registration_timeout: Duration,
-    /// Per-round gather deadline for the shard. Must stay below the
-    /// parent's round timeout (the simulator shaves 10% per tree level)
-    /// so a dropped leaf stalls this node, not the whole round.
-    pub round_timeout: Duration,
-    /// Early-close grace for the shard gather, mirroring the root
-    /// quorum's: once at least one update has arrived and no further one
-    /// lands for `grace`, the shard closes without waiting out the full
-    /// round timeout. `None` waits for every leaf (or the timeout).
-    pub quorum_grace: Option<Duration>,
-}
-
-impl Default for RelayConfig {
-    fn default() -> Self {
-        RelayConfig {
-            registration_timeout: Duration::from_secs(30),
-            round_timeout: Duration::from_secs(600),
-            quorum_grace: None,
-        }
-    }
-}
 
 /// One interior node of the aggregation tree: a server to its children,
 /// a client to its parent.
@@ -64,38 +37,45 @@ pub struct AggregatorNode {
     uplink: FlClient,
     n_children: usize,
     n_leaves: usize,
-    cfg: RelayConfig,
+    /// Per-round gather deadline for the shard. Stays below the parent's
+    /// round timeout (the simulator shaves 10% per tree level) so a
+    /// dropped leaf stalls this node, not the whole round.
+    round_timeout: Duration,
     log: EventLog,
 }
 
 impl AggregatorNode {
     /// Builds a node from an already-registered uplink client and a
-    /// downstream server whose child sessions have been created.
+    /// downstream server whose child sessions have been created. The node
+    /// is named after its uplink's site.
     ///
     /// Re-homes the metric namespaces so interior traffic is separable
     /// from the root's and the leaves': the downstream server reports
     /// under `flare.tree.*`, the uplink under `flare.tree.uplink.*`.
     /// The downstream quorum is pinned to 1 — partial shards are always
     /// worth forwarding; whether the round has quorum is the root's call.
+    /// `quorum_grace` closes the shard gather early, mirroring the root
+    /// quorum's: once an update has arrived and no further one lands for
+    /// that long. `None` waits for every leaf (or `round_timeout`).
     pub fn new(
-        name: impl Into<String>,
         mut server: FlServer,
         mut uplink: FlClient,
         n_children: usize,
         n_leaves: usize,
-        cfg: RelayConfig,
+        round_timeout: Duration,
+        quorum_grace: Option<Duration>,
         log: EventLog,
     ) -> Self {
         server.set_metric_namespace("flare.tree");
-        server.set_quorum(1, cfg.quorum_grace);
+        server.set_quorum(1, quorum_grace);
         uplink.set_metric_namespace("flare.tree.uplink");
         AggregatorNode {
-            name: name.into(),
+            name: uplink.site().to_string(),
             server,
             uplink,
             n_children,
             n_leaves,
-            cfg,
+            round_timeout,
             log,
         }
     }
@@ -112,7 +92,7 @@ impl AggregatorNode {
     pub fn run(&mut self, aggregator: &dyn Aggregator) -> Result<u32, FlareError> {
         let registered = self
             .server
-            .wait_for_clients(self.n_children, self.cfg.registration_timeout);
+            .wait_for_clients(self.n_children, REGISTRATION_TIMEOUT);
         if registered < self.n_children {
             self.log.warn(
                 "AggregatorNode",
@@ -128,7 +108,7 @@ impl AggregatorNode {
         // announcements ride one frame, sent once).
         let covered = self
             .server
-            .wait_for_leaves(self.n_leaves, self.cfg.registration_timeout);
+            .wait_for_leaves(self.n_leaves, REGISTRATION_TIMEOUT);
         if covered < self.n_leaves {
             self.log.warn(
                 "AggregatorNode",
@@ -196,12 +176,10 @@ impl AggregatorNode {
                     // rounds forever after.
                     let server = &mut self.server;
                     let uplink = &mut self.uplink;
-                    let gathered = server.gather_submissions(
-                        round,
-                        expected,
-                        self.cfg.round_timeout,
-                        &mut || uplink.poll_pending_task(),
-                    );
+                    let gathered =
+                        server.gather_submissions(round, expected, self.round_timeout, &mut || {
+                            uplink.poll_pending_task()
+                        });
                     let Some(mut gathered) = gathered else {
                         self.log.warn(
                             "AggregatorNode",
@@ -264,12 +242,10 @@ impl AggregatorNode {
                     let expected = self.server.leaf_sites().len();
                     let server = &mut self.server;
                     let uplink = &mut self.uplink;
-                    let gathered = server.gather_validations(
-                        round,
-                        expected,
-                        self.cfg.round_timeout,
-                        &mut || uplink.poll_pending_task(),
-                    );
+                    let gathered =
+                        server.gather_validations(round, expected, self.round_timeout, &mut || {
+                            uplink.poll_pending_task()
+                        });
                     let Some(reports) = gathered else {
                         self.log.warn(
                             "AggregatorNode",

@@ -1,25 +1,21 @@
 //! The federated server: client management and the gateway the
 //! ScatterAndGather controller drives.
 //!
-//! Since the event-driven rewrite (DESIGN.md §3h) the server runs ONE
-//! reactor thread regardless of fleet size: every session is a mailbox
-//! ([`crate::reactor::FrameQueue`]) that marks its token ready on a shared
-//! [`crate::reactor::ReadyQueue`], and the reactor drains ready mailboxes,
-//! advancing each session's handshake/established state machine in place.
-//! In-process peers attach reactor-natively via [`FlServer::serve_session`]
-//! (zero threads per client); socket peers attach via
-//! [`FlServer::serve_connection`], which spawns only a thin pump thread
-//! that copies frames from the socket into the mailbox. Registration and
-//! codec settling block on a versioned [`crate::reactor::Signal`] instead
-//! of the old 5 ms sleep-polls.
+//! ONE reactor thread serves the whole fleet (DESIGN.md §3h): every
+//! session is a mailbox ([`crate::reactor::FrameQueue`]) that marks its
+//! token ready on a shared [`crate::reactor::ReadyQueue`], and the reactor
+//! drains ready mailboxes, advancing each session's handshake/established
+//! state machine in place. In-process peers attach via
+//! [`FlServer::serve_session`] (zero threads per client); socket peers via
+//! [`FlServer::serve_connection`], whose thin pump thread copies frames
+//! from the socket into the mailbox. Every registration wait blocks on a
+//! versioned [`crate::reactor::Signal`].
 //!
-//! The server also understands interior aggregation-tree nodes
-//! ([`crate::relay::AggregatorNode`]): a client that announces leaves and
-//! submits pre-aggregated shards hands each update to the gather with
-//! its per-leaf bookkeeping ([`ShardMeta`]) so quorum, drop accounting,
-//! and round summaries stay leaf-granular. A leaf's own update is a
-//! one-leaf shard: every submit spelling is decoded into one `Uplink`
-//! record and takes one path into the gather.
+//! Interior aggregation-tree nodes ([`crate::relay::AggregatorNode`])
+//! announce leaves and submit pre-aggregated shards; every submit
+//! spelling is decoded into one `Uplink` record, a leaf's own update
+//! being a one-leaf shard, and takes one path into the gather. Both
+//! scatters take one path out (`FlServer::scatter`).
 
 use crate::codec::{
     count_crc_reject, decode_weights, raw_submit_frame_size, raw_task_frame_size, CodecSpec,
@@ -55,6 +51,10 @@ const SERVER_NONCE_BASE: u64 = 1 << 32;
 /// and an interior node's uplink probe (a 1 ms receive) stays negligible.
 pub const GATHER_SLICE: Duration = Duration::from_millis(50);
 
+/// How long a server waits for its children to register, and then for
+/// their leaves to be announced, before it starts without the missing.
+pub const REGISTRATION_TIMEOUT: Duration = Duration::from_secs(30);
+
 struct ClientSlot {
     site: String,
     /// `None` once the server has released the connection (see
@@ -65,10 +65,8 @@ struct ClientSlot {
     /// Wire codec negotiated with this client (`None` = raw peer).
     codec: Option<CodecSpec>,
     /// True once the client has announced its codec choice (including an
-    /// explicit `raw`). Old peers never announce and stay `false`; the
-    /// pre-round settle in [`FlServer::wait_for_clients`] uses this to
-    /// avoid broadcasting full-f32 frames to clients whose proposal is
-    /// still in flight.
+    /// explicit `raw`); the pre-round settle in
+    /// [`FlServer::wait_for_clients`] waits on it.
     codec_decided: bool,
     /// Most recent downlink payload id this client acknowledged — the
     /// delta base for its next encoded downlink.
@@ -814,6 +812,23 @@ impl FlServer {
         self.pump_threads.push(handle);
     }
 
+    /// The one registration wait: re-reads the slot table on every
+    /// registration [`Signal`] bump. `pending` returns the instant to
+    /// wait until while the wait is unmet, or `None` once it is met; the
+    /// wait also ends when that instant passes.
+    fn wait_on_slots(&self, pending: impl Fn(&[ClientSlot]) -> Option<Instant>) {
+        loop {
+            let since = self.shared.reg.version();
+            let Some(limit) = pending(&lock(&self.shared.slots)) else {
+                return;
+            };
+            if Instant::now() >= limit {
+                return;
+            }
+            self.shared.reg.wait_past(since, limit);
+        }
+    }
+
     /// Blocks until `n` clients have registered or `timeout` passes.
     /// Returns the registered count.
     ///
@@ -823,37 +838,16 @@ impl FlServer {
     /// about to negotiate. The settle waits up to 150 ms for every
     /// registered client to announce a codec choice — extended to 1 s
     /// once at least one announcement has arrived (the rest may have
-    /// been lost to link faults). Both waits block on the registration
-    /// [`Signal`] — no sleep-polling.
+    /// been lost to link faults).
     pub fn wait_for_clients(&self, n: usize, timeout: Duration) -> usize {
         let deadline = Instant::now() + timeout;
-        loop {
-            let since = self.shared.reg.version();
-            if lock(&self.shared.slots).len() >= n || Instant::now() >= deadline {
-                break;
-            }
-            self.shared.reg.wait_past(since, deadline);
-        }
+        self.wait_on_slots(|slots| (slots.len() < n).then_some(deadline));
         let settle = Instant::now() + Duration::from_millis(150);
         let grace = Instant::now() + Duration::from_secs(1);
-        loop {
-            let since = self.shared.reg.version();
-            let (decided, total) = {
-                let guard = lock(&self.shared.slots);
-                (
-                    guard.iter().filter(|s| s.codec_decided).count(),
-                    guard.len(),
-                )
-            };
-            if decided >= total {
-                break;
-            }
-            let limit = if decided > 0 { grace } else { settle };
-            if Instant::now() >= limit {
-                break;
-            }
-            self.shared.reg.wait_past(since, limit);
-        }
+        self.wait_on_slots(|slots| {
+            let decided = slots.iter().filter(|s| s.codec_decided).count();
+            (decided < slots.len()).then_some(if decided > 0 { grace } else { settle })
+        });
         lock(&self.shared.slots).len()
     }
 
@@ -864,19 +858,16 @@ impl FlServer {
     /// that only waited for registrations could start a round before it
     /// knows the true leaf population.
     pub fn wait_for_leaves(&self, n: usize, timeout: Duration) -> usize {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let since = self.shared.reg.version();
-            let count: usize = lock(&self.shared.slots)
+        let covered = |slots: &[ClientSlot]| -> usize {
+            slots
                 .iter()
                 .filter(|s| s.alive)
                 .map(|s| s.leaves.len())
-                .sum();
-            if count >= n || Instant::now() >= deadline {
-                return count;
-            }
-            self.shared.reg.wait_past(since, deadline);
-        }
+                .sum()
+        };
+        let deadline = Instant::now() + timeout;
+        self.wait_on_slots(|slots| (covered(slots) < n).then_some(deadline));
+        covered(&lock(&self.shared.slots))
     }
 
     /// Stops the reactor and pump threads and waits for them. Idempotent;
@@ -945,6 +936,101 @@ impl FlServer {
         }
     }
 
+    /// The one scatter: sends `task` to every alive slot, or only to the
+    /// alive slots of the sites in `to`, and returns the delivered count.
+    /// A slot gets a ring-encoded frame when it has a codec, the task
+    /// carries weights and the scatter is a full broadcast; every other
+    /// slot gets the raw frame, built once and only if some slot ships it.
+    /// Targeted (sampled) scatters always ship raw — a different subset
+    /// every round would thrash the delta ring's per-spec base tracking,
+    /// and a raw downlink simply makes the client answer with a
+    /// self-contained uplink (correct, just uncompressed).
+    fn scatter(&mut self, task: &TaskAssignment, to: Option<&[String]>) -> usize {
+        // The weights a task carries, its round and, for Train, its
+        // total rounds.
+        let carried = match *task {
+            TaskAssignment::Train {
+                round,
+                total_rounds,
+                ref weights,
+            } => Some((weights, round, Some(total_rounds))),
+            TaskAssignment::Validate { round, ref weights } => Some((weights, round, None)),
+            _ => None,
+        };
+        let tx_metric = self.shared.metric("bytes_tx");
+        let obs = self.shared.obs();
+        // Lock order: slots, then ring (matches the reactor, which never
+        // holds both at once).
+        let mut slots = lock(&self.shared.slots);
+        let mut ring = lock(&self.shared.ring);
+        let encodes = to.is_none() && slots.iter().any(|s| s.alive && s.codec.is_some());
+        let published = carried.filter(|_| encodes).map(|(weights, round, total)| {
+            let id = ring.publish(weights);
+            // Group the round's receivers by spec so the ring can
+            // downgrade a spec's entry to a self-contained head when any
+            // of its clients is off the alias/canonical-delta path.
+            let mut by_spec: BTreeMap<String, (CodecSpec, Vec<Option<u32>>)> = BTreeMap::new();
+            for slot in slots.iter().filter(|s| s.alive) {
+                if let Some(spec) = &slot.codec {
+                    by_spec
+                        .entry(spec.to_string())
+                        .or_insert_with(|| (spec.clone(), Vec::new()))
+                        .1
+                        .push(slot.acked);
+                }
+            }
+            for (spec, acks) in by_spec.values() {
+                ring.prepare_round(spec, acks, id);
+            }
+            let raw_size = raw_task_frame_size(weights, total.is_some());
+            (id, raw_size, round, total)
+        });
+        let mut raw_frame: Option<Vec<u8>> = None;
+        let mut sent = 0;
+        let targeted = |s: &ClientSlot| to.is_none_or(|sites| sites.contains(&s.site));
+        for slot in slots.iter_mut().filter(|s| s.alive && targeted(s)) {
+            let encoded = match (published, &slot.codec) {
+                (Some((id, raw_size, round, total)), Some(spec)) => {
+                    ring.encode_for(spec, slot.acked, id).map(|(enc, kind)| {
+                        obs.add_counter(
+                            match kind {
+                                DownlinkKind::Full => "flare.wire.codec.full_frames",
+                                DownlinkKind::Delta => "flare.wire.codec.delta_frames",
+                                DownlinkKind::Alias => "flare.wire.codec.alias_frames",
+                            },
+                            1,
+                        );
+                        let t = match total {
+                            Some(total_rounds) => TaskAssignment::TrainEnc {
+                                round,
+                                total_rounds,
+                                enc,
+                            },
+                            None => TaskAssignment::ValidateEnc { round, enc },
+                        };
+                        (ServerMessage::Task(t).to_frame(), raw_size)
+                    })
+                }
+                _ => None,
+            };
+            let (frame, raw_equiv) = match &encoded {
+                Some((f, raw_size)) => (f.as_slice(), *raw_size),
+                None => {
+                    let f = raw_frame.get_or_insert_with(|| TaskMessage(task).to_frame());
+                    (f.as_slice(), f.len() as u64)
+                }
+            };
+            if Self::send_frame_to_slot(slot, frame, &self.shared.log, &obs, &tx_metric) {
+                if carried.is_some() {
+                    obs.add_counter("flare.wire.bytes_tx_encoded", frame.len() as u64);
+                    obs.add_counter("flare.wire.bytes_tx_raw", raw_equiv);
+                }
+                sent += 1;
+            }
+        }
+        sent
+    }
+
     /// The one wait loop behind both gathers. Hands each inbox message
     /// to `take`, which returns how many leaves it newly covers, until
     /// `expected` leaves are covered, the round deadline passes, or —
@@ -1008,128 +1094,11 @@ impl ClientGateway for FlServer {
     }
 
     fn broadcast(&mut self, task: &TaskAssignment) -> usize {
-        // Weight-bearing tasks go through the wire codec per slot; Finish
-        // (and any task for a raw peer) ships in the raw format.
-        let (weights, is_train) = match task {
-            TaskAssignment::Train { weights, .. } => (Some(weights), true),
-            TaskAssignment::Validate { weights, .. } => (Some(weights), false),
-            _ => (None, false),
-        };
-        let raw_frame = TaskMessage(task).to_frame();
-        let tx_metric = self.shared.metric("bytes_tx");
-        let obs = self.shared.obs();
-        let mut sent = 0;
-        // Lock order: slots, then ring (matches the reactor, which never
-        // holds both at once).
-        let mut slots = lock(&self.shared.slots);
-        let any_codec = weights.is_some() && slots.iter().any(|s| s.alive && s.codec.is_some());
-        if !any_codec {
-            for slot in slots.iter_mut().filter(|s| s.alive) {
-                if Self::send_frame_to_slot(slot, &raw_frame, &self.shared.log, &obs, &tx_metric) {
-                    if weights.is_some() {
-                        obs.add_counter("flare.wire.bytes_tx_encoded", raw_frame.len() as u64);
-                        obs.add_counter("flare.wire.bytes_tx_raw", raw_frame.len() as u64);
-                    }
-                    sent += 1;
-                }
-            }
-            return sent;
-        }
-        let weights = weights.expect("any_codec implies weight-bearing task");
-        let raw_size = raw_task_frame_size(weights, is_train);
-        let mut ring = lock(&self.shared.ring);
-        let id = ring.publish(weights);
-        // Group the round's receivers by spec so the ring can downgrade
-        // a spec's entry to a self-contained head when any of its clients
-        // is off the alias/canonical-delta path.
-        let mut by_spec: BTreeMap<String, (CodecSpec, Vec<Option<u32>>)> = BTreeMap::new();
-        for slot in slots.iter().filter(|s| s.alive) {
-            if let Some(spec) = &slot.codec {
-                by_spec
-                    .entry(spec.to_string())
-                    .or_insert_with(|| (spec.clone(), Vec::new()))
-                    .1
-                    .push(slot.acked);
-            }
-        }
-        for (spec, acks) in by_spec.values() {
-            ring.prepare_round(spec, acks, id);
-        }
-        for slot in slots.iter_mut().filter(|s| s.alive) {
-            let encoded = slot.codec.as_ref().and_then(|spec| {
-                let (enc, kind) = ring.encode_for(spec, slot.acked, id)?;
-                obs.add_counter(
-                    match kind {
-                        DownlinkKind::Full => "flare.wire.codec.full_frames",
-                        DownlinkKind::Delta => "flare.wire.codec.delta_frames",
-                        DownlinkKind::Alias => "flare.wire.codec.alias_frames",
-                    },
-                    1,
-                );
-                let t = if is_train {
-                    let TaskAssignment::Train {
-                        round,
-                        total_rounds,
-                        ..
-                    } = task
-                    else {
-                        unreachable!()
-                    };
-                    TaskAssignment::TrainEnc {
-                        round: *round,
-                        total_rounds: *total_rounds,
-                        enc,
-                    }
-                } else {
-                    let TaskAssignment::Validate { round, .. } = task else {
-                        unreachable!()
-                    };
-                    TaskAssignment::ValidateEnc { round: *round, enc }
-                };
-                Some(ServerMessage::Task(t).to_frame())
-            });
-            let (frame, raw_equiv) = match &encoded {
-                Some(f) => (f.as_slice(), raw_size),
-                None => (raw_frame.as_slice(), raw_frame.len() as u64),
-            };
-            if Self::send_frame_to_slot(slot, frame, &self.shared.log, &obs, &tx_metric) {
-                obs.add_counter("flare.wire.bytes_tx_encoded", frame.len() as u64);
-                obs.add_counter("flare.wire.bytes_tx_raw", raw_equiv);
-                sent += 1;
-            }
-        }
-        sent
+        self.scatter(task, None)
     }
 
-    /// Slot-targeted scatter for sampled rounds: only the named sites get
-    /// the task. Targeted frames always ship the self-contained raw
-    /// format — a different subset every round would thrash the delta
-    /// ring's per-spec base tracking, and a raw downlink simply makes the
-    /// client answer with a self-contained uplink (correct, just
-    /// uncompressed).
     fn send_to(&mut self, sites: &[String], task: &TaskAssignment) -> usize {
-        let weight_bearing = matches!(
-            task,
-            TaskAssignment::Train { .. } | TaskAssignment::Validate { .. }
-        );
-        let raw_frame = TaskMessage(task).to_frame();
-        let tx_metric = self.shared.metric("bytes_tx");
-        let obs = self.shared.obs();
-        let mut sent = 0;
-        let mut slots = lock(&self.shared.slots);
-        for slot in slots
-            .iter_mut()
-            .filter(|s| s.alive && sites.iter().any(|n| n == &s.site))
-        {
-            if Self::send_frame_to_slot(slot, &raw_frame, &self.shared.log, &obs, &tx_metric) {
-                if weight_bearing {
-                    obs.add_counter("flare.wire.bytes_tx_encoded", raw_frame.len() as u64);
-                    obs.add_counter("flare.wire.bytes_tx_raw", raw_frame.len() as u64);
-                }
-                sent += 1;
-            }
-        }
-        sent
+        self.scatter(task, Some(sites))
     }
 
     fn gather_submissions(

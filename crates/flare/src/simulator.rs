@@ -14,8 +14,8 @@ use crate::log::EventLog;
 use crate::persistor::{FilePersistor, InMemoryPersistor, Persistor};
 use crate::privacy::DpConfig;
 use crate::provision::{dh_secret, Project, Provisioned, SitePackage, RELAY_INDEX};
-use crate::relay::{AggregatorNode, RelayConfig};
-use crate::server::FlServer;
+use crate::relay::AggregatorNode;
+use crate::server::{FlServer, REGISTRATION_TIMEOUT};
 use crate::spec::resume_mismatch;
 use crate::transport::Connection;
 use crate::FlareError;
@@ -531,7 +531,7 @@ impl SimulatorRunner {
             }
 
             let n_root_children = root_children.len();
-            let joined = server.wait_for_clients(n_root_children, Duration::from_secs(30));
+            let joined = server.wait_for_clients(n_root_children, REGISTRATION_TIMEOUT);
             if joined < n_root_children {
                 log.warn(
                     "SimulatorRunner",
@@ -539,7 +539,7 @@ impl SimulatorRunner {
                 );
             }
             if has_relays {
-                let covered = server.wait_for_leaves(n, Duration::from_secs(30));
+                let covered = server.wait_for_leaves(n, REGISTRATION_TIMEOUT);
                 if covered < n {
                     log.warn(
                         "SimulatorRunner",
@@ -688,26 +688,23 @@ impl SimulatorRunner {
             // a child's gather strictly inside its parent's window: a shard
             // always lands before the parent's own quorum grace or timeout
             // expires.
-            let cfg = RelayConfig {
-                registration_timeout: Duration::from_secs(30),
-                round_timeout: timeout.mul_f32(0.9),
-                quorum_grace: grace.map(|g| g.mul_f32(0.5)),
-            };
+            let round_timeout = timeout.mul_f32(0.9);
+            let quorum_grace = grace.map(|g| g.mul_f32(0.5));
             self.attach(
                 fleet,
                 &mut server,
                 &node_prov,
                 &spec.children,
-                cfg.round_timeout,
-                cfg.quorum_grace,
+                round_timeout,
+                quorum_grace,
             )?;
             let node = AggregatorNode::new(
-                spec.name.clone(),
                 server,
                 uplink,
                 spec.children.len(),
                 subtree_leaves(&spec.children),
-                cfg,
+                round_timeout,
+                quorum_grace,
                 self.log.clone(),
             );
             fleet.relays.push((spec.name.clone(), node));

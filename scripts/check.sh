@@ -45,6 +45,11 @@
 #                  valid accuracies and (eps, delta) and the disabled-knobs
 #                  cell is bit-identical to the flat path
 #   doc            rustdoc with warnings denied (broken links fail the gate)
+#   docs           doc references: scripts/check_docs.sh fails on any
+#                  backticked CamelCase, snake_case or a::b name in DESIGN.md
+#                  or README.md that no tracked *.rs/*.toml/*.sh/*.json/*.tsv
+#                  file contains and no tracked file is named after, printing
+#                  file:line: token for each
 #   clippy         clippy --all-targets with warnings denied
 #   fmt            cargo fmt --check, then the line-count ratchet
 #                  (scripts/loc.sh --check against scripts/loc.tsv)
@@ -70,7 +75,7 @@ mkdir -p target
 TIMINGS=target/ci-timings.tsv
 RSS_FILE=target/.leg-rss
 
-ALL_LEGS="build fedbench test-serial test-parallel kernels scale jobs scenarios doc clippy fmt"
+ALL_LEGS="build fedbench test-serial test-parallel kernels scale jobs scenarios doc docs clippy fmt"
 
 # Runs "$@" as a child and, after it exits, writes the peak RSS in KB of
 # the child process tree (getrusage RUSAGE_CHILDREN) to $RSS_FILE. The
@@ -173,6 +178,7 @@ run_leg() {
             done'
         ;;
     doc) leg doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
+    docs) leg docs scripts/check_docs.sh ;;
     clippy) leg clippy cargo clippy --workspace --all-targets -- -D warnings ;;
     fmt) leg fmt bash -c 'cargo fmt --all -- --check && scripts/loc.sh --check' ;;
     *)
