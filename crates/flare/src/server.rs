@@ -53,7 +53,7 @@ pub const GATHER_SLICE: Duration = Duration::from_millis(50);
 
 /// How long a server waits for its children to register, and then for
 /// their leaves to be announced, before it starts without the missing.
-pub const REGISTRATION_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const REGISTRATION_TIMEOUT: Duration = Duration::from_secs(30);
 
 struct ClientSlot {
     site: String,
