@@ -81,12 +81,14 @@ struct Case {
     n: usize,
 }
 
-/// The models' hot shapes: LSTM hidden 128 / batch 32 / seq_len 26 (one
-/// `[S·B, H]×[H, 4H]` projection per layer, then a `[B, H]×[H, 4H]`
-/// recurrence per step whose weight gradient contracts over the
-/// `(S−1)·B = 800` carried rows), BERT hidden 128 / 6 heads × head_dim
-/// 22 = attention width 132 / seq_len 26 / batch 16 (416 rows), vocab 443,
-/// about 40 labelled MLM positions per batch.
+/// The models' hot shapes on packed real-token rows: LSTM hidden 128 /
+/// batch 32 / seq_len 26, about 553 of the 832 positions real (one
+/// `[R, H]×[H, 4H]` projection per layer, then a `[b_t, H]×[H, 4H]`
+/// recurrence per step, about 21 rows a step, whose weight gradient
+/// contracts over the ~521 rows after each sequence's first), BERT hidden
+/// 128 / 6 heads × head_dim 22 = attention width 132 / seq_len 26 /
+/// batch 16 (about 272 of 416 rows real), vocab 443, about 40 labelled
+/// MLM positions per batch.
 fn cases() -> Vec<Case> {
     let c = |name, kind, m, k, n| Case {
         name,
@@ -96,19 +98,18 @@ fn cases() -> Vec<Case> {
         n,
     };
     vec![
-        // LSTM: the input projection over every timestep, then the
+        // LSTM: the input projection over the real rows, then the
         // per-step recurrence h·W_h, its input gradient dz·W_hᵀ and its
         // weight gradient over all carried rows.
-        c("lstm_proj", Kind::Matmul, 832, 128, 512),
-        c("lstm_rec", Kind::Matmul, 32, 128, 512),
-        c("lstm_rec_dh", Kind::ABt, 32, 512, 128),
-        c("lstm_rec_dw", Kind::AtB, 128, 800, 512),
-        // BERT: the packed Q|K|V and the FFN projections over all
-        // batch·seq rows, and the Q|K|V weight gradient contracting over
-        // all 416 rows.
-        c("bert_qkv", Kind::Matmul, 416, 128, 396),
-        c("bert_ffn", Kind::Matmul, 416, 128, 256),
-        c("bert_qkv_dw", Kind::AtB, 128, 416, 396),
+        c("lstm_proj", Kind::Matmul, 553, 128, 512),
+        c("lstm_rec", Kind::Matmul, 21, 128, 512),
+        c("lstm_rec_dh", Kind::ABt, 21, 512, 128),
+        c("lstm_rec_dw", Kind::AtB, 128, 521, 512),
+        // BERT: the packed Q|K|V and the FFN projections over the real
+        // rows, and the Q|K|V weight gradient contracting over them.
+        c("bert_qkv", Kind::Matmul, 272, 128, 396),
+        c("bert_ffn", Kind::Matmul, 272, 128, 256),
+        c("bert_qkv_dw", Kind::AtB, 128, 272, 396),
         // Tied MLM decoder: h·Eᵀ over the vocab for the labelled rows.
         c("mlm_decoder", Kind::ABt, 40, 128, 443),
     ]

@@ -2,7 +2,7 @@
 //! classification heads.
 
 use crate::config::BertConfig;
-use crate::model::{ParamBuilder, SequenceClassifier, TokenBatch};
+use crate::model::{ParamBuilder, SequenceClassifier, TokenBatch, OBS_TOKENS};
 use clinfl_obs::KernelTimer;
 use clinfl_tensor::{Graph, Init, ParamId, Params, Var};
 
@@ -48,9 +48,10 @@ struct BlockParams {
 /// each head uses `ceil(hidden/heads)` dimensions and the attention output
 /// is projected back from `heads * head_dim` to `hidden`.
 ///
-/// Attention runs over each sequence's real tokens, which must come first:
-/// every row of a batch's mask is a prefix of ones, as the tokenizer pads
-/// at the end. A mask with a hole panics.
+/// The encoder computes only each sequence's real tokens (and the
+/// `[CLS]` row of one with none), which must come first: every row of a
+/// batch's mask is a prefix of ones, as the tokenizer pads at the end. A
+/// mask with a hole panics.
 #[derive(Clone, Debug)]
 pub struct BertModel {
     config: BertConfig,
@@ -199,14 +200,21 @@ impl BertModel {
         g.concat_last(qk, v)
     }
 
-    /// Builds the encoder forward pass, returning hidden states
-    /// `[B·S, hidden]` (row `b·S + i` is token `i` of sequence `b`).
+    /// Builds the encoder forward pass over the batch's real rows, returning
+    /// their hidden states `[R, hidden]` and where each sequence's rows are.
+    ///
+    /// Rows are packed batch-major: sequence `b` keeps its first
+    /// `max(len_b, 1)` positions, so one with no real token still has its
+    /// `[CLS]` row. Every op but attention is position-wise, and attention
+    /// reads only real keys, so each row gets the bits it had with every
+    /// padded position computed; each dropout draws its mask as over the
+    /// padded layout.
     ///
     /// # Panics
     ///
     /// Panics if the batch is malformed, longer than `max_seq_len`, or a
     /// row's mask is not a prefix of ones (the tokenizer pads at the end).
-    fn encode(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
+    fn encode(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> (Var, PackedRows) {
         batch.validate();
         let (b, s) = (batch.batch_size, batch.seq_len);
         assert!(
@@ -214,7 +222,7 @@ impl BertModel {
             "sequence length {s} exceeds max_seq_len {}",
             self.config.max_seq_len
         );
-        let key_lens: Vec<usize> = batch
+        let lens: Vec<usize> = batch
             .mask
             .chunks(s.max(1))
             .enumerate()
@@ -227,19 +235,26 @@ impl BertModel {
                 len
             })
             .collect();
+        // Each row's position `b·S + i` in the padded layout.
+        let mut at = Vec::new();
+        let mut starts = Vec::with_capacity(b + 1);
+        starts.push(0);
+        for (bi, &len) in lens.iter().enumerate() {
+            at.extend((0..len.max(1)).map(|i| (bi * s + i) as u32));
+            starts.push(at.len());
+        }
+        clinfl_obs::add_counter(OBS_TOKENS, at.len() as u64);
         let p = self.config.dropout;
 
+        let ids: Vec<u32> = at.iter().map(|&pos| batch.ids[pos as usize]).collect();
         let tok_table = g.param(&self.params, self.tok_emb);
-        let tok = g.embedding(tok_table, batch.ids);
-        let mut pos_ids = vec![0u32; b * s];
-        for (i, v) in pos_ids.iter_mut().enumerate() {
-            *v = (i % s) as u32;
-        }
+        let tok = g.embedding(tok_table, &ids);
+        let pos_ids: Vec<u32> = at.iter().map(|&pos| pos % s as u32).collect();
         let pos_table = g.param(&self.params, self.pos_emb);
         let pos = g.embedding(pos_table, &pos_ids);
         let x = g.add(tok, pos);
         let x = self.layer_norm(g, x, self.emb_ln_g, self.emb_ln_b);
-        let mut x = g.dropout(x, p);
+        let mut x = g.dropout_rows(x, p, &at);
 
         for blk in &self.blocks {
             // --- Multi-head self-attention sublayer (pre-LN) ---
@@ -248,13 +263,13 @@ impl BertModel {
             let w_qkv = self.packed(g, [blk.wq, blk.wk, blk.wv]);
             let b_qkv = self.packed(g, [blk.bq, blk.bk, blk.bv]);
             let qkv = g.matmul(hn, w_qkv);
-            let qkv = g.add(qkv, b_qkv); // [B·S, 3·inner]
-            let ctx = g.attention(qkv, &key_lens, self.config.heads, p);
+            let qkv = g.add(qkv, b_qkv); // [R, 3·inner]
+            let ctx = g.attention(qkv, &starts, &lens, self.config.heads, p);
             let wo = g.param(&self.params, blk.wo);
             let bo = g.param(&self.params, blk.bo);
             let out = g.matmul(ctx, wo);
             let out = g.add(out, bo);
-            let out = g.dropout(out, p);
+            let out = g.dropout_rows(out, p, &at);
             x = g.add(x, out);
             drop(obs_attn);
 
@@ -269,16 +284,18 @@ impl BertModel {
             let b2 = g.param(&self.params, blk.b_ff2);
             let f = g.matmul(f, w2);
             let f = g.add(f, b2);
-            let f = g.dropout(f, p);
+            let f = g.dropout_rows(f, p, &at);
             x = g.add(x, f);
         }
-        self.layer_norm(g, x, self.final_ln_g, self.final_ln_b)
+        let enc = self.layer_norm(g, x, self.final_ln_g, self.final_ln_b);
+        (enc, PackedRows { starts, lens })
     }
 
     fn cls_logits(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
-        let enc = self.encode(g, batch);
-        let cls_rows: Vec<u32> = (0..batch.batch_size)
-            .map(|i| (i * batch.seq_len) as u32)
+        let (enc, rows) = self.encode(g, batch);
+        let cls_rows: Vec<u32> = rows.starts[..batch.batch_size]
+            .iter()
+            .map(|&r| r as u32)
             .collect();
         let cls = g.embedding(enc, &cls_rows);
         let cls = g.dropout(cls, self.config.dropout);
@@ -293,26 +310,37 @@ impl BertModel {
     /// `mlm_labels` has one entry per token position (`batch * seq_len`),
     /// holding the original token id at corrupted positions and
     /// [`clinfl_text::IGNORE_INDEX`] elsewhere — exactly the output of
-    /// [`clinfl_text::MlmMasker::mask`]. The head runs on the labelled
-    /// positions only, gathered from the encoder output; with none the
-    /// loss is 0.
+    /// [`clinfl_text::MlmMasker::mask`], which labels real tokens only.
+    /// The head runs on the labelled positions only, gathered from the
+    /// encoder output; with none the loss is 0.
     ///
     /// # Panics
     ///
-    /// Panics if `mlm_labels.len() != batch_size * seq_len`, or if a mask
-    /// row is not a prefix of ones.
+    /// Panics if `mlm_labels.len() != batch_size * seq_len`, if a mask
+    /// row is not a prefix of ones, or if a padded position is labelled
+    /// (the encoder computes no row there).
     pub fn mlm_loss(&self, g: &mut Graph, batch: &TokenBatch<'_>, mlm_labels: &[i32]) -> Var {
         assert_eq!(
             mlm_labels.len(),
             batch.batch_size * batch.seq_len,
             "one MLM label per token position"
         );
-        let enc = self.encode(g, batch);
+        let (enc, packed) = self.encode(g, batch);
+        let s = batch.seq_len;
         let (rows, targets): (Vec<u32>, Vec<i32>) = mlm_labels
             .iter()
             .enumerate()
             .filter(|&(_, &label)| label != clinfl_text::IGNORE_INDEX)
-            .map(|(row, &label)| (row as u32, label))
+            .map(|(pos, &label)| {
+                let (seq, i) = (pos / s, pos % s);
+                let len = packed.lens[seq];
+                assert!(
+                    i < len,
+                    "MLM label at padded position {i} of sequence {seq}, which has {len} \
+                     real tokens: only real positions may be labelled"
+                );
+                ((packed.starts[seq] + i) as u32, label)
+            })
             .unzip();
         let labelled = g.embedding(enc, &rows);
         let dw = g.param(&self.params, self.mlm_dense_w);
@@ -331,6 +359,13 @@ impl BertModel {
         let logits = g.add(logits, dec_b);
         g.cross_entropy(logits, &targets, clinfl_text::IGNORE_INDEX)
     }
+}
+
+/// Where [`BertModel::encode`] put each sequence: rows
+/// `starts[b]..starts[b+1]` of its output, the first `lens[b]` real.
+struct PackedRows {
+    starts: Vec<usize>,
+    lens: Vec<usize>,
 }
 
 impl SequenceClassifier for BertModel {
@@ -514,6 +549,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "MLM label at padded position 6 of sequence 1")]
+    fn a_labelled_padded_position_panics() {
+        let m = BertModel::new(&tiny_config(), 3);
+        let (ids, mask) = ragged_batch();
+        let mut labels = vec![IGNORE_INDEX; 24];
+        labels[8 + 6] = 7; // sequence 1 has 5 real tokens
+        m.mlm_loss(&mut Graph::new(), &ragged(&ids, &mask), &labels);
+    }
+
+    #[test]
     #[should_panic(expected = "not a prefix of ones")]
     fn mask_with_a_hole_panics() {
         let m = BertModel::new(&tiny_config(), 3);
@@ -561,7 +606,8 @@ mod tests {
             let v = proj(g, blk.wv, blk.bv);
             let qk = g.concat_last(q, k);
             let qkv = g.concat_last(qk, v);
-            let ctx = g.attention(qkv, &key_lens, m.config.heads, p);
+            let starts: Vec<usize> = (0..=b).map(|i| i * s).collect();
+            let ctx = g.attention(qkv, &starts, &key_lens, m.config.heads, p);
             let wo = g.param(&m.params, blk.wo);
             let bo = g.param(&m.params, blk.bo);
             let out = g.matmul(ctx, wo);

@@ -1,7 +1,7 @@
 //! The recursive model: a stacked LSTM sequence classifier.
 
 use crate::config::LstmConfig;
-use crate::model::{ParamBuilder, SequenceClassifier, TokenBatch};
+use crate::model::{ParamBuilder, SequenceClassifier, TokenBatch, OBS_TOKENS};
 use clinfl_tensor::{Graph, Init, ParamId, Params, Var};
 
 /// Per-layer LSTM parameter handles (separate matrices per gate, packed
@@ -19,9 +19,12 @@ struct LstmLayerParams {
 /// The paper's LSTM-based diagnosis classifier (Table II: hidden 128,
 /// 3 layers): embedding → stacked LSTM → final hidden state → linear head.
 ///
-/// Padding is handled by carrying the previous hidden/cell state through
-/// masked timesteps, so the "final" state is the state at each sequence's
-/// last real token — the recurrent-model equivalent of `[CLS]` pooling.
+/// Only real tokens are computed: the encoder packs them time-major, each
+/// step's recurrence covers the sequences real at that step, and a
+/// padded step leaves a sequence's hidden and cell state as they were. So
+/// the "final" state is the state at each sequence's last real token —
+/// the recurrent-model equivalent of `[CLS]` pooling — and all zeros for
+/// a sequence with none.
 #[derive(Clone, Debug)]
 pub struct LstmClassifier {
     config: LstmConfig,
@@ -108,17 +111,28 @@ impl LstmClassifier {
     /// Builds the encoder forward pass, returning the final hidden state of
     /// the top layer, shape `[batch, hidden]`.
     ///
-    /// Each layer is two tape nodes: one GEMM projecting every timestep's
-    /// input onto the four gates at once, and one [`Graph::lstm_layer`]
-    /// running the recurrence. Rows are time-major (`t·B + b`), so a
-    /// step's rows are contiguous.
+    /// Only real tokens get rows, packed time-major: step `t`'s rows are
+    /// the sequences real at `t`, in batch order, so row `r` sits at
+    /// `at[r] = t·B + b` of the padded layout. Each layer is two tape nodes:
+    /// one GEMM projecting every row onto the four gates at once, and one
+    /// [`Graph::lstm_layer`] running the recurrence over the packed steps.
+    /// One gather then takes each sequence's last row, a zero row for a
+    /// sequence with no real token.
     fn encode(&self, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
         batch.validate();
-        let (b, s, h) = (batch.batch_size, batch.seq_len, self.config.hidden);
-        // Row r = t·B + bi reads position bi·S + t of the batch-major input.
-        let src = |r: usize| (r % b) * s + r / b;
-        let ids: Vec<u32> = (0..s * b).map(|r| batch.ids[src(r)]).collect();
-        let keep: Vec<u8> = (0..s * b).map(|r| batch.mask[src(r)]).collect();
+        let (b, s) = (batch.batch_size, batch.seq_len);
+        let (mut at, mut ids) = (Vec::new(), Vec::new());
+        let mut last = vec![Graph::ZERO_ROW; b];
+        for t in 0..s {
+            for (bi, row) in last.iter_mut().enumerate() {
+                if batch.mask[bi * s + t] != 0 {
+                    *row = at.len() as u32;
+                    at.push((t * b + bi) as u32);
+                    ids.push(batch.ids[bi * s + t]);
+                }
+            }
+        }
+        clinfl_obs::add_counter(OBS_TOKENS, at.len() as u64);
         let table = g.param(&self.params, self.embedding);
         let mut x = g.embedding(table, &ids);
         for (li, layer) in self.layers.iter().enumerate() {
@@ -126,18 +140,14 @@ impl LstmClassifier {
             let wh = self.packed(g, &layer.w_h);
             let bias = self.packed(g, &layer.b);
             let xz = g.matmul(x, wx);
-            x = g.lstm_layer(xz, wh, bias, &keep, b);
+            x = g.lstm_layer(xz, wh, bias, &at, b);
             // Inter-layer dropout (not after the top layer; the head has
-            // its own dropout).
+            // its own dropout), drawn as over the padded layout.
             if li + 1 < self.layers.len() {
-                x = g.dropout(x, self.config.dropout);
+                x = g.dropout_rows(x, self.config.dropout, &at);
             }
         }
-        // Padding carries the state forward, so the last step holds every
-        // sequence's final state: rows (S-1)·B.. of the top layer.
-        let steps = g.reshape(x, &[1, s, b * h]);
-        let last = g.select_axis1(steps, s - 1);
-        g.reshape(last, &[b, h])
+        g.embedding(x, &last)
     }
 
     /// The four per-gate tensors `ids` (order i, f, g, o) as one tensor
@@ -492,8 +502,8 @@ mod tests {
     fn one_training_step_records_a_fixed_tape() {
         // Embedding leaf + gather (2); per layer 12 gate leaves, 9 packing
         // concats, the projection GEMM and the layer op (23 × 2); one
-        // inter-layer dropout; reshape/select/reshape of the last step (3);
-        // head dropout, 2 leaves, GEMM, bias add (5); the loss (1).
+        // inter-layer dropout; the gather of each last state (1); head
+        // dropout, 2 leaves, GEMM, bias add (5); the loss (1).
         let cfg = LstmConfig {
             dropout: 0.1,
             ..tiny_config()
@@ -512,7 +522,7 @@ mod tests {
             &[0, 1],
         );
         g.backward(loss);
-        assert_eq!(g.len(), 58);
+        assert_eq!(g.len(), 56);
     }
 
     #[test]

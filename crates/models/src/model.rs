@@ -2,6 +2,10 @@
 
 use clinfl_tensor::{Graph, Init, ParamId, Params, Tensor, Var};
 
+/// The counter of rows an encoder computes, added once per forward: the
+/// real tokens of a batch, not its padded `batch_size · seq_len`.
+pub(crate) const OBS_TOKENS: &str = "models.tokens";
+
 /// A borrowed mini-batch of token sequences in flat row-major layout.
 ///
 /// This is the model-side view of `clinfl_data::Batch`; keeping it borrowed

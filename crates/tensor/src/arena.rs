@@ -10,6 +10,10 @@
 //! here instead of being freed, bucketed by capacity. The next step's ops
 //! then *take* buffers back out — a `BTreeMap` smallest-fit lookup — so in
 //! steady state a training loop performs almost no heap allocation at all.
+//! A request no buffer fits grows the largest smaller one rather than
+//! adding a buffer, so steps whose sizes vary (packed batches of ragged
+//! sequences) settle on one buffer per live request, each as large as the
+//! largest request it has served.
 //!
 //! Buffers come back with unspecified contents. Callers choose between
 //! [`BufferPool::take_f32`] (contents unspecified — for outputs every
@@ -31,15 +35,53 @@ use crate::tensor::Tensor;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
-/// Pops the smallest buffer with capacity at least `n` from a bucketed
-/// free-list map, removing emptied buckets.
-fn take_bucket<T>(map: &mut BTreeMap<usize, Vec<Vec<T>>>, n: usize) -> Option<Vec<T>> {
-    let (&cap, bucket) = map.range_mut(n..).next()?;
+/// Takes a length-`n` buffer from a bucketed free-list map: the smallest
+/// with capacity at least `n` (a hit), else the largest smaller one grown
+/// to `n`, else a new one. Growing keeps the number of buffers at what one
+/// step holds live when request sizes vary from step to step, as a packed
+/// batch's row count does: a step larger than the last would otherwise
+/// add new buffers and leave its predecessor's behind for good. Every
+/// element is zero if `zeroed` or the buffer is not a hit; a hit keeps
+/// its old contents otherwise. Returns the buffer, the capacity it took
+/// out of the map (0 for a new one) and whether it was a hit.
+fn take_from<T: Copy + Default>(
+    map: &mut BTreeMap<usize, Vec<Vec<T>>>,
+    n: usize,
+    zeroed: bool,
+) -> (Vec<T>, usize, bool) {
+    if n == 0 {
+        return (Vec::new(), 0, false);
+    }
+    let fit = map.range(n..).next().map(|(&cap, _)| cap);
+    if let Some(cap) = fit {
+        let mut v = pop_bucket(map, cap);
+        if zeroed {
+            v.clear();
+        }
+        v.resize(n, T::default());
+        return (v, cap, true);
+    }
+    match map.range(..n).next_back().map(|(&cap, _)| cap) {
+        Some(cap) => {
+            let mut v = pop_bucket(map, cap);
+            v.clear();
+            v.reserve_exact(n);
+            v.resize(n, T::default());
+            (v, cap, false)
+        }
+        None => (vec![T::default(); n], 0, false),
+    }
+}
+
+/// Pops a buffer from the bucket of capacity `cap`, removing the bucket
+/// once empty.
+fn pop_bucket<T>(map: &mut BTreeMap<usize, Vec<Vec<T>>>, cap: usize) -> Vec<T> {
+    let bucket = map.get_mut(&cap).expect("the bucket exists");
     let v = bucket.pop().expect("pool buckets are never empty");
     if bucket.is_empty() {
         map.remove(&cap);
     }
-    Some(v)
+    v
 }
 
 /// Returns a buffer to a bucketed free-list map, keyed by its capacity.
@@ -76,41 +118,14 @@ impl BufferPool {
     /// A length-`n` `f32` buffer with unspecified contents. Only use when
     /// every element will be written before being read.
     pub(crate) fn take_f32(&mut self, n: usize) -> Vec<f32> {
-        if n == 0 {
-            return Vec::new();
-        }
-        match take_bucket(&mut self.f32s, n) {
-            Some(mut v) => {
-                self.hits += 1;
-                self.held_bytes -= (v.capacity() * std::mem::size_of::<f32>()) as u64;
-                v.resize(n, 0.0);
-                v
-            }
-            None => {
-                self.misses += 1;
-                vec![0.0; n]
-            }
-        }
+        let taken = take_from(&mut self.f32s, n, false);
+        self.note_take(taken)
     }
 
     /// A length-`n` `f32` buffer with every element zero.
     pub(crate) fn take_f32_zeroed(&mut self, n: usize) -> Vec<f32> {
-        if n == 0 {
-            return Vec::new();
-        }
-        match take_bucket(&mut self.f32s, n) {
-            Some(mut v) => {
-                self.hits += 1;
-                self.held_bytes -= (v.capacity() * std::mem::size_of::<f32>()) as u64;
-                v.clear();
-                v.resize(n, 0.0);
-                v
-            }
-            None => {
-                self.misses += 1;
-                vec![0.0; n]
-            }
-        }
+        let taken = take_from(&mut self.f32s, n, true);
+        self.note_take(taken)
     }
 
     /// Returns an `f32` buffer to the pool.
@@ -121,21 +136,8 @@ impl BufferPool {
 
     /// A length-`n` `u32` buffer with unspecified contents.
     pub(crate) fn take_u32(&mut self, n: usize) -> Vec<u32> {
-        if n == 0 {
-            return Vec::new();
-        }
-        match take_bucket(&mut self.u32s, n) {
-            Some(mut v) => {
-                self.hits += 1;
-                self.held_bytes -= (v.capacity() * std::mem::size_of::<u32>()) as u64;
-                v.resize(n, 0);
-                v
-            }
-            None => {
-                self.misses += 1;
-                vec![0; n]
-            }
-        }
+        let taken = take_from(&mut self.u32s, n, false);
+        self.note_take(taken)
     }
 
     /// Returns a `u32` buffer to the pool.
@@ -146,21 +148,24 @@ impl BufferPool {
 
     /// A length-`n` `i32` buffer with unspecified contents.
     pub(crate) fn take_i32(&mut self, n: usize) -> Vec<i32> {
-        if n == 0 {
-            return Vec::new();
+        let taken = take_from(&mut self.i32s, n, false);
+        self.note_take(taken)
+    }
+
+    /// Counts a [`take_from`] as a hit or a miss and takes what it removed
+    /// off the held bytes. A zero-length request is neither and touches no
+    /// bucket.
+    fn note_take<T>(&mut self, (v, cap, hit): (Vec<T>, usize, bool)) -> Vec<T> {
+        if v.is_empty() {
+            return v;
         }
-        match take_bucket(&mut self.i32s, n) {
-            Some(mut v) => {
-                self.hits += 1;
-                self.held_bytes -= (v.capacity() * std::mem::size_of::<i32>()) as u64;
-                v.resize(n, 0);
-                v
-            }
-            None => {
-                self.misses += 1;
-                vec![0; n]
-            }
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        self.held_bytes -= (cap * std::mem::size_of::<T>()) as u64;
+        v
     }
 
     /// Returns an `i32` buffer to the pool.
@@ -393,6 +398,20 @@ mod tests {
         pool.give_f32(Vec::with_capacity(8));
         let v = pool.take_f32(5);
         assert!(v.capacity() < 100, "should pick the 8-capacity buffer");
+    }
+
+    #[test]
+    fn a_request_nothing_fits_grows_the_largest_smaller_buffer() {
+        let mut pool = BufferPool::default();
+        pool.give_f32(Vec::with_capacity(100));
+        pool.give_f32(Vec::with_capacity(8));
+        let v = pool.take_f32(200);
+        assert_eq!(pool.misses(), 1);
+        assert!(v.len() == 200 && v.iter().all(|&x| x == 0.0));
+        // Only the 8-float buffer is left.
+        assert_eq!(pool.held_bytes, 8 * 4);
+        assert!(pool.take_f32(9).capacity() >= 9);
+        assert!(pool.is_empty());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Multi-head self-attention as one tape node: the passes behind
 //! [`crate::Graph::attention`] and its hand-written backward.
 //!
-//! The input is the packed projection `qkv`, `[B·S, 3·inner]`: row `b·S + i`
-//! holds token `i` of sequence `b`, its query, key and value side by side,
-//! each `inner = heads·dh` wide, head `h` at columns `h·dh..(h+1)·dh`. Heads
-//! are read and written in place through that row stride. A sequence's real
-//! tokens come first, so per (sequence, head) only the `L × L` (query, key)
-//! pairs among its `L` real tokens are computed; the pair buffers (saved
+//! The input is the packed projection `qkv`, `[R, 3·inner]`: sequence `b`
+//! holds rows `starts[b]..starts[b+1]`, row `starts[b] + i` token `i` of
+//! it, its query, key and value side by side, each `inner = heads·dh`
+//! wide, head `h` at columns `h·dh..(h+1)·dh`. Heads are read and written
+//! in place through that row stride. A sequence's real tokens come first,
+//! so per (sequence, head) only the `L × L` (query, key) pairs among its
+//! `L` real tokens are computed; the pair buffers (saved
 //! probabilities, dropout mask, score gradients) hold exactly those pairs,
 //! sequence by sequence, head by head, row-major.
 //!
@@ -24,8 +25,6 @@ use crate::pool;
 /// Geometry of one attention node.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Dims {
-    /// Rows per sequence (`S`).
-    pub(crate) seq: usize,
     /// Number of heads.
     pub(crate) heads: usize,
     /// Width of one head.
@@ -54,10 +53,13 @@ impl Dims {
 }
 
 /// Forward: `probs` (zeroed) receives the softmax of the scaled scores
-/// (before dropout) and `out` (`[B·S, inner]`, zeroed) the context. `mask` is the
-/// dropout mask over the same pairs, already scaled by `1/(1-p)`, or empty.
+/// (before dropout) and `out` (`[R, inner]`, zeroed) the context. `mask` is
+/// the dropout mask over the same pairs, already scaled by `1/(1-p)`, or
+/// empty. Sequence `b` holds rows `starts[b]..starts[b+1]`, its first
+/// `lens[b]` real.
 pub(crate) fn forward(
     qkv: &[f32],
+    starts: &[u32],
     lens: &[u32],
     d: Dims,
     probs: &mut [f32],
@@ -71,7 +73,7 @@ pub(crate) fn forward(
         let _obs = kernels::OBS_MATMUL_A_BT.start();
         kernels::FLOPS_MATMUL_A_BT.add(flops);
         let scale = d.scale();
-        for_each_head(lens, d, &mut [], 0, probs, |head, _, scores| {
+        for_each_head(starts, lens, d, &mut [], 0, probs, |head, _, scores| {
             let (q, k) = (head.at(qkv, w, 0), head.at(qkv, w, inner));
             let len = head.len;
             kernels::gemm_strided(q, (w, 1), k, (1, w), scores, len, len, dh, len);
@@ -82,7 +84,7 @@ pub(crate) fn forward(
     }
     {
         let _obs = kernels::OBS_SOFTMAX.start();
-        for_each_head(lens, d, &mut [], 0, probs, |head, _, p| {
+        for_each_head(starts, lens, d, &mut [], 0, probs, |head, _, p| {
             for row in p.chunks_exact_mut(head.len.max(1)) {
                 kernels::softmax_row(row);
             }
@@ -92,7 +94,7 @@ pub(crate) fn forward(
     let _obs = kernels::OBS_MATMUL.start();
     kernels::FLOPS_MATMUL.add(flops);
     let probs = &*probs;
-    for_each_head(lens, d, out, inner, &mut [], |head, rows, _| {
+    for_each_head(starts, lens, d, out, inner, &mut [], |head, rows, _| {
         let v = head.at(qkv, w, 2 * inner);
         let len = head.len;
         with_dropout(probs, mask, head, |p| {
@@ -102,12 +104,13 @@ pub(crate) fn forward(
     });
 }
 
-/// Backward: from the context gradient `dy` (`[B·S, inner]`) writes the
+/// Backward: from the context gradient `dy` (`[R, inner]`) writes the
 /// gradient of `qkv` into `dqkv` (zeroed). `ds` is zeroed scratch over the
 /// pairs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward(
     qkv: &[f32],
+    starts: &[u32],
     lens: &[u32],
     d: Dims,
     probs: &[f32],
@@ -122,7 +125,7 @@ pub(crate) fn backward(
         // The gradient of the dropped-out probabilities, dy·vᵀ.
         let _obs = kernels::OBS_MATMUL_A_BT.start();
         kernels::FLOPS_MATMUL_A_BT.add(flops);
-        for_each_head(lens, d, &mut [], 0, ds, |head, _, dp| {
+        for_each_head(starts, lens, d, &mut [], 0, ds, |head, _, dp| {
             let (dc, v) = (head.at(dy, inner, 0), head.at(qkv, w, 2 * inner));
             let len = head.len;
             kernels::gemm_strided(dc, (inner, 1), v, (1, w), dp, len, len, dh, len);
@@ -133,7 +136,7 @@ pub(crate) fn backward(
         // ds = (p ⊙ (g − Σ p ⊙ g)) · scale with g = dp ⊙ m.
         let _obs = kernels::OBS_SOFTMAX_BWD.start();
         let scale = d.scale();
-        for_each_head(lens, d, &mut [], 0, ds, |head, _, g| {
+        for_each_head(starts, lens, d, &mut [], 0, ds, |head, _, g| {
             if !mask.is_empty() {
                 for (g, &m) in g.iter_mut().zip(head.pairs(mask)) {
                     *g *= m;
@@ -156,7 +159,7 @@ pub(crate) fn backward(
         // dq = ds·k
         let _obs = kernels::OBS_MATMUL.start();
         kernels::FLOPS_MATMUL.add(flops);
-        for_each_head(lens, d, dqkv, w, &mut [], |head, rows, _| {
+        for_each_head(starts, lens, d, dqkv, w, &mut [], |head, rows, _| {
             let (g, k) = (head.pairs(ds), head.at(qkv, w, inner));
             let len = head.len;
             let dq = head.rows_out(rows, 0, w, dh);
@@ -166,7 +169,7 @@ pub(crate) fn backward(
     // dk = dsᵀ·q and dv = dropout(probs)ᵀ·dy
     let _obs = kernels::OBS_MATMUL_AT_B.start();
     kernels::FLOPS_MATMUL_AT_B.add(2 * flops);
-    for_each_head(lens, d, dqkv, w, &mut [], |head, rows, _| {
+    for_each_head(starts, lens, d, dqkv, w, &mut [], |head, rows, _| {
         let (g, q) = (head.pairs(ds), head.at(qkv, w, 0));
         let len = head.len;
         let dk = head.rows_out(rows, inner, w, dh);
@@ -190,7 +193,7 @@ struct Head {
 }
 
 impl Head {
-    /// The head's columns at `offset` of a buffer with `[B·S]` rows of
+    /// The head's columns at `offset` of a buffer with `[R]` rows of
     /// `stride`, from its sequence's first row on.
     fn at(self, buf: &[f32], stride: usize, offset: usize) -> &[f32] {
         &buf[self.row0 * stride + offset + self.col..]
@@ -213,10 +216,12 @@ impl Head {
 }
 
 /// Runs `f(head, rows, pairs)` for every (sequence, head). `rows` is the
-/// sequence's `S·row_width` slice of `rows_buf` and `pairs` the head's
-/// `L²` slice of `pairs_buf`; a pass that writes only one of the two
-/// passes the other empty. Contiguous blocks of sequences run on the pool.
+/// sequence's slice of `rows_buf` (its rows of `row_width`) and `pairs`
+/// the head's `L²` slice of `pairs_buf`; a pass that writes only one of
+/// the two passes the other empty. Contiguous blocks of sequences run on
+/// the pool.
 fn for_each_head(
+    starts: &[u32],
     lens: &[u32],
     d: Dims,
     rows_buf: &mut [f32],
@@ -232,8 +237,10 @@ fn for_each_head(
     let mut pair0 = 0;
     let mut jobs = Vec::new();
     for b0 in (0..n).step_by(per) {
-        let block = &lens[b0..(b0 + per).min(n)];
-        let rows = split_off(&mut rows_rest, block.len() * d.seq * row_width);
+        let b1 = (b0 + per).min(n);
+        let block = &lens[b0..b1];
+        let block_rows = (starts[b1] - starts[b0]) as usize;
+        let rows = split_off(&mut rows_rest, block_rows * row_width);
         let n_pairs = d.pairs(block);
         let pairs = split_off(&mut pairs_rest, n_pairs);
         let block_pair0 = pair0;
@@ -241,11 +248,12 @@ fn for_each_head(
         jobs.push(move || {
             let (mut rows, mut pairs, mut pair0) = (rows, pairs, block_pair0);
             for (k, &len) in block.iter().enumerate() {
-                let len = len as usize;
-                let seq_rows = split_off(&mut rows, d.seq * row_width);
+                let (len, row0) = (len as usize, starts[b0 + k] as usize);
+                let seq_rows = (starts[b0 + k + 1] as usize - row0) * row_width;
+                let seq_rows = split_off(&mut rows, seq_rows);
                 for h in 0..d.heads {
                     let head = Head {
-                        row0: (b0 + k) * d.seq,
+                        row0,
                         len,
                         col: h * d.dh,
                         pair0,

@@ -3,7 +3,7 @@
 use crate::arena::{BufferPool, PARKED};
 use crate::attention;
 use crate::kernels;
-use crate::ops::{accumulate, backward_node, Broadcast, Node, Op};
+use crate::ops::{accumulate, backward_node, lstm_steps, Broadcast, Node, Op};
 use crate::optim::{ParamId, Params};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -70,6 +70,10 @@ impl Default for Graph {
 }
 
 impl Graph {
+    /// The id that [`Graph::embedding`] gathers as a zero row: the final
+    /// state of a sequence with no real token, say.
+    pub const ZERO_ROW: u32 = u32::MAX;
+
     /// Creates an empty tape in training mode (dropout active) with a fixed
     /// default seed for dropout masks.
     pub fn new() -> Self {
@@ -141,13 +145,18 @@ impl Graph {
                 }
                 Op::Embedding { ids } => self.pool.give_u32(ids),
                 Op::NormalizeLast { rstd } => self.pool.give_f32(rstd),
-                Op::LstmLayer { keep, saved, .. } => {
-                    self.pool.give_f32(keep);
+                Op::LstmLayer { at, saved, .. } => {
+                    self.pool.give_u32(at);
                     self.pool.give_f32(saved);
                 }
                 Op::Attention {
-                    lens, probs, mask, ..
+                    starts,
+                    lens,
+                    probs,
+                    mask,
+                    ..
                 } => {
+                    self.pool.give_u32(starts);
                     self.pool.give_u32(lens);
                     self.pool.give_f32(probs);
                     self.pool.give_f32(mask);
@@ -499,20 +508,64 @@ impl Graph {
     ///
     /// Panics if `p` is not within `[0, 1)`.
     pub fn dropout(&mut self, a: Var, p: f32) -> Var {
+        self.dropout_at(a, p, None)
+    }
+
+    /// [`Graph::dropout`] of the rows a packed tensor keeps of a padded
+    /// one: row `i` of `a` (its last dimension is a row) is row `rows[i]`
+    /// of the padded layout, and it gets the mask that dropout of the whole
+    /// padded tensor would draw for that row. The mask stream steps past
+    /// every row left out, one draw per element, so each kept element gets
+    /// the same bits whichever rows are left out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not within `[0, 1)`, or `rows` does not have one
+    /// strictly ascending entry per row of `a`.
+    pub fn dropout_rows(&mut self, a: Var, p: f32, rows: &[u32]) -> Var {
+        self.dropout_at(a, p, Some(rows))
+    }
+
+    fn dropout_at(&mut self, a: Var, p: f32, rows: Option<&[u32]>) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
         let ia = self.chk(a);
         if !self.training || p == 0.0 {
             return a;
         }
+        let shape = *self.values[ia].shape();
+        let width = shape.last_dim().max(1);
+        if let Some(rows) = rows {
+            assert_eq!(
+                rows.len() * width,
+                shape.numel(),
+                "dropout_rows: {} rows for a tensor of {} rows",
+                rows.len(),
+                shape.numel() / width
+            );
+        }
         // One pass draws each mask element and writes its product; the
         // mask stays for backward.
-        let mut mask = self.pool.take_f32(self.values[ia].numel());
-        let mut value = self.pool.tensor_uninit(*self.values[ia].shape());
+        let mut mask = self.pool.take_f32(shape.numel());
+        let mut value = self.pool.tensor_uninit(shape);
         let mut draw = self.dropout_draws(p);
-        let out = value.data_mut().iter_mut().zip(&mut mask);
-        for ((v, m), &x) in out.zip(self.values[ia].data()) {
-            *m = draw();
-            *v = x * *m;
+        let out = value
+            .data_mut()
+            .chunks_mut(width)
+            .zip(mask.chunks_mut(width));
+        let mut next = 0;
+        for (i, ((v, m), x)) in out.zip(self.values[ia].data().chunks(width)).enumerate() {
+            if let Some(rows) = rows {
+                let row = rows[i] as usize;
+                assert!(row >= next, "dropout_rows: rows must ascend");
+                for _ in 0..(row - next) * width {
+                    draw();
+                }
+                next = row + 1;
+            }
+            for ((v, m), &x) in v.iter_mut().zip(m.iter_mut()).zip(x) {
+                *m = draw();
+                *v = x * *m;
+            }
         }
         self.push(Op::Dropout { mask }, &[ia], value)
     }
@@ -548,7 +601,9 @@ impl Graph {
     /// Gathers rows of an embedding table.
     ///
     /// `table` must be a `[V, H]` matrix; the output is `[ids.len(), H]`
-    /// (callers typically [`Graph::reshape`] to `[B, S, H]`).
+    /// (callers typically [`Graph::reshape`] to `[B, S, H]`). An id of
+    /// [`Graph::ZERO_ROW`] gathers a row of zeros, which passes no
+    /// gradient back.
     ///
     /// # Panics
     ///
@@ -559,16 +614,19 @@ impl Graph {
         assert_eq!(t.shape().rank(), 2, "embedding table must be rank-2");
         let v = t.dims()[0];
         let h = t.dims()[1];
-        // Uninit: every output row is fully copied.
+        // Uninit: every output row is fully written.
         let mut out = self.pool.tensor_uninit(Shape::new(&[ids.len(), h]));
         let t = &self.values[it];
-        for (pos, &id) in ids.iter().enumerate() {
+        for (row, &id) in out.data_mut().chunks_mut(h.max(1)).zip(ids) {
+            if id == Self::ZERO_ROW {
+                row.fill(0.0);
+                continue;
+            }
             assert!(
                 (id as usize) < v,
                 "embedding id {id} out of range for table with {v} rows"
             );
-            out.data_mut()[pos * h..(pos + 1) * h]
-                .copy_from_slice(&t.data()[id as usize * h..(id as usize + 1) * h]);
+            row.copy_from_slice(&t.data()[id as usize * h..(id as usize + 1) * h]);
         }
         let mut ids_buf = self.pool.take_u32(ids.len());
         ids_buf.copy_from_slice(ids);
@@ -649,32 +707,38 @@ impl Graph {
         )
     }
 
-    /// One LSTM layer over a whole time-major sequence, as one tape node.
+    /// One LSTM layer over a batch of ragged sequences packed time-major,
+    /// as one tape node.
     ///
-    /// `xz` is every step's input projection, `[S·B, 4H]` with the gate
-    /// columns in the order i, f, g, o; `wh` the recurrent weights packed
-    /// the same way, `[H, 4H]`; `b` the packed biases, `[4H]`. `keep` has
-    /// one flag per row of `xz`: nonzero on a real token, zero on padding,
-    /// where the row carries its previous hidden and cell state unchanged.
-    /// The initial states are zero. The output is every step's hidden
-    /// state, `[S·B, H]`, so step `t` occupies rows `t·B..(t+1)·B`.
+    /// Only real tokens have rows. `at[r]` places row `r` in the padded
+    /// time-major layout: it is step `at[r] / batch` of sequence
+    /// `at[r] % batch`, and `at` ascends strictly, so the rows of a step
+    /// are contiguous and in sequence order. `xz` is every row's input
+    /// projection, `[R, 4H]` with the gate columns in the order i, f, g, o;
+    /// `wh` the recurrent weights packed the same way, `[H, 4H]`; `b` the
+    /// packed biases, `[4H]`. A row reads the hidden and cell state of its
+    /// sequence's last computed row, or zeros before its first; a padded
+    /// step computes nothing and leaves the state as it was. The output is
+    /// every row's hidden state, `[R, H]`.
     ///
-    /// Each step runs one `[B, H]×[H, 4H]` GEMM, then `z = (xz + h·wh) + b`,
-    /// `c = sigmoid(z_f)·c_prev + sigmoid(z_i)·tanh(z_g)`,
-    /// `h = sigmoid(z_o)·tanh(c)`, and the carry `h·keep + h_prev·hold` —
-    /// the operations and rounding order of the per-gate composition of
+    /// Each step `t` runs one `[b_t, H]×[H, 4H]` GEMM over its `b_t` rows
+    /// (none at the first step, where `h·wh` is the all-zero product), then
+    /// `z = (xz + h·wh) + b`, `c = sigmoid(z_f)·c_prev +
+    /// sigmoid(z_i)·tanh(z_g)`, `h = sigmoid(z_o)·tanh(c)` — the operations
+    /// and rounding order of the per-gate composition of
     /// [`Graph::matmul`], [`Graph::add`], [`Graph::sigmoid`],
     /// [`Graph::tanh`] and [`Graph::mul`], so the forward value is
-    /// bit-identical to it. Backward is a hand-written BPTT loop.
+    /// bit-identical to it, and a row's bits do not depend on which padded
+    /// steps are left out. Backward is a hand-written BPTT loop.
     ///
     /// # Panics
     ///
-    /// Panics on mismatched shapes, or if `keep.len()` is not the row
-    /// count of `xz` or not a multiple of `batch`.
-    pub fn lstm_layer(&mut self, xz: Var, wh: Var, b: Var, keep: &[u8], batch: usize) -> Var {
+    /// Panics on mismatched shapes, or if `at` does not have one strictly
+    /// ascending entry per row of `xz`.
+    pub fn lstm_layer(&mut self, xz: Var, wh: Var, b: Var, at: &[u32], batch: usize) -> Var {
         let (ix, iw, ib) = (self.chk(xz), self.chk(wh), self.chk(b));
         let dims = self.values[ix].dims();
-        assert_eq!(dims.len(), 2, "lstm_layer: xz must be [S·B, 4H]");
+        assert_eq!(dims.len(), 2, "lstm_layer: xz must be [R, 4H]");
         let (rows, h4) = (dims[0], dims[1]);
         let h = h4 / 4;
         assert!(h > 0 && h4 == 4 * h, "lstm_layer: xz width {h4} is not 4H");
@@ -685,47 +749,45 @@ impl Graph {
         );
         assert_eq!(self.values[ib].dims(), [h4], "lstm_layer: b must be [4H]");
         assert!(
-            keep.len() == rows && batch > 0 && rows % batch == 0,
-            "lstm_layer: {} keep flags for {rows} rows in steps of {batch}",
-            keep.len()
+            at.len() == rows && batch > 0 && at.windows(2).all(|w| w[0] < w[1]),
+            "lstm_layer: {} ascending row positions wanted for {rows} rows, got {}",
+            rows,
+            at.len()
         );
-        let mut keep_f = self.pool.take_f32(rows);
-        for (k, &m) in keep_f.iter_mut().zip(keep) {
-            *k = if m != 0 { 1.0 } else { 0.0 };
-        }
+        let mut at_buf = self.pool.take_u32(rows);
+        at_buf.copy_from_slice(at);
         // Uninit, as are `out` and `hz`: every element is written before it
         // is read.
-        let mut saved = self.pool.take_f32(rows * 6 * h);
+        let mut saved = self.pool.take_f32(rows * 7 * h);
         let mut out = self.pool.tensor_uninit(Shape::new(&[rows, h]));
         let mut hz = self.pool.take_f32(batch * h4);
-        // The states before the first step.
-        let zeros = self.pool.take_f32_zeroed(batch * h);
+        // Each sequence's state after its last computed row.
+        let mut h_state = self.pool.take_f32_zeroed(batch * h);
+        let mut c_state = self.pool.take_f32_zeroed(batch * h);
         let mut wh_packed = self.pool.take_f32(h * h4);
         kernels::pack_rhs(self.values[iw].data(), h4, 1, h, h4, &mut wh_packed);
         let (xzd, bd) = (self.values[ix].data(), self.values[ib].data());
         let (tanh_z, rest) = saved.split_at_mut(rows * h4);
-        let (tanh_c, c_carry) = rest.split_at_mut(rows * h);
-        for t in 0..rows / batch {
-            let r0 = t * batch;
-            let (h_done, h_rest) = out.data_mut().split_at_mut(r0 * h);
-            let (c_done, c_rest) = c_carry.split_at_mut(r0 * h);
-            let (h_prev, c_prev) = if t == 0 {
-                (&zeros[..], &zeros[..])
-            } else {
-                (&h_done[(r0 - batch) * h..], &c_done[(r0 - batch) * h..])
-            };
-            // Before the first step `h·wh` is the all-zero product.
+        let (tanh_c, rest) = rest.split_at_mut(rows * h);
+        let (c_prev, h_prev) = rest.split_at_mut(rows * h);
+        for (t, step) in lstm_steps(at, batch).into_iter().enumerate() {
+            for r in step.clone() {
+                let seq = (at[r] as usize % batch) * h..;
+                h_prev[r * h..(r + 1) * h].copy_from_slice(&h_state[seq.clone()][..h]);
+                c_prev[r * h..(r + 1) * h].copy_from_slice(&c_state[seq][..h]);
+            }
+            let hz = &mut hz[..step.len() * h4];
             hz.fill(0.0);
             if t > 0 {
-                kernels::matmul_packed_acc(h_prev, &wh_packed, &mut hz, batch, h, h4);
+                let a = &h_prev[step.start * h..step.end * h];
+                kernels::matmul_packed_acc(a, &wh_packed, hz, step.len(), h, h4);
             }
-            for bi in 0..batch {
-                let r = r0 + bi;
+            for (r, hz) in step.zip(hz.chunks_exact(h4)) {
                 let tz = &mut tanh_z[r * h4..(r + 1) * h4];
                 for ((v, &x), (&hv, &bv)) in tz
                     .iter_mut()
                     .zip(&xzd[r * h4..(r + 1) * h4])
-                    .zip(hz[bi * h4..(bi + 1) * h4].iter().zip(bd))
+                    .zip(hz.iter().zip(bd))
                 {
                     *v = (x + hv) + bv;
                 }
@@ -738,27 +800,29 @@ impl Graph {
                     }
                 }
                 let (ti, tf, g_g, to) = (&tz[..h], &tz[h..2 * h], &tz[2 * h..3 * h], &tz[3 * h..]);
-                let (k, hold) = (keep_f[r], 1.0 - keep_f[r]);
-                let row = bi * h..(bi + 1) * h;
-                let (hp, cp) = (&h_prev[row.clone()], &c_prev[row.clone()]);
-                let (h_t, c_t) = (&mut h_rest[row.clone()], &mut c_rest[row]);
+                let seq = (at[r] as usize % batch) * h..;
+                let (h_s, c_s) = (&mut h_state[seq.clone()][..h], &mut c_state[seq][..h]);
+                let cp = &c_prev[r * h..(r + 1) * h];
                 let tc = &mut tanh_c[r * h..(r + 1) * h];
+                let h_t = &mut out.data_mut()[r * h..(r + 1) * h];
                 for j in 0..h {
                     let (i_g, f_g) = (0.5 * (1.0 + ti[j]), 0.5 * (1.0 + tf[j]));
                     let c = f_g * cp[j] + i_g * g_g[j];
                     tc[j] = kernels::tanh_fast(c);
-                    c_t[j] = c * k + cp[j] * hold;
-                    h_t[j] = (0.5 * (1.0 + to[j]) * tc[j]) * k + hp[j] * hold;
+                    c_s[j] = c;
+                    h_t[j] = 0.5 * (1.0 + to[j]) * tc[j];
+                    h_s[j] = h_t[j];
                 }
             }
         }
         self.pool.give_f32(hz);
-        self.pool.give_f32(zeros);
+        self.pool.give_f32(h_state);
+        self.pool.give_f32(c_state);
         self.pool.give_f32(wh_packed);
         self.push(
             Op::LstmLayer {
                 batch,
-                keep: keep_f,
+                at: at_buf,
                 saved,
             },
             &[ix, iw, ib],
@@ -769,12 +833,16 @@ impl Graph {
     /// Multi-head scaled dot-product self-attention over each sequence's
     /// real tokens, as one tape node.
     ///
-    /// `qkv` is the packed projection `[B·S, 3·inner]`: row `b·S + i` holds
-    /// token `i` of sequence `b`, its query, key and value side by side,
-    /// each `inner = heads·dh` wide with head `h` at columns `h·dh..`.
+    /// `qkv` is the packed projection `[R, 3·inner]`. Sequence `b` holds
+    /// rows `starts[b]..starts[b+1]` (`starts` has one entry more than
+    /// there are sequences, its first 0 and its last `R`), row
+    /// `starts[b] + i` token `i` of it: its query, key and value side by
+    /// side, each `inner = heads·dh` wide with head `h` at columns `h·dh..`.
     /// `key_lens[b]` is the number of real tokens of sequence `b`, which
-    /// come first (padding trails). Per sequence and head, over its `L`
-    /// real tokens only:
+    /// come first; any rows after them are padding. A padded batch of `S`
+    /// tokens a sequence has `starts[b] = b·S`; a packed one keeps only the
+    /// rows it computes. Per sequence and head, over its `L` real tokens
+    /// only:
     ///
     /// - scores `q·kᵀ`, one `mul_add` chain per pair over ascending `d`,
     ///   then `× 1/√dh` as its own rounding;
@@ -784,9 +852,11 @@ impl Graph {
     /// - the context `probs · v`, one `mul_add` chain per element over
     ///   ascending keys.
     ///
-    /// The output is the context `[B·S, inner]`, with zero rows at padded
+    /// The output is the context `[R, inner]`, with zero rows at padded
     /// queries. Heads are addressed through the row stride; no per-head
-    /// tensor is built.
+    /// tensor is built. Neither the values nor the dropout mask of a real
+    /// pair depend on a sequence's padded rows, so a packed batch gets the
+    /// bits of the padded one at every real row.
     ///
     /// Without dropout, every real query row gets the bits of the unfused
     /// composition this replaces (`a·bᵀ` product, scale, an additive `-1e4`
@@ -800,36 +870,54 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if `qkv` is not `[B·S, 3·heads·dh]` for `B = key_lens.len()`,
-    /// a key length exceeds `S`, or `p` is not within `[0, 1)`.
-    pub fn attention(&mut self, qkv: Var, key_lens: &[usize], heads: usize, p: f32) -> Var {
+    /// Panics if `qkv` is not `[R, 3·heads·dh]` with `R` the last of
+    /// `starts`, `starts` does not ascend from 0 with one entry per
+    /// sequence and one more, a key length exceeds its sequence's rows, or
+    /// `p` is not within `[0, 1)`.
+    pub fn attention(
+        &mut self,
+        qkv: Var,
+        starts: &[usize],
+        key_lens: &[usize],
+        heads: usize,
+        p: f32,
+    ) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
         let iq = self.chk(qkv);
         let dims = self.values[iq].dims();
-        assert_eq!(dims.len(), 2, "attention: qkv must be [B·S, 3·inner]");
+        assert_eq!(dims.len(), 2, "attention: qkv must be [R, 3·inner]");
         let (rows, width) = (dims[0], dims[1]);
         let batch = key_lens.len();
         assert!(
-            batch > 0 && rows % batch == 0,
-            "attention: {rows} rows do not split into {batch} sequences"
+            batch > 0
+                && starts.len() == batch + 1
+                && starts[0] == 0
+                && starts[batch] == rows
+                && starts.windows(2).all(|w| w[0] <= w[1]),
+            "attention: row starts {starts:?} do not split {rows} rows into {batch} sequences"
         );
         assert!(
             heads > 0 && width > 0 && width % (3 * heads) == 0,
             "attention: width {width} is not 3·{heads}·dh"
         );
         let d = attention::Dims {
-            seq: rows / batch,
             heads,
             dh: width / (3 * heads),
         };
-        assert!(
-            key_lens.iter().all(|&l| l <= d.seq),
-            "attention: a key length exceeds the sequence length {}",
-            d.seq
-        );
+        for (b, &len) in key_lens.iter().enumerate() {
+            let seq = starts[b + 1] - starts[b];
+            assert!(
+                len <= seq,
+                "attention: key length {len} of sequence {b} exceeds the sequence length {seq}"
+            );
+        }
         let mut lens = self.pool.take_u32(batch);
         for (l, &k) in lens.iter_mut().zip(key_lens) {
             *l = k as u32;
+        }
+        let mut row_starts = self.pool.take_u32(batch + 1);
+        for (r, &s) in row_starts.iter_mut().zip(starts) {
+            *r = s as u32;
         }
         let n_pairs = d.pairs(&lens);
         let mut mask = Vec::new();
@@ -843,6 +931,7 @@ impl Graph {
         let mut out = self.pool.tensor_zeroed(Shape::new(&[rows, d.inner()]));
         attention::forward(
             self.values[iq].data(),
+            &row_starts,
             &lens,
             d,
             &mut probs,
@@ -852,6 +941,7 @@ impl Graph {
         self.push(
             Op::Attention {
                 heads,
+                starts: row_starts,
                 lens,
                 probs,
                 mask,
@@ -1057,6 +1147,28 @@ mod tests {
     }
 
     #[test]
+    fn dropout_rows_draw_the_padded_masks() {
+        // Rows 0, 2 and 3 of a padded [5, 3] tensor: each gets the mask
+        // bits dropout of the whole tensor gives it.
+        let x = Tensor::randn(&[5, 3], 1.0, 9);
+        let rows = [0u32, 2, 3];
+        let mut full = Graph::with_seed(4);
+        let xv = full.input(x.clone());
+        let y = full.dropout(xv, 0.5);
+        let picked = rows
+            .iter()
+            .flat_map(|&r| x.data()[r as usize * 3..][..3].to_vec());
+        let mut packed = Graph::with_seed(4);
+        let pv = packed.input(Tensor::from_vec(&[3, 3], picked.collect()).unwrap());
+        let py = packed.dropout_rows(pv, 0.5, &rows);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, &r) in rows.iter().enumerate() {
+            let want = &full.value(y).data()[r as usize * 3..][..3];
+            assert_eq!(bits(&packed.value(py).data()[i * 3..][..3]), bits(want));
+        }
+    }
+
+    #[test]
     fn normalize_last_statistics() {
         let mut g = Graph::new();
         let x = g.input(t(&[2, 4], &[1., 2., 3., 4., -1., 0., 1., 2.]));
@@ -1228,44 +1340,67 @@ mod tests {
 
     #[test]
     fn lstm_layer_gradcheck_with_padding() {
-        // B = 3, S = 5, H = 4, time-major rows t·B + b. Sequence 0 is padded
+        // B = 3, S = 5, H = 4, packed time-major. Sequence 0 is padded
         // mid-sequence (steps 1 and 3), sequence 1 is never padded, sequence
         // 2 is padding throughout.
         let (b, s, h) = (3, 5, 4);
         let mask = [[1, 0, 1, 0, 1], [1; 5], [0; 5]];
-        let keep: Vec<u8> = (0..s * b).map(|r| mask[r % b][r / b]).collect();
+        let at: Vec<u32> = (0..s * b)
+            .filter(|&r| mask[r % b][r / b] != 0)
+            .map(|r| r as u32)
+            .collect();
+        let rows = at.len();
         let inputs = [
-            Tensor::randn(&[s * b, 4 * h], 0.8, 21),
+            Tensor::randn(&[rows, 4 * h], 0.8, 21),
             Tensor::randn(&[h, 4 * h], 0.5, 22),
             Tensor::randn(&[4 * h], 0.5, 23),
         ];
-        let weights = Tensor::randn(&[s * b, h], 1.0, 24);
+        let weights = Tensor::randn(&[rows, h], 1.0, 24);
         let report = crate::gradcheck(&inputs, |g, v| {
-            let out = g.lstm_layer(v[0], v[1], v[2], &keep, b);
+            let out = g.lstm_layer(v[0], v[1], v[2], &at, b);
             let w = g.input(weights.clone());
             let weighted = g.mul(out, w);
             g.sum(weighted)
         });
-        assert_eq!(report.checked, s * b * 4 * h + 4 * h * h + 4 * h);
+        assert_eq!(report.checked, rows * 4 * h + 4 * h * h + 4 * h);
         assert!(report.passes(1e-2), "{report:?}");
     }
 
     #[test]
-    fn lstm_layer_padded_rows_carry_state_and_get_no_gradient() {
-        let (b, h) = (2, 3);
-        let keep = [1, 1, 1, 0];
-        let mut g = Graph::new();
-        let xz = g.input(Tensor::randn(&[4, 4 * h], 1.0, 5));
-        let wh = g.input(Tensor::randn(&[h, 4 * h], 0.5, 6));
-        let bias = g.input(Tensor::zeros(&[4 * h]));
-        let out = g.lstm_layer(xz, wh, bias, &keep, b);
-        let rows: Vec<&[f32]> = g.value(out).data().chunks(h).collect();
-        assert_eq!(rows[3], rows[1], "padded step carries its row's state");
-        let loss = g.sum(out);
-        g.backward(loss);
-        let dxz = g.grad(xz).unwrap().data();
-        assert!(dxz[3 * 4 * h..].iter().all(|&v| v == 0.0));
-        assert!(dxz[..3 * 4 * h].iter().any(|&v| v != 0.0));
+    fn lstm_layer_steps_over_holes_bit_for_bit() {
+        // Sequence 0 is real at steps 0 and 2, sequence 1 at step 1 only.
+        // Each gets, forward and backward, the bits of a lone sequence of
+        // its own tokens: a hole neither resets nor moves the state.
+        let h = 3;
+        let xz = Tensor::randn(&[3, 4 * h], 1.0, 5);
+        let wh = Tensor::randn(&[h, 4 * h], 0.5, 6);
+        let bias = Tensor::randn(&[4 * h], 0.5, 7);
+        let run = |rows: &[usize], at: &[u32], batch: usize| {
+            let picked = rows
+                .iter()
+                .flat_map(|&r| xz.data()[r * 4 * h..][..4 * h].to_vec());
+            let mut g = Graph::new();
+            let x = g.input(Tensor::from_vec(&[rows.len(), 4 * h], picked.collect()).unwrap());
+            let (w, b) = (g.input(wh.clone()), g.input(bias.clone()));
+            let out = g.lstm_layer(x, w, b, at, batch);
+            let loss = g.sum(out);
+            g.backward(loss);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (out, dx) = (g.value(out).data(), g.grad(x).unwrap().data());
+            (bits(out), bits(dx))
+        };
+        let (out, dx) = run(&[0, 1, 2], &[0, 3, 4], 2);
+        let (lone0, dlone0) = run(&[0, 2], &[0, 1], 1);
+        let (lone1, dlone1) = run(&[1], &[0], 1);
+        let (h4, rows) = (4 * h, |v: &[u32], at: &[usize], w: usize| {
+            at.iter()
+                .flat_map(|&r| v[r * w..][..w].to_vec())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(rows(&out, &[0, 2], h), lone0);
+        assert_eq!(rows(&out, &[1], h), lone1);
+        assert_eq!(rows(&dx, &[0, 2], h4), dlone0);
+        assert_eq!(rows(&dx, &[1], h4), dlone1);
     }
 
     #[cfg(debug_assertions)]

@@ -13,6 +13,7 @@ use crate::attention;
 use crate::kernels;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// How the right-hand operand of an element-wise op is broadcast onto the
 /// left-hand operand.
@@ -70,7 +71,8 @@ pub(crate) enum Op {
     },
     /// Embedding-table row gather; input 0 is the `[V, H]` table.
     Embedding {
-        /// Row index per output position.
+        /// Row index per output position; [`crate::Graph::ZERO_ROW`]
+        /// gathers zeros.
         ids: Vec<u32>,
     },
     /// Zero-mean/unit-variance normalization of the last dimension
@@ -90,27 +92,30 @@ pub(crate) enum Op {
         /// Multiplicative mask applied in the forward pass.
         mask: Vec<f32>,
     },
-    /// One LSTM layer over a whole time-major sequence (see
+    /// One LSTM layer over ragged sequences packed time-major (see
     /// [`crate::Graph::lstm_layer`]); inputs are the input projection
-    /// `[S·B, 4H]`, the packed recurrent weights `[H, 4H]` and the packed
-    /// biases `[4H]`, the output every step's hidden state `[S·B, H]`.
+    /// `[R, 4H]`, the packed recurrent weights `[H, 4H]` and the packed
+    /// biases `[4H]`, the output every row's hidden state `[R, H]`.
     LstmLayer {
-        /// Rows per timestep.
+        /// Sequences in the batch.
         batch: usize,
-        /// Per-row carry flag, time-major `[S·B]`: 1 on a real token, 0 on
-        /// padding (the row keeps its previous state).
-        keep: Vec<f32>,
-        /// Forward state for BPTT, time-major: the gates' `tanh_fast`
-        /// values `[S·B, 4H]` (of `z/2` for i, f, o, of `z` for g), then
-        /// `tanh_fast(c)` and the carried cell state, `[S·B, H]` each.
+        /// Each row's place in the padded time-major layout,
+        /// `step · batch + sequence`, ascending.
+        at: Vec<u32>,
+        /// Forward state for BPTT, per row: the gates' `tanh_fast` values
+        /// `[R, 4H]` (of `z/2` for i, f, o, of `z` for g), then
+        /// `tanh_fast(c)`, the cell state and the hidden state the row
+        /// read, `[R, H]` each.
         saved: Vec<f32>,
     },
     /// Multi-head self-attention over each sequence's real tokens (see
     /// [`crate::Graph::attention`]); the input is the packed projection
-    /// `[B·S, 3·inner]`, the output the context `[B·S, inner]`.
+    /// `[R, 3·inner]`, the output the context `[R, inner]`.
     Attention {
         /// Number of heads.
         heads: usize,
+        /// First row of each sequence, then `R`.
+        starts: Vec<u32>,
         /// Real length of each sequence.
         lens: Vec<u32>,
         /// Softmax probabilities of every real (query, key) pair, before
@@ -396,6 +401,9 @@ pub(crate) fn backward_node(
             // Zeroed: the scatter accumulates into gathered rows only.
             let mut dt = pool.tensor_zeroed(table_shape);
             for (pos, &id) in ids.iter().enumerate() {
+                if id == crate::Graph::ZERO_ROW {
+                    continue;
+                }
                 let dst = &mut dt.data_mut()[id as usize * h..(id as usize + 1) * h];
                 let src = &dy.data()[pos * h..(pos + 1) * h];
                 for (d, &s) in dst.iter_mut().zip(src) {
@@ -447,21 +455,20 @@ pub(crate) fn backward_node(
             });
             accumulate(grads, pool, ins[0], dx);
         }
-        Op::LstmLayer { batch, keep, saved } => {
-            lstm_layer_backward(values, grads, pool, id, ins, *batch, keep, saved, dy);
+        Op::LstmLayer { batch, at, saved } => {
+            lstm_layer_backward(values, grads, pool, id, ins, *batch, at, saved, dy);
         }
         Op::Attention {
             heads,
+            starts,
             lens,
             probs,
             mask,
         } => {
             let qkv = &values[ins[0]];
-            let dims = qkv.dims();
             let d = attention::Dims {
-                seq: dims[0] / lens.len(),
                 heads: *heads,
-                dh: dims[1] / (3 * heads),
+                dh: qkv.dims()[1] / (3 * heads),
             };
             // Zeroed: the products accumulate into both, and padded rows
             // keep a zero gradient.
@@ -469,6 +476,7 @@ pub(crate) fn backward_node(
             let mut dqkv = pool.tensor_zeroed(*qkv.shape());
             attention::backward(
                 qkv.data(),
+                starts,
                 lens,
                 d,
                 probs,
@@ -484,18 +492,33 @@ pub(crate) fn backward_node(
     }
 }
 
+/// The row ranges of the steps of an [`Op::LstmLayer`] that have rows, in
+/// step order: each range holds the rows that share `at[r] / batch`.
+pub(crate) fn lstm_steps(at: &[u32], batch: usize) -> Vec<Range<usize>> {
+    let mut steps = Vec::new();
+    let mut start = 0;
+    for r in 1..=at.len() {
+        if r == at.len() || at[r] as usize / batch != at[start] as usize / batch {
+            steps.push(start..r);
+            start = r;
+        }
+    }
+    steps
+}
+
 /// Backpropagation through time for one [`Op::LstmLayer`] node.
 ///
 /// Walks the steps last to first. Each step writes its pre-activation
 /// gradient `dZ_t` — which is also the input projection's gradient — and
-/// hands `dh` and `dc` to the step before it; the hidden-state carry costs
-/// one `dZ_t · Whᵀ` GEMM. After the walk, the recurrent weights take a
-/// single `H_prevᵀ · dZ` GEMM over all steps and the biases a column sum
-/// of `dZ`. The gate and cell derivatives are those of the `tanh_fast`
-/// approximants at the forward pre-activations, taken from the saved
-/// `tanh_fast` values: `tanh_fast'(x) = 1 - tanh_fast(x)²` (exactly 0 where
-/// it clamps to ±1), and `sigmoid'(x) = (1 - tanh_fast(x/2)²) / 4` — the
-/// values [`Op::Tanh`] and [`Op::Sigmoid`] compute.
+/// hands `dh` and `dc` to each of its sequences' previous computed rows;
+/// the hidden-state carry costs one `dZ_t · Whᵀ` GEMM over the step's
+/// rows. After the walk, the recurrent weights take a single
+/// `H_prevᵀ · dZ` GEMM over the rows after the first step and the biases
+/// a column sum of `dZ`. The gate and cell derivatives are those of the
+/// `tanh_fast` approximants at the forward pre-activations, taken from the
+/// saved `tanh_fast` values: `tanh_fast'(x) = 1 - tanh_fast(x)²` (exactly 0
+/// where it clamps to ±1), and `sigmoid'(x) = (1 - tanh_fast(x/2)²) / 4` —
+/// the values [`Op::Tanh`] and [`Op::Sigmoid`] compute.
 #[allow(clippy::too_many_arguments)]
 fn lstm_layer_backward(
     values: &[Tensor],
@@ -504,44 +527,36 @@ fn lstm_layer_backward(
     id: usize,
     ins: &[usize],
     batch: usize,
-    keep: &[f32],
+    at: &[u32],
     saved: &[f32],
     dy: Tensor,
 ) {
-    let out = values[id].data();
     let wh = &values[ins[1]];
     let h = values[id].shape().last_dim();
-    let (rows, h4) = (keep.len(), 4 * h);
+    let (rows, h4) = (at.len(), 4 * h);
     let (tanh_z, rest) = saved.split_at(rows * h4);
-    let (tanh_c, c_carry) = rest.split_at(rows * h);
+    let (tanh_c, rest) = rest.split_at(rows * h);
+    let (c_prev, h_prev) = rest.split_at(rows * h);
     // `dZ_t · Whᵀ` for every step: pack `Whᵀ` once.
     let mut wht_packed = pool.take_f32(h * h4);
     kernels::pack_rhs(wh.data(), 1, h4, h4, h, &mut wht_packed);
     // Uninit: every row is assigned by its step below.
     let mut dz = pool.tensor_uninit(Shape::new(&[rows, h4]));
-    // Gradients carried from step t+1 into step t (zero past the end), and
-    // the cell state before the first step.
+    // Per sequence, the gradients its next computed row hands back (zero
+    // past its last), and one step's `dZ_t · Whᵀ`.
     let mut dh = pool.take_f32_zeroed(batch * h);
     let mut dc = pool.take_f32_zeroed(batch * h);
-    let zeros = pool.take_f32_zeroed(batch * h);
-    for t in (0..rows / batch).rev() {
-        let r0 = t * batch;
-        let dz_t = &mut dz.data_mut()[r0 * h4..(r0 + batch) * h4];
-        for bi in 0..batch {
-            let r = r0 + bi;
-            let (k, hold) = (keep[r], 1.0 - keep[r]);
+    let mut carry = pool.take_f32(batch * h);
+    let steps = lstm_steps(at, batch);
+    for (t, step) in steps.iter().enumerate().rev() {
+        for r in step.clone() {
             let tz = &tanh_z[r * h4..(r + 1) * h4];
             let (ti, tf, g_g, to) = (&tz[..h], &tz[h..2 * h], &tz[2 * h..3 * h], &tz[3 * h..]);
-            let tc = &tanh_c[r * h..(r + 1) * h];
-            let row = bi * h..(bi + 1) * h;
-            let cp = if t == 0 {
-                &zeros[row.clone()]
-            } else {
-                &c_carry[(r - batch) * h..(r - batch + 1) * h]
-            };
+            let (tc, cp) = (&tanh_c[r * h..(r + 1) * h], &c_prev[r * h..(r + 1) * h]);
             let dyr = &dy.data()[r * h..(r + 1) * h];
-            let (dhr, dcr) = (&mut dh[row.clone()], &mut dc[row]);
-            let dzr = &mut dz_t[bi * h4..(bi + 1) * h4];
+            let seq = (at[r] as usize % batch) * h..;
+            let (dhr, dcr) = (&dh[seq.clone()][..h], &mut dc[seq][..h]);
+            let dzr = &mut dz.data_mut()[r * h4..(r + 1) * h4];
             let (dz_if, dz_go) = dzr.split_at_mut(2 * h);
             let (dz_i, dz_f) = dz_if.split_at_mut(h);
             let (dz_g, dz_o) = dz_go.split_at_mut(h);
@@ -549,36 +564,41 @@ fn lstm_layer_backward(
                 let (i_g, f_g) = (0.5 * (1.0 + ti[j]), 0.5 * (1.0 + tf[j]));
                 let o_g = 0.5 * (1.0 + to[j]);
                 let dht = dyr[j] + dhr[j];
-                let dct = dcr[j];
-                let dh_new = dht * k;
-                let dc_new = dct * k + dh_new * o_g * (1.0 - tc[j] * tc[j]);
+                let dc_new = dcr[j] + dht * o_g * (1.0 - tc[j] * tc[j]);
                 dz_i[j] = dc_new * g_g[j] * (0.25 * (1.0 - ti[j] * ti[j]));
                 dz_f[j] = dc_new * cp[j] * (0.25 * (1.0 - tf[j] * tf[j]));
                 dz_g[j] = dc_new * i_g * (1.0 - g_g[j] * g_g[j]);
-                dz_o[j] = dh_new * tc[j] * (0.25 * (1.0 - to[j] * to[j]));
-                dcr[j] = dct * hold + dc_new * f_g;
-                dhr[j] = dht * hold;
+                dz_o[j] = dht * tc[j] * (0.25 * (1.0 - to[j] * to[j]));
+                dcr[j] = dc_new * f_g;
             }
         }
         if t > 0 {
-            kernels::matmul_packed_acc(dz_t, &wht_packed, &mut dh, batch, h4, h);
+            let n = step.len();
+            let carry = &mut carry[..n * h];
+            carry.fill(0.0);
+            let dz_t = &dz.data()[step.start * h4..step.end * h4];
+            kernels::matmul_packed_acc(dz_t, &wht_packed, carry, n, h4, h);
+            for (r, row) in step.clone().zip(carry.chunks_exact(h)) {
+                let seq = at[r] as usize % batch * h;
+                dh[seq..seq + h].copy_from_slice(row);
+            }
         }
     }
     pool.give_f32(wht_packed);
-    pool.give_f32(zeros);
     pool.give_f32(dh);
     pool.give_f32(dc);
+    pool.give_f32(carry);
     pool.recycle(dy);
     // Zeroed: both are accumulated into.
     let mut dwh = pool.tensor_zeroed(*wh.shape());
-    if rows > batch {
-        let prev = rows - batch;
+    let first = steps.first().map_or(0, |s| s.end);
+    if rows > first {
         kernels::matmul_at_b_acc(
-            &out[..prev * h],
-            &dz.data()[batch * h4..],
+            &h_prev[first * h..],
+            &dz.data()[first * h4..],
             dwh.data_mut(),
             h,
-            prev,
+            rows - first,
             h4,
         );
     }

@@ -11,6 +11,11 @@ use clinfl_tensor::{gradcheck, kernels, Graph, Tensor};
 
 const NEG_ATTN: f32 = -1.0e4;
 
+/// The row starts of `n` sequences padded to `s` rows each.
+fn padded(n: usize, s: usize) -> Vec<usize> {
+    (0..=n).map(|b| b * s).collect()
+}
+
 /// One (sequence, head) operand: rows `b·S..(b+1)·S` of `src` (row stride
 /// `stride`), columns `col..col + dh`, copied to a contiguous `[S, dh]`.
 fn head_rows(src: &[f32], stride: usize, b: usize, s: usize, col: usize, dh: usize) -> Vec<f32> {
@@ -115,7 +120,7 @@ fn matches_the_unfused_composition_bitwise_on_ragged_lengths() {
 
     let mut g = Graph::new(); // training mode, but p = 0: no dropout
     let x = g.input(qkv.clone());
-    let ctx = g.attention(x, &lens, heads, 0.0);
+    let ctx = g.attention(x, &padded(lens.len(), s), &lens, heads, 0.0);
     let out = g.value(ctx).data().to_vec();
     let wv = g.input(weights.clone());
     let weighted = g.mul(ctx, wv);
@@ -147,6 +152,56 @@ fn matches_the_unfused_composition_bitwise_on_ragged_lengths() {
 }
 
 #[test]
+fn packed_rows_get_the_padded_bits_with_dropout() {
+    // Lengths 7 (= S), 1, 4 and 0. Packed, a sequence keeps `max(len, 1)`
+    // rows; the dropout mask covers the real pairs only, so it is the same.
+    let (s, heads, dh) = (7, 3, 5);
+    let lens = [7, 1, 4, 0];
+    let inner = heads * dh;
+    let qkv = Tensor::randn(&[lens.len() * s, 3 * inner], 1.5, 61);
+    let weights = row_weights(&lens, s, inner, 62);
+    let kept: Vec<usize> = (0..lens.len())
+        .flat_map(|b| (0..lens[b].max(1)).map(move |i| b * s + i))
+        .collect();
+    let mut starts = vec![0];
+    for &len in &lens {
+        starts.push(starts[starts.len() - 1] + len.max(1));
+    }
+    let pick = |t: &Tensor, width: usize| {
+        let rows = kept
+            .iter()
+            .flat_map(|&r| t.data()[r * width..][..width].to_vec());
+        Tensor::from_vec(&[kept.len(), width], rows.collect()).unwrap()
+    };
+    let run = |x: Tensor, w: Tensor, starts: &[usize]| {
+        let mut g = Graph::with_seed(3);
+        let xv = g.input(x);
+        let ctx = g.attention(xv, starts, &lens, heads, 0.2);
+        let wv = g.input(w);
+        let weighted = g.mul(ctx, wv);
+        let loss = g.sum(weighted);
+        g.backward(loss);
+        let ctx = g.value(ctx).data().to_vec();
+        (ctx, g.grad(xv).unwrap().data().to_vec())
+    };
+    let (ctx, dqkv) = run(qkv.clone(), weights.clone(), &padded(lens.len(), s));
+    let (packed_ctx, packed_dqkv) = run(pick(&qkv, 3 * inner), pick(&weights, inner), &starts);
+    for (i, &row) in kept.iter().enumerate() {
+        let (w, lo) = (3 * inner, inner);
+        assert_eq!(
+            bits(&packed_ctx[i * lo..][..lo]),
+            bits(&ctx[row * lo..][..lo]),
+            "ctx row {row}"
+        );
+        assert_eq!(
+            bits(&packed_dqkv[i * w..][..w]),
+            bits(&dqkv[row * w..][..w]),
+            "dqkv row {row}"
+        );
+    }
+}
+
+#[test]
 fn gradcheck_with_padding() {
     let (s, heads, dh) = (4, 2, 3);
     let lens = [4, 2, 1];
@@ -154,7 +209,7 @@ fn gradcheck_with_padding() {
     let weights = row_weights(&lens, s, inner, 41);
     let qkv = Tensor::randn(&[lens.len() * s, 3 * inner], 1.0, 42);
     let report = gradcheck(&[qkv], |g, v| {
-        let ctx = g.attention(v[0], &lens, heads, 0.0);
+        let ctx = g.attention(v[0], &padded(lens.len(), s), &lens, heads, 0.0);
         let w = g.input(weights.clone());
         let weighted = g.mul(ctx, w);
         g.sum(weighted)
@@ -175,7 +230,7 @@ fn dropout_gradients_match_finite_differences() {
     let run = |x: &Tensor| {
         let mut g = Graph::with_seed(9);
         let xv = g.input(x.clone());
-        let ctx = g.attention(xv, &lens, heads, 0.3);
+        let ctx = g.attention(xv, &padded(lens.len(), s), &lens, heads, 0.3);
         let w = g.input(weights.clone());
         let weighted = g.mul(ctx, w);
         let loss = g.sum(weighted);
@@ -185,7 +240,7 @@ fn dropout_gradients_match_finite_differences() {
     let (loss, grad) = run(&qkv);
     assert_ne!(
         loss,
-        run_eval(&qkv, &lens, heads, &weights),
+        run_eval(&qkv, &lens, s, heads, &weights),
         "dropout is active"
     );
     let eps = 1e-2;
@@ -204,11 +259,11 @@ fn dropout_gradients_match_finite_differences() {
     }
 }
 
-fn run_eval(x: &Tensor, lens: &[usize], heads: usize, weights: &Tensor) -> f32 {
+fn run_eval(x: &Tensor, lens: &[usize], s: usize, heads: usize, weights: &Tensor) -> f32 {
     let mut g = Graph::with_seed(9);
     g.set_training(false);
     let xv = g.input(x.clone());
-    let ctx = g.attention(xv, lens, heads, 0.3);
+    let ctx = g.attention(xv, &padded(lens.len(), s), lens, heads, 0.3);
     let w = g.input(weights.clone());
     let weighted = g.mul(ctx, w);
     let loss = g.sum(weighted);
@@ -220,5 +275,5 @@ fn run_eval(x: &Tensor, lens: &[usize], heads: usize, weights: &Tensor) -> f32 {
 fn key_length_beyond_the_sequence_panics() {
     let mut g = Graph::new();
     let x = g.input(Tensor::zeros(&[4, 6]));
-    g.attention(x, &[3, 3], 1, 0.0);
+    g.attention(x, &[0, 2, 4], &[3, 3], 1, 0.0);
 }

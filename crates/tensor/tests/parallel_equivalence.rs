@@ -152,7 +152,8 @@ fn attention_bit_identical_with_dropout() {
     assert_bit_identical("attention forward and backward", || {
         let mut g = Graph::with_seed(5);
         let x = g.input(qkv.clone());
-        let ctx = g.attention(x, &lens, heads, 0.1);
+        let starts: Vec<usize> = (0..=lens.len()).map(|b| b * s).collect();
+        let ctx = g.attention(x, &starts, &lens, heads, 0.1);
         let w = g.input(weights.clone());
         let weighted = g.mul(ctx, w);
         let loss = g.sum(weighted);
@@ -160,5 +161,77 @@ fn attention_bit_identical_with_dropout() {
         let mut out = g.value(ctx).data().to_vec();
         out.extend_from_slice(g.grad(x).unwrap().data());
         out
+    });
+}
+
+#[test]
+fn packed_attention_bit_identical_on_ragged_lengths() {
+    let _guard = config_lock();
+    // BERT's heads over 16 packed sequences of 0 to 26 tokens, a sequence
+    // keeping `max(len, 1)` rows; lengths 0 and 1 included.
+    let (heads, dh) = (6, 22);
+    let lens: Vec<usize> = (0..16)
+        .map(|b| match b {
+            0 | 1 => b,
+            15 => 26,
+            _ => (b * 7) % 27,
+        })
+        .collect();
+    let mut starts = vec![0];
+    for &len in &lens {
+        starts.push(starts[starts.len() - 1] + len.max(1));
+    }
+    let (rows, inner) = (starts[lens.len()], heads * dh);
+    let qkv = Tensor::randn(&[rows, 3 * inner], 1.0, 73);
+    let weights = Tensor::randn(&[rows, inner], 1.0, 79);
+    assert_bit_identical("packed attention forward and backward", || {
+        let mut g = Graph::with_seed(5);
+        let x = g.input(qkv.clone());
+        let ctx = g.attention(x, &starts, &lens, heads, 0.1);
+        let w = g.input(weights.clone());
+        let weighted = g.mul(ctx, w);
+        let loss = g.sum(weighted);
+        g.backward(loss);
+        let mut out = g.value(ctx).data().to_vec();
+        out.extend_from_slice(g.grad(x).unwrap().data());
+        out
+    });
+}
+
+#[test]
+fn packed_lstm_layer_bit_identical_forward_and_backward() {
+    let _guard = config_lock();
+    // The paper's LSTM width over 32 ragged sequences of up to 26 steps,
+    // packed time-major, one of them empty: forward, and the gradients of
+    // the projection, the recurrent weights and the biases.
+    let (b, s, h) = (32, 26, 128);
+    let lens: Vec<usize> = (0..b)
+        .map(|i| if i == 7 { 0 } else { 3 + (i * 11) % 24 })
+        .collect();
+    let at: Vec<u32> = (0..s * b)
+        .filter(|&r| r / b < lens[r % b])
+        .map(|r| r as u32)
+        .collect();
+    let xz = Tensor::randn(&[at.len(), 4 * h], 0.8, 83);
+    let wh = Tensor::randn(&[h, 4 * h], 0.1, 89);
+    let bias = Tensor::randn(&[4 * h], 0.5, 97);
+    let weights = Tensor::randn(&[at.len(), h], 1.0, 101);
+    assert_bit_identical("packed lstm_layer forward and backward", || {
+        let mut g = Graph::new();
+        let (x, w, bv) = (
+            g.input(xz.clone()),
+            g.input(wh.clone()),
+            g.input(bias.clone()),
+        );
+        let out = g.lstm_layer(x, w, bv, &at, b);
+        let ww = g.input(weights.clone());
+        let weighted = g.mul(out, ww);
+        let loss = g.sum(weighted);
+        g.backward(loss);
+        let mut res = g.value(out).data().to_vec();
+        for v in [x, w, bv] {
+            res.extend_from_slice(g.grad(v).unwrap().data());
+        }
+        res
     });
 }

@@ -9,10 +9,10 @@
 //! rounding in the micro-kernel fails a row.
 //!
 //! The cases: one packed GEMM per kind at a shape the models run, one
-//! LSTM and one BERT-mini training step (gradient digests), BERT-mini's
-//! evaluation outputs on ragged lengths, three
-//! 4-site, 2-round LSTM federations (raw and flat; `delta+topk0.05+int8`
-//! under `tree = 2x2`; DP with client sampling) and a 3-site, 2-round
+//! LSTM and one BERT-mini training step (gradient digests), the LSTM's
+//! and BERT-mini's evaluation outputs on ragged lengths, three 4-site,
+//! 2-round LSTM federations (raw and flat; `delta+topk0.05+int8` under
+//! `tree = 2x2`; DP with client sampling) and a 3-site, 2-round
 //! BERT-mini MLM federation. Every result is identical at any
 //! `CLINFL_THREADS`, so one file serves every thread budget.
 //!
@@ -263,6 +263,55 @@ fn eval_bert_mini_outputs() {
             })
             .collect();
         out.insert("losses".to_string(), WeightTensor::new(vec![2], losses));
+        weights_digest(&out)
+    });
+}
+
+/// The paper's LSTM in evaluation mode on 32 sequences of 5 to 26 real
+/// tokens, one of them with a hole mid-sequence and one fully padded: the
+/// classification loss and the head's gradients, which are functions of
+/// the final hidden states and the logits only. It pins the recurrence's
+/// treatment of padding, holes and empty rows — and the gather of each
+/// sequence's last state — to the bits it gave when every padded step
+/// was computed and carried.
+#[test]
+fn eval_lstm_outputs() {
+    golden("eval_lstm_outputs", || {
+        let (b, s, vocab) = (32, 26, 300);
+        let mut model = LstmClassifier::new(&LstmConfig::with_vocab(vocab), 14);
+        let ids: Vec<u32> = (0..b * s)
+            .map(|at| 5 + ((at * 7919) % (vocab - 6)) as u32)
+            .collect();
+        let mut mask = vec![0u8; b * s];
+        for row in 0..b - 1 {
+            mask[row * s..row * s + 5 + (row * 7) % 22].fill(1);
+        }
+        // Row 3 skips two steps mid-sequence; row 31 is all padding.
+        mask[3 * s + 4..3 * s + 6].fill(0);
+        let labels: Vec<i32> = (0..b).map(|i| (i % 3 == 0) as i32).collect();
+        let batch = TokenBatch {
+            ids: &ids,
+            mask: &mask,
+            batch_size: b,
+            seq_len: s,
+        };
+        let mut g = Graph::new();
+        g.set_training(false);
+        let loss = model.classification_loss(&mut g, &batch, &labels);
+        let value = g.value(loss).item();
+        g.backward(loss);
+        g.grads_into(model.params_mut());
+        let params = model.params();
+        let mut out: Weights = params
+            .iter()
+            .filter(|(_, name, _)| name.starts_with("lstm.head"))
+            .map(|(id, name, _)| {
+                let grad = params.grad(id);
+                let t = WeightTensor::new(grad.dims().to_vec(), grad.data().to_vec());
+                (name.to_string(), t)
+            })
+            .collect();
+        out.insert("loss".to_string(), WeightTensor::new(vec![1], vec![value]));
         weights_digest(&out)
     });
 }

@@ -366,6 +366,31 @@ proptest! {
         prop_assert!(out.num_targets() >= 1);
     }
 
+    /// The invariants the packed encoders rely on: a mask is a prefix of
+    /// ones, so packing drops only trailing padding, and the masker labels
+    /// only real positions, so every MLM target has a computed row.
+    #[test]
+    fn encoded_masks_are_prefixes_and_labels_stay_on_real_tokens(
+        n_events in 0usize..60,
+        max_len in 3usize..40,
+        p in 0.05f32..0.9,
+        seed in any::<u64>(),
+    ) {
+        let vocab = Vocab::from_tokens((0..50).map(|i| format!("T{i}")));
+        let tok = ClinicalTokenizer::new(vocab.clone(), max_len);
+        // Every seventh-ish code is out of vocabulary.
+        let events: Vec<String> = (0..n_events).map(|i| format!("T{}", (i * 7) % 60)).collect();
+        let enc = tok.encode(&events);
+        prop_assert_eq!(enc.attention_mask.len(), max_len);
+        let len = enc.attention_mask.iter().take_while(|&&m| m == 1).count();
+        prop_assert!(enc.attention_mask[len..].iter().all(|&m| m == 0), "a hole");
+        prop_assert!((2..=max_len).contains(&len), "length {}", len);
+        let out = MlmMasker::with_select_prob(p).mask(&enc.ids, &vocab, seed);
+        for (i, (&label, &m)) in out.labels.iter().zip(&enc.attention_mask).enumerate() {
+            prop_assert!(m == 1 || label == IGNORE_INDEX, "padded position {} labelled", i);
+        }
+    }
+
     #[test]
     fn partitioner_conserves_examples(
         n in 16usize..200,
