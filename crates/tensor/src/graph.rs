@@ -750,8 +750,8 @@ impl Graph {
         assert_eq!(self.values[ib].dims(), [h4], "lstm_layer: b must be [4H]");
         assert!(
             at.len() == rows && batch > 0 && at.windows(2).all(|w| w[0] < w[1]),
-            "lstm_layer: {} ascending row positions wanted for {rows} rows, got {}",
-            rows,
+            "lstm_layer: wants one strictly ascending position per row of its \
+             {rows} rows, got {} positions",
             at.len()
         );
         let mut at_buf = self.pool.take_u32(rows);
