@@ -573,8 +573,8 @@ mod tests {
     }
 
     /// The encoder as composed before the packed projection: Q, K and V
-    /// by three GEMMs joined for the attention node, `[CLS]` selected
-    /// through a `[B, S, H]` reshape, and the MLM head run on every
+    /// by three GEMMs joined for the attention node, `[CLS]` gathered
+    /// from the padded `[B·S, H]` rows, and the MLM head run on every
     /// position. (The attention node itself is pinned against the unfused
     /// score, mask, softmax and context ops in `clinfl-tensor`.)
     fn reference_encode(m: &BertModel, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
@@ -632,8 +632,10 @@ mod tests {
 
     fn reference_cls_logits(m: &BertModel, g: &mut Graph, batch: &TokenBatch<'_>) -> Var {
         let enc = reference_encode(m, g, batch);
-        let enc = g.reshape(enc, &[batch.batch_size, batch.seq_len, m.config.hidden]);
-        let cls = g.select_axis1(enc, 0);
+        let cls_rows: Vec<u32> = (0..batch.batch_size)
+            .map(|i| (i * batch.seq_len) as u32)
+            .collect();
+        let cls = g.embedding(enc, &cls_rows);
         let cls = g.dropout(cls, m.config.dropout);
         let w = g.param(&m.params, m.cls_w);
         let bias = g.param(&m.params, m.cls_b);

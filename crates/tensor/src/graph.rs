@@ -397,29 +397,6 @@ impl Graph {
         self.push(Op::Reshape, &[ia], value)
     }
 
-    /// Selects `[:, index, :]` from a rank-3 tensor (`[B, S, H] -> [B, H]`),
-    /// e.g. the `[CLS]` position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank-3 or `index` is out of bounds.
-    pub fn select_axis1(&mut self, a: Var, index: usize) -> Var {
-        let ia = self.chk(a);
-        let src = &self.values[ia];
-        let dims = src.dims();
-        assert_eq!(dims.len(), 3, "select_axis1 requires rank-3 input");
-        let (b, s, h) = (dims[0], dims[1], dims[2]);
-        assert!(index < s, "select_axis1 index {index} out of bounds {s}");
-        // Uninit: every output row is fully copied.
-        let mut out = self.pool.tensor_uninit(Shape::new(&[b, h]));
-        let src = &self.values[ia];
-        for bi in 0..b {
-            out.data_mut()[bi * h..(bi + 1) * h]
-                .copy_from_slice(&src.data()[(bi * s + index) * h..(bi * s + index + 1) * h]);
-        }
-        self.push(Op::Select { index, axis_len: s }, &[ia], out)
-    }
-
     /// Concatenates two tensors along the last dimension. All leading
     /// dimensions must match.
     ///
@@ -1113,17 +1090,6 @@ mod tests {
         g.backward(loss);
         // Row 2 used twice, row 0 once, row 1 never.
         assert_eq!(g.grad(table).unwrap().data(), &[1., 1., 0., 0., 2., 2.]);
-    }
-
-    #[test]
-    fn select_axis1_cls() {
-        let mut g = Graph::new();
-        let x = g.input(t(&[2, 2, 2], &[1., 2., 3., 4., 5., 6., 7., 8.]));
-        let cls = g.select_axis1(x, 0);
-        assert_eq!(g.value(cls).data(), &[1., 2., 5., 6.]);
-        let loss = g.sum(cls);
-        g.backward(loss);
-        assert_eq!(g.grad(x).unwrap().data(), &[1., 1., 0., 0., 1., 1., 0., 0.]);
     }
 
     #[test]

@@ -50,14 +50,6 @@ pub(crate) enum Op {
     ConcatLast,
     /// Sum of all elements to a scalar.
     Sum,
-    /// Selection of one index along axis 1 of a rank-3 tensor
-    /// (`[B, S, H] -> [B, H]`), used for `[CLS]` pooling.
-    Select {
-        /// Selected index along axis 1.
-        index: usize,
-        /// Extent of axis 1 in the input.
-        axis_len: usize,
-    },
     /// Mean cross-entropy from logits `[N, C]` against integer targets.
     CrossEntropy {
         /// Per-row class targets; rows equal to `ignore_index` are skipped.
@@ -354,20 +346,6 @@ pub(crate) fn backward_node(
             let g = dy.item();
             pool.recycle(dy);
             let dx = pool.tensor_full(*values[ins[0]].shape(), g);
-            accumulate(grads, pool, ins[0], dx);
-        }
-        Op::Select { index, axis_len } => {
-            let src_shape = *values[ins[0]].shape();
-            let dims = src_shape.dims();
-            let (b, s, h) = (dims[0], dims[1], dims[2]);
-            debug_assert_eq!(s, *axis_len);
-            // Zeroed: only the selected rows are written.
-            let mut dx = pool.tensor_zeroed(src_shape);
-            for bi in 0..b {
-                let dst = &mut dx.data_mut()[(bi * s + index) * h..(bi * s + index + 1) * h];
-                dst.copy_from_slice(&dy.data()[bi * h..(bi + 1) * h]);
-            }
-            pool.recycle(dy);
             accumulate(grads, pool, ins[0], dx);
         }
         Op::CrossEntropy {

@@ -53,17 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn select_axis1_grad(seed in 0u64..500, index in 0usize..3) {
-        let a = Tensor::randn(&[2, 3, 4], 1.0, seed);
-        let r = gradcheck(&[a], |g, v| {
-            let s = g.select_axis1(v[0], index);
-            let sq = g.mul(s, s);
-            g.sum(sq)
-        });
-        prop_assert!(r.passes(2e-2), "{r:?}");
-    }
-
-    #[test]
     fn embedding_grad(seed in 0u64..500) {
         let table = Tensor::randn(&[5, 3], 1.0, seed);
         let r = gradcheck(&[table], |g, v| {
